@@ -6,7 +6,9 @@
     momsec examples emit NAME PATH
 
 Exit codes: 0 all required checks pass, 1 a required check failed,
-2 usage or validation error.
+2 usage or validation error, 3 the model cannot be evaluated at the
+sample: a domain error (such as log of a non-positive value), whose
+message names the subexpression, or a singular matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
+from .expressions import ExpressionError
 from .fixtures import fixture_bytes, fixture_names
 from .modelfile import ModelError, load_model
 from .reporting import CheckReport
@@ -22,6 +27,7 @@ from .suites import RunConfig, SuiteError, run
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_EVAL = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,6 +91,9 @@ def cmd_check(args) -> int:
     except SuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ExpressionError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: cannot evaluate the model at the sample: {exc}", file=sys.stderr)
+        return EXIT_EVAL
 
     if args.format == "json":
         sys.stdout.write(report.to_json())

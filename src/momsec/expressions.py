@@ -2,8 +2,9 @@
 
 Sources such as ``"x^2 * sin(y)"`` are parsed against a fixed list of
 coordinate names and evaluated to second-order jets (value, gradient,
-Hessian) at a point.  Jet arithmetic implements the product and chain
-rules exactly, so derivatives carry only floating rounding error.
+Hessian) over a whole point sample at once.  Jet arithmetic implements
+the product and chain rules exactly, so derivatives carry only floating
+rounding error.
 
 Grammar (loosest to tightest binding)::
 
@@ -20,7 +21,6 @@ exp log sqrt tanh abs``.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -294,7 +294,12 @@ def pretty(node: Expr) -> str:
 
 
 class Jet2:
-    """Value, gradient and Hessian of a scalar function at one point.
+    """Values, gradients and Hessians of a scalar function over a sample.
+
+    For P points in d coordinates, ``value`` has shape ``(P,)``, ``grad``
+    ``(P, d)`` and ``hess`` ``(P, d, d)``; row p is the jet at point p,
+    and every rule below acts row by row.  ``row(p)`` reads one row back
+    as a float value, a ``(d,)`` gradient and a ``(d, d)`` Hessian.
 
     ``hess`` (and then ``grad``) may be ``None`` for quantities produced
     by differentiating evaluated fields: each differentiation consumes
@@ -305,24 +310,26 @@ class Jet2:
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad, hess):
-        self.value = float(value)
+    def __init__(self, value, grad, hess):
+        self.value = value
         self.grad = grad
         self.hess = hess
 
     @staticmethod
-    def constant(value: float, dim: int) -> "Jet2":
-        return Jet2(value, np.zeros(dim), np.zeros((dim, dim)))
+    def constant(value: float, count: int, dim: int) -> "Jet2":
+        return Jet2(np.full(count, float(value)), np.zeros((count, dim)), np.zeros((count, dim, dim)))
 
     @staticmethod
-    def coordinate(value: float, index: int, dim: int) -> "Jet2":
-        g = np.zeros(dim)
-        g[index] = 1.0
-        return Jet2(value, g, np.zeros((dim, dim)))
+    def coordinate(points: np.ndarray, index: int) -> "Jet2":
+        count, dim = points.shape
+        g = np.zeros((count, dim))
+        g[:, index] = 1.0
+        return Jet2(points[:, index].copy(), g, np.zeros((count, dim, dim)))
 
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[0]
+    def row(self, p: int) -> "Jet2":
+        g = None if self.grad is None else self.grad[p]
+        h = None if self.hess is None else self.hess[p]
+        return Jet2(float(self.value[p]), g, h)
 
     def __add__(self, other: "Jet2") -> "Jet2":
         g = None if self.grad is None or other.grad is None else self.grad + other.grad
@@ -343,12 +350,16 @@ class Jet2:
         value = self.value * other.value
         if self.grad is None or other.grad is None:
             return Jet2(value, None, None)
-        grad = self.grad * other.value + self.value * other.grad
+        grad = self.grad * other.value[:, None] + self.value[:, None] * other.grad
         if self.hess is None or other.hess is None:
             hess = None
         else:
-            cross = np.outer(self.grad, other.grad)
-            hess = self.hess * other.value + self.value * other.hess + cross + cross.T
+            cross = self.grad[:, :, None] * other.grad[:, None, :]
+            hess = (
+                self.hess * other.value[:, None, None]
+                + self.value[:, None, None] * other.hess
+                + (cross + cross.transpose(0, 2, 1))
+            )
         return Jet2(value, grad, hess)
 
     def scale(self, c: float) -> "Jet2":
@@ -357,128 +368,121 @@ class Jet2:
         return Jet2(c * self.value, g, h)
 
     def reciprocal(self) -> "Jet2":
-        v = self.value
-        inv = 1.0 / v
-        if self.grad is None:
-            return Jet2(inv, None, None)
-        grad = -self.grad * (inv * inv)
-        if self.hess is None:
-            hess = None
-        else:
-            outer = np.outer(self.grad, self.grad)
-            hess = -self.hess * (inv * inv) + (2.0 * inv * inv * inv) * outer
-        return Jet2(inv, grad, hess)
+        inv = 1.0 / self.value
+        return self.compose(inv, -(inv * inv), 2.0 * inv * inv * inv)
 
-    def compose(self, f: float, df: float, d2f: float) -> "Jet2":
+    def compose(self, f: np.ndarray, df: np.ndarray, d2f: np.ndarray) -> "Jet2":
         """Chain rule through a scalar function with derivatives f', f''."""
         if self.grad is None:
             return Jet2(f, None, None)
-        grad = df * self.grad
+        grad = df[:, None] * self.grad
         if self.hess is None:
             hess = None
         else:
-            hess = df * self.hess + d2f * np.outer(self.grad, self.grad)
+            outer = self.grad[:, :, None] * self.grad[:, None, :]
+            hess = df[:, None, None] * self.hess + d2f[:, None, None] * outer
         return Jet2(f, grad, hess)
 
 
 def _int_pow(u: Jet2, n: int, node: Expr) -> Jet2:
     if n == 0:
-        return Jet2.constant(1.0, u.dim)
+        return Jet2.constant(1.0, *u.grad.shape)
     if n < 0:
-        if u.value == 0.0:
+        if (u.value == 0.0).any():
             raise DomainError("zero base with negative exponent", node)
         return _int_pow(u, -n, node).reciprocal()
-    f = u.value**n
-    df = n * u.value ** (n - 1)
-    d2f = n * (n - 1) * u.value ** (n - 2) if n >= 2 else 0.0
-    return u.compose(f, df, d2f)
+    v = u.value
+    d2f = n * (n - 1) * v ** (n - 2) if n >= 2 else np.zeros_like(v)
+    return u.compose(v**n, n * v ** (n - 1), d2f)
 
 
-def _eval(node: Expr, point: np.ndarray) -> Jet2:
-    dim = point.shape[0]
+def eval_jets(node: Expr, points: np.ndarray) -> Jet2:
+    """Evaluate ``node`` and its exact first and second derivatives at
+    every row of the ``(P, d)`` array ``points``.  A domain violation at
+    any point of the sample raises :class:`DomainError` naming the
+    subexpression.
+    """
+    count, dim = points.shape
     if isinstance(node, Num):
-        return Jet2.constant(node.value, dim)
+        return Jet2.constant(node.value, count, dim)
     if isinstance(node, Var):
         if node.index >= dim:
             raise DomainError("point dimension too small for coordinate", node)
-        return Jet2.coordinate(point[node.index], node.index, dim)
+        return Jet2.coordinate(points, node.index)
     if isinstance(node, Add):
-        return _eval(node.left, point) + _eval(node.right, point)
+        return eval_jets(node.left, points) + eval_jets(node.right, points)
     if isinstance(node, Sub):
-        return _eval(node.left, point) - _eval(node.right, point)
+        return eval_jets(node.left, points) - eval_jets(node.right, points)
     if isinstance(node, Mul):
-        return _eval(node.left, point) * _eval(node.right, point)
+        return eval_jets(node.left, points) * eval_jets(node.right, points)
     if isinstance(node, Div):
-        denom = _eval(node.right, point)
-        if denom.value == 0.0:
+        denom = eval_jets(node.right, points)
+        if (denom.value == 0.0).any():
             raise DomainError("division by zero", node)
-        return _eval(node.left, point) * denom.reciprocal()
+        return eval_jets(node.left, points) * denom.reciprocal()
     if isinstance(node, Neg):
-        return -_eval(node.operand, point)
+        return -eval_jets(node.operand, points)
     if isinstance(node, Pow):
-        base = _eval(node.base, point)
-        expo = _eval(node.exponent, point)
-        is_const = bool(np.all(expo.grad == 0.0)) and (
-            expo.hess is None or bool(np.all(expo.hess == 0.0))
-        )
-        if is_const:
-            p = expo.value
+        base = eval_jets(node.base, points)
+        expo = eval_jets(node.exponent, points)
+        b = base.value
+        p = expo.value[0]
+        # a constant exponent means one number over the whole sample
+        if not expo.grad.any() and not expo.hess.any() and (expo.value == p).all():
             if float(p).is_integer():
                 return _int_pow(base, int(p), node)
-            if base.value <= 0.0:
+            if (b <= 0.0).any():
                 raise DomainError("real exponent requires a positive base", node)
-            f = base.value**p
-            return base.compose(f, p * base.value ** (p - 1.0), p * (p - 1.0) * base.value ** (p - 2.0))
+            return base.compose(b**p, p * b ** (p - 1.0), p * (p - 1.0) * b ** (p - 2.0))
         # variable exponent: b^e = exp(e * log(b))
-        if base.value <= 0.0:
+        if (b <= 0.0).any():
             raise DomainError("variable exponent requires a positive base", node)
-        log_base = base.compose(math.log(base.value), 1.0 / base.value, -1.0 / base.value**2)
-        w = expo * log_base
-        return w.compose(math.exp(w.value), math.exp(w.value), math.exp(w.value))
+        w = expo * base.compose(np.log(b), 1.0 / b, -1.0 / b**2)
+        e = np.exp(w.value)
+        return w.compose(e, e, e)
     if isinstance(node, Call):
-        u = _eval(node.arg, point)
+        u = eval_jets(node.arg, points)
         v = u.value
         if node.func == "sin":
-            return u.compose(math.sin(v), math.cos(v), -math.sin(v))
+            s = np.sin(v)
+            return u.compose(s, np.cos(v), -s)
         if node.func == "cos":
-            return u.compose(math.cos(v), -math.sin(v), -math.cos(v))
+            c = np.cos(v)
+            return u.compose(c, -np.sin(v), -c)
         if node.func == "tan":
-            c = math.cos(v)
-            if c == 0.0:
+            if (np.cos(v) == 0.0).any():
                 raise DomainError("tan at a pole", node)
-            t = math.tan(v)
+            t = np.tan(v)
             sec2 = 1.0 + t * t
             return u.compose(t, sec2, 2.0 * t * sec2)
         if node.func == "exp":
-            e = math.exp(v)
+            e = np.exp(v)
             return u.compose(e, e, e)
         if node.func == "log":
-            if v <= 0.0:
+            if (v <= 0.0).any():
                 raise DomainError("log of a non-positive value", node)
-            return u.compose(math.log(v), 1.0 / v, -1.0 / (v * v))
+            return u.compose(np.log(v), 1.0 / v, -1.0 / (v * v))
         if node.func == "sqrt":
-            if v < 0.0:
+            if (v < 0.0).any():
                 raise DomainError("sqrt of a negative value", node)
-            if v == 0.0:
+            if (v == 0.0).any():
                 raise DomainError("sqrt derivative at zero", node)
-            s = math.sqrt(v)
+            s = np.sqrt(v)
             return u.compose(s, 0.5 / s, -0.25 / (s * v))
         if node.func == "tanh":
-            t = math.tanh(v)
+            t = np.tanh(v)
             sech2 = 1.0 - t * t
             return u.compose(t, sech2, -2.0 * t * sech2)
         if node.func == "abs":
-            if v == 0.0:
+            if (v == 0.0).any():
                 raise DomainError("abs derivative at zero", node)
-            s = 1.0 if v > 0.0 else -1.0
-            return u.compose(abs(v), s, 0.0)
+            return u.compose(np.abs(v), np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v))
     raise TypeError(f"unknown node {node!r}")
 
 
 def eval_jet(expr: Expr, point) -> Jet2:
-    """Evaluate ``expr`` and its exact first and second derivatives."""
-    pt = np.asarray(point, dtype=float)
-    return _eval(expr, pt)
+    """The jet of ``expr`` at one point: a one-row sample, read back as row 0."""
+    return eval_jets(expr, np.asarray(point, dtype=float).reshape(1, -1)).row(0)
 
 
 def fd_cross_check(expr: Expr, point, step: float) -> float:

@@ -1,8 +1,11 @@
 """Chart-local calculus on arrays of scalar fields.
 
-A :class:`ScalarField` is anything that can produce a second-order jet at
-a point: a parsed expression, a constant, or an algebraic/differential
-combination of other fields.  Differentiating an evaluated field (via
+A :class:`ScalarField` is anything that can produce second-order jets
+over a point sample: a parsed expression, a constant, or an
+algebraic/differential combination of other fields.  A field is
+evaluated over the whole sample at once, and each node keeps the jets
+of the last sample it saw, so every node of a run's field graph is
+evaluated once per run.  Differentiating an evaluated field (via
 :class:`PartialField`) consumes one jet order, so a once-differentiated
 field still has an exact value and gradient but no Hessian.  No check in
 this package ever differentiates a field more than twice.
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, Jet2, eval_jet, parse
+# eval_jet is bound here as well so that it can be wrapped by name from outside
+from .expressions import Expr, Jet2, eval_jet, eval_jets, parse  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,42 +51,51 @@ class Chart:
         rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
-        return lo + rng.random((count, self.dim)) * (hi - lo)
+        points = lo + rng.random((count, self.dim)) * (hi - lo)
+        # fields remember the last sample by identity; it must not change
+        points.flags.writeable = False
+        return points
 
 
 # ---------------------------------------------------------------------------
 # Scalar fields
 
 
-class ScalarField:
-    """A scalar function on a chart, evaluable to a second-order jet.
+class _PerSample:
+    """Evaluation memoized in one slot: the last ``points`` array, matched by
+    identity, and its result.  Holding the array keeps its identity from
+    being reused; a sample must not be modified in place once evaluated on.
+    """
 
-    Fields are immutable, so jets are memoized per point; shared
-    subtrees (as produced by the bracket and wedge machinery) are then
-    evaluated once per sample point.
+    _sample = None
+    _result = None
+
+    def eval(self, points: np.ndarray):
+        if self._sample is not points:
+            self._result = self._eval(points)
+            self._sample = points
+        return self._result
+
+    def _eval(self, points: np.ndarray):
+        raise NotImplementedError
+
+
+class ScalarField(_PerSample):
+    """A scalar function on a chart, evaluable to second-order jets.
+
+    ``eval(points)`` gives the :class:`Jet2` over a ``(P, d)`` sample and
+    keeps it until the next sample.  A run passes one sample array
+    everywhere, so a subtree shared by many fields (as built by the
+    bracket and wedge machinery) is evaluated once per run.  ``jet`` and
+    ``value`` are one-point views: a one-row sample, read back as row 0.
     """
 
     dim: int
 
-    def jet(self, point: np.ndarray) -> Jet2:
-        cache = getattr(self, "_jet_cache", None)
-        if cache is None:
-            cache = {}
-            self._jet_cache = cache
-        key = point.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._jet(point)
-        if len(cache) > 4096:
-            cache.clear()
-        cache[key] = out
-        return out
+    def jet(self, point) -> Jet2:
+        return self.eval(np.asarray(point, dtype=float).reshape(1, -1)).row(0)
 
-    def _jet(self, point: np.ndarray) -> Jet2:
-        raise NotImplementedError
-
-    def value(self, point: np.ndarray) -> float:
+    def value(self, point) -> float:
         return self.jet(point).value
 
     @property
@@ -131,8 +144,8 @@ class ConstField(ScalarField):
         self.c = float(value)
         self.dim = dim
 
-    def _jet(self, point):
-        return Jet2.constant(self.c, self.dim)
+    def _eval(self, points):
+        return Jet2.constant(self.c, len(points), self.dim)
 
     @property
     def is_zero(self) -> bool:
@@ -169,8 +182,8 @@ class ExprField(ScalarField):
     def parse(source: str, chart: Chart) -> "ExprField":
         return ExprField(parse(source, chart.coordinates), chart)
 
-    def _jet(self, point):
-        return eval_jet(self.expr, point)
+    def _eval(self, points):
+        return eval_jets(self.expr, points)
 
 
 class SumField(ScalarField):
@@ -184,8 +197,8 @@ class SumField(ScalarField):
         self.terms = tuple(flat)
         self.dim = terms[0].dim
 
-    def _jet(self, point):
-        jets = [t.jet(point) for t in self.terms]
+    def _eval(self, points):
+        jets = [t.eval(points) for t in self.terms]
         out = jets[0]
         for j in jets[1:]:
             out = out + j
@@ -200,8 +213,8 @@ class DiffField(ScalarField):
         self.b = b
         self.dim = a.dim
 
-    def _jet(self, point):
-        return self.a.jet(point) - self.b.jet(point)
+    def _eval(self, points):
+        return self.a.eval(points) - self.b.eval(points)
 
 
 class ProdField(ScalarField):
@@ -210,8 +223,8 @@ class ProdField(ScalarField):
         self.b = b
         self.dim = a.dim
 
-    def _jet(self, point):
-        return self.a.jet(point) * self.b.jet(point)
+    def _eval(self, points):
+        return self.a.eval(points) * self.b.eval(points)
 
 
 class ScaledField(ScalarField):
@@ -220,8 +233,8 @@ class ScaledField(ScalarField):
         self.f = f
         self.dim = f.dim
 
-    def _jet(self, point):
-        return self.f.jet(point).scale(self.c)
+    def _eval(self, points):
+        return self.f.eval(points).scale(self.c)
 
 
 class PartialField(ScalarField):
@@ -237,14 +250,14 @@ class PartialField(ScalarField):
         self.i = i
         self.dim = f.dim
 
-    def _jet(self, point):
-        parent = self.f.jet(point)
+    def _eval(self, points):
+        parent = self.f.eval(points)
         if parent.grad is None:
             raise ValueError(
                 "jet order exhausted: a field was differentiated more than twice"
             )
-        grad = None if parent.hess is None else parent.hess[:, self.i].copy()
-        return Jet2(parent.grad[self.i], grad, None)
+        grad = None if parent.hess is None else parent.hess[:, :, self.i].copy()
+        return Jet2(parent.grad[:, self.i].copy(), grad, None)
 
 
 def field_sum(terms) -> ScalarField:
@@ -269,47 +282,34 @@ def field_sum_d(terms, dim: int) -> ScalarField:
 # Matrix inversion as a family of scalar fields
 
 
-class _MatrixInverseCore:
+class _MatrixInverseCore(_PerSample):
     """Shared evaluator for the entries of the inverse of a field matrix.
 
     Given jets of the entries of M(x), the inverse N = M^{-1} has
     dN = -N (dM) N and
     d2N_{kl} = -N M_{,kl} N + N M_{,k} N M_{,l} N + N M_{,l} N M_{,k} N,
-    all exact to second order.
+    all exact to second order.  Every array carries the sample as its
+    leading axis.
     """
 
     def __init__(self, entries):
         self.entries = entries
         self.n = len(entries)
         self.dim = entries[0][0].dim
-        self._memo: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def jets(self, point: np.ndarray):
-        key = point.tobytes()
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        n, d = self.n, self.dim
-        V = np.empty((n, n))
-        G = np.empty((n, n, d))
-        H = np.empty((n, n, d, d))
-        for i in range(n):
-            for j in range(n):
-                jet = self.entries[i][j].jet(point)
-                V[i, j] = jet.value
-                G[i, j] = jet.grad
-                H[i, j] = jet.hess
+    def _eval(self, points):
+        jets = [[f.eval(points) for f in row] for row in self.entries]
+        V = np.moveaxis(np.array([[j.value for j in row] for row in jets]), 2, 0)
+        G = np.moveaxis(np.array([[j.grad for j in row] for row in jets]), 2, 0)
+        H = np.moveaxis(np.array([[j.hess for j in row] for row in jets]), 2, 0)
         N = np.linalg.inv(V)
-        dN = -np.einsum("ia,abk,bj->ijk", N, G, N)
-        t_h = -np.einsum("ia,abkl,bj->ijkl", N, H, N)
-        t_g = np.einsum("ia,abk,bc,cdl,dj->ijkl", N, G, N, G, N)
+        NG = np.einsum("pia,pabk->pibk", N, G)
+        dN = -np.einsum("pibk,pbj->pijk", NG, N)
+        t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, H, N)
+        t_g = -np.einsum("pibk,pbjl->pijkl", NG, dN)
         # sum the symmetric pair first so the Hessian stays exactly symmetric
-        d2N = t_h + (t_g + t_g.transpose(0, 1, 3, 2))
-        result = (N, dN, d2N)
-        if len(self._memo) > 512:
-            self._memo.clear()
-        self._memo[key] = result
-        return result
+        d2N = t_h + (t_g + t_g.transpose(0, 1, 2, 4, 3))
+        return N, dN, d2N
 
 
 class MatrixInverseField(ScalarField):
@@ -319,9 +319,10 @@ class MatrixInverseField(ScalarField):
         self.j = j
         self.dim = core.dim
 
-    def _jet(self, point):
-        N, dN, d2N = self.core.jets(point)
-        return Jet2(N[self.i, self.j], dN[self.i, self.j].copy(), d2N[self.i, self.j].copy())
+    def _eval(self, points):
+        N, dN, d2N = self.core.eval(points)
+        i, j = self.i, self.j
+        return Jet2(N[:, i, j].copy(), dN[:, i, j].copy(), d2N[:, i, j].copy())
 
 
 def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
@@ -462,11 +463,7 @@ class FormField:
         return out
 
     def max_abs(self, points: np.ndarray) -> float:
-        worst = 0.0
-        for f in self.comps.values():
-            for p in points:
-                worst = max(worst, abs(f.value(p)))
-        return worst
+        return max_abs_fields(self.comps.values(), points)
 
 
 def exterior_derivative(omega: FormField) -> FormField:
@@ -654,10 +651,6 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
 
 
 def max_abs_fields(fields, points: np.ndarray) -> float:
-    worst = 0.0
-    for f in fields:
-        if f.is_zero:
-            continue
-        for p in points:
-            worst = max(worst, abs(f.value(p)))
-    return worst
+    """Largest |f| over the sample; NaN or inf when any value is non-finite."""
+    maxima = [np.max(np.abs(f.eval(points).value)) for f in fields if not f.is_zero]
+    return float(np.max(maxima, initial=0.0))

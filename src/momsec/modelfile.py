@@ -77,9 +77,6 @@ class Model:
     def has_metric(self) -> bool:
         return self.metric is not None
 
-    def metric_or_identity(self) -> MetricField:
-        return self.metric if self.metric is not None else MetricField.identity(self.chart)
-
 
 def _expect(cond: bool, path: str, message: str):
     if not cond:

@@ -141,14 +141,10 @@ def classify(h1_max: float, h2_max: float, h3_max: float, tol: float) -> str:
 
 def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1e-12) -> bool:
     """True when every structure function is constant over the sample."""
-    for (c, a, b), f in alg.structure_entries.items():
-        vals = [f.value(p) for p in points]
-        if max(vals) - min(vals) > tol:
+    for f in alg.structure_entries.values():
+        jet = f.eval(points)
+        if np.ptp(jet.value) > tol or np.max(np.abs(jet.grad)) > tol:
             return False
-        for p in points:
-            jet = f.jet(p)
-            if float(np.max(np.abs(jet.grad))) > tol:
-                return False
     return True
 
 

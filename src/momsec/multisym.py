@@ -406,7 +406,7 @@ def specialized_fields(data: PrenPlecticData):
     an independent code path (plain d, no connection machinery).
     """
     alg = data.alg
-    if not _is_flat(data.conn):
+    if not data.conn.is_flat:
         raise ValueError("the specialization requires a flat connection")
     chart = alg.chart
     ht = tilde_h(data)
@@ -463,7 +463,3 @@ def specialized_fields(data: PrenPlecticData):
                         rows.append((label + " " + _form_label(idx), f))
         out[f"hm3[{k}]"] = rows
     return out
-
-
-def _is_flat(conn: ConnectionData) -> bool:
-    return conn.is_flat

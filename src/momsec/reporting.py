@@ -8,9 +8,12 @@ shortest round-trip repr, and JSON keys are sorted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fields import max_abs_fields
 
 
 @dataclass
@@ -120,26 +123,9 @@ def evaluate_check(
     flags: tuple[str, ...] = (),
 ) -> CheckResult:
     """Max absolute residual of labeled fields over the sampled points."""
-    worst = 0.0
-    count = 0
-    for _, f in labeled_fields:
-        count += 1
-        if f.is_zero:
-            continue
-        for p in points:
-            worst = max(worst, abs(f.value(p)))
-    return CheckResult(
-        name=name,
-        equation=equation,
-        max_residual=worst,
-        n_points=len(points),
-        n_tuples=count,
-        tolerance=tolerance,
-        passed=worst < tolerance,
-        informational=informational,
-        terms=terms,
-        flags=flags,
-    )
+    rows = list(labeled_fields)
+    worst = max_abs_fields([f for _, f in rows], points)
+    return _result(name, equation, worst, len(points), len(rows), tolerance, informational, terms, flags)
 
 
 def delta_check(
@@ -151,16 +137,24 @@ def delta_check(
     informational: bool = False,
     flags: tuple[str, ...] = (),
 ) -> CheckResult:
+    return _result(name, equation, delta, points, 1, tolerance, informational, None, flags)
+
+
+def _result(name, equation, residual, n_points, n_tuples, tolerance, informational, terms, flags) -> CheckResult:
+    # NaN compares false with everything, so a non-finite residual is tested
+    # explicitly: it fails the row and is flagged, never passed
+    finite = math.isfinite(residual)
     return CheckResult(
         name=name,
         equation=equation,
-        max_residual=delta,
-        n_points=points,
-        n_tuples=1,
+        max_residual=float(residual),
+        n_points=n_points,
+        n_tuples=n_tuples,
         tolerance=tolerance,
-        passed=delta < tolerance,
+        passed=finite and residual < tolerance,
         informational=informational,
-        flags=flags,
+        terms=terms,
+        flags=flags if finite else flags + ("non-finite",),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -140,3 +141,53 @@ class TestRegistryCoverage:
             resolve_suites(so3, "sigma2d")
         with pytest.raises(SuiteError):
             resolve_suites(so3, "bogus")
+
+
+def _rotation_with(tmp_path, **blocks):
+    doc = json.loads(fixture_bytes("rotation_momentum_map"))
+    doc.update(blocks)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestEvaluationFailures:
+    def test_nonfinite_residual_fails(self, tmp_path, capsys):
+        # 1/1e-320 overflows to inf; its gradient is NaN
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "1/(x-x+1e-320)"}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        rows = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        h2 = rows["momentum/h2-momentum-section"]
+        assert h2["passed"] is False
+        assert "non-finite" in h2["flags"]
+
+    def test_overflow_is_nonfinite_failure(self, tmp_path, capsys):
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "exp(1000*x)"}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        failed = [c for c in json.loads(captured.out)["checks"] if "non-finite" in c["flags"]]
+        assert failed and not any(c["passed"] for c in failed)
+
+    def test_domain_error_exit_code(self, tmp_path, capsys):
+        # the box crosses x = 0, so log leaves its domain on the sample
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "log(x)"}])
+        assert main(["check", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "log(x)" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_singular_metric_exit_code(self, tmp_path, capsys):
+        metric = [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "0"}]
+        path = _rotation_with(tmp_path, metric=metric)
+        assert main(["check", path, "--suite", "mechanics"]) == 3
+        assert "Singular matrix" in capsys.readouterr().err
