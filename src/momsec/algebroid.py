@@ -33,6 +33,7 @@ class AlgebroidData:
                 raise ValueError("structure functions are keyed with a < b")
             if not f.is_zero:
                 self._structure[(c, a, b)] = f
+        self._anchor_morphism = None
 
     @property
     def dim(self) -> int:
@@ -52,6 +53,13 @@ class AlgebroidData:
             return f if f is not None else const_field(0.0, self.dim)
         f = self._structure.get((c, b, a))
         return -f if f is not None else const_field(0.0, self.dim)
+
+    def anchor_morphism(self):
+        """The rows of :func:`anchor_morphism_fields`, built once per model so
+        that every check on them shares one evaluated graph."""
+        if self._anchor_morphism is None:
+            self._anchor_morphism = anchor_morphism_fields(self)
+        return self._anchor_morphism
 
     def anchor_vector(self, a: int) -> VectorField:
         return VectorField(self.chart, list(self.anchor[a]))

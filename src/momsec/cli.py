@@ -5,6 +5,9 @@
     momsec examples list
     momsec examples emit NAME PATH
 
+``--tol`` must be a finite positive number; ``inf`` and ``nan`` are usage
+errors, since no residual could fail against them.
+
 Exit codes: 0 all required checks pass, 1 a required check failed,
 2 usage or validation error, 3 the model cannot be evaluated at the
 sample: a domain error (such as log of a non-positive value), whose
@@ -14,6 +17,7 @@ message names the subexpression, or a singular matrix.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -46,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which suite to run (default: all applicable)",
     )
     check.add_argument("--format", default="text", choices=["text", "json"], help="report format")
-    check.add_argument("--tol", type=float, default=None, help="override the residual tolerance")
+    check.add_argument("--tol", type=float, default=None, help="override the residual tolerance (finite, > 0)")
     check.add_argument("--points", type=int, default=None, help="override the sample point count")
     check.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     check.add_argument(
@@ -80,8 +84,8 @@ def cmd_check(args) -> int:
         seed=args.seed if args.seed is not None else model.sampling.seed,
         require_h1=args.require_h1,
     )
-    if cfg.tolerance <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return EXIT_USAGE
     if cfg.points < 1:
         print("error: --points must be at least 1", file=sys.stderr)

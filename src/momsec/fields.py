@@ -118,7 +118,7 @@ class ScalarField(_PerSample):
 
     def __mul__(self, other: "ScalarField") -> "ScalarField":
         if self.is_zero or other.is_zero:
-            return ZERO_CACHE.get(self.dim) or ConstField(0.0, self.dim)
+            return const_field(0.0, self.dim)
         return ProdField(self, other)
 
     def __neg__(self) -> "ScalarField":
@@ -258,15 +258,6 @@ class PartialField(ScalarField):
             )
         grad = None if parent.hess is None else parent.hess[:, :, self.i].copy()
         return Jet2(parent.grad[:, self.i].copy(), grad, None)
-
-
-def field_sum(terms) -> ScalarField:
-    live = [t for t in terms if not t.is_zero]
-    if not live:
-        raise ValueError("field_sum needs the dimension of at least one term")
-    if len(live) == 1:
-        return live[0]
-    return SumField(tuple(live))
 
 
 def field_sum_d(terms, dim: int) -> ScalarField:

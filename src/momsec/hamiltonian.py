@@ -48,10 +48,6 @@ class PhasePolynomial:
     def zero(dim: int) -> "PhasePolynomial":
         return PhasePolynomial(dim)
 
-    @staticmethod
-    def from_field(f: ScalarField, dim: int) -> "PhasePolynomial":
-        return PhasePolynomial(dim, {(): f})
-
     @property
     def max_degree(self) -> int:
         return max((len(k) for k in self.monomials), default=0)
@@ -127,11 +123,6 @@ def _half_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | Non
 def poisson_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None = None) -> PhasePolynomial:
     """{F, G}, exactly antisymmetric coefficient by coefficient."""
     return _half_bracket(F, G, twist) - _half_bracket(G, F, twist)
-
-
-def grading_report(F: PhasePolynomial):
-    """Momentum degrees present in the stored monomials."""
-    return F.degrees_present()
 
 
 def monomial_label(key: tuple[int, ...]) -> str:

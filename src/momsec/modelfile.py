@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -83,11 +84,19 @@ def _expect(cond: bool, path: str, message: str):
         raise ModelError(path, message)
 
 
+def _finite(value) -> bool:
+    """True for a JSON number, not a boolean, whose float value is finite."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_expr(source, chart: Chart, path: str) -> ScalarField:
     _expect(isinstance(source, str), path, "expression must be a string")
     try:
         return ExprField.parse(source, chart)
-    except ExpressionError as exc:
+    except (ExpressionError, RecursionError) as exc:  # the parser recurses once per nesting level
         raise ModelError(path, f"bad expression: {exc}") from exc
 
 
@@ -125,6 +134,11 @@ def _load_chart(doc, path="chart") -> Chart:
             f"{path}.box[{pos}]",
             "interval must be [lo, hi]",
         )
+        _expect(
+            _finite(pair[0]) and _finite(pair[1]) and _finite(pair[1] - pair[0]),
+            f"{path}.box[{pos}]",
+            "interval endpoints and width must be finite numbers",
+        )
         _expect(pair[1] > pair[0], f"{path}.box[{pos}]", "interval must be non-degenerate")
         box.append((float(pair[0]), float(pair[1])))
     return Chart(tuple(coords), tuple(box))
@@ -133,7 +147,7 @@ def _load_chart(doc, path="chart") -> Chart:
 def load_model_bytes(raw: bytes) -> Model:
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect(doc.get("schema") == SCHEMA_VERSION, "schema", f"expected schema {SCHEMA_VERSION}")
@@ -188,19 +202,13 @@ def load_model_bytes(raw: bytes) -> Model:
             entries[(i, j)] = f
         metric = MetricField(chart, entries)
 
-    b_field = _load_two_form(doc.get("b_field", []), "b_field", chart)
-    eta_boundary = _load_one_form(doc.get("eta_boundary", []), "eta_boundary", chart)
+    b_field = _load_form(doc.get("b_field", []), "b_field", chart, 2)
+    eta_comps = _load_components(doc.get("eta_boundary", []), "eta_boundary", chart, d)
+    eta_boundary = FormField(chart, 1, {(i,): f for i, f in enumerate(eta_comps)})
 
-    mu = _load_covector(doc.get("mu", []), "mu", chart, rank)
-    alpha = _load_covector(doc.get("alpha", []), "alpha", chart, rank)
-
-    beta_comps = [zero for _ in range(d)]
-    seen = set()
-    for idx, f, epath in _entries(doc.get("beta", []), "beta", 1, chart, (d,)):
-        _expect(idx not in seen, epath, "duplicate beta entry")
-        seen.add(idx)
-        beta_comps[idx[0]] = f
-    beta = VectorField(chart, beta_comps)
+    mu = _load_components(doc.get("mu", []), "mu", chart, rank)
+    alpha = _load_components(doc.get("alpha", []), "alpha", chart, rank)
+    beta = VectorField(chart, _load_components(doc.get("beta", []), "beta", chart, d))
 
     V = _parse_expr(doc["V"], chart, "V") if "V" in doc else zero
 
@@ -230,10 +238,10 @@ def load_model_bytes(raw: bytes) -> Model:
         s = doc["sampling"]
         _expect(isinstance(s, dict), "sampling", "must be an object")
         if "seed" in s:
-            _expect(isinstance(s["seed"], int) and s["seed"] >= 0, "sampling.seed", "seed must be a non-negative integer")
+            _expect(type(s["seed"]) is int and s["seed"] >= 0, "sampling.seed", "seed must be a non-negative integer")
             sampling.seed = s["seed"]
         if "points" in s:
-            _expect(isinstance(s["points"], int) and s["points"] >= 1, "sampling.points", "points must be positive")
+            _expect(type(s["points"]) is int and s["points"] >= 1, "sampling.points", "points must be positive")
             sampling.points = s["points"]
 
     tolerance = 1e-8
@@ -241,7 +249,7 @@ def load_model_bytes(raw: bytes) -> Model:
         t = doc["tolerances"]
         _expect(isinstance(t, dict), "tolerances", "must be an object")
         if "default" in t:
-            _expect(isinstance(t["default"], (int, float)) and t["default"] > 0, "tolerances.default", "must be positive")
+            _expect(_finite(t["default"]) and t["default"] > 0, "tolerances.default", "must be finite and positive")
             tolerance = float(t["default"])
 
     return Model(
@@ -264,10 +272,10 @@ def load_model_bytes(raw: bytes) -> Model:
     )
 
 
-def _load_two_form(block, path: str, chart: Chart) -> FormField:
-    out = FormField(chart, 2)
+def _load_form(block, path: str, chart: Chart, degree: int) -> FormField:
+    out = FormField(chart, degree)
     seen = set()
-    for idx, f, epath in _entries(block, path, 2, chart, (chart.dim, chart.dim)):
+    for idx, f, epath in _entries(block, path, degree, chart, (chart.dim,) * degree):
         canon, sign = sort_signed(idx)
         _expect(canon is not None, epath, "antisymmetric entry with repeated index")
         _expect(canon not in seen, epath, "duplicate or contradictory entry")
@@ -276,20 +284,11 @@ def _load_two_form(block, path: str, chart: Chart) -> FormField:
     return out
 
 
-def _load_one_form(block, path: str, chart: Chart) -> FormField:
-    out = FormField(chart, 1)
+def _load_components(block, path: str, chart: Chart, count: int):
+    """One field per index 1..count, zero where the block has no entry."""
+    out = [const_field(0.0, chart.dim) for _ in range(count)]
     seen = set()
-    for idx, f, epath in _entries(block, path, 1, chart, (chart.dim,)):
-        _expect(idx not in seen, epath, "duplicate entry")
-        seen.add(idx)
-        out.comps[idx] = f
-    return out
-
-
-def _load_covector(block, path: str, chart: Chart, rank: int):
-    out = [const_field(0.0, chart.dim) for _ in range(rank)]
-    seen = set()
-    for idx, f, epath in _entries(block, path, 1, chart, (rank,)):
+    for idx, f, epath in _entries(block, path, 1, chart, (count,)):
         _expect(idx not in seen, epath, "duplicate entry")
         seen.add(idx)
         out[idx[0]] = f
@@ -303,33 +302,18 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
     _expect(isinstance(n, int) and 1 <= n <= MAX_PLECTIC_DEGREE, f"{path}.n", f"n must be 1..{MAX_PLECTIC_DEGREE}")
     _expect(n + 1 <= chart.dim, f"{path}.n", f"need chart dimension at least n+1 = {n + 1}")
 
-    h = FormField(chart, n + 1)
-    seen = set()
-    for idx, f, epath in _entries(doc.get("h", []), f"{path}.h", n + 1, chart, (chart.dim,) * (n + 1)):
-        canon, sign = sort_signed(idx)
-        _expect(canon is not None, epath, "antisymmetric entry with repeated index")
-        _expect(canon not in seen, epath, "duplicate or contradictory entry")
-        seen.add(canon)
-        h.comps[canon] = f if sign > 0 else -f
+    h = _load_form(doc.get("h", []), f"{path}.h", chart, n + 1)
 
     eta: dict = {}
     eta_doc = doc.get("eta", {})
     _expect(isinstance(eta_doc, dict), f"{path}.eta", "must map degree strings to entry lists")
     for key, block in eta_doc.items():
         kpath = f"{path}.eta[{key}]"
-        _expect(isinstance(key, str) and key.isdigit(), kpath, "keys are degree strings '0'..'n'")
+        _expect(isinstance(key, str) and key.isdecimal(), kpath, "keys are degree strings '0'..'n'")
         k = int(key)
         _expect(0 <= k <= n, kpath, f"degree must be 0..{n}")
         if k == n:
-            form = FormField(chart, n)
-            seen = set()
-            for idx, f, epath in _entries(block, kpath, n, chart, (chart.dim,) * n):
-                canon, sign = sort_signed(idx)
-                _expect(canon is not None, epath, "antisymmetric entry with repeated index")
-                _expect(canon not in seen, epath, "duplicate or contradictory entry")
-                seen.add(canon)
-                form.comps[canon] = f if sign > 0 else -f
-            eta[n] = form
+            eta[n] = _load_form(block, kpath, chart, n)
             continue
         bundle_deg = n - k
         comps: dict = {}

@@ -28,12 +28,10 @@ from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
     FormField,
     ScalarField,
-    const_field,
     exterior_derivative,
     field_sum_d,
     interior_product,
     lie_derivative,
-    max_abs_fields,
 )
 
 
@@ -48,6 +46,16 @@ class MomentumData:
 def gamma_from_B(alg: AlgebroidData, B: FormField):
     """gamma_a = iota_{rho_a} B as a list of 1-forms."""
     return [interior_product(alg.anchor_vector(a), B) for a in range(alg.rank)]
+
+
+def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu, h3_sign: float = 1.0):
+    """Labeled H1, H2 and H3 rows for the 2-form B and the section mu.
+
+    gamma = iota_rho B is built once and shared by H1 and H2.
+    """
+    data = MomentumData(alg, conn, B, mu)
+    gamma = gamma_from_B(alg, B)
+    return h1_fields(data, gamma), h2_fields(data, gamma), h3_fields(data, h3_sign)
 
 
 def closedness_fields(B: FormField):
@@ -148,7 +156,12 @@ def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1
     return True
 
 
-def momentum_map_fields(data: MomentumData, h3_sign: float = 1.0):
+def map_reduction_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
+    """:func:`momentum_map_fields` for the inputs of :func:`condition_fields`."""
+    return momentum_map_fields(MomentumData(alg, conn, B, mu))
+
+
+def momentum_map_fields(data: MomentumData):
     """Constant-bracket, flat-connection reductions of the three conditions.
 
     Returns a dict with labeled fields for:

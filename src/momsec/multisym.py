@@ -48,7 +48,6 @@ from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
     FormField,
     ScalarField,
-    const_field,
     exterior_derivative,
     field_sum_d,
     increasing_tuples,

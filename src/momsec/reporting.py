@@ -122,10 +122,21 @@ def evaluate_check(
     terms: dict | None = None,
     flags: tuple[str, ...] = (),
 ) -> CheckResult:
-    """Max absolute residual of labeled fields over the sampled points."""
+    """The report row for labeled fields: their max absolute residual over
+    the sampled points.  This is the only place a row is made from fields.
+
+    ``terms`` maps a term label to its own labeled fields; the row reports
+    the maximum of each term that has any, as a breakdown of the residual.
+    """
     rows = list(labeled_fields)
-    worst = max_abs_fields([f for _, f in rows], points)
-    return _result(name, equation, worst, len(points), len(rows), tolerance, informational, terms, flags)
+    if terms is not None:
+        terms = {label: rows_max(term_rows, points) for label, term_rows in terms.items() if term_rows}
+    return _result(name, equation, rows_max(rows, points), len(points), len(rows), tolerance, informational, terms, flags)
+
+
+def rows_max(labeled_fields, points: np.ndarray) -> float:
+    """Largest |f| over the sample for (label, field) rows."""
+    return max_abs_fields([f for _, f in labeled_fields], points)
 
 
 def delta_check(

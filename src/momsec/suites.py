@@ -2,13 +2,17 @@
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.
-The anchoring conditions (H1, HM1) are reported but not required unless
-``require_h1`` is set.
+Every row over fields is made by :func:`reporting.evaluate_check`, and
+every comparison of two rows by :func:`reporting.delta_check`; the H1-H3
+rows come from :func:`momentum.condition_fields` wherever a suite needs
+them.  The anchoring conditions (H1, HM1) are reported but not required
+unless ``require_h1`` is set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -18,10 +22,9 @@ from . import momentum as mom
 from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
-from .fields import FormField, exterior_derivative, field_sum_d, lie_derivative, max_abs_fields
+from .fields import FormField, exterior_derivative, field_sum_d, lie_derivative
 from .modelfile import Model
-from .momentum import MomentumData
-from .reporting import CheckReport, CheckResult, delta_check, evaluate_check
+from .reporting import CheckReport, delta_check, evaluate_check, rows_max
 
 SUITE_NAMES = ("axioms", "momentum", "mechanics", "sigma2d", "multisym")
 
@@ -89,7 +92,7 @@ def run_axioms(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckRe
     anchor = evaluate_check(
         "axioms/anchor-morphism",
         "[rho_a, rho_b] - C^c_ab rho_c = 0",
-        alg_mod.anchor_morphism_fields(model.alg),
+        model.alg.anchor_morphism(),
         points,
         tol,
     )
@@ -147,7 +150,7 @@ def _momentum_b_form(model: Model) -> FormField:
 def run_momentum(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
     tol = cfg.tolerance
     B = _momentum_b_form(model)
-    data = MomentumData(model.alg, model.conn, B, model.mu)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu, cfg.h3_sign)
     closed = evaluate_check(
         "momentum/pre-symplectic-closed",
         "dB = 0 with B = b + d eta",
@@ -158,11 +161,10 @@ def run_momentum(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
     )
     if not closed.passed:
         closed.flags += ("not pre-symplectic",)
-    gamma = mom.gamma_from_B(model.alg, B)
     h1 = evaluate_check(
         "momentum/h1-anchoring",
         "D gamma = 0",
-        mom.h1_fields(data, gamma),
+        h1_rows,
         points,
         tol,
         informational=not cfg.require_h1,
@@ -170,14 +172,14 @@ def run_momentum(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
     h2 = evaluate_check(
         "momentum/h2-momentum-section",
         "D mu = gamma",
-        mom.h2_fields(data, gamma),
+        h2_rows,
         points,
         tol,
     )
     h3 = evaluate_check(
         "momentum/h3-bracket-compat",
         "d_E mu(e_a,e_b) + B(rho_a, rho_b) = 0",
-        mom.h3_fields(data, cfg.h3_sign),
+        h3_rows,
         points,
         tol,
     )
@@ -208,7 +210,7 @@ def run_momentum(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
         report.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
 
     if model.conn.is_flat and mom.is_constant_structure(model.alg, points):
-        reductions = mom.momentum_map_fields(data, cfg.h3_sign)
+        reductions = mom.map_reduction_fields(model.alg, model.conn, B, model.mu)
         map_sym = evaluate_check(
             "momentum/map-symplectic-vectorfield",
             "L_{rho_a} B = 0",
@@ -256,8 +258,6 @@ def run_momentum(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
 
 
 def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    if not model.has_metric:
-        raise SuiteError("suite 'mechanics' requires the 'metric' block")
     tol = cfg.tolerance
     g = model.metric
     r = model.alg.rank
@@ -288,10 +288,14 @@ def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: Chec
     system = ham.ConstraintSystem(
         model.alg, model.conn, g, model.alpha, model.beta, model.V, model.tau
     )
-    fc = ham.first_class_fields(system)
-    report.add(_degree_check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", fc, points, tol))
-    fl = ham.flow_fields(system)
-    report.add(_degree_check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", fl, points, tol))
+    fc = _by_degree(ham.first_class_fields(system))
+    report.add(
+        evaluate_check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", chain(*fc.values()), points, tol, terms=fc)
+    )
+    fl = _by_degree(ham.flow_fields(system))
+    report.add(
+        evaluate_check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", chain(*fl.values()), points, tol, terms=fl)
+    )
 
     absorbed = ham.absorb_beta(system)
     report.add(
@@ -319,33 +323,34 @@ def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: Chec
     report.add(tau_check)
     tau_zero = tau_check.passed
 
-    fc2 = ham.first_class_fields(absorbed.system)
-    report.add(
-        _degree_check(
-            "mechanics/first-class-twisted",
-            "{Phi'_a, Phi'_b} = C^c_ab Phi'_c under the twisted bracket",
-            fc2,
-            points,
-            tol,
-        )
+    fc2 = _by_degree(ham.first_class_fields(absorbed.system))
+    fc2_check = evaluate_check(
+        "mechanics/first-class-twisted",
+        "{Phi'_a, Phi'_b} = C^c_ab Phi'_c under the twisted bracket",
+        chain(*fc2.values()),
+        points,
+        tol,
+        terms=fc2,
     )
-    fl2 = ham.flow_fields(absorbed.system)
-    report.add(
-        _degree_check(
-            "mechanics/flow-twisted",
-            "{H', Phi'_a} = lambda'_a^b Phi'_b under the twisted bracket",
-            fl2,
-            points,
-            tol,
-        )
+    fl2 = _by_degree(ham.flow_fields(absorbed.system))
+    fl2_check = evaluate_check(
+        "mechanics/flow-twisted",
+        "{H', Phi'_a} = lambda'_a^b Phi'_b under the twisted bracket",
+        chain(*fl2.values()),
+        points,
+        tol,
+        terms=fl2,
     )
+    report.add(fc2_check)
+    report.add(fl2_check)
 
-    mdata = MomentumData(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
-    gamma = mom.gamma_from_B(model.alg, absorbed.B)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(
+        model.alg, model.conn, absorbed.B, absorbed.alpha_prime, cfg.h3_sign
+    )
     th_h1 = evaluate_check(
         "mechanics/theorem-h1",
         "D gamma = 0 for the induced twist",
-        mom.h1_fields(mdata, gamma),
+        h1_rows,
         points,
         tol,
         informational=not cfg.require_h1,
@@ -353,7 +358,7 @@ def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: Chec
     th_h2 = evaluate_check(
         "mechanics/theorem-h2",
         "D alpha' = gamma for the induced twist",
-        mom.h2_fields(mdata, gamma),
+        h2_rows,
         points,
         tol,
         informational=not tau_zero,
@@ -362,20 +367,18 @@ def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: Chec
     th_h3 = evaluate_check(
         "mechanics/theorem-h3",
         "d_E alpha'(e_a,e_b) + B(rho_a, rho_b) = 0",
-        mom.h3_fields(mdata, cfg.h3_sign),
+        h3_rows,
         points,
         tol,
     )
     for c in (th_h1, th_h2, th_h3):
         report.add(c)
 
-    deg1_max = _degree_max(fl2, 1, points)
-    deg0_max = _degree_max(fc2, 0, points)
     report.add(
         delta_check(
             "mechanics/flow-deg1-vs-h2",
             "linear momentum block of the flow residual matches D alpha' - gamma",
-            abs(deg1_max - th_h2.max_residual),
+            abs(fl2_check.terms["degree 1"] - th_h2.max_residual),
             len(points),
             1e-9,
             informational=not tau_zero,
@@ -386,7 +389,7 @@ def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: Chec
         delta_check(
             "mechanics/firstclass-deg0-vs-h3",
             "constant block of the first-class residual matches bracket compatibility",
-            abs(deg0_max - th_h3.max_residual),
+            abs(fc2_check.terms.get("degree 0", 0.0) - th_h3.max_residual),
             len(points),
             1e-9,
         )
@@ -409,20 +412,9 @@ def _worst(*values: float) -> float:
     return float(np.max(values))
 
 
-def _degree_check(name, equation, degree_fields, points, tol) -> CheckResult:
-    all_fields = []
-    terms = {}
-    for degree in sorted(degree_fields):
-        rows = degree_fields[degree]
-        all_fields.extend(rows)
-        terms[f"degree {degree}"] = max_abs_fields([f for _, f in rows], points)
-    result = evaluate_check(name, equation, all_fields, points, tol, terms=terms)
-    return result
-
-
-def _degree_max(degree_fields, degree, points) -> float:
-    rows = degree_fields.get(degree, [])
-    return max_abs_fields([f for _, f in rows], points)
+def _by_degree(degree_fields) -> dict:
+    """Residual rows grouped by momentum degree as report terms, lowest first."""
+    return {f"degree {k}": rows for k, rows in sorted(degree_fields.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +422,6 @@ def _degree_max(degree_fields, degree, points) -> float:
 
 
 def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    if not model.has_metric:
-        raise SuiteError("suite 'sigma2d' requires the 'metric' block")
     tol = cfg.tolerance
     alg, conn = model.alg, model.conn
     g = model.metric
@@ -447,7 +437,7 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
             tol,
         )
     )
-    db_max = max_abs_fields([f for _, f in mom.closedness_fields(b)], points)
+    db_max = rows_max(mom.closedness_fields(b), points)
     if model.beta_rigid is None and db_max >= tol and not b.is_zero:
         closure_rows = []
         for a in range(alg.rank):
@@ -478,15 +468,14 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
                 flags=flags,
             )
         )
-    report.add(
-        evaluate_check(
-            "sigma2d/rigid-anchor-morphism",
-            "[rho_a, rho_b] = rho([e_a, e_b])",
-            alg_mod.anchor_morphism_fields(alg),
-            points,
-            tol,
-        )
+    rigid_anchor = evaluate_check(
+        "sigma2d/rigid-anchor-morphism",
+        "[rho_a, rho_b] = rho([e_a, e_b])",
+        alg.anchor_morphism(),
+        points,
+        tol,
     )
+    report.add(rigid_anchor)
     report.add(
         evaluate_check(
             "sigma2d/gauged-metric-compat",
@@ -496,15 +485,8 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
             tol,
         )
     )
-    report.add(
-        evaluate_check(
-            "sigma2d/gauged-anchor-morphism",
-            "[rho_a, rho_b] = rho([e_a, e_b])",
-            alg_mod.anchor_morphism_fields(alg),
-            points,
-            tol,
-        )
-    )
+    # gauging leaves the anchor condition as it is: the same rows, reported again
+    report.add(replace(rigid_anchor, name="sigma2d/gauged-anchor-morphism"))
 
     p1 = evaluate_check(
         "sigma2d/bdry-pairing",
@@ -533,12 +515,9 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
         report.add(c)
 
     mu_star, B_star = s2d.induced_momentum_inputs(alg, b, eta)
-    mdata = MomentumData(alg, conn, B_star, mu_star)
-    gamma = mom.gamma_from_B(alg, B_star)
-    h2_rows = mom.h2_fields(mdata, gamma)
-    h2_max = max_abs_fields([f for _, f in h2_rows], points)
-    h3_rows = mom.h3_fields(mdata, cfg.h3_sign)
-    h3_max = max_abs_fields([f for _, f in h3_rows], points)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B_star, mu_star, cfg.h3_sign)
+    h2_max = rows_max(h2_rows, points)
+    h3_max = rows_max(h3_rows, points)
     report.add(
         delta_check(
             "sigma2d/theorem-h2-agreement",
@@ -561,38 +540,22 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
     )
     # Unconditional identity: H3_ab = P3_ab + rho^i_b P2_{a,i} with the
     # induced mu; the file mu enters P2/P3, so compare on induced inputs.
-    # Row orderings below follow the producing functions (index-major).
-    p2_star = s2d.boundary_eta_fields(alg, conn, b, eta, mu_star)
-    p3_star = s2d.boundary_mu_fields(alg, conn, mu_star)
-    combo_rows = []
-    r = alg.rank
+    # Rows are matched by label: "a{a} b{b}" for H3 and P3, "a{a} i{i}" for P2.
+    p2_star = dict(s2d.boundary_eta_fields(alg, conn, b, eta, mu_star))
+    p3_star = dict(s2d.boundary_mu_fields(alg, conn, mu_star))
+    h3_star = dict(h3_rows)
     d = alg.dim
-    h3_by_pair = {}
-    pos = 0
-    for a in range(r):
-        for bb in range(a + 1, r):
-            h3_by_pair[(a, bb)] = h3_rows[pos][1]
-            pos += 1
-    p3_by_pair = {}
-    pos = 0
-    for a in range(r):
-        for bb in range(r):
-            p3_by_pair[(a, bb)] = p3_star[pos][1]
-            pos += 1
-    p2_by_pair = {}
-    pos = 0
-    for a in range(r):
-        for i in range(d):
-            p2_by_pair[(a, i)] = p2_star[pos][1]
-            pos += 1
-    for a in range(r):
-        for bb in range(a + 1, r):
-            terms = [h3_by_pair[(a, bb)], -p3_by_pair[(a, bb)]]
+    combo_rows = []
+    for a in range(alg.rank):
+        for bb in range(a + 1, alg.rank):
+            label = f"a{a + 1} b{bb + 1}"
+            terms = [h3_star[label], -p3_star[label]]
             for i in range(d):
-                if alg.anchor[bb][i].is_zero or p2_by_pair[(a, i)].is_zero:
+                p2_ai = p2_star[f"a{a + 1} i{i + 1}"]
+                if alg.anchor[bb][i].is_zero or p2_ai.is_zero:
                     continue
-                terms.append(-(alg.anchor[bb][i] * p2_by_pair[(a, i)]))
-            combo_rows.append((f"a{a + 1} b{bb + 1}", field_sum_d(terms, d)))
+                terms.append(-(alg.anchor[bb][i] * p2_ai))
+            combo_rows.append((label, field_sum_d(terms, d)))
     report.add(
         evaluate_check(
             "sigma2d/theorem-consistency",
@@ -605,7 +568,7 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
     th_h1 = evaluate_check(
         "sigma2d/theorem-h1",
         "D gamma = 0 for B = b + d eta",
-        mom.h1_fields(mdata, gamma),
+        h1_rows,
         points,
         tol,
         informational=not cfg.require_h1,
@@ -621,8 +584,6 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
 
 
 def run_multisym(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    if model.multisym is None:
-        raise SuiteError("suite 'multisym' requires the 'multisym' block")
     tol = cfg.tolerance
     data = model.multisym
     alg = data.alg
@@ -679,15 +640,11 @@ def run_multisym(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
     report.add(hm2)
     report.add(hm1)
 
+    # rows keyed like msy.specialized_fields, for the agreement below
+    general = {"hm2": hm2, "hm1": hm1}
     hm3_max = 0.0
-    hm3_results = {}
     for k in range(n - 1, -1, -1):
         rows, term_fields = msy.hm3_differential_fields(data, k)
-        terms = {
-            label: max_abs_fields([f for _, f in fields], points)
-            for label, fields in term_fields.items()
-            if fields
-        }
         flags = ()
         if k >= 1:
             flags = ("ambiguous connection term read as trace pairing, collapsed sum",)
@@ -697,11 +654,11 @@ def run_multisym(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
             rows,
             points,
             tol,
-            terms=terms or None,
+            terms=term_fields if any(term_fields.values()) else None,
             flags=flags,
         )
         report.add(chk)
-        hm3_results[k] = chk
+        general[f"hm3[{k}]"] = chk
         hm3_max = _worst(hm3_max, chk.max_residual)
 
     if n >= 2:
@@ -719,34 +676,24 @@ def run_multisym(model: Model, points: np.ndarray, cfg: RunConfig, report: Check
 
     if model.conn.is_flat and mom.is_constant_structure(alg, points):
         sp = msy.specialized_fields(data)
-        deltas = [abs(max_abs_fields([f for _, f in sp["hm2"]], points) - hm2.max_residual)]
-        deltas.append(abs(max_abs_fields([f for _, f in sp["hm1"]], points) - hm1.max_residual))
-        for k in range(n):
-            deltas.append(
-                abs(max_abs_fields([f for _, f in sp[f"hm3[{k}]"]], points) - hm3_results[k].max_residual)
-            )
         report.add(
             delta_check(
                 "multisym/lie-specialize-agreement",
                 "constant-bracket reduced system matches the general evaluators",
-                _worst(*deltas),
+                _worst(*(abs(rows_max(sp[key], points) - general[key].max_residual) for key in sp)),
                 len(points),
                 1e-10,
             )
         )
 
     if n == 1:
-        B = ht
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        mdata = MomentumData(alg, model.conn, B, mu)
-        gamma = mom.gamma_from_B(alg, B)
-        h1_max = max_abs_fields([f for _, f in mom.h1_fields(mdata, gamma)], points)
-        h2_max = max_abs_fields([f for _, f in mom.h2_fields(mdata, gamma)], points)
-        h3_max = max_abs_fields([f for _, f in mom.h3_fields(mdata, cfg.h3_sign)], points)
+        rows = mom.condition_fields(alg, model.conn, ht, mu, cfg.h3_sign)
+        h1_max, h2_max, h3_max = (rows_max(r, points) for r in rows)
         delta = _worst(
             abs(hm1.max_residual - h1_max),
             abs(hm2.max_residual - h2_max),
-            abs(hm3_results[0].max_residual - h3_max),
+            abs(general["hm3[0]"].max_residual - h3_max),
         )
         flags = ()
         if h2_max >= tol:

@@ -110,6 +110,24 @@ class TestCheckCommand:
     def test_bad_tol(self, rotation_path, capsys):
         assert main(["check", rotation_path, "--tol", "-1"]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tol_is_usage_error(self, translation_path, capsys, tol):
+        # an infinite tolerance would pass the failing bracket-compatibility row
+        assert main(["check", translation_path, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_infinite_model_tolerance_is_usage_error(self, tmp_path, capsys):
+        doc = json.loads(fixture_bytes("translation_nonequivariant"))
+        doc["tolerances"] = {"default": 0.5}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"default": 0.5', '"default": 1e400'))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerances.default" in captured.err
+
     def test_usage_error(self, capsys):
         assert main(["check"]) == 2
 

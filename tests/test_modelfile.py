@@ -123,6 +123,53 @@ class TestValidation:
         with pytest.raises(ModelError):
             load_model_bytes(doc_bytes(doc))
 
+    @pytest.mark.parametrize(
+        "literal",
+        [b"1e400", b"Infinity", b"NaN", b"true", b"0", b"1" + b"0" * 400],
+        ids=["1e400", "Infinity", "NaN", "true", "zero", "huge-integer"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, literal):
+        raw = doc_bytes(minimal_doc())[:-1] + b', "tolerances": {"default": ' + literal + b"}}"
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(raw)
+        assert "tolerances.default" in str(err.value)
+
+    @pytest.mark.parametrize("interval", [[-1e308, 1e308], [float("-inf"), 0], [0, 10**400], [True, 2]])
+    def test_box_must_be_finite(self, interval):
+        doc = minimal_doc()
+        doc["chart"]["box"] = [interval, [-1, 1]]
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert "chart.box[0]" in str(err.value)
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"], ids=["parens", "signs"])
+    def test_deeply_nested_expression_is_model_error(self, expr):
+        doc = minimal_doc()
+        doc["algebroid"]["anchor"][0]["expr"] = expr
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert "anchor" in str(err.value)
+
+    def test_deeply_nested_json_is_model_error(self):
+        with pytest.raises(ModelError):
+            load_model_bytes(b"[" * 100_000 + b"]" * 100_000)
+
+    @pytest.mark.parametrize("key", ["seed", "points"])
+    def test_boolean_sampling_rejected(self, key):
+        doc = minimal_doc()
+        doc["sampling"] = {key: True}
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert f"sampling.{key}" in str(err.value)
+
+    def test_eta_key_must_be_decimal(self):
+        # "²" is a digit to str.isdigit but not to int()
+        doc = minimal_doc()
+        doc["multisym"] = {"n": 1, "h": [], "eta": {"²": []}}
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert "multisym.eta" in str(err.value)
+
     def test_multisym_needs_room(self):
         doc = minimal_doc()
         doc["multisym"] = {"n": 2, "h": []}
