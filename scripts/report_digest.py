@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of a fixed set of reports, to compare code versions.
+
+Usage: python scripts/report_digest.py
+
+The set is the built-in examples in ``fixture_names()`` order, then the
+generated so(3) models for seeds 1-3 and the so(4) model for seed 1
+(``perfbench/models.py``).  Every model runs all applicable suites at
+(seed 42, 32 points) and then at (seed 7, 17 points).  One digest is
+updated with the JSON and then the text rendering of each report, in that
+order, and printed first; one digest per document follows.  Two versions
+of the code produce the same reports exactly when the first lines agree.
+"""
+
+import hashlib
+import pathlib
+import sys
+
+# the so(n) generator lives in the benchmark directory at the repo root
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+
+from momsec.fixtures import fixture_bytes, fixture_names  # noqa: E402
+from momsec.modelfile import load_model_bytes  # noqa: E402
+from momsec.suites import RunConfig, run  # noqa: E402
+from perfbench.models import son_model_bytes  # noqa: E402
+
+RUNS = ((42, 32), (7, 17))
+
+
+def models():
+    for name in fixture_names():
+        yield name, fixture_bytes(name)
+    for seed in (1, 2, 3):
+        yield f"so3-s{seed}", son_model_bytes(3, seed)
+    yield "so4-s1", son_model_bytes(4, 1)
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    lines = []
+    loaded = [(name, load_model_bytes(raw)) for name, raw in models()]
+    for seed, points in RUNS:
+        for name, model in loaded:
+            report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=seed))
+            for kind, doc in (("json", report.to_json()), ("text", report.to_text())):
+                data = doc.encode()
+                total.update(data)
+                lines.append(f"{hashlib.sha256(data).hexdigest()}  {name} seed={seed} points={points} {kind}")
+    print(total.hexdigest())
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -77,6 +77,8 @@ class AlgebroidData:
 
     def apply_anchor(self, a: int, f: ScalarField) -> ScalarField:
         """rho(e_a) f = rho^i_a d_i f."""
+        if f.is_zero:
+            return f
         return field_sum_d(
             [self.anchor[a][i] * f.partial(i) for i in range(self.dim) if not self.anchor[a][i].is_zero],
             self.dim,
@@ -113,24 +115,13 @@ def bracket(e1: Section, e2: Section) -> Section:
         terms = []
         for a in range(r):
             for b in range(r):
-                C = alg.structure(c, a, b)
-                if C.is_zero or e1.comps[a].is_zero or e2.comps[b].is_zero:
-                    continue
-                terms.append(e1.comps[a] * e2.comps[b] * C)
+                terms.append(e1.comps[a] * e2.comps[b] * alg.structure(c, a, b))
         # rho(e1) g^c  and  - rho(e2) f^c
         for a in range(r):
-            if e1.comps[a].is_zero or e2.comps[c].is_zero:
-                continue
             for i in range(d):
-                if alg.anchor[a][i].is_zero:
-                    continue
                 terms.append(e1.comps[a] * alg.anchor[a][i] * e2.comps[c].partial(i))
         for b in range(r):
-            if e2.comps[b].is_zero or e1.comps[c].is_zero:
-                continue
             for i in range(d):
-                if alg.anchor[b][i].is_zero:
-                    continue
                 terms.append(-(e2.comps[b] * alg.anchor[b][i] * e1.comps[c].partial(i)))
         out.append(field_sum_d(terms, d))
     return Section(alg, out)
@@ -145,10 +136,7 @@ def anchor_morphism_fields(alg: AlgebroidData):
             for i in range(alg.dim):
                 terms = [lb.comps[i]]
                 for c in range(alg.rank):
-                    C = alg.structure(c, a, b)
-                    if C.is_zero or alg.anchor[c][i].is_zero:
-                        continue
-                    terms.append(-(C * alg.anchor[c][i]))
+                    terms.append(-(alg.structure(c, a, b) * alg.anchor[c][i]))
                 out.append((f"a{a + 1} b{b + 1} i{i + 1}", field_sum_d(terms, alg.dim)))
     return out
 
@@ -168,14 +156,8 @@ def jacobi_sigma_fields(alg: AlgebroidData):
             terms = []
             for a, b, c in ((abc[0], abc[1], abc[2]), (abc[1], abc[2], abc[0]), (abc[2], abc[0], abc[1])):
                 for e in range(r):
-                    Cab = alg.structure(e, a, b)
-                    Ccd = alg.structure(dd, c, e)
-                    if Cab.is_zero or Ccd.is_zero:
-                        continue
-                    terms.append(Cab * Ccd)
-                Cbc = alg.structure(dd, b, c)
-                if not Cbc.is_zero:
-                    terms.append(alg.apply_anchor(a, Cbc))
+                    terms.append(alg.structure(e, a, b) * alg.structure(dd, c, e))
+                terms.append(alg.apply_anchor(a, alg.structure(dd, b, c)))
             f = field_sum_d(terms, d)
             label = f"d{dd + 1} abc{abc[0] + 1}{abc[1] + 1}{abc[2] + 1}"
             sigma.append((label, f))
@@ -226,21 +208,14 @@ def e_differential(alpha: EForm) -> EForm:
     for idx in increasing_tuples(alg.rank, m + 1):
         terms = []
         for pos, a in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            f = alpha.comp(rest)
-            if not f.is_zero:
-                t = alg.apply_anchor(a, f)
-                terms.append(t if pos % 2 == 0 else -t)
+            t = alg.apply_anchor(a, alpha.comp(idx[:pos] + idx[pos + 1 :]))
+            terms.append(t if pos % 2 == 0 else -t)
         for pi in range(m + 1):
             for pj in range(pi + 1, m + 1):
                 rest = tuple(x for q, x in enumerate(idx) if q not in (pi, pj))
                 for c in range(alg.rank):
-                    C = alg.structure(c, idx[pi], idx[pj])
-                    f = alpha.comp((c,) + rest)
-                    if C.is_zero or f.is_zero:
-                        continue
                     # positions are 0-based; (-1)^{i+j} with 1-based i, j
-                    t = C * f
+                    t = alg.structure(c, idx[pi], idx[pj]) * alpha.comp((c,) + rest)
                     terms.append(t if (pi + pj) % 2 == 0 else -t)
         total = field_sum_d(terms, alg.dim)
         if not total.is_zero:

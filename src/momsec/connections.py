@@ -69,8 +69,6 @@ def covariant_derivative_section(conn: ConnectionData, e: Section):
         for i in range(d):
             terms = [e.comps[a].partial(i)]
             for b in range(r):
-                if conn.gamma[a][b][i].is_zero or e.comps[b].is_zero:
-                    continue
                 terms.append(conn.gamma[a][b][i] * e.comps[b])
             row.append(field_sum_d(terms, d))
         out.append(row)
@@ -94,8 +92,6 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
             for i in range(chart.dim):
                 terms = [mu[a].partial(i)]
                 for b in range(r):
-                    if conn.gamma[b][a][i].is_zero or mu[b].is_zero:
-                        continue
                     terms.append(-(conn.gamma[b][a][i] * mu[b]))
                 total = field_sum_d(terms, chart.dim)
                 if not total.is_zero:
@@ -105,10 +101,7 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
     for a in range(r):
         form = exterior_derivative(mu[a])
         for b in range(r):
-            gba = conn.one_form(b, a)
-            if gba.is_zero or mu[b].is_zero:
-                continue
-            form = form - wedge(gba, mu[b])
+            form = form - wedge(conn.one_form(b, a), mu[b])
         out.append(form)
     return out
 
@@ -117,26 +110,15 @@ def e_connection_vector(conn: ConnectionData, e: Section, v: VectorField) -> Vec
     """nabla_e v = L_{rho(e)} v + rho(D_v e)."""
     alg = conn.alg
     d = alg.dim
-    rho_e = alg.anchor_of(e)
-    flow = lie_bracket(rho_e, v)
+    flow = lie_bracket(alg.anchor_of(e), v)
+    # (D_v e)^a = v^k (D e)^a_k
+    De = covariant_derivative_section(conn, e)
     out = []
     for i in range(d):
         terms = [flow.comps[i]]
         for a in range(alg.rank):
-            if alg.anchor[a][i].is_zero:
-                continue
-            # (D_v e)^a = v^k (d_k f^a + Gamma^a_{b k} f^b)
             for k in range(d):
-                if v.comps[k].is_zero:
-                    continue
-                inner = [e.comps[a].partial(k)]
-                for b in range(alg.rank):
-                    if conn.gamma[a][b][k].is_zero or e.comps[b].is_zero:
-                        continue
-                    inner.append(conn.gamma[a][b][k] * e.comps[b])
-                da = field_sum_d(inner, d)
-                if not da.is_zero:
-                    terms.append(alg.anchor[a][i] * (v.comps[k] * da))
+                terms.append(alg.anchor[a][i] * (v.comps[k] * De[a][k]))
         out.append(field_sum_d(terms, d))
     return VectorField(alg.chart, out)
 
@@ -157,10 +139,8 @@ def e_nabla_metric_fields(conn: ConnectionData, g: MetricField):
                 terms = [lie[i][j]]
                 for b in range(alg.rank):
                     for k in range(d):
-                        if not (conn.gamma[b][a][i].is_zero or alg.anchor[b][k].is_zero or g.g[k][j].is_zero):
-                            terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * g.g[k][j]))
-                        if not (conn.gamma[b][a][j].is_zero or alg.anchor[b][k].is_zero or g.g[k][i].is_zero):
-                            terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * g.g[k][i]))
+                        terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * g.g[k][j]))
+                        terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * g.g[k][i]))
                 out.append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
     return out
 
@@ -183,18 +163,13 @@ def e_nabla_two_form_fields(conn: ConnectionData, B: FormField):
                 terms = []
                 Bij = B.comp((i, j))
                 for k in range(d):
-                    if not (rho[k].is_zero or Bij.is_zero):
-                        terms.append(rho[k] * Bij.partial(k))
                     Bkj = B.comp((k, j))
-                    if not (rho[k].is_zero or Bkj.is_zero):
-                        terms.append(rho[k].partial(i) * Bkj)
                     Bik = B.comp((i, k))
-                    if not (rho[k].is_zero or Bik.is_zero):
-                        terms.append(rho[k].partial(j) * Bik)
+                    terms.append(rho[k] * Bij.partial(k))
+                    terms.append(rho[k].partial(i) * Bkj)
+                    terms.append(rho[k].partial(j) * Bik)
                     for b in range(alg.rank):
-                        if not (conn.gamma[b][a][i].is_zero or alg.anchor[b][k].is_zero or Bkj.is_zero):
-                            terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * Bkj))
-                        if not (conn.gamma[b][a][j].is_zero or alg.anchor[b][k].is_zero or Bik.is_zero):
-                            terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * Bik))
+                        terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * Bkj))
+                        terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * Bik))
                 out.append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
     return out

@@ -14,10 +14,20 @@ On top of scalar fields sit antisymmetric component containers:
 :class:`FormField` (differential k-forms), :class:`VectorField` and
 :class:`MetricField`, with the exterior derivative, wedge and interior
 products, and Lie derivatives.
+
+Structural zeros are folded here and nowhere else.  A zero constant is
+the only scalar field with ``is_zero`` set; a product with it, its
+negation, scaling and partials are that zero again, sums drop it, and a
+form stores no zero component.  The form operations return early on an
+empty operand, sometimes returning the operand itself, so a form is
+never modified once built.  Callers therefore write sparse contractions
+as plain sums of products and test ``is_zero`` only to decide whether a
+report row or a stored component exists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,9 @@ class Chart:
         if len(self.box) != len(self.coordinates):
             raise ValueError("sampling box must give one interval per coordinate")
         for lo, hi in self.box:
+            # a finite width keeps every sampled point finite
+            if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+                raise ValueError("sampling intervals need finite endpoints and width")
             if not hi > lo:
                 raise ValueError("sampling intervals must be non-degenerate")
 
@@ -98,9 +111,8 @@ class ScalarField(_PerSample):
     def value(self, point) -> float:
         return self.jet(point).value
 
-    @property
-    def is_zero(self) -> bool:
-        return False
+    # only a zero ConstField is a structural zero
+    is_zero = False
 
     # Algebra.  Known structural zeros are folded away so that sparse
     # contractions stay cheap and cancellations stay exact.
@@ -117,25 +129,24 @@ class ScalarField(_PerSample):
         return DiffField(self, other)
 
     def __mul__(self, other: "ScalarField") -> "ScalarField":
-        if self.is_zero or other.is_zero:
-            return const_field(0.0, self.dim)
-        return ProdField(self, other)
-
-    def __neg__(self) -> "ScalarField":
         if self.is_zero:
             return self
+        if other.is_zero:
+            return other
+        return ProdField(self, other)
+
+    # ConstField overrides the three below, so here self is never zero
+    def __neg__(self) -> "ScalarField":
         return ScaledField(-1.0, self)
 
     def scaled(self, c: float) -> "ScalarField":
-        if self.is_zero or c == 0.0:
+        if c == 0.0:
             return const_field(0.0, self.dim)
         if c == 1.0:
             return self
         return ScaledField(c, self)
 
     def partial(self, i: int) -> "ScalarField":
-        if self.is_zero:
-            return self
         return PartialField(self, i)
 
 
@@ -143,22 +154,19 @@ class ConstField(ScalarField):
     def __init__(self, value: float, dim: int):
         self.c = float(value)
         self.dim = dim
+        self.is_zero = self.c == 0.0
 
     def _eval(self, points):
         return Jet2.constant(self.c, len(points), self.dim)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c == 0.0
 
     def partial(self, i: int) -> "ScalarField":
         return const_field(0.0, self.dim)
 
     def scaled(self, c: float) -> "ScalarField":
-        return const_field(c * self.c, self.dim)
+        return self if self.is_zero else const_field(c * self.c, self.dim)
 
     def __neg__(self) -> "ScalarField":
-        return const_field(-self.c, self.dim)
+        return self if self.is_zero else const_field(-self.c, self.dim)
 
 
 ZERO_CACHE: dict[int, ConstField] = {}
@@ -420,7 +428,13 @@ class FormField:
     def is_zero(self) -> bool:
         return not self.comps
 
+    # An operand may be returned as the result: forms are never modified
+    # once built.
     def __add__(self, other: "FormField") -> "FormField":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         out = FormField(self.chart, self.degree)
         for idx in set(self.comps) | set(other.comps):
             f = self.comp(idx) + other.comp(idx)
@@ -429,6 +443,8 @@ class FormField:
         return out
 
     def __sub__(self, other: "FormField") -> "FormField":
+        if other.is_zero:
+            return self
         out = FormField(self.chart, self.degree)
         for idx in set(self.comps) | set(other.comps):
             f = self.comp(idx) - other.comp(idx)
@@ -440,12 +456,16 @@ class FormField:
         return self.scaled(-1.0)
 
     def scaled(self, c: float) -> "FormField":
+        if self.is_zero:
+            return self
         out = FormField(self.chart, self.degree)
         for idx, f in self.comps.items():
             out.comps[idx] = f.scaled(c)
         return out
 
     def mul_field(self, g: ScalarField) -> "FormField":
+        if self.is_zero:
+            return self
         out = FormField(self.chart, self.degree)
         if g.is_zero:
             return out
@@ -461,18 +481,14 @@ def exterior_derivative(omega: FormField) -> FormField:
     """d on component arrays: (d w)_{i0..ik} = sum_j (-1)^j d_{ij} w_{..no ij..}."""
     chart = omega.chart
     k = omega.degree
-    if k >= chart.dim:
-        # every (k+1)-form above the top degree is zero
-        return FormField(chart, k + 1)
     out = FormField(chart, k + 1)
+    if omega.is_zero or k >= chart.dim:
+        # every (k+1)-form above the top degree is zero
+        return out
     for idx in increasing_tuples(chart.dim, k + 1):
         terms = []
         for j, ij in enumerate(idx):
-            rest = idx[:j] + idx[j + 1 :]
-            f = omega.comp(rest)
-            if f.is_zero:
-                continue
-            term = f.partial(ij)
+            term = omega.comp(idx[:j] + idx[j + 1 :]).partial(ij)
             terms.append(term if j % 2 == 0 else -term)
         total = field_sum_d(terms, chart.dim)
         if not total.is_zero:
@@ -496,11 +512,7 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
             right_positions = [p for p in range(k + l) if p not in subset]
             right = tuple(idx[p] for p in right_positions)
             sign = _shuffle_sign(subset, tuple(right_positions))
-            fa = alpha.comp(left)
-            fb = beta.comp(right)
-            if fa.is_zero or fb.is_zero:
-                continue
-            prod = fa * fb
+            prod = alpha.comp(left) * beta.comp(right)
             terms.append(prod if sign > 0 else -prod)
         total = field_sum_d(terms, chart.dim)
         if not total.is_zero:
@@ -519,13 +531,10 @@ def interior_product(v: "VectorField", omega: FormField) -> FormField:
         raise ValueError("interior product needs a form of degree >= 1")
     chart = omega.chart
     out = FormField(chart, omega.degree - 1)
+    if omega.is_zero:
+        return out
     for idx in increasing_tuples(chart.dim, omega.degree - 1):
-        terms = []
-        for i1 in range(chart.dim):
-            f = omega.comp((i1,) + idx)
-            if f.is_zero or v.comps[i1].is_zero:
-                continue
-            terms.append(v.comps[i1] * f)
+        terms = [v.comps[i1] * omega.comp((i1,) + idx) for i1 in range(chart.dim)]
         total = field_sum_d(terms, chart.dim)
         if not total.is_zero:
             out.comps[idx] = total
@@ -562,10 +571,6 @@ class VectorField:
     def zero(chart: Chart) -> "VectorField":
         return VectorField(chart, [const_field(0.0, chart.dim) for _ in range(chart.dim)])
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.comps)
-
 
 def lie_bracket(u: VectorField, v: VectorField) -> VectorField:
     """[u, v]^i = u^j d_j v^i - v^j d_j u^i."""
@@ -574,10 +579,8 @@ def lie_bracket(u: VectorField, v: VectorField) -> VectorField:
     for i in range(chart.dim):
         terms = []
         for j in range(chart.dim):
-            if not (u.comps[j].is_zero or v.comps[i].is_zero):
-                terms.append(u.comps[j] * v.comps[i].partial(j))
-            if not (v.comps[j].is_zero or u.comps[i].is_zero):
-                terms.append(-(v.comps[j] * u.comps[i].partial(j)))
+            terms.append(u.comps[j] * v.comps[i].partial(j))
+            terms.append(-(v.comps[j] * u.comps[i].partial(j)))
         out.append(field_sum_d(terms, chart.dim))
     return VectorField(chart, out)
 
@@ -629,12 +632,9 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
         for j in range(i, d):
             terms = []
             for k in range(d):
-                if not (v.comps[k].is_zero or g.g[i][j].is_zero):
-                    terms.append(v.comps[k] * g.g[i][j].partial(k))
-                if not (v.comps[k].is_zero or g.g[k][j].is_zero):
-                    terms.append(v.comps[k].partial(i) * g.g[k][j])
-                if not (v.comps[k].is_zero or g.g[i][k].is_zero):
-                    terms.append(v.comps[k].partial(j) * g.g[i][k])
+                terms.append(v.comps[k] * g.g[i][j].partial(k))
+                terms.append(v.comps[k].partial(i) * g.g[k][j])
+                terms.append(v.comps[k].partial(j) * g.g[i][k])
             total = field_sum_d(terms, d)
             out[i][j] = total
             out[j][i] = total

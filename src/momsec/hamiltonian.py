@@ -89,13 +89,21 @@ class PhasePolynomial:
     def scaled(self, c: float) -> "PhasePolynomial":
         return PhasePolynomial(self.dim, {k: f.scaled(c) for k, f in self.monomials.items()})
 
+    # an operand may be returned as the result: polynomials are never
+    # modified once built
     def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
+        if not other.monomials:
+            return self
+        if not self.monomials:
+            return other
         out = {}
         for key in set(self.monomials) | set(other.monomials):
             out[key] = self.coeff(key) + other.coeff(key)
         return PhasePolynomial(self.dim, out)
 
     def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
+        if not other.monomials:
+            return self
         out = {}
         for key in set(self.monomials) | set(other.monomials):
             out[key] = self.coeff(key) - other.coeff(key)
@@ -155,13 +163,8 @@ class ConstraintSystem:
         return self.alg.rank
 
     def constraint(self, a: int) -> PhasePolynomial:
-        mono = {}
-        for i in range(self.dim):
-            f = self.alg.anchor[a][i]
-            if not f.is_zero:
-                mono[(i,)] = f
-        if not self.alpha[a].is_zero:
-            mono[()] = self.alpha[a]
+        mono = {(i,): self.alg.anchor[a][i] for i in range(self.dim)}
+        mono[()] = self.alpha[a]
         return PhasePolynomial(self.dim, mono)
 
     def hamiltonian(self) -> PhasePolynomial:
@@ -173,10 +176,8 @@ class ConstraintSystem:
             for j in range(i + 1, d):
                 mono[(i, j)] = ginv[i][j]
         for i in range(d):
-            if not self.beta.comps[i].is_zero:
-                mono[(i,)] = self.beta.comps[i]
-        if not self.V.is_zero:
-            mono[()] = self.V
+            mono[(i,)] = self.beta.comps[i]
+        mono[()] = self.V
         return PhasePolynomial(d, mono)
 
     def multiplier(self, a: int, b: int) -> PhasePolynomial:
@@ -185,17 +186,8 @@ class ConstraintSystem:
         ginv = self.metric.inverse()
         mono: dict[tuple[int, ...], ScalarField] = {}
         for i in range(d):
-            terms = []
-            for j in range(d):
-                gam = self.conn.gamma[b][a][j]
-                if gam.is_zero:
-                    continue
-                terms.append(ginv[i][j] * gam)
-            f = field_sum_d(terms, d)
-            if not f.is_zero:
-                mono[(i,)] = f
-        if not self.tau[a][b].is_zero:
-            mono[()] = self.tau[a][b]
+            mono[(i,)] = field_sum_d([ginv[i][j] * self.conn.gamma[b][a][j] for j in range(d)], d)
+        mono[()] = self.tau[a][b]
         return PhasePolynomial(d, mono)
 
 
@@ -211,10 +203,7 @@ def first_class_fields(sys: ConstraintSystem):
         for b in range(a + 1, r):
             res = poisson_bracket(phis[a], phis[b], sys.twist)
             for c in range(r):
-                C = sys.alg.structure(c, a, b)
-                if C.is_zero:
-                    continue
-                res = res - phis[c].mul_field(C)
+                res = res - phis[c].mul_field(sys.alg.structure(c, a, b))
             for key, f in res.monomials.items():
                 out.setdefault(len(key), []).append((f"a{a + 1} b{b + 1} {monomial_label(key)}", f))
     return out
@@ -237,9 +226,7 @@ def flow_fields(sys: ConstraintSystem):
     for a in range(r):
         res = poisson_bracket(H, phis[a], sys.twist)
         for b in range(r):
-            lam = sys.multiplier(a, b)
-            if lam.monomials:
-                res = res - lam.mul(phis[b])
+            res = res - sys.multiplier(a, b).mul(phis[b])
         if res.max_degree > 2:
             for key, f in res.monomials.items():
                 if len(key) > 2:
@@ -261,18 +248,11 @@ def flow_fields(sys: ConstraintSystem):
                 terms = []
                 for p in range(d):
                     for q in range(d):
-                        if W[p][q].is_zero or g[i][p].is_zero or g[q][j].is_zero:
-                            continue
                         terms.append((g[i][p] * W[p][q] * g[q][j]).scaled(2.0))
                 out[2].append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
         # degree 1, lowered once
         for j in range(d):
-            terms = []
-            for k in range(d):
-                ck = res.coeff((k,))
-                if ck.is_zero or g[j][k].is_zero:
-                    continue
-                terms.append(g[j][k] * ck)
+            terms = [g[j][k] * res.coeff((k,)) for k in range(d)]
             out[1].append((f"a{a + 1} i{j + 1}", field_sum_d(terms, d)))
         out[0].append((f"a{a + 1} 1", res.coeff(())))
     return out
@@ -305,30 +285,15 @@ def absorb_beta(sys: ConstraintSystem) -> AbsorbedSystem:
     B = exterior_derivative(A)
     alpha_prime = []
     for a in range(r):
-        terms = [sys.alpha[a]]
-        for i in range(d):
-            Ai = A.comp((i,))
-            if Ai.is_zero or alg.anchor[a][i].is_zero:
-                continue
-            terms.append(-(alg.anchor[a][i] * Ai))
+        terms = [sys.alpha[a]] + [-(alg.anchor[a][i] * A.comp((i,))) for i in range(d)]
         alpha_prime.append(field_sum_d(terms, d))
-    vterms = [sys.V]
-    for i in range(d):
-        Ai = A.comp((i,))
-        if Ai.is_zero or sys.beta.comps[i].is_zero:
-            continue
-        vterms.append((sys.beta.comps[i] * Ai).scaled(-0.5))
+    vterms = [sys.V] + [(sys.beta.comps[i] * A.comp((i,))).scaled(-0.5) for i in range(d)]
     V_prime = field_sum_d(vterms, d)
     tau_prime = []
     for a in range(r):
         row = []
         for b in range(r):
-            terms = [sys.tau[a][b]]
-            for i in range(d):
-                gam = conn.gamma[b][a][i]
-                if gam.is_zero or sys.beta.comps[i].is_zero:
-                    continue
-                terms.append(-(gam * sys.beta.comps[i]))
+            terms = [sys.tau[a][b]] + [-(conn.gamma[b][a][i] * sys.beta.comps[i]) for i in range(d)]
             row.append(field_sum_d(terms, d))
         tau_prime.append(row)
     twisted = replace(

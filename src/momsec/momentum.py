@@ -101,13 +101,8 @@ def h3_fields(data: MomentumData, h3_sign: float = 1.0):
         for b in range(a + 1, alg.rank):
             terms = [alg.apply_anchor(a, data.mu[b]), -alg.apply_anchor(b, data.mu[a])]
             for c in range(alg.rank):
-                C = alg.structure(c, a, b)
-                if C.is_zero or data.mu[c].is_zero:
-                    continue
-                terms.append(-(C * data.mu[c]))
-            pairing = pairing_B(alg, data.B, a, b)
-            if not pairing.is_zero:
-                terms.append(pairing.scaled(h3_sign))
+                terms.append(-(alg.structure(c, a, b) * data.mu[c]))
+            terms.append(pairing_B(alg, data.B, a, b).scaled(h3_sign))
             out.append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
     return out
 
@@ -118,10 +113,7 @@ def pairing_B(alg: AlgebroidData, B: FormField, a: int, b: int) -> ScalarField:
     terms = []
     for i in range(d):
         for j in range(d):
-            f = B.comp((i, j))
-            if f.is_zero or alg.anchor[a][i].is_zero or alg.anchor[b][j].is_zero:
-                continue
-            terms.append(alg.anchor[a][i] * alg.anchor[b][j] * f)
+            terms.append(alg.anchor[a][i] * alg.anchor[b][j] * B.comp((i, j)))
     return field_sum_d(terms, d)
 
 
@@ -189,9 +181,6 @@ def momentum_map_fields(data: MomentumData):
                 continue
             terms = [alg.apply_anchor(a, data.mu[b])]
             for c in range(alg.rank):
-                C = alg.structure(c, a, b)
-                if C.is_zero or data.mu[c].is_zero:
-                    continue
-                terms.append(-(C * data.mu[c]))
+                terms.append(-(alg.structure(c, a, b) * data.mu[c]))
             out["equivariance"].append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
     return out

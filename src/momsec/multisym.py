@@ -113,10 +113,7 @@ class PrenPlecticData:
 
 def tilde_h(data: PrenPlecticData) -> FormField:
     """h + d eta^(n); closed whenever h is."""
-    top = data.eta_top()
-    if top.is_zero:
-        return data.h
-    return data.h + exterior_derivative(top)
+    return data.h + exterior_derivative(data.eta_top())
 
 
 def gamma_forms(data: PrenPlecticData, ht: FormField | None = None):
@@ -130,8 +127,7 @@ def hm1_fields(data: PrenPlecticData, ht: FormField | None = None):
     gamma = gamma_forms(data, ht)
     out = []
     for a, form in enumerate(dual_covariant_derivative(data.conn, gamma)):
-        for idx, f in form.comps.items():
-            out.append((f"a{a + 1} " + _form_label(idx), f))
+        out += _form_rows(f"a{a + 1}", form)
     return out
 
 
@@ -142,17 +138,18 @@ def hm2_fields(data: PrenPlecticData, ht: FormField | None = None):
     deriv = dual_covariant_derivative(data.conn, eta_top_minus)
     out = []
     for a in range(data.alg.rank):
-        res = deriv[a] - interior_product(data.alg.anchor_vector(a), ht)
-        for idx in increasing_tuples(data.alg.chart.dim, data.n):
-            f = res.comp(idx)
-            if f.is_zero:
-                continue
-            out.append((f"a{a + 1} " + _form_label(idx), f))
+        out += _form_rows(f"a{a + 1}", deriv[a] - interior_product(data.alg.anchor_vector(a), ht))
     return out
 
 
 def _form_label(idx) -> str:
     return "i" + "i".join(str(q + 1) for q in idx) if idx else "scalar"
+
+
+def _form_rows(label: str, form: FormField):
+    """One (label and component label, field) row per stored component of
+    ``form``, in increasing index order; a form stores no zero component."""
+    return [(f"{label} {_form_label(idx)}", f) for idx, f in sorted(form.comps.items())]
 
 
 def _cyclic_sign(shift: int, length: int) -> int:
@@ -173,20 +170,10 @@ def descent_pairing_fields(data: PrenPlecticData, k: int):
         rhs = FormField(alg.chart, k - 1)
         for shift in range(m):
             rotated = btuple[shift:] + btuple[:shift]
-            head, rest = rotated[0], rotated[1:]
-            inner = upper.comp(rest)
-            if inner.is_zero or k == 0:
-                continue
-            term = interior_product(alg.anchor_vector(head), inner)
-            sign = _cyclic_sign(shift, m)
-            rhs = rhs + (term if sign > 0 else term.scaled(-1.0))
+            term = interior_product(alg.anchor_vector(rotated[0]), upper.comp(rotated[1:]))
+            rhs = rhs + (term if _cyclic_sign(shift, m) > 0 else term.scaled(-1.0))
         rhs = rhs.scaled(-1.0 if k % 2 == 1 else 1.0)
-        res = lhs - rhs
-        for idx in increasing_tuples(alg.chart.dim, k - 1):
-            f = res.comp(idx)
-            if f.is_zero:
-                continue
-            out.append(("e" + "".join(str(q + 1) for q in btuple) + " " + _form_label(idx), f))
+        out += _form_rows("e" + "".join(str(q + 1) for q in btuple), lhs - rhs)
     return out
 
 
@@ -202,13 +189,8 @@ def descent_symmetry_fields(data: PrenPlecticData, k: int):
                 swapped = btuple[:m] + (s,) + btuple[m + 1 :]
                 first = interior_product(alg.anchor_vector(s), upper.comp(btuple))
                 second = interior_product(alg.anchor_vector(btuple[m]), upper.comp(swapped))
-                res = first + second
-                for idx in increasing_tuples(alg.chart.dim, k - 1):
-                    f = res.comp(idx)
-                    if f.is_zero:
-                        continue
-                    label = f"s{s + 1} m{m + 1} e" + "".join(str(q + 1) for q in btuple)
-                    out.append((label + " " + _form_label(idx), f))
+                label = f"s{s + 1} m{m + 1} e" + "".join(str(q + 1) for q in btuple)
+                out += _form_rows(label, first + second)
     return out
 
 
@@ -223,14 +205,8 @@ def pair_into_checked_slot(bv: BundleValuedForm, btuple: tuple, position: int, c
     out = FormField(chart, bv.form_degree)
     rest = btuple[:position] + btuple[position + 1 :]
     for e_idx in range(bv.alg.rank):
-        c = coefficients[e_idx]
-        if c.is_zero:
-            continue
         filled = rest[:position] + (e_idx,) + rest[position:]
-        form = bv.comp(filled)
-        if form.is_zero:
-            continue
-        out = out + form.mul_field(c)
+        out = out + bv.comp(filled).mul_field(coefficients[e_idx])
     return out
 
 
@@ -238,13 +214,7 @@ def _gamma_trace_pairing(data: PrenPlecticData, a: int) -> ScalarField:
     """tr(iota_{rho(e_a)} Gamma) = Gamma^b_{b i} rho^i_a (flagged reading)."""
     alg, conn = data.alg, data.conn
     d = alg.dim
-    terms = []
-    for b in range(alg.rank):
-        for i in range(d):
-            gam = conn.gamma[b][b][i]
-            if gam.is_zero or alg.anchor[a][i].is_zero:
-                continue
-            terms.append(gam * alg.anchor[a][i])
+    terms = [conn.gamma[b][b][i] * alg.anchor[a][i] for b in range(alg.rank) for i in range(d)]
     return field_sum_d(terms, d)
 
 
@@ -266,61 +236,39 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
         for btuple in increasing_tuples(alg.rank, m):
             base = eta_k.comp(btuple)
             if k == 0:
-                t_lie = FormField(chart, 0)
-                if not base.is_zero:
-                    t_lie = FormField(chart, 0, {(): alg.apply_anchor(a, base.comp(()))})
+                t_lie = FormField(chart, 0, {(): alg.apply_anchor(a, base.comp(()))})
             else:
                 t_lie = lie_derivative(rho_a, base)
-            total = t_lie
             t_bracket = FormField(chart, k)
             t_wedge = FormField(chart, k)
             t_pairing = FormField(chart, k)
             for pos in range(m):
                 sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
                 bi = btuple[pos]
+                rest = btuple[:pos] + btuple[pos + 1 :]
                 # eta([e, e_i], rest), bracket section in the leading slot
                 for c in range(alg.rank):
-                    C = alg.structure(c, a, bi)
-                    if C.is_zero:
-                        continue
-                    rest = btuple[:pos] + btuple[pos + 1 :]
                     inner = eta_k.comp((c,) + rest)
-                    if inner.is_zero:
-                        continue
-                    t_bracket = t_bracket + inner.mul_field(C).scaled(sign)
+                    t_bracket = t_bracket + inner.mul_field(alg.structure(c, a, bi)).scaled(sign)
                 if k >= 1:
                     # - Gamma(e) ^ iota_{rho(e_i)} eta(rest), paired into the slot
                     iota_eta = _iota_into_free_slot(data, eta_k, btuple, pos, btuple[pos])
                     for c in range(alg.rank):
-                        gc = conn.one_form(c, a)
-                        if gc.is_zero or iota_eta[c].is_zero:
-                            continue
-                        t_wedge = t_wedge - wedge(gc, iota_eta[c]).scaled(sign)
+                        t_wedge = t_wedge - wedge(conn.one_form(c, a), iota_eta[c]).scaled(sign)
                 # <iota_{rho(e_i)} Gamma(e), eta(rest)> into the checked slot
-                coeffs = []
-                for c in range(alg.rank):
-                    terms = []
-                    for i in range(chart.dim):
-                        gam = conn.gamma[c][a][i]
-                        if gam.is_zero or alg.anchor[bi][i].is_zero:
-                            continue
-                        terms.append(gam * alg.anchor[bi][i])
-                    coeffs.append(field_sum_d(terms, chart.dim))
-                pair = pair_into_checked_slot(eta_k, btuple, pos, coeffs)
-                t_pairing = t_pairing + pair.scaled(sign)
+                coeffs = [
+                    field_sum_d([conn.gamma[c][a][i] * alg.anchor[bi][i] for i in range(chart.dim)], chart.dim)
+                    for c in range(alg.rank)
+                ]
+                t_pairing = t_pairing + pair_into_checked_slot(eta_k, btuple, pos, coeffs).scaled(sign)
             t_ambiguous = FormField(chart, k)
             if k >= 1:
                 collapse = sum(((-1) ** i) for i in range(1, m + 1))
                 if collapse != 0:
-                    tr = _gamma_trace_pairing(data, a)
-                    if not tr.is_zero and not base.is_zero:
-                        t_ambiguous = base.mul_field(tr).scaled(float(collapse))
-            total = total + t_bracket + t_ambiguous + t_wedge + t_pairing
+                    t_ambiguous = base.mul_field(_gamma_trace_pairing(data, a)).scaled(float(collapse))
+            total = t_lie + t_bracket + t_ambiguous + t_wedge + t_pairing
             label = f"a{a + 1} e" + "".join(str(q + 1) for q in btuple)
-            for idx in increasing_tuples(chart.dim, k):
-                f = total.comp(idx)
-                if not f.is_zero:
-                    residuals.append((label + " " + _form_label(idx), f))
+            residuals += _form_rows(label, total)
             for key, form in (
                 ("lie", t_lie),
                 ("bracket", t_bracket),
@@ -328,10 +276,7 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
                 ("wedge", t_wedge),
                 ("pairing", t_pairing),
             ):
-                for idx in increasing_tuples(chart.dim, k):
-                    f = form.comp(idx)
-                    if not f.is_zero:
-                        term_fields[key].append((label + " " + _form_label(idx), f))
+                term_fields[key] += _form_rows(label, form)
     return residuals, term_fields
 
 
@@ -342,16 +287,11 @@ def _iota_into_free_slot(data: PrenPlecticData, eta_k: BundleValuedForm, btuple,
     filling the free slot with each basis element (checked-slot rule).
     """
     alg = data.alg
+    if eta_k.form_degree == 0:
+        return [FormField(alg.chart, 0) for _ in range(alg.rank)]
     rest = btuple[:position] + btuple[position + 1 :]
-    out = []
-    for c in range(alg.rank):
-        filled = rest[:position] + (c,) + rest[position:]
-        form = eta_k.comp(filled)
-        if form.is_zero or eta_k.form_degree == 0:
-            out.append(FormField(alg.chart, max(eta_k.form_degree - 1, 0)))
-            continue
-        out.append(interior_product(alg.anchor_vector(section), form))
-    return out
+    rho = alg.anchor_vector(section)
+    return [interior_product(rho, eta_k.comp(rest[:position] + (c,) + rest[position:])) for c in range(alg.rank)]
 
 
 def hm3_rewrite_fields(data: PrenPlecticData):
@@ -362,7 +302,6 @@ def hm3_rewrite_fields(data: PrenPlecticData):
     reported separately so convention mismatches stay visible.
     """
     alg, conn = data.alg, data.conn
-    chart = alg.chart
     if data.n < 2:
         return []
     eta1 = data.eta_k(data.n - 1)
@@ -374,23 +313,12 @@ def hm3_rewrite_fields(data: PrenPlecticData):
                 alg.anchor_vector(b), eta1.comp((a,))
             )
             for c in range(alg.rank):
-                C = alg.structure(c, a, b)
-                if C.is_zero:
-                    continue
-                ed = ed - eta1.comp((c,)).mul_field(C)
+                ed = ed - eta1.comp((c,)).mul_field(alg.structure(c, a, b))
             dlower = exterior_derivative(eta2.comp((a, b)))
             for c in range(alg.rank):
-                gca = conn.one_form(c, a)
-                if not (gca.is_zero or eta2.comp((c, b)).is_zero):
-                    dlower = dlower - wedge(gca, eta2.comp((c, b)))
-                gcb = conn.one_form(c, b)
-                if not (gcb.is_zero or eta2.comp((a, c)).is_zero):
-                    dlower = dlower - wedge(gcb, eta2.comp((a, c)))
-            res = ed - dlower
-            for idx in increasing_tuples(chart.dim, data.n - 1):
-                f = res.comp(idx)
-                if not f.is_zero:
-                    out.append((f"a{a + 1} b{b + 1} " + _form_label(idx), f))
+                dlower = dlower - wedge(conn.one_form(c, a), eta2.comp((c, b)))
+                dlower = dlower - wedge(conn.one_form(c, b), eta2.comp((a, c)))
+            out += _form_rows(f"a{a + 1} b{b + 1}", ed - dlower)
     return out
 
 
@@ -413,21 +341,12 @@ def specialized_fields(data: PrenPlecticData):
     rows = []
     eta_top_minus = data.eta_k(data.n - 1)
     for a in range(alg.rank):
-        res = exterior_derivative(eta_top_minus.comp((a,))) - interior_product(
-            alg.anchor_vector(a), ht
-        )
-        for idx in increasing_tuples(chart.dim, data.n):
-            f = res.comp(idx)
-            if not f.is_zero:
-                rows.append((f"a{a + 1} " + _form_label(idx), f))
+        res = exterior_derivative(eta_top_minus.comp((a,))) - interior_product(alg.anchor_vector(a), ht)
+        rows += _form_rows(f"a{a + 1}", res)
     out["hm2"] = rows
     rows = []
     for a in range(alg.rank):
-        res = exterior_derivative(interior_product(alg.anchor_vector(a), ht))
-        for idx in increasing_tuples(chart.dim, data.n + 1):
-            f = res.comp(idx)
-            if not f.is_zero:
-                rows.append((f"a{a + 1} " + _form_label(idx), f))
+        rows += _form_rows(f"a{a + 1}", exterior_derivative(interior_product(alg.anchor_vector(a), ht)))
     out["hm1"] = rows
     for k in range(data.n - 1, -1, -1):
         m = data.n - k
@@ -436,29 +355,18 @@ def specialized_fields(data: PrenPlecticData):
         for a in range(alg.rank):
             for btuple in increasing_tuples(alg.rank, m):
                 if k == 0:
-                    base = eta_k.comp(btuple)
-                    lie = FormField(chart, 0, {(): alg.apply_anchor(a, base.comp(()))}) if not base.is_zero else FormField(chart, 0)
+                    acc = FormField(chart, 0, {(): alg.apply_anchor(a, eta_k.comp(btuple).comp(()))})
                 else:
-                    lie = lie_derivative(alg.anchor_vector(a), eta_k.comp(btuple))
-                acc = lie
+                    acc = lie_derivative(alg.anchor_vector(a), eta_k.comp(btuple))
                 for pos in range(m):
                     sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
+                    rest = btuple[:pos] + btuple[pos + 1 :]
                     for c in range(alg.rank):
-                        C = alg.structure(c, a, btuple[pos])
-                        if C.is_zero:
-                            continue
-                        rest = btuple[:pos] + btuple[pos + 1 :]
                         inner = eta_k.comp((c,) + rest)
-                        if inner.is_zero:
-                            continue
-                        acc = acc + inner.mul_field(C).scaled(sign)
+                        acc = acc + inner.mul_field(alg.structure(c, a, btuple[pos])).scaled(sign)
                 if k >= 1:
                     lower = data.eta_k(k - 1)
                     acc = acc - exterior_derivative(lower.comp((a,) + btuple))
-                label = f"a{a + 1} e" + "".join(str(q + 1) for q in btuple)
-                for idx in increasing_tuples(chart.dim, k):
-                    f = acc.comp(idx)
-                    if not f.is_zero:
-                        rows.append((label + " " + _form_label(idx), f))
+                rows += _form_rows(f"a{a + 1} e" + "".join(str(q + 1) for q in btuple), acc)
         out[f"hm3[{k}]"] = rows
     return out

@@ -126,11 +126,12 @@ def evaluate_check(
     the sampled points.  This is the only place a row is made from fields.
 
     ``terms`` maps a term label to its own labeled fields; the row reports
-    the maximum of each term that has any, as a breakdown of the residual.
+    the maximum of each term that has any, as a breakdown of the residual,
+    and no breakdown (``None``) when no term has any.
     """
     rows = list(labeled_fields)
     if terms is not None:
-        terms = {label: rows_max(term_rows, points) for label, term_rows in terms.items() if term_rows}
+        terms = {label: rows_max(term_rows, points) for label, term_rows in terms.items() if term_rows} or None
     return _result(name, equation, rows_max(rows, points), len(points), len(rows), tolerance, informational, terms, flags)
 
 

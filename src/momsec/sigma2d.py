@@ -69,12 +69,7 @@ def boundary_pairing_fields(alg: AlgebroidData, eta: FormField, mu):
     d = alg.dim
     out = []
     for a in range(alg.rank):
-        terms = [mu[a]]
-        for i in range(d):
-            ei = eta.comp((i,))
-            if ei.is_zero or alg.anchor[a][i].is_zero:
-                continue
-            terms.append(ei * alg.anchor[a][i])
+        terms = [mu[a]] + [eta.comp((i,)) * alg.anchor[a][i] for i in range(d)]
         out.append((f"a{a + 1}", field_sum_d(terms, d)))
     return out
 
@@ -88,20 +83,11 @@ def boundary_eta_fields(alg: AlgebroidData, conn: ConnectionData, b: FormField, 
         for i in range(d):
             terms = []
             for j in range(d):
-                bji = b.comp((j, i))
-                if not (rho[j].is_zero or bji.is_zero):
-                    terms.append(rho[j] * bji)
-                ei = eta.comp((i,))
-                if not (rho[j].is_zero or ei.is_zero):
-                    terms.append(rho[j] * ei.partial(j))
-                ej = eta.comp((j,))
-                if not (ej.is_zero or rho[j].is_zero):
-                    terms.append(ej * rho[j].partial(i))
+                terms.append(rho[j] * b.comp((j, i)))
+                terms.append(rho[j] * eta.comp((i,)).partial(j))
+                terms.append(eta.comp((j,)) * rho[j].partial(i))
             for bb in range(alg.rank):
-                gam = conn.gamma[bb][a][i]
-                if gam.is_zero or mu[bb].is_zero:
-                    continue
-                terms.append(gam * mu[bb])
+                terms.append(conn.gamma[bb][a][i] * mu[bb])
             out.append((f"a{a + 1} i{i + 1}", field_sum_d(terms, d)))
     return out
 
@@ -114,14 +100,9 @@ def boundary_mu_fields(alg: AlgebroidData, conn: ConnectionData, mu):
         for b in range(alg.rank):
             terms = [alg.apply_anchor(a, mu[b])]
             for c in range(alg.rank):
-                C = alg.structure(c, a, b)
-                if not (C.is_zero or mu[c].is_zero):
-                    terms.append(-(C * mu[c]))
+                terms.append(-(alg.structure(c, a, b) * mu[c]))
                 for i in range(d):
-                    gam = conn.gamma[c][a][i]
-                    if gam.is_zero or alg.anchor[b][i].is_zero or mu[c].is_zero:
-                        continue
-                    terms.append(-(alg.anchor[b][i] * gam * mu[c]))
+                    terms.append(-(alg.anchor[b][i] * conn.gamma[c][a][i] * mu[c]))
             out.append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
     return out
 
@@ -131,12 +112,6 @@ def induced_momentum_inputs(alg: AlgebroidData, b: FormField, eta: FormField):
     d = alg.dim
     mu = []
     for a in range(alg.rank):
-        terms = []
-        for i in range(d):
-            ei = eta.comp((i,))
-            if ei.is_zero or alg.anchor[a][i].is_zero:
-                continue
-            terms.append(-(alg.anchor[a][i] * ei))
-        mu.append(field_sum_d(terms, d))
+        mu.append(field_sum_d([-(alg.anchor[a][i] * eta.comp((i,))) for i in range(d)], d))
     B = b + exterior_derivative(eta)
     return mu, B

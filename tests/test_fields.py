@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chart2, chart3, f, random_poly_source
+from momsec.algebroid import AlgebroidData
 from momsec.expressions import eval_jet, parse
 from momsec.fields import (
     Chart,
+    ConstField,
     ExprField,
     FormField,
     MetricField,
+    ScalarField,
     VectorField,
     const_field,
     exterior_derivative,
+    field_sum_d,
     interior_product,
     lie_bracket,
     lie_derivative,
@@ -22,6 +26,7 @@ from momsec.fields import (
     sort_signed,
     wedge,
 )
+from momsec.hamiltonian import PhasePolynomial
 
 
 def random_form(chart: Chart, degree: int, rng) -> FormField:
@@ -46,6 +51,8 @@ class TestChart:
             Chart(("x",), ((1.0, 1.0),))
         with pytest.raises(ValueError):
             Chart(("x", "y"), ((0.0, 1.0),))
+        with pytest.raises(ValueError):
+            Chart(("x",), ((-1e308, 1e308),))
 
     def test_sampling_deterministic(self):
         ch = chart2()
@@ -55,6 +62,81 @@ class TestChart:
         lo = np.array([-1.5, -1.5])
         hi = np.array([1.5, 1.5])
         assert np.all(a >= lo) and np.all(a <= hi)
+
+
+class TestZeroFolding:
+    """The algebra folds structural zeros itself: an operation with a zero
+    operand gives a structural zero or the other operand and builds no node."""
+
+    @pytest.fixture(autouse=True)
+    def _count_builds(self, monkeypatch):
+        # every field class defines __init__, which can be wrapped and restored
+        # (an overridden __new__ cannot be removed again in CPython)
+        self.built = []
+        for cls in ScalarField.__subclasses__():
+            def counting_init(node, *args, _init=cls.__init__, **kwargs):
+                self.built.append(type(node).__name__)
+                _init(node, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+    def _no_nodes_built(self, op):
+        self.built.clear()
+        result = op()
+        assert self.built == []
+        return result
+
+    def test_scalar_operations(self):
+        ch = chart2()
+        z, g = const_field(0.0, 2), f("x*y", ch)
+        assert z.is_zero and not g.is_zero and not const_field(2.0, 2).is_zero
+        assert ConstField(0.0, 2).is_zero and not ScalarField.is_zero
+        self.built.clear()
+        g * g
+        assert self.built == ["ProdField"]
+        for op, expected in (
+            (lambda: g * z, z),
+            (lambda: z * g, z),
+            (lambda: -z, z),
+            (lambda: z.scaled(3.0), z),
+            (lambda: g + z, g),
+            (lambda: z + g, g),
+            (lambda: g - z, g),
+            (lambda: field_sum_d([z, g], 2), g),
+        ):
+            assert self._no_nodes_built(op) is expected
+        assert self._no_nodes_built(lambda: z.partial(0)).is_zero
+        assert self._no_nodes_built(lambda: field_sum_d([z, z], 2)).is_zero
+
+    def test_form_operations(self):
+        ch = chart2()
+        g = f("x*y", ch)
+        empty, w = FormField(ch, 1), FormField(ch, 1, {(0,): g})
+        v = VectorField(ch, [g, g])
+        for op, expected in (
+            (lambda: w + empty, w),
+            (lambda: empty + w, w),
+            (lambda: w - empty, w),
+            (lambda: empty.scaled(2.0), empty),
+            (lambda: empty.mul_field(g), empty),
+        ):
+            assert self._no_nodes_built(op) is expected
+        for op in (
+            lambda: w.mul_field(const_field(0.0, 2)),
+            lambda: wedge(empty, w),
+            lambda: wedge(w, empty),
+            lambda: interior_product(v, empty),
+            lambda: exterior_derivative(empty),
+        ):
+            assert self._no_nodes_built(op).is_zero
+
+    def test_apply_anchor_and_phase_polynomial(self):
+        ch = chart2()
+        z, g = const_field(0.0, 2), f("x*y", ch)
+        alg = AlgebroidData(ch, 1, [[g, z]], {})
+        assert self._no_nodes_built(lambda: alg.apply_anchor(0, z)) is z
+        poly = self._no_nodes_built(lambda: PhasePolynomial(2, {(0,): z, (): g}))
+        assert poly.monomials == {(): g}
 
 
 class TestExteriorDerivative:

@@ -1,11 +1,14 @@
 """Property tests over the built-in fixtures: malformed model files fail
-only with ModelError, and reports are deterministic with an exit code
-that follows ``overall_pass``."""
+only with ModelError, reports are deterministic with an exit code that
+follows ``overall_pass``, and folding structural zeros changes no
+residual."""
 
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +85,39 @@ def test_fresh_loads_give_identical_reports_and_matching_exit_code(tmp_path_fact
         code = main(["check", str(path), "--format", "json", "--seed", str(seed), "--points", str(points)])
     assert out.getvalue() == report
     assert code == (0 if again.overall_pass else 1)
+
+
+def _densified(doc: dict) -> dict:
+    """The model with an explicit "0" entry in every absent anchor slot and
+    structure slot; parsed expressions are never structural zeros."""
+    alg = doc["algebroid"]
+    rank, dim = alg["rank"], len(doc["chart"]["coordinates"])
+    anchor = alg.setdefault("anchor", [])
+    present = {tuple(e["idx"]) for e in anchor}
+    anchor += [{"idx": [a, i], "expr": "0"} for a in range(1, rank + 1) for i in range(1, dim + 1) if (a, i) not in present]
+    structure = alg.setdefault("structure", [])
+    present = {(e["idx"][0], *sorted(e["idx"][1:])) for e in structure}
+    for c, a, b in itertools.product(range(1, rank + 1), repeat=3):
+        if a < b and (c, a, b) not in present:
+            structure.append({"idx": [c, a, b], "expr": "0"})
+    return doc
+
+
+def _summary(report):
+    """What folding may not change: every row's name, residual, verdict and
+    flags, and its non-zero term values; zero-valued terms and tuple counts
+    may differ, since explicit zeros add rows and terms that read 0."""
+    rows = [
+        (c.name, c.max_residual, c.passed, c.flags, {k: v for k, v in (c.terms or {}).items() if v != 0.0})
+        for c in report.checks
+    ]
+    return rows, report.verdicts
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_explicit_zero_entries_leave_every_residual_unchanged(name):
+    sparse = load_model_bytes(fixture_bytes(name))
+    dense = load_model_bytes(json.dumps(_densified(json.loads(fixture_bytes(name)))).encode())
+    for seed, points in ((42, 32), (7, 17)):
+        config = RunConfig(tolerance=sparse.tolerance, points=points, seed=seed)
+        assert _summary(run(dense, "all", config)) == _summary(run(sparse, "all", config))

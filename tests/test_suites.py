@@ -174,3 +174,15 @@ class TestEdgeBranches:
         text = rep.to_text()
         assert "multisym/hm2-momentum-section" in text
         assert "overall:" in text
+
+    def test_row_without_breakdown_has_null_terms(self, fixture_models):
+        # rank 1: the first-class brackets have no residual monomials at all,
+        # and hm3-diff[k=0] on the flux model has no term components
+        mech = run(fixture_models["rotation_momentum_map"], "mechanics")
+        assert mech.find("mechanics/first-class").terms is None
+        assert mech.find("mechanics/first-class-twisted").terms is None
+        flux = run(fixture_models["plectic2_flux_model"], "multisym")
+        assert flux.find("multisym/hm3-diff[k=0]").terms is None
+        for rep in (mech, flux):
+            for row in json.loads(rep.to_json())["checks"]:
+                assert row["terms"] is None or row["terms"]
