@@ -301,11 +301,14 @@ class Jet2:
     and every rule below acts row by row.  ``row(p)`` reads one row back
     as a float value, a ``(d,)`` gradient and a ``(d, d)`` Hessian.
 
-    ``hess`` (and then ``grad``) may be ``None`` for quantities produced
-    by differentiating evaluated fields: each differentiation consumes
-    one jet order, and arithmetic propagates the lowest order present.
-    Entry-wise the stored Hessian is exactly symmetric: every rule below
-    builds it from symmetric pieces only.
+    A jet is truncated at an order 0, 1 or 2: ``hess`` (and then
+    ``grad``) is ``None`` when that derivative was not requested, or was
+    consumed by differentiating an evaluated field.  Every rule computes
+    the orders both of its operands carry and no more.  Values never
+    depend on gradients, nor gradients on Hessians, so a truncated jet
+    agrees bit for bit with the same parts of the full one.  Entry-wise
+    the stored Hessian is exactly symmetric: every rule below builds it
+    from symmetric pieces only.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -316,15 +319,27 @@ class Jet2:
         self.hess = hess
 
     @staticmethod
-    def constant(value: float, count: int, dim: int) -> "Jet2":
-        return Jet2(np.full(count, float(value)), np.zeros((count, dim)), np.zeros((count, dim, dim)))
+    def constant(value: float, count: int, dim: int, order: int = 2) -> "Jet2":
+        g = np.zeros((count, dim)) if order >= 1 else None
+        h = np.zeros((count, dim, dim)) if order >= 2 else None
+        return Jet2(np.full(count, float(value)), g, h)
 
     @staticmethod
-    def coordinate(points: np.ndarray, index: int) -> "Jet2":
+    def coordinate(points: np.ndarray, index: int, order: int = 2) -> "Jet2":
         count, dim = points.shape
-        g = np.zeros((count, dim))
-        g[:, index] = 1.0
-        return Jet2(points[:, index].copy(), g, np.zeros((count, dim, dim)))
+        g = h = None
+        if order >= 1:
+            g = np.zeros((count, dim))
+            g[:, index] = 1.0
+        if order >= 2:
+            h = np.zeros((count, dim, dim))
+        return Jet2(points[:, index].copy(), g, h)
+
+    def truncated(self, order: int) -> "Jet2":
+        """This jet without the derivatives above ``order``."""
+        if order >= 2 or self.grad is None or (order == 1 and self.hess is None):
+            return self
+        return Jet2(self.value, self.grad if order == 1 else None, None)
 
     def row(self, p: int) -> "Jet2":
         g = None if self.grad is None else self.grad[p]
@@ -369,114 +384,120 @@ class Jet2:
 
     def reciprocal(self) -> "Jet2":
         inv = 1.0 / self.value
-        return self.compose(inv, -(inv * inv), 2.0 * inv * inv * inv)
+        return self.compose(inv, lambda: -(inv * inv), lambda: 2.0 * inv * inv * inv)
 
-    def compose(self, f: np.ndarray, df: np.ndarray, d2f: np.ndarray) -> "Jet2":
-        """Chain rule through a scalar function with derivatives f', f''."""
+    def compose(self, f: np.ndarray, df, d2f) -> "Jet2":
+        """Chain rule through a scalar function with values ``f``.  The
+        callables ``df`` and ``d2f`` return f' and f'' at the values; each
+        is called only when this jet carries that order."""
         if self.grad is None:
             return Jet2(f, None, None)
-        grad = df[:, None] * self.grad
+        d1 = df()
+        grad = d1[:, None] * self.grad
         if self.hess is None:
             hess = None
         else:
             outer = self.grad[:, :, None] * self.grad[:, None, :]
-            hess = df[:, None, None] * self.hess + d2f[:, None, None] * outer
+            hess = d1[:, None, None] * self.hess + d2f()[:, None, None] * outer
         return Jet2(f, grad, hess)
 
 
 def _int_pow(u: Jet2, n: int, node: Expr) -> Jet2:
-    if n == 0:
-        return Jet2.constant(1.0, *u.grad.shape)
+    """u^n for an integer n != 0."""
     if n < 0:
         if (u.value == 0.0).any():
             raise DomainError("zero base with negative exponent", node)
         return _int_pow(u, -n, node).reciprocal()
     v = u.value
-    d2f = n * (n - 1) * v ** (n - 2) if n >= 2 else np.zeros_like(v)
-    return u.compose(v**n, n * v ** (n - 1), d2f)
+    d2f = (lambda: n * (n - 1) * v ** (n - 2)) if n >= 2 else (lambda: np.zeros_like(v))
+    return u.compose(v**n, lambda: n * v ** (n - 1), d2f)
 
 
-def eval_jets(node: Expr, points: np.ndarray) -> Jet2:
-    """Evaluate ``node`` and its exact first and second derivatives at
-    every row of the ``(P, d)`` array ``points``.  A domain violation at
-    any point of the sample raises :class:`DomainError` naming the
-    subexpression.
+def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
+    """Evaluate ``node`` and its exact derivatives up to ``order`` (0, 1
+    or 2) at every row of the ``(P, d)`` array ``points``.  A domain
+    violation at any point of the sample raises :class:`DomainError`
+    naming the subexpression, whatever the order: the checks on
+    derivatives (``sqrt`` and ``abs`` at 0) fire at order 0 too.
     """
     count, dim = points.shape
     if isinstance(node, Num):
-        return Jet2.constant(node.value, count, dim)
+        return Jet2.constant(node.value, count, dim, order)
     if isinstance(node, Var):
         if node.index >= dim:
             raise DomainError("point dimension too small for coordinate", node)
-        return Jet2.coordinate(points, node.index)
+        return Jet2.coordinate(points, node.index, order)
     if isinstance(node, Add):
-        return eval_jets(node.left, points) + eval_jets(node.right, points)
+        return eval_jets(node.left, points, order) + eval_jets(node.right, points, order)
     if isinstance(node, Sub):
-        return eval_jets(node.left, points) - eval_jets(node.right, points)
+        return eval_jets(node.left, points, order) - eval_jets(node.right, points, order)
     if isinstance(node, Mul):
-        return eval_jets(node.left, points) * eval_jets(node.right, points)
+        return eval_jets(node.left, points, order) * eval_jets(node.right, points, order)
     if isinstance(node, Div):
-        denom = eval_jets(node.right, points)
+        denom = eval_jets(node.right, points, order)
         if (denom.value == 0.0).any():
             raise DomainError("division by zero", node)
-        return eval_jets(node.left, points) * denom.reciprocal()
+        return eval_jets(node.left, points, order) * denom.reciprocal()
     if isinstance(node, Neg):
-        return -eval_jets(node.operand, points)
+        return -eval_jets(node.operand, points, order)
     if isinstance(node, Pow):
-        base = eval_jets(node.base, points)
+        base = eval_jets(node.base, points, order)
+        # the full jet of the exponent tells whether it is constant
         expo = eval_jets(node.exponent, points)
         b = base.value
         p = expo.value[0]
         # a constant exponent means one number over the whole sample
         if not expo.grad.any() and not expo.hess.any() and (expo.value == p).all():
+            if p == 0.0:
+                return Jet2.constant(1.0, count, dim, order)
             if float(p).is_integer():
                 return _int_pow(base, int(p), node)
             if (b <= 0.0).any():
                 raise DomainError("real exponent requires a positive base", node)
-            return base.compose(b**p, p * b ** (p - 1.0), p * (p - 1.0) * b ** (p - 2.0))
+            return base.compose(
+                b**p, lambda: p * b ** (p - 1.0), lambda: p * (p - 1.0) * b ** (p - 2.0)
+            )
         # variable exponent: b^e = exp(e * log(b))
         if (b <= 0.0).any():
             raise DomainError("variable exponent requires a positive base", node)
-        w = expo * base.compose(np.log(b), 1.0 / b, -1.0 / b**2)
+        w = expo * base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2)
         e = np.exp(w.value)
-        return w.compose(e, e, e)
+        return w.compose(e, lambda: e, lambda: e)
     if isinstance(node, Call):
-        u = eval_jets(node.arg, points)
+        u = eval_jets(node.arg, points, order)
         v = u.value
         if node.func == "sin":
             s = np.sin(v)
-            return u.compose(s, np.cos(v), -s)
+            return u.compose(s, lambda: np.cos(v), lambda: -s)
         if node.func == "cos":
             c = np.cos(v)
-            return u.compose(c, -np.sin(v), -c)
+            return u.compose(c, lambda: -np.sin(v), lambda: -c)
         if node.func == "tan":
             if (np.cos(v) == 0.0).any():
                 raise DomainError("tan at a pole", node)
             t = np.tan(v)
-            sec2 = 1.0 + t * t
-            return u.compose(t, sec2, 2.0 * t * sec2)
+            return u.compose(t, lambda: 1.0 + t * t, lambda: 2.0 * t * (1.0 + t * t))
         if node.func == "exp":
             e = np.exp(v)
-            return u.compose(e, e, e)
+            return u.compose(e, lambda: e, lambda: e)
         if node.func == "log":
             if (v <= 0.0).any():
                 raise DomainError("log of a non-positive value", node)
-            return u.compose(np.log(v), 1.0 / v, -1.0 / (v * v))
+            return u.compose(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
         if node.func == "sqrt":
             if (v < 0.0).any():
                 raise DomainError("sqrt of a negative value", node)
             if (v == 0.0).any():
                 raise DomainError("sqrt derivative at zero", node)
             s = np.sqrt(v)
-            return u.compose(s, 0.5 / s, -0.25 / (s * v))
+            return u.compose(s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
         if node.func == "tanh":
             t = np.tanh(v)
-            sech2 = 1.0 - t * t
-            return u.compose(t, sech2, -2.0 * t * sech2)
+            return u.compose(t, lambda: 1.0 - t * t, lambda: -2.0 * t * (1.0 - t * t))
         if node.func == "abs":
             if (v == 0.0).any():
                 raise DomainError("abs derivative at zero", node)
-            return u.compose(np.abs(v), np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v))
+            return u.compose(np.abs(v), lambda: np.where(v > 0.0, 1.0, -1.0), lambda: np.zeros_like(v))
     raise TypeError(f"unknown node {node!r}")
 
 

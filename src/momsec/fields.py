@@ -1,14 +1,18 @@
 """Chart-local calculus on arrays of scalar fields.
 
-A :class:`ScalarField` is anything that can produce second-order jets
-over a point sample: a parsed expression, a constant, or an
+A :class:`ScalarField` is anything that can produce jets up to second
+order over a point sample: a parsed expression, a constant, or an
 algebraic/differential combination of other fields.  A field is
 evaluated over the whole sample at once, and each node keeps the jets
 of the last sample it saw, so every node of a run's field graph is
-evaluated once per run.  Differentiating an evaluated field (via
-:class:`PartialField`) consumes one jet order, so a once-differentiated
-field still has an exact value and gradient but no Hessian.  No check in
-this package ever differentiates a field more than twice.
+evaluated once per run.  The jet order is a demand that flows down the
+graph: a residual asks for values only (order 0), sums, differences,
+products and scalings pass the order on, and a :class:`PartialField`
+asks its parent for one order more, so a node computes only the
+derivatives some consumer reads.  Differentiating an evaluated field
+consumes one jet order, so a once-differentiated field still has an
+exact value and gradient but no Hessian.  No check in this package ever
+differentiates a field more than twice.
 
 On top of scalar fields sit antisymmetric component containers:
 :class:`FormField` (differential k-forms), :class:`VectorField` and
@@ -75,41 +79,54 @@ class Chart:
 
 
 class _PerSample:
-    """Evaluation memoized in one slot: the last ``points`` array, matched by
-    identity, and its result.  Holding the array keeps its identity from
-    being reused; a sample must not be modified in place once evaluated on.
+    """Jet evaluation memoized in one slot: the last ``points`` array,
+    matched by identity, the order it was evaluated to, and its result.
+    A request hits when the sample is the same array and the stored order
+    is at least the requested one, and gets the stored jet truncated to
+    the requested order; otherwise the node is evaluated again at the
+    requested order.  Holding the array keeps its identity from being
+    reused; a sample must not be modified in place once evaluated on.
     """
 
     _sample = None
+    _order = -1
     _result = None
 
-    def eval(self, points: np.ndarray):
-        if self._sample is not points:
-            self._result = self._eval(points)
+    def eval(self, points: np.ndarray, order: int = 2) -> Jet2:
+        if self._sample is not points or self._order < order:
+            self._result = self._eval(points, order)
             self._sample = points
+            self._order = order
+        elif self._order > order:
+            return self._result.truncated(order)
         return self._result
 
-    def _eval(self, points: np.ndarray):
+    def _eval(self, points: np.ndarray, order: int) -> Jet2:
         raise NotImplementedError
 
 
 class ScalarField(_PerSample):
     """A scalar function on a chart, evaluable to second-order jets.
 
-    ``eval(points)`` gives the :class:`Jet2` over a ``(P, d)`` sample and
-    keeps it until the next sample.  A run passes one sample array
-    everywhere, so a subtree shared by many fields (as built by the
-    bracket and wedge machinery) is evaluated once per run.  ``jet`` and
-    ``value`` are one-point views: a one-row sample, read back as row 0.
+    ``eval(points, order)`` gives the :class:`Jet2` over a ``(P, d)``
+    sample up to ``order`` and keeps it until the next sample.  A run
+    passes one sample array everywhere, so a subtree shared by many
+    fields (as built by the bracket and wedge machinery) is evaluated
+    once per run, at the highest order any of its consumers asks for.
+    ``jet`` and ``value`` are one-point views: a one-row sample, read
+    back as row 0.
     """
 
     dim: int
 
+    def _at(self, point, order: int) -> Jet2:
+        return self.eval(np.asarray(point, dtype=float).reshape(1, -1), order).row(0)
+
     def jet(self, point) -> Jet2:
-        return self.eval(np.asarray(point, dtype=float).reshape(1, -1)).row(0)
+        return self._at(point, 2)
 
     def value(self, point) -> float:
-        return self.jet(point).value
+        return self._at(point, 0).value
 
     # only a zero ConstField is a structural zero
     is_zero = False
@@ -156,8 +173,8 @@ class ConstField(ScalarField):
         self.dim = dim
         self.is_zero = self.c == 0.0
 
-    def _eval(self, points):
-        return Jet2.constant(self.c, len(points), self.dim)
+    def _eval(self, points, order):
+        return Jet2.constant(self.c, len(points), self.dim, order)
 
     def partial(self, i: int) -> "ScalarField":
         return const_field(0.0, self.dim)
@@ -190,8 +207,8 @@ class ExprField(ScalarField):
     def parse(source: str, chart: Chart) -> "ExprField":
         return ExprField(parse(source, chart.coordinates), chart)
 
-    def _eval(self, points):
-        return eval_jets(self.expr, points)
+    def _eval(self, points, order):
+        return eval_jets(self.expr, points, order)
 
 
 class SumField(ScalarField):
@@ -205,8 +222,8 @@ class SumField(ScalarField):
         self.terms = tuple(flat)
         self.dim = terms[0].dim
 
-    def _eval(self, points):
-        jets = [t.eval(points) for t in self.terms]
+    def _eval(self, points, order):
+        jets = [t.eval(points, order) for t in self.terms]
         out = jets[0]
         for j in jets[1:]:
             out = out + j
@@ -221,8 +238,8 @@ class DiffField(ScalarField):
         self.b = b
         self.dim = a.dim
 
-    def _eval(self, points):
-        return self.a.eval(points) - self.b.eval(points)
+    def _eval(self, points, order):
+        return self.a.eval(points, order) - self.b.eval(points, order)
 
 
 class ProdField(ScalarField):
@@ -231,8 +248,8 @@ class ProdField(ScalarField):
         self.b = b
         self.dim = a.dim
 
-    def _eval(self, points):
-        return self.a.eval(points) * self.b.eval(points)
+    def _eval(self, points, order):
+        return self.a.eval(points, order) * self.b.eval(points, order)
 
 
 class ScaledField(ScalarField):
@@ -241,16 +258,17 @@ class ScaledField(ScalarField):
         self.f = f
         self.dim = f.dim
 
-    def _eval(self, points):
-        return self.f.eval(points).scale(self.c)
+    def _eval(self, points, order):
+        return self.f.eval(points, order).scale(self.c)
 
 
 class PartialField(ScalarField):
     """The coordinate partial of another field.
 
-    The jet forwards the parent's gradient and Hessian down one order;
-    its own Hessian is unavailable (it would be a third derivative of
-    the parent).
+    The jet forwards the parent's gradient and Hessian down one order,
+    so the parent is evaluated one order above the request; its own
+    Hessian is unavailable (it would be a third derivative of the
+    parent).
     """
 
     def __init__(self, f: ScalarField, i: int):
@@ -258,8 +276,8 @@ class PartialField(ScalarField):
         self.i = i
         self.dim = f.dim
 
-    def _eval(self, points):
-        parent = self.f.eval(points)
+    def _eval(self, points, order):
+        parent = self.f.eval(points, min(order + 1, 2))
         if parent.grad is None:
             raise ValueError(
                 "jet order exhausted: a field was differentiated more than twice"
@@ -287,8 +305,9 @@ class _MatrixInverseCore(_PerSample):
     Given jets of the entries of M(x), the inverse N = M^{-1} has
     dN = -N (dM) N and
     d2N_{kl} = -N M_{,kl} N + N M_{,k} N M_{,l} N + N M_{,l} N M_{,k} N,
-    all exact to second order.  Every array carries the sample as its
-    leading axis.
+    all exact to second order.  The result is the jet of the matrix N:
+    ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
+    ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
     """
 
     def __init__(self, entries):
@@ -296,19 +315,23 @@ class _MatrixInverseCore(_PerSample):
         self.n = len(entries)
         self.dim = entries[0][0].dim
 
-    def _eval(self, points):
-        jets = [[f.eval(points) for f in row] for row in self.entries]
+    def _eval(self, points, order):
+        jets = [[f.eval(points, order) for f in row] for row in self.entries]
         V = np.moveaxis(np.array([[j.value for j in row] for row in jets]), 2, 0)
-        G = np.moveaxis(np.array([[j.grad for j in row] for row in jets]), 2, 0)
-        H = np.moveaxis(np.array([[j.hess for j in row] for row in jets]), 2, 0)
         N = np.linalg.inv(V)
+        if order < 1:
+            return Jet2(N, None, None)
+        G = np.moveaxis(np.array([[j.grad for j in row] for row in jets]), 2, 0)
         NG = np.einsum("pia,pabk->pibk", N, G)
         dN = -np.einsum("pibk,pbj->pijk", NG, N)
+        if order < 2:
+            return Jet2(N, dN, None)
+        H = np.moveaxis(np.array([[j.hess for j in row] for row in jets]), 2, 0)
         t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, H, N)
         t_g = -np.einsum("pibk,pbjl->pijkl", NG, dN)
         # sum the symmetric pair first so the Hessian stays exactly symmetric
         d2N = t_h + (t_g + t_g.transpose(0, 1, 2, 4, 3))
-        return N, dN, d2N
+        return Jet2(N, dN, d2N)
 
 
 class MatrixInverseField(ScalarField):
@@ -318,10 +341,12 @@ class MatrixInverseField(ScalarField):
         self.j = j
         self.dim = core.dim
 
-    def _eval(self, points):
-        N, dN, d2N = self.core.eval(points)
+    def _eval(self, points, order):
+        inv = self.core.eval(points, order)
         i, j = self.i, self.j
-        return Jet2(N[:, i, j].copy(), dN[:, i, j].copy(), d2N[:, i, j].copy())
+        grad = None if inv.grad is None else inv.grad[:, i, j].copy()
+        hess = None if inv.hess is None else inv.hess[:, i, j].copy()
+        return Jet2(inv.value[:, i, j].copy(), grad, hess)
 
 
 def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
@@ -642,6 +667,7 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
 
 
 def max_abs_fields(fields, points: np.ndarray) -> float:
-    """Largest |f| over the sample; NaN or inf when any value is non-finite."""
-    maxima = [np.max(np.abs(f.eval(points).value)) for f in fields if not f.is_zero]
-    return float(np.max(maxima, initial=0.0))
+    """Largest |f| over the sample; NaN or inf when any value is non-finite.
+    Only values are evaluated."""
+    values = [f.eval(points, 0).value for f in fields if not f.is_zero]
+    return float(np.max(np.abs(values), initial=0.0))

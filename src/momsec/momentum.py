@@ -113,7 +113,9 @@ def pairing_B(alg: AlgebroidData, B: FormField, a: int, b: int) -> ScalarField:
     terms = []
     for i in range(d):
         for j in range(d):
-            terms.append(alg.anchor[a][i] * alg.anchor[b][j] * B.comp((i, j)))
+            # B_ii is a structural zero
+            if j != i:
+                terms.append(alg.anchor[a][i] * alg.anchor[b][j] * B.comp((i, j)))
     return field_sum_d(terms, d)
 
 
@@ -142,7 +144,7 @@ def classify(h1_max: float, h2_max: float, h3_max: float, tol: float) -> str:
 def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1e-12) -> bool:
     """True when every structure function is constant over the sample."""
     for f in alg.structure_entries.values():
-        jet = f.eval(points)
+        jet = f.eval(points, 1)
         if np.ptp(jet.value) > tol or np.max(np.abs(jet.grad)) > tol:
             return False
     return True

@@ -398,7 +398,7 @@ def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: Chec
 
 def _matrix_values(rows, points: np.ndarray) -> np.ndarray:
     """Values of a matrix of fields, with the sample as the leading axis."""
-    return np.moveaxis(np.array([[f.eval(points).value for f in row] for row in rows]), 2, 0)
+    return np.moveaxis(np.array([[f.eval(points, 0).value for f in row] for row in rows]), 2, 0)
 
 
 def _worst(*values: float) -> float:

@@ -1,15 +1,19 @@
 """Batched jets: a sample evaluates row by row exactly as single points do,
-and the per-sample memo never serves jets of another sample."""
+the per-sample memo never serves jets of another sample, and a jet
+evaluated to a lower order is the full jet with its higher parts left out."""
 
 import json
+import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import f, random_poly_source, random_smooth_source
-from momsec.expressions import eval_jet, eval_jets, parse
-from momsec.fields import Chart, matrix_inverse_fields
+from momsec import fields
+from momsec.expressions import DomainError, eval_jet, eval_jets, parse
+from momsec.fields import Chart, ScalarField, matrix_inverse_fields
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
 from momsec.suites import RunConfig, run
@@ -113,3 +117,156 @@ def test_memo_never_serves_another_sample():
     # the modified model's residuals do depend on the sample
     residuals = [[c["max_residual"] for c in json.loads(r)["checks"]] for r in (reused[2], reused[3])]
     assert residuals[0] != residuals[1]
+
+
+# ---------------------------------------------------------------------------
+# Truncated jets
+
+
+def _wrapped_source(rng, coords) -> str:
+    """A random expression that also reaches division, real, negative,
+    zero and variable exponents and every function of the table."""
+    p = random_poly_source(rng, coords, max_terms=3, max_degree=2)
+    q = random_smooth_source(rng, coords)
+    x = coords[0]
+    forms = (
+        f"sqrt(1 + ({p})^2)",
+        f"log(2 + sin({p}))",
+        f"abs({p}) * exp(0.3*({q}))",
+        f"tan(0.2*({p})) - tanh({q})",
+        f"({q}) / (2 + cos({p}))",
+        f"(1 + ({p})^2)^1.5 + (1 + {x}^2)^-2",
+        f"(2 + sin({p}))^({q}) + ({p})^0",
+        q,
+    )
+    return forms[int(rng.integers(0, len(forms)))]
+
+
+def _assert_truncation(jet, full, order):
+    """``jet`` is ``full`` up to ``order``, bit for bit, and holds nothing above."""
+    assert _bits(jet.value) == _bits(full.value)
+    if order >= 1 and full.grad is not None:
+        assert _bits(jet.grad) == _bits(full.grad)
+    else:
+        assert jet.grad is None
+    if order >= 2 and full.hess is not None:
+        assert _bits(jet.hess) == _bits(full.hess)
+    else:
+        assert jet.hess is None
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), count=st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_expression_order_truncates_the_full_jet(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    coords = tuple("abc"[:dim])
+    expr = parse(_wrapped_source(rng, coords), coords)
+    points = rng.uniform(-1.0, 1.0, size=(count, dim))
+    full = eval_jets(expr, points)
+    assert full.hess is not None
+    for order in (0, 1, 2):
+        _assert_truncation(eval_jets(expr, points, order), full, order)
+
+
+def _random_graph(seed: int, chart: Chart):
+    """Random field nodes over a few expression leaves, with shared
+    subtrees; a node is differentiated only while the fields under it
+    have been differentiated at most once, so every node has a value."""
+    rng = np.random.default_rng(seed)
+    nodes = [f(random_smooth_source(rng, chart.coordinates), chart) for _ in range(3)]
+    depth = [0, 0, 0]
+    for _ in range(int(rng.integers(4, 14))):
+        op = int(rng.integers(0, 5))
+        i, j = (int(k) for k in rng.integers(0, len(nodes), size=2))
+        if op == 0:
+            node, d = nodes[i] + nodes[j], max(depth[i], depth[j])
+        elif op == 1:
+            node, d = nodes[i] - nodes[j], max(depth[i], depth[j])
+        elif op == 2:
+            node, d = nodes[i] * nodes[j], max(depth[i], depth[j])
+        elif op == 3:
+            node, d = nodes[i].scaled(float(rng.uniform(-2.0, 2.0))), depth[i]
+        else:
+            if depth[i] >= 2:
+                continue
+            node, d = nodes[i].partial(int(rng.integers(0, chart.dim))), depth[i] + 1
+        nodes.append(node)
+        depth.append(d)
+    return nodes
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_field_graph_order_truncates_the_full_jet(seed, count, data):
+    # one graph serves a random sequence of (node, order) requests on one
+    # sample, so memo hits at a higher order and re-evaluations at a higher
+    # order both occur; a second graph built alike gives the full jets
+    ch = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
+    nodes = _random_graph(seed, ch)
+    fresh = _random_graph(seed, ch)
+    points = ch.sample(count, seed)
+    full = [node.eval(points) for node in fresh]
+    requests = data.draw(
+        st.lists(st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, 2)), min_size=1, max_size=30)
+    )
+    for k, order in requests:
+        _assert_truncation(nodes[k].eval(points, order), full[k], order)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_values_first_then_full_jet_equals_a_fresh_full_jet(seed, count):
+    ch = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
+    nodes = _random_graph(seed, ch)
+    fresh = _random_graph(seed, ch)
+    points = ch.sample(count, seed)
+    for node in nodes:
+        node.eval(points, 0)
+    for node, other in zip(nodes, fresh):
+        _assert_truncation(node.eval(points, 2), other.eval(points, 2), 2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_third_partial_exhausts_the_jet_at_every_order(order):
+    ch = Chart(("x", "y"), ((-1.0, 1.0),) * 2)
+    third = f("x^3*y + sin(y)", ch).partial(0).partial(1).partial(0)
+    with pytest.raises(ValueError, match="jet order exhausted"):
+        third.eval(ch.sample(4, 1), order)
+
+
+@pytest.mark.parametrize("source", ["sqrt(x)", "abs(x)"])
+def test_derivative_domain_checks_fire_at_order_zero(source):
+    # x = 0 is in the domain of the value but not of the derivative
+    expr = parse(source, ("x",))
+    points = np.array([[0.5], [0.0]])
+    messages = []
+    for order in (0, 2):
+        with pytest.raises(DomainError) as info:
+            eval_jets(expr, points, order)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "derivative at zero" in messages[0]
+
+
+def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
+    # only a partial asks its parent for a derivative; residual roots ask
+    # for values alone, so few nodes of a whole run hold a gradient and
+    # fewer a Hessian
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
+    from perfbench.models import son_model_bytes
+
+    model = load_model_bytes(son_model_bytes(3, 1))
+    evaluated = {}
+    original = fields._PerSample.eval
+
+    def recording_eval(self, points, order=2):
+        if isinstance(self, ScalarField):
+            evaluated[id(self)] = self
+        return original(self, points, order)
+
+    monkeypatch.setattr(fields._PerSample, "eval", recording_eval)
+    run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
+    jets = [node._result for node in evaluated.values()]
+    assert len(jets) > 3000
+    assert sum(jet.grad is not None for jet in jets) <= 1000
+    assert sum(jet.hess is not None for jet in jets) <= 60

@@ -1,18 +1,21 @@
-"""Property tests over the built-in fixtures: malformed model files fail
-only with ModelError, reports are deterministic with an exit code that
-follows ``overall_pass``, and folding structural zeros changes no
-residual."""
+"""Property tests over the built-in fixtures and random models: malformed
+model files fail only with ModelError, reports are deterministic with an
+exit code that follows ``overall_pass``, a valid model yields a report or
+an evaluation error and never a traceback, and folding structural zeros
+changes no residual."""
 
 import io
 import itertools
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momsec.cli import main
+from conftest import random_poly_source, random_smooth_source
+from momsec.cli import EXIT_EVAL, main
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import ModelError, load_model_bytes
 from momsec.suites import RunConfig, run
@@ -85,6 +88,85 @@ def test_fresh_loads_give_identical_reports_and_matching_exit_code(tmp_path_fact
         code = main(["check", str(path), "--format", "json", "--seed", str(seed), "--points", str(points)])
     assert out.getvalue() == report
     assert code == (0 if again.overall_pass else 1)
+
+
+def _random_model(rng: np.random.Generator) -> dict:
+    """A valid model file with random expressions.  Two models in three
+    fill every block, sometimes with a metric (positive definite at every
+    point) and a multisymplectic tower, and one mu component in four is
+    a log or a quotient, which may leave its domain at the sample.  The
+    third has only constant anchors, mu and metric, so that some models
+    pass."""
+    dim = int(rng.integers(2, 4))
+    rank = int(rng.integers(1, 4))
+    coords = ["x", "y", "z"][:dim]
+    constant = rng.random() < 1 / 3
+
+    def expr() -> str:
+        if constant:
+            return repr(float(rng.uniform(-1.0, 1.0)))
+        make = random_smooth_source if rng.random() < 0.5 else random_poly_source
+        return make(rng, coords)
+
+    def entries(shape, chance=0.6, distinct=False):
+        out = []
+        for idx in itertools.product(*(range(1, n + 1) for n in shape)):
+            if distinct and list(idx) != sorted(set(idx)):
+                continue
+            if rng.random() < chance:
+                out.append({"idx": list(idx), "expr": expr()})
+        return out
+
+    doc = {
+        "schema": 1,
+        "chart": {"coordinates": coords, "box": [[-1.0, 1.0]] * dim},
+        "algebroid": {"rank": rank, "anchor": entries((rank, dim))},
+        "mu": entries((rank,), 0.8),
+    }
+    if rng.random() < 0.5:
+        doc["metric"] = [{"idx": [i, i], "expr": f"1 + ({expr()})^2"} for i in range(1, dim + 1)]
+    if constant:
+        return doc
+    for e in doc["mu"]:
+        if rng.random() < 0.25:
+            e["expr"] = f"log({e['expr']})" if rng.random() < 0.5 else f"1/({e['expr']})"
+    doc["algebroid"]["structure"] = [e for e in entries((rank, rank, rank), 0.3) if e["idx"][1] < e["idx"][2]]
+    doc["algebroid"]["connection"] = entries((rank, rank, dim), 0.2)
+    doc.update(
+        b_field=entries((dim, dim), 0.5, distinct=True),
+        eta_boundary=entries((dim,), 0.5),
+        alpha=entries((rank,), 0.5),
+        beta=entries((dim,), 0.5),
+        V=expr(),
+        tau=entries((rank, rank), 0.3),
+    )
+    if dim == 3 and rng.random() < 0.5:
+        doc["multisym"] = {
+            "n": 2,
+            "h": [{"idx": [1, 2, 3], "expr": expr()}],
+            "eta": {"2": entries((dim, dim), 0.5, distinct=True)},
+        }
+    return doc
+
+
+@given(seed=st.integers(0, 2**32 - 1), sample_seed=st.integers(0, 2**32 - 1), points=st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_random_valid_model_gives_a_report_or_an_evaluation_error(tmp_path_factory, seed, sample_seed, points):
+    raw = json.dumps(_random_model(np.random.default_rng(seed))).encode()
+    path = tmp_path_factory.mktemp("model") / "random.json"
+    path.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", str(path), "--format", "json", "--seed", str(sample_seed), "--points", str(points)])
+    if code == EXIT_EVAL:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: cannot evaluate the model at the sample")
+        return
+    report = out.getvalue()
+    assert code == (0 if json.loads(report)["overall_pass"] else 1)
+    config = RunConfig(tolerance=1e-8, points=points, seed=sample_seed)
+    assert run(load_model_bytes(raw), "all", config).to_json() == report
+    assert run(load_model_bytes(raw), "all", config).to_json() == report
 
 
 def _densified(doc: dict) -> dict:
