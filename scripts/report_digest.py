@@ -10,6 +10,10 @@ generated so(3) models for seeds 1-3 and the so(4) model for seed 1
 updated with the JSON and then the text rendering of each report, in that
 order, and printed first; one digest per document follows.  Two versions
 of the code produce the same reports exactly when the first lines agree.
+
+``scripts/report_digest.expected`` holds the first line for the committed
+code, and CI fails when the printed one differs, so a change that alters
+report bytes updates that file on purpose.
 """
 
 import hashlib

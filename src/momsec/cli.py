@@ -11,7 +11,8 @@ errors, since no residual could fail against them.
 Exit codes: 0 all required checks pass, 1 a required check failed,
 2 usage or validation error, 3 the model cannot be evaluated at the
 sample: a domain error (such as log of a non-positive value), whose
-message names the subexpression, or a singular matrix.
+message names the subexpression and the first offending sample point,
+or a singular matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .expressions import ExpressionError
 from .fixtures import fixture_bytes, fixture_names
 from .modelfile import ModelError, load_model
 from .reporting import CheckReport
-from .suites import RunConfig, SuiteError, run
+from .suites import SUITE_NAMES, RunConfig, SuiteError, run
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--suite",
         default="all",
-        choices=["axioms", "momentum", "mechanics", "sigma2d", "multisym", "all"],
+        choices=[*SUITE_NAMES, "all"],
         help="which suite to run (default: all applicable)",
     )
     check.add_argument("--format", default="text", choices=["text", "json"], help="report format")

@@ -50,11 +50,17 @@ class UnknownSymbolError(ParseError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation left the domain of a subexpression (log, sqrt, 1/0, ...)."""
+    """Evaluation left the domain of a subexpression (log, sqrt, 1/0, ...).
 
-    def __init__(self, message: str, subexpression: "Expr"):
-        super().__init__(f"{message} in '{pretty(subexpression)}'")
+    ``point`` is the index of the first offending sample point, or ``None``
+    when the failure does not depend on the point's coordinates.
+    """
+
+    def __init__(self, message: str, subexpression: "Expr", point: int | None = None):
+        where = "" if point is None else f" at sample point {point}"
+        super().__init__(f"{message} in '{pretty(subexpression)}'{where}")
         self.subexpression = subexpression
+        self.point = point
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +408,16 @@ class Jet2:
         return Jet2(f, grad, hess)
 
 
+def _check_domain(bad: np.ndarray, message: str, node: Expr):
+    """Raise :class:`DomainError` at the first sample point where ``bad`` holds."""
+    if bad.any():
+        raise DomainError(message, node, int(np.argmax(bad)))
+
+
 def _int_pow(u: Jet2, n: int, node: Expr) -> Jet2:
     """u^n for an integer n != 0."""
     if n < 0:
-        if (u.value == 0.0).any():
-            raise DomainError("zero base with negative exponent", node)
+        _check_domain(u.value == 0.0, "zero base with negative exponent", node)
         return _int_pow(u, -n, node).reciprocal()
     v = u.value
     d2f = (lambda: n * (n - 1) * v ** (n - 2)) if n >= 2 else (lambda: np.zeros_like(v))
@@ -417,8 +428,9 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
     """Evaluate ``node`` and its exact derivatives up to ``order`` (0, 1
     or 2) at every row of the ``(P, d)`` array ``points``.  A domain
     violation at any point of the sample raises :class:`DomainError`
-    naming the subexpression, whatever the order: the checks on
-    derivatives (``sqrt`` and ``abs`` at 0) fire at order 0 too.
+    naming the subexpression and the first offending point, whatever the
+    order: the checks on derivatives (``sqrt`` and ``abs`` at 0) fire at
+    order 0 too.
     """
     count, dim = points.shape
     if isinstance(node, Num):
@@ -435,8 +447,7 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
         return eval_jets(node.left, points, order) * eval_jets(node.right, points, order)
     if isinstance(node, Div):
         denom = eval_jets(node.right, points, order)
-        if (denom.value == 0.0).any():
-            raise DomainError("division by zero", node)
+        _check_domain(denom.value == 0.0, "division by zero", node)
         return eval_jets(node.left, points, order) * denom.reciprocal()
     if isinstance(node, Neg):
         return -eval_jets(node.operand, points, order)
@@ -452,14 +463,12 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
                 return Jet2.constant(1.0, count, dim, order)
             if float(p).is_integer():
                 return _int_pow(base, int(p), node)
-            if (b <= 0.0).any():
-                raise DomainError("real exponent requires a positive base", node)
+            _check_domain(b <= 0.0, "real exponent requires a positive base", node)
             return base.compose(
                 b**p, lambda: p * b ** (p - 1.0), lambda: p * (p - 1.0) * b ** (p - 2.0)
             )
         # variable exponent: b^e = exp(e * log(b))
-        if (b <= 0.0).any():
-            raise DomainError("variable exponent requires a positive base", node)
+        _check_domain(b <= 0.0, "variable exponent requires a positive base", node)
         w = expo * base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2)
         e = np.exp(w.value)
         return w.compose(e, lambda: e, lambda: e)
@@ -473,30 +482,25 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
             c = np.cos(v)
             return u.compose(c, lambda: -np.sin(v), lambda: -c)
         if node.func == "tan":
-            if (np.cos(v) == 0.0).any():
-                raise DomainError("tan at a pole", node)
+            _check_domain(np.cos(v) == 0.0, "tan at a pole", node)
             t = np.tan(v)
             return u.compose(t, lambda: 1.0 + t * t, lambda: 2.0 * t * (1.0 + t * t))
         if node.func == "exp":
             e = np.exp(v)
             return u.compose(e, lambda: e, lambda: e)
         if node.func == "log":
-            if (v <= 0.0).any():
-                raise DomainError("log of a non-positive value", node)
+            _check_domain(v <= 0.0, "log of a non-positive value", node)
             return u.compose(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
         if node.func == "sqrt":
-            if (v < 0.0).any():
-                raise DomainError("sqrt of a negative value", node)
-            if (v == 0.0).any():
-                raise DomainError("sqrt derivative at zero", node)
+            _check_domain(v < 0.0, "sqrt of a negative value", node)
+            _check_domain(v == 0.0, "sqrt derivative at zero", node)
             s = np.sqrt(v)
             return u.compose(s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
         if node.func == "tanh":
             t = np.tanh(v)
             return u.compose(t, lambda: 1.0 - t * t, lambda: -2.0 * t * (1.0 - t * t))
         if node.func == "abs":
-            if (v == 0.0).any():
-                raise DomainError("abs derivative at zero", node)
+            _check_domain(v == 0.0, "abs derivative at zero", node)
             return u.compose(np.abs(v), lambda: np.where(v > 0.0, 1.0, -1.0), lambda: np.zeros_like(v))
     raise TypeError(f"unknown node {node!r}")
 
@@ -504,28 +508,3 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
 def eval_jet(expr: Expr, point) -> Jet2:
     """The jet of ``expr`` at one point: a one-row sample, read back as row 0."""
     return eval_jets(expr, np.asarray(point, dtype=float).reshape(1, -1)).row(0)
-
-
-def fd_cross_check(expr: Expr, point, step: float) -> float:
-    """Max deviation of the jet derivatives from central finite differences.
-
-    The gradient is checked against central differences of values, the
-    Hessian against central differences of the jet gradient.  Intended
-    for the test suite; the verification checks never use it.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    pt = np.asarray(point, dtype=float)
-    d = pt.shape[0]
-    jet = eval_jet(expr, pt)
-    worst = 0.0
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        plus = eval_jet(expr, pt + e)
-        minus = eval_jet(expr, pt - e)
-        fd_grad = (plus.value - minus.value) / (2.0 * step)
-        worst = max(worst, abs(jet.grad[i] - fd_grad))
-        fd_hess_col = (plus.grad - minus.grad) / (2.0 * step)
-        worst = max(worst, float(np.max(np.abs(jet.hess[:, i] - fd_hess_col))))
-    return worst

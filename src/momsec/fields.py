@@ -498,9 +498,6 @@ class FormField:
             out.comps[idx] = f * g
         return out
 
-    def max_abs(self, points: np.ndarray) -> float:
-        return max_abs_fields(self.comps.values(), points)
-
 
 def exterior_derivative(omega: FormField) -> FormField:
     """d on component arrays: (d w)_{i0..ik} = sum_j (-1)^j d_{ij} w_{..no ij..}."""

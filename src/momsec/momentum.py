@@ -150,13 +150,9 @@ def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1
     return True
 
 
-def map_reduction_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
-    """:func:`momentum_map_fields` for the inputs of :func:`condition_fields`."""
-    return momentum_map_fields(MomentumData(alg, conn, B, mu))
-
-
-def momentum_map_fields(data: MomentumData):
-    """Constant-bracket, flat-connection reductions of the three conditions.
+def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
+    """Constant-bracket, flat-connection reductions of the three conditions,
+    for the inputs of :func:`condition_fields`.
 
     Returns a dict with labeled fields for:
       'symplectic'   L_{rho_a} B = 0
@@ -164,25 +160,24 @@ def momentum_map_fields(data: MomentumData):
       'equivariance' rho_a(mu_b) - C^c_ab mu_c = 0
     Rejects models with a non-flat connection.
     """
-    alg, conn = data.alg, data.conn
     if not conn.is_flat:
         raise ValueError("the reduction requires a flat connection")
     d = alg.dim
     out = {"symplectic": [], "hamiltonian": [], "equivariance": []}
     for a in range(alg.rank):
-        lie = lie_derivative(alg.anchor_vector(a), data.B)
+        lie = lie_derivative(alg.anchor_vector(a), B)
         for idx, f in lie.comps.items():
             out["symplectic"].append((f"a{a + 1} i{idx[0] + 1} j{idx[1] + 1}", f))
-        pull = interior_product(alg.anchor_vector(a), data.B)
+        pull = interior_product(alg.anchor_vector(a), B)
         for i in range(d):
-            f = data.mu[a].partial(i) - pull.comp((i,))
+            f = mu[a].partial(i) - pull.comp((i,))
             out["hamiltonian"].append((f"a{a + 1} i{i + 1}", f))
     for a in range(alg.rank):
         for b in range(alg.rank):
             if a == b:
                 continue
-            terms = [alg.apply_anchor(a, data.mu[b])]
+            terms = [alg.apply_anchor(a, mu[b])]
             for c in range(alg.rank):
-                terms.append(-(alg.structure(c, a, b) * data.mu[c]))
+                terms.append(-(alg.structure(c, a, b) * mu[c]))
             out["equivariance"].append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
     return out

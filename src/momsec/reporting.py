@@ -11,10 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .fields import max_abs_fields
-
 
 @dataclass
 class CheckResult:
@@ -110,46 +106,6 @@ class CheckReport:
             lines.append(f"verdict {key}: {val}")
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-
-def evaluate_check(
-    name: str,
-    equation: str,
-    labeled_fields,
-    points: np.ndarray,
-    tolerance: float,
-    informational: bool = False,
-    terms: dict | None = None,
-    flags: tuple[str, ...] = (),
-) -> CheckResult:
-    """The report row for labeled fields: their max absolute residual over
-    the sampled points.  This is the only place a row is made from fields.
-
-    ``terms`` maps a term label to its own labeled fields; the row reports
-    the maximum of each term that has any, as a breakdown of the residual,
-    and no breakdown (``None``) when no term has any.
-    """
-    rows = list(labeled_fields)
-    if terms is not None:
-        terms = {label: rows_max(term_rows, points) for label, term_rows in terms.items() if term_rows} or None
-    return _result(name, equation, rows_max(rows, points), len(points), len(rows), tolerance, informational, terms, flags)
-
-
-def rows_max(labeled_fields, points: np.ndarray) -> float:
-    """Largest |f| over the sample for (label, field) rows."""
-    return max_abs_fields([f for _, f in labeled_fields], points)
-
-
-def delta_check(
-    name: str,
-    equation: str,
-    delta: float,
-    points: int,
-    tolerance: float,
-    informational: bool = False,
-    flags: tuple[str, ...] = (),
-) -> CheckResult:
-    return _result(name, equation, delta, points, 1, tolerance, informational, None, flags)
 
 
 def _result(name, equation, residual, n_points, n_tuples, tolerance, informational, terms, flags) -> CheckResult:

@@ -2,16 +2,17 @@
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.
-Every row over fields is made by :func:`reporting.evaluate_check`, and
-every comparison of two rows by :func:`reporting.delta_check`; the H1-H3
-rows come from :func:`momentum.condition_fields` wherever a suite needs
-them.  The anchoring conditions (H1, HM1) are reported but not required
-unless ``require_h1`` is set.
+Each run has one :class:`CheckContext`, which holds the model, the
+sample, the :class:`RunConfig` and the report; its methods are the only
+code that makes a report row, and each appends its row to the report as
+it is made.  The H1-H3 rows come from :func:`momentum.condition_fields`
+wherever a suite needs them.  The anchoring conditions (H1, HM1) are
+reported but not required unless ``require_h1`` is set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -22,9 +23,9 @@ from . import momentum as mom
 from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
-from .fields import exterior_derivative, field_sum_d, lie_derivative
+from .fields import exterior_derivative, field_sum_d, lie_derivative, max_abs_fields
 from .modelfile import Model
-from .reporting import CheckReport, delta_check, evaluate_check, rows_max
+from .reporting import CheckReport, CheckResult, _result
 
 SUITE_NAMES = ("axioms", "momentum", "mechanics", "sigma2d", "multisym")
 
@@ -66,57 +67,103 @@ def resolve_suites(model: Model, selection: str) -> list[str]:
 
 def run(model: Model, selection: str = "all", config: RunConfig | None = None) -> CheckReport:
     cfg = config or RunConfig(tolerance=model.tolerance, points=model.sampling.points, seed=model.sampling.seed)
-    suites = resolve_suites(model, selection)
-    points = model.chart.sample(cfg.points, cfg.seed)
-    report = CheckReport(
-        model_hash=model.model_hash,
-        seed=cfg.seed,
-        points=cfg.points,
-        tolerance=cfg.tolerance,
-        suites=suites,
-    )
+    ctx = CheckContext(model, cfg, resolve_suites(model, selection))
     # overflow and invalid operations yield inf/NaN residuals, which fail
     # their rows; numpy's warnings about them would only repeat that
     with np.errstate(all="ignore"):
-        for suite in suites:
-            _RUNNERS[suite](model, points, cfg, report)
-    return report
+        for suite in ctx.report.suites:
+            _RUNNERS[suite](ctx)
+    return ctx.report
+
+
+class CheckContext:
+    """One run: the model, its point sample, the config and the report.
+
+    Every row method evaluates its residual on the run's sample, appends
+    the row to the report and returns it, so rows appear in the order
+    they are made.
+    """
+
+    def __init__(self, model: Model, cfg: RunConfig, suites: list[str]):
+        self.model = model
+        self.cfg = cfg
+        self.tol = cfg.tolerance
+        self.points = model.chart.sample(cfg.points, cfg.seed)
+        self.report = CheckReport(
+            model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
+        )
+        self.verdicts = self.report.verdicts
+
+    def max(self, rows) -> float:
+        """Largest |f| over the sample for (label, field) rows."""
+        return max_abs_fields([f for _, f in rows], self.points)
+
+    def check(
+        self,
+        name: str,
+        equation: str,
+        rows,
+        tolerance: float | None = None,
+        *,
+        terms: dict | None = None,
+        flags: tuple[str, ...] = (),
+        informational: bool = False,
+        anchoring: bool = False,
+    ) -> CheckResult:
+        """The row for labeled fields: their max absolute residual.
+
+        ``terms`` maps a term label to its own labeled fields; the row
+        reports the maximum of each term that has any, as a breakdown of
+        the residual, and no breakdown (``None``) when no term has any.
+        An ``anchoring`` row (H1, HM1) is informational unless the run
+        sets ``require_h1``.
+        """
+        rows = list(rows)
+        if terms is not None:
+            terms = {label: self.max(term_rows) for label, term_rows in terms.items() if term_rows} or None
+        informational = informational or (anchoring and not self.cfg.require_h1)
+        tolerance = self.tol if tolerance is None else tolerance
+        return self._add(name, equation, self.max(rows), len(rows), tolerance, informational, terms, flags)
+
+    def scalar(
+        self, name: str, equation: str, value: float, tolerance: float, *, informational: bool = False
+    ) -> CheckResult:
+        """A row whose residual is one number computed from the sample."""
+        return self._add(name, equation, value, 1, tolerance, informational, None, ())
+
+    def agreement(
+        self,
+        name: str,
+        equation: str,
+        pairs,
+        tolerance: float,
+        *,
+        informational: bool = False,
+        flags: tuple[str, ...] = (),
+    ) -> CheckResult:
+        """A row stating that two sets of rows agree: the largest
+        |max|x| - max|y|| over the pairs (x, y), NaN if any is NaN."""
+        delta = _worst(*(abs(self.max(x) - self.max(y)) for x, y in pairs))
+        return self._add(name, equation, delta, 1, tolerance, informational, None, flags)
+
+    def _add(self, name, equation, residual, n_tuples, tolerance, informational, terms, flags) -> CheckResult:
+        row = _result(name, equation, residual, len(self.points), n_tuples, tolerance, informational, terms, flags)
+        self.report.add(row)
+        return row
 
 
 # ---------------------------------------------------------------------------
 # axioms
 
 
-def run_axioms(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    tol = cfg.tolerance
-    anchor = evaluate_check(
-        "axioms/anchor-morphism",
-        "[rho_a, rho_b] - C^c_ab rho_c = 0",
-        model.alg.anchor_morphism(),
-        points,
-        tol,
-    )
-    sigma_fields, contracted = alg_mod.jacobi_sigma_fields(model.alg)
-    sigma = evaluate_check(
-        "axioms/jacobi-cyclic",
-        "cyclic(C C + rho dC) = 0",
-        sigma_fields,
-        points,
-        tol,
-    )
-    anchored = evaluate_check(
-        "axioms/jacobi-anchored",
-        "cyclic(C C + rho dC) contracted with rho = 0",
-        contracted,
-        points,
-        tol,
-    )
-    q2 = evaluate_check(
-        "axioms/q-squared",
-        "d_E d_E = 0 on coordinates and basis one-forms",
-        alg_mod.q_squared_fields(model.alg),
-        points,
-        tol,
+def run_axioms(ctx: CheckContext):
+    alg = ctx.model.alg
+    anchor = ctx.check("axioms/anchor-morphism", "[rho_a, rho_b] - C^c_ab rho_c = 0", alg.anchor_morphism())
+    sigma_fields, contracted = alg_mod.jacobi_sigma_fields(alg)
+    sigma = ctx.check("axioms/jacobi-cyclic", "cyclic(C C + rho dC) = 0", sigma_fields)
+    anchored = ctx.check("axioms/jacobi-anchored", "cyclic(C C + rho dC) contracted with rho = 0", contracted)
+    q2 = ctx.check(
+        "axioms/q-squared", "d_E d_E = 0 on coordinates and basis one-forms", alg_mod.q_squared_fields(alg)
     )
     if anchor.passed and sigma.passed:
         verdict = "Lie algebroid"
@@ -125,275 +172,161 @@ def run_axioms(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckRe
     else:
         verdict = "neither"
     agree = (q2.passed == (anchor.passed and sigma.passed))
-    agreement = delta_check(
+    ctx.scalar(
         "axioms/q-verdict-agreement",
         "squared-differential verdict matches anchor+cyclic verdict",
         0.0 if agree else 1.0,
-        len(points),
         0.5,
     )
-    for c in (anchor, sigma, anchored, q2, agreement):
-        report.add(c)
-    report.verdicts["algebroid_class"] = verdict
+    ctx.verdicts["algebroid_class"] = verdict
 
 
 # ---------------------------------------------------------------------------
 # momentum
 
 
-def run_momentum(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    tol = cfg.tolerance
+def run_momentum(ctx: CheckContext):
+    model, tol = ctx.model, ctx.tol
     B = model.b_field + exterior_derivative(model.eta_boundary)
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu, cfg.h3_sign)
-    closed = evaluate_check(
-        "momentum/pre-symplectic-closed",
-        "dB = 0 with B = b + d eta",
-        mom.closedness_fields(B),
-        points,
-        tol,
-        informational=True,
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu, ctx.cfg.h3_sign)
+    closed = ctx.check(
+        "momentum/pre-symplectic-closed", "dB = 0 with B = b + d eta", mom.closedness_fields(B), informational=True
     )
     if not closed.passed:
         closed.flags += ("not pre-symplectic",)
-    h1 = evaluate_check(
-        "momentum/h1-anchoring",
-        "D gamma = 0",
-        h1_rows,
-        points,
-        tol,
-        informational=not cfg.require_h1,
-    )
-    h2 = evaluate_check(
-        "momentum/h2-momentum-section",
-        "D mu = gamma",
-        h2_rows,
-        points,
-        tol,
-    )
-    h3 = evaluate_check(
-        "momentum/h3-bracket-compat",
-        "d_E mu(e_a,e_b) + B(rho_a, rho_b) = 0",
-        h3_rows,
-        points,
-        tol,
-    )
-    enb = evaluate_check(
+    h1 = ctx.check("momentum/h1-anchoring", "D gamma = 0", h1_rows, anchoring=True)
+    h2 = ctx.check("momentum/h2-momentum-section", "D mu = gamma", h2_rows)
+    h3 = ctx.check("momentum/h3-bracket-compat", "d_E mu(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
+    tangent_rows = e_nabla_two_form_fields(model.conn, B)
+    ctx.check(
         "momentum/tangent-two-form-compat",
         "tangent-action derivative of B along each anchor = 0",
-        e_nabla_two_form_fields(model.conn, B),
-        points,
-        tol,
+        tangent_rows,
         informational=True,
     )
-    agree_flags = () if closed.passed else ("comparison needs dB = 0",)
-    h1_agree = delta_check(
+    ctx.agreement(
         "momentum/h1-tangent-agreement",
         "|max D gamma - max tangent-action residual|",
-        abs(h1.max_residual - enb.max_residual),
-        len(points),
+        [(h1_rows, tangent_rows)],
         max(tol, 1e-9),
         informational=True,
-        flags=agree_flags,
+        flags=() if closed.passed else ("comparison needs dB = 0",),
     )
-    for c in (closed, h1, h2, h3, enb, h1_agree):
-        report.add(c)
-    report.verdicts["momentum_classification"] = mom.classify(
-        h1.max_residual, h2.max_residual, h3.max_residual, tol
-    )
+    ctx.verdicts["momentum_classification"] = mom.classify(h1.max_residual, h2.max_residual, h3.max_residual, tol)
     if B.is_zero and all(f.is_zero for f in model.mu):
-        report.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
+        ctx.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
 
-    if model.conn.is_flat and mom.is_constant_structure(model.alg, points):
-        reductions = mom.map_reduction_fields(model.alg, model.conn, B, model.mu)
-        map_sym = evaluate_check(
-            "momentum/map-symplectic-vectorfield",
-            "L_{rho_a} B = 0",
-            reductions["symplectic"],
-            points,
-            tol,
-        )
-        map_ham = evaluate_check(
-            "momentum/map-hamiltonian-pairing",
-            "d mu_a = iota_{rho_a} B",
-            reductions["hamiltonian"],
-            points,
-            tol,
-        )
-        map_eq = evaluate_check(
-            "momentum/map-equivariance",
-            "rho_a(mu_b) = C^c_ab mu_c",
-            reductions["equivariance"],
-            points,
-            tol,
-        )
-        delta = _worst(
-            abs(map_sym.max_residual - h1.max_residual),
-            abs(map_ham.max_residual - h2.max_residual),
-            abs(map_eq.max_residual - h3.max_residual),
-        )
-        agree_flags = ()
+    if model.conn.is_flat and mom.is_constant_structure(model.alg, ctx.points):
+        reductions = mom.momentum_map_fields(model.alg, model.conn, B, model.mu)
+        ctx.check("momentum/map-symplectic-vectorfield", "L_{rho_a} B = 0", reductions["symplectic"])
+        ctx.check("momentum/map-hamiltonian-pairing", "d mu_a = iota_{rho_a} B", reductions["hamiltonian"])
+        ctx.check("momentum/map-equivariance", "rho_a(mu_b) = C^c_ab mu_c", reductions["equivariance"])
+        flags = ()
         if not closed.passed or h2.max_residual > tol:
-            agree_flags = ("comparison assumes dB = 0 and the momentum-section condition",)
-        map_agree = delta_check(
+            flags = ("comparison assumes dB = 0 and the momentum-section condition",)
+        ctx.agreement(
             "momentum/map-reduction-agreement",
             "flat-connection reductions match the general conditions",
-            delta,
-            len(points),
+            [
+                (reductions["symplectic"], h1_rows),
+                (reductions["hamiltonian"], h2_rows),
+                (reductions["equivariance"], h3_rows),
+            ],
             1e-10,
-            informational=bool(agree_flags),
-            flags=agree_flags,
+            informational=bool(flags),
+            flags=flags,
         )
-        for c in (map_sym, map_ham, map_eq, map_agree):
-            report.add(c)
 
 
 # ---------------------------------------------------------------------------
 # mechanics
 
 
-def run_mechanics(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    tol = cfg.tolerance
+def run_mechanics(ctx: CheckContext):
+    model, tol = ctx.model, ctx.tol
     g = model.metric
     r = model.alg.rank
-    gm = _matrix_values(g.g, points)
-    rho = _matrix_values(model.alg.anchor, points)
+    gm = _matrix_values(g.g, ctx.points)
+    rho = _matrix_values(model.alg.anchor, ctx.points)
     ranks = np.linalg.matrix_rank(rho, tol=1e-10)
-    report.add(
-        delta_check(
-            "mechanics/metric-conditioning",
-            "condition number of g at sampled points",
-            float(np.max(np.linalg.cond(gm))),
-            len(points),
-            1e12,
-            informational=True,
-        )
-    )
-    report.add(
-        delta_check(
-            "mechanics/constraint-irreducibility",
-            "rank(rho) = r at sampled points",
-            float(r - np.min(ranks)),
-            len(points),
-            0.5,
-            informational=True,
-        )
-    )
-
-    system = ham.ConstraintSystem(
-        model.alg, model.conn, g, model.alpha, model.beta, model.V, model.tau
-    )
-    fc = _by_degree(ham.first_class_fields(system))
-    report.add(
-        evaluate_check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", chain(*fc.values()), points, tol, terms=fc)
-    )
-    fl = _by_degree(ham.flow_fields(system))
-    report.add(
-        evaluate_check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", chain(*fl.values()), points, tol, terms=fl)
-    )
-
-    absorbed = ham.absorb_beta(system)
-    report.add(
-        evaluate_check(
-            "mechanics/twist-closed",
-            "d(dA) = 0 for A = g_flat beta",
-            mom.closedness_fields(absorbed.B),
-            points,
-            max(tol, 1e-12),
-        )
-    )
-    tau_rows = [
-        (f"a{a + 1} b{b + 1}", absorbed.tau_prime[a][b])
-        for a in range(r)
-        for b in range(r)
-    ]
-    tau_check = evaluate_check(
-        "mechanics/tau-prime",
-        "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)",
-        tau_rows,
-        points,
-        tol,
+    ctx.scalar(
+        "mechanics/metric-conditioning",
+        "condition number of g at sampled points",
+        float(np.max(np.linalg.cond(gm))),
+        1e12,
         informational=True,
     )
-    report.add(tau_check)
-    tau_zero = tau_check.passed
+    ctx.scalar(
+        "mechanics/constraint-irreducibility",
+        "rank(rho) = r at sampled points",
+        float(r - np.min(ranks)),
+        0.5,
+        informational=True,
+    )
+
+    system = ham.ConstraintSystem(model.alg, model.conn, g, model.alpha, model.beta, model.V, model.tau)
+    fc = _by_degree(ham.first_class_fields(system))
+    ctx.check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", chain(*fc.values()), terms=fc)
+    fl = _by_degree(ham.flow_fields(system))
+    ctx.check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", chain(*fl.values()), terms=fl)
+
+    absorbed = ham.absorb_beta(system)
+    ctx.check(
+        "mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", mom.closedness_fields(absorbed.B), max(tol, 1e-12)
+    )
+    tau_rows = [(f"a{a + 1} b{b + 1}", absorbed.tau_prime[a][b]) for a in range(r) for b in range(r)]
+    tau_zero = ctx.check(
+        "mechanics/tau-prime", "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)", tau_rows, informational=True
+    ).passed
 
     fc2 = _by_degree(ham.first_class_fields(absorbed.system))
-    fc2_check = evaluate_check(
+    ctx.check(
         "mechanics/first-class-twisted",
         "{Phi'_a, Phi'_b} = C^c_ab Phi'_c under the twisted bracket",
         chain(*fc2.values()),
-        points,
-        tol,
         terms=fc2,
     )
     fl2 = _by_degree(ham.flow_fields(absorbed.system))
-    fl2_check = evaluate_check(
+    ctx.check(
         "mechanics/flow-twisted",
         "{H', Phi'_a} = lambda'_a^b Phi'_b under the twisted bracket",
         chain(*fl2.values()),
-        points,
-        tol,
         terms=fl2,
     )
-    report.add(fc2_check)
-    report.add(fl2_check)
 
     h1_rows, h2_rows, h3_rows = mom.condition_fields(
-        model.alg, model.conn, absorbed.B, absorbed.alpha_prime, cfg.h3_sign
+        model.alg, model.conn, absorbed.B, absorbed.alpha_prime, ctx.cfg.h3_sign
     )
-    th_h1 = evaluate_check(
-        "mechanics/theorem-h1",
-        "D gamma = 0 for the induced twist",
-        h1_rows,
-        points,
-        tol,
-        informational=not cfg.require_h1,
-    )
-    th_h2 = evaluate_check(
+    th_h1 = ctx.check("mechanics/theorem-h1", "D gamma = 0 for the induced twist", h1_rows, anchoring=True)
+    th_h2 = ctx.check(
         "mechanics/theorem-h2",
         "D alpha' = gamma for the induced twist",
         h2_rows,
-        points,
-        tol,
         informational=not tau_zero,
         flags=() if tau_zero else ("superseded by the flow linear block: tau' != 0",),
     )
-    th_h3 = evaluate_check(
-        "mechanics/theorem-h3",
-        "d_E alpha'(e_a,e_b) + B(rho_a, rho_b) = 0",
-        h3_rows,
-        points,
-        tol,
-    )
-    for c in (th_h1, th_h2, th_h3):
-        report.add(c)
+    th_h3 = ctx.check("mechanics/theorem-h3", "d_E alpha'(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
 
-    report.add(
-        delta_check(
-            "mechanics/flow-deg1-vs-h2",
-            "linear momentum block of the flow residual matches D alpha' - gamma",
-            abs(fl2_check.terms["degree 1"] - th_h2.max_residual),
-            len(points),
-            1e-9,
-            informational=not tau_zero,
-            flags=() if tau_zero else ("tau' != 0 shifts the linear block",),
-        )
+    ctx.agreement(
+        "mechanics/flow-deg1-vs-h2",
+        "linear momentum block of the flow residual matches D alpha' - gamma",
+        [(fl2["degree 1"], h2_rows)],
+        1e-9,
+        informational=not tau_zero,
+        flags=() if tau_zero else ("tau' != 0 shifts the linear block",),
     )
-    report.add(
-        delta_check(
-            "mechanics/firstclass-deg0-vs-h3",
-            "constant block of the first-class residual matches bracket compatibility",
-            abs((fc2_check.terms or {}).get("degree 0", 0.0) - th_h3.max_residual),
-            len(points),
-            1e-9,
-        )
+    ctx.agreement(
+        "mechanics/firstclass-deg0-vs-h3",
+        "constant block of the first-class residual matches bracket compatibility",
+        [(fc2.get("degree 0", []), h3_rows)],
+        1e-9,
     )
 
     if not tau_zero:
         verdict = "generalized (tau' != 0)"
     else:
         verdict = mom.classify(th_h1.max_residual, th_h2.max_residual, th_h3.max_residual, tol)
-    report.verdicts["mechanics_classification"] = verdict
+    ctx.verdicts["mechanics_classification"] = verdict
 
 
 def _matrix_values(rows, points: np.ndarray) -> np.ndarray:
@@ -415,122 +348,63 @@ def _by_degree(degree_fields) -> dict:
 # sigma2d
 
 
-def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    tol = cfg.tolerance
+def run_sigma2d(ctx: CheckContext):
+    model, tol = ctx.model, ctx.tol
     alg, conn = model.alg, model.conn
     g = model.metric
     b = model.b_field
     eta = model.eta_boundary
 
-    report.add(
-        evaluate_check(
-            "sigma2d/rigid-killing-metric",
-            "L_{rho_a} g = 0",
-            s2d.rigid_killing_fields(alg, g),
-            points,
-            tol,
-        )
-    )
-    db_max = rows_max(mom.closedness_fields(b), points)
-    if model.beta_rigid is None and db_max >= tol and not b.is_zero:
+    ctx.check("sigma2d/rigid-killing-metric", "L_{rho_a} g = 0", s2d.rigid_killing_fields(alg, g))
+    if model.beta_rigid is None and ctx.max(mom.closedness_fields(b)) >= tol and not b.is_zero:
         closure_rows = []
         for a in range(alg.rank):
-            lb = lie_derivative(alg.anchor_vector(a), b)
-            dlb = exterior_derivative(lb)
-            for idx, f in dlb.comps.items():
-                closure_rows.append((f"a{a + 1}", f))
-        report.add(
-            evaluate_check(
-                "sigma2d/rigid-b-invariance",
-                "d(L_{rho_a} b) = 0 (no exactness candidate supplied, b not closed)",
-                closure_rows,
-                points,
-                tol,
-                flags=("b not closed and no beta_rigid: only closedness of L_rho b checked",),
-            )
+            dlb = exterior_derivative(lie_derivative(alg.anchor_vector(a), b))
+            closure_rows.extend((f"a{a + 1}", f) for f in dlb.comps.values())
+        ctx.check(
+            "sigma2d/rigid-b-invariance",
+            "d(L_{rho_a} b) = 0 (no exactness candidate supplied, b not closed)",
+            closure_rows,
+            flags=("b not closed and no beta_rigid: only closedness of L_rho b checked",),
         )
     else:
         rows, defaulted = s2d.rigid_b_fields(alg, b, model.beta_rigid)
         flags = ("default candidate: beta_a = iota_{rho_a} b",) if defaulted else ()
-        report.add(
-            evaluate_check(
-                "sigma2d/rigid-b-invariance",
-                "L_{rho_a} b = d beta_a",
-                rows,
-                points,
-                tol,
-                flags=flags,
-            )
-        )
-    rigid_anchor = evaluate_check(
-        "sigma2d/rigid-anchor-morphism",
-        "[rho_a, rho_b] = rho([e_a, e_b])",
-        alg.anchor_morphism(),
-        points,
-        tol,
-    )
-    report.add(rigid_anchor)
-    report.add(
-        evaluate_check(
-            "sigma2d/gauged-metric-compat",
-            "L_{rho_a} g = Gamma_a^b v iota_{rho_b} g",
-            e_nabla_metric_fields(conn, g),
-            points,
-            tol,
-        )
+        ctx.check("sigma2d/rigid-b-invariance", "L_{rho_a} b = d beta_a", rows, flags=flags)
+    ctx.check("sigma2d/rigid-anchor-morphism", "[rho_a, rho_b] = rho([e_a, e_b])", alg.anchor_morphism())
+    ctx.check(
+        "sigma2d/gauged-metric-compat", "L_{rho_a} g = Gamma_a^b v iota_{rho_b} g", e_nabla_metric_fields(conn, g)
     )
     # gauging leaves the anchor condition as it is: the same rows, reported again
-    report.add(replace(rigid_anchor, name="sigma2d/gauged-anchor-morphism"))
+    ctx.check("sigma2d/gauged-anchor-morphism", "[rho_a, rho_b] = rho([e_a, e_b])", alg.anchor_morphism())
 
-    p1 = evaluate_check(
-        "sigma2d/bdry-pairing",
-        "mu_a + eta_i rho^i_a = 0",
-        s2d.boundary_pairing_fields(alg, eta, model.mu),
-        points,
-        tol,
-    )
+    ctx.check("sigma2d/bdry-pairing", "mu_a + eta_i rho^i_a = 0", s2d.boundary_pairing_fields(alg, eta, model.mu))
     p2_rows = s2d.boundary_eta_fields(alg, conn, b, eta, model.mu)
-    p2 = evaluate_check(
+    p2 = ctx.check(
         "sigma2d/bdry-eta-compat",
         "rho^j_a b_ji + rho^j_a d_j eta_i + eta_j d_i rho^j_a + Gamma^b_ai mu_b = 0",
         p2_rows,
-        points,
-        tol,
     )
     p3_rows = s2d.boundary_mu_fields(alg, conn, model.mu)
-    p3 = evaluate_check(
-        "sigma2d/bdry-mu-equivariance",
-        "rho_a(mu_b) - C^c_ab mu_c - rho^i_b Gamma^c_ai mu_c = 0",
-        p3_rows,
-        points,
-        tol,
+    ctx.check(
+        "sigma2d/bdry-mu-equivariance", "rho_a(mu_b) - C^c_ab mu_c - rho^i_b Gamma^c_ai mu_c = 0", p3_rows
     )
-    for c in (p1, p2, p3):
-        report.add(c)
 
     mu_star, B_star = s2d.induced_momentum_inputs(alg, b, eta)
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B_star, mu_star, cfg.h3_sign)
-    h2_max = rows_max(h2_rows, points)
-    h3_max = rows_max(h3_rows, points)
-    report.add(
-        delta_check(
-            "sigma2d/theorem-h2-agreement",
-            "eta-compatibility block equals the momentum-section residual",
-            abs(p2.max_residual - h2_max),
-            len(points),
-            1e-9,
-        )
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B_star, mu_star, ctx.cfg.h3_sign)
+    ctx.agreement(
+        "sigma2d/theorem-h2-agreement",
+        "eta-compatibility block equals the momentum-section residual",
+        [(p2_rows, h2_rows)],
+        1e-9,
     )
-    report.add(
-        delta_check(
-            "sigma2d/theorem-h3-agreement",
-            "mu-equivariance block equals the bracket-compatibility residual",
-            abs(p3.max_residual - h3_max),
-            len(points),
-            1e-9,
-            informational=p2.max_residual >= tol,
-            flags=() if p2.max_residual < tol else ("equality holds modulo the eta-compatibility block",),
-        )
+    ctx.agreement(
+        "sigma2d/theorem-h3-agreement",
+        "mu-equivariance block equals the bracket-compatibility residual",
+        [(p3_rows, h3_rows)],
+        1e-9,
+        informational=p2.max_residual >= tol,
+        flags=() if p2.max_residual < tol else ("equality holds modulo the eta-compatibility block",),
     )
     # Unconditional identity: H3_ab = P3_ab + rho^i_b P2_{a,i} with the
     # induced mu; the file mu enters P2/P3, so compare on induced inputs.
@@ -547,26 +421,15 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
             for i in range(d):
                 terms.append(-(alg.anchor[bb][i] * p2_star[f"a{a + 1} i{i + 1}"]))
             combo_rows.append((label, field_sum_d(terms, d)))
-    report.add(
-        evaluate_check(
-            "sigma2d/theorem-consistency",
-            "H3_ab - P3_ab - rho^i_b P2_ai = 0 identically (induced mu)",
-            combo_rows,
-            points,
-            1e-9,
-        )
+    ctx.check(
+        "sigma2d/theorem-consistency",
+        "H3_ab - P3_ab - rho^i_b P2_ai = 0 identically (induced mu)",
+        combo_rows,
+        1e-9,
     )
-    th_h1 = evaluate_check(
-        "sigma2d/theorem-h1",
-        "D gamma = 0 for B = b + d eta",
-        h1_rows,
-        points,
-        tol,
-        informational=not cfg.require_h1,
-    )
-    report.add(th_h1)
-    report.verdicts["sigma2d_classification"] = mom.classify(
-        th_h1.max_residual, h2_max, h3_max, tol
+    th_h1 = ctx.check("sigma2d/theorem-h1", "D gamma = 0 for B = b + d eta", h1_rows, anchoring=True)
+    ctx.verdicts["sigma2d_classification"] = mom.classify(
+        th_h1.max_residual, ctx.max(h2_rows), ctx.max(h3_rows), tol
     )
 
 
@@ -574,135 +437,88 @@ def run_sigma2d(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckR
 # multisym
 
 
-def run_multisym(model: Model, points: np.ndarray, cfg: RunConfig, report: CheckReport):
-    tol = cfg.tolerance
+def run_multisym(ctx: CheckContext):
+    model, tol = ctx.model, ctx.tol
     data = model.multisym
     alg = data.alg
     n = data.n
     ht = msy.tilde_h(data)
 
-    closed = evaluate_check(
-        "multisym/pre-nplectic-closed",
-        "dh = 0",
-        mom.closedness_fields(data.h),
-        points,
-        tol,
-        informational=True,
-    )
+    closed = ctx.check("multisym/pre-nplectic-closed", "dh = 0", mom.closedness_fields(data.h), informational=True)
     if not closed.passed:
         closed.flags += ("not pre-n-plectic",)
-    report.add(closed)
 
-    descent_max = 0.0
+    descent = []
     for k in range(1, n):
-        pair = evaluate_check(
-            f"multisym/descent-pairing[k={k}]",
-            "eta^(k-1) equals the signed cyclic anchor contraction of eta^(k)",
-            msy.descent_pairing_fields(data, k),
-            points,
-            tol,
+        descent.append(
+            ctx.check(
+                f"multisym/descent-pairing[k={k}]",
+                "eta^(k-1) equals the signed cyclic anchor contraction of eta^(k)",
+                msy.descent_pairing_fields(data, k),
+            )
         )
-        sym = evaluate_check(
-            f"multisym/descent-symmetry[k={k}]",
-            "anchor contraction of eta^(k) is antisymmetric under slot exchange",
-            msy.descent_symmetry_fields(data, k),
-            points,
-            tol,
+        descent.append(
+            ctx.check(
+                f"multisym/descent-symmetry[k={k}]",
+                "anchor contraction of eta^(k) is antisymmetric under slot exchange",
+                msy.descent_symmetry_fields(data, k),
+            )
         )
-        report.add(pair)
-        report.add(sym)
-        descent_max = _worst(descent_max, pair.max_residual, sym.max_residual)
-
-    hm2 = evaluate_check(
-        "multisym/hm2-momentum-section",
-        "D eta^(n-1)(e) = iota_{rho(e)} (h + d eta^(n))",
-        msy.hm2_fields(data, ht),
-        points,
-        tol,
-    )
-    hm1 = evaluate_check(
-        "multisym/hm1-anchoring",
-        "D iota_rho (h + d eta^(n)) = 0",
-        msy.hm1_fields(data, ht),
-        points,
-        tol,
-        informational=not cfg.require_h1,
-    )
-    report.add(hm2)
-    report.add(hm1)
 
     # rows keyed like msy.specialized_fields, for the agreement below
-    general = {"hm2": hm2, "hm1": hm1}
-    hm3_max = 0.0
+    general = {"hm2": msy.hm2_fields(data, ht), "hm1": msy.hm1_fields(data, ht)}
+    hm2 = ctx.check("multisym/hm2-momentum-section", "D eta^(n-1)(e) = iota_{rho(e)} (h + d eta^(n))", general["hm2"])
+    hm1 = ctx.check("multisym/hm1-anchoring", "D iota_rho (h + d eta^(n)) = 0", general["hm1"], anchoring=True)
+
+    hm3 = []
     for k in range(n - 1, -1, -1):
         rows, term_fields = msy.hm3_differential_fields(data, k)
-        flags = ()
-        if k >= 1:
-            flags = ("ambiguous connection term read as trace pairing, collapsed sum",)
-        chk = evaluate_check(
-            f"multisym/hm3-diff[k={k}]",
-            "k-indexed differential compatibility, term by term as printed",
-            rows,
-            points,
-            tol,
-            terms=term_fields,
-            flags=flags,
+        general[f"hm3[{k}]"] = rows
+        hm3.append(
+            ctx.check(
+                f"multisym/hm3-diff[k={k}]",
+                "k-indexed differential compatibility, term by term as printed",
+                rows,
+                terms=term_fields,
+                flags=("ambiguous connection term read as trace pairing, collapsed sum",) if k >= 1 else (),
+            )
         )
-        report.add(chk)
-        general[f"hm3[{k}]"] = chk
-        hm3_max = _worst(hm3_max, chk.max_residual)
 
     if n >= 2:
-        report.add(
-            evaluate_check(
-                "multisym/hm3-rewrite",
-                "d_E eta^(n-1)(e_a,e_b) - D eta^(n-2)(e_a,e_b) = 0 (dual-pair form)",
-                msy.hm3_rewrite_fields(data),
-                points,
-                tol,
-                informational=True,
-                flags=("differs from the literal identity by descent rearrangement",),
-            )
+        ctx.check(
+            "multisym/hm3-rewrite",
+            "d_E eta^(n-1)(e_a,e_b) - D eta^(n-2)(e_a,e_b) = 0 (dual-pair form)",
+            msy.hm3_rewrite_fields(data),
+            informational=True,
+            flags=("differs from the literal identity by descent rearrangement",),
         )
 
-    if model.conn.is_flat and mom.is_constant_structure(alg, points):
+    if model.conn.is_flat and mom.is_constant_structure(alg, ctx.points):
         sp = msy.specialized_fields(data)
-        report.add(
-            delta_check(
-                "multisym/lie-specialize-agreement",
-                "constant-bracket reduced system matches the general evaluators",
-                _worst(*(abs(rows_max(sp[key], points) - general[key].max_residual) for key in sp)),
-                len(points),
-                1e-10,
-            )
+        ctx.agreement(
+            "multisym/lie-specialize-agreement",
+            "constant-bracket reduced system matches the general evaluators",
+            [(sp[key], general[key]) for key in sp],
+            1e-10,
         )
 
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        rows = mom.condition_fields(alg, model.conn, ht, mu, cfg.h3_sign)
-        h1_max, h2_max, h3_max = (rows_max(r, points) for r in rows)
-        delta = _worst(
-            abs(hm1.max_residual - h1_max),
-            abs(hm2.max_residual - h2_max),
-            abs(general["hm3[0]"].max_residual - h3_max),
-        )
+        h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, model.conn, ht, mu, ctx.cfg.h3_sign)
         flags = ()
-        if h2_max >= tol:
+        if ctx.max(h2_rows) >= tol:
             flags = ("bracket-compatibility comparison assumes the momentum-section condition",)
-        report.add(
-            delta_check(
-                "multisym/n1-reduction-agreement",
-                "degree-1 tower equals the momentum-section conditions",
-                delta,
-                len(points),
-                1e-12,
-                informational=bool(flags),
-                flags=flags,
-            )
+        ctx.agreement(
+            "multisym/n1-reduction-agreement",
+            "degree-1 tower equals the momentum-section conditions",
+            [(general["hm1"], h1_rows), (general["hm2"], h2_rows), (general["hm3[0]"], h3_rows)],
+            1e-12,
+            informational=bool(flags),
+            flags=flags,
         )
 
-    report.verdicts["multisym_classification"] = mom.classify(
-        hm1.max_residual, hm2.max_residual, _worst(hm3_max, descent_max), tol
+    ctx.verdicts["multisym_classification"] = mom.classify(
+        hm1.max_residual, hm2.max_residual, _worst(*(c.max_residual for c in hm3 + descent)), tol
     )
 
 

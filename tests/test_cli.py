@@ -1,10 +1,12 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from momsec.cli import main
 from momsec.fixtures import fixture_bytes, fixture_names
+from momsec.modelfile import load_model
 from momsec.reporting import CHECK_REGISTRY, registry_base_name
 from momsec.suites import RunConfig, SuiteError, resolve_suites, run
 
@@ -203,6 +205,11 @@ class TestEvaluationFailures:
         assert captured.out == ""
         assert "log(x)" in captured.err
         assert "Traceback" not in captured.err
+        # the message names the first sample point where x <= 0
+        model = load_model(path)
+        points = model.chart.sample(model.sampling.points, model.sampling.seed)
+        first = int(np.argmax(points[:, 0] <= 0.0))
+        assert captured.err.rstrip().endswith(f"at sample point {first}")
 
     def test_singular_metric_exit_code(self, tmp_path, capsys):
         metric = [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "0"}]

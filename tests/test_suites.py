@@ -77,6 +77,25 @@ class TestConfigBehavior:
         assert rep.find("momentum/h1-anchoring").informational is False
         assert rep.overall_pass
 
+    def test_require_h1_changes_only_the_anchoring_rows(self, fixture_models):
+        anchoring = {
+            "momentum/h1-anchoring",
+            "mechanics/theorem-h1",
+            "sigma2d/theorem-h1",
+            "multisym/hm1-anchoring",
+        }
+        for name, model in sorted(fixture_models.items()):
+            for suite in applicable_suites(model):
+                cfg = dict(tolerance=model.tolerance, points=model.sampling.points, seed=model.sampling.seed)
+                loose = json.loads(run(model, suite, RunConfig(**cfg)).to_json())
+                strict = json.loads(run(model, suite, RunConfig(**cfg, require_h1=True)).to_json())
+                del loose["overall_pass"], strict["overall_pass"]
+                for row in strict["checks"]:
+                    if row["name"] in anchoring:
+                        assert row["informational"] is False, (name, row["name"])
+                        row["informational"] = True
+                assert strict == loose, (name, suite)
+
     def test_h3_sign_switch_selects_convention(self, fixture_models):
         model = fixture_models["translation_nonequivariant"]
         default = run(model, "momentum", RunConfig())
