@@ -1,21 +1,22 @@
 """Anchored bracket structure on a trivialized vector bundle.
 
 Holds the anchor components rho^i_a and structure functions C^c_ab (kept
-antisymmetric in the lower pair by construction), the Leibniz bracket on
-sections, the axiom residuals, and the differential on bundle forms.
+antisymmetric in the lower pair by storing each C^c as a bundle 2-form),
+the Leibniz bracket on sections, the axiom residuals, and the
+differential on bundle forms.
 """
 
 from __future__ import annotations
 
 from .fields import (
     Chart,
+    Components,
     ScalarField,
     VectorField,
     const_field,
     field_sum_d,
     increasing_tuples,
     lie_bracket,
-    sort_signed,
 )
 
 
@@ -27,32 +28,22 @@ class AlgebroidData:
         self.chart = chart
         self.rank = rank
         self.anchor = anchor
-        self._structure: dict[tuple[int, int, int], ScalarField] = {}
+        lower: list[dict] = [{} for _ in range(rank)]
         for (c, a, b), f in structure.items():
             if not a < b:
                 raise ValueError("structure functions are keyed with a < b")
-            if not f.is_zero:
-                self._structure[(c, a, b)] = f
+            lower[c][(a, b)] = f
+        # C[c] is the bundle 2-form (a, b) -> C^c_ab
+        self.C = [EForm(self, 2, comps) for comps in lower]
         self._anchor_morphism = None
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
-    @property
-    def structure_entries(self):
-        """The stored (c, a, b) -> field map, keys with a < b."""
-        return self._structure
-
     def structure(self, c: int, a: int, b: int) -> ScalarField:
         """C^c_{ab}, extended antisymmetrically in (a, b)."""
-        if a == b:
-            return const_field(0.0, self.dim)
-        if a < b:
-            f = self._structure.get((c, a, b))
-            return f if f is not None else const_field(0.0, self.dim)
-        f = self._structure.get((c, b, a))
-        return -f if f is not None else const_field(0.0, self.dim)
+        return self.C[c].comp((a, b))
 
     def anchor_morphism(self):
         """The rows of :func:`anchor_morphism_fields`, built once per model so
@@ -168,7 +159,7 @@ def jacobi_sigma_fields(alg: AlgebroidData):
     return sigma, contracted
 
 
-class EForm:
+class EForm(Components):
     """Degree-m element of the exterior algebra on the dual bundle."""
 
     def __init__(self, alg: AlgebroidData, degree: int, comps=None):
@@ -177,20 +168,13 @@ class EForm:
         # degree > rank is allowed and denotes the zero form
         self.alg = alg
         self.degree = degree
-        self.comps: dict[tuple[int, ...], ScalarField] = {}
-        if comps:
-            for idx, f in comps.items():
-                if not f.is_zero:
-                    self.comps[tuple(idx)] = f
+        super().__init__(comps)
 
-    def comp(self, idx) -> ScalarField:
-        canon, sign = sort_signed(tuple(idx))
-        if canon is None:
-            return const_field(0.0, self.alg.dim)
-        f = self.comps.get(canon)
-        if f is None:
-            return const_field(0.0, self.alg.dim)
-        return f if sign > 0 else -f
+    def _zero(self) -> ScalarField:
+        return const_field(0.0, self.alg.dim)
+
+    def _like(self, comps) -> "EForm":
+        return EForm(self.alg, self.degree, comps)
 
 
 def e_differential(alpha: EForm) -> EForm:
@@ -204,7 +188,7 @@ def e_differential(alpha: EForm) -> EForm:
     if m >= alg.rank:
         # every bundle form above the top exterior degree is zero
         return EForm(alg, m + 1)
-    out = EForm(alg, m + 1)
+    comps = {}
     for idx in increasing_tuples(alg.rank, m + 1):
         terms = []
         for pos, a in enumerate(idx):
@@ -217,10 +201,8 @@ def e_differential(alpha: EForm) -> EForm:
                     # positions are 0-based; (-1)^{i+j} with 1-based i, j
                     t = alg.structure(c, idx[pi], idx[pj]) * alpha.comp((c,) + rest)
                     terms.append(t if (pi + pj) % 2 == 0 else -t)
-        total = field_sum_d(terms, alg.dim)
-        if not total.is_zero:
-            out.comps[idx] = total
-    return out
+        comps[idx] = field_sum_d(terms, alg.dim)
+    return EForm(alg, m + 1, comps)
 
 
 def q_squared_fields(alg: AlgebroidData):

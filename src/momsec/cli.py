@@ -6,7 +6,8 @@
     momsec examples emit NAME PATH
 
 ``--tol`` must be a finite positive number; ``inf`` and ``nan`` are usage
-errors, since no residual could fail against them.
+errors, since no residual could fail against them.  ``--seed`` must be a
+non-negative integer, as ``sampling.seed`` in a model file must be.
 
 Exit codes: 0 all required checks pass, 1 a required check failed,
 2 usage or validation error, 3 the model cannot be evaluated at the
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", default="text", choices=["text", "json"], help="report format")
     check.add_argument("--tol", type=float, default=None, help="override the residual tolerance (finite, > 0)")
     check.add_argument("--points", type=int, default=None, help="override the sample point count")
-    check.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+    check.add_argument("--seed", type=int, default=None, help="override the sampling seed (>= 0)")
     check.add_argument(
         "--require-h1",
         action="store_true",
@@ -90,6 +91,9 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     if cfg.points < 1:
         print("error: --points must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if cfg.seed < 0:
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_USAGE
     try:
         report: CheckReport = run(model, args.suite, cfg)

@@ -51,12 +51,7 @@ class ConnectionData:
     def one_form(self, a: int, b: int) -> FormField:
         """Gamma^a_b as a 1-form."""
         chart = self.alg.chart
-        out = FormField(chart, 1)
-        for i in range(chart.dim):
-            f = self.gamma[a][b][i]
-            if not f.is_zero:
-                out.comps[(i,)] = f
-        return out
+        return FormField(chart, 1, {(i,): self.gamma[a][b][i] for i in range(chart.dim)})
 
 
 def covariant_derivative_section(conn: ConnectionData, e: Section):
@@ -88,15 +83,13 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
     out = []
     if isinstance(mu[0], ScalarField):
         for a in range(r):
-            form = FormField(chart, 1)
+            comps = {}
             for i in range(chart.dim):
                 terms = [mu[a].partial(i)]
                 for b in range(r):
                     terms.append(-(conn.gamma[b][a][i] * mu[b]))
-                total = field_sum_d(terms, chart.dim)
-                if not total.is_zero:
-                    form.comps[(i,)] = total
-            out.append(form)
+                comps[(i,)] = field_sum_d(terms, chart.dim)
+            out.append(FormField(chart, 1, comps))
         return out
     for a in range(r):
         form = exterior_derivative(mu[a])

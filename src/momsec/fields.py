@@ -14,19 +14,23 @@ consumes one jet order, so a once-differentiated field still has an
 exact value and gradient but no Hessian.  No check in this package ever
 differentiates a field more than twice.
 
-On top of scalar fields sit antisymmetric component containers:
-:class:`FormField` (differential k-forms), :class:`VectorField` and
-:class:`MetricField`, with the exterior derivative, wedge and interior
-products, and Lie derivatives.
+On top of scalar fields sit :class:`FormField` (differential k-forms),
+:class:`VectorField` and :class:`MetricField`, with the exterior
+derivative, wedge and interior products, and Lie derivatives.
 
 Structural zeros are folded here and nowhere else.  A zero constant is
 the only scalar field with ``is_zero`` set; a product with it, its
-negation, scaling and partials are that zero again, sums drop it, and a
-form stores no zero component.  The form operations return early on an
-empty operand, sometimes returning the operand itself, so a form is
-never modified once built.  Callers therefore write sparse contractions
-as plain sums of products and test ``is_zero`` only to decide whether a
-report row or a stored component exists.
+negation, scaling and partials are that zero again, and sums drop it.
+Every sparse tensor of the package (forms here, bundle forms, the
+bundle-valued forms of the multisymplectic tower, phase-space
+polynomials) is a :class:`Components` container, which owns the
+container contract: components are keyed by canonical index tuples,
+looked up at any index tuple with the symmetry's sign, never stored when
+zero, and combined by one algebra that returns early on an empty operand,
+sometimes returning the operand itself, so a container is never modified
+once built.  Callers therefore write sparse contractions as plain sums
+of products, pass the component dict to the constructor, and test
+``is_zero`` only to decide whether a report row exists.
 """
 
 from __future__ import annotations
@@ -397,10 +401,91 @@ def increasing_tuples(n: int, k: int):
 
 
 # ---------------------------------------------------------------------------
+# Sparse component containers
+
+
+class Components:
+    """Sparse components of a tensor with a fixed index symmetry.
+
+    ``comps`` maps canonical index tuples to components: strictly
+    increasing tuples for an antisymmetric container, non-decreasing ones
+    for a symmetric one.  The constructor trusts its keys and drops zero
+    components, so a container never stores a zero and ``is_zero`` means
+    that it stores nothing.  A container is never modified once built, so
+    an operation may return an operand as its result.  A subclass supplies
+    its zero component (``_zero``) and how to build a container of its own
+    kind from a component dict (``_like``).  Components are scalar fields,
+    or forms in a bundle-valued form: anything with ``is_zero``, ``+``,
+    ``-``, unary ``-`` and ``scaled``; ``mul_field`` also needs ``*`` by a
+    scalar field, which only scalar fields have.
+    """
+
+    symmetric = False
+
+    def __init__(self, comps=None):
+        self.comps = {idx: f for idx, f in comps.items() if not f.is_zero} if comps else {}
+
+    def _zero(self):
+        raise NotImplementedError
+
+    def _like(self, comps) -> "Components":
+        raise NotImplementedError
+
+    def comp(self, idx: tuple[int, ...]):
+        """The component at any index tuple: the sorted key's for a
+        symmetric container; for an antisymmetric one, the sorted key's
+        times the permutation sign, and zero on a repeated index."""
+        f = self.comps.get(idx)
+        if f is not None:
+            return f
+        if self.symmetric:
+            f = self.comps.get(tuple(sorted(idx)))
+            return self._zero() if f is None else f
+        canon, sign = sort_signed(idx)
+        f = self.comps.get(canon)
+        if f is None:
+            return self._zero()
+        return f if sign > 0 else -f
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __add__(self, other):
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        z = self._zero()
+        keys = set(self.comps) | set(other.comps)
+        return self._like({idx: self.comps.get(idx, z) + other.comps.get(idx, z) for idx in keys})
+
+    def __sub__(self, other):
+        if other.is_zero:
+            return self
+        z = self._zero()
+        keys = set(self.comps) | set(other.comps)
+        return self._like({idx: self.comps.get(idx, z) - other.comps.get(idx, z) for idx in keys})
+
+    def __neg__(self):
+        return self.scaled(-1.0)
+
+    def scaled(self, c: float):
+        if self.is_zero:
+            return self
+        return self._like({idx: f.scaled(c) for idx, f in self.comps.items()})
+
+    def mul_field(self, g: ScalarField):
+        if self.is_zero:
+            return self
+        return self._like({idx: f * g for idx, f in self.comps.items()})
+
+
+# ---------------------------------------------------------------------------
 # Differential forms
 
 
-class FormField:
+class FormField(Components):
     """Degree-k form with ScalarField components on increasing index tuples."""
 
     def __init__(self, chart: Chart, degree: int, comps: dict[tuple[int, ...], ScalarField] | None = None):
@@ -409,113 +494,45 @@ class FormField:
         # degree > dim is allowed and denotes the zero form of that degree
         self.chart = chart
         self.degree = degree
-        self.comps: dict[tuple[int, ...], ScalarField] = {}
-        if comps:
-            for idx, f in comps.items():
-                self._set_increasing(idx, f)
+        super().__init__(comps)
 
-    def _set_increasing(self, idx: tuple[int, ...], f: ScalarField):
-        if f.is_zero:
-            return
-        if list(idx) != sorted(idx) or len(set(idx)) != len(idx):
-            raise ValueError("components must be keyed by strictly increasing tuples")
-        if idx and (idx[0] < 0 or idx[-1] >= self.chart.dim):
-            raise ValueError("component index out of range for the chart")
-        self.comps[tuple(idx)] = f
+    def _zero(self) -> ScalarField:
+        return const_field(0.0, self.chart.dim)
+
+    def _like(self, comps) -> "FormField":
+        return FormField(self.chart, self.degree, comps)
 
     @staticmethod
     def build(chart: Chart, degree: int, entries) -> "FormField":
         """Build from (index tuple, field) pairs, antisymmetrizing indices."""
-        out = FormField(chart, degree)
-        seen = set()
+        comps = {}
         for idx, f in entries:
             canon, sign = sort_signed(tuple(idx))
             if canon is None:
                 raise ValueError(f"repeated index in antisymmetric entry {tuple(idx)}")
-            if canon in seen:
+            if canon in comps:
                 raise ValueError(f"duplicate entry for component {canon}")
-            seen.add(canon)
-            if not f.is_zero:
-                out.comps[canon] = f if sign > 0 else -f
-        return out
-
-    def comp(self, idx: tuple[int, ...]) -> ScalarField:
-        """Signed component lookup for an arbitrary index tuple."""
-        canon, sign = sort_signed(tuple(idx))
-        if canon is None:
-            return const_field(0.0, self.chart.dim)
-        f = self.comps.get(canon)
-        if f is None:
-            return const_field(0.0, self.chart.dim)
-        return f if sign > 0 else -f
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    # An operand may be returned as the result: forms are never modified
-    # once built.
-    def __add__(self, other: "FormField") -> "FormField":
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        out = FormField(self.chart, self.degree)
-        for idx in set(self.comps) | set(other.comps):
-            f = self.comp(idx) + other.comp(idx)
-            if not f.is_zero:
-                out.comps[idx] = f
-        return out
-
-    def __sub__(self, other: "FormField") -> "FormField":
-        if other.is_zero:
-            return self
-        out = FormField(self.chart, self.degree)
-        for idx in set(self.comps) | set(other.comps):
-            f = self.comp(idx) - other.comp(idx)
-            if not f.is_zero:
-                out.comps[idx] = f
-        return out
-
-    def __neg__(self) -> "FormField":
-        return self.scaled(-1.0)
-
-    def scaled(self, c: float) -> "FormField":
-        if self.is_zero:
-            return self
-        out = FormField(self.chart, self.degree)
-        for idx, f in self.comps.items():
-            out.comps[idx] = f.scaled(c)
-        return out
-
-    def mul_field(self, g: ScalarField) -> "FormField":
-        if self.is_zero:
-            return self
-        out = FormField(self.chart, self.degree)
-        if g.is_zero:
-            return out
-        for idx, f in self.comps.items():
-            out.comps[idx] = f * g
-        return out
+            if canon and (canon[0] < 0 or canon[-1] >= chart.dim):
+                raise ValueError("component index out of range for the chart")
+            comps[canon] = f if sign > 0 else -f
+        return FormField(chart, degree, comps)
 
 
 def exterior_derivative(omega: FormField) -> FormField:
     """d on component arrays: (d w)_{i0..ik} = sum_j (-1)^j d_{ij} w_{..no ij..}."""
     chart = omega.chart
     k = omega.degree
-    out = FormField(chart, k + 1)
     if omega.is_zero or k >= chart.dim:
         # every (k+1)-form above the top degree is zero
-        return out
+        return FormField(chart, k + 1)
+    comps = {}
     for idx in increasing_tuples(chart.dim, k + 1):
         terms = []
         for j, ij in enumerate(idx):
             term = omega.comp(idx[:j] + idx[j + 1 :]).partial(ij)
             terms.append(term if j % 2 == 0 else -term)
-        total = field_sum_d(terms, chart.dim)
-        if not total.is_zero:
-            out.comps[idx] = total
-    return out
+        comps[idx] = field_sum_d(terms, chart.dim)
+    return FormField(chart, k + 1, comps)
 
 
 def wedge(alpha: FormField, beta: FormField) -> FormField:
@@ -526,7 +543,7 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
         return FormField(chart, k + l)
     if k + l > chart.dim:
         raise ValueError("wedge degree exceeds the chart dimension")
-    out = FormField(chart, k + l)
+    comps = {}
     for idx in increasing_tuples(chart.dim, k + l):
         terms = []
         for subset in increasing_tuples(k + l, k):
@@ -536,10 +553,8 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
             sign = _shuffle_sign(subset, tuple(right_positions))
             prod = alpha.comp(left) * beta.comp(right)
             terms.append(prod if sign > 0 else -prod)
-        total = field_sum_d(terms, chart.dim)
-        if not total.is_zero:
-            out.comps[idx] = total
-    return out
+        comps[idx] = field_sum_d(terms, chart.dim)
+    return FormField(chart, k + l, comps)
 
 
 def _shuffle_sign(left_positions: tuple[int, ...], right_positions: tuple[int, ...]) -> int:
@@ -552,15 +567,13 @@ def interior_product(v: "VectorField", omega: FormField) -> FormField:
     if omega.degree < 1:
         raise ValueError("interior product needs a form of degree >= 1")
     chart = omega.chart
-    out = FormField(chart, omega.degree - 1)
     if omega.is_zero:
-        return out
+        return FormField(chart, omega.degree - 1)
+    comps = {}
     for idx in increasing_tuples(chart.dim, omega.degree - 1):
         terms = [v.comps[i1] * omega.comp((i1,) + idx) for i1 in range(chart.dim)]
-        total = field_sum_d(terms, chart.dim)
-        if not total.is_zero:
-            out.comps[idx] = total
-    return out
+        comps[idx] = field_sum_d(terms, chart.dim)
+    return FormField(chart, omega.degree - 1, comps)
 
 
 def lie_derivative(v: "VectorField", omega: FormField) -> FormField:
@@ -636,13 +649,11 @@ class MetricField:
     def lower(self, v: VectorField) -> FormField:
         """(g_flat v)_i = g_ij v^j as a 1-form."""
         chart = self.chart
-        out = FormField(chart, 1)
+        comps = {}
         for i in range(chart.dim):
             terms = [self.g[i][j] * v.comps[j] for j in range(chart.dim)]
-            total = field_sum_d(terms, chart.dim)
-            if not total.is_zero:
-                out.comps[(i,)] = total
-        return out
+            comps[(i,)] = field_sum_d(terms, chart.dim)
+        return FormField(chart, 1, comps)
 
 
 def lie_derivative_metric(v: VectorField, g: MetricField):

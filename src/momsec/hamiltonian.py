@@ -1,7 +1,7 @@
 """Constrained mechanics on the cotangent bundle of the chart.
 
 Phase-space functions polynomial in the momenta are stored by monomial:
-``monomials[(i1 <= ... <= ik)]`` is the scalar-field coefficient of
+``comps[(i1 <= ... <= ik)]`` is the scalar-field coefficient of
 ``p_{i1} ... p_{ik}``.  The canonical bracket follows the convention
 ``{p_i, x^j} = delta_i^j``; with a twist 2-form installed it acquires
 ``{p_i, p_j} = B_ij``:
@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from .algebroid import AlgebroidData
 from .connections import ConnectionData
 from .fields import (
+    Components,
     FormField,
     MetricField,
     ScalarField,
@@ -35,36 +36,35 @@ from .fields import (
 )
 
 
-class PhasePolynomial:
-    def __init__(self, dim: int, monomials=None):
-        self.dim = dim
-        self.monomials: dict[tuple[int, ...], ScalarField] = {}
-        if monomials:
-            for key, f in monomials.items():
-                if not f.is_zero:
-                    self.monomials[tuple(key)] = f
+class PhasePolynomial(Components):
+    """Coefficient fields of the momentum monomials, keyed by non-decreasing
+    momentum-index tuples; ``comp`` looks up any ordering of a key."""
 
-    @staticmethod
-    def zero(dim: int) -> "PhasePolynomial":
-        return PhasePolynomial(dim)
+    symmetric = True
+
+    def __init__(self, dim: int, comps=None):
+        self.dim = dim
+        super().__init__(comps)
+
+    def _zero(self) -> ScalarField:
+        return const_field(0.0, self.dim)
+
+    def _like(self, comps) -> "PhasePolynomial":
+        return PhasePolynomial(self.dim, comps)
 
     @property
     def max_degree(self) -> int:
-        return max((len(k) for k in self.monomials), default=0)
-
-    def coeff(self, key) -> ScalarField:
-        f = self.monomials.get(tuple(sorted(key)))
-        return f if f is not None else const_field(0.0, self.dim)
+        return max((len(k) for k in self.comps), default=0)
 
     def degrees_present(self):
-        return sorted({len(k) for k in self.monomials})
+        return sorted({len(k) for k in self.comps})
 
     def degree_part(self, k: int) -> dict[tuple[int, ...], ScalarField]:
-        return {key: f for key, f in self.monomials.items() if len(key) == k}
+        return {key: f for key, f in self.comps.items() if len(key) == k}
 
     def dp(self, i: int) -> "PhasePolynomial":
         out: dict[tuple[int, ...], list[ScalarField]] = {}
-        for key, f in self.monomials.items():
+        for key, f in self.comps.items():
             m = key.count(i)
             if m == 0:
                 continue
@@ -74,46 +74,20 @@ class PhasePolynomial:
         return PhasePolynomial(self.dim, {k: field_sum_d(v, self.dim) for k, v in out.items()})
 
     def dx(self, i: int) -> "PhasePolynomial":
-        return PhasePolynomial(self.dim, {k: f.partial(i) for k, f in self.monomials.items()})
+        return PhasePolynomial(self.dim, {k: f.partial(i) for k, f in self.comps.items()})
 
     def mul(self, other: "PhasePolynomial") -> "PhasePolynomial":
         out: dict[tuple[int, ...], list[ScalarField]] = {}
-        for k1, f1 in self.monomials.items():
-            for k2, f2 in other.monomials.items():
+        for k1, f1 in self.comps.items():
+            for k2, f2 in other.comps.items():
                 out.setdefault(tuple(sorted(k1 + k2)), []).append(f1 * f2)
         return PhasePolynomial(self.dim, {k: field_sum_d(v, self.dim) for k, v in out.items()})
-
-    def mul_field(self, g: ScalarField) -> "PhasePolynomial":
-        return PhasePolynomial(self.dim, {k: f * g for k, f in self.monomials.items()})
-
-    def scaled(self, c: float) -> "PhasePolynomial":
-        return PhasePolynomial(self.dim, {k: f.scaled(c) for k, f in self.monomials.items()})
-
-    # an operand may be returned as the result: polynomials are never
-    # modified once built
-    def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        if not other.monomials:
-            return self
-        if not self.monomials:
-            return other
-        out = {}
-        for key in set(self.monomials) | set(other.monomials):
-            out[key] = self.coeff(key) + other.coeff(key)
-        return PhasePolynomial(self.dim, out)
-
-    def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        if not other.monomials:
-            return self
-        out = {}
-        for key in set(self.monomials) | set(other.monomials):
-            out[key] = self.coeff(key) - other.coeff(key)
-        return PhasePolynomial(self.dim, out)
 
 
 def _half_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None) -> PhasePolynomial:
     """T(F,G) = dF/dp_i dG/dx^i + (1/2) B_ij dF/dp_i dG/dp_j."""
     dim = F.dim
-    total = PhasePolynomial.zero(dim)
+    total = PhasePolynomial(dim)
     dpF = [F.dp(i) for i in range(dim)]
     for i in range(dim):
         total = total + dpF[i].mul(G.dx(i))
@@ -204,7 +178,7 @@ def first_class_fields(sys: ConstraintSystem):
             res = poisson_bracket(phis[a], phis[b], sys.twist)
             for c in range(r):
                 res = res - phis[c].mul_field(sys.alg.structure(c, a, b))
-            for key, f in res.monomials.items():
+            for key, f in res.comps.items():
                 out.setdefault(len(key), []).append((f"a{a + 1} b{b + 1} {monomial_label(key)}", f))
     return out
 
@@ -228,7 +202,7 @@ def flow_fields(sys: ConstraintSystem):
         for b in range(r):
             res = res - sys.multiplier(a, b).mul(phis[b])
         if res.max_degree > 2:
-            for key, f in res.monomials.items():
+            for key, f in res.comps.items():
                 if len(key) > 2:
                     out.setdefault(len(key), []).append(
                         (f"a{a + 1} {monomial_label(key)}", f)
@@ -252,9 +226,9 @@ def flow_fields(sys: ConstraintSystem):
                 out[2].append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
         # degree 1, lowered once
         for j in range(d):
-            terms = [g[j][k] * res.coeff((k,)) for k in range(d)]
+            terms = [g[j][k] * res.comp((k,)) for k in range(d)]
             out[1].append((f"a{a + 1} i{j + 1}", field_sum_d(terms, d)))
-        out[0].append((f"a{a + 1} 1", res.coeff(())))
+        out[0].append((f"a{a + 1} 1", res.comp(())))
     return out
 
 

@@ -100,21 +100,53 @@ def _parse_expr(source, chart: Chart, path: str) -> ScalarField:
         raise ModelError(path, f"bad expression: {exc}") from exc
 
 
-def _entries(block, path: str, arity: int, chart: Chart, ranges):
-    """Yield (0-based index tuple, field, entry path) from a sparse block."""
+def _indices(idx, epath: str, key: str, ranges, noun: str = "index") -> tuple[int, ...]:
+    """The 0-based tuple of a list of 1-based indices, one per range."""
+    _expect(isinstance(idx, list) and len(idx) == len(ranges), epath, f"'{key}' must have {len(ranges)} indices")
+    for slot, (value, upper) in enumerate(zip(idx, ranges)):
+        # a JSON boolean is a Python int, and not an index
+        _expect(type(value) is int, epath, f"{noun} {value!r} is not an integer")
+        _expect(1 <= value <= upper, epath, f"{noun} {value} out of range 1..{upper} (slot {slot + 1})")
+    return tuple(v - 1 for v in idx)
+
+
+# Canonicalizers map a 0-based index tuple to (canonical key, sign); a key
+# of None marks a repeated index in an antisymmetric slot.  Antisymmetric
+# blocks use sort_signed itself.
+
+
+def _plain(idx):
+    return idx, 1
+
+
+def _symmetric(idx):
+    return tuple(sorted(idx)), 1
+
+
+def _lower_pair(idx):
+    """Structure functions: antisymmetric in the last two indices."""
+    pair, sign = sort_signed(idx[1:])
+    return (None if pair is None else idx[:1] + pair), sign
+
+
+def _entries(block, path: str, chart: Chart, ranges, canon):
+    """Yield (canonical 0-based key, signed field) from a sparse block.
+
+    Rejects a repeated index in an antisymmetric slot and a second entry
+    on one canonical slot, naming the entry.
+    """
     _expect(isinstance(block, list), path, "expected a list of {'idx': ..., 'expr': ...} entries")
+    seen = set()
     for pos, entry in enumerate(block):
         epath = f"{path}[{pos}]"
         _expect(isinstance(entry, dict), epath, "entry must be an object")
         _expect("idx" in entry and "expr" in entry, epath, "entry needs 'idx' and 'expr'")
-        idx = entry["idx"]
-        _expect(isinstance(idx, list) and len(idx) == arity, epath, f"'idx' must have {arity} indices")
-        zero_based = []
-        for slot, (value, upper) in enumerate(zip(idx, ranges)):
-            _expect(isinstance(value, int), epath, "indices must be integers")
-            _expect(1 <= value <= upper, epath, f"index {value} out of range 1..{upper} (slot {slot + 1})")
-            zero_based.append(value - 1)
-        yield tuple(zero_based), _parse_expr(entry["expr"], chart, epath + ".expr"), epath
+        key, sign = canon(_indices(entry["idx"], epath, "idx", ranges))
+        _expect(key is not None, epath, "antisymmetric entry with repeated index")
+        _expect(key not in seen, epath, f"duplicate or contradictory entry for slot {tuple(i + 1 for i in key)}")
+        seen.add(key)
+        f = _parse_expr(entry["expr"], chart, epath + ".expr")
+        yield key, f if sign > 0 else -f
 
 
 def _load_chart(doc, path="chart") -> Chart:
@@ -150,7 +182,8 @@ def load_model_bytes(raw: bytes) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
-    _expect(doc.get("schema") == SCHEMA_VERSION, "schema", f"expected schema {SCHEMA_VERSION}")
+    schema = doc.get("schema")
+    _expect(type(schema) is int and schema == SCHEMA_VERSION, "schema", f"expected schema {SCHEMA_VERSION}")
 
     chart = _load_chart(doc.get("chart"))
     d = chart.dim
@@ -159,52 +192,30 @@ def load_model_bytes(raw: bytes) -> Model:
     alg_doc = doc.get("algebroid")
     _expect(isinstance(alg_doc, dict), "algebroid", "missing algebroid block")
     rank = alg_doc.get("rank")
-    _expect(isinstance(rank, int) and 1 <= rank <= MAX_RANK, "algebroid.rank", f"rank must be 1..{MAX_RANK}")
+    _expect(type(rank) is int and 1 <= rank <= MAX_RANK, "algebroid.rank", f"rank must be 1..{MAX_RANK}")
 
     anchor = [[zero for _ in range(d)] for _ in range(rank)]
-    seen = set()
-    for idx, f, epath in _entries(alg_doc.get("anchor", []), "algebroid.anchor", 2, chart, (rank, d)):
-        _expect(idx not in seen, epath, f"duplicate anchor entry {tuple(i + 1 for i in idx)}")
-        seen.add(idx)
-        anchor[idx[0]][idx[1]] = f
+    for (a, i), f in _entries(alg_doc.get("anchor", []), "algebroid.anchor", chart, (rank, d), _plain):
+        anchor[a][i] = f
 
-    structure = {}
-    seen = set()
-    for idx, f, epath in _entries(
-        alg_doc.get("structure", []), "algebroid.structure", 3, chart, (rank, rank, rank)
-    ):
-        c, a, b = idx
-        _expect(a != b, epath, "structure entry with repeated lower indices is identically zero")
-        key = (c, a, b) if a < b else (c, b, a)
-        _expect(key not in seen, epath, "duplicate or contradictory structure entry")
-        seen.add(key)
-        structure[key] = f if a < b else -f
+    structure = dict(
+        _entries(alg_doc.get("structure", []), "algebroid.structure", chart, (rank, rank, rank), _lower_pair)
+    )
     alg = AlgebroidData(chart, rank, anchor, structure)
 
     gamma = [[[zero for _ in range(d)] for _ in range(rank)] for _ in range(rank)]
-    seen = set()
-    for idx, f, epath in _entries(
-        alg_doc.get("connection", []), "algebroid.connection", 3, chart, (rank, rank, d)
+    for (a, b, i), f in _entries(
+        alg_doc.get("connection", []), "algebroid.connection", chart, (rank, rank, d), _plain
     ):
-        _expect(idx not in seen, epath, "duplicate connection entry")
-        seen.add(idx)
-        gamma[idx[0]][idx[1]][idx[2]] = f
+        gamma[a][b][i] = f
     conn = ConnectionData(alg, gamma)
 
     metric = None
     if "metric" in doc:
-        entries = {}
-        seen = set()
-        for idx, f, epath in _entries(doc["metric"], "metric", 2, chart, (d, d)):
-            i, j = min(idx), max(idx)
-            _expect((i, j) not in seen, epath, "duplicate or contradictory metric entry")
-            seen.add((i, j))
-            entries[(i, j)] = f
-        metric = MetricField(chart, entries)
+        metric = MetricField(chart, dict(_entries(doc["metric"], "metric", chart, (d, d), _symmetric)))
 
     b_field = _load_form(doc.get("b_field", []), "b_field", chart, 2)
-    eta_comps = _load_components(doc.get("eta_boundary", []), "eta_boundary", chart, d)
-    eta_boundary = FormField(chart, 1, {(i,): f for i, f in enumerate(eta_comps)})
+    eta_boundary = _load_form(doc.get("eta_boundary", []), "eta_boundary", chart, 1)
 
     mu = _load_components(doc.get("mu", []), "mu", chart, rank)
     alpha = _load_components(doc.get("alpha", []), "alpha", chart, rank)
@@ -213,21 +224,15 @@ def load_model_bytes(raw: bytes) -> Model:
     V = _parse_expr(doc["V"], chart, "V") if "V" in doc else zero
 
     tau = [[zero for _ in range(rank)] for _ in range(rank)]
-    seen = set()
-    for idx, f, epath in _entries(doc.get("tau", []), "tau", 2, chart, (rank, rank)):
-        _expect(idx not in seen, epath, "duplicate tau entry")
-        seen.add(idx)
-        tau[idx[0]][idx[1]] = f
+    for (a, b), f in _entries(doc.get("tau", []), "tau", chart, (rank, rank), _plain):
+        tau[a][b] = f
 
     beta_rigid = None
     if "beta_rigid" in doc:
-        forms = [FormField(chart, 1) for _ in range(rank)]
-        seen = set()
-        for idx, f, epath in _entries(doc["beta_rigid"], "beta_rigid", 2, chart, (rank, d)):
-            _expect(idx not in seen, epath, "duplicate beta_rigid entry")
-            seen.add(idx)
-            forms[idx[0]].comps[(idx[1],)] = f
-        beta_rigid = forms
+        rigid: list[dict] = [{} for _ in range(rank)]
+        for (a, i), f in _entries(doc["beta_rigid"], "beta_rigid", chart, (rank, d), _plain):
+            rigid[a][(i,)] = f
+        beta_rigid = [FormField(chart, 1, comps) for comps in rigid]
 
     multisym = None
     if "multisym" in doc:
@@ -273,25 +278,14 @@ def load_model_bytes(raw: bytes) -> Model:
 
 
 def _load_form(block, path: str, chart: Chart, degree: int) -> FormField:
-    out = FormField(chart, degree)
-    seen = set()
-    for idx, f, epath in _entries(block, path, degree, chart, (chart.dim,) * degree):
-        canon, sign = sort_signed(idx)
-        _expect(canon is not None, epath, "antisymmetric entry with repeated index")
-        _expect(canon not in seen, epath, "duplicate or contradictory entry")
-        seen.add(canon)
-        out.comps[canon] = f if sign > 0 else -f
-    return out
+    return FormField(chart, degree, dict(_entries(block, path, chart, (chart.dim,) * degree, sort_signed)))
 
 
 def _load_components(block, path: str, chart: Chart, count: int):
     """One field per index 1..count, zero where the block has no entry."""
     out = [const_field(0.0, chart.dim) for _ in range(count)]
-    seen = set()
-    for idx, f, epath in _entries(block, path, 1, chart, (count,)):
-        _expect(idx not in seen, epath, "duplicate entry")
-        seen.add(idx)
-        out[idx[0]] = f
+    for (i,), f in _entries(block, path, chart, (count,), _plain):
+        out[i] = f
     return out
 
 
@@ -299,7 +293,7 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
     path = "multisym"
     _expect(isinstance(doc, dict), path, "must be an object")
     n = doc.get("n")
-    _expect(isinstance(n, int) and 1 <= n <= MAX_PLECTIC_DEGREE, f"{path}.n", f"n must be 1..{MAX_PLECTIC_DEGREE}")
+    _expect(type(n) is int and 1 <= n <= MAX_PLECTIC_DEGREE, f"{path}.n", f"n must be 1..{MAX_PLECTIC_DEGREE}")
     _expect(n + 1 <= chart.dim, f"{path}.n", f"need chart dimension at least n+1 = {n + 1}")
 
     h = _load_form(doc.get("h", []), f"{path}.h", chart, n + 1)
@@ -316,7 +310,7 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
             eta[n] = _load_form(block, kpath, chart, n)
             continue
         bundle_deg = n - k
-        comps: dict = {}
+        forms: dict = {}
         seen = set()
         _expect(isinstance(block, list), kpath, "expected a list of entries")
         for pos, entry in enumerate(block):
@@ -327,27 +321,17 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
                 epath,
                 "entry needs 'idx_form', 'idx_bundle' and 'expr'",
             )
-            fidx = entry["idx_form"]
-            bidx = entry["idx_bundle"]
-            _expect(isinstance(fidx, list) and len(fidx) == k, epath, f"'idx_form' must have {k} indices")
-            _expect(isinstance(bidx, list) and len(bidx) == bundle_deg, epath, f"'idx_bundle' must have {bundle_deg} indices")
-            for v in fidx:
-                _expect(isinstance(v, int) and 1 <= v <= chart.dim, epath, f"form index {v} out of range 1..{chart.dim}")
-            for v in bidx:
-                _expect(isinstance(v, int) and 1 <= v <= alg.rank, epath, f"bundle index {v} out of range 1..{alg.rank}")
-            fcanon, fsign = sort_signed(tuple(v - 1 for v in fidx))
-            bcanon, bsign = sort_signed(tuple(v - 1 for v in bidx))
+            fidx = _indices(entry["idx_form"], epath, "idx_form", (chart.dim,) * k, "form index")
+            bidx = _indices(entry["idx_bundle"], epath, "idx_bundle", (alg.rank,) * bundle_deg, "bundle index")
+            fcanon, fsign = sort_signed(fidx)
+            bcanon, bsign = sort_signed(bidx)
             _expect(fcanon is not None, epath, "repeated form index")
             _expect(bcanon is not None, epath, "repeated bundle index")
             _expect((fcanon, bcanon) not in seen, epath, "duplicate or contradictory entry")
             seen.add((fcanon, bcanon))
             f = _parse_expr(entry["expr"], chart, epath + ".expr")
-            if fsign * bsign < 0:
-                f = -f
-            form = comps.setdefault(bcanon, FormField(chart, k))
-            _expect(fcanon not in form.comps, epath, "duplicate or contradictory entry")
-            form.comps[fcanon] = f
-        eta[k] = BundleValuedForm(alg, k, bundle_deg, comps)
+            forms.setdefault(bcanon, {})[fcanon] = f if fsign * bsign > 0 else -f
+        eta[k] = BundleValuedForm(alg, k, bundle_deg, {b: FormField(chart, k, c) for b, c in forms.items()})
     return PrenPlecticData(alg, conn, n, h, eta)
 
 

@@ -143,10 +143,11 @@ def classify(h1_max: float, h2_max: float, h3_max: float, tol: float) -> str:
 
 def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1e-12) -> bool:
     """True when every structure function is constant over the sample."""
-    for f in alg.structure_entries.values():
-        jet = f.eval(points, 1)
-        if np.ptp(jet.value) > tol or np.max(np.abs(jet.grad)) > tol:
-            return False
+    for C in alg.C:
+        for f in C.comps.values():
+            jet = f.eval(points, 1)
+            if np.ptp(jet.value) > tol or np.max(np.abs(jet.grad)) > tol:
+                return False
     return True
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from .algebroid import AlgebroidData
 from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
+    Components,
     FormField,
     ScalarField,
     exterior_derivative,
@@ -53,12 +54,11 @@ from .fields import (
     increasing_tuples,
     interior_product,
     lie_derivative,
-    sort_signed,
     wedge,
 )
 
 
-class BundleValuedForm:
+class BundleValuedForm(Components):
     """A k-form with values in the m-th exterior power of the dual bundle.
 
     Components are FormFields keyed by strictly increasing bundle
@@ -69,20 +69,13 @@ class BundleValuedForm:
         self.alg = alg
         self.form_degree = form_degree
         self.bundle_degree = bundle_degree
-        self.comps: dict[tuple[int, ...], FormField] = {}
-        if comps:
-            for key, form in comps.items():
-                if not form.is_zero:
-                    self.comps[tuple(key)] = form
+        super().__init__(comps)
 
-    def comp(self, btuple) -> FormField:
-        canon, sign = sort_signed(tuple(btuple))
-        if canon is None:
-            return FormField(self.alg.chart, self.form_degree)
-        form = self.comps.get(canon)
-        if form is None:
-            return FormField(self.alg.chart, self.form_degree)
-        return form if sign > 0 else form.scaled(-1.0)
+    def _zero(self) -> FormField:
+        return FormField(self.alg.chart, self.form_degree)
+
+    def _like(self, comps) -> "BundleValuedForm":
+        return BundleValuedForm(self.alg, self.form_degree, self.bundle_degree, comps)
 
     def as_dual_list(self):
         if self.bundle_degree != 1:

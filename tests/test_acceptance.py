@@ -226,7 +226,7 @@ def test_acceptance_5_poisson_algebra():
         return PhasePolynomial(2, mono)
 
     def poly_max(poly):
-        return max_abs_fields(poly.monomials.values(), pts)
+        return max_abs_fields(poly.comps.values(), pts)
 
     A = FormField(
         ch,

@@ -130,8 +130,14 @@ class TestCheckCommand:
         assert captured.out == ""
         assert "tolerances.default" in captured.err
 
-    def test_usage_error(self, capsys):
+    def test_usage_error(self, rotation_path, capsys):
         assert main(["check"]) == 2
+        capsys.readouterr()
+        # a negative seed is rejected as sampling.seed is, not by numpy
+        assert main(["check", rotation_path, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--seed" in captured.err
 
 
 class TestSeedSensitivity:

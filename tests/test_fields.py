@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chart2, chart3, f, random_poly_source
-from momsec.algebroid import AlgebroidData
+from momsec.algebroid import AlgebroidData, EForm
 from momsec.expressions import eval_jet, parse
 from momsec.fields import (
     Chart,
@@ -27,6 +29,7 @@ from momsec.fields import (
     wedge,
 )
 from momsec.hamiltonian import PhasePolynomial
+from momsec.multisym import BundleValuedForm
 
 
 def random_form(chart: Chart, degree: int, rng) -> FormField:
@@ -136,7 +139,7 @@ class TestZeroFolding:
         alg = AlgebroidData(ch, 1, [[g, z]], {})
         assert self._no_nodes_built(lambda: alg.apply_anchor(0, z)) is z
         poly = self._no_nodes_built(lambda: PhasePolynomial(2, {(0,): z, (): g}))
-        assert poly.monomials == {(): g}
+        assert poly.comps == {(): g}
 
 
 class TestExteriorDerivative:
@@ -311,7 +314,47 @@ class TestLieDerivativeMetric:
         assert rows[1][1].value(p) == 0.0
 
 
+PAIR_KINDS = ["FormField", "EForm", "BundleValuedForm", "structure"]
+
+
+def pair_container(kind: str, ch: Chart, g: ScalarField):
+    """A container of ``kind`` holding g at the index pair (0, 1), and the
+    lookup of its scalar component at any index pair."""
+    if kind == "FormField":
+        form = FormField(ch, 2, {(0, 1): g})
+        return form, form.comp
+    alg = AlgebroidData(ch, 2, [[const_field(0.0, ch.dim)] * ch.dim] * 2, {(0, 0, 1): g})
+    if kind == "structure":
+        return alg.C[0], lambda idx: alg.structure(0, *idx)
+    if kind == "EForm":
+        eform = EForm(alg, 2, {(0, 1): g})
+        return eform, eform.comp
+    bvf = BundleValuedForm(alg, 0, 2, {(0, 1): FormField(ch, 0, {(): g})})
+    return bvf, lambda idx: bvf.comp(idx).comp(())
+
+
 class TestAntisymmetricStorage:
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_container_contract(self, kind):
+        ch = chart2()
+        field = f("x*y + 1", ch)
+        _, comp = pair_container(kind, ch, field)
+        pts = ch.sample(6, 4)
+        assert comp((0, 1)) is field
+        assert np.array_equal(comp((1, 0)).eval(pts, 0).value, -field.eval(pts, 0).value)
+        assert comp((0, 0)).is_zero and comp((1, 1)).is_zero
+        empty, _ = pair_container(kind, ch, const_field(0.0, 2))
+        assert empty.comps == {} and empty.is_zero
+
+    def test_symmetric_lookup(self):
+        ch = chart3()
+        g = f("x + z", ch)
+        poly = PhasePolynomial(3, {(0, 1, 2): g, (1,): const_field(0.0, 3)})
+        assert list(poly.comps) == [(0, 1, 2)]
+        for perm in itertools.permutations((0, 1, 2)):
+            assert poly.comp(perm) is g
+        assert poly.comp((1,)).is_zero and poly.comp((2, 2)).is_zero
+
     def test_swapped_entry_is_negated_exactly(self):
         ch = chart2()
         field = f("x*y + 1", ch)
@@ -406,14 +449,19 @@ def test_field_algebra_product_rule(a, b, px, py):
     assert jet.grad[1] == pytest.approx(dy, rel=1e-12, abs=1e-12)
 
 
-@given(_coeff, _coeff)
+@given(_coeff, _coeff, st.sampled_from(PAIR_KINDS))
 @settings(max_examples=40, deadline=None)
-def test_antisymmetric_entry_signs(c1, c2):
+def test_antisymmetric_entry_signs(c1, c2, kind):
     ch = chart2()
-    form = FormField.build(ch, 2, [((1, 0), f(f"{c1!r} + {c2!r}*x", ch))])
+    field = f(f"{c1!r} + {c2!r}*x", ch)
+    if kind == "FormField":
+        comp = FormField.build(ch, 2, [((1, 0), field)]).comp
+    else:
+        # an entry at (1, 0) is stored negated at (0, 1), as build stores it
+        _, comp = pair_container(kind, ch, -field)
     p = np.array([0.3, -0.8])
-    assert form.comp((0, 1)).value(p) == -(c1 + c2 * 0.3)
-    assert form.comp((1, 0)).value(p) == (c1 + c2 * 0.3)
+    assert comp((0, 1)).value(p) == -(c1 + c2 * 0.3)
+    assert comp((1, 0)).value(p) == (c1 + c2 * 0.3)
 
 
 class TestLieBracket:

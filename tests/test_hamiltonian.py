@@ -25,7 +25,7 @@ from momsec.momentum import MomentumData, h2_fields, h3_fields
 
 
 def poly_max(poly: PhasePolynomial, pts) -> float:
-    return max_abs_fields(poly.monomials.values(), pts)
+    return max_abs_fields(poly.comps.values(), pts)
 
 
 def random_phase_poly(ch, rng, max_degree=2) -> PhasePolynomial:
@@ -51,7 +51,7 @@ class TestPoissonBracket:
                 F = PhasePolynomial(2, {(i,): const_field(1.0, 2)})
                 G = PhasePolynomial(2, {(): f(ch.coordinates[j], ch)})
                 br = poisson_bracket(F, G)
-                val = br.coeff(()).value(p[0])
+                val = br.comp(()).value(p[0])
                 assert val == (1.0 if i == j else 0.0)
 
     def test_antisymmetry_exact(self):
@@ -89,9 +89,9 @@ class TestPoissonBracket:
                     rho[j].value(p) * rho2[k].jet(p).grad[j] - rho2[j].value(p) * rho[k].jet(p).grad[j]
                     for j in range(2)
                 )
-                worst = max(worst, abs(br.coeff((k,)).value(p) - lie))
+                worst = max(worst, abs(br.comp((k,)).value(p) - lie))
             deg0 = sum(rho[j].value(p) * al2.jet(p).grad[j] - rho2[j].value(p) * al.jet(p).grad[j] for j in range(2))
-            worst = max(worst, abs(br.coeff(()).value(p) - deg0))
+            worst = max(worst, abs(br.comp(()).value(p) - deg0))
         assert worst < 1e-12
 
     def test_twist_pairing(self):
@@ -102,7 +102,7 @@ class TestPoissonBracket:
         G = PhasePolynomial(2, {(1,): const_field(1.0, 2)})
         br = poisson_bracket(F, G, twist=B)
         for p in ch.sample(8, 5):
-            assert br.coeff(()).value(p) == pytest.approx(p[0] * p[1] + 2, abs=1e-14)
+            assert br.comp(()).value(p) == pytest.approx(p[0] * p[1] + 2, abs=1e-14)
 
     def test_degree_bookkeeping(self):
         # bracket of degree <= 1 stays degree <= 1

@@ -19,6 +19,15 @@ def minimal_doc():
     }
 
 
+def tower_doc():
+    """A rank-2 model on a 3-chart with room for an n = 2 tower."""
+    doc = minimal_doc()
+    doc["chart"] = {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3}
+    doc["algebroid"]["rank"] = 2
+    doc["multisym"] = {"n": 2}
+    return doc
+
+
 class TestFixtures:
     def test_rotation_fixture_shape(self):
         model = load_model_bytes(fixture_bytes("rotation_momentum_map"))
@@ -72,12 +81,76 @@ class TestValidation:
         with pytest.raises(ModelError):
             load_model_bytes(doc_bytes(doc))
 
-    def test_duplicate_entries_rejected(self):
-        doc = minimal_doc()
-        doc["b_field"] = [{"idx": [1, 2], "expr": "1"}, {"idx": [2, 1], "expr": "1"}]
+    @pytest.mark.parametrize(
+        "keys, first, second",
+        [
+            (("algebroid", "anchor"), [1, 2], [1, 2]),
+            (("algebroid", "structure"), [1, 1, 2], [1, 2, 1]),
+            (("algebroid", "connection"), [1, 2, 3], [1, 2, 3]),
+            (("metric",), [1, 2], [2, 1]),
+            (("b_field",), [1, 2], [2, 1]),
+            (("eta_boundary",), [3], [3]),
+            (("mu",), [2], [2]),
+            (("alpha",), [2], [2]),
+            (("beta",), [3], [3]),
+            (("tau",), [1, 2], [1, 2]),
+            (("beta_rigid",), [2, 3], [2, 3]),
+            (("multisym", "h"), [1, 2, 3], [3, 1, 2]),
+            (("multisym", "eta", "0"), {"idx_form": [], "idx_bundle": [1, 2]}, {"idx_form": [], "idx_bundle": [2, 1]}),
+        ],
+        ids=[
+            "anchor",
+            "structure",
+            "connection",
+            "metric",
+            "b_field",
+            "eta_boundary",
+            "mu",
+            "alpha",
+            "beta",
+            "tau",
+            "beta_rigid",
+            "multisym.h",
+            "multisym.eta",
+        ],
+    )
+    def test_duplicate_entries_rejected(self, keys, first, second):
+        # the second entry lands on the canonical slot of the first
+        doc = tower_doc()
+        block = doc
+        for key in keys[:-1]:
+            block = block.setdefault(key, {})
+        block[keys[-1]] = [
+            {**({"idx": idx} if isinstance(idx, list) else idx), "expr": expr}
+            for idx, expr in ((first, "x"), (second, "y"))
+        ]
+        path = ".".join(keys[:2]) + "".join(f"[{k}]" for k in keys[2:])
         with pytest.raises(ModelError) as err:
             load_model_bytes(doc_bytes(doc))
+        assert f"{path}[1]:" in str(err.value)
         assert "contradictory" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("schema", lambda doc: doc.update(schema=True)),
+            ("algebroid.rank", lambda doc: doc["algebroid"].update(rank=True)),
+            ("multisym.n", lambda doc: doc["multisym"].update(n=True)),
+            ("algebroid.anchor[0]", lambda doc: doc["algebroid"]["anchor"][0].update(idx=[True, 1])),
+            ("multisym.eta[1][0]", lambda doc: doc["multisym"]["eta"]["1"][0].update(idx_form=[True])),
+            ("multisym.eta[1][0]", lambda doc: doc["multisym"]["eta"]["1"][0].update(idx_bundle=[True])),
+        ],
+        ids=["schema", "rank", "n", "idx", "idx_form", "idx_bundle"],
+    )
+    def test_boolean_is_not_an_integer(self, path, edit):
+        # JSON true is the Python integer 1, which must not load as 1
+        doc = tower_doc()
+        doc["multisym"]["eta"] = {"1": [{"idx_form": [1], "idx_bundle": [1], "expr": "x"}]}
+        load_model_bytes(doc_bytes(doc))
+        edit(doc)
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert str(err.value).startswith(f"{path}:")
 
     def test_antisymmetric_diagonal_rejected(self):
         doc = minimal_doc()
