@@ -3,10 +3,13 @@
 
 Usage: python scripts/report_digest.py
 
-The set is the built-in examples in ``fixture_names()`` order, then the
-generated so(3) models for seeds 1-3 and the so(4) model for seed 1
-(``perfbench/models.py``).  Every model runs all applicable suites at
-(seed 42, 32 points) and then at (seed 7, 17 points).  One digest is
+The set is the built-in examples in ``fixture_names()`` order, then a
+copy of ``translation_nonequivariant`` with a polynomial ``connection``
+block (no built-in example has one, so this model is what carries the
+connection terms Gamma into the digest), then the generated so(3) models
+for seeds 1-3 and the so(4) model for seed 1 (``perfbench/models.py``).
+Every model runs all applicable suites at (seed 42, 32 points) and then
+at (seed 7, 17 points).  One digest is
 updated with the JSON and then the text rendering of each report, in that
 order, and printed first; one digest per document follows.  Two versions
 of the code produce the same reports exactly when the first lines agree.
@@ -17,6 +20,7 @@ report bytes updates that file on purpose.
 """
 
 import hashlib
+import json
 import pathlib
 import sys
 
@@ -30,10 +34,20 @@ from perfbench.models import son_model_bytes  # noqa: E402
 
 RUNS = ((42, 32), (7, 17))
 
+# Gamma^a_{b i} entries as [a, b, i]
+CONNECTION = [
+    {"idx": [1, 2, 1], "expr": "x*y"},
+    {"idx": [2, 1, 2], "expr": "x^2 - y"},
+    {"idx": [1, 1, 2], "expr": "y"},
+]
+
 
 def models():
     for name in fixture_names():
         yield name, fixture_bytes(name)
+    doc = json.loads(fixture_bytes("translation_nonequivariant"))
+    doc["algebroid"]["connection"] = CONNECTION
+    yield "translation-connection", (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     for seed in (1, 2, 3):
         yield f"so3-s{seed}", son_model_bytes(3, seed)
     yield "so4-s1", son_model_bytes(4, 1)

@@ -2,11 +2,12 @@
 
 Holds the anchor components rho^i_a and structure functions C^c_ab (kept
 antisymmetric in the lower pair by storing each C^c as a bundle 2-form),
-the Leibniz bracket on sections, the axiom residuals, and the
-differential on bundle forms.
+sections, the axiom residuals, and the differential on bundle forms.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .fields import (
     Chart,
@@ -15,7 +16,7 @@ from .fields import (
     VectorField,
     const_field,
     field_sum_d,
-    increasing_tuples,
+    index_label,
     lie_bracket,
 )
 
@@ -55,17 +56,6 @@ class AlgebroidData:
     def anchor_vector(self, a: int) -> VectorField:
         return VectorField(self.chart, list(self.anchor[a]))
 
-    def anchor_of(self, section: "Section") -> VectorField:
-        comps = []
-        for i in range(self.dim):
-            comps.append(
-                field_sum_d(
-                    [section.comps[a] * self.anchor[a][i] for a in range(self.rank)],
-                    self.dim,
-                )
-            )
-        return VectorField(self.chart, comps)
-
     def apply_anchor(self, a: int, f: ScalarField) -> ScalarField:
         """rho(e_a) f = rho^i_a d_i f."""
         if f.is_zero:
@@ -95,29 +85,6 @@ class Section:
         )
 
 
-def bracket(e1: Section, e2: Section) -> Section:
-    """Leibniz extension of [e_a, e_b] = C^c_ab e_c to weighted sections."""
-    alg = e1.algebroid
-    if e2.algebroid is not alg:
-        raise ValueError("sections live over different models")
-    r, d = alg.rank, alg.dim
-    out = []
-    for c in range(r):
-        terms = []
-        for a in range(r):
-            for b in range(r):
-                terms.append(e1.comps[a] * e2.comps[b] * alg.structure(c, a, b))
-        # rho(e1) g^c  and  - rho(e2) f^c
-        for a in range(r):
-            for i in range(d):
-                terms.append(e1.comps[a] * alg.anchor[a][i] * e2.comps[c].partial(i))
-        for b in range(r):
-            for i in range(d):
-                terms.append(-(e2.comps[b] * alg.anchor[b][i] * e1.comps[c].partial(i)))
-        out.append(field_sum_d(terms, d))
-    return Section(alg, out)
-
-
 def anchor_morphism_fields(alg: AlgebroidData):
     """[(label, field)] for [rho_a, rho_b]^i - C^c_ab rho^i_c over a<b, i."""
     out = []
@@ -128,7 +95,7 @@ def anchor_morphism_fields(alg: AlgebroidData):
                 terms = [lb.comps[i]]
                 for c in range(alg.rank):
                     terms.append(-(alg.structure(c, a, b) * alg.anchor[c][i]))
-                out.append((f"a{a + 1} b{b + 1} i{i + 1}", field_sum_d(terms, alg.dim)))
+                out.append((index_label(a=a, b=b, i=i), field_sum_d(terms, alg.dim)))
     return out
 
 
@@ -142,7 +109,7 @@ def jacobi_sigma_fields(alg: AlgebroidData):
     r, d = alg.rank, alg.dim
     sigma = []
     contracted = []
-    for abc in increasing_tuples(r, 3):
+    for abc in combinations(range(r), 3):
         for dd in range(r):
             terms = []
             for a, b, c in ((abc[0], abc[1], abc[2]), (abc[1], abc[2], abc[0]), (abc[2], abc[0], abc[1])):
@@ -150,17 +117,18 @@ def jacobi_sigma_fields(alg: AlgebroidData):
                     terms.append(alg.structure(e, a, b) * alg.structure(dd, c, e))
                 terms.append(alg.apply_anchor(a, alg.structure(dd, b, c)))
             f = field_sum_d(terms, d)
-            label = f"d{dd + 1} abc{abc[0] + 1}{abc[1] + 1}{abc[2] + 1}"
-            sigma.append((label, f))
+            sigma.append((index_label(d=dd, a=abc), f))
             for i in range(alg.dim):
                 if alg.anchor[dd][i].is_zero or f.is_zero:
                     continue
-                contracted.append((label + f" i{i + 1}", f * alg.anchor[dd][i]))
+                contracted.append((index_label(d=dd, a=abc, i=i), f * alg.anchor[dd][i]))
     return sigma, contracted
 
 
 class EForm(Components):
     """Degree-m element of the exterior algebra on the dual bundle."""
+
+    letter = "e"
 
     def __init__(self, alg: AlgebroidData, degree: int, comps=None):
         if degree < 0:
@@ -189,7 +157,7 @@ def e_differential(alpha: EForm) -> EForm:
         # every bundle form above the top exterior degree is zero
         return EForm(alg, m + 1)
     comps = {}
-    for idx in increasing_tuples(alg.rank, m + 1):
+    for idx in combinations(range(alg.rank), m + 1):
         terms = []
         for pos, a in enumerate(idx):
             t = alg.apply_anchor(a, alpha.comp(idx[:pos] + idx[pos + 1 :]))
@@ -218,15 +186,9 @@ def q_squared_fields(alg: AlgebroidData):
         for i in range(d):
             # d_E of the i-th coordinate is the bundle 1-form a |-> rho^i_a
             one = EForm(alg, 1, {(a,): alg.anchor[a][i] for a in range(alg.rank)})
-            two = e_differential(one)
-            for idx, f in two.comps.items():
-                label = "x%d e%s" % (i + 1, "".join(str(q + 1) for q in idx))
-                out.append((label, f))
+            out += e_differential(one).rows(index_label(x=i))
     if alg.rank >= 3:
         for c in range(alg.rank):
             basis = EForm(alg, 1, {(c,): const_field(1.0, d)})
-            dd = e_differential(e_differential(basis))
-            for idx, f in dd.comps.items():
-                label = "e^%d e%s" % (c + 1, "".join(str(q + 1) for q in idx))
-                out.append((label, f))
+            out += e_differential(e_differential(basis)).rows(index_label(c=c))
     return out

@@ -80,21 +80,16 @@ def cmd_check(args) -> int:
         print(f"error: invalid model: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg = RunConfig(
-        tolerance=args.tol if args.tol is not None else model.tolerance,
-        points=args.points if args.points is not None else model.sampling.points,
-        seed=args.seed if args.seed is not None else model.sampling.seed,
-        require_h1=args.require_h1,
-    )
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         print("error: --tol must be finite and positive", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.points < 1:
+    if args.points is not None and args.points < 1:
         print("error: --points must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.seed < 0:
+    if args.seed is not None and args.seed < 0:
         print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_USAGE
+    cfg = RunConfig(tolerance=args.tol, points=args.points, seed=args.seed, require_h1=args.require_h1)
     try:
         report: CheckReport = run(model, args.suite, cfg)
     except SuiteError as exc:

@@ -17,11 +17,10 @@ from .fields import (
     FormField,
     MetricField,
     ScalarField,
-    VectorField,
     const_field,
     exterior_derivative,
     field_sum_d,
-    lie_bracket,
+    index_label,
     lie_derivative_metric,
     wedge,
 )
@@ -99,23 +98,6 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
     return out
 
 
-def e_connection_vector(conn: ConnectionData, e: Section, v: VectorField) -> VectorField:
-    """nabla_e v = L_{rho(e)} v + rho(D_v e)."""
-    alg = conn.alg
-    d = alg.dim
-    flow = lie_bracket(alg.anchor_of(e), v)
-    # (D_v e)^a = v^k (D e)^a_k
-    De = covariant_derivative_section(conn, e)
-    out = []
-    for i in range(d):
-        terms = [flow.comps[i]]
-        for a in range(alg.rank):
-            for k in range(d):
-                terms.append(alg.anchor[a][i] * (v.comps[k] * De[a][k]))
-        out.append(field_sum_d(terms, d))
-    return VectorField(alg.chart, out)
-
-
 def e_nabla_metric_fields(conn: ConnectionData, g: MetricField):
     """Residuals of the tangent-action compatibility of the metric.
 
@@ -134,7 +116,7 @@ def e_nabla_metric_fields(conn: ConnectionData, g: MetricField):
                     for k in range(d):
                         terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * g.g[k][j]))
                         terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * g.g[k][i]))
-                out.append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
+                out.append((index_label(a=a, i=(i, j)), field_sum_d(terms, d)))
     return out
 
 
@@ -164,5 +146,5 @@ def e_nabla_two_form_fields(conn: ConnectionData, B: FormField):
                     for b in range(alg.rank):
                         terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * Bkj))
                         terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * Bik))
-                out.append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
+                out.append((index_label(a=a, i=(i, j)), field_sum_d(terms, d)))
     return out

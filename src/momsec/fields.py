@@ -31,12 +31,25 @@ sometimes returning the operand itself, so a container is never modified
 once built.  Callers therefore write sparse contractions as plain sums
 of products, pass the component dict to the constructor, and test
 ``is_zero`` only to decide whether a report row exists.
+
+Every residual row is labeled here too, by :func:`index_label` and
+:meth:`Components.rows`, so one quantity carries one label in every
+module and agreement rows can be matched by label.  A label is a
+space-separated token per index: the index group's letter before the
+1-based index, as in ``"a1 b2"`` (bundle indices a, b) or ``"a1 i1 i2"``
+(a bundle index, then the two indices of a 2-form component); an empty
+index tuple adds no token.  The common letters are ``a`` and ``b`` for
+bundle indices (``b`` also for every argument tuple of the
+multisymplectic tower), ``i`` for chart and form indices, ``e`` for
+bundle-form indices and ``p`` for momentum monomials.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -380,24 +393,16 @@ def sort_signed(idx: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
     return tuple(seq), sign
 
 
-def increasing_tuples(n: int, k: int):
-    """All strictly increasing k-tuples drawn from range(n)."""
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    idx = list(range(k))
-    while True:
-        yield tuple(idx)
-        for pos in reversed(range(k)):
-            if idx[pos] != pos + n - k:
-                break
-        else:
-            return
-        idx[pos] += 1
-        for later in range(pos + 1, k):
-            idx[later] = idx[later - 1] + 1
+@lru_cache(maxsize=4096)
+def index_label(**groups) -> str:
+    """The row label of named index groups, in argument order: each 1-based
+    index after its group's letter, space-separated.  A group is one index
+    or a tuple; an empty tuple adds no token.
+    ``index_label(a=0, i=(1, 2)) == "a1 i2 i3"``.  Cached, since a model
+    makes the same labels on every run."""
+    return " ".join(
+        f"{letter}{q + 1}" for letter, idx in groups.items() for q in (idx if isinstance(idx, tuple) else (idx,))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +418,16 @@ class Components:
     components, so a container never stores a zero and ``is_zero`` means
     that it stores nothing.  A container is never modified once built, so
     an operation may return an operand as its result.  A subclass supplies
-    its zero component (``_zero``) and how to build a container of its own
-    kind from a component dict (``_like``).  Components are scalar fields,
-    or forms in a bundle-valued form: anything with ``is_zero``, ``+``,
-    ``-``, unary ``-`` and ``scaled``; ``mul_field`` also needs ``*`` by a
-    scalar field, which only scalar fields have.
+    its zero component (``_zero``), how to build a container of its own
+    kind from a component dict (``_like``) and, if its rows are reported,
+    the letter of its indices in row labels (``letter``).  Components are
+    scalar fields, or forms in a bundle-valued form: anything with
+    ``is_zero``, ``+``, ``-``, unary ``-`` and ``scaled``; ``mul_field``
+    also needs ``*`` by a scalar field, which only scalar fields have.
     """
 
     symmetric = False
+    letter: str
 
     def __init__(self, comps=None):
         self.comps = {idx: f for idx, f in comps.items() if not f.is_zero} if comps else {}
@@ -450,6 +457,13 @@ class Components:
     @property
     def is_zero(self) -> bool:
         return not self.comps
+
+    def rows(self, prefix: str = ""):
+        """(label, component) for each stored component in key order; the
+        label is ``prefix`` and then the key under the container's letter."""
+        for idx in sorted(self.comps):
+            tail = index_label(**{self.letter: idx})
+            yield (f"{prefix} {tail}" if prefix and tail else prefix or tail), self.comps[idx]
 
     def __add__(self, other):
         if other.is_zero:
@@ -487,6 +501,8 @@ class Components:
 
 class FormField(Components):
     """Degree-k form with ScalarField components on increasing index tuples."""
+
+    letter = "i"
 
     def __init__(self, chart: Chart, degree: int, comps: dict[tuple[int, ...], ScalarField] | None = None):
         if degree < 0:
@@ -526,7 +542,7 @@ def exterior_derivative(omega: FormField) -> FormField:
         # every (k+1)-form above the top degree is zero
         return FormField(chart, k + 1)
     comps = {}
-    for idx in increasing_tuples(chart.dim, k + 1):
+    for idx in combinations(range(chart.dim), k + 1):
         terms = []
         for j, ij in enumerate(idx):
             term = omega.comp(idx[:j] + idx[j + 1 :]).partial(ij)
@@ -544,22 +560,17 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     if k + l > chart.dim:
         raise ValueError("wedge degree exceeds the chart dimension")
     comps = {}
-    for idx in increasing_tuples(chart.dim, k + l):
+    for idx in combinations(range(chart.dim), k + l):
         terms = []
-        for subset in increasing_tuples(k + l, k):
+        for subset in combinations(range(k + l), k):
             left = tuple(idx[p] for p in subset)
-            right_positions = [p for p in range(k + l) if p not in subset]
+            right_positions = tuple(p for p in range(k + l) if p not in subset)
             right = tuple(idx[p] for p in right_positions)
-            sign = _shuffle_sign(subset, tuple(right_positions))
+            sign = sort_signed(subset + right_positions)[1]
             prod = alpha.comp(left) * beta.comp(right)
             terms.append(prod if sign > 0 else -prod)
         comps[idx] = field_sum_d(terms, chart.dim)
     return FormField(chart, k + l, comps)
-
-
-def _shuffle_sign(left_positions: tuple[int, ...], right_positions: tuple[int, ...]) -> int:
-    canon, sign = sort_signed(left_positions + right_positions)
-    return sign
 
 
 def interior_product(v: "VectorField", omega: FormField) -> FormField:
@@ -570,7 +581,7 @@ def interior_product(v: "VectorField", omega: FormField) -> FormField:
     if omega.is_zero:
         return FormField(chart, omega.degree - 1)
     comps = {}
-    for idx in increasing_tuples(chart.dim, omega.degree - 1):
+    for idx in combinations(range(chart.dim), omega.degree - 1):
         terms = [v.comps[i1] * omega.comp((i1,) + idx) for i1 in range(chart.dim)]
         comps[idx] = field_sum_d(terms, chart.dim)
     return FormField(chart, omega.degree - 1, comps)

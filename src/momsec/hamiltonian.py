@@ -33,6 +33,7 @@ from .fields import (
     const_field,
     exterior_derivative,
     field_sum_d,
+    index_label,
 )
 
 
@@ -41,6 +42,7 @@ class PhasePolynomial(Components):
     momentum-index tuples; ``comp`` looks up any ordering of a key."""
 
     symmetric = True
+    letter = "p"
 
     def __init__(self, dim: int, comps=None):
         self.dim = dim
@@ -59,8 +61,8 @@ class PhasePolynomial(Components):
     def degrees_present(self):
         return sorted({len(k) for k in self.comps})
 
-    def degree_part(self, k: int) -> dict[tuple[int, ...], ScalarField]:
-        return {key: f for key, f in self.comps.items() if len(key) == k}
+    def degree_part(self, k: int) -> "PhasePolynomial":
+        return PhasePolynomial(self.dim, {key: f for key, f in self.comps.items() if len(key) == k})
 
     def dp(self, i: int) -> "PhasePolynomial":
         out: dict[tuple[int, ...], list[ScalarField]] = {}
@@ -105,12 +107,6 @@ def _half_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | Non
 def poisson_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None = None) -> PhasePolynomial:
     """{F, G}, exactly antisymmetric coefficient by coefficient."""
     return _half_bracket(F, G, twist) - _half_bracket(G, F, twist)
-
-
-def monomial_label(key: tuple[int, ...]) -> str:
-    if not key:
-        return "1"
-    return "p" + "p".join(str(i + 1) for i in key)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +174,8 @@ def first_class_fields(sys: ConstraintSystem):
             res = poisson_bracket(phis[a], phis[b], sys.twist)
             for c in range(r):
                 res = res - phis[c].mul_field(sys.alg.structure(c, a, b))
-            for key, f in res.comps.items():
-                out.setdefault(len(key), []).append((f"a{a + 1} b{b + 1} {monomial_label(key)}", f))
+            for k in res.degrees_present():
+                out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a, b=b)))
     return out
 
 
@@ -201,15 +197,12 @@ def flow_fields(sys: ConstraintSystem):
         res = poisson_bracket(H, phis[a], sys.twist)
         for b in range(r):
             res = res - sys.multiplier(a, b).mul(phis[b])
-        if res.max_degree > 2:
-            for key, f in res.comps.items():
-                if len(key) > 2:
-                    out.setdefault(len(key), []).append(
-                        (f"a{a + 1} {monomial_label(key)}", f)
-                    )
+        for k in res.degrees_present():
+            if k > 2:
+                out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a)))
         # degree 2, lowered twice: S_ij = 2 g_ip W^pq g_qj
         W = [[const_field(0.0, d) for _ in range(d)] for _ in range(d)]
-        for key, f in res.degree_part(2).items():
+        for key, f in res.degree_part(2).comps.items():
             i, j = key
             if i == j:
                 W[i][i] = f
@@ -223,12 +216,12 @@ def flow_fields(sys: ConstraintSystem):
                 for p in range(d):
                     for q in range(d):
                         terms.append((g[i][p] * W[p][q] * g[q][j]).scaled(2.0))
-                out[2].append((f"a{a + 1} i{i + 1} j{j + 1}", field_sum_d(terms, d)))
+                out[2].append((index_label(a=a, i=(i, j)), field_sum_d(terms, d)))
         # degree 1, lowered once
         for j in range(d):
             terms = [g[j][k] * res.comp((k,)) for k in range(d)]
-            out[1].append((f"a{a + 1} i{j + 1}", field_sum_d(terms, d)))
-        out[0].append((f"a{a + 1} 1", res.comp(())))
+            out[1].append((index_label(a=a, i=j), field_sum_d(terms, d)))
+        out[0].append((index_label(a=a), res.comp(())))
     return out
 
 
@@ -279,3 +272,8 @@ def absorb_beta(sys: ConstraintSystem) -> AbsorbedSystem:
         twist=B,
     )
     return AbsorbedSystem(twisted, A, B, alpha_prime, V_prime, tau_prime)
+
+
+def tau_prime_fields(absorbed: AbsorbedSystem):
+    """tau'_a^b per ordered pair (a, b); the theorem assumes it vanishes."""
+    return [(index_label(a=a, b=b), f) for a, row in enumerate(absorbed.tau_prime) for b, f in enumerate(row)]

@@ -30,6 +30,7 @@ from .fields import (
     ScalarField,
     exterior_derivative,
     field_sum_d,
+    index_label,
     interior_product,
     lie_derivative,
 )
@@ -61,8 +62,7 @@ def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu,
 def closedness_fields(B: FormField):
     if B.degree >= B.chart.dim:
         return []
-    dB = exterior_derivative(B)
-    return [("i" + "".join(str(q + 1) for q in idx), f) for idx, f in dB.comps.items()]
+    return list(exterior_derivative(B).rows())
 
 
 def h1_fields(data: MomentumData, gamma=None):
@@ -72,8 +72,7 @@ def h1_fields(data: MomentumData, gamma=None):
     dgamma = dual_covariant_derivative(data.conn, gamma)
     out = []
     for a, form in enumerate(dgamma):
-        for idx, f in form.comps.items():
-            out.append((f"a{a + 1} i{idx[0] + 1} j{idx[1] + 1}", f))
+        out += form.rows(index_label(a=a))
     return out
 
 
@@ -88,7 +87,7 @@ def h2_fields(data: MomentumData, gamma=None):
     for a in range(alg.rank):
         for i in range(d):
             f = dmu[a].comp((i,)) - gamma[a].comp((i,))
-            out.append((f"a{a + 1} i{i + 1}", f))
+            out.append((index_label(a=a, i=i), f))
     return out
 
 
@@ -103,7 +102,7 @@ def h3_fields(data: MomentumData, h3_sign: float = 1.0):
             for c in range(alg.rank):
                 terms.append(-(alg.structure(c, a, b) * data.mu[c]))
             terms.append(pairing_B(alg, data.B, a, b).scaled(h3_sign))
-            out.append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
+            out.append((index_label(a=a, b=b), field_sum_d(terms, d)))
     return out
 
 
@@ -166,13 +165,11 @@ def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, 
     d = alg.dim
     out = {"symplectic": [], "hamiltonian": [], "equivariance": []}
     for a in range(alg.rank):
-        lie = lie_derivative(alg.anchor_vector(a), B)
-        for idx, f in lie.comps.items():
-            out["symplectic"].append((f"a{a + 1} i{idx[0] + 1} j{idx[1] + 1}", f))
+        out["symplectic"] += lie_derivative(alg.anchor_vector(a), B).rows(index_label(a=a))
         pull = interior_product(alg.anchor_vector(a), B)
         for i in range(d):
             f = mu[a].partial(i) - pull.comp((i,))
-            out["hamiltonian"].append((f"a{a + 1} i{i + 1}", f))
+            out["hamiltonian"].append((index_label(a=a, i=i), f))
     for a in range(alg.rank):
         for b in range(alg.rank):
             if a == b:
@@ -180,5 +177,5 @@ def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, 
             terms = [alg.apply_anchor(a, mu[b])]
             for c in range(alg.rank):
                 terms.append(-(alg.structure(c, a, b) * mu[c]))
-            out["equivariance"].append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
+            out["equivariance"].append((index_label(a=a, b=b), field_sum_d(terms, d)))
     return out

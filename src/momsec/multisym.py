@@ -42,6 +42,7 @@ the momentum-section conditions with mu = eta^(0), B = h~.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .algebroid import AlgebroidData
 from .connections import ConnectionData, dual_covariant_derivative
@@ -51,7 +52,7 @@ from .fields import (
     ScalarField,
     exterior_derivative,
     field_sum_d,
-    increasing_tuples,
+    index_label,
     interior_product,
     lie_derivative,
     wedge,
@@ -120,7 +121,7 @@ def hm1_fields(data: PrenPlecticData, ht: FormField | None = None):
     gamma = gamma_forms(data, ht)
     out = []
     for a, form in enumerate(dual_covariant_derivative(data.conn, gamma)):
-        out += _form_rows(f"a{a + 1}", form)
+        out += form.rows(index_label(a=a))
     return out
 
 
@@ -131,18 +132,8 @@ def hm2_fields(data: PrenPlecticData, ht: FormField | None = None):
     deriv = dual_covariant_derivative(data.conn, eta_top_minus)
     out = []
     for a in range(data.alg.rank):
-        out += _form_rows(f"a{a + 1}", deriv[a] - interior_product(data.alg.anchor_vector(a), ht))
+        out += (deriv[a] - interior_product(data.alg.anchor_vector(a), ht)).rows(index_label(a=a))
     return out
-
-
-def _form_label(idx) -> str:
-    return "i" + "i".join(str(q + 1) for q in idx) if idx else "scalar"
-
-
-def _form_rows(label: str, form: FormField):
-    """One (label and component label, field) row per stored component of
-    ``form``, in increasing index order; a form stores no zero component."""
-    return [(f"{label} {_form_label(idx)}", f) for idx, f in sorted(form.comps.items())]
 
 
 def _cyclic_sign(shift: int, length: int) -> int:
@@ -158,7 +149,7 @@ def descent_pairing_fields(data: PrenPlecticData, k: int):
     lower = data.eta_k(k - 1)
     upper = data.eta_k(k)
     out = []
-    for btuple in increasing_tuples(alg.rank, m):
+    for btuple in combinations(range(alg.rank), m):
         lhs = lower.comp(btuple)
         rhs = FormField(alg.chart, k - 1)
         for shift in range(m):
@@ -166,7 +157,7 @@ def descent_pairing_fields(data: PrenPlecticData, k: int):
             term = interior_product(alg.anchor_vector(rotated[0]), upper.comp(rotated[1:]))
             rhs = rhs + (term if _cyclic_sign(shift, m) > 0 else term.scaled(-1.0))
         rhs = rhs.scaled(-1.0 if k % 2 == 1 else 1.0)
-        out += _form_rows("e" + "".join(str(q + 1) for q in btuple), lhs - rhs)
+        out += (lhs - rhs).rows(index_label(b=btuple))
     return out
 
 
@@ -176,14 +167,13 @@ def descent_symmetry_fields(data: PrenPlecticData, k: int):
     mslots = data.n - k
     upper = data.eta_k(k)
     out = []
-    for btuple in increasing_tuples(alg.rank, mslots):
+    for btuple in combinations(range(alg.rank), mslots):
         for s in range(alg.rank):
             for m in range(mslots):
                 swapped = btuple[:m] + (s,) + btuple[m + 1 :]
                 first = interior_product(alg.anchor_vector(s), upper.comp(btuple))
                 second = interior_product(alg.anchor_vector(btuple[m]), upper.comp(swapped))
-                label = f"s{s + 1} m{m + 1} e" + "".join(str(q + 1) for q in btuple)
-                out += _form_rows(label, first + second)
+                out += (first + second).rows(index_label(s=s, m=m, b=btuple))
     return out
 
 
@@ -226,7 +216,7 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
     term_fields = {"lie": [], "bracket": [], "ambiguous": [], "wedge": [], "pairing": []}
     for a in range(alg.rank):
         rho_a = alg.anchor_vector(a)
-        for btuple in increasing_tuples(alg.rank, m):
+        for btuple in combinations(range(alg.rank), m):
             base = eta_k.comp(btuple)
             if k == 0:
                 t_lie = FormField(chart, 0, {(): alg.apply_anchor(a, base.comp(()))})
@@ -260,8 +250,8 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
                 if collapse != 0:
                     t_ambiguous = base.mul_field(_gamma_trace_pairing(data, a)).scaled(float(collapse))
             total = t_lie + t_bracket + t_ambiguous + t_wedge + t_pairing
-            label = f"a{a + 1} e" + "".join(str(q + 1) for q in btuple)
-            residuals += _form_rows(label, total)
+            label = index_label(a=a, b=btuple)
+            residuals += total.rows(label)
             for key, form in (
                 ("lie", t_lie),
                 ("bracket", t_bracket),
@@ -269,7 +259,7 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
                 ("wedge", t_wedge),
                 ("pairing", t_pairing),
             ):
-                term_fields[key] += _form_rows(label, form)
+                term_fields[key] += form.rows(label)
     return residuals, term_fields
 
 
@@ -311,7 +301,7 @@ def hm3_rewrite_fields(data: PrenPlecticData):
             for c in range(alg.rank):
                 dlower = dlower - wedge(conn.one_form(c, a), eta2.comp((c, b)))
                 dlower = dlower - wedge(conn.one_form(c, b), eta2.comp((a, c)))
-            out += _form_rows(f"a{a + 1} b{b + 1}", ed - dlower)
+            out += (ed - dlower).rows(index_label(a=a, b=b))
     return out
 
 
@@ -335,18 +325,18 @@ def specialized_fields(data: PrenPlecticData):
     eta_top_minus = data.eta_k(data.n - 1)
     for a in range(alg.rank):
         res = exterior_derivative(eta_top_minus.comp((a,))) - interior_product(alg.anchor_vector(a), ht)
-        rows += _form_rows(f"a{a + 1}", res)
+        rows += res.rows(index_label(a=a))
     out["hm2"] = rows
     rows = []
     for a in range(alg.rank):
-        rows += _form_rows(f"a{a + 1}", exterior_derivative(interior_product(alg.anchor_vector(a), ht)))
+        rows += exterior_derivative(interior_product(alg.anchor_vector(a), ht)).rows(index_label(a=a))
     out["hm1"] = rows
     for k in range(data.n - 1, -1, -1):
         m = data.n - k
         eta_k = data.eta_k(k)
         rows = []
         for a in range(alg.rank):
-            for btuple in increasing_tuples(alg.rank, m):
+            for btuple in combinations(range(alg.rank), m):
                 if k == 0:
                     acc = FormField(chart, 0, {(): alg.apply_anchor(a, eta_k.comp(btuple).comp(()))})
                 else:
@@ -360,6 +350,6 @@ def specialized_fields(data: PrenPlecticData):
                 if k >= 1:
                     lower = data.eta_k(k - 1)
                     acc = acc - exterior_derivative(lower.comp((a,) + btuple))
-                rows += _form_rows(f"a{a + 1} e" + "".join(str(q + 1) for q in btuple), acc)
+                rows += acc.rows(index_label(a=a, b=btuple))
         out[f"hm3[{k}]"] = rows
     return out

@@ -1,8 +1,11 @@
 """Check results, report assembly and rendering.
 
 Reports are deterministic for a fixed (model bytes, seed, point count):
-check rows appear in registry order, floats are rendered with Python's
-shortest round-trip repr, and JSON keys are sorted.
+check rows appear in the fixed order the suites make them, which is not
+always registry order (mechanics makes theorem-h1..h3 before
+flow-deg1-vs-h2 and firstclass-deg0-vs-h3, and multisym makes the
+descent rows k by k), floats are rendered with Python's shortest
+round-trip repr, and JSON keys are sorted.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from .fields import (
     MetricField,
     exterior_derivative,
     field_sum_d,
+    index_label,
     interior_product,
     lie_derivative,
     lie_derivative_metric,
@@ -40,7 +41,7 @@ def rigid_killing_fields(alg: AlgebroidData, g: MetricField):
         lie = lie_derivative_metric(alg.anchor_vector(a), g)
         for i in range(alg.dim):
             for j in range(i, alg.dim):
-                out.append((f"a{a + 1} i{i + 1} j{j + 1}", lie[i][j]))
+                out.append((index_label(a=a, i=(i, j)), lie[i][j]))
     return out
 
 
@@ -58,10 +59,17 @@ def rigid_b_fields(alg: AlgebroidData, b: FormField, beta_rigid=None):
             candidate = beta_rigid[a]
         else:
             candidate = interior_product(alg.anchor_vector(a), b)
-        res = lie - exterior_derivative(candidate)
-        for idx, f in res.comps.items():
-            out.append((f"a{a + 1} i{idx[0] + 1} j{idx[1] + 1}", f))
+        out += (lie - exterior_derivative(candidate)).rows(index_label(a=a))
     return out, beta_rigid is None
+
+
+def rigid_b_closure_fields(alg: AlgebroidData, b: FormField):
+    """d(L_{rho_a} b) per basis index: what is left of rigid invariance to
+    check when b is not closed and no exactness candidate is supplied."""
+    out = []
+    for a in range(alg.rank):
+        out += exterior_derivative(lie_derivative(alg.anchor_vector(a), b)).rows(index_label(a=a))
+    return out
 
 
 def boundary_pairing_fields(alg: AlgebroidData, eta: FormField, mu):
@@ -70,7 +78,7 @@ def boundary_pairing_fields(alg: AlgebroidData, eta: FormField, mu):
     out = []
     for a in range(alg.rank):
         terms = [mu[a]] + [eta.comp((i,)) * alg.anchor[a][i] for i in range(d)]
-        out.append((f"a{a + 1}", field_sum_d(terms, d)))
+        out.append((index_label(a=a), field_sum_d(terms, d)))
     return out
 
 
@@ -88,7 +96,7 @@ def boundary_eta_fields(alg: AlgebroidData, conn: ConnectionData, b: FormField, 
                 terms.append(eta.comp((j,)) * rho[j].partial(i))
             for bb in range(alg.rank):
                 terms.append(conn.gamma[bb][a][i] * mu[bb])
-            out.append((f"a{a + 1} i{i + 1}", field_sum_d(terms, d)))
+            out.append((index_label(a=a, i=i), field_sum_d(terms, d)))
     return out
 
 
@@ -103,7 +111,26 @@ def boundary_mu_fields(alg: AlgebroidData, conn: ConnectionData, mu):
                 terms.append(-(alg.structure(c, a, b) * mu[c]))
                 for i in range(d):
                     terms.append(-(alg.anchor[b][i] * conn.gamma[c][a][i] * mu[c]))
-            out.append((f"a{a + 1} b{b + 1}", field_sum_d(terms, d)))
+            out.append((index_label(a=a, b=b), field_sum_d(terms, d)))
+    return out
+
+
+def theorem_consistency_fields(alg: AlgebroidData, conn: ConnectionData, b: FormField, eta: FormField, mu, h3_rows):
+    """H3_ab - P3_ab - rho^i_b P2_{a,i} for a < b, with (P2) and (P3) at
+    ``mu`` and rows matched by label; identically zero when ``h3_rows``
+    are the H3 rows of the induced inputs (pairing sign +1) and ``mu`` the
+    induced section."""
+    h3 = dict(h3_rows)
+    p2 = dict(boundary_eta_fields(alg, conn, b, eta, mu))
+    p3 = dict(boundary_mu_fields(alg, conn, mu))
+    d = alg.dim
+    out = []
+    for a in range(alg.rank):
+        for bb in range(a + 1, alg.rank):
+            label = index_label(a=a, b=bb)
+            terms = [h3[label], -p3[label]]
+            terms += [-(alg.anchor[bb][i] * p2[index_label(a=a, i=i)]) for i in range(d)]
+            out.append((label, field_sum_d(terms, d)))
     return out
 
 

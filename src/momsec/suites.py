@@ -12,7 +12,8 @@ reported but not required unless ``require_h1`` is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import momentum as mom
 from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
-from .fields import exterior_derivative, field_sum_d, lie_derivative, max_abs_fields
+from .fields import exterior_derivative, max_abs_fields
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult, _result
 
@@ -36,9 +37,11 @@ class SuiteError(ValueError):
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-8
-    points: int = 32
-    seed: int = 42
+    """Settings of one run; ``None`` takes the model file's value."""
+
+    tolerance: float | None = None
+    points: int | None = None
+    seed: int | None = None
     require_h1: bool = False
     h3_sign: float = 1.0
 
@@ -66,7 +69,21 @@ def resolve_suites(model: Model, selection: str) -> list[str]:
 
 
 def run(model: Model, selection: str = "all", config: RunConfig | None = None) -> CheckReport:
-    cfg = config or RunConfig(tolerance=model.tolerance, points=model.sampling.points, seed=model.sampling.seed)
+    """Run the selected suites; raises ValueError for a tolerance that is
+    not finite and positive, fewer than one point or a negative seed."""
+    cfg = config or RunConfig()
+    cfg = replace(
+        cfg,
+        tolerance=model.tolerance if cfg.tolerance is None else cfg.tolerance,
+        points=model.sampling.points if cfg.points is None else cfg.points,
+        seed=model.sampling.seed if cfg.seed is None else cfg.seed,
+    )
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {cfg.tolerance!r}")
+    if cfg.points < 1:
+        raise ValueError(f"points must be at least 1, got {cfg.points}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     ctx = CheckContext(model, cfg, resolve_suites(model, selection))
     # overflow and invalid operations yield inf/NaN residuals, which fail
     # their rows; numpy's warnings about them would only repeat that
@@ -274,9 +291,11 @@ def run_mechanics(ctx: CheckContext):
     ctx.check(
         "mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", mom.closedness_fields(absorbed.B), max(tol, 1e-12)
     )
-    tau_rows = [(f"a{a + 1} b{b + 1}", absorbed.tau_prime[a][b]) for a in range(r) for b in range(r)]
     tau_zero = ctx.check(
-        "mechanics/tau-prime", "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)", tau_rows, informational=True
+        "mechanics/tau-prime",
+        "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)",
+        ham.tau_prime_fields(absorbed),
+        informational=True,
     ).passed
 
     fc2 = _by_degree(ham.first_class_fields(absorbed.system))
@@ -357,14 +376,10 @@ def run_sigma2d(ctx: CheckContext):
 
     ctx.check("sigma2d/rigid-killing-metric", "L_{rho_a} g = 0", s2d.rigid_killing_fields(alg, g))
     if model.beta_rigid is None and ctx.max(mom.closedness_fields(b)) >= tol and not b.is_zero:
-        closure_rows = []
-        for a in range(alg.rank):
-            dlb = exterior_derivative(lie_derivative(alg.anchor_vector(a), b))
-            closure_rows.extend((f"a{a + 1}", f) for f in dlb.comps.values())
         ctx.check(
             "sigma2d/rigid-b-invariance",
             "d(L_{rho_a} b) = 0 (no exactness candidate supplied, b not closed)",
-            closure_rows,
+            s2d.rigid_b_closure_fields(alg, b),
             flags=("b not closed and no beta_rigid: only closedness of L_rho b checked",),
         )
     else:
@@ -408,23 +423,10 @@ def run_sigma2d(ctx: CheckContext):
     )
     # Unconditional identity: H3_ab = P3_ab + rho^i_b P2_{a,i} with the
     # induced mu; the file mu enters P2/P3, so compare on induced inputs.
-    # Rows are matched by label: "a{a} b{b}" for H3 and P3, "a{a} i{i}" for P2.
-    p2_star = dict(s2d.boundary_eta_fields(alg, conn, b, eta, mu_star))
-    p3_star = dict(s2d.boundary_mu_fields(alg, conn, mu_star))
-    h3_star = dict(h3_rows)
-    d = alg.dim
-    combo_rows = []
-    for a in range(alg.rank):
-        for bb in range(a + 1, alg.rank):
-            label = f"a{a + 1} b{bb + 1}"
-            terms = [h3_star[label], -p3_star[label]]
-            for i in range(d):
-                terms.append(-(alg.anchor[bb][i] * p2_star[f"a{a + 1} i{i + 1}"]))
-            combo_rows.append((label, field_sum_d(terms, d)))
     ctx.check(
         "sigma2d/theorem-consistency",
         "H3_ab - P3_ab - rho^i_b P2_ai = 0 identically (induced mu)",
-        combo_rows,
+        s2d.theorem_consistency_fields(alg, conn, b, eta, mu_star, h3_rows),
         1e-9,
     )
     th_h1 = ctx.check("sigma2d/theorem-h1", "D gamma = 0 for B = b + d eta", h1_rows, anchoring=True)

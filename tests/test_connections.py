@@ -7,7 +7,6 @@ from momsec.connections import (
     ConnectionData,
     covariant_derivative_section,
     dual_covariant_derivative,
-    e_connection_vector,
     e_nabla_metric_fields,
     e_nabla_two_form_fields,
 )
@@ -16,11 +15,9 @@ from momsec.fields import (
     ExprField,
     FormField,
     MetricField,
-    VectorField,
     const_field,
     exterior_derivative,
     field_sum_d,
-    lie_bracket,
     max_abs_fields,
     wedge,
 )
@@ -123,28 +120,6 @@ class TestCovariantDerivative:
             assert max_abs_fields(delta.comps.values(), ch.sample(8, 7)) == 0.0
 
 
-class TestEConnection:
-    def test_everything_zero(self):
-        ch = chart2()
-        zero = const_field(0.0, 2)
-        alg = AlgebroidData(ch, 1, [[zero, zero]], {})
-        conn = ConnectionData.flat(alg)
-        v = VectorField(ch, [f("x*y", ch), f("y", ch)])
-        out = e_connection_vector(conn, Section.basis(alg, 0), v)
-        assert all(c.is_zero for c in out.comps)
-
-    def test_flat_basis_case_is_lie_bracket(self):
-        alg = rank2_model()
-        ch = alg.chart
-        conn = ConnectionData.flat(alg)
-        rng = np.random.default_rng(8)
-        v = VectorField(ch, [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)])
-        out = e_connection_vector(conn, Section.basis(alg, 0), v)
-        ref = lie_bracket(alg.anchor_vector(0), v)
-        residuals = [out.comps[i] - ref.comps[i] for i in range(2)]
-        assert max_abs_fields(residuals, ch.sample(10, 9)) < 1e-12
-
-
 class TestENablaMetric:
     def test_rotation_killing(self):
         ch = chart2()
@@ -172,7 +147,7 @@ class TestENablaMetric:
         rows = e_nabla_metric_fields(conn, g)
         p = np.array([0.8, -0.2])
         vals = {label: fld.value(p) for label, fld in rows}
-        assert vals["a1 i2 j2"] == pytest.approx(2 * 0.8, abs=1e-14)
+        assert vals["a1 i2 i2"] == pytest.approx(2 * 0.8, abs=1e-14)
 
 
 class TestENablaTwoForm:
@@ -210,7 +185,7 @@ class TestENablaTwoForm:
         by_label = {label: fld for label, fld in rows}
         worst = 0.0
         for label, fld in h1rows:
-            # h1 labels are "a{,} i{,} j{,}"; the two-form rows use the same scheme
+            # h1 labels are "a{,} i{,} i{,}"; the two-form rows use the same scheme
             other = by_label[label]
             for p in pts:
                 worst = max(worst, abs(fld.value(p) - other.value(p)))

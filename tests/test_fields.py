@@ -34,9 +34,7 @@ from momsec.multisym import BundleValuedForm
 
 def random_form(chart: Chart, degree: int, rng) -> FormField:
     comps = {}
-    from momsec.fields import increasing_tuples
-
-    for idx in increasing_tuples(chart.dim, degree):
+    for idx in itertools.combinations(range(chart.dim), degree):
         comps[idx] = ExprField.parse(random_poly_source(rng, chart.coordinates, max_degree=3), chart)
     return FormField(chart, degree, comps)
 

@@ -148,7 +148,7 @@ class TestHM1:
         for a in range(3):
             ref = exterior_derivative(interior_product(alg.anchor_vector(a), ht))
             for idx, fld in ref.comps.items():
-                label = f"a{a + 1} i" + "i".join(str(q + 1) for q in idx)
+                label = " ".join([f"a{a + 1}"] + [f"i{q + 1}" for q in idx])
                 got = by_label.get(label)
                 for p in pts:
                     gv = got.value(p) if got is not None else 0.0
@@ -272,9 +272,9 @@ class TestHM3:
             worst = 0.0
             for p in pts:
                 for i in range(3):
-                    suffix = f"i{i + 1}"
-                    l12 = lit.get(f"a1 e2 {suffix}")
-                    r12 = rew.get(f"a1 b2 {suffix}")
+                    label = f"a1 b2 i{i + 1}"
+                    l12 = lit.get(label)
+                    r12 = rew.get(label)
                     lv = l12.value(p) if l12 is not None else 0.0
                     rv = r12.value(p) if r12 is not None else 0.0
                     corr = (

@@ -74,7 +74,7 @@ class TestRigidInvariance:
         rows = rigid_killing_fields(alg, g)
         p = np.array([0.7, 0.1])
         by_label = {label: fld.value(p) for label, fld in rows}
-        assert by_label["a1 i2 j2"] == pytest.approx(2 * 0.7, abs=1e-14)
+        assert by_label["a1 i2 i2"] == pytest.approx(2 * 0.7, abs=1e-14)
 
     def test_supplied_exactness_candidate(self):
         # L_rho b = d beta_a with an explicit candidate

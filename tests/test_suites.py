@@ -1,10 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
-from momsec.fixtures import FIXTURE_SUITES
+from momsec.fixtures import FIXTURE_SUITES, fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
-from momsec.suites import RunConfig, applicable_suites, run
+from momsec.suites import CheckContext, RunConfig, applicable_suites, run
 
 # (fixture, suite) -> expected overall pass
 EXPECTED = {
@@ -106,6 +107,89 @@ class TestConfigBehavior:
     def test_point_count_respected(self, fixture_models):
         rep = run(fixture_models["so3_action_algebroid"], "axioms", RunConfig(points=7, seed=3))
         assert all(c.n_points == 7 for c in rep.checks)
+
+    def test_library_run_keeps_the_model_settings(self):
+        doc = json.loads(fixture_bytes("translation_nonequivariant"))
+        doc["sampling"] = {"seed": 5, "points": 7}
+        doc["tolerances"] = {"default": 1e-6}
+        model = load_model_bytes(json.dumps(doc).encode())
+        rep = run(model, "momentum", RunConfig(require_h1=True))
+        assert (rep.seed, rep.points, rep.tolerance) == (5, 7, 1e-6)
+        assert all(c.n_points == 7 for c in rep.checks)
+        explicit = run(model, "momentum", RunConfig(tolerance=1e-6, points=7, seed=5, require_h1=True))
+        assert rep.to_json() == explicit.to_json()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tolerance", float("inf")), ("tolerance", float("nan")), ("tolerance", 0.0), ("points", 0), ("seed", -1)],
+    )
+    def test_run_refuses_settings_no_residual_can_be_judged_by(self, fixture_models, key, value):
+        # an infinite tolerance would pass the failing bracket-compatibility row
+        with pytest.raises(ValueError, match=key):
+            run(fixture_models["translation_nonequivariant"], "all", RunConfig(**{key: value}))
+
+
+# A chart of dimension 4 with a metric, a b_field that is not closed and no
+# beta_rigid: sigma2d then checks d(L_rho b), whose 3-forms have several
+# components for each basis index.
+OPEN_B_DIM4 = {
+    "schema": 1,
+    "chart": {"coordinates": ["x1", "x2", "x3", "x4"], "box": [[-1, 1]] * 4},
+    "algebroid": {"rank": 2, "anchor": [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "x3"}]},
+    "metric": [{"idx": [i, i], "expr": "1"} for i in (1, 2, 3, 4)],
+    "b_field": [{"idx": [3, 4], "expr": "x1^2*x2"}, {"idx": [2, 4], "expr": "x1*x3^2"}],
+}
+
+
+SON_MODELS = {"so3-s1": (3, 1), "so3-s2": (3, 2), "so3-s3": (3, 3), "so4-s1": (4, 1)}
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), *SON_MODELS, "open-b-dim4"])
+def test_row_labels_are_unique_and_agreement_pairs_share_them(name, monkeypatch):
+    """Every row set and term has unique labels, and in every agreement pair
+    with rows on both sides the side with fewer rows has all its labels on
+    the other side, so agreement rows can be matched by label."""
+    if name in SON_MODELS:
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
+        from perfbench.models import son_model_bytes
+
+        raw = son_model_bytes(*SON_MODELS[name])
+    elif name == "open-b-dim4":
+        raw = json.dumps(OPEN_B_DIM4).encode()
+    else:
+        raw = fixture_bytes(name)
+    problems = []
+
+    def labels(rows, where):
+        out = [label for label, _ in rows]
+        if len(set(out)) != len(out):
+            problems.append(f"{where}: repeated labels in {out}")
+        return set(out)
+
+    check, agreement = CheckContext.check, CheckContext.agreement
+
+    def recording_check(self, row, equation, rows, *args, terms=None, **kwargs):
+        rows = list(rows)
+        labels(rows, row)
+        for term, term_rows in (terms or {}).items():
+            labels(term_rows, f"{row} term {term}")
+        return check(self, row, equation, rows, *args, terms=terms, **kwargs)
+
+    def recording_agreement(self, row, equation, pairs, *args, **kwargs):
+        for x, y in pairs:
+            if x and y:
+                fewer, more = sorted((x, y), key=len)
+                missing = labels(fewer, row) - labels(more, row)
+                if missing:
+                    problems.append(f"{row}: {sorted(missing)} only on the side with fewer rows")
+        return agreement(self, row, equation, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(CheckContext, "check", recording_check)
+    monkeypatch.setattr(CheckContext, "agreement", recording_agreement)
+    rep = run(load_model_bytes(raw), "all", RunConfig(points=32, seed=42))
+    assert problems == []
+    if name == "open-b-dim4":
+        assert "only closedness" in " ".join(rep.find("sigma2d/rigid-b-invariance").flags)
 
 
 class TestEdgeBranches:
