@@ -66,25 +66,6 @@ class AlgebroidData:
         )
 
 
-class Section:
-    """A section f^a e_a with ScalarField coefficients."""
-
-    def __init__(self, algebroid: AlgebroidData, comps):
-        comps = list(comps)
-        if len(comps) != algebroid.rank:
-            raise ValueError("section needs one component per basis element")
-        self.algebroid = algebroid
-        self.comps = comps
-
-    @staticmethod
-    def basis(algebroid: AlgebroidData, a: int) -> "Section":
-        d = algebroid.dim
-        return Section(
-            algebroid,
-            [const_field(1.0 if b == a else 0.0, d) for b in range(algebroid.rank)],
-        )
-
-
 def anchor_morphism_fields(alg: AlgebroidData):
     """[(label, field)] for [rho_a, rho_b]^i - C^c_ab rho^i_c over a<b, i."""
     out = []

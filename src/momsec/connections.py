@@ -12,7 +12,7 @@ anchor flow with the connection:  nabla_e v = L_{rho(e)} v + rho(D_v e).
 
 from __future__ import annotations
 
-from .algebroid import AlgebroidData, Section
+from .algebroid import AlgebroidData
 from .fields import (
     FormField,
     MetricField,
@@ -51,22 +51,6 @@ class ConnectionData:
         """Gamma^a_b as a 1-form."""
         chart = self.alg.chart
         return FormField(chart, 1, {(i,): self.gamma[a][b][i] for i in range(chart.dim)})
-
-
-def covariant_derivative_section(conn: ConnectionData, e: Section):
-    """(D e)^a_i = d_i f^a + Gamma^a_{b i} f^b, as an [a][i] field table."""
-    alg = conn.alg
-    r, d = alg.rank, alg.dim
-    out = []
-    for a in range(r):
-        row = []
-        for i in range(d):
-            terms = [e.comps[a].partial(i)]
-            for b in range(r):
-                terms.append(conn.gamma[a][b][i] * e.comps[b])
-            row.append(field_sum_d(terms, d))
-        out.append(row)
-    return out
 
 
 def dual_covariant_derivative(conn: ConnectionData, mu):

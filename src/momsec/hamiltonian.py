@@ -54,10 +54,6 @@ class PhasePolynomial(Components):
     def _like(self, comps) -> "PhasePolynomial":
         return PhasePolynomial(self.dim, comps)
 
-    @property
-    def max_degree(self) -> int:
-        return max((len(k) for k in self.comps), default=0)
-
     def degrees_present(self):
         return sorted({len(k) for k in self.comps})
 

@@ -10,11 +10,10 @@ Conditions, per basis index:
   H2  (momentum section):           D mu = gamma
   H3  (bracket compatibility):      d_E mu (e_a, e_b) = - B(rho_a, rho_b)
 
-The sign of the pairing term in H3 is the one that makes the zeroth
-momentum order of the first-class condition, the boundary coupling
-equations of the two-dimensional model, and the constant-bracket
-equivariance reduction all reproduce H3 exactly.  ``h3_sign=-1`` selects
-the opposite literature convention.
+The pairing term in H3 has this one sign because it is the sign under
+which three other blocks reproduce H3 exactly: the zeroth momentum order
+of the first-class condition, the boundary mu-equivariance block of the
+two-dimensional model, and the constant-bracket equivariance reduction.
 """
 
 from __future__ import annotations
@@ -49,14 +48,14 @@ def gamma_from_B(alg: AlgebroidData, B: FormField):
     return [interior_product(alg.anchor_vector(a), B) for a in range(alg.rank)]
 
 
-def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu, h3_sign: float = 1.0):
+def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
     """Labeled H1, H2 and H3 rows for the 2-form B and the section mu.
 
     gamma = iota_rho B is built once and shared by H1 and H2.
     """
     data = MomentumData(alg, conn, B, mu)
     gamma = gamma_from_B(alg, B)
-    return h1_fields(data, gamma), h2_fields(data, gamma), h3_fields(data, h3_sign)
+    return h1_fields(data, gamma), h2_fields(data, gamma), h3_fields(data)
 
 
 def closedness_fields(B: FormField):
@@ -91,8 +90,8 @@ def h2_fields(data: MomentumData, gamma=None):
     return out
 
 
-def h3_fields(data: MomentumData, h3_sign: float = 1.0):
-    """rho_a(mu_b) - rho_b(mu_a) - C^c_ab mu_c + s B(rho_a, rho_b), a < b."""
+def h3_fields(data: MomentumData):
+    """rho_a(mu_b) - rho_b(mu_a) - C^c_ab mu_c + B(rho_a, rho_b), a < b."""
     alg = data.alg
     d = alg.dim
     out = []
@@ -101,7 +100,7 @@ def h3_fields(data: MomentumData, h3_sign: float = 1.0):
             terms = [alg.apply_anchor(a, data.mu[b]), -alg.apply_anchor(b, data.mu[a])]
             for c in range(alg.rank):
                 terms.append(-(alg.structure(c, a, b) * data.mu[c]))
-            terms.append(pairing_B(alg, data.B, a, b).scaled(h3_sign))
+            terms.append(pairing_B(alg, data.B, a, b))
             out.append((index_label(a=a, b=b), field_sum_d(terms, d)))
     return out
 

@@ -218,10 +218,7 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
         rho_a = alg.anchor_vector(a)
         for btuple in combinations(range(alg.rank), m):
             base = eta_k.comp(btuple)
-            if k == 0:
-                t_lie = FormField(chart, 0, {(): alg.apply_anchor(a, base.comp(()))})
-            else:
-                t_lie = lie_derivative(rho_a, base)
+            t_lie = lie_derivative(rho_a, base)
             t_bracket = FormField(chart, k)
             t_wedge = FormField(chart, k)
             t_pairing = FormField(chart, k)
@@ -318,7 +315,6 @@ def specialized_fields(data: PrenPlecticData):
     alg = data.alg
     if not data.conn.is_flat:
         raise ValueError("the specialization requires a flat connection")
-    chart = alg.chart
     ht = tilde_h(data)
     out: dict[str, list] = {}
     rows = []
@@ -337,10 +333,7 @@ def specialized_fields(data: PrenPlecticData):
         rows = []
         for a in range(alg.rank):
             for btuple in combinations(range(alg.rank), m):
-                if k == 0:
-                    acc = FormField(chart, 0, {(): alg.apply_anchor(a, eta_k.comp(btuple).comp(()))})
-                else:
-                    acc = lie_derivative(alg.anchor_vector(a), eta_k.comp(btuple))
+                acc = lie_derivative(alg.anchor_vector(a), eta_k.comp(btuple))
                 for pos in range(m):
                     sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
                     rest = btuple[:pos] + btuple[pos + 1 :]

@@ -66,21 +66,7 @@ class CheckReport:
             "suites": self.suites,
             "overall_pass": self.overall_pass,
             "verdicts": self.verdicts,
-            "checks": [
-                {
-                    "name": c.name,
-                    "equation": c.equation,
-                    "max_residual": c.max_residual,
-                    "n_points": c.n_points,
-                    "n_tuples": c.n_tuples,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "informational": c.informational,
-                    "terms": c.terms,
-                    "flags": list(c.flags),
-                }
-                for c in self.checks
-            ],
+            "checks": [vars(c) for c in self.checks],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

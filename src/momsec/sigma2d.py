@@ -118,8 +118,7 @@ def boundary_mu_fields(alg: AlgebroidData, conn: ConnectionData, mu):
 def theorem_consistency_fields(alg: AlgebroidData, conn: ConnectionData, b: FormField, eta: FormField, mu, h3_rows):
     """H3_ab - P3_ab - rho^i_b P2_{a,i} for a < b, with (P2) and (P3) at
     ``mu`` and rows matched by label; identically zero when ``h3_rows``
-    are the H3 rows of the induced inputs (pairing sign +1) and ``mu`` the
-    induced section."""
+    are the H3 rows of the induced inputs and ``mu`` the induced section."""
     h3 = dict(h3_rows)
     p2 = dict(boundary_eta_fields(alg, conn, b, eta, mu))
     p3 = dict(boundary_mu_fields(alg, conn, mu))

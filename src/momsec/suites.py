@@ -43,7 +43,6 @@ class RunConfig:
     points: int | None = None
     seed: int | None = None
     require_h1: bool = False
-    h3_sign: float = 1.0
 
 
 def applicable_suites(model: Model) -> list[str]:
@@ -205,7 +204,7 @@ def run_axioms(ctx: CheckContext):
 def run_momentum(ctx: CheckContext):
     model, tol = ctx.model, ctx.tol
     B = model.b_field + exterior_derivative(model.eta_boundary)
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu, ctx.cfg.h3_sign)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu)
     closed = ctx.check(
         "momentum/pre-symplectic-closed", "dB = 0 with B = b + d eta", mom.closedness_fields(B), informational=True
     )
@@ -313,9 +312,7 @@ def run_mechanics(ctx: CheckContext):
         terms=fl2,
     )
 
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(
-        model.alg, model.conn, absorbed.B, absorbed.alpha_prime, ctx.cfg.h3_sign
-    )
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
     th_h1 = ctx.check("mechanics/theorem-h1", "D gamma = 0 for the induced twist", h1_rows, anchoring=True)
     th_h2 = ctx.check(
         "mechanics/theorem-h2",
@@ -406,7 +403,7 @@ def run_sigma2d(ctx: CheckContext):
     )
 
     mu_star, B_star = s2d.induced_momentum_inputs(alg, b, eta)
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B_star, mu_star, ctx.cfg.h3_sign)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B_star, mu_star)
     ctx.agreement(
         "sigma2d/theorem-h2-agreement",
         "eta-compatibility block equals the momentum-section residual",
@@ -506,7 +503,7 @@ def run_multisym(ctx: CheckContext):
 
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, model.conn, ht, mu, ctx.cfg.h3_sign)
+        h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, model.conn, ht, mu)
         flags = ()
         if ctx.max(h2_rows) >= tol:
             flags = ("bracket-compatibility comparison assumes the momentum-section condition",)

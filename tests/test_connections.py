@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import chart2, f, random_poly_source
-from momsec.algebroid import AlgebroidData, Section
+from momsec.algebroid import AlgebroidData
 from momsec.connections import (
     ConnectionData,
-    covariant_derivative_section,
     dual_covariant_derivative,
     e_nabla_metric_fields,
     e_nabla_two_form_fields,
@@ -44,45 +43,27 @@ def random_connection(alg, rng) -> ConnectionData:
 
 
 class TestCovariantDerivative:
-    def test_flat_case_is_plain_derivative(self):
-        alg = rank2_model()
-        ch = alg.chart
-        conn = ConnectionData.flat(alg)
-        e = Section(alg, [f("x*y", ch), f("x^2", ch)])
-        D = covariant_derivative_section(conn, e)
-        for p in ch.sample(8, 1):
-            jet0 = e.comps[0].jet(p)
-            assert D[0][0].value(p) == pytest.approx(jet0.grad[0], abs=1e-14)
-            assert D[0][1].value(p) == pytest.approx(jet0.grad[1], abs=1e-14)
-
-    def test_basis_section_reads_connection(self):
-        alg = rank2_model()
-        rng = np.random.default_rng(2)
-        conn = random_connection(alg, rng)
-        e = Section.basis(alg, 1)
-        D = covariant_derivative_section(conn, e)
-        for p in alg.chart.sample(8, 2):
-            for a in range(2):
-                for i in range(2):
-                    assert D[a][i].value(p) == pytest.approx(conn.gamma[a][1][i].value(p), abs=1e-14)
-
     def test_duality_identity(self):
         # d<mu,e> = <D mu, e> + <mu, D e>
         alg = rank2_model()
         ch = alg.chart
         rng = np.random.default_rng(3)
         conn = random_connection(alg, rng)
-        e = Section(alg, [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)])
+        e = [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)]
         mu = [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)]
         Dmu = dual_covariant_derivative(conn, mu)
-        De = covariant_derivative_section(conn, e)
-        pairing = field_sum_d([mu[a] * e.comps[a] for a in range(2)], 2)
+
+        def De(a, i):
+            # README convention on sections: (D e)^a_i = d_i f^a + Gamma^a_{b i} f^b
+            return field_sum_d([e[a].partial(i)] + [conn.gamma[a][b][i] * e[b] for b in range(2)], 2)
+
+        pairing = field_sum_d([mu[a] * e[a] for a in range(2)], 2)
         residuals = []
         for i in range(2):
             terms = [pairing.partial(i)]
             for a in range(2):
-                terms.append(-(Dmu[a].comp((i,)) * e.comps[a]))
-                terms.append(-(mu[a] * De[a][i]))
+                terms.append(-(Dmu[a].comp((i,)) * e[a]))
+                terms.append(-(mu[a] * De(a, i)))
             residuals.append(field_sum_d(terms, 2))
         assert max_abs_fields(residuals, ch.sample(12, 4)) < 1e-10
 

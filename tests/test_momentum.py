@@ -126,14 +126,6 @@ class TestConditions:
         assert worst == pytest.approx(oracle_worst, abs=1e-10)
         assert worst == pytest.approx(1.0, abs=1e-12)
 
-    def test_h3_sign_switch(self):
-        data = translation_data()
-        pts = data.alg.chart.sample(20, 7)
-        default = max_abs_fields([g for _, g in h3_fields(data, 1.0)], pts)
-        flipped = max_abs_fields([g for _, g in h3_fields(data, -1.0)], pts)
-        assert default == pytest.approx(1.0, abs=1e-12)
-        assert flipped == pytest.approx(3.0, abs=1e-12)
-
     def test_rank1_h3_vacuous(self):
         data = rotation_data()
         assert h3_fields(data) == []

@@ -97,13 +97,6 @@ class TestConfigBehavior:
                         row["informational"] = True
                 assert strict == loose, (name, suite)
 
-    def test_h3_sign_switch_selects_convention(self, fixture_models):
-        model = fixture_models["translation_nonequivariant"]
-        default = run(model, "momentum", RunConfig())
-        flipped = run(model, "momentum", RunConfig(h3_sign=-1.0))
-        assert default.find("momentum/h3-bracket-compat").max_residual == pytest.approx(1.0)
-        assert flipped.find("momentum/h3-bracket-compat").max_residual == pytest.approx(3.0)
-
     def test_point_count_respected(self, fixture_models):
         rep = run(fixture_models["so3_action_algebroid"], "axioms", RunConfig(points=7, seed=3))
         assert all(c.n_points == 7 for c in rep.checks)
