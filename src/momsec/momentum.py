@@ -124,10 +124,8 @@ CLASS_MOMENTUM = "D-momentum section"
 CLASS_NONE = "none"
 
 
-def classify(h1_max: float, h2_max: float, h3_max: float, tol: float) -> str:
-    h1 = h1_max < tol
-    h2 = h2_max < tol
-    h3 = h3_max < tol
+def classify(h1: bool, h2: bool, h3: bool) -> str:
+    """The class named by which of H1, H2 and H3 passed."""
     if h1 and h2 and h3:
         return CLASS_HAMILTONIAN
     if h1 and h2:

@@ -57,6 +57,7 @@ from .fields import (
     lie_derivative,
     wedge,
 )
+from .momentum import gamma_from_B
 
 
 class BundleValuedForm(Components):
@@ -110,15 +111,8 @@ def tilde_h(data: PrenPlecticData) -> FormField:
     return data.h + exterior_derivative(data.eta_top())
 
 
-def gamma_forms(data: PrenPlecticData, ht: FormField | None = None):
-    """iota_{rho_a} h~ per basis index."""
-    if ht is None:
-        ht = tilde_h(data)
-    return [interior_product(data.alg.anchor_vector(a), ht) for a in range(data.alg.rank)]
-
-
 def hm1_fields(data: PrenPlecticData, ht: FormField | None = None):
-    gamma = gamma_forms(data, ht)
+    gamma = gamma_from_B(data.alg, tilde_h(data) if ht is None else ht)
     out = []
     for a, form in enumerate(dual_covariant_derivative(data.conn, gamma)):
         out += form.rows(index_label(a=a))

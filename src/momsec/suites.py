@@ -7,7 +7,10 @@ sample, the :class:`RunConfig` and the report; its methods are the only
 code that makes a report row, and each appends its row to the report as
 it is made.  The H1-H3 rows come from :func:`momentum.condition_fields`
 wherever a suite needs them.  The anchoring conditions (H1, HM1) are
-reported but not required unless ``require_h1`` is set.
+reported but not required unless ``require_h1`` is set.  A row that
+holds only under stated hypotheses names the reported rows that check
+them (``assuming``), and every verdict reads the ``passed`` of reported
+rows, so one rule decides what is required and what passes.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from .fields import exterior_derivative, max_abs_fields
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult, _result
 
-SUITE_NAMES = ("axioms", "momentum", "mechanics", "sigma2d", "multisym")
-
-
 class SuiteError(ValueError):
     """A selected suite cannot run because a model block is missing."""
 
@@ -45,14 +45,14 @@ class RunConfig:
     require_h1: bool = False
 
 
+def _missing_block(model: Model, suite: str) -> str | None:
+    """The model block ``suite`` requires, if the model lacks it."""
+    block = _SUITES[suite][1]
+    return block if block is not None and getattr(model, block) is None else None
+
+
 def applicable_suites(model: Model) -> list[str]:
-    out = ["axioms", "momentum"]
-    if model.has_metric:
-        out.append("mechanics")
-        out.append("sigma2d")
-    if model.multisym is not None:
-        out.append("multisym")
-    return out
+    return [suite for suite in SUITE_NAMES if _missing_block(model, suite) is None]
 
 
 def resolve_suites(model: Model, selection: str) -> list[str]:
@@ -60,10 +60,9 @@ def resolve_suites(model: Model, selection: str) -> list[str]:
         return applicable_suites(model)
     if selection not in SUITE_NAMES:
         raise SuiteError(f"unknown suite {selection!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
-    if selection in ("mechanics", "sigma2d") and not model.has_metric:
-        raise SuiteError(f"suite {selection!r} requires the 'metric' block")
-    if selection == "multisym" and model.multisym is None:
-        raise SuiteError("suite 'multisym' requires the 'multisym' block")
+    block = _missing_block(model, selection)
+    if block is not None:
+        raise SuiteError(f"suite {selection!r} requires the {block!r} block")
     return [selection]
 
 
@@ -88,7 +87,7 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
     # their rows; numpy's warnings about them would only repeat that
     with np.errstate(all="ignore"):
         for suite in ctx.report.suites:
-            _RUNNERS[suite](ctx)
+            _SUITES[suite][0](ctx)
     return ctx.report
 
 
@@ -125,6 +124,7 @@ class CheckContext:
         flags: tuple[str, ...] = (),
         informational: bool = False,
         anchoring: bool = False,
+        assuming: tuple = ((), ""),
     ) -> CheckResult:
         """The row for labeled fields: their max absolute residual.
 
@@ -132,14 +132,15 @@ class CheckContext:
         reports the maximum of each term that has any, as a breakdown of
         the residual, and no breakdown (``None``) when no term has any.
         An ``anchoring`` row (H1, HM1) is informational unless the run
-        sets ``require_h1``.
+        sets ``require_h1``.  ``assuming=(rows, flag)`` names the reported
+        rows this row's equation assumes (see :meth:`_add`).
         """
         rows = list(rows)
         if terms is not None:
             terms = {label: self.max(term_rows) for label, term_rows in terms.items() if term_rows} or None
         informational = informational or (anchoring and not self.cfg.require_h1)
         tolerance = self.tol if tolerance is None else tolerance
-        return self._add(name, equation, self.max(rows), len(rows), tolerance, informational, terms, flags)
+        return self._add(name, equation, self.max(rows), len(rows), tolerance, informational, terms, flags, assuming)
 
     def scalar(
         self, name: str, equation: str, value: float, tolerance: float, *, informational: bool = False
@@ -155,14 +156,25 @@ class CheckContext:
         tolerance: float,
         *,
         informational: bool = False,
-        flags: tuple[str, ...] = (),
+        assuming: tuple = ((), ""),
     ) -> CheckResult:
         """A row stating that two sets of rows agree: the largest
         |max|x| - max|y|| over the pairs (x, y), NaN if any is NaN."""
         delta = _worst(*(abs(self.max(x) - self.max(y)) for x, y in pairs))
-        return self._add(name, equation, delta, 1, tolerance, informational, None, flags)
+        return self._add(name, equation, delta, 1, tolerance, informational, None, (), assuming)
 
-    def _add(self, name, equation, residual, n_tuples, tolerance, informational, terms, flags) -> CheckResult:
+    def _add(
+        self, name, equation, residual, n_tuples, tolerance, informational, terms, flags, assuming=((), "")
+    ) -> CheckResult:
+        """Make the row and append it.  ``assuming=(rows, flag)``: a row
+        whose equation holds only under the hypotheses checked by the
+        reported ``rows`` is informational and carries ``flag`` when any
+        of them failed with a finite residual.  A non-finite hypothesis
+        was never really evaluated, so the row stays required and its own
+        residual decides it."""
+        hypotheses, flag = assuming
+        if any(not h.passed and math.isfinite(h.max_residual) for h in hypotheses):
+            informational, flags = True, flags + (flag,)
         row = _result(name, equation, residual, len(self.points), n_tuples, tolerance, informational, terms, flags)
         self.report.add(row)
         return row
@@ -202,7 +214,7 @@ def run_axioms(ctx: CheckContext):
 
 
 def run_momentum(ctx: CheckContext):
-    model, tol = ctx.model, ctx.tol
+    model = ctx.model
     B = model.b_field + exterior_derivative(model.eta_boundary)
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu)
     closed = ctx.check(
@@ -224,11 +236,11 @@ def run_momentum(ctx: CheckContext):
         "momentum/h1-tangent-agreement",
         "|max D gamma - max tangent-action residual|",
         [(h1_rows, tangent_rows)],
-        max(tol, 1e-9),
+        max(ctx.tol, 1e-9),
         informational=True,
-        flags=() if closed.passed else ("comparison needs dB = 0",),
+        assuming=([closed], "comparison needs dB = 0"),
     )
-    ctx.verdicts["momentum_classification"] = mom.classify(h1.max_residual, h2.max_residual, h3.max_residual, tol)
+    ctx.verdicts["momentum_classification"] = mom.classify(h1.passed, h2.passed, h3.passed)
     if B.is_zero and all(f.is_zero for f in model.mu):
         ctx.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
 
@@ -237,9 +249,6 @@ def run_momentum(ctx: CheckContext):
         ctx.check("momentum/map-symplectic-vectorfield", "L_{rho_a} B = 0", reductions["symplectic"])
         ctx.check("momentum/map-hamiltonian-pairing", "d mu_a = iota_{rho_a} B", reductions["hamiltonian"])
         ctx.check("momentum/map-equivariance", "rho_a(mu_b) = C^c_ab mu_c", reductions["equivariance"])
-        flags = ()
-        if not closed.passed or h2.max_residual > tol:
-            flags = ("comparison assumes dB = 0 and the momentum-section condition",)
         ctx.agreement(
             "momentum/map-reduction-agreement",
             "flat-connection reductions match the general conditions",
@@ -249,8 +258,7 @@ def run_momentum(ctx: CheckContext):
                 (reductions["equivariance"], h3_rows),
             ],
             1e-10,
-            informational=bool(flags),
-            flags=flags,
+            assuming=([closed, h2], "comparison assumes dB = 0 and the momentum-section condition"),
         )
 
 
@@ -259,7 +267,7 @@ def run_momentum(ctx: CheckContext):
 
 
 def run_mechanics(ctx: CheckContext):
-    model, tol = ctx.model, ctx.tol
+    model = ctx.model
     g = model.metric
     r = model.alg.rank
     gm = _matrix_values(g.g, ctx.points)
@@ -288,14 +296,17 @@ def run_mechanics(ctx: CheckContext):
 
     absorbed = ham.absorb_beta(system)
     ctx.check(
-        "mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", mom.closedness_fields(absorbed.B), max(tol, 1e-12)
+        "mechanics/twist-closed",
+        "d(dA) = 0 for A = g_flat beta",
+        mom.closedness_fields(absorbed.B),
+        max(ctx.tol, 1e-12),
     )
-    tau_zero = ctx.check(
+    tau = ctx.check(
         "mechanics/tau-prime",
         "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)",
         ham.tau_prime_fields(absorbed),
         informational=True,
-    ).passed
+    )
 
     fc2 = _by_degree(ham.first_class_fields(absorbed.system))
     ctx.check(
@@ -318,8 +329,7 @@ def run_mechanics(ctx: CheckContext):
         "mechanics/theorem-h2",
         "D alpha' = gamma for the induced twist",
         h2_rows,
-        informational=not tau_zero,
-        flags=() if tau_zero else ("superseded by the flow linear block: tau' != 0",),
+        assuming=([tau], "superseded by the flow linear block: tau' != 0"),
     )
     th_h3 = ctx.check("mechanics/theorem-h3", "d_E alpha'(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
 
@@ -328,8 +338,7 @@ def run_mechanics(ctx: CheckContext):
         "linear momentum block of the flow residual matches D alpha' - gamma",
         [(fl2["degree 1"], h2_rows)],
         1e-9,
-        informational=not tau_zero,
-        flags=() if tau_zero else ("tau' != 0 shifts the linear block",),
+        assuming=([tau], "tau' != 0 shifts the linear block"),
     )
     ctx.agreement(
         "mechanics/firstclass-deg0-vs-h3",
@@ -338,10 +347,10 @@ def run_mechanics(ctx: CheckContext):
         1e-9,
     )
 
-    if not tau_zero:
+    if not tau.passed:
         verdict = "generalized (tau' != 0)"
     else:
-        verdict = mom.classify(th_h1.max_residual, th_h2.max_residual, th_h3.max_residual, tol)
+        verdict = mom.classify(th_h1.passed, th_h2.passed, th_h3.passed)
     ctx.verdicts["mechanics_classification"] = verdict
 
 
@@ -372,7 +381,7 @@ def run_sigma2d(ctx: CheckContext):
     eta = model.eta_boundary
 
     ctx.check("sigma2d/rigid-killing-metric", "L_{rho_a} g = 0", s2d.rigid_killing_fields(alg, g))
-    if model.beta_rigid is None and ctx.max(mom.closedness_fields(b)) >= tol and not b.is_zero:
+    if model.beta_rigid is None and ctx.max(mom.closedness_fields(b)) >= tol:
         ctx.check(
             "sigma2d/rigid-b-invariance",
             "d(L_{rho_a} b) = 0 (no exactness candidate supplied, b not closed)",
@@ -415,8 +424,7 @@ def run_sigma2d(ctx: CheckContext):
         "mu-equivariance block equals the bracket-compatibility residual",
         [(p3_rows, h3_rows)],
         1e-9,
-        informational=p2.max_residual >= tol,
-        flags=() if p2.max_residual < tol else ("equality holds modulo the eta-compatibility block",),
+        assuming=([p2], "equality holds modulo the eta-compatibility block"),
     )
     # Unconditional identity: H3_ab = P3_ab + rho^i_b P2_{a,i} with the
     # induced mu; the file mu enters P2/P3, so compare on induced inputs.
@@ -428,7 +436,7 @@ def run_sigma2d(ctx: CheckContext):
     )
     th_h1 = ctx.check("sigma2d/theorem-h1", "D gamma = 0 for B = b + d eta", h1_rows, anchoring=True)
     ctx.verdicts["sigma2d_classification"] = mom.classify(
-        th_h1.max_residual, ctx.max(h2_rows), ctx.max(h3_rows), tol
+        th_h1.passed, ctx.max(h2_rows) < tol, ctx.max(h3_rows) < tol
     )
 
 
@@ -437,7 +445,7 @@ def run_sigma2d(ctx: CheckContext):
 
 
 def run_multisym(ctx: CheckContext):
-    model, tol = ctx.model, ctx.tol
+    model = ctx.model
     data = model.multisym
     alg = data.alg
     n = data.n
@@ -504,27 +512,25 @@ def run_multisym(ctx: CheckContext):
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
         h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, model.conn, ht, mu)
-        flags = ()
-        if ctx.max(h2_rows) >= tol:
-            flags = ("bracket-compatibility comparison assumes the momentum-section condition",)
         ctx.agreement(
             "multisym/n1-reduction-agreement",
             "degree-1 tower equals the momentum-section conditions",
             [(general["hm1"], h1_rows), (general["hm2"], h2_rows), (general["hm3[0]"], h3_rows)],
             1e-12,
-            informational=bool(flags),
-            flags=flags,
+            assuming=([hm2], "bracket-compatibility comparison assumes the momentum-section condition"),
         )
 
     ctx.verdicts["multisym_classification"] = mom.classify(
-        hm1.max_residual, hm2.max_residual, _worst(*(c.max_residual for c in hm3 + descent)), tol
+        hm1.passed, hm2.passed, all(c.passed for c in hm3 + descent)
     )
 
 
-_RUNNERS = {
-    "axioms": run_axioms,
-    "momentum": run_momentum,
-    "mechanics": run_mechanics,
-    "sigma2d": run_sigma2d,
-    "multisym": run_multisym,
+# suite -> (runner, the model block it requires), in report order
+_SUITES = {
+    "axioms": (run_axioms, None),
+    "momentum": (run_momentum, None),
+    "mechanics": (run_mechanics, "metric"),
+    "sigma2d": (run_sigma2d, "metric"),
+    "multisym": (run_multisym, "multisym"),
 }
+SUITE_NAMES = tuple(_SUITES)

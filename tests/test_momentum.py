@@ -150,12 +150,11 @@ class TestConditions:
 
 class TestClassify:
     def test_labels(self):
-        tol = 1e-8
-        assert classify(0, 0, 0, tol) == CLASS_HAMILTONIAN
-        assert classify(0, 0, 1, tol) == CLASS_WEAK
-        assert classify(1, 0, 0, tol) == CLASS_BRACKET
-        assert classify(1, 0, 1, tol) == CLASS_MOMENTUM
-        assert classify(0, 1, 0, tol) == CLASS_NONE
+        assert classify(True, True, True) == CLASS_HAMILTONIAN
+        assert classify(True, True, False) == CLASS_WEAK
+        assert classify(False, True, True) == CLASS_BRACKET
+        assert classify(False, True, False) == CLASS_MOMENTUM
+        assert classify(True, False, True) == CLASS_NONE
 
     def test_rotation_is_hamiltonian(self):
         data = rotation_data()
@@ -163,7 +162,7 @@ class TestClassify:
         h1 = max_abs_fields([g for _, g in h1_fields(data)], pts)
         h2 = max_abs_fields([g for _, g in h2_fields(data)], pts)
         h3 = max_abs_fields([g for _, g in h3_fields(data)], pts)
-        assert classify(h1, h2, h3, 1e-8) == CLASS_HAMILTONIAN
+        assert classify(h1 < 1e-8, h2 < 1e-8, h3 < 1e-8) == CLASS_HAMILTONIAN
 
     def test_translation_excludes_bracket_compat(self):
         data = translation_data()
@@ -171,7 +170,7 @@ class TestClassify:
         h1 = max_abs_fields([g for _, g in h1_fields(data)], pts)
         h2 = max_abs_fields([g for _, g in h2_fields(data)], pts)
         h3 = max_abs_fields([g for _, g in h3_fields(data)], pts)
-        verdict = classify(h1, h2, h3, 1e-8)
+        verdict = classify(h1 < 1e-8, h2 < 1e-8, h3 < 1e-8)
         assert verdict == CLASS_WEAK
         assert "bracket" not in verdict
 

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -137,16 +138,21 @@ OPEN_B_DIM4 = {
 SON_MODELS = {"so3-s1": (3, 1), "so3-s2": (3, 2), "so3-s3": (3, 3), "so4-s1": (4, 1)}
 
 
+def son_bytes(name, monkeypatch) -> bytes:
+    """A generated so(n) model from the benchmark directory at the repo root."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
+    from perfbench.models import son_model_bytes
+
+    return son_model_bytes(*SON_MODELS[name])
+
+
 @pytest.mark.parametrize("name", [*fixture_names(), *SON_MODELS, "open-b-dim4"])
 def test_row_labels_are_unique_and_agreement_pairs_share_them(name, monkeypatch):
     """Every row set and term has unique labels, and in every agreement pair
     with rows on both sides the side with fewer rows has all its labels on
     the other side, so agreement rows can be matched by label."""
     if name in SON_MODELS:
-        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
-        from perfbench.models import son_model_bytes
-
-        raw = son_model_bytes(*SON_MODELS[name])
+        raw = son_bytes(name, monkeypatch)
     elif name == "open-b-dim4":
         raw = json.dumps(OPEN_B_DIM4).encode()
     else:
@@ -185,16 +191,28 @@ def test_row_labels_are_unique_and_agreement_pairs_share_them(name, monkeypatch)
         assert "only closedness" in " ".join(rep.find("sigma2d/rigid-b-invariance").flags)
 
 
+# dB != 0: b = z dx ^ dy on R^3
+B_NOT_CLOSED = {
+    "schema": 1,
+    "chart": {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3},
+    "algebroid": {"rank": 1, "anchor": [{"idx": [1, 3], "expr": "1"}]},
+    "metric": [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "1"}, {"idx": [3, 3], "expr": "1"}],
+    "b_field": [{"idx": [1, 2], "expr": "z"}],
+}
+
+# tau' = tau = 1 != 0
+TAU_ONE = {
+    "schema": 1,
+    "chart": {"coordinates": ["x", "y"], "box": [[-1, 1]] * 2},
+    "algebroid": {"rank": 1, "anchor": [{"idx": [1, 1], "expr": "1"}]},
+    "metric": [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "1"}],
+    "tau": [{"idx": [1, 1], "expr": "1"}],
+}
+
+
 class TestEdgeBranches:
     def test_non_closed_b_flagged(self):
-        doc = {
-            "schema": 1,
-            "chart": {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3},
-            "algebroid": {"rank": 1, "anchor": [{"idx": [1, 3], "expr": "1"}]},
-            "metric": [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "1"}, {"idx": [3, 3], "expr": "1"}],
-            "b_field": [{"idx": [1, 2], "expr": "z"}],
-        }
-        model = load_model_bytes(json.dumps(doc).encode())
+        model = load_model_bytes(json.dumps(B_NOT_CLOSED).encode())
         rep = run(model, "momentum")
         closed = rep.find("momentum/pre-symplectic-closed")
         assert not closed.passed
@@ -221,14 +239,7 @@ class TestEdgeBranches:
         assert row.passed  # d(-x dx - y dy) = 0 = L_rho b
 
     def test_tau_prime_nonzero_verdict(self):
-        doc = {
-            "schema": 1,
-            "chart": {"coordinates": ["x", "y"], "box": [[-1, 1]] * 2},
-            "algebroid": {"rank": 1, "anchor": [{"idx": [1, 1], "expr": "1"}]},
-            "metric": [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "1"}],
-            "tau": [{"idx": [1, 1], "expr": "1"}],
-        }
-        model = load_model_bytes(json.dumps(doc).encode())
+        model = load_model_bytes(json.dumps(TAU_ONE).encode())
         rep = run(model, "mechanics")
         assert rep.verdicts["mechanics_classification"] == "generalized (tau' != 0)"
         th2 = rep.find("mechanics/theorem-h2")
@@ -282,3 +293,57 @@ class TestEdgeBranches:
         for rep in (mech, flux):
             for row in json.loads(rep.to_json())["checks"]:
                 assert row["terms"] is None or row["terms"]
+
+
+def _hm2_broken() -> dict:
+    """The rotation example with eta^(0) shifted by x, so HM2 fails."""
+    doc = json.loads(fixture_bytes("rotation_momentum_map"))
+    doc["multisym"]["eta"]["0"][0]["expr"] = "x - (x^2 + y^2)/2"
+    return doc
+
+
+# (model, suite, conditional row, the reported rows whose failure it assumes away)
+FAILED_HYPOTHESES = [
+    ("b-not-closed", "momentum", "momentum/h1-tangent-agreement", ["momentum/pre-symplectic-closed"]),
+    ("b-not-closed", "momentum", "momentum/map-reduction-agreement", ["momentum/pre-symplectic-closed"]),
+    ("so3-s1", "momentum", "momentum/map-reduction-agreement", ["momentum/h2-momentum-section"]),
+    ("tau-one", "mechanics", "mechanics/theorem-h2", ["mechanics/tau-prime"]),
+    ("tau-one", "mechanics", "mechanics/flow-deg1-vs-h2", ["mechanics/tau-prime"]),
+    ("so3-s1", "sigma2d", "sigma2d/theorem-h3-agreement", ["sigma2d/bdry-eta-compat"]),
+    ("hm2-broken", "multisym", "multisym/n1-reduction-agreement", ["multisym/hm2-momentum-section"]),
+]
+
+
+@pytest.mark.parametrize("model,suite,row,hypotheses", FAILED_HYPOTHESES)
+def test_a_failed_hypothesis_demotes_and_flags_the_row_that_assumes_it(
+    fixture_models, monkeypatch, model, suite, row, hypotheses
+):
+    docs = {"b-not-closed": B_NOT_CLOSED, "tau-one": TAU_ONE, "hm2-broken": _hm2_broken()}
+    raw = json.dumps(docs[model]).encode() if model in docs else son_bytes(model, monkeypatch)
+    rep = run(load_model_bytes(raw), suite)
+    for name in hypotheses:
+        hypothesis = rep.find(name)
+        assert not hypothesis.passed and math.isfinite(hypothesis.max_residual), name
+    # the rotation example satisfies every hypothesis: there the row is
+    # required (h1-tangent-agreement never is) and carries no flag
+    holds = run(fixture_models["rotation_momentum_map"], suite).find(row)
+    assert holds.informational == (row == "momentum/h1-tangent-agreement")
+    assert holds.flags == ()
+    demoted = rep.find(row)
+    assert demoted.informational
+    assert len(demoted.flags) == 1 and demoted.flags != ("non-finite",)
+
+
+def test_a_non_finite_hypothesis_keeps_the_row_required(fixture_models):
+    doc = json.loads(fixture_bytes("magnetic_twist_mechanics"))
+    doc["tau"] = [{"idx": [1, 1], "expr": "exp(1000*x)"}]
+    rep = run(load_model_bytes(json.dumps(doc).encode()), "mechanics")
+    tau = rep.find("mechanics/tau-prime")
+    assert tau.max_residual == math.inf and "non-finite" in tau.flags
+    for name in ("mechanics/theorem-h2", "mechanics/flow-deg1-vs-h2"):
+        row = rep.find(name)
+        assert not row.informational, name
+        assert not any("tau'" in flag for flag in row.flags), name
+    flow = rep.find("mechanics/flow-deg1-vs-h2")
+    assert not flow.passed and flow.flags == ("non-finite",)
+    assert not rep.overall_pass
