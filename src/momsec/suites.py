@@ -160,18 +160,17 @@ class CheckContext:
     ) -> CheckResult:
         """A row stating that two sets of rows agree: the largest
         |max|x| - max|y|| over the pairs (x, y), NaN if any is NaN."""
-        delta = _worst(*(abs(self.max(x) - self.max(y)) for x, y in pairs))
+        # np.max keeps a NaN that the builtin max may drop
+        delta = float(np.max([abs(self.max(x) - self.max(y)) for x, y in pairs]))
         return self._add(name, equation, delta, 1, tolerance, informational, None, (), assuming)
 
     def _add(
         self, name, equation, residual, n_tuples, tolerance, informational, terms, flags, assuming=((), "")
     ) -> CheckResult:
-        """Make the row and append it.  ``assuming=(rows, flag)``: a row
-        whose equation holds only under the hypotheses checked by the
-        reported ``rows`` is informational and carries ``flag`` when any
-        of them failed with a finite residual.  A non-finite hypothesis
-        was never really evaluated, so the row stays required and its own
-        residual decides it."""
+        """Make the row and append it.  With ``assuming=(rows, flag)`` the
+        row is informational and gets ``flag`` if any of the reported
+        ``rows`` failed with a finite residual; a non-finite hypothesis was
+        never really evaluated, so the row stays required."""
         hypotheses, flag = assuming
         if any(not h.passed and math.isfinite(h.max_residual) for h in hypotheses):
             informational, flags = True, flags + (flag,)
@@ -357,11 +356,6 @@ def run_mechanics(ctx: CheckContext):
 def _matrix_values(rows, points: np.ndarray) -> np.ndarray:
     """Values of a matrix of fields, with the sample as the leading axis."""
     return np.moveaxis(np.array([[f.eval(points, 0).value for f in row] for row in rows]), 2, 0)
-
-
-def _worst(*values: float) -> float:
-    """The largest value; NaN if any is NaN (the builtin max may drop it)."""
-    return float(np.max(values))
 
 
 def _by_degree(degree_fields) -> dict:
