@@ -304,7 +304,10 @@ def specialized_fields(data: PrenPlecticData):
     """The reduced system for a flat connection and constant structure.
 
     Returns {'hm2': [...], 'hm1': [...], 'hm3[k]': [...]} computed along
-    an independent code path (plain d, no connection machinery).
+    an independent code path (plain d, no connection machinery).  For
+    k >= 1 it carries - d eta^(k-1), as the dual-pair form does, and
+    :func:`hm3_differential_fields` does not; which reading is right is
+    open, so the suites compare the two only while descent holds.
     """
     alg = data.alg
     if not data.conn.is_flat:

@@ -501,6 +501,7 @@ def run_multisym(ctx: CheckContext):
             "constant-bracket reduced system matches the general evaluators",
             [(sp[key], general[key]) for key in sp],
             1e-10,
+            assuming=(descent, "comparison assumes the descent relations"),
         )
 
     if n == 1:
