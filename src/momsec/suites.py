@@ -213,7 +213,7 @@ def run_axioms(ctx: CheckContext):
 
 
 def run_momentum(ctx: CheckContext):
-    model = ctx.model
+    model, tol = ctx.model, ctx.tol
     B = model.b_field + exterior_derivative(model.eta_boundary)
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu)
     closed = ctx.check(
@@ -235,7 +235,7 @@ def run_momentum(ctx: CheckContext):
         "momentum/h1-tangent-agreement",
         "|max D gamma - max tangent-action residual|",
         [(h1_rows, tangent_rows)],
-        max(ctx.tol, 1e-9),
+        max(tol, 1e-9),
         informational=True,
         assuming=([closed], "comparison needs dB = 0"),
     )
@@ -266,7 +266,7 @@ def run_momentum(ctx: CheckContext):
 
 
 def run_mechanics(ctx: CheckContext):
-    model = ctx.model
+    model, tol = ctx.model, ctx.tol
     g = model.metric
     r = model.alg.rank
     gm = _matrix_values(g.g, ctx.points)
@@ -295,10 +295,7 @@ def run_mechanics(ctx: CheckContext):
 
     absorbed = ham.absorb_beta(system)
     ctx.check(
-        "mechanics/twist-closed",
-        "d(dA) = 0 for A = g_flat beta",
-        mom.closedness_fields(absorbed.B),
-        max(ctx.tol, 1e-12),
+        "mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", mom.closedness_fields(absorbed.B), max(tol, 1e-12)
     )
     tau = ctx.check(
         "mechanics/tau-prime",
