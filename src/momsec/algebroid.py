@@ -36,7 +36,6 @@ class AlgebroidData:
             lower[c][(a, b)] = f
         # C[c] is the bundle 2-form (a, b) -> C^c_ab
         self.C = [EForm(self, 2, comps) for comps in lower]
-        self._anchor_morphism = None
 
     @property
     def dim(self) -> int:
@@ -45,13 +44,6 @@ class AlgebroidData:
     def structure(self, c: int, a: int, b: int) -> ScalarField:
         """C^c_{ab}, extended antisymmetrically in (a, b)."""
         return self.C[c].comp((a, b))
-
-    def anchor_morphism(self):
-        """The rows of :func:`anchor_morphism_fields`, built once per model so
-        that every check on them shares one evaluated graph."""
-        if self._anchor_morphism is None:
-            self._anchor_morphism = anchor_morphism_fields(self)
-        return self._anchor_morphism
 
     def anchor_vector(self, a: int) -> VectorField:
         return VectorField(self.chart, list(self.anchor[a]))

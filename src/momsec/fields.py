@@ -2,17 +2,28 @@
 
 A :class:`ScalarField` is anything that can produce jets up to second
 order over a point sample: a parsed expression, a constant, or an
-algebraic/differential combination of other fields.  A field is
-evaluated over the whole sample at once, and each node keeps the jets
-of the last sample it saw, so every node of a run's field graph is
-evaluated once per run.  The jet order is a demand that flows down the
-graph: a residual asks for values only (order 0), sums, differences,
-products and scalings pass the order on, and a :class:`PartialField`
-asks its parent for one order more, so a node computes only the
-derivatives some consumer reads.  Differentiating an evaluated field
-consumes one jet order, so a once-differentiated field still has an
-exact value and gradient but no Hessian.  No check in this package ever
-differentiates a field more than twice.
+algebraic/differential combination of other fields.  Field graphs hold
+no sample data, so a graph built once serves every sample.  A field is
+evaluated over the whole sample at once by ``eval(points, order, memo)``,
+and the memo, a dict owned by the caller, is where jets live: a run
+keeps one per suite and drops it when the suite ends.  The memo keeps a
+jet only where it will be read again: for every node asked for through
+``eval`` (a root, such as a residual row) and for every node that more
+than one live node is built on.  Each node counts its consumers as they
+are built and loses one when a consumer is freed, as the temporaries of
+the algebra are.  A node with a single consumer is evaluated when that
+consumer asks for it, and its jet is freed as soon as the consumer has
+read it, so no jet outlives its memo and no caller can pin one.
+The jet order is a demand that flows down the graph: a residual asks
+for values only (order 0), sums, differences, products and scalings
+pass the order on, and a :class:`PartialField` asks its parent for one
+order more, so a node computes only the derivatives some consumer
+reads.  A memo entry serves every request up to the order it holds; a
+request above it evaluates the node again and replaces the entry.
+Differentiating an evaluated field consumes one jet order, so a
+once-differentiated field still has an exact value and gradient but no
+Hessian.  No check in this package ever differentiates a field more
+than twice.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -86,7 +97,7 @@ class Chart:
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         points = lo + rng.random((count, self.dim)) * (hi - lo)
-        # fields remember the last sample by identity; it must not change
+        # read-only: every jet a run's memo holds was computed from it
         points.flags.writeable = False
         return points
 
@@ -95,46 +106,60 @@ class Chart:
 # Scalar fields
 
 
-class _PerSample:
-    """Jet evaluation memoized in one slot: the last ``points`` array,
-    matched by identity, the order it was evaluated to, and its result.
-    A request hits when the sample is the same array and the stored order
-    is at least the requested one, and gets the stored jet truncated to
-    the requested order; otherwise the node is evaluated again at the
-    requested order.  Holding the array keeps its identity from being
-    reused; a sample must not be modified in place once evaluated on.
-    """
+def _jet(node, points: np.ndarray, order: int, memo: dict, root: bool = False) -> Jet2:
+    """``node``'s jet up to ``order``: from ``memo`` when it holds at least
+    that order, else evaluated.  An evaluated jet is kept in ``memo`` when
+    the node is a ``root`` or another consumer will read it too."""
+    held = memo.get(node)
+    if held is not None and held[0] >= order:
+        return held[1] if held[0] == order else held[1].truncated(order)
+    jet = node._eval(points, order, memo)
+    if root or node.consumers > 1:
+        memo[node] = (order, jet)
+    return jet
 
-    _sample = None
-    _order = -1
-    _result = None
 
-    def eval(self, points: np.ndarray, order: int = 2) -> Jet2:
-        if self._sample is not points or self._order < order:
-            self._result = self._eval(points, order)
-            self._sample = points
-            self._order = order
-        elif self._order > order:
-            return self._result.truncated(order)
-        return self._result
+class _Node:
+    """A node of a field graph: ``inputs`` are the nodes it is built on,
+    and ``consumers`` counts the live nodes built on it.  A constructor
+    calls :meth:`_built_on` once with its inputs; when a node is freed (a
+    temporary of the field algebra, say), its inputs lose that consumer.
+    Nodes form a graph without cycles, so reference counting frees a
+    node as soon as the last reference to it goes; a count that stays
+    too high only keeps a jet in the memo for longer."""
 
-    def _eval(self, points: np.ndarray, order: int) -> Jet2:
+    consumers = 0
+    inputs: tuple = ()
+
+    def _built_on(self, *inputs):
+        self.inputs = inputs
+        for node in inputs:
+            node.consumers += 1
+
+    def __del__(self):
+        for node in self.inputs:
+            node.consumers -= 1
+
+    def _eval(self, points: np.ndarray, order: int, memo: dict) -> Jet2:
         raise NotImplementedError
 
 
-class ScalarField(_PerSample):
+class ScalarField(_Node):
     """A scalar function on a chart, evaluable to second-order jets.
 
-    ``eval(points, order)`` gives the :class:`Jet2` over a ``(P, d)``
-    sample up to ``order`` and keeps it until the next sample.  A run
-    passes one sample array everywhere, so a subtree shared by many
-    fields (as built by the bracket and wedge machinery) is evaluated
-    once per run, at the highest order any of its consumers asks for.
-    ``jet`` and ``value`` are one-point views: a one-row sample, read
-    back as row 0.
+    ``eval(points, order, memo)`` gives the :class:`Jet2` over a
+    ``(P, d)`` sample up to ``order``.  Every node under it shares
+    ``memo``, so a subtree shared by many fields (as built by the bracket
+    and wedge machinery) is evaluated once per memo, unless a later
+    consumer asks it for a higher order.  Without a memo the call uses a
+    fresh one of its own.  ``jet`` and ``value`` are one-point views: a
+    one-row sample, read back as row 0.
     """
 
     dim: int
+
+    def eval(self, points: np.ndarray, order: int = 2, memo: dict | None = None) -> Jet2:
+        return _jet(self, points, order, {} if memo is None else memo, root=True)
 
     def _at(self, point, order: int) -> Jet2:
         return self.eval(np.asarray(point, dtype=float).reshape(1, -1), order).row(0)
@@ -190,7 +215,7 @@ class ConstField(ScalarField):
         self.dim = dim
         self.is_zero = self.c == 0.0
 
-    def _eval(self, points, order):
+    def _eval(self, points, order, memo):
         return Jet2.constant(self.c, len(points), self.dim, order)
 
     def partial(self, i: int) -> "ScalarField":
@@ -224,7 +249,7 @@ class ExprField(ScalarField):
     def parse(source: str, chart: Chart) -> "ExprField":
         return ExprField(parse(source, chart.coordinates), chart)
 
-    def _eval(self, points, order):
+    def _eval(self, points, order, memo):
         return eval_jets(self.expr, points, order)
 
 
@@ -238,12 +263,12 @@ class SumField(ScalarField):
                 flat.append(t)
         self.terms = tuple(flat)
         self.dim = terms[0].dim
+        self._built_on(*self.terms)
 
-    def _eval(self, points, order):
-        jets = [t.eval(points, order) for t in self.terms]
-        out = jets[0]
-        for j in jets[1:]:
-            out = out + j
+    def _eval(self, points, order, memo):
+        out = _jet(self.terms[0], points, order, memo)
+        for t in self.terms[1:]:
+            out = out + _jet(t, points, order, memo)
         return out
 
 
@@ -254,9 +279,10 @@ class DiffField(ScalarField):
         self.a = a
         self.b = b
         self.dim = a.dim
+        self._built_on(a, b)
 
-    def _eval(self, points, order):
-        return self.a.eval(points, order) - self.b.eval(points, order)
+    def _eval(self, points, order, memo):
+        return _jet(self.a, points, order, memo) - _jet(self.b, points, order, memo)
 
 
 class ProdField(ScalarField):
@@ -264,9 +290,10 @@ class ProdField(ScalarField):
         self.a = a
         self.b = b
         self.dim = a.dim
+        self._built_on(a, b)
 
-    def _eval(self, points, order):
-        return self.a.eval(points, order) * self.b.eval(points, order)
+    def _eval(self, points, order, memo):
+        return _jet(self.a, points, order, memo) * _jet(self.b, points, order, memo)
 
 
 class ScaledField(ScalarField):
@@ -274,9 +301,10 @@ class ScaledField(ScalarField):
         self.c = c
         self.f = f
         self.dim = f.dim
+        self._built_on(f)
 
-    def _eval(self, points, order):
-        return self.f.eval(points, order).scale(self.c)
+    def _eval(self, points, order, memo):
+        return _jet(self.f, points, order, memo).scale(self.c)
 
 
 class PartialField(ScalarField):
@@ -292,9 +320,10 @@ class PartialField(ScalarField):
         self.f = f
         self.i = i
         self.dim = f.dim
+        self._built_on(f)
 
-    def _eval(self, points, order):
-        parent = self.f.eval(points, min(order + 1, 2))
+    def _eval(self, points, order, memo):
+        parent = _jet(self.f, points, min(order + 1, 2), memo)
         if parent.grad is None:
             raise ValueError(
                 "jet order exhausted: a field was differentiated more than twice"
@@ -316,7 +345,7 @@ def field_sum_d(terms, dim: int) -> ScalarField:
 # Matrix inversion as a family of scalar fields
 
 
-class _MatrixInverseCore(_PerSample):
+class _MatrixInverseCore(_Node):
     """Shared evaluator for the entries of the inverse of a field matrix.
 
     Given jets of the entries of M(x), the inverse N = M^{-1} has
@@ -325,15 +354,17 @@ class _MatrixInverseCore(_PerSample):
     all exact to second order.  The result is the jet of the matrix N:
     ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
     ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
+    The entry fields of the inverse read it as their one input.
     """
 
     def __init__(self, entries):
         self.entries = entries
         self.n = len(entries)
         self.dim = entries[0][0].dim
+        self._built_on(*(f for row in entries for f in row))
 
-    def _eval(self, points, order):
-        jets = [[f.eval(points, order) for f in row] for row in self.entries]
+    def _eval(self, points, order, memo):
+        jets = [[_jet(f, points, order, memo) for f in row] for row in self.entries]
         V = np.moveaxis(np.array([[j.value for j in row] for row in jets]), 2, 0)
         N = np.linalg.inv(V)
         if order < 1:
@@ -357,9 +388,10 @@ class MatrixInverseField(ScalarField):
         self.i = i
         self.j = j
         self.dim = core.dim
+        self._built_on(core)
 
-    def _eval(self, points, order):
-        inv = self.core.eval(points, order)
+    def _eval(self, points, order, memo):
+        inv = _jet(self.core, points, order, memo)
         i, j = self.i, self.j
         grad = None if inv.grad is None else inv.grad[:, i, j].copy()
         hess = None if inv.hess is None else inv.hess[:, i, j].copy()
@@ -448,6 +480,12 @@ class Components:
         if self.symmetric:
             f = self.comps.get(tuple(sorted(idx)))
             return self._zero() if f is None else f
+        for q in range(1, len(idx)):
+            if idx[q - 1] >= idx[q]:
+                break
+        else:
+            # a canonical key that is not stored
+            return self._zero()
         canon, sign = sort_signed(idx)
         f = self.comps.get(canon)
         if f is None:
@@ -685,8 +723,9 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
     return out
 
 
-def max_abs_fields(fields, points: np.ndarray) -> float:
+def max_abs_fields(fields, points: np.ndarray, memo: dict | None = None) -> float:
     """Largest |f| over the sample; NaN or inf when any value is non-finite.
-    Only values are evaluated."""
-    values = [f.eval(points, 0).value for f in fields if not f.is_zero]
+    Only values are evaluated, all through one memo."""
+    memo = {} if memo is None else memo
+    values = [f.eval(points, 0, memo).value for f in fields if not f.is_zero]
     return float(np.max(np.abs(values), initial=0.0))

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebroid import AlgebroidData
 from .connections import ConnectionData
@@ -69,6 +69,10 @@ class Model:
     sampling: Sampling
     tolerance: float
     raw_bytes: bytes
+    # each suite's evaluation step over its row graphs, built by the first
+    # run of that suite (see suites.run); a model is never modified after
+    # loading, so the graphs stay valid for every later run
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def model_hash(self) -> str:

@@ -137,11 +137,11 @@ def classify(h1: bool, h2: bool, h3: bool) -> str:
     return CLASS_NONE
 
 
-def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1e-12) -> bool:
+def is_constant_structure(alg: AlgebroidData, points: np.ndarray, memo: dict | None = None, tol: float = 1e-12) -> bool:
     """True when every structure function is constant over the sample."""
     for C in alg.C:
         for f in C.comps.values():
-            jet = f.eval(points, 1)
+            jet = f.eval(points, 1, memo)
             if np.ptp(jet.value) > tol or np.max(np.abs(jet.grad)) > tol:
                 return False
     return True

@@ -1,16 +1,23 @@
 """Check suites: wiring from a loaded model to a report.
 
-One point sample is drawn per run and shared by every check, so
-residuals compared across modules are evaluated on identical points.
-Each run has one :class:`CheckContext`, which holds the model, the
-sample, the :class:`RunConfig` and the report; its methods are the only
-code that makes a report row, and each appends its row to the report as
-it is made.  The H1-H3 rows come from :func:`momentum.condition_fields`
-wherever a suite needs them.  The anchoring conditions (H1, HM1) are
-reported but not required unless ``require_h1`` is set.  A row that
-holds only under stated hypotheses names the reported rows that check
-them (``assuming``), and every verdict reads the ``passed`` of reported
-rows, so one rule decides what is required and what passes.
+Each suite is planned once per model: its planner builds the suite's
+row graphs from the model alone, on the first run that needs the suite,
+and returns the step that evaluates them; the model keeps that step for
+later runs.  The only wiring that reads sample values (whether the
+structure functions are constant, whether sigma2d's b is closed) is
+decided in the step, per run.  One point sample is drawn per run and
+shared by every check, so residuals compared across modules are
+evaluated on identical points.  Each run has one :class:`CheckContext`,
+which holds the model, the sample, the :class:`RunConfig`, the report
+and the memo of jets of the suite being evaluated; its methods are the
+only code that makes a report row, and each appends its row to the
+report as it is made.  The H1-H3 rows come from
+:func:`momentum.condition_fields` wherever a suite needs them.  The
+anchoring conditions (H1, HM1) are reported but not required unless
+``require_h1`` is set.  A row that holds only under stated hypotheses
+names the reported rows that check them (``assuming``), and every
+verdict reads the ``passed`` of reported rows, so one rule decides what
+is required and what passes.
 """
 
 from __future__ import annotations
@@ -87,16 +94,21 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
     # their rows; numpy's warnings about them would only repeat that
     with np.errstate(all="ignore"):
         for suite in ctx.report.suites:
-            _SUITES[suite][0](ctx)
+            if suite not in model._plans:
+                model._plans[suite] = _SUITES[suite][0](model)
+            # one memo per suite: its jets are dropped when the next suite starts
+            ctx.memo = {}
+            model._plans[suite](ctx)
     return ctx.report
 
 
 class CheckContext:
-    """One run: the model, its point sample, the config and the report.
+    """One run: the model, its point sample, the config, the report and the
+    memo of the suite being evaluated.
 
-    Every row method evaluates its residual on the run's sample, appends
-    the row to the report and returns it, so rows appear in the order
-    they are made.
+    Every row method evaluates its residual on the run's sample through the
+    memo, appends the row to the report and returns it, so rows appear in
+    the order they are made.
     """
 
     def __init__(self, model: Model, cfg: RunConfig, suites: list[str]):
@@ -104,6 +116,7 @@ class CheckContext:
         self.cfg = cfg
         self.tol = cfg.tolerance
         self.points = model.chart.sample(cfg.points, cfg.seed)
+        self.memo: dict = {}
         self.report = CheckReport(
             model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
         )
@@ -111,7 +124,7 @@ class CheckContext:
 
     def max(self, rows) -> float:
         """Largest |f| over the sample for (label, field) rows."""
-        return max_abs_fields([f for _, f in rows], self.points)
+        return max_abs_fields([f for _, f in rows], self.points, self.memo)
 
     def check(
         self,
@@ -183,176 +196,192 @@ class CheckContext:
 # axioms
 
 
-def run_axioms(ctx: CheckContext):
-    alg = ctx.model.alg
-    anchor = ctx.check("axioms/anchor-morphism", "[rho_a, rho_b] - C^c_ab rho_c = 0", alg.anchor_morphism())
+def plan_axioms(model: Model):
+    alg = model.alg
+    anchor_rows = alg_mod.anchor_morphism_fields(alg)
     sigma_fields, contracted = alg_mod.jacobi_sigma_fields(alg)
-    sigma = ctx.check("axioms/jacobi-cyclic", "cyclic(C C + rho dC) = 0", sigma_fields)
-    anchored = ctx.check("axioms/jacobi-anchored", "cyclic(C C + rho dC) contracted with rho = 0", contracted)
-    q2 = ctx.check(
-        "axioms/q-squared", "d_E d_E = 0 on coordinates and basis one-forms", alg_mod.q_squared_fields(alg)
-    )
-    if anchor.passed and sigma.passed:
-        verdict = "Lie algebroid"
-    elif anchor.passed and anchored.passed:
-        verdict = "anchored almost Lie algebroid"
-    else:
-        verdict = "neither"
-    agree = (q2.passed == (anchor.passed and sigma.passed))
-    ctx.scalar(
-        "axioms/q-verdict-agreement",
-        "squared-differential verdict matches anchor+cyclic verdict",
-        0.0 if agree else 1.0,
-        0.5,
-    )
-    ctx.verdicts["algebroid_class"] = verdict
+    q2_rows = alg_mod.q_squared_fields(alg)
+
+    def evaluate(ctx: CheckContext):
+        anchor = ctx.check("axioms/anchor-morphism", "[rho_a, rho_b] - C^c_ab rho_c = 0", anchor_rows)
+        sigma = ctx.check("axioms/jacobi-cyclic", "cyclic(C C + rho dC) = 0", sigma_fields)
+        anchored = ctx.check("axioms/jacobi-anchored", "cyclic(C C + rho dC) contracted with rho = 0", contracted)
+        q2 = ctx.check("axioms/q-squared", "d_E d_E = 0 on coordinates and basis one-forms", q2_rows)
+        if anchor.passed and sigma.passed:
+            verdict = "Lie algebroid"
+        elif anchor.passed and anchored.passed:
+            verdict = "anchored almost Lie algebroid"
+        else:
+            verdict = "neither"
+        agree = (q2.passed == (anchor.passed and sigma.passed))
+        ctx.scalar(
+            "axioms/q-verdict-agreement",
+            "squared-differential verdict matches anchor+cyclic verdict",
+            0.0 if agree else 1.0,
+            0.5,
+        )
+        ctx.verdicts["algebroid_class"] = verdict
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
 # momentum
 
 
-def run_momentum(ctx: CheckContext):
-    model, tol = ctx.model, ctx.tol
+def plan_momentum(model: Model):
+    alg, conn = model.alg, model.conn
     B = model.b_field + exterior_derivative(model.eta_boundary)
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, B, model.mu)
-    closed = ctx.check(
-        "momentum/pre-symplectic-closed", "dB = 0 with B = b + d eta", mom.closedness_fields(B), informational=True
-    )
-    if not closed.passed:
-        closed.flags += ("not pre-symplectic",)
-    h1 = ctx.check("momentum/h1-anchoring", "D gamma = 0", h1_rows, anchoring=True)
-    h2 = ctx.check("momentum/h2-momentum-section", "D mu = gamma", h2_rows)
-    h3 = ctx.check("momentum/h3-bracket-compat", "d_E mu(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
-    tangent_rows = e_nabla_two_form_fields(model.conn, B)
-    ctx.check(
-        "momentum/tangent-two-form-compat",
-        "tangent-action derivative of B along each anchor = 0",
-        tangent_rows,
-        informational=True,
-    )
-    ctx.agreement(
-        "momentum/h1-tangent-agreement",
-        "|max D gamma - max tangent-action residual|",
-        [(h1_rows, tangent_rows)],
-        max(tol, 1e-9),
-        informational=True,
-        assuming=([closed], "comparison needs dB = 0"),
-    )
-    ctx.verdicts["momentum_classification"] = mom.classify(h1.passed, h2.passed, h3.passed)
-    if B.is_zero and all(f.is_zero for f in model.mu):
-        ctx.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
+    closed_rows = mom.closedness_fields(B)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B, model.mu)
+    tangent_rows = e_nabla_two_form_fields(conn, B)
+    degenerate = B.is_zero and all(f.is_zero for f in model.mu)
+    reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if conn.is_flat else None
 
-    if model.conn.is_flat and mom.is_constant_structure(model.alg, ctx.points):
-        reductions = mom.momentum_map_fields(model.alg, model.conn, B, model.mu)
-        ctx.check("momentum/map-symplectic-vectorfield", "L_{rho_a} B = 0", reductions["symplectic"])
-        ctx.check("momentum/map-hamiltonian-pairing", "d mu_a = iota_{rho_a} B", reductions["hamiltonian"])
-        ctx.check("momentum/map-equivariance", "rho_a(mu_b) = C^c_ab mu_c", reductions["equivariance"])
-        ctx.agreement(
-            "momentum/map-reduction-agreement",
-            "flat-connection reductions match the general conditions",
-            [
-                (reductions["symplectic"], h1_rows),
-                (reductions["hamiltonian"], h2_rows),
-                (reductions["equivariance"], h3_rows),
-            ],
-            1e-10,
-            assuming=([closed, h2], "comparison assumes dB = 0 and the momentum-section condition"),
+    def evaluate(ctx: CheckContext):
+        tol = ctx.tol
+        closed = ctx.check(
+            "momentum/pre-symplectic-closed", "dB = 0 with B = b + d eta", closed_rows, informational=True
         )
+        if not closed.passed:
+            closed.flags += ("not pre-symplectic",)
+        h1 = ctx.check("momentum/h1-anchoring", "D gamma = 0", h1_rows, anchoring=True)
+        h2 = ctx.check("momentum/h2-momentum-section", "D mu = gamma", h2_rows)
+        h3 = ctx.check("momentum/h3-bracket-compat", "d_E mu(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
+        ctx.check(
+            "momentum/tangent-two-form-compat",
+            "tangent-action derivative of B along each anchor = 0",
+            tangent_rows,
+            informational=True,
+        )
+        ctx.agreement(
+            "momentum/h1-tangent-agreement",
+            "|max D gamma - max tangent-action residual|",
+            [(h1_rows, tangent_rows)],
+            max(tol, 1e-9),
+            informational=True,
+            assuming=([closed], "comparison needs dB = 0"),
+        )
+        ctx.verdicts["momentum_classification"] = mom.classify(h1.passed, h2.passed, h3.passed)
+        if degenerate:
+            ctx.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
+
+        if reductions is not None and mom.is_constant_structure(alg, ctx.points, ctx.memo):
+            ctx.check("momentum/map-symplectic-vectorfield", "L_{rho_a} B = 0", reductions["symplectic"])
+            ctx.check("momentum/map-hamiltonian-pairing", "d mu_a = iota_{rho_a} B", reductions["hamiltonian"])
+            ctx.check("momentum/map-equivariance", "rho_a(mu_b) = C^c_ab mu_c", reductions["equivariance"])
+            ctx.agreement(
+                "momentum/map-reduction-agreement",
+                "flat-connection reductions match the general conditions",
+                [
+                    (reductions["symplectic"], h1_rows),
+                    (reductions["hamiltonian"], h2_rows),
+                    (reductions["equivariance"], h3_rows),
+                ],
+                1e-10,
+                assuming=([closed, h2], "comparison assumes dB = 0 and the momentum-section condition"),
+            )
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
 # mechanics
 
 
-def run_mechanics(ctx: CheckContext):
-    model, tol = ctx.model, ctx.tol
+def plan_mechanics(model: Model):
     g = model.metric
+    anchor = model.alg.anchor
     r = model.alg.rank
-    gm = _matrix_values(g.g, ctx.points)
-    rho = _matrix_values(model.alg.anchor, ctx.points)
-    ranks = np.linalg.matrix_rank(rho, tol=1e-10)
-    ctx.scalar(
-        "mechanics/metric-conditioning",
-        "condition number of g at sampled points",
-        float(np.max(np.linalg.cond(gm))),
-        1e12,
-        informational=True,
-    )
-    ctx.scalar(
-        "mechanics/constraint-irreducibility",
-        "rank(rho) = r at sampled points",
-        float(r - np.min(ranks)),
-        0.5,
-        informational=True,
-    )
-
     system = ham.ConstraintSystem(model.alg, model.conn, g, model.alpha, model.beta, model.V, model.tau)
     fc = _by_degree(ham.first_class_fields(system))
-    ctx.check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", chain(*fc.values()), terms=fc)
     fl = _by_degree(ham.flow_fields(system))
-    ctx.check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", chain(*fl.values()), terms=fl)
-
     absorbed = ham.absorb_beta(system)
-    ctx.check(
-        "mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", mom.closedness_fields(absorbed.B), max(tol, 1e-12)
-    )
-    tau = ctx.check(
-        "mechanics/tau-prime",
-        "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)",
-        ham.tau_prime_fields(absorbed),
-        informational=True,
-    )
-
+    twist_rows = mom.closedness_fields(absorbed.B)
+    tau_rows = ham.tau_prime_fields(absorbed)
     fc2 = _by_degree(ham.first_class_fields(absorbed.system))
-    ctx.check(
-        "mechanics/first-class-twisted",
-        "{Phi'_a, Phi'_b} = C^c_ab Phi'_c under the twisted bracket",
-        chain(*fc2.values()),
-        terms=fc2,
-    )
     fl2 = _by_degree(ham.flow_fields(absorbed.system))
-    ctx.check(
-        "mechanics/flow-twisted",
-        "{H', Phi'_a} = lambda'_a^b Phi'_b under the twisted bracket",
-        chain(*fl2.values()),
-        terms=fl2,
-    )
-
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
-    th_h1 = ctx.check("mechanics/theorem-h1", "D gamma = 0 for the induced twist", h1_rows, anchoring=True)
-    th_h2 = ctx.check(
-        "mechanics/theorem-h2",
-        "D alpha' = gamma for the induced twist",
-        h2_rows,
-        assuming=([tau], "superseded by the flow linear block: tau' != 0"),
-    )
-    th_h3 = ctx.check("mechanics/theorem-h3", "d_E alpha'(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
 
-    ctx.agreement(
-        "mechanics/flow-deg1-vs-h2",
-        "linear momentum block of the flow residual matches D alpha' - gamma",
-        [(fl2["degree 1"], h2_rows)],
-        1e-9,
-        assuming=([tau], "tau' != 0 shifts the linear block"),
-    )
-    ctx.agreement(
-        "mechanics/firstclass-deg0-vs-h3",
-        "constant block of the first-class residual matches bracket compatibility",
-        [(fc2.get("degree 0", []), h3_rows)],
-        1e-9,
-    )
+    def evaluate(ctx: CheckContext):
+        tol = ctx.tol
+        gm = _matrix_values(g.g, ctx)
+        rho = _matrix_values(anchor, ctx)
+        ranks = np.linalg.matrix_rank(rho, tol=1e-10)
+        ctx.scalar(
+            "mechanics/metric-conditioning",
+            "condition number of g at sampled points",
+            float(np.max(np.linalg.cond(gm))),
+            1e12,
+            informational=True,
+        )
+        ctx.scalar(
+            "mechanics/constraint-irreducibility",
+            "rank(rho) = r at sampled points",
+            float(r - np.min(ranks)),
+            0.5,
+            informational=True,
+        )
 
-    if not tau.passed:
-        verdict = "generalized (tau' != 0)"
-    else:
-        verdict = mom.classify(th_h1.passed, th_h2.passed, th_h3.passed)
-    ctx.verdicts["mechanics_classification"] = verdict
+        ctx.check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", chain(*fc.values()), terms=fc)
+        ctx.check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", chain(*fl.values()), terms=fl)
+
+        ctx.check("mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", twist_rows, max(tol, 1e-12))
+        tau = ctx.check(
+            "mechanics/tau-prime",
+            "tau' = tau - Gamma(beta) = 0 (theorem hypothesis)",
+            tau_rows,
+            informational=True,
+        )
+
+        ctx.check(
+            "mechanics/first-class-twisted",
+            "{Phi'_a, Phi'_b} = C^c_ab Phi'_c under the twisted bracket",
+            chain(*fc2.values()),
+            terms=fc2,
+        )
+        ctx.check(
+            "mechanics/flow-twisted",
+            "{H', Phi'_a} = lambda'_a^b Phi'_b under the twisted bracket",
+            chain(*fl2.values()),
+            terms=fl2,
+        )
+
+        th_h1 = ctx.check("mechanics/theorem-h1", "D gamma = 0 for the induced twist", h1_rows, anchoring=True)
+        th_h2 = ctx.check(
+            "mechanics/theorem-h2",
+            "D alpha' = gamma for the induced twist",
+            h2_rows,
+            assuming=([tau], "superseded by the flow linear block: tau' != 0"),
+        )
+        th_h3 = ctx.check("mechanics/theorem-h3", "d_E alpha'(e_a,e_b) + B(rho_a, rho_b) = 0", h3_rows)
+
+        ctx.agreement(
+            "mechanics/flow-deg1-vs-h2",
+            "linear momentum block of the flow residual matches D alpha' - gamma",
+            [(fl2["degree 1"], h2_rows)],
+            1e-9,
+            assuming=([tau], "tau' != 0 shifts the linear block"),
+        )
+        ctx.agreement(
+            "mechanics/firstclass-deg0-vs-h3",
+            "constant block of the first-class residual matches bracket compatibility",
+            [(fc2.get("degree 0", []), h3_rows)],
+            1e-9,
+        )
+
+        if not tau.passed:
+            verdict = "generalized (tau' != 0)"
+        else:
+            verdict = mom.classify(th_h1.passed, th_h2.passed, th_h3.passed)
+        ctx.verdicts["mechanics_classification"] = verdict
+
+    return evaluate
 
 
-def _matrix_values(rows, points: np.ndarray) -> np.ndarray:
+def _matrix_values(rows, ctx: CheckContext) -> np.ndarray:
     """Values of a matrix of fields, with the sample as the leading axis."""
-    return np.moveaxis(np.array([[f.eval(points, 0).value for f in row] for row in rows]), 2, 0)
+    return np.moveaxis(np.array([[f.eval(ctx.points, 0, ctx.memo).value for f in row] for row in rows]), 2, 0)
 
 
 def _by_degree(degree_fields) -> dict:
@@ -364,165 +393,193 @@ def _by_degree(degree_fields) -> dict:
 # sigma2d
 
 
-def run_sigma2d(ctx: CheckContext):
-    model, tol = ctx.model, ctx.tol
+def plan_sigma2d(model: Model):
     alg, conn = model.alg, model.conn
     g = model.metric
     b = model.b_field
     eta = model.eta_boundary
 
-    ctx.check("sigma2d/rigid-killing-metric", "L_{rho_a} g = 0", s2d.rigid_killing_fields(alg, g))
-    if model.beta_rigid is None and ctx.max(mom.closedness_fields(b)) >= tol:
-        ctx.check(
-            "sigma2d/rigid-b-invariance",
-            "d(L_{rho_a} b) = 0 (no exactness candidate supplied, b not closed)",
-            s2d.rigid_b_closure_fields(alg, b),
-            flags=("b not closed and no beta_rigid: only closedness of L_rho b checked",),
-        )
-    else:
-        rows, defaulted = s2d.rigid_b_fields(alg, b, model.beta_rigid)
-        flags = ("default candidate: beta_a = iota_{rho_a} b",) if defaulted else ()
-        ctx.check("sigma2d/rigid-b-invariance", "L_{rho_a} b = d beta_a", rows, flags=flags)
-    ctx.check("sigma2d/rigid-anchor-morphism", "[rho_a, rho_b] = rho([e_a, e_b])", alg.anchor_morphism())
-    ctx.check(
-        "sigma2d/gauged-metric-compat", "L_{rho_a} g = Gamma_a^b v iota_{rho_b} g", e_nabla_metric_fields(conn, g)
-    )
-    # gauging leaves the anchor condition as it is: the same rows, reported again
-    ctx.check("sigma2d/gauged-anchor-morphism", "[rho_a, rho_b] = rho([e_a, e_b])", alg.anchor_morphism())
-
-    ctx.check("sigma2d/bdry-pairing", "mu_a + eta_i rho^i_a = 0", s2d.boundary_pairing_fields(alg, eta, model.mu))
+    killing_rows = s2d.rigid_killing_fields(alg, g)
+    # without beta_rigid, which rigid-b rows a run reports depends on dB over its sample
+    b_closed_rows = mom.closedness_fields(b)
+    b_closure_rows = s2d.rigid_b_closure_fields(alg, b) if model.beta_rigid is None else None
+    b_rows, defaulted = s2d.rigid_b_fields(alg, b, model.beta_rigid)
+    anchor_rows = alg_mod.anchor_morphism_fields(alg)
+    gauged_rows = e_nabla_metric_fields(conn, g)
+    pairing_rows = s2d.boundary_pairing_fields(alg, eta, model.mu)
     p2_rows = s2d.boundary_eta_fields(alg, conn, b, eta, model.mu)
-    p2 = ctx.check(
-        "sigma2d/bdry-eta-compat",
-        "rho^j_a b_ji + rho^j_a d_j eta_i + eta_j d_i rho^j_a + Gamma^b_ai mu_b = 0",
-        p2_rows,
-    )
     p3_rows = s2d.boundary_mu_fields(alg, conn, model.mu)
-    ctx.check(
-        "sigma2d/bdry-mu-equivariance", "rho_a(mu_b) - C^c_ab mu_c - rho^i_b Gamma^c_ai mu_c = 0", p3_rows
-    )
-
     mu_star, B_star = s2d.induced_momentum_inputs(alg, b, eta)
     h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B_star, mu_star)
-    ctx.agreement(
-        "sigma2d/theorem-h2-agreement",
-        "eta-compatibility block equals the momentum-section residual",
-        [(p2_rows, h2_rows)],
-        1e-9,
-    )
-    ctx.agreement(
-        "sigma2d/theorem-h3-agreement",
-        "mu-equivariance block equals the bracket-compatibility residual",
-        [(p3_rows, h3_rows)],
-        1e-9,
-        assuming=([p2], "equality holds modulo the eta-compatibility block"),
-    )
-    # Unconditional identity: H3_ab = P3_ab + rho^i_b P2_{a,i} with the
-    # induced mu; the file mu enters P2/P3, so compare on induced inputs.
-    ctx.check(
-        "sigma2d/theorem-consistency",
-        "H3_ab - P3_ab - rho^i_b P2_ai = 0 identically (induced mu)",
-        s2d.theorem_consistency_fields(alg, conn, b, eta, mu_star, h3_rows),
-        1e-9,
-    )
-    th_h1 = ctx.check("sigma2d/theorem-h1", "D gamma = 0 for B = b + d eta", h1_rows, anchoring=True)
-    ctx.verdicts["sigma2d_classification"] = mom.classify(
-        th_h1.passed, ctx.max(h2_rows) < tol, ctx.max(h3_rows) < tol
-    )
+    consistency_rows = s2d.theorem_consistency_fields(alg, conn, b, eta, mu_star, h3_rows)
+
+    def evaluate(ctx: CheckContext):
+        tol = ctx.tol
+        ctx.check("sigma2d/rigid-killing-metric", "L_{rho_a} g = 0", killing_rows)
+        if b_closure_rows is not None and ctx.max(b_closed_rows) >= tol:
+            ctx.check(
+                "sigma2d/rigid-b-invariance",
+                "d(L_{rho_a} b) = 0 (no exactness candidate supplied, b not closed)",
+                b_closure_rows,
+                flags=("b not closed and no beta_rigid: only closedness of L_rho b checked",),
+            )
+        else:
+            flags = ("default candidate: beta_a = iota_{rho_a} b",) if defaulted else ()
+            ctx.check("sigma2d/rigid-b-invariance", "L_{rho_a} b = d beta_a", b_rows, flags=flags)
+        ctx.check("sigma2d/rigid-anchor-morphism", "[rho_a, rho_b] = rho([e_a, e_b])", anchor_rows)
+        ctx.check("sigma2d/gauged-metric-compat", "L_{rho_a} g = Gamma_a^b v iota_{rho_b} g", gauged_rows)
+        # gauging leaves the anchor condition as it is: the same rows, reported again
+        ctx.check("sigma2d/gauged-anchor-morphism", "[rho_a, rho_b] = rho([e_a, e_b])", anchor_rows)
+
+        ctx.check("sigma2d/bdry-pairing", "mu_a + eta_i rho^i_a = 0", pairing_rows)
+        p2 = ctx.check(
+            "sigma2d/bdry-eta-compat",
+            "rho^j_a b_ji + rho^j_a d_j eta_i + eta_j d_i rho^j_a + Gamma^b_ai mu_b = 0",
+            p2_rows,
+        )
+        ctx.check(
+            "sigma2d/bdry-mu-equivariance", "rho_a(mu_b) - C^c_ab mu_c - rho^i_b Gamma^c_ai mu_c = 0", p3_rows
+        )
+
+        ctx.agreement(
+            "sigma2d/theorem-h2-agreement",
+            "eta-compatibility block equals the momentum-section residual",
+            [(p2_rows, h2_rows)],
+            1e-9,
+        )
+        ctx.agreement(
+            "sigma2d/theorem-h3-agreement",
+            "mu-equivariance block equals the bracket-compatibility residual",
+            [(p3_rows, h3_rows)],
+            1e-9,
+            assuming=([p2], "equality holds modulo the eta-compatibility block"),
+        )
+        # Unconditional identity: H3_ab = P3_ab + rho^i_b P2_{a,i} with the
+        # induced mu; the file mu enters P2/P3, so compare on induced inputs.
+        ctx.check(
+            "sigma2d/theorem-consistency",
+            "H3_ab - P3_ab - rho^i_b P2_ai = 0 identically (induced mu)",
+            consistency_rows,
+            1e-9,
+        )
+        th_h1 = ctx.check("sigma2d/theorem-h1", "D gamma = 0 for B = b + d eta", h1_rows, anchoring=True)
+        ctx.verdicts["sigma2d_classification"] = mom.classify(
+            th_h1.passed, ctx.max(h2_rows) < tol, ctx.max(h3_rows) < tol
+        )
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
 # multisym
 
 
-def run_multisym(ctx: CheckContext):
-    model = ctx.model
+def plan_multisym(model: Model):
     data = model.multisym
     alg = data.alg
     n = data.n
     ht = msy.tilde_h(data)
 
-    closed = ctx.check("multisym/pre-nplectic-closed", "dh = 0", mom.closedness_fields(data.h), informational=True)
-    if not closed.passed:
-        closed.flags += ("not pre-n-plectic",)
-
-    descent = []
-    for k in range(1, n):
-        descent.append(
-            ctx.check(
-                f"multisym/descent-pairing[k={k}]",
-                "eta^(k-1) equals the signed cyclic anchor contraction of eta^(k)",
-                msy.descent_pairing_fields(data, k),
-            )
-        )
-        descent.append(
-            ctx.check(
-                f"multisym/descent-symmetry[k={k}]",
-                "anchor contraction of eta^(k) is antisymmetric under slot exchange",
-                msy.descent_symmetry_fields(data, k),
-            )
-        )
-
+    closed_rows = mom.closedness_fields(data.h)
+    descent_rows = [
+        (k, msy.descent_pairing_fields(data, k), msy.descent_symmetry_fields(data, k)) for k in range(1, n)
+    ]
     # rows keyed like msy.specialized_fields, for the agreement below
     general = {"hm2": msy.hm2_fields(data, ht), "hm1": msy.hm1_fields(data, ht)}
-    hm2 = ctx.check("multisym/hm2-momentum-section", "D eta^(n-1)(e) = iota_{rho(e)} (h + d eta^(n))", general["hm2"])
-    hm1 = ctx.check("multisym/hm1-anchoring", "D iota_rho (h + d eta^(n)) = 0", general["hm1"], anchoring=True)
-
-    hm3 = []
+    hm3_terms = {}
     for k in range(n - 1, -1, -1):
-        rows, term_fields = msy.hm3_differential_fields(data, k)
-        general[f"hm3[{k}]"] = rows
-        hm3.append(
-            ctx.check(
-                f"multisym/hm3-diff[k={k}]",
-                "k-indexed differential compatibility, term by term as printed",
-                rows,
-                terms=term_fields,
-                flags=("ambiguous connection term read as trace pairing, collapsed sum",) if k >= 1 else (),
-            )
-        )
-
-    if n >= 2:
-        ctx.check(
-            "multisym/hm3-rewrite",
-            "d_E eta^(n-1)(e_a,e_b) - D eta^(n-2)(e_a,e_b) = 0 (dual-pair form)",
-            msy.hm3_rewrite_fields(data),
-            informational=True,
-            flags=("differs from the literal identity by descent rearrangement",),
-        )
-
-    if model.conn.is_flat and mom.is_constant_structure(alg, ctx.points):
-        sp = msy.specialized_fields(data)
-        ctx.agreement(
-            "multisym/lie-specialize-agreement",
-            "constant-bracket reduced system matches the general evaluators",
-            [(sp[key], general[key]) for key in sp],
-            1e-10,
-            assuming=(descent, "comparison assumes the descent relations"),
-        )
-
+        general[f"hm3[{k}]"], hm3_terms[k] = msy.hm3_differential_fields(data, k)
+    rewrite_rows = msy.hm3_rewrite_fields(data) if n >= 2 else None
+    sp = msy.specialized_fields(data) if model.conn.is_flat else None
+    # the n = 1 tower against H1-H3 of its own 2-form and moment map
+    reduction = None
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, model.conn, ht, mu)
-        ctx.agreement(
-            "multisym/n1-reduction-agreement",
-            "degree-1 tower equals the momentum-section conditions",
-            [(general["hm1"], h1_rows), (general["hm2"], h2_rows), (general["hm3[0]"], h3_rows)],
-            1e-12,
-            assuming=([hm2], "bracket-compatibility comparison assumes the momentum-section condition"),
+        reduction = dict(zip(("hm1", "hm2", "hm3[0]"), mom.condition_fields(alg, model.conn, ht, mu)))
+
+    def evaluate(ctx: CheckContext):
+        closed = ctx.check("multisym/pre-nplectic-closed", "dh = 0", closed_rows, informational=True)
+        if not closed.passed:
+            closed.flags += ("not pre-n-plectic",)
+
+        descent = []
+        for k, pairing_rows, symmetry_rows in descent_rows:
+            descent.append(
+                ctx.check(
+                    f"multisym/descent-pairing[k={k}]",
+                    "eta^(k-1) equals the signed cyclic anchor contraction of eta^(k)",
+                    pairing_rows,
+                )
+            )
+            descent.append(
+                ctx.check(
+                    f"multisym/descent-symmetry[k={k}]",
+                    "anchor contraction of eta^(k) is antisymmetric under slot exchange",
+                    symmetry_rows,
+                )
+            )
+
+        hm2 = ctx.check(
+            "multisym/hm2-momentum-section", "D eta^(n-1)(e) = iota_{rho(e)} (h + d eta^(n))", general["hm2"]
+        )
+        hm1 = ctx.check("multisym/hm1-anchoring", "D iota_rho (h + d eta^(n)) = 0", general["hm1"], anchoring=True)
+
+        hm3 = []
+        for k, term_fields in hm3_terms.items():
+            hm3.append(
+                ctx.check(
+                    f"multisym/hm3-diff[k={k}]",
+                    "k-indexed differential compatibility, term by term as printed",
+                    general[f"hm3[{k}]"],
+                    terms=term_fields,
+                    flags=("ambiguous connection term read as trace pairing, collapsed sum",) if k >= 1 else (),
+                )
+            )
+
+        if rewrite_rows is not None:
+            ctx.check(
+                "multisym/hm3-rewrite",
+                "d_E eta^(n-1)(e_a,e_b) - D eta^(n-2)(e_a,e_b) = 0 (dual-pair form)",
+                rewrite_rows,
+                informational=True,
+                flags=("differs from the literal identity by descent rearrangement",),
+            )
+
+        if sp is not None and mom.is_constant_structure(alg, ctx.points, ctx.memo):
+            ctx.agreement(
+                "multisym/lie-specialize-agreement",
+                "constant-bracket reduced system matches the general evaluators",
+                [(sp[key], general[key]) for key in sp],
+                1e-10,
+                assuming=(descent, "comparison assumes the descent relations"),
+            )
+
+        if reduction is not None:
+            ctx.agreement(
+                "multisym/n1-reduction-agreement",
+                "degree-1 tower equals the momentum-section conditions",
+                [(general[key], reduction[key]) for key in reduction],
+                1e-12,
+                assuming=([hm2], "bracket-compatibility comparison assumes the momentum-section condition"),
+            )
+
+        ctx.verdicts["multisym_classification"] = mom.classify(
+            hm1.passed, hm2.passed, all(c.passed for c in hm3 + descent)
         )
 
-    ctx.verdicts["multisym_classification"] = mom.classify(
-        hm1.passed, hm2.passed, all(c.passed for c in hm3 + descent)
-    )
+    return evaluate
 
 
-# suite -> (runner, the model block it requires), in report order
+# suite -> (its planner, the model block it requires), in report order; a
+# planner builds the suite's row graphs and returns the step that
+# evaluates them on a run.  A step must not hold the model: the model
+# holds the step, and in a reference cycle a model and its graphs would
+# wait for the cyclic garbage collector, which then walks every node.
 _SUITES = {
-    "axioms": (run_axioms, None),
-    "momentum": (run_momentum, None),
-    "mechanics": (run_mechanics, "metric"),
-    "sigma2d": (run_sigma2d, "metric"),
-    "multisym": (run_multisym, "multisym"),
+    "axioms": (plan_axioms, None),
+    "momentum": (plan_momentum, None),
+    "mechanics": (plan_mechanics, "metric"),
+    "sigma2d": (plan_sigma2d, "metric"),
+    "multisym": (plan_multisym, "multisym"),
 }
 SUITE_NAMES = tuple(_SUITES)

@@ -1,9 +1,12 @@
 """Batched jets: a sample evaluates row by row exactly as single points do,
-the per-sample memo never serves jets of another sample, and a jet
-evaluated to a lower order is the full jet with its higher parts left out."""
+a run's memo never serves jets of another sample, and a jet evaluated to
+a lower order is the full jet with its higher parts left out."""
 
+import gc
 import json
 import pathlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import f, random_poly_source, random_smooth_source
-from momsec import fields
 from momsec.expressions import DomainError, eval_jet, eval_jets, parse
 from momsec.fields import Chart, ScalarField, matrix_inverse_fields
 from momsec.fixtures import fixture_bytes, fixture_names
@@ -198,8 +200,8 @@ def _random_graph(seed: int, chart: Chart):
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_field_graph_order_truncates_the_full_jet(seed, count, data):
-    # one graph serves a random sequence of (node, order) requests on one
-    # sample, so memo hits at a higher order and re-evaluations at a higher
+    # a random sequence of (node, order) requests on one sample shares one
+    # memo, so memo hits at a higher order and re-evaluations at a higher
     # order both occur; a second graph built alike gives the full jets
     ch = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
     nodes = _random_graph(seed, ch)
@@ -209,8 +211,9 @@ def test_field_graph_order_truncates_the_full_jet(seed, count, data):
     requests = data.draw(
         st.lists(st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, 2)), min_size=1, max_size=30)
     )
+    memo = {}
     for k, order in requests:
-        _assert_truncation(nodes[k].eval(points, order), full[k], order)
+        _assert_truncation(nodes[k].eval(points, order, memo), full[k], order)
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
@@ -220,10 +223,11 @@ def test_values_first_then_full_jet_equals_a_fresh_full_jet(seed, count):
     nodes = _random_graph(seed, ch)
     fresh = _random_graph(seed, ch)
     points = ch.sample(count, seed)
+    memo = {}
     for node in nodes:
-        node.eval(points, 0)
+        node.eval(points, 0, memo)
     for node, other in zip(nodes, fresh):
-        _assert_truncation(node.eval(points, 2), other.eval(points, 2), 2)
+        _assert_truncation(node.eval(points, 2, memo), other.eval(points, 2), 2)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -248,25 +252,103 @@ def test_derivative_domain_checks_fire_at_order_zero(source):
     assert "derivative at zero" in messages[0]
 
 
-def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
-    # only a partial asks its parent for a derivative; residual roots ask
-    # for values alone, so few nodes of a whole run hold a gradient and
-    # fewer a Hessian
+def _son_model_bytes(monkeypatch, n: int) -> bytes:
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
     from perfbench.models import son_model_bytes
 
-    model = load_model_bytes(son_model_bytes(3, 1))
-    evaluated = {}
-    original = fields._PerSample.eval
+    return son_model_bytes(n, 1)
 
-    def recording_eval(self, points, order=2):
-        if isinstance(self, ScalarField):
-            evaluated[id(self)] = self
-        return original(self, points, order)
 
-    monkeypatch.setattr(fields._PerSample, "eval", recording_eval)
+def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
+    # only a partial asks its parent for a derivative; residual roots ask
+    # for values alone, so few nodes of a whole run are evaluated with a
+    # gradient and fewer with a Hessian
+    model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
+    jets = {}  # node id -> (node, every jet the run evaluated it to)
+    for cls in ScalarField.__subclasses__():
+
+        def recording_eval(node, points, order, memo, _eval=cls._eval):
+            jet = _eval(node, points, order, memo)
+            jets.setdefault(id(node), (node, []))[1].append(jet)
+            return jet
+
+        monkeypatch.setattr(cls, "_eval", recording_eval)
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
-    jets = [node._result for node in evaluated.values()]
-    assert len(jets) > 3000
-    assert sum(jet.grad is not None for jet in jets) <= 1000
-    assert sum(jet.hess is not None for jet in jets) <= 60
+    evaluated = [node_jets for _, node_jets in jets.values()]
+    assert len(evaluated) > 3000
+    assert sum(any(jet.grad is not None for jet in js) for js in evaluated) <= 1000
+    assert sum(any(jet.hess is not None for jet in js) for js in evaluated) <= 60
+
+
+# ---------------------------------------------------------------------------
+# Graphs built once per model, jets held once per suite
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), "so3"])
+def test_a_second_run_builds_no_field(name, monkeypatch):
+    raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
+    model = load_model_bytes(raw)
+    built = []
+    # every field class defines __init__, which can be wrapped and restored
+    for cls in ScalarField.__subclasses__():
+
+        def counting_init(node, *args, _init=cls.__init__, **kwargs):
+            built.append(type(node).__name__)
+            _init(node, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    run(model, "all", RunConfig(points=16, seed=5))
+    assert built
+    built.clear()
+    run(model, "all", RunConfig(points=24, seed=6))
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["rotation_momentum_map", "so3"])
+def test_a_reused_model_reports_as_fresh_models_do(name, monkeypatch):
+    raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
+    model = load_model_bytes(raw)
+    for seed, points in [(5, 32), (6, 1024), (5, 32), (7, 8)]:
+        cfg = RunConfig(points=points, seed=seed)
+        assert run(model, "all", cfg).to_json() == run(load_model_bytes(raw), "all", cfg).to_json()
+
+
+def test_a_dropped_model_frees_its_graphs_at_once(monkeypatch):
+    # the model holds the evaluation steps of its suites; a step that held
+    # the model would make a cycle, and every node would wait for the
+    # cyclic collector
+    for raw in [*(fixture_bytes(name) for name in fixture_names()), _son_model_bytes(monkeypatch, 3)]:
+        model = load_model_bytes(raw)
+        run(model, "all", RunConfig(points=8, seed=1))
+        refs = [weakref.ref(model), *(weakref.ref(step) for step in model._plans.values())]
+        gc.disable()
+        try:
+            del model
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+def test_run_memory_is_bounded_and_released(monkeypatch):
+    # so(4) with every block at 1024 points: a run peaked at 71 MB under
+    # tracemalloc when every node kept its jets and graphs were rebuilt
+    # per run; only roots and shared nodes may hold jets now, and only
+    # until their suite ends
+    model = load_model_bytes(_son_model_bytes(monkeypatch, 4))
+    cfg = RunConfig(tolerance=model.tolerance, points=1024, seed=42)
+    mb = 2.0**20
+    tracemalloc.start()
+    try:
+        run(model, "all", cfg)
+        first_peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(model, "all", cfg)
+        gc.collect()
+        end, second_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first_peak <= 40 * mb
+    assert second_peak <= 40 * mb
+    assert abs(end - start) <= 1 * mb
