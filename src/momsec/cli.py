@@ -19,6 +19,7 @@ or a singular matrix.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -125,10 +126,15 @@ def cmd_examples(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     if args.command == "check":

@@ -59,8 +59,16 @@ class DomainError(ExpressionError):
     def __init__(self, message: str, subexpression: "Expr", point: int | None = None):
         where = "" if point is None else f" at sample point {point}"
         super().__init__(f"{message} in '{pretty(subexpression)}'{where}")
+        self.reason = message
         self.subexpression = subexpression
         self.point = point
+
+    def shifted(self, offset: int) -> "DomainError":
+        """The same error for a sample whose point 0 is point ``offset``
+        of a larger one."""
+        if self.point is None:
+            return self
+        return DomainError(self.reason, self.subexpression, self.point + offset)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +312,12 @@ class Jet2:
 
     For P points in d coordinates, ``value`` has shape ``(P,)``, ``grad``
     ``(P, d)`` and ``hess`` ``(P, d, d)``; row p is the jet at point p,
-    and every rule below acts row by row.  ``row(p)`` reads one row back
-    as a float value, a ``(d,)`` gradient and a ``(d, d)`` Hessian.
+    and every rule below acts row by row.  The rules index only the
+    trailing axes, so a stack of n jets, with ``value`` ``(n, P)``,
+    ``grad`` ``(n, P, d)`` and ``hess`` ``(n, P, d, d)``, runs through
+    the same rules as one jet does.  ``row(p)`` reads one row of a
+    single jet back as a float value, a ``(d,)`` gradient and a
+    ``(d, d)`` Hessian.
 
     A jet is truncated at an order 0, 1 or 2: ``hess`` (and then
     ``grad``) is ``None`` when that derivative was not requested, or was
@@ -314,7 +326,8 @@ class Jet2:
     depend on gradients, nor gradients on Hessians, so a truncated jet
     agrees bit for bit with the same parts of the full one.  Entry-wise
     the stored Hessian is exactly symmetric: every rule below builds it
-    from symmetric pieces only.
+    from symmetric pieces only.  A rule with an ``out`` jet writes each
+    part into ``out``'s array for it instead of a new one.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -341,12 +354,6 @@ class Jet2:
             h = np.zeros((count, dim, dim))
         return Jet2(points[:, index].copy(), g, h)
 
-    def truncated(self, order: int) -> "Jet2":
-        """This jet without the derivatives above ``order``."""
-        if order >= 2 or self.grad is None or (order == 1 and self.hess is None):
-            return self
-        return Jet2(self.value, self.grad if order == 1 else None, None)
-
     def row(self, p: int) -> "Jet2":
         g = None if self.grad is None else self.grad[p]
         h = None if self.hess is None else self.hess[p]
@@ -358,9 +365,13 @@ class Jet2:
         return Jet2(self.value + other.value, g, h)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        g = None if self.grad is None or other.grad is None else self.grad - other.grad
-        h = None if g is None or self.hess is None or other.hess is None else self.hess - other.hess
-        return Jet2(self.value - other.value, g, h)
+        return self.minus(other)
+
+    def minus(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
+        o = _NEW if out is None else out
+        g = None if self.grad is None or other.grad is None else np.subtract(self.grad, other.grad, out=o.grad)
+        h = None if g is None or self.hess is None or other.hess is None else np.subtract(self.hess, other.hess, out=o.hess)
+        return Jet2(np.subtract(self.value, other.value, out=o.value), g, h)
 
     def __neg__(self) -> "Jet2":
         g = None if self.grad is None else -self.grad
@@ -368,25 +379,32 @@ class Jet2:
         return Jet2(-self.value, g, h)
 
     def __mul__(self, other: "Jet2") -> "Jet2":
-        value = self.value * other.value
+        return self.times(other)
+
+    def times(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
+        o = _NEW if out is None else out
+        value = np.multiply(self.value, other.value, out=o.value)
         if self.grad is None or other.grad is None:
             return Jet2(value, None, None)
-        grad = self.grad * other.value[:, None] + self.value[:, None] * other.grad
+        # u' v + u v', added in place into the first product
+        grad = np.multiply(self.grad, other.value[..., None], out=o.grad)
+        grad += self.value[..., None] * other.grad
         if self.hess is None or other.hess is None:
-            hess = None
-        else:
-            cross = self.grad[:, :, None] * other.grad[:, None, :]
-            hess = (
-                self.hess * other.value[:, None, None]
-                + self.value[:, None, None] * other.hess
-                + (cross + cross.transpose(0, 2, 1))
-            )
+            return Jet2(value, grad, None)
+        cross = self.grad[..., :, None] * other.grad[..., None, :]
+        hess = np.multiply(self.hess, other.value[..., None, None], out=o.hess)
+        hess += self.value[..., None, None] * other.hess
+        hess += cross + np.swapaxes(cross, -1, -2)
         return Jet2(value, grad, hess)
 
-    def scale(self, c: float) -> "Jet2":
-        g = None if self.grad is None else c * self.grad
-        h = None if self.hess is None else c * self.hess
-        return Jet2(c * self.value, g, h)
+    def scale(self, c, out: "Jet2 | None" = None) -> "Jet2":
+        """This jet times ``c``: a number, or for a stack of n jets an
+        ``(n,)`` array with one factor per jet."""
+        c = np.asarray(c)
+        o = _NEW if out is None else out
+        g = None if self.grad is None else np.multiply(c[..., None, None], self.grad, out=o.grad)
+        h = None if self.hess is None else np.multiply(c[..., None, None, None], self.hess, out=o.hess)
+        return Jet2(np.multiply(c[..., None], self.value, out=o.value), g, h)
 
     def reciprocal(self) -> "Jet2":
         inv = 1.0 / self.value
@@ -399,13 +417,17 @@ class Jet2:
         if self.grad is None:
             return Jet2(f, None, None)
         d1 = df()
-        grad = d1[:, None] * self.grad
+        grad = d1[..., None] * self.grad
         if self.hess is None:
             hess = None
         else:
-            outer = self.grad[:, :, None] * self.grad[:, None, :]
-            hess = d1[:, None, None] * self.hess + d2f()[:, None, None] * outer
+            outer = self.grad[..., :, None] * self.grad[..., None, :]
+            hess = d1[..., None, None] * self.hess + d2f()[..., None, None] * outer
         return Jet2(f, grad, hess)
+
+
+# the ``out`` of a rule that writes every part into a new array
+_NEW = Jet2(None, None, None)
 
 
 def _check_domain(bad: np.ndarray, message: str, node: Expr):

@@ -3,27 +3,28 @@
 A :class:`ScalarField` is anything that can produce jets up to second
 order over a point sample: a parsed expression, a constant, or an
 algebraic/differential combination of other fields.  Field graphs hold
-no sample data, so a graph built once serves every sample.  A field is
-evaluated over the whole sample at once by ``eval(points, order, memo)``,
-and the memo, a dict owned by the caller, is where jets live: a run
-keeps one per suite and drops it when the suite ends.  The memo keeps a
-jet only where it will be read again: for every node asked for through
-``eval`` (a root, such as a residual row) and for every node that more
-than one live node is built on.  Each node counts its consumers as they
-are built and loses one when a consumer is freed, as the temporaries of
-the algebra are.  A node with a single consumer is evaluated when that
-consumer asks for it, and its jet is freed as soon as the consumer has
-read it, so no jet outlives its memo and no caller can pin one.
-The jet order is a demand that flows down the graph: a residual asks
-for values only (order 0), sums, differences, products and scalings
-pass the order on, and a :class:`PartialField` asks its parent for one
-order more, so a node computes only the derivatives some consumer
-reads.  A memo entry serves every request up to the order it holds; a
-request above it evaluates the node again and replaces the entry.
-Differentiating an evaluated field consumes one jet order, so a
-once-differentiated field still has an exact value and gradient but no
-Hessian.  No check in this package ever differentiates a field more
-than twice.
+no sample data, so a graph built once serves every sample.  Graphs are
+evaluated by a :class:`Program`, compiled once from groups of root
+fields, each group read to one jet order.  The jet order is a demand
+that flows down the graph: a residual asks for values only (order 0),
+sums, differences, products and scalings pass the order on, and a
+:class:`PartialField` asks its input for one order more, so each node
+gets one demand order, the highest any consumer reads, and computes
+only those derivatives.  Differentiating an evaluated field consumes
+one jet order, so a once-differentiated field still has an exact value
+and gradient but no Hessian.  No check in this package ever
+differentiates a field more than twice.
+
+A program evaluates a chunk of points at a time, level by level: the
+nodes of one level, class and order are one group, evaluated by one
+numpy kernel over their stacked operand rows with the rules of
+:class:`Jet2`, so a run costs numpy work per group, not interpreter
+work per node.  Each node is evaluated once per chunk, into a slot of
+the program's tables, which live only for the chunk.  The leaves
+(expressions and constants) are not evaluated by the program: the
+caller passes their jets in, so programs evaluated on one chunk can
+share them.  ``ScalarField.eval`` and :func:`max_abs_fields` evaluate a
+one-off program of their own over the whole sample.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -61,6 +62,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
@@ -97,7 +99,7 @@ class Chart:
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         points = lo + rng.random((count, self.dim)) * (hi - lo)
-        # read-only: every jet a run's memo holds was computed from it
+        # read-only: every suite of a run evaluates this one sample
         points.flags.writeable = False
         return points
 
@@ -106,60 +108,50 @@ class Chart:
 # Scalar fields
 
 
-def _jet(node, points: np.ndarray, order: int, memo: dict, root: bool = False) -> Jet2:
-    """``node``'s jet up to ``order``: from ``memo`` when it holds at least
-    that order, else evaluated.  An evaluated jet is kept in ``memo`` when
-    the node is a ``root`` or another consumer will read it too."""
-    held = memo.get(node)
-    if held is not None and held[0] >= order:
-        return held[1] if held[0] == order else held[1].truncated(order)
-    jet = node._eval(points, order, memo)
-    if root or node.consumers > 1:
-        memo[node] = (order, jet)
-    return jet
-
-
 class _Node:
     """A node of a field graph: ``inputs`` are the nodes it is built on,
-    and ``consumers`` counts the live nodes built on it.  A constructor
-    calls :meth:`_built_on` once with its inputs; when a node is freed (a
-    temporary of the field algebra, say), its inputs lose that consumer.
-    Nodes form a graph without cycles, so reference counting frees a
-    node as soon as the last reference to it goes; a count that stays
-    too high only keeps a jet in the memo for longer."""
+    ``level`` is 0 for a leaf and else one more than its highest input's,
+    and ``held`` is the highest jet order it can hold (one less for each
+    partial on a path down to a leaf; below 0 it cannot be evaluated).
+    Nodes form a graph without cycles."""
 
-    consumers = 0
     inputs: tuple = ()
+    level = 0
+    held = 2
+    # the jet orders this node consumes of its inputs: a partial, one
+    _lift = 0
 
-    def _built_on(self, *inputs):
+    def _built_on(self, inputs: tuple):
         self.inputs = inputs
+        level, held = 0, 2
         for node in inputs:
-            node.consumers += 1
-
-    def __del__(self):
-        for node in self.inputs:
-            node.consumers -= 1
-
-    def _eval(self, points: np.ndarray, order: int, memo: dict) -> Jet2:
-        raise NotImplementedError
+            if node.level >= level:
+                level = node.level + 1
+            if node.held < held:
+                held = node.held
+        self.level = level
+        self.held = held - self._lift
 
 
 class ScalarField(_Node):
     """A scalar function on a chart, evaluable to second-order jets.
 
-    ``eval(points, order, memo)`` gives the :class:`Jet2` over a
-    ``(P, d)`` sample up to ``order``.  Every node under it shares
-    ``memo``, so a subtree shared by many fields (as built by the bracket
-    and wedge machinery) is evaluated once per memo, unless a later
-    consumer asks it for a higher order.  Without a memo the call uses a
-    fresh one of its own.  ``jet`` and ``value`` are one-point views: a
-    one-row sample, read back as row 0.
+    ``eval(points, order)`` gives the :class:`Jet2` over a ``(P, d)``
+    sample up to ``order``, through a one-off :class:`Program` of this
+    field alone.  ``jet`` and ``value`` are one-point views: a one-row
+    sample, read back as row 0.
+
+    A subclass with inputs supplies ``_kernel(tables, out, *args)``,
+    which evaluates a group of its nodes at once into ``out``, the
+    stacked jet of their slots, and ``_args`` if the operands' slots are
+    not all it reads.
     """
 
     dim: int
 
-    def eval(self, points: np.ndarray, order: int = 2, memo: dict | None = None) -> Jet2:
-        return _jet(self, points, order, {} if memo is None else memo, root=True)
+    def eval(self, points: np.ndarray, order: int = 2) -> Jet2:
+        jet = Program([([self], order)], self.dim).evaluate(points)[0]
+        return Jet2(jet.value[0], None if jet.grad is None else jet.grad[0], None if jet.hess is None else jet.hess[0])
 
     def _at(self, point, order: int) -> Jet2:
         return self.eval(np.asarray(point, dtype=float).reshape(1, -1), order).row(0)
@@ -208,6 +200,18 @@ class ScalarField(_Node):
     def partial(self, i: int) -> "ScalarField":
         return PartialField(self, i)
 
+    @staticmethod
+    def _arrange(nodes: list) -> list:
+        """A group's nodes in slot order."""
+        return nodes
+
+    @classmethod
+    def _args(cls, nodes: list, order: int, slots) -> tuple:
+        """Kernel arguments of a group at ``order``: for each input
+        position, the slots of that input of every node."""
+        lifted = order + cls._lift
+        return tuple(_gather([n.inputs[j] for n in nodes], lifted, slots) for j in range(len(nodes[0].inputs)))
+
 
 class ConstField(ScalarField):
     def __init__(self, value: float, dim: int):
@@ -215,7 +219,7 @@ class ConstField(ScalarField):
         self.dim = dim
         self.is_zero = self.c == 0.0
 
-    def _eval(self, points, order, memo):
+    def _leaf(self, points, order):
         return Jet2.constant(self.c, len(points), self.dim, order)
 
     def partial(self, i: int) -> "ScalarField":
@@ -249,7 +253,7 @@ class ExprField(ScalarField):
     def parse(source: str, chart: Chart) -> "ExprField":
         return ExprField(parse(source, chart.coordinates), chart)
 
-    def _eval(self, points, order, memo):
+    def _leaf(self, points, order):
         return eval_jets(self.expr, points, order)
 
 
@@ -262,14 +266,32 @@ class SumField(ScalarField):
             elif not t.is_zero:
                 flat.append(t)
         self.terms = tuple(flat)
+        self._built_on(self.terms)
         self.dim = terms[0].dim
-        self._built_on(*self.terms)
 
-    def _eval(self, points, order, memo):
-        out = _jet(self.terms[0], points, order, memo)
-        for t in self.terms[1:]:
-            out = out + _jet(t, points, order, memo)
-        return out
+    @staticmethod
+    def _arrange(nodes):
+        # most terms first: the nodes with a term at a position are a prefix
+        return sorted(nodes, key=lambda n: -len(n.terms))
+
+    @classmethod
+    def _args(cls, nodes, order, slots):
+        return tuple(
+            _gather([n.terms[j] for n in nodes if len(n.terms) > j], order, slots) for j in range(len(nodes[0].terms))
+        )
+
+    @staticmethod
+    def _kernel(t, out, first, *rest):
+        # left to right, as a + b + c adds
+        t.take(first, out)
+        for slots in rest:
+            n = len(slots[0])
+            term = t.jet(slots)
+            out.value[:n] += term.value
+            if term.grad is not None:
+                out.grad[:n] += term.grad
+            if term.hess is not None:
+                out.hess[:n] += term.hess
 
 
 class DiffField(ScalarField):
@@ -279,10 +301,11 @@ class DiffField(ScalarField):
         self.a = a
         self.b = b
         self.dim = a.dim
-        self._built_on(a, b)
+        self._built_on((a, b))
 
-    def _eval(self, points, order, memo):
-        return _jet(self.a, points, order, memo) - _jet(self.b, points, order, memo)
+    @staticmethod
+    def _kernel(t, out, a, b):
+        t.jet(a).minus(t.jet(b), out)
 
 
 class ProdField(ScalarField):
@@ -290,10 +313,11 @@ class ProdField(ScalarField):
         self.a = a
         self.b = b
         self.dim = a.dim
-        self._built_on(a, b)
+        self._built_on((a, b))
 
-    def _eval(self, points, order, memo):
-        return _jet(self.a, points, order, memo) * _jet(self.b, points, order, memo)
+    @staticmethod
+    def _kernel(t, out, a, b):
+        t.jet(a).times(t.jet(b), out)
 
 
 class ScaledField(ScalarField):
@@ -301,35 +325,44 @@ class ScaledField(ScalarField):
         self.c = c
         self.f = f
         self.dim = f.dim
-        self._built_on(f)
+        self._built_on((f,))
 
-    def _eval(self, points, order, memo):
-        return _jet(self.f, points, order, memo).scale(self.c)
+    @classmethod
+    def _args(cls, nodes, order, slots):
+        return (*super()._args(nodes, order, slots), np.array([n.c for n in nodes], dtype=float))
+
+    @staticmethod
+    def _kernel(t, out, f, c):
+        t.jet(f).scale(c, out)
 
 
 class PartialField(ScalarField):
     """The coordinate partial of another field.
 
     The jet forwards the parent's gradient and Hessian down one order,
-    so the parent is evaluated one order above the request; its own
+    so the parent is evaluated one order above the demand; its own
     Hessian is unavailable (it would be a third derivative of the
     parent).
     """
+
+    _lift = 1
 
     def __init__(self, f: ScalarField, i: int):
         self.f = f
         self.i = i
         self.dim = f.dim
-        self._built_on(f)
+        self._built_on((f,))
 
-    def _eval(self, points, order, memo):
-        parent = _jet(self.f, points, min(order + 1, 2), memo)
-        if parent.grad is None:
-            raise ValueError(
-                "jet order exhausted: a field was differentiated more than twice"
-            )
-        grad = None if parent.hess is None else parent.hess[:, :, self.i].copy()
-        return Jet2(parent.grad[:, self.i].copy(), grad, None)
+    @classmethod
+    def _args(cls, nodes, order, slots):
+        return (*super()._args(nodes, order, slots), np.array([n.i for n in nodes], dtype=np.intp))
+
+    @staticmethod
+    def _kernel(t, out, f, i):
+        _, grad, hess = f
+        out.value[...] = t.grad[grad, :, i]
+        if out.grad is not None:
+            out.grad[...] = t.hess[hess, :, :, i]
 
 
 def field_sum_d(terms, dim: int) -> ScalarField:
@@ -345,8 +378,8 @@ def field_sum_d(terms, dim: int) -> ScalarField:
 # Matrix inversion as a family of scalar fields
 
 
-class _MatrixInverseCore(_Node):
-    """Shared evaluator for the entries of the inverse of a field matrix.
+class _MatrixInverse:
+    """Jets of the inverse of a field matrix, from the jets of its entries.
 
     Given jets of the entries of M(x), the inverse N = M^{-1} has
     dN = -N (dM) N and
@@ -354,28 +387,28 @@ class _MatrixInverseCore(_Node):
     all exact to second order.  The result is the jet of the matrix N:
     ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
     ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
-    The entry fields of the inverse read it as their one input.
     """
 
     def __init__(self, entries):
-        self.entries = entries
+        self.entries = tuple(f for row in entries for f in row)
         self.n = len(entries)
         self.dim = entries[0][0].dim
-        self._built_on(*(f for row in entries for f in row))
 
-    def _eval(self, points, order, memo):
-        jets = [[_jet(f, points, order, memo) for f in row] for row in self.entries]
-        V = np.moveaxis(np.array([[j.value for j in row] for row in jets]), 2, 0)
-        N = np.linalg.inv(V)
+    def jet(self, entries: Jet2, order: int) -> Jet2:
+        """From the stacked jets of the entries, row by row."""
+        n = self.n
+
+        def matrices(x):
+            return np.moveaxis(x.reshape(n, n, *x.shape[1:]), 2, 0)
+
+        N = np.linalg.inv(matrices(entries.value))
         if order < 1:
             return Jet2(N, None, None)
-        G = np.moveaxis(np.array([[j.grad for j in row] for row in jets]), 2, 0)
-        NG = np.einsum("pia,pabk->pibk", N, G)
+        NG = np.einsum("pia,pabk->pibk", N, matrices(entries.grad))
         dN = -np.einsum("pibk,pbj->pijk", NG, N)
         if order < 2:
             return Jet2(N, dN, None)
-        H = np.moveaxis(np.array([[j.hess for j in row] for row in jets]), 2, 0)
-        t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, H, N)
+        t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, matrices(entries.hess), N)
         t_g = -np.einsum("pibk,pbjl->pijkl", NG, dN)
         # sum the symmetric pair first so the Hessian stays exactly symmetric
         d2N = t_h + (t_g + t_g.transpose(0, 1, 2, 4, 3))
@@ -383,26 +416,213 @@ class _MatrixInverseCore(_Node):
 
 
 class MatrixInverseField(ScalarField):
-    def __init__(self, core: _MatrixInverseCore, i: int, j: int):
+    """Entry (i, j) of the inverse; its inputs are every entry of the
+    matrix.  The entries of one inverse that a program reads are
+    evaluated together, to one order, so the inverse is computed once."""
+
+    def __init__(self, core: _MatrixInverse, i: int, j: int):
         self.core = core
         self.i = i
         self.j = j
         self.dim = core.dim
-        self._built_on(core)
+        self._built_on(core.entries)
 
-    def _eval(self, points, order, memo):
-        inv = _jet(self.core, points, order, memo)
-        i, j = self.i, self.j
-        grad = None if inv.grad is None else inv.grad[:, i, j].copy()
-        hess = None if inv.hess is None else inv.hess[:, i, j].copy()
-        return Jet2(inv.value[:, i, j].copy(), grad, hess)
+    @staticmethod
+    def _arrange(nodes):
+        first = {}
+        return sorted(nodes, key=lambda n: first.setdefault(n.core, len(first)))
+
+    @classmethod
+    def _args(cls, nodes, order, slots):
+        cores = {}
+        for n in nodes:
+            cores.setdefault(n.core, []).append((n.i, n.j))
+        return order, [
+            (core, _gather(core.entries, order, slots), *(np.array(ix, dtype=np.intp) for ix in zip(*at)))
+            for core, at in cores.items()
+        ]
+
+    @staticmethod
+    def _kernel(t, out, order, cores):
+        start = 0
+        for core, entries, i, j in cores:
+            inv = core.jet(t.jet(entries), order)
+            for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
+                if part is not None:
+                    part[start : start + len(i)] = np.moveaxis(x[:, i, j], 1, 0)
+            start += len(i)
 
 
 def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
     """Entry fields of the pointwise inverse of a square field matrix."""
-    core = _MatrixInverseCore(entries)
+    core = _MatrixInverse(entries)
     n = core.n
     return [[MatrixInverseField(core, i, j) for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Programs: stacked evaluation of field graphs
+
+
+_LEVEL = attrgetter("level")
+
+
+def _gather(nodes, order: int, slots) -> tuple:
+    """Slots of ``nodes`` in the value table, and in the gradient and
+    Hessian tables up to ``order``; ``None`` above it."""
+    return tuple(
+        np.array([table[n] for n in nodes], dtype=np.intp) if q <= order else None for q, table in enumerate(slots)
+    )
+
+
+class _Tables:
+    """One chunk's jets of a program's nodes: a row per slot of the
+    value ``(S0, P)``, gradient ``(S1, P, d)`` and Hessian
+    ``(S2, P, d, d)`` tables, carved in that order from ``space``."""
+
+    def __init__(self, sizes, count: int, dim: int, space: np.ndarray):
+        shapes = ((sizes[0], count), (sizes[1], count, dim), (sizes[2], count, dim, dim))
+        start = 0
+        for name, shape in zip(("value", "grad", "hess"), shapes):
+            end = start + math.prod(shape)
+            setattr(self, name, space[start:end].reshape(shape))
+            start = end
+
+    def jet(self, slots) -> Jet2:
+        """The stacked jet of the nodes at ``slots`` (see :func:`_gather`):
+        rows of index arrays gathered, a copy; rows of slices, a view."""
+        value, grad, hess = slots
+        return Jet2(
+            self.value[value], None if grad is None else self.grad[grad], None if hess is None else self.hess[hess]
+        )
+
+    def take(self, slots, out: Jet2):
+        """Gather the nodes at ``slots`` into each array ``out`` has."""
+        for table, rows, part in zip((self.value, self.grad, self.hess), slots, (out.value, out.grad, out.hess)):
+            if part is not None:
+                np.take(table, rows, axis=0, out=part, mode="clip")
+
+
+class Program:
+    """The evaluation of groups of root fields, each group to one jet order.
+
+    Compiling walks the graph under the roots once and gives each node:
+
+    - a demand order: the highest order a consumer reads it to, a root
+      its group's order, and one more through a :class:`PartialField`
+      (at most 2);
+    - an order: its demand, or less where an input holds fewer orders (a
+      partial holds one order less than its argument);
+    - a level: 0 for a leaf (an expression or a constant), else one more
+      than its highest input;
+    - a slot in the value table, and in the gradient and Hessian tables
+      when its order reaches them.
+
+    Nodes of one level, class and order form a group, and ``run`` runs
+    each group as one numpy kernel over the stacked rows of its
+    operands, level by level, so every node is evaluated once per call.
+    Leaves are not evaluated by the program: ``run`` is given their jets
+    (``leaves`` maps each leaf to the order it needs), so that programs
+    evaluated on one sample can share them.  ``run`` returns, for each
+    root group, the stacked jet of its fields, to the group's order or
+    as far as every field holds it.  A field differentiated more than
+    twice makes compiling raise ``ValueError``.
+    """
+
+    def __init__(self, groups, dim: int):
+        groups = [(list(fields), order) for fields, order in groups]
+        # every node under the roots, with its demand order
+        demand: dict = {}
+        for fields, order in groups:
+            for f in fields:
+                if demand.get(f, -1) < order:
+                    demand[f] = min(order, 2)
+        stack = list(demand)
+        while stack:
+            for i in stack.pop().inputs:
+                if i not in demand:
+                    demand[i] = 0
+                    stack.append(i)
+        # consumers before inputs, so each node's demand is final when it
+        # is reached; then ``demand`` keeps the order the node is evaluated to
+        grouped: dict = {}
+        inverses: dict = {}
+        for node in sorted(demand, key=_LEVEL, reverse=True):
+            d = demand[node]
+            need = d + node._lift
+            if need:
+                need = min(need, 2)
+                for i in node.inputs:
+                    if demand[i] < need:
+                        demand[i] = need
+            k = node.held
+            if k < 0:
+                raise ValueError("jet order exhausted: a field was differentiated more than twice")
+            if node.__class__ is MatrixInverseField:
+                inverses.setdefault(node.core, []).append(node)
+                continue
+            if d < k:
+                k = d
+            demand[node] = k
+            grouped.setdefault((node.level, node.__class__, k), []).append(node)
+        for entries in inverses.values():
+            top = max(demand[n] for n in entries)
+            for n in entries:
+                demand[n] = k = min(top, n.held)
+                grouped.setdefault((n.level, MatrixInverseField, k), []).append(n)
+
+        slots = ({}, {}, {})
+        self.leaves: dict = {}
+        self._fill = []
+        self._kernels = []
+        for key in sorted(grouped, key=lambda key: key[0]):
+            lv, cls, k = key
+            nodes = cls._arrange(grouped[key])
+            out = []
+            for table in slots[: k + 1]:
+                start = len(table)
+                table.update(zip(nodes, range(start, start + len(nodes))))
+                out.append(slice(start, start + len(nodes)))
+            if lv:
+                out += [None] * (2 - k)
+                self._kernels.append((cls._kernel, tuple(out), cls._args(nodes, k, slots)))
+            else:
+                for n in nodes:
+                    self.leaves[n] = k
+                    self._fill.append((n, tuple(table.get(n) for table in slots)))
+        self._roots = [_gather(fields, min([order, *(demand[f] for f in fields)]), slots) for fields, order in groups]
+        self.dim = dim
+        self.sizes = tuple(len(table) for table in slots)
+        self.bytes_per_point = 8 * (self.sizes[0] + dim * self.sizes[1] + dim * dim * self.sizes[2])
+
+    def run(self, leaves: dict, count: int, space: np.ndarray | None = None) -> list[Jet2]:
+        """The root groups' jets over one sample of ``count`` points, given
+        ``leaves``, the jets of (at least) this program's leaves over it.
+        The tables live in ``space``, a float array of at least
+        ``count * bytes_per_point / 8`` entries, which a caller evaluating
+        chunk after chunk can reuse; the returned jets do not share it."""
+        if space is None:
+            space = np.empty(count * self.bytes_per_point // 8)
+        t = _Tables(self.sizes, count, self.dim, space)
+        for leaf, (v, g, h) in self._fill:
+            jet = leaves[leaf]
+            t.value[v] = jet.value
+            if g is not None:
+                t.grad[g] = jet.grad
+            if h is not None:
+                t.hess[h] = jet.hess
+        for kernel, out, args in self._kernels:
+            kernel(t, t.jet(out), *args)
+        return [t.jet(slots) for slots in self._roots]
+
+    def evaluate(self, points: np.ndarray) -> list[Jet2]:
+        """:meth:`run` over the whole of ``points``, with leaves of its own."""
+        return self.run(leaf_jets(self.leaves, points), len(points))
+
+
+def leaf_jets(leaves: dict, points: np.ndarray) -> dict:
+    """The jet of each leaf field over ``points``, to its order in ``leaves``."""
+    return {leaf: leaf._leaf(points, order) for leaf, order in leaves.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +943,11 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
     return out
 
 
-def max_abs_fields(fields, points: np.ndarray, memo: dict | None = None) -> float:
+def max_abs_fields(fields, points: np.ndarray) -> float:
     """Largest |f| over the sample; NaN or inf when any value is non-finite.
-    Only values are evaluated, all through one memo."""
-    memo = {} if memo is None else memo
-    values = [f.eval(points, 0, memo).value for f in fields if not f.is_zero]
+    Only values are evaluated, all by one program."""
+    live = [f for f in fields if not f.is_zero]
+    if not live:
+        return 0.0
+    values = Program([(live, 0)], live[0].dim).evaluate(points)[0].value
     return float(np.max(np.abs(values), initial=0.0))

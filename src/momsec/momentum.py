@@ -26,6 +26,8 @@ from .algebroid import AlgebroidData
 from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
     FormField,
+    Jet2,
+    Program,
     ScalarField,
     exterior_derivative,
     field_sum_d,
@@ -137,14 +139,33 @@ def classify(h1: bool, h2: bool, h3: bool) -> str:
     return CLASS_NONE
 
 
-def is_constant_structure(alg: AlgebroidData, points: np.ndarray, memo: dict | None = None, tol: float = 1e-12) -> bool:
+def structure_functions(alg: AlgebroidData) -> list:
+    """The stored structure functions C^c_ab."""
+    return [f for C in alg.C for f in C.comps.values()]
+
+
+def constancy_maxima(jet: Jet2) -> np.ndarray:
+    """For the stacked order-1 jet of :func:`structure_functions` over
+    some points: the largest -C, C and |grad C| of each function.  The
+    elementwise maximum of these over the chunks of a sample is the same
+    array for the whole sample, and decides :func:`is_constant`."""
+    return np.concatenate(
+        [np.max(-jet.value, axis=1), np.max(jet.value, axis=1), np.max(np.abs(jet.grad), axis=(1, 2))]
+    )
+
+
+def is_constant(maxima: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when every structure function is constant over the sample,
+    from the :func:`constancy_maxima` of the whole sample: its spread
+    (``max C - min C``) and its gradient stay within ``tol``."""
+    neg_low, high, grad = np.split(maxima, 3)
+    return not np.any((high + neg_low > tol) | (grad > tol))
+
+
+def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1e-12) -> bool:
     """True when every structure function is constant over the sample."""
-    for C in alg.C:
-        for f in C.comps.values():
-            jet = f.eval(points, 1, memo)
-            if np.ptp(jet.value) > tol or np.max(np.abs(jet.grad)) > tol:
-                return False
-    return True
+    jet = Program([(structure_functions(alg), 1)], alg.dim).evaluate(points)[0]
+    return is_constant(constancy_maxima(jet), tol)
 
 
 def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):

@@ -2,18 +2,34 @@
 
 Each suite is planned once per model: its planner builds the suite's
 row graphs from the model alone, on the first run that needs the suite,
-and returns the step that evaluates them; the model keeps that step for
-later runs.  The only wiring that reads sample values (whether the
-structure functions are constant, whether sigma2d's b is closed) is
-decided in the step, per run.  One point sample is drawn per run and
-shared by every check, so residuals compared across modules are
-evaluated on identical points.  Each run has one :class:`CheckContext`,
-which holds the model, the sample, the :class:`RunConfig`, the report
-and the memo of jets of the suite being evaluated; its methods are the
-only code that makes a report row, and each appends its row to the
-report as it is made.  The H1-H3 rows come from
-:func:`momentum.condition_fields` wherever a suite needs them.  The
-anchoring conditions (H1, HM1) are reported but not required unless
+and returns the step that reports them, every row set the step may read
+(whichever branch a run takes) and the probes it reads besides: the
+structure-constancy test and, in mechanics, the metric and anchor
+matrices.  The plan compiles all of these into one
+:class:`~momsec.fields.Program`, and the model keeps the plan for later
+runs.
+
+One point sample is drawn per run and shared by every check, so
+residuals compared across modules are evaluated on identical points.  A
+run evaluates the sample in chunks: the chunk length is
+``CHUNK_BYTES`` over the bytes per point of the largest program, so
+memory does not grow with ``--points``.  In each chunk the run's distinct
+expression and constant leaves are evaluated once, every selected
+suite's program reads them, and each root is reduced at once: a row
+field to its max |f| (NaN when any value is NaN), a probe to the arrays
+its reduction makes.  The run keeps the elementwise maximum over chunks
+of each, which every reduction here is chosen to make exact, and a
+domain error names its point by its index in the whole sample.
+
+Only then do the steps run, and they read only these maxima.  The only
+wiring that reads sample values (whether the structure functions are
+constant, whether sigma2d's b is closed) is decided in the step, per
+run.  Each run has one :class:`CheckContext`, which holds the model, the
+sample, the :class:`RunConfig`, the report and the maxima of the suite
+being reported; its methods are the only code that makes a report row,
+and each appends its row to the report as it is made.  The H1-H3 rows
+come from :func:`momentum.condition_fields` wherever a suite needs them.
+The anchoring conditions (H1, HM1) are reported but not required unless
 ``require_h1`` is set.  A row that holds only under stated hypotheses
 names the reported rows that check them (``assuming``), and every
 verdict reads the ``passed`` of reported rows, so one rule decides what
@@ -23,6 +39,7 @@ is required and what passes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -34,9 +51,16 @@ from . import momentum as mom
 from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
-from .fields import exterior_derivative, max_abs_fields
+from .expressions import DomainError
+from .fields import Program, exterior_derivative, leaf_jets
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult, _result
+
+# bytes of jet tables that one program may fill per chunk: a run
+# evaluates this many bytes over the largest program's bytes per point
+# at a time
+CHUNK_BYTES = 16 << 20
+
 
 class SuiteError(ValueError):
     """A selected suite cannot run because a model block is missing."""
@@ -93,22 +117,84 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
     # overflow and invalid operations yield inf/NaN residuals, which fail
     # their rows; numpy's warnings about them would only repeat that
     with np.errstate(all="ignore"):
+        plans = []
         for suite in ctx.report.suites:
             if suite not in model._plans:
-                model._plans[suite] = _SUITES[suite][0](model)
-            # one memo per suite: its jets are dropped when the next suite starts
-            ctx.memo = {}
-            model._plans[suite](ctx)
+                step, row_sets, probes = _SUITES[suite][0](model)
+                model._plans[suite] = _Plan(step, row_sets, probes, model.chart.dim)
+            plans.append(model._plans[suite])
+        for plan, maxima in zip(plans, _evaluate(plans, ctx.points)):
+            ctx.plan, ctx.maxima = plan, dict(zip(plan.probes, maxima))
+            plan.step(ctx)
     return ctx.report
+
+
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """Fields a step reads, the jet order it reads them to, and
+    ``reduce``, which maps their stacked jet over a chunk to an array
+    whose elementwise maximum over the chunks of a sample is what the
+    step reads (see :mod:`momsec.suites`)."""
+
+    fields: list
+    order: int
+    reduce: Callable
+
+
+def _abs_maxima(jet) -> np.ndarray:
+    """max |f| of each field; NaN when any value is NaN."""
+    return np.max(np.abs(jet.value), axis=1)
+
+
+class _Plan:
+    """A suite's step, its probes and the program that evaluates them.
+    The first probe is every field of ``row_sets`` that is not a
+    structural zero, to order 0, reduced to its max |f|; ``index`` gives
+    each such field's position in it."""
+
+    def __init__(self, step, row_sets, probes, dim: int):
+        self.step = step
+        self.index: dict = {}
+        for rows in row_sets:
+            for _, f in rows:
+                if not f.is_zero:
+                    self.index.setdefault(f, len(self.index))
+        self.probes = (_Probe(list(self.index), 0, _abs_maxima), *probes)
+        self.program = Program([(p.fields, p.order) for p in self.probes], dim)
+
+
+def _evaluate(plans, points: np.ndarray) -> list:
+    """For each plan, the maxima of its probes' reductions over ``points``,
+    evaluated chunk by chunk on one leaf table per chunk."""
+    leaves: dict = {}
+    for plan in plans:
+        for leaf, order in plan.program.leaves.items():
+            if leaves.get(leaf, -1) < order:
+                leaves[leaf] = order
+    largest = max(1, *(plan.program.bytes_per_point for plan in plans))
+    length = max(1, CHUNK_BYTES // largest)
+    # one space for every program's tables, reused chunk after chunk
+    space = np.empty(min(length, len(points)) * largest // 8)
+    maxima: list = [None] * len(plans)
+    for start in range(0, len(points), length):
+        chunk = points[start : start + length]
+        try:
+            jets = leaf_jets(leaves, chunk)
+        except DomainError as exc:
+            raise exc.shifted(start) from None
+        for k, plan in enumerate(plans):
+            reduced = [p.reduce(jet) for p, jet in zip(plan.probes, plan.program.run(jets, len(chunk), space))]
+            maxima[k] = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima[k], reduced)]
+    return maxima
 
 
 class CheckContext:
     """One run: the model, its point sample, the config, the report and the
-    memo of the suite being evaluated.
+    plan and probe maxima of the suite being reported.
 
-    Every row method evaluates its residual on the run's sample through the
-    memo, appends the row to the report and returns it, so rows appear in
-    the order they are made.
+    Every row method reads its residual from those maxima, appends the
+    row to the report and returns it, so rows appear in the order they
+    are made.
     """
 
     def __init__(self, model: Model, cfg: RunConfig, suites: list[str]):
@@ -116,7 +202,8 @@ class CheckContext:
         self.cfg = cfg
         self.tol = cfg.tolerance
         self.points = model.chart.sample(cfg.points, cfg.seed)
-        self.memo: dict = {}
+        self.plan: _Plan | None = None
+        self.maxima: dict = {}
         self.report = CheckReport(
             model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
         )
@@ -124,7 +211,9 @@ class CheckContext:
 
     def max(self, rows) -> float:
         """Largest |f| over the sample for (label, field) rows."""
-        return max_abs_fields([f for _, f in rows], self.points, self.memo)
+        index = self.plan.index
+        picked = self.maxima[self.plan.probes[0]][[index[f] for _, f in rows if not f.is_zero]]
+        return float(np.max(picked, initial=0.0))
 
     def check(
         self,
@@ -222,7 +311,7 @@ def plan_axioms(model: Model):
         )
         ctx.verdicts["algebroid_class"] = verdict
 
-    return evaluate
+    return evaluate, [anchor_rows, sigma_fields, contracted, q2_rows], ()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +325,8 @@ def plan_momentum(model: Model):
     h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B, model.mu)
     tangent_rows = e_nabla_two_form_fields(conn, B)
     degenerate = B.is_zero and all(f.is_zero for f in model.mu)
-    reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if conn.is_flat else None
+    reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if conn.is_flat else {}
+    constant = _Probe(mom.structure_functions(alg), 1, mom.constancy_maxima)
 
     def evaluate(ctx: CheckContext):
         tol = ctx.tol
@@ -266,7 +356,7 @@ def plan_momentum(model: Model):
         if degenerate:
             ctx.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
 
-        if reductions is not None and mom.is_constant_structure(alg, ctx.points, ctx.memo):
+        if reductions and mom.is_constant(ctx.maxima[constant]):
             ctx.check("momentum/map-symplectic-vectorfield", "L_{rho_a} B = 0", reductions["symplectic"])
             ctx.check("momentum/map-hamiltonian-pairing", "d mu_a = iota_{rho_a} B", reductions["hamiltonian"])
             ctx.check("momentum/map-equivariance", "rho_a(mu_b) = C^c_ab mu_c", reductions["equivariance"])
@@ -282,7 +372,8 @@ def plan_momentum(model: Model):
                 assuming=([closed, h2], "comparison assumes dB = 0 and the momentum-section condition"),
             )
 
-    return evaluate
+    row_sets = [closed_rows, h1_rows, h2_rows, h3_rows, tangent_rows, *reductions.values()]
+    return evaluate, row_sets, [constant] if reductions else []
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +393,29 @@ def plan_mechanics(model: Model):
     fc2 = _by_degree(ham.first_class_fields(absorbed.system))
     fl2 = _by_degree(ham.flow_fields(absorbed.system))
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
+    d = model.chart.dim
+    conditioning = _Probe(
+        [f for row in g.g for f in row], 0, lambda jet: np.max(np.linalg.cond(_matrices(jet, d, d)), keepdims=True)
+    )
+    deficiency = _Probe(
+        [f for row in anchor for f in row],
+        0,
+        lambda jet: np.max(r - np.linalg.matrix_rank(_matrices(jet, r, d), tol=1e-10), keepdims=True),
+    )
 
     def evaluate(ctx: CheckContext):
         tol = ctx.tol
-        gm = _matrix_values(g.g, ctx)
-        rho = _matrix_values(anchor, ctx)
-        ranks = np.linalg.matrix_rank(rho, tol=1e-10)
         ctx.scalar(
             "mechanics/metric-conditioning",
             "condition number of g at sampled points",
-            float(np.max(np.linalg.cond(gm))),
+            float(ctx.maxima[conditioning][0]),
             1e12,
             informational=True,
         )
         ctx.scalar(
             "mechanics/constraint-irreducibility",
             "rank(rho) = r at sampled points",
-            float(r - np.min(ranks)),
+            float(ctx.maxima[deficiency][0]),
             0.5,
             informational=True,
         )
@@ -376,12 +473,13 @@ def plan_mechanics(model: Model):
             verdict = mom.classify(th_h1.passed, th_h2.passed, th_h3.passed)
         ctx.verdicts["mechanics_classification"] = verdict
 
-    return evaluate
+    row_sets = [*fc.values(), *fl.values(), twist_rows, tau_rows, *fc2.values(), *fl2.values(), h1_rows, h2_rows, h3_rows]
+    return evaluate, row_sets, [conditioning, deficiency]
 
 
-def _matrix_values(rows, ctx: CheckContext) -> np.ndarray:
-    """Values of a matrix of fields, with the sample as the leading axis."""
-    return np.moveaxis(np.array([[f.eval(ctx.points, 0, ctx.memo).value for f in row] for row in rows]), 2, 0)
+def _matrices(jet, rows: int, cols: int) -> np.ndarray:
+    """Values of a stacked row-major matrix of fields, as one matrix per point."""
+    return np.moveaxis(jet.value.reshape(rows, cols, -1), 2, 0)
 
 
 def _by_degree(degree_fields) -> dict:
@@ -467,7 +565,11 @@ def plan_sigma2d(model: Model):
             th_h1.passed, ctx.max(h2_rows) < tol, ctx.max(h3_rows) < tol
         )
 
-    return evaluate
+    row_sets = [
+        killing_rows, b_closed_rows, b_closure_rows or [], b_rows, anchor_rows, gauged_rows, pairing_rows,
+        p2_rows, p3_rows, h1_rows, h2_rows, h3_rows, consistency_rows,
+    ]
+    return evaluate, row_sets, ()
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +592,16 @@ def plan_multisym(model: Model):
     for k in range(n - 1, -1, -1):
         general[f"hm3[{k}]"], hm3_terms[k] = msy.hm3_differential_fields(data, k)
     rewrite_rows = msy.hm3_rewrite_fields(data) if n >= 2 else None
-    sp = msy.specialized_fields(data) if model.conn.is_flat else None
+    sp = msy.specialized_fields(data) if model.conn.is_flat else {}
+    constant = _Probe(mom.structure_functions(alg), 1, mom.constancy_maxima)
     # the n = 1 tower against H1-H3 of its own 2-form and moment map
     reduction = None
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
         reduction = dict(zip(("hm1", "hm2", "hm3[0]"), mom.condition_fields(alg, model.conn, ht, mu)))
+    row_sets = [closed_rows, *chain(*((p, q) for _, p, q in descent_rows)), *general.values(), *sp.values()]
+    row_sets += [rows for terms in hm3_terms.values() for rows in terms.values()]
+    row_sets += [rewrite_rows or [], *(reduction or {}).values()]
 
     def evaluate(ctx: CheckContext):
         closed = ctx.check("multisym/pre-nplectic-closed", "dh = 0", closed_rows, informational=True)
@@ -545,7 +651,7 @@ def plan_multisym(model: Model):
                 flags=("differs from the literal identity by descent rearrangement",),
             )
 
-        if sp is not None and mom.is_constant_structure(alg, ctx.points, ctx.memo):
+        if sp and mom.is_constant(ctx.maxima[constant]):
             ctx.agreement(
                 "multisym/lie-specialize-agreement",
                 "constant-bracket reduced system matches the general evaluators",
@@ -567,12 +673,12 @@ def plan_multisym(model: Model):
             hm1.passed, hm2.passed, all(c.passed for c in hm3 + descent)
         )
 
-    return evaluate
+    return evaluate, row_sets, [constant] if sp else []
 
 
 # suite -> (its planner, the model block it requires), in report order; a
 # planner builds the suite's row graphs and returns the step that
-# evaluates them on a run.  A step must not hold the model: the model
+# reports them on a run, with its row sets and probes (see _Plan).  A step must not hold the model: the model
 # holds the step, and in a reference cycle a model and its graphs would
 # wait for the cyclic garbage collector, which then walks every node.
 _SUITES = {

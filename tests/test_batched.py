@@ -1,6 +1,7 @@
 """Batched jets: a sample evaluates row by row exactly as single points do,
-a run's memo never serves jets of another sample, and a jet evaluated to
-a lower order is the full jet with its higher parts left out."""
+a reused model reports as a fresh one does, a jet evaluated to a lower
+order is the full jet with its higher parts left out, and a run's
+reports do not depend on the length of the chunks it evaluates."""
 
 import gc
 import json
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import f, random_poly_source, random_smooth_source
 from momsec.expressions import DomainError, eval_jet, eval_jets, parse
-from momsec.fields import Chart, ScalarField, matrix_inverse_fields
+from momsec import fields, suites
+from momsec.fields import Chart, ExprField, Program, ScalarField, matrix_inverse_fields
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
 from momsec.suites import RunConfig, run
@@ -200,9 +202,10 @@ def _random_graph(seed: int, chart: Chart):
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_field_graph_order_truncates_the_full_jet(seed, count, data):
-    # a random sequence of (node, order) requests on one sample shares one
-    # memo, so memo hits at a higher order and re-evaluations at a higher
-    # order both occur; a second graph built alike gives the full jets
+    # a random sequence of (node, order) requests is one program, one
+    # root group per request, so a node may be read at several orders and
+    # is evaluated to the highest; a second graph built alike gives the
+    # full jets
     ch = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
     nodes = _random_graph(seed, ch)
     fresh = _random_graph(seed, ch)
@@ -211,23 +214,29 @@ def test_field_graph_order_truncates_the_full_jet(seed, count, data):
     requests = data.draw(
         st.lists(st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, 2)), min_size=1, max_size=30)
     )
-    memo = {}
-    for k, order in requests:
-        _assert_truncation(nodes[k].eval(points, order, memo), full[k], order)
+    jets = Program([([nodes[k]], order) for k, order in requests], ch.dim).evaluate(points)
+    for (k, order), jet in zip(requests, jets):
+        _assert_truncation(_single(jet), full[k], order)
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_values_first_then_full_jet_equals_a_fresh_full_jet(seed, count):
+    # every node read for its values and then for its full jet, in one program
     ch = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
     nodes = _random_graph(seed, ch)
     fresh = _random_graph(seed, ch)
     points = ch.sample(count, seed)
-    memo = {}
-    for node in nodes:
-        node.eval(points, 0, memo)
-    for node, other in zip(nodes, fresh):
-        _assert_truncation(node.eval(points, 2, memo), other.eval(points, 2), 2)
+    jets = Program([([node], 0) for node in nodes] + [([node], 2) for node in nodes], ch.dim).evaluate(points)
+    for k, other in enumerate(fresh):
+        full = other.eval(points, 2)
+        _assert_truncation(_single(jets[k]), full, 0)
+        _assert_truncation(_single(jets[len(nodes) + k]), full, 2)
+
+
+def _single(jet):
+    """Entry 0 of a stacked jet, as :meth:`ScalarField.eval` returns it."""
+    return fields.Jet2(*(None if x is None else x[0] for x in (jet.value, jet.grad, jet.hess)))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -259,25 +268,96 @@ def _son_model_bytes(monkeypatch, n: int) -> bytes:
     return son_model_bytes(n, 1)
 
 
+def _under(roots) -> set:
+    """Every node of the graphs under ``roots``."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for node in stack.pop().inputs:
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
+def _chunks_of(monkeypatch, model, length: int):
+    """Make runs of ``model`` (all suites, planned already) evaluate
+    ``length`` points at a time."""
+    largest = max(plan.program.bytes_per_point for plan in model._plans.values())
+    monkeypatch.setattr(suites, "CHUNK_BYTES", length * largest)
+
+
 def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
-    # only a partial asks its parent for a derivative; residual roots ask
+    # only a partial asks its input for a derivative; residual roots ask
     # for values alone, so few nodes of a whole run are evaluated with a
-    # gradient and fewer with a Hessian
-    model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
-    jets = {}  # node id -> (node, every jet the run evaluated it to)
+    # gradient and fewer with a Hessian; every node is evaluated exactly
+    # once per chunk: its program's kernels write disjoint slots that,
+    # with the leaves, cover every node under the program's roots
+    raw = _son_model_bytes(monkeypatch, 3)
+    written = []
     for cls in ScalarField.__subclasses__():
+        if "_kernel" in vars(cls):
 
-        def recording_eval(node, points, order, memo, _eval=cls._eval):
-            jet = _eval(node, points, order, memo)
-            jets.setdefault(id(node), (node, []))[1].append(jet)
-            return jet
+            def recording_kernel(t, out, *args, _kernel=cls._kernel):
+                written.append(out.value)
+                _kernel(t, out, *args)
 
-        monkeypatch.setattr(cls, "_eval", recording_eval)
+            monkeypatch.setattr(cls, "_kernel", staticmethod(recording_kernel))
+    calls = []
+    run_program = Program.run
+
+    def recording_run(program, leaves, count, space=None):
+        written.clear()
+        jets = run_program(program, leaves, count, space)
+        calls.append((program, count, sorted((rows.__array_interface__["data"][0], len(rows)) for rows in written)))
+        return jets
+
+    monkeypatch.setattr(Program, "run", recording_run)
+    model = load_model_bytes(raw)
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
-    evaluated = [node_jets for _, node_jets in jets.values()]
-    assert len(evaluated) > 3000
-    assert sum(any(jet.grad is not None for jet in js) for js in evaluated) <= 1000
-    assert sum(any(jet.hess is not None for jet in js) for js in evaluated) <= 60
+    plans = list(model._plans.values())
+    under = [len(_under(f for p in plan.probes for f in p.fields)) for plan in plans]
+    assert [program.sizes[0] for program, _, _ in calls] == under
+    assert sum(under) > 3000
+    assert sum(program.sizes[1] for program, _, _ in calls) <= 1000
+    assert sum(program.sizes[2] for program, _, _ in calls) <= 60
+
+    _chunks_of(monkeypatch, model, 11)
+    calls.clear()
+    run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
+    assert [(program, count) for program, count, _ in calls] == [
+        (plan.program, count) for count in (11, 11, 10) for plan in plans
+    ]
+    for program, count, rows in calls:
+        # disjoint row blocks of the value table, each written once
+        assert all(a + n * 8 * count <= b for (a, n), (b, _) in zip(rows, rows[1:]))
+        assert len(program.leaves) + sum(n for _, n in rows) == program.sizes[0]
+
+
+def test_each_expression_leaf_is_evaluated_once_per_chunk(monkeypatch):
+    # the leaves of every suite's program share one table per chunk: a
+    # model's expressions are not evaluated again per suite, nor again at
+    # a higher order
+    model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
+    cfg = RunConfig(tolerance=model.tolerance, points=32, seed=43)
+    run(model, "all", cfg)
+    leaves = {leaf for plan in model._plans.values() for leaf in plan.program.leaves if isinstance(leaf, ExprField)}
+    evaluated = []
+    eval_jets = fields.eval_jets
+
+    def counting_eval_jets(expr, points, order=2):
+        evaluated.append(id(expr))
+        return eval_jets(expr, points, order)
+
+    monkeypatch.setattr(fields, "eval_jets", counting_eval_jets)
+    run(model, "all", cfg)
+    assert sorted(evaluated) == sorted(id(leaf.expr) for leaf in leaves)
+    # each suite evaluated its own expressions, each order anew, at 146 per run
+    assert len(evaluated) < 40
+    evaluated.clear()
+    _chunks_of(monkeypatch, model, 10)
+    run(model, "all", cfg)
+    assert sorted(evaluated) == sorted(id(leaf.expr) for leaf in leaves for _ in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +410,68 @@ def test_a_dropped_model_frees_its_graphs_at_once(monkeypatch):
 
 
 def test_run_memory_is_bounded_and_released(monkeypatch):
-    # so(4) with every block at 1024 points: a run peaked at 71 MB under
+    # so(4) with every block: a run at 1024 points peaked at 71 MB under
     # tracemalloc when every node kept its jets and graphs were rebuilt
-    # per run; only roots and shared nodes may hold jets now, and only
-    # until their suite ends
+    # per run, and memory grew with the points; a run now evaluates
+    # chunks of points whose length the tables' byte budget sets
     model = load_model_bytes(_son_model_bytes(monkeypatch, 4))
-    cfg = RunConfig(tolerance=model.tolerance, points=1024, seed=42)
     mb = 2.0**20
-    tracemalloc.start()
-    try:
-        run(model, "all", cfg)
-        first_peak = tracemalloc.get_traced_memory()[1]
-        gc.collect()
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run(model, "all", cfg)
-        gc.collect()
-        end, second_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert first_peak <= 40 * mb
-    assert second_peak <= 40 * mb
-    assert abs(end - start) <= 1 * mb
+    for points in (1024, 4096):
+        cfg = RunConfig(tolerance=model.tolerance, points=points, seed=42)
+        tracemalloc.start()
+        try:
+            run(model, "all", cfg)
+            first_peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(model, "all", cfg)
+            gc.collect()
+            end, second_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first_peak <= 40 * mb
+        assert second_peak <= 40 * mb
+        assert abs(end - start) <= 1 * mb
+
+
+# ---------------------------------------------------------------------------
+# Chunks
+
+
+def _json_at_chunk_lengths(monkeypatch, raw: bytes, seed: int, points: int) -> list[str]:
+    """Reports of one model at chunk lengths 1, 7 and 32 and as one chunk."""
+    model = load_model_bytes(raw)
+    cfg = RunConfig(points=points, seed=seed)
+    run(model, "all", cfg)
+    reports = []
+    for length in (1, 7, 32, None):
+        if length is None:
+            monkeypatch.setattr(suites, "CHUNK_BYTES", 1 << 60)
+        else:
+            _chunks_of(monkeypatch, model, length)
+        reports.append(run(model, "all", cfg).to_json())
+    return reports
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), "so3"])
+def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
+    raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
+    for seed, points in ((42, 32), (7, 17)):
+        reports = _json_at_chunk_lengths(monkeypatch, raw, seed, points)
+        assert reports[1:] == reports[:-1]
+
+
+def test_a_nan_in_a_later_chunk_fails_its_row(monkeypatch):
+    # exp(u) - exp(u) is 0 where exp does not overflow and NaN where it
+    # does, for u > 709.78; c puts that bound between the largest x of the
+    # first chunk of 7 points and the largest x of the rest
+    doc = json.loads(fixture_bytes("rotation_momentum_map"))
+    x = load_model_bytes(json.dumps(doc).encode()).chart.sample(32, 42)[:, 0]
+    assert x[:7].max() + 0.01 < x[7:].max()
+    c = float(x[:7].max()) + 0.005 - 0.71
+    doc["mu"][0]["expr"] = f"exp(1000*(x - {c!r})) - exp(1000*(x - {c!r}))"
+    reports = _json_at_chunk_lengths(monkeypatch, json.dumps(doc).encode(), 42, 32)
+    assert reports[1:] == reports[:-1]
+    h2 = next(c for c in json.loads(reports[1])["checks"] if c["name"] == "momentum/h2-momentum-section")
+    assert h2["passed"] is False and "non-finite" in h2["flags"]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from momsec import suites
 from momsec.cli import main
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model
@@ -102,6 +103,14 @@ class TestCheckCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["points"] == 5
         assert payload["seed"] == 7
+
+    def test_consecutive_calls_leak_no_options(self, rotation_path, capsys):
+        # one parser serves every call in a process
+        assert main(["check", rotation_path, "--format", "json", "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+        assert main(["check", rotation_path]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("model ") and " seed=42 points=32 " in first
 
     def test_require_h1_flag(self, rotation_path, capsys):
         assert main(["check", rotation_path, "--require-h1", "--format", "json"]) == 0
@@ -216,6 +225,26 @@ class TestEvaluationFailures:
         points = model.chart.sample(model.sampling.points, model.sampling.seed)
         first = int(np.argmax(points[:, 0] <= 0.0))
         assert captured.err.rstrip().endswith(f"at sample point {first}")
+
+    def test_domain_error_past_the_first_chunk(self, tmp_path, capsys, monkeypatch):
+        # log(c - x) leaves its domain only at points after the first chunk
+        # of 7; the message gives the index in the whole sample
+        model = load_model(_rotation_with(tmp_path))
+        x = model.chart.sample(model.sampling.points, model.sampling.seed)[:, 0]
+        c = float(x[7:].max())
+        assert c > x[:7].max()
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": f"log({c!r} - x)"}])
+        model = load_model(path)
+        with pytest.raises(ValueError):
+            run(model, "all")
+        largest = max(plan.program.bytes_per_point for plan in model._plans.values())
+        errors = []
+        for budget in (7 * largest, 1 << 60):
+            monkeypatch.setattr(suites, "CHUNK_BYTES", budget)
+            assert main(["check", path]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].rstrip().endswith(f"at sample point {int(np.argmax(x >= c))}")
 
     def test_singular_metric_exit_code(self, tmp_path, capsys):
         metric = [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "0"}]
