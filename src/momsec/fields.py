@@ -506,15 +506,13 @@ class _Tables:
 class Program:
     """The evaluation of groups of root fields, each group to one jet order.
 
-    Compiling walks the graph under the roots once and gives each node:
+    Compiling walks the graph under the roots once, consumers before
+    inputs (by falling ``level``), and gives each node:
 
     - a demand order: the highest order a consumer reads it to, a root
       its group's order, and one more through a :class:`PartialField`
       (at most 2);
-    - an order: its demand, or less where an input holds fewer orders (a
-      partial holds one order less than its argument);
-    - a level: 0 for a leaf (an expression or a constant), else one more
-      than its highest input;
+    - an order: its demand, or its ``held`` order where that is lower;
     - a slot in the value table, and in the gradient and Hessian tables
       when its order reaches them.
 
