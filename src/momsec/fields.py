@@ -210,7 +210,7 @@ class ScalarField(_Node):
         """Kernel arguments of a group at ``order``: for each input
         position, the slots of that input of every node."""
         lifted = order + cls._lift
-        return tuple(_gather([n.inputs[j] for n in nodes], lifted, slots) for j in range(len(nodes[0].inputs)))
+        return tuple([_gather([n.inputs[j] for n in nodes], lifted, slots) for j in range(len(nodes[0].inputs))])
 
 
 class ConstField(ScalarField):
@@ -470,8 +470,11 @@ _LEVEL = attrgetter("level")
 def _gather(nodes, order: int, slots) -> tuple:
     """Slots of ``nodes`` in the value table, and in the gradient and
     Hessian tables up to ``order``; ``None`` above it."""
-    return tuple(
-        np.array([table[n] for n in nodes], dtype=np.intp) if q <= order else None for q, table in enumerate(slots)
+    value, grad, hess = slots
+    return (
+        np.array([value[n] for n in nodes], dtype=np.intp),
+        np.array([grad[n] for n in nodes], dtype=np.intp) if order >= 1 else None,
+        np.array([hess[n] for n in nodes], dtype=np.intp) if order >= 2 else None,
     )
 
 

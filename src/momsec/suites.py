@@ -143,7 +143,7 @@ class _Probe:
 
 def _abs_maxima(jet) -> np.ndarray:
     """max |f| of each field; NaN when any value is NaN."""
-    return np.max(np.abs(jet.value), axis=1)
+    return np.abs(jet.value).max(axis=1)
 
 
 class _Plan:
@@ -213,7 +213,8 @@ class CheckContext:
         """Largest |f| over the sample for (label, field) rows."""
         index = self.plan.index
         picked = self.maxima[self.plan.probes[0]][[index[f] for _, f in rows if not f.is_zero]]
-        return float(np.max(picked, initial=0.0))
+        # the maxima are >= 0 or NaN, and ndarray.max keeps a NaN
+        return float(picked.max()) if len(picked) else 0.0
 
     def check(
         self,
