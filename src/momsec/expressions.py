@@ -328,6 +328,12 @@ class Jet2:
     the stored Hessian is exactly symmetric: every rule below builds it
     from symmetric pieces only.  A rule with an ``out`` jet writes each
     part into ``out``'s array for it instead of a new one.
+
+    The rules broadcast values against derivatives and form outer
+    products only through ``_on_grad``, ``_on_hess``, ``_outer`` and
+    ``_transposed``, so a subclass that keeps the point axis elsewhere
+    (the stacked tables of :class:`momsec.fields.Program` keep it last)
+    runs the same rules.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -353,6 +359,26 @@ class Jet2:
         if order >= 2:
             h = np.zeros((count, dim, dim))
         return Jet2(points[:, index].copy(), g, h)
+
+    @staticmethod
+    def _on_grad(v):
+        """``v``, broadcastable against a gradient."""
+        return v[..., None]
+
+    @staticmethod
+    def _on_hess(v):
+        """``v``, broadcastable against a Hessian."""
+        return v[..., None, None]
+
+    @staticmethod
+    def _outer(g, h):
+        """The outer products g_k h_l of two gradients, Hessian-shaped."""
+        return g[..., :, None] * h[..., None, :]
+
+    @staticmethod
+    def _transposed(h):
+        """A Hessian-shaped array with its two derivative axes swapped."""
+        return np.swapaxes(h, -1, -2)
 
     def row(self, p: int) -> "Jet2":
         g = None if self.grad is None else self.grad[p]
@@ -387,14 +413,14 @@ class Jet2:
         if self.grad is None or other.grad is None:
             return Jet2(value, None, None)
         # u' v + u v', added in place into the first product
-        grad = np.multiply(self.grad, other.value[..., None], out=o.grad)
-        grad += self.value[..., None] * other.grad
+        grad = np.multiply(self.grad, self._on_grad(other.value), out=o.grad)
+        grad += self._on_grad(self.value) * other.grad
         if self.hess is None or other.hess is None:
             return Jet2(value, grad, None)
-        cross = self.grad[..., :, None] * other.grad[..., None, :]
-        hess = np.multiply(self.hess, other.value[..., None, None], out=o.hess)
-        hess += self.value[..., None, None] * other.hess
-        hess += cross + np.swapaxes(cross, -1, -2)
+        cross = self._outer(self.grad, other.grad)
+        hess = np.multiply(self.hess, self._on_hess(other.value), out=o.hess)
+        hess += self._on_hess(self.value) * other.hess
+        hess += cross + self._transposed(cross)
         return Jet2(value, grad, hess)
 
     def scale(self, c, out: "Jet2 | None" = None) -> "Jet2":
@@ -417,12 +443,12 @@ class Jet2:
         if self.grad is None:
             return Jet2(f, None, None)
         d1 = df()
-        grad = d1[..., None] * self.grad
+        grad = self._on_grad(d1) * self.grad
         if self.hess is None:
             hess = None
         else:
-            outer = self.grad[..., :, None] * self.grad[..., None, :]
-            hess = d1[..., None, None] * self.hess + d2f()[..., None, None] * outer
+            outer = self._outer(self.grad, self.grad)
+            hess = self._on_hess(d1) * self.hess + self._on_hess(d2f()) * outer
         return Jet2(f, grad, hess)
 
 

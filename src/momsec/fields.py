@@ -360,9 +360,10 @@ class PartialField(ScalarField):
     @staticmethod
     def _kernel(t, out, f, i):
         _, grad, hess = f
-        out.value[...] = t.grad[grad, :, i]
+        out.value[...] = t.grad[grad, i]
         if out.grad is not None:
-            out.grad[...] = t.hess[hess, :, :, i]
+            # row i of the exactly symmetric Hessian is its column i
+            out.grad[...] = t.hess[hess, i]
 
 
 def field_sum_d(terms, dim: int) -> ScalarField:
@@ -446,10 +447,10 @@ class MatrixInverseField(ScalarField):
     def _kernel(t, out, order, cores):
         start = 0
         for core, entries, i, j in cores:
-            inv = core.jet(t.jet(entries), order)
+            inv = core.jet(_point_major(t.jet(entries), np.ascontiguousarray), order)
             for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
                 if part is not None:
-                    part[start : start + len(i)] = np.moveaxis(x[:, i, j], 1, 0)
+                    part[start : start + len(i)] = np.moveaxis(x[:, i, j], 0, -1)
             start += len(i)
 
 
@@ -478,28 +479,58 @@ def _gather(nodes, order: int, slots) -> tuple:
     )
 
 
+class _Stacked(Jet2):
+    """A stack of n jets as a program's tables hold them: the point axis
+    last, ``value`` ``(n, P)``, ``grad`` ``(n, d, P)`` and ``hess``
+    ``(n, d, d, P)``, so that every operation runs along the points."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _on_grad(v):
+        return v[..., None, :]
+
+    @staticmethod
+    def _on_hess(v):
+        return v[..., None, None, :]
+
+    @staticmethod
+    def _outer(g, h):
+        return g[..., :, None, :] * h[..., None, :, :]
+
+    @staticmethod
+    def _transposed(h):
+        return np.swapaxes(h, -2, -3)
+
+
+def _point_major(jet: Jet2, copy=lambda x: x) -> Jet2:
+    """A :class:`_Stacked` jet with the point axis after the stack axis,
+    as :class:`Jet2` keeps it; ``copy`` may make each part contiguous."""
+    return Jet2(*(None if x is None else copy(np.moveaxis(x, -1, 1)) for x in (jet.value, jet.grad, jet.hess)))
+
+
 class _Tables:
     """One chunk's jets of a program's nodes: a row per slot of the
-    value ``(S0, P)``, gradient ``(S1, P, d)`` and Hessian
-    ``(S2, P, d, d)`` tables, carved in that order from ``space``."""
+    value ``(S0, P)``, gradient ``(S1, d, P)`` and Hessian
+    ``(S2, d, d, P)`` tables, carved in that order from ``space``."""
 
     def __init__(self, sizes, count: int, dim: int, space: np.ndarray):
-        shapes = ((sizes[0], count), (sizes[1], count, dim), (sizes[2], count, dim, dim))
+        shapes = ((sizes[0], count), (sizes[1], dim, count), (sizes[2], dim, dim, count))
         start = 0
         for name, shape in zip(("value", "grad", "hess"), shapes):
             end = start + math.prod(shape)
             setattr(self, name, space[start:end].reshape(shape))
             start = end
 
-    def jet(self, slots) -> Jet2:
+    def jet(self, slots) -> _Stacked:
         """The stacked jet of the nodes at ``slots`` (see :func:`_gather`):
         rows of index arrays gathered, a copy; rows of slices, a view."""
         value, grad, hess = slots
-        return Jet2(
+        return _Stacked(
             self.value[value], None if grad is None else self.grad[grad], None if hess is None else self.hess[hess]
         )
 
-    def take(self, slots, out: Jet2):
+    def take(self, slots, out: _Stacked):
         """Gather the nodes at ``slots`` into each array ``out`` has."""
         for table, rows, part in zip((self.value, self.grad, self.hess), slots, (out.value, out.grad, out.hess)):
             if part is not None:
@@ -609,12 +640,12 @@ class Program:
             jet = leaves[leaf]
             t.value[v] = jet.value
             if g is not None:
-                t.grad[g] = jet.grad
+                t.grad[g] = jet.grad.T
             if h is not None:
-                t.hess[h] = jet.hess
+                t.hess[h] = jet.hess.transpose(1, 2, 0)
         for kernel, out, args in self._kernels:
             kernel(t, t.jet(out), *args)
-        return [t.jet(slots) for slots in self._roots]
+        return [_point_major(t.jet(slots)) for slots in self._roots]
 
     def evaluate(self, points: np.ndarray) -> list[Jet2]:
         """:meth:`run` over the whole of ``points``, with leaves of its own."""
