@@ -120,8 +120,7 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
         plans = []
         for suite in ctx.report.suites:
             if suite not in model._plans:
-                step, row_sets, probes = _SUITES[suite][0](model)
-                model._plans[suite] = _Plan(step, row_sets, probes, model.chart.dim)
+                model._plans[suite] = _Plan(*_SUITES[suite][0](model), dim=model.chart.dim)
             plans.append(model._plans[suite])
         for plan, maxima in zip(plans, _evaluate(plans, ctx.points)):
             ctx.plan, ctx.maxima = plan, dict(zip(plan.probes, maxima))
@@ -150,9 +149,10 @@ class _Plan:
     """A suite's step, its probes and the program that evaluates them.
     The first probe is every field of ``row_sets`` that is not a
     structural zero, to order 0, reduced to its max |f|; ``index`` gives
-    each such field's position in it."""
+    each such field's position in it.  Row sets in ``later`` are
+    evaluated only when the step reads them, by a plan of their own."""
 
-    def __init__(self, step, row_sets, probes, dim: int):
+    def __init__(self, step, row_sets, probes=(), later=(), *, dim: int):
         self.step = step
         self.index: dict = {}
         for rows in row_sets:
@@ -161,6 +161,7 @@ class _Plan:
                     self.index.setdefault(f, len(self.index))
         self.probes = (_Probe(list(self.index), 0, _abs_maxima), *probes)
         self.program = Program([(p.fields, p.order) for p in self.probes], dim)
+        self.later = _Plan(None, later, dim=dim) if later else None
 
 
 def _evaluate(plans, points: np.ndarray) -> list:
@@ -204,15 +205,23 @@ class CheckContext:
         self.points = model.chart.sample(cfg.points, cfg.seed)
         self.plan: _Plan | None = None
         self.maxima: dict = {}
+        self._later: dict = {}
         self.report = CheckReport(
             model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
         )
         self.verdicts = self.report.verdicts
 
     def max(self, rows) -> float:
-        """Largest |f| over the sample for (label, field) rows."""
-        index = self.plan.index
-        picked = self.maxima[self.plan.probes[0]][[index[f] for _, f in rows if not f.is_zero]]
+        """Largest |f| over the sample for (label, field) rows; rows that
+        the plan evaluates later are evaluated on the first read."""
+        fields = [f for _, f in rows if not f.is_zero]
+        plan, maxima = self.plan, self.maxima
+        if plan.later is not None and not all(f in plan.index for f in fields):
+            plan = plan.later
+            if plan not in self._later:
+                self._later[plan] = dict(zip(plan.probes, _evaluate([plan], self.points)[0]))
+            maxima = self._later[plan]
+        picked = maxima[plan.probes[0]][[plan.index[f] for f in fields]]
         # the maxima are >= 0 or NaN, and ndarray.max keeps a NaN
         return float(picked.max()) if len(picked) else 0.0
 
@@ -567,10 +576,11 @@ def plan_sigma2d(model: Model):
         )
 
     row_sets = [
-        killing_rows, b_closed_rows, b_closure_rows or [], b_rows, anchor_rows, gauged_rows, pairing_rows,
+        killing_rows, b_closed_rows, b_rows, anchor_rows, gauged_rows, pairing_rows,
         p2_rows, p3_rows, h1_rows, h2_rows, h3_rows, consistency_rows,
     ]
-    return evaluate, row_sets, ()
+    # second derivatives of b, read only when b is not closed on the sample
+    return evaluate, row_sets, (), [b_closure_rows] if b_closure_rows is not None else ()
 
 
 # ---------------------------------------------------------------------------
