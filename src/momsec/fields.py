@@ -418,8 +418,8 @@ class _MatrixInverse:
 
 class MatrixInverseField(ScalarField):
     """Entry (i, j) of the inverse; its inputs are every entry of the
-    matrix.  The entries of one inverse that a program reads are
-    evaluated together, to one order, so the inverse is computed once."""
+    matrix.  The entries of one inverse that a program reads form one
+    group, at one order, so the inverse is computed once per chunk."""
 
     def __init__(self, core: _MatrixInverse, i: int, j: int):
         self.core = core
@@ -428,30 +428,18 @@ class MatrixInverseField(ScalarField):
         self.dim = core.dim
         self._built_on(core.entries)
 
-    @staticmethod
-    def _arrange(nodes):
-        first = {}
-        return sorted(nodes, key=lambda n: first.setdefault(n.core, len(first)))
-
     @classmethod
     def _args(cls, nodes, order, slots):
-        cores = {}
-        for n in nodes:
-            cores.setdefault(n.core, []).append((n.i, n.j))
-        return order, [
-            (core, _gather(core.entries, order, slots), *(np.array(ix, dtype=np.intp) for ix in zip(*at)))
-            for core, at in cores.items()
-        ]
+        core = nodes[0].core
+        i, j = (np.array(ix, dtype=np.intp) for ix in zip(*((n.i, n.j) for n in nodes)))
+        return order, core, _gather(core.entries, order, slots), i, j
 
     @staticmethod
-    def _kernel(t, out, order, cores):
-        start = 0
-        for core, entries, i, j in cores:
-            inv = core.jet(_point_major(t.jet(entries), np.ascontiguousarray), order)
-            for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
-                if part is not None:
-                    part[start : start + len(i)] = np.moveaxis(x[:, i, j], 0, -1)
-            start += len(i)
+    def _kernel(t, out, order, core, entries, i, j):
+        inv = core.jet(_point_major(t.jet(entries), np.ascontiguousarray), order)
+        for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
+            if part is not None:
+                part[...] = np.moveaxis(x[:, i, j], 0, -1)
 
 
 def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
@@ -550,9 +538,10 @@ class Program:
     - a slot in the value table, and in the gradient and Hessian tables
       when its order reaches them.
 
-    Nodes of one level, class and order form a group, and ``run`` runs
-    each group as one numpy kernel over the stacked rows of its
-    operands, level by level, so every node is evaluated once per call.
+    Nodes of one level, class and order form a group (the entries of a
+    matrix inverse, one group per inverse), and ``run`` runs each group
+    as one numpy kernel over the stacked rows of its operands, level by
+    level, so every node is evaluated once per call.
     Leaves are not evaluated by the program: ``run`` is given their jets
     (``leaves`` maps each leaf to the order it needs), so that programs
     evaluated on one sample can share them.  ``run`` returns, for each
@@ -597,18 +586,18 @@ class Program:
                 k = d
             demand[node] = k
             grouped.setdefault((node.level, node.__class__, k), []).append(node)
-        for entries in inverses.values():
+        for core, entries in inverses.items():
             top = max(demand[n] for n in entries)
             for n in entries:
                 demand[n] = k = min(top, n.held)
-                grouped.setdefault((n.level, MatrixInverseField, k), []).append(n)
+                grouped.setdefault((n.level, MatrixInverseField, k, core), []).append(n)
 
         slots = ({}, {}, {})
         self.leaves: dict = {}
         self._fill = []
         self._kernels = []
         for key in sorted(grouped, key=lambda key: key[0]):
-            lv, cls, k = key
+            lv, cls, k = key[:3]
             nodes = cls._arrange(grouped[key])
             out = []
             for table in slots[: k + 1]:

@@ -39,7 +39,6 @@ is required and what passes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -128,16 +127,16 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
     return ctx.report
 
 
-@dataclass(frozen=True, eq=False)
 class _Probe:
     """Fields a step reads, the jet order it reads them to, and
     ``reduce``, which maps their stacked jet over a chunk to an array
     whose elementwise maximum over the chunks of a sample is what the
     step reads (see :mod:`momsec.suites`)."""
 
-    fields: list
-    order: int
-    reduce: Callable
+    def __init__(self, fields: list, order: int, reduce):
+        self.fields = fields
+        self.order = order
+        self.reduce = reduce
 
 
 def _abs_maxima(jet) -> np.ndarray:
