@@ -395,8 +395,11 @@ class Jet2:
 
     def minus(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
         o = _NEW if out is None else out
-        g = None if self.grad is None or other.grad is None else np.subtract(self.grad, other.grad, out=o.grad)
-        h = None if g is None or self.hess is None or other.hess is None else np.subtract(self.hess, other.hess, out=o.hess)
+        g = h = None
+        if self.grad is not None and other.grad is not None:
+            g = np.subtract(self.grad, other.grad, out=o.grad)
+            if self.hess is not None and other.hess is not None:
+                h = np.subtract(self.hess, other.hess, out=o.hess)
         return Jet2(np.subtract(self.value, other.value, out=o.value), g, h)
 
     def __neg__(self) -> "Jet2":

@@ -7,7 +7,9 @@ and returns the step that reports them, every row set the step may read
 structure-constancy test and, in mechanics, the metric and anchor
 matrices.  The plan compiles all of these into one
 :class:`~momsec.fields.Program`, and the model keeps the plan for later
-runs.
+runs.  The one exception is sigma2d's rows for a b that is not closed:
+they need second derivatives of b, so a plan of their own evaluates
+them, and only in a run whose step reads them.
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
@@ -482,7 +484,8 @@ def plan_mechanics(model: Model):
             verdict = mom.classify(th_h1.passed, th_h2.passed, th_h3.passed)
         ctx.verdicts["mechanics_classification"] = verdict
 
-    row_sets = [*fc.values(), *fl.values(), twist_rows, tau_rows, *fc2.values(), *fl2.values(), h1_rows, h2_rows, h3_rows]
+    row_sets = [*fc.values(), *fl.values(), twist_rows, tau_rows, *fc2.values(), *fl2.values()]
+    row_sets += [h1_rows, h2_rows, h3_rows]
     return evaluate, row_sets, [conditioning, deficiency]
 
 
