@@ -311,13 +311,12 @@ class Jet2:
     """Values, gradients and Hessians of a scalar function over a sample.
 
     For P points in d coordinates, ``value`` has shape ``(P,)``, ``grad``
-    ``(P, d)`` and ``hess`` ``(P, d, d)``; row p is the jet at point p,
-    and every rule below acts row by row.  The rules index only the
-    trailing axes, so a stack of n jets, with ``value`` ``(n, P)``,
-    ``grad`` ``(n, P, d)`` and ``hess`` ``(n, P, d, d)``, runs through
-    the same rules as one jet does.  ``row(p)`` reads one row of a
-    single jet back as a float value, a ``(d,)`` gradient and a
-    ``(d, d)`` Hessian.
+    ``(d, P)`` and ``hess`` ``(d, d, P)``: the point axis is last, so
+    every rule below runs along the points.  A stack of n jets puts n in
+    front, with ``value`` ``(n, P)``, ``grad`` ``(n, d, P)`` and ``hess``
+    ``(n, d, d, P)``, and runs through the same rules as one jet does.
+    ``row(p)`` reads point p of a single jet back as a float value, a
+    ``(d,)`` gradient and a ``(d, d)`` Hessian.
 
     A jet is truncated at an order 0, 1 or 2: ``hess`` (and then
     ``grad``) is ``None`` when that derivative was not requested, or was
@@ -328,12 +327,6 @@ class Jet2:
     the stored Hessian is exactly symmetric: every rule below builds it
     from symmetric pieces only.  A rule with an ``out`` jet writes each
     part into ``out``'s array for it instead of a new one.
-
-    The rules broadcast values against derivatives and form outer
-    products only through ``_on_grad``, ``_on_hess``, ``_outer`` and
-    ``_transposed``, so a subclass that keeps the point axis elsewhere
-    (the stacked tables of :class:`momsec.fields.Program` keep it last)
-    runs the same rules.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -345,8 +338,8 @@ class Jet2:
 
     @staticmethod
     def constant(value: float, count: int, dim: int, order: int = 2) -> "Jet2":
-        g = np.zeros((count, dim)) if order >= 1 else None
-        h = np.zeros((count, dim, dim)) if order >= 2 else None
+        g = np.zeros((dim, count)) if order >= 1 else None
+        h = np.zeros((dim, dim, count)) if order >= 2 else None
         return Jet2(np.full(count, float(value)), g, h)
 
     @staticmethod
@@ -354,44 +347,21 @@ class Jet2:
         count, dim = points.shape
         g = h = None
         if order >= 1:
-            g = np.zeros((count, dim))
-            g[:, index] = 1.0
+            g = np.zeros((dim, count))
+            g[index] = 1.0
         if order >= 2:
-            h = np.zeros((count, dim, dim))
+            h = np.zeros((dim, dim, count))
         return Jet2(points[:, index].copy(), g, h)
 
-    @staticmethod
-    def _on_grad(v):
-        """``v``, broadcastable against a gradient."""
-        return v[..., None]
-
-    @staticmethod
-    def _on_hess(v):
-        """``v``, broadcastable against a Hessian."""
-        return v[..., None, None]
-
-    @staticmethod
-    def _outer(g, h):
-        """The outer products g_k h_l of two gradients, Hessian-shaped."""
-        return g[..., :, None] * h[..., None, :]
-
-    @staticmethod
-    def _transposed(h):
-        """A Hessian-shaped array with its two derivative axes swapped."""
-        return np.swapaxes(h, -1, -2)
-
     def row(self, p: int) -> "Jet2":
-        g = None if self.grad is None else self.grad[p]
-        h = None if self.hess is None else self.hess[p]
+        g = None if self.grad is None else self.grad[..., p]
+        h = None if self.hess is None else self.hess[..., p]
         return Jet2(float(self.value[p]), g, h)
 
     def __add__(self, other: "Jet2") -> "Jet2":
         g = None if self.grad is None or other.grad is None else self.grad + other.grad
         h = None if g is None or self.hess is None or other.hess is None else self.hess + other.hess
         return Jet2(self.value + other.value, g, h)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return self.minus(other)
 
     def minus(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
         o = _NEW if out is None else out
@@ -402,28 +372,22 @@ class Jet2:
                 h = np.subtract(self.hess, other.hess, out=o.hess)
         return Jet2(np.subtract(self.value, other.value, out=o.value), g, h)
 
-    def __neg__(self) -> "Jet2":
-        g = None if self.grad is None else -self.grad
-        h = None if self.hess is None else -self.hess
-        return Jet2(-self.value, g, h)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        return self.times(other)
-
     def times(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
         o = _NEW if out is None else out
         value = np.multiply(self.value, other.value, out=o.value)
         if self.grad is None or other.grad is None:
             return Jet2(value, None, None)
+        u, v = self.value[..., None, :], other.value[..., None, :]
         # u' v + u v', added in place into the first product
-        grad = np.multiply(self.grad, self._on_grad(other.value), out=o.grad)
-        grad += self._on_grad(self.value) * other.grad
+        grad = np.multiply(self.grad, v, out=o.grad)
+        grad += u * other.grad
         if self.hess is None or other.hess is None:
             return Jet2(value, grad, None)
-        cross = self._outer(self.grad, other.grad)
-        hess = np.multiply(self.hess, self._on_hess(other.value), out=o.hess)
-        hess += self._on_hess(self.value) * other.hess
-        hess += cross + self._transposed(cross)
+        u, v = u[..., None, :], v[..., None, :]
+        cross = self.grad[..., :, None, :] * other.grad[..., None, :, :]
+        hess = np.multiply(self.hess, v, out=o.hess)
+        hess += u * other.hess
+        hess += cross + np.swapaxes(cross, -2, -3)
         return Jet2(value, grad, hess)
 
     def scale(self, c, out: "Jet2 | None" = None) -> "Jet2":
@@ -445,13 +409,12 @@ class Jet2:
         is called only when this jet carries that order."""
         if self.grad is None:
             return Jet2(f, None, None)
-        d1 = df()
-        grad = self._on_grad(d1) * self.grad
+        d1 = df()[..., None, :]
+        grad = d1 * self.grad
         if self.hess is None:
-            hess = None
-        else:
-            outer = self._outer(self.grad, self.grad)
-            hess = self._on_hess(d1) * self.hess + self._on_hess(d2f()) * outer
+            return Jet2(f, grad, None)
+        outer = self.grad[..., :, None, :] * self.grad[..., None, :, :]
+        hess = d1[..., None, :] * self.hess + d2f()[..., None, None, :] * outer
         return Jet2(f, grad, hess)
 
 
@@ -493,15 +456,15 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
     if isinstance(node, Add):
         return eval_jets(node.left, points, order) + eval_jets(node.right, points, order)
     if isinstance(node, Sub):
-        return eval_jets(node.left, points, order) - eval_jets(node.right, points, order)
+        return eval_jets(node.left, points, order).minus(eval_jets(node.right, points, order))
     if isinstance(node, Mul):
-        return eval_jets(node.left, points, order) * eval_jets(node.right, points, order)
+        return eval_jets(node.left, points, order).times(eval_jets(node.right, points, order))
     if isinstance(node, Div):
         denom = eval_jets(node.right, points, order)
         _check_domain(denom.value == 0.0, "division by zero", node)
-        return eval_jets(node.left, points, order) * denom.reciprocal()
+        return eval_jets(node.left, points, order).times(denom.reciprocal())
     if isinstance(node, Neg):
-        return -eval_jets(node.operand, points, order)
+        return eval_jets(node.operand, points, order).scale(-1.0)
     if isinstance(node, Pow):
         base = eval_jets(node.base, points, order)
         # the full jet of the exponent tells whether it is constant
@@ -520,7 +483,7 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
             )
         # variable exponent: b^e = exp(e * log(b))
         _check_domain(b <= 0.0, "variable exponent requires a positive base", node)
-        w = expo * base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2)
+        w = expo.times(base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2))
         e = np.exp(w.value)
         return w.compose(e, lambda: e, lambda: e)
     if isinstance(node, Call):
@@ -557,5 +520,5 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
 
 
 def eval_jet(expr: Expr, point) -> Jet2:
-    """The jet of ``expr`` at one point: a one-row sample, read back as row 0."""
+    """The jet of ``expr`` at one point: a one-point sample, read back at point 0."""
     return eval_jets(expr, np.asarray(point, dtype=float).reshape(1, -1)).row(0)

@@ -24,7 +24,12 @@ the program's tables, which live only for the chunk.  The leaves
 (expressions and constants) are not evaluated by the program: the
 caller passes their jets in, so programs evaluated on one chunk can
 share them.  ``ScalarField.eval`` and :func:`max_abs_fields` evaluate a
-one-off program of their own over the whole sample.
+one-off program of their own over the whole sample.  Every jet here has
+the one layout of :class:`Jet2`, the point axis last: the leaves' jets,
+the tables and the roots' jets a program returns, so leaves enter the
+tables as they are and every kernel runs along the points.  Only the
+matrix inverse moves an axis, to hand ``np.linalg.inv`` one matrix per
+point.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -138,8 +143,8 @@ class ScalarField(_Node):
 
     ``eval(points, order)`` gives the :class:`Jet2` over a ``(P, d)``
     sample up to ``order``, through a one-off :class:`Program` of this
-    field alone.  ``jet`` and ``value`` are one-point views: a one-row
-    sample, read back as row 0.
+    field alone.  ``jet`` and ``value`` are one-point views: a one-point
+    sample, read back at point 0.
 
     A subclass with inputs supplies ``_kernel(tables, out, *args)``,
     which evaluates a group of its nodes at once into ``out``, the
@@ -385,7 +390,8 @@ class _MatrixInverse:
     Given jets of the entries of M(x), the inverse N = M^{-1} has
     dN = -N (dM) N and
     d2N_{kl} = -N M_{,kl} N + N M_{,k} N M_{,l} N + N M_{,l} N M_{,k} N,
-    all exact to second order.  The result is the jet of the matrix N:
+    all exact to second order.  The result is the jet of the matrix N,
+    point-major as ``np.linalg.inv`` and the contractions read it:
     ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
     ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
     """
@@ -396,10 +402,12 @@ class _MatrixInverse:
         self.dim = entries[0][0].dim
 
     def jet(self, entries: Jet2, order: int) -> Jet2:
-        """From the stacked jets of the entries, row by row."""
+        """From the stacked jet of the entries, in row-major order."""
         n = self.n
 
         def matrices(x):
+            # the point axis second and contiguous, then one matrix per point
+            x = np.ascontiguousarray(np.moveaxis(x, -1, 1))
             return np.moveaxis(x.reshape(n, n, *x.shape[1:]), 2, 0)
 
         N = np.linalg.inv(matrices(entries.value))
@@ -436,7 +444,7 @@ class MatrixInverseField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, order, core, entries, i, j):
-        inv = core.jet(_point_major(t.jet(entries), np.ascontiguousarray), order)
+        inv = core.jet(t.jet(entries), order)
         for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
             if part is not None:
                 part[...] = np.moveaxis(x[:, i, j], 0, -1)
@@ -467,36 +475,6 @@ def _gather(nodes, order: int, slots) -> tuple:
     )
 
 
-class _Stacked(Jet2):
-    """A stack of n jets as a program's tables hold them: the point axis
-    last, ``value`` ``(n, P)``, ``grad`` ``(n, d, P)`` and ``hess``
-    ``(n, d, d, P)``, so that every operation runs along the points."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _on_grad(v):
-        return v[..., None, :]
-
-    @staticmethod
-    def _on_hess(v):
-        return v[..., None, None, :]
-
-    @staticmethod
-    def _outer(g, h):
-        return g[..., :, None, :] * h[..., None, :, :]
-
-    @staticmethod
-    def _transposed(h):
-        return np.swapaxes(h, -2, -3)
-
-
-def _point_major(jet: Jet2, copy=lambda x: x) -> Jet2:
-    """A :class:`_Stacked` jet with the point axis after the stack axis,
-    as :class:`Jet2` keeps it; ``copy`` may make each part contiguous."""
-    return Jet2(*(None if x is None else copy(np.moveaxis(x, -1, 1)) for x in (jet.value, jet.grad, jet.hess)))
-
-
 class _Tables:
     """One chunk's jets of a program's nodes: a row per slot of the
     value ``(S0, P)``, gradient ``(S1, d, P)`` and Hessian
@@ -510,15 +488,15 @@ class _Tables:
             setattr(self, name, space[start:end].reshape(shape))
             start = end
 
-    def jet(self, slots) -> _Stacked:
+    def jet(self, slots) -> Jet2:
         """The stacked jet of the nodes at ``slots`` (see :func:`_gather`):
         rows of index arrays gathered, a copy; rows of slices, a view."""
         value, grad, hess = slots
-        return _Stacked(
+        return Jet2(
             self.value[value], None if grad is None else self.grad[grad], None if hess is None else self.hess[hess]
         )
 
-    def take(self, slots, out: _Stacked):
+    def take(self, slots, out: Jet2):
         """Gather the nodes at ``slots`` into each array ``out`` has."""
         for table, rows, part in zip((self.value, self.grad, self.hess), slots, (out.value, out.grad, out.hess)):
             if part is not None:
@@ -629,12 +607,12 @@ class Program:
             jet = leaves[leaf]
             t.value[v] = jet.value
             if g is not None:
-                t.grad[g] = jet.grad.T
+                t.grad[g] = jet.grad
             if h is not None:
-                t.hess[h] = jet.hess.transpose(1, 2, 0)
+                t.hess[h] = jet.hess
         for kernel, out, args in self._kernels:
             kernel(t, t.jet(out), *args)
-        return [_point_major(t.jet(slots)) for slots in self._roots]
+        return [t.jet(slots) for slots in self._roots]
 
     def evaluate(self, points: np.ndarray) -> list[Jet2]:
         """:meth:`run` over the whole of ``points``, with leaves of its own."""

@@ -81,10 +81,10 @@ def test_acceptance_1_calculus_kernel():
             for idx in combinations(range(d), k):
                 direct = np.zeros(len(pts))
                 for m in range(d):
-                    direct += vjets[m].value * omega.comp(idx).eval(pts).grad[:, m]
+                    direct += vjets[m].value * omega.comp(idx).eval(pts).grad[m]
                     for s in range(k):
                         swapped = idx[:s] + (m,) + idx[s + 1 :]
-                        direct += vjets[m].grad[:, idx[s]] * omega.comp(swapped).eval(pts).value
+                        direct += vjets[m].grad[idx[s]] * omega.comp(swapped).eval(pts).value
                 residual = np.abs(cartan.comp(idx).eval(pts).value - direct)
                 for row in residual:
                     worst_cartan = max(worst_cartan, row)
