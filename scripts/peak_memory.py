@@ -6,9 +6,11 @@ Usage: python scripts/peak_memory.py [POINTS ...]    (default: 1024)
 For each point count, a fresh Python process loads
 ``perfbench.models.son_model_bytes(4, 1)`` (so(4) acting on R^4, rank 6,
 with every model block), runs all suites at sampling seed 42 and prints
-one line: the point count, the wall time of load plus run, and the
-process's ``ru_maxrss`` in MB.  A fresh process per count keeps one
-count's peak from hiding the next one's.
+one line: the point count, the wall time of load plus run, the
+process's ``ru_maxrss`` in MB and the SHA-256 of the run's JSON report,
+rendered after the timing.  A fresh process per count keeps one count's
+peak from hiding the next one's; the digests show whether two versions
+of the code report the same bytes at counts that span many chunks.
 """
 
 import pathlib
@@ -18,7 +20,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 CHILD = """
-import resource, sys, time
+import hashlib, resource, sys, time
 sys.path[:0] = [sys.argv[2], sys.argv[3]]
 from momsec.modelfile import load_model_bytes
 from momsec.suites import RunConfig, run
@@ -28,10 +30,11 @@ points = int(sys.argv[1])
 raw = son_model_bytes(4, 1)
 start = time.perf_counter()
 model = load_model_bytes(raw)
-run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=42))
+report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=42))
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(f"so(4) points={points:<6d} wall={wall:.2f} s  peak_rss={rss:.1f} MB")
+digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+print(f"so(4) points={points:<6d} wall={wall:.2f} s  peak_rss={rss:.1f} MB  report={digest}")
 """
 
 

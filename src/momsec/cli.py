@@ -13,7 +13,9 @@ Exit codes: 0 all required checks pass, 1 a required check failed,
 2 usage or validation error, 3 the model cannot be evaluated at the
 sample: a domain error (such as log of a non-positive value), whose
 message names the subexpression and the first offending sample point,
-or a singular matrix.
+or a metric that is a finite singular matrix at a sample point.  A
+matrix with a non-finite entry is no such error: the rows that read it
+fail with the flag ``non-finite``.
 """
 
 from __future__ import annotations

@@ -394,6 +394,7 @@ class _MatrixInverse:
     point-major as ``np.linalg.inv`` and the contractions read it:
     ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
     ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
+    N is NaN at a point where M has a non-finite entry.
     """
 
     def __init__(self, entries):
@@ -410,7 +411,7 @@ class _MatrixInverse:
             x = np.ascontiguousarray(np.moveaxis(x, -1, 1))
             return np.moveaxis(x.reshape(n, n, *x.shape[1:]), 2, 0)
 
-        N = np.linalg.inv(matrices(entries.value))
+        N = finite_only(np.linalg.inv, matrices(entries.value))
         if order < 1:
             return Jet2(N, None, None)
         NG = np.einsum("pia,pabk->pibk", N, matrices(entries.grad))
@@ -448,6 +449,16 @@ class MatrixInverseField(ScalarField):
         for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
             if part is not None:
                 part[...] = np.moveaxis(x[:, i, j], 0, -1)
+
+
+def finite_only(f, matrices: np.ndarray) -> np.ndarray:
+    """``f`` of a ``(P, ...)`` stack of matrices, applied to those whose
+    entries are all finite; NaN in place of its result for the others."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    result = f(matrices[finite])
+    out = np.full((len(matrices), *result.shape[1:]), np.nan)
+    out[finite] = result
+    return out
 
 
 def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
@@ -682,6 +693,8 @@ class Components:
 
     def __init__(self, comps=None):
         self.comps = {idx: f for idx, f in comps.items() if not f.is_zero} if comps else {}
+        # the negation of each component read at an odd permutation, made once
+        self._negated: dict = {}
 
     def _zero(self):
         raise NotImplementedError
@@ -709,7 +722,11 @@ class Components:
         f = self.comps.get(canon)
         if f is None:
             return self._zero()
-        return f if sign > 0 else -f
+        if sign > 0:
+            return f
+        if canon not in self._negated:
+            self._negated[canon] = -f
+        return self._negated[canon]
 
     @property
     def is_zero(self) -> bool:

@@ -78,10 +78,6 @@ class Model:
     def model_hash(self) -> str:
         return hashlib.sha256(self.raw_bytes).hexdigest()
 
-    @property
-    def has_metric(self) -> bool:
-        return self.metric is not None
-
 
 def _expect(cond: bool, path: str, message: str):
     if not cond:

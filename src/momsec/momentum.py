@@ -27,7 +27,6 @@ from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
     FormField,
     Jet2,
-    Program,
     ScalarField,
     exterior_derivative,
     field_sum_d,
@@ -157,15 +156,10 @@ def constancy_maxima(jet: Jet2) -> np.ndarray:
 def is_constant(maxima: np.ndarray, tol: float = 1e-12) -> bool:
     """True when every structure function is constant over the sample,
     from the :func:`constancy_maxima` of the whole sample: its spread
-    (``max C - min C``) and its gradient stay within ``tol``."""
+    (``max C - min C``) and its gradient stay within ``tol``; a NaN
+    maximum is not within it."""
     neg_low, high, grad = np.split(maxima, 3)
-    return not np.any((high + neg_low > tol) | (grad > tol))
-
-
-def is_constant_structure(alg: AlgebroidData, points: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every structure function is constant over the sample."""
-    jet = Program([(structure_functions(alg), 1)], alg.dim).evaluate(points)[0]
-    return is_constant(constancy_maxima(jet), tol)
+    return bool(np.all((high + neg_low <= tol) & (grad <= tol)))
 
 
 def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):

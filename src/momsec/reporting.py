@@ -168,8 +168,3 @@ CHECK_REGISTRY: tuple[str, ...] = (
     "multisym/lie-specialize-agreement",
     "multisym/n1-reduction-agreement",
 )
-
-
-def registry_base_name(name: str) -> str:
-    """Strip a [k=...] style suffix so parametrized rows match the registry."""
-    return name.split("[")[0]

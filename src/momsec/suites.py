@@ -53,7 +53,7 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import Program, exterior_derivative, leaf_jets
+from .fields import Program, exterior_derivative, finite_only, leaf_jets
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult, _result
 
@@ -405,13 +405,18 @@ def plan_mechanics(model: Model):
     fl2 = _by_degree(ham.flow_fields(absorbed.system))
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
     d = model.chart.dim
+    # NaN at a point where the matrix has a non-finite entry, which fails the row
     conditioning = _Probe(
-        [f for row in g.g for f in row], 0, lambda jet: np.max(np.linalg.cond(_matrices(jet, d, d)), keepdims=True)
+        [f for row in g.g for f in row],
+        0,
+        lambda jet: np.max(finite_only(np.linalg.cond, _matrices(jet, d, d)), keepdims=True),
     )
     deficiency = _Probe(
         [f for row in anchor for f in row],
         0,
-        lambda jet: np.max(r - np.linalg.matrix_rank(_matrices(jet, r, d), tol=1e-10), keepdims=True),
+        lambda jet: np.max(
+            r - finite_only(lambda m: np.linalg.matrix_rank(m, tol=1e-10), _matrices(jet, r, d)), keepdims=True
+        ),
     )
 
     def evaluate(ctx: CheckContext):

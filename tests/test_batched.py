@@ -456,12 +456,17 @@ def _json_at_chunk_lengths(monkeypatch, raw: bytes, seed: int, points: int) -> l
     return reports
 
 
-@pytest.mark.parametrize("name", [*fixture_names(), "so3", "b-not-closed"])
+@pytest.mark.parametrize("name", [*fixture_names(), "so3", "b-not-closed", "nan-metric"])
 def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
     # b-not-closed reads sigma2d's rows for a b that is not closed, which
-    # a plan of their own evaluates when the step reads them
+    # a plan of their own evaluates when the step reads them; nan-metric's
+    # metric is NaN at some points, so a chunk may hold no finite metric
     if name == "b-not-closed":
         raw = json.dumps(B_NOT_CLOSED).encode()
+    elif name == "nan-metric":
+        doc = json.loads(fixture_bytes("magnetic_twist_mechanics"))
+        doc["metric"][0] = {"idx": [1, 1], "expr": "exp(1000*x) - exp(1000*x) + 1"}
+        raw = json.dumps(doc).encode()
     else:
         raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
     for seed, points in ((42, 32), (7, 17)):

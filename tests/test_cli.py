@@ -8,7 +8,7 @@ from momsec import suites
 from momsec.cli import main
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model
-from momsec.reporting import CHECK_REGISTRY, registry_base_name
+from momsec.reporting import CHECK_REGISTRY
 from momsec.suites import RunConfig, SuiteError, resolve_suites, run
 
 
@@ -163,7 +163,7 @@ class TestRegistryCoverage:
         for name, model in fixture_models.items():
             rep = run(model, "all")
             for check in rep.checks:
-                base = registry_base_name(check.name)
+                base = check.name.split("[")[0]
                 assert base in CHECK_REGISTRY, f"{check.name} not registered"
                 seen.add(base)
         missing = set(CHECK_REGISTRY) - seen
@@ -181,6 +181,17 @@ class TestRegistryCoverage:
 def _rotation_with(tmp_path, **blocks):
     doc = json.loads(fixture_bytes("rotation_momentum_map"))
     doc.update(blocks)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _magnetic_with(tmp_path, block: str, expr: str) -> str:
+    """magnetic_twist_mechanics with entry (1, 1) of its ``"anchor"`` or
+    ``"metric"`` block set to ``expr``."""
+    doc = json.loads(fixture_bytes("magnetic_twist_mechanics"))
+    entries = doc["algebroid"]["anchor"] if block == "anchor" else doc["metric"]
+    next(e for e in entries if e["idx"] == [1, 1])["expr"] = expr
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -249,5 +260,31 @@ class TestEvaluationFailures:
     def test_singular_metric_exit_code(self, tmp_path, capsys):
         metric = [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "0"}]
         path = _rotation_with(tmp_path, metric=metric)
+        assert main(["check", path, "--suite", "mechanics"]) == 3
+        assert "Singular matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, expr, row",
+        [
+            # NaN where exp overflows, for x > 0.71, and 0 elsewhere
+            ("anchor", "exp(1000*x) - exp(1000*x)", "mechanics/constraint-irreducibility"),
+            # NaN where exp overflows and 1 elsewhere, so never a finite singular metric
+            ("metric", "exp(1000*x) - exp(1000*x) + 1", "mechanics/metric-conditioning"),
+        ],
+    )
+    def test_nonfinite_matrix_entry_fails_rows(self, tmp_path, capsys, block, expr, row):
+        path = _magnetic_with(tmp_path, block, expr)
+        code = main(["check", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        rows = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert rows[row]["passed"] is False
+        assert "non-finite" in rows[row]["flags"]
+
+    def test_underflowed_metric_entry_is_singular(self, tmp_path, capsys):
+        # exp(1000*x) is inf for x > 0.71 and exactly 0 for x < -0.75, where
+        # the metric is a finite singular matrix
+        path = _magnetic_with(tmp_path, "metric", "exp(1000*x)")
         assert main(["check", path, "--suite", "mechanics"]) == 3
         assert "Singular matrix" in capsys.readouterr().err

@@ -344,6 +344,13 @@ class TestAntisymmetricStorage:
         empty, _ = pair_container(kind, ch, const_field(0.0, 2))
         assert empty.comps == {} and empty.is_zero
 
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_odd_permutation_is_negated_once(self, kind):
+        # one negation node per stored component, however often it is read
+        ch = chart2()
+        _, comp = pair_container(kind, ch, f("x*y + 1", ch))
+        assert comp((1, 0)) is comp((1, 0))
+
     def test_symmetric_lookup(self):
         ch = chart3()
         g = f("x + z", ch)

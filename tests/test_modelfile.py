@@ -33,7 +33,7 @@ class TestFixtures:
         model = load_model_bytes(fixture_bytes("rotation_momentum_map"))
         assert model.chart.dim == 2
         assert model.alg.rank == 1
-        assert model.has_metric
+        assert model.metric is not None
         assert model.multisym is not None and model.multisym.n == 1
 
     def test_all_fixtures_load(self):
@@ -65,7 +65,7 @@ class TestValidation:
         assert model.V.is_zero
         assert model.tau[0][0].is_zero
         assert model.b_field.is_zero
-        assert not model.has_metric
+        assert model.metric is None
         assert model.tolerance == 1e-8
 
     def test_expression_error_carries_path(self):

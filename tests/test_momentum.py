@@ -7,6 +7,7 @@ from momsec.connections import ConnectionData
 from momsec.fields import (
     ExprField,
     FormField,
+    Program,
     VectorField,
     const_field,
     exterior_derivative,
@@ -21,13 +22,15 @@ from momsec.momentum import (
     MomentumData,
     classify,
     closedness_fields,
+    constancy_maxima,
     gamma_from_B,
     h1_fields,
     h2_fields,
     h3_fields,
-    is_constant_structure,
+    is_constant,
     momentum_map_fields,
     pairing_B,
+    structure_functions,
 )
 
 
@@ -224,10 +227,15 @@ class TestMomentumMapReduction:
         ch = chart2()
         zero = const_field(0.0, 2)
         pts = ch.sample(10, 16)
+
+        def _is_constant_structure(alg, points):
+            jet = Program([(structure_functions(alg), 1)], alg.dim).evaluate(points)[0]
+            return is_constant(constancy_maxima(jet))
+
         const_alg = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): const_field(2.0, 2)})
-        assert is_constant_structure(const_alg, pts)
+        assert _is_constant_structure(const_alg, pts)
         var_alg = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): f("x", ch)})
-        assert not is_constant_structure(var_alg, pts)
+        assert not _is_constant_structure(var_alg, pts)
 
 
 class TestClosedness:

@@ -355,6 +355,28 @@ def test_a_non_finite_hypothesis_keeps_the_row_required(fixture_models):
     assert not rep.overall_pass
 
 
+def test_a_nan_structure_function_is_not_constant(monkeypatch):
+    # C^1_23 is 1 where exp does not overflow and NaN where it does, so
+    # constancy is never established and no row that assumes it is made
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
+    from perfbench.models import son_model_doc
+
+    doc = son_model_doc(3, 1)
+    entry = next(e for e in doc["algebroid"]["structure"] if e["idx"] == [1, 2, 3])
+    entry["expr"] = "1 + exp(1000*x1) - exp(1000*x1)"
+    rep = run(load_model_bytes(json.dumps(doc).encode()), "all")
+    names = {c.name for c in rep.checks}
+    assert "momentum/h3-bracket-compat" in names
+    for name in (
+        "momentum/map-symplectic-vectorfield",
+        "momentum/map-hamiltonian-pairing",
+        "momentum/map-equivariance",
+        "momentum/map-reduction-agreement",
+        "multisym/lie-specialize-agreement",
+    ):
+        assert name not in names
+
+
 @pytest.mark.parametrize("name", [*fixture_names(), "so3-s1", "so3-s2", "so3-s3"])
 def test_required_rows_keep_their_verdict_across_sampling_seeds(fixture_models, monkeypatch, name):
     """A row that is required at one sampling seed is required at every
