@@ -11,6 +11,8 @@ process's ``ru_maxrss`` in MB and the SHA-256 of the run's JSON report,
 rendered after the timing.  A fresh process per count keeps one count's
 peak from hiding the next one's; the digests show whether two versions
 of the code report the same bytes at counts that span many chunks.
+``scripts/peak_memory.expected`` pins the digests at 1024 and 4096
+points, one ``POINTS DIGEST`` line each, and CI compares them.
 """
 
 import pathlib

@@ -467,12 +467,17 @@ def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
         return eval_jets(node.operand, points, order).scale(-1.0)
     if isinstance(node, Pow):
         base = eval_jets(node.base, points, order)
-        # the full jet of the exponent tells whether it is constant
-        expo = eval_jets(node.exponent, points)
         b = base.value
-        p = expo.value[0]
-        # a constant exponent means one number over the whole sample
-        if not expo.grad.any() and not expo.hess.any() and (expo.value == p).all():
+        if isinstance(node.exponent, Num):
+            p, expo = node.exponent.value, None
+        else:
+            # the full jet of any other exponent tells whether it is
+            # constant: one number over the whole sample
+            expo = eval_jets(node.exponent, points)
+            p = expo.value[0]
+            if not expo.grad.any() and not expo.hess.any() and (expo.value == p).all():
+                expo = None
+        if expo is None:
             if p == 0.0:
                 return Jet2.constant(1.0, count, dim, order)
             if float(p).is_integer():

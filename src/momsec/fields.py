@@ -20,11 +20,13 @@ nodes of one level, class and order are one group, evaluated by one
 numpy kernel over their stacked operand rows with the rules of
 :class:`Jet2`, so a run costs numpy work per group, not interpreter
 work per node.  Each node is evaluated once per chunk, into a slot of
-the program's tables, which live only for the chunk.  The leaves
+the program's tables, which live only for the chunk.  A check run
+compiles the graphs of every suite it selects into one program, so the
+groups, and the nodes the suites share, span every suite.  The leaves
 (expressions and constants) are not evaluated by the program: the
-caller passes their jets in, so programs evaluated on one chunk can
-share them.  ``ScalarField.eval`` and :func:`max_abs_fields` evaluate a
-one-off program of their own over the whole sample.  Every jet here has
+caller passes their jets in.  ``ScalarField.eval`` and
+:func:`max_abs_fields` evaluate a one-off program of their own over the
+whole sample.  Every jet here has
 the one layout of :class:`Jet2`, the point axis last: the leaves' jets,
 the tables and the roots' jets a program returns, so leaves enter the
 tables as they are and every kernel runs along the points.  Only the
@@ -394,7 +396,8 @@ class _MatrixInverse:
     point-major as ``np.linalg.inv`` and the contractions read it:
     ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
     ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
-    N is NaN at a point where M has a non-finite entry.
+    N is NaN at a point where M has a non-finite entry; a finite
+    singular M raises :class:`SingularMatrixError` naming its first point.
     """
 
     def __init__(self, entries):
@@ -411,7 +414,17 @@ class _MatrixInverse:
             x = np.ascontiguousarray(np.moveaxis(x, -1, 1))
             return np.moveaxis(x.reshape(n, n, *x.shape[1:]), 2, 0)
 
-        N = finite_only(np.linalg.inv, matrices(entries.value))
+        M = matrices(entries.value)
+        try:
+            N = finite_only(np.linalg.inv, M)
+        except np.linalg.LinAlgError:
+            # the first point whose matrix alone fails to invert
+            for p in range(len(M)):
+                try:
+                    finite_only(np.linalg.inv, M[p : p + 1])
+                except np.linalg.LinAlgError:
+                    raise SingularMatrixError(p) from None
+            raise
         if order < 1:
             return Jet2(N, None, None)
         NG = np.einsum("pia,pabk->pibk", N, matrices(entries.grad))
@@ -423,6 +436,20 @@ class _MatrixInverse:
         # sum the symmetric pair first so the Hessian stays exactly symmetric
         d2N = t_h + (t_g + t_g.transpose(0, 1, 2, 4, 3))
         return Jet2(N, dN, d2N)
+
+
+class SingularMatrixError(np.linalg.LinAlgError):
+    """A field matrix with finite entries is singular at sample point
+    ``point``, so its inverse does not exist there."""
+
+    def __init__(self, point: int):
+        super().__init__(f"Singular matrix at sample point {point}")
+        self.point = point
+
+    def shifted(self, offset: int) -> "SingularMatrixError":
+        """The same error for a sample whose point 0 is point ``offset``
+        of a larger one."""
+        return SingularMatrixError(self.point + offset)
 
 
 class MatrixInverseField(ScalarField):
@@ -532,10 +559,9 @@ class Program:
     as one numpy kernel over the stacked rows of its operands, level by
     level, so every node is evaluated once per call.
     Leaves are not evaluated by the program: ``run`` is given their jets
-    (``leaves`` maps each leaf to the order it needs), so that programs
-    evaluated on one sample can share them.  ``run`` returns, for each
-    root group, the stacked jet of its fields, to the group's order or
-    as far as every field holds it.  A field differentiated more than
+    (``leaves`` maps each leaf to the order it needs).  ``run`` gives,
+    for each root group, the stacked jet of its fields, to the group's
+    order or as far as every field holds it.  A field differentiated more than
     twice makes compiling raise ``ValueError``.
     """
 
@@ -605,12 +631,16 @@ class Program:
         self.sizes = tuple(len(table) for table in slots)
         self.bytes_per_point = 8 * (self.sizes[0] + dim * self.sizes[1] + dim * dim * self.sizes[2])
 
-    def run(self, leaves: dict, count: int, space: np.ndarray | None = None) -> list[Jet2]:
+    def run(self, leaves: dict, count: int, space: np.ndarray | None = None):
         """The root groups' jets over one sample of ``count`` points, given
         ``leaves``, the jets of (at least) this program's leaves over it.
         The tables live in ``space``, a float array of at least
         ``count * bytes_per_point / 8`` entries, which a caller evaluating
-        chunk after chunk can reuse; the returned jets do not share it."""
+        chunk after chunk can reuse.  Every kernel runs before this
+        returns; the jets come from an iterator that gathers each group
+        as it is read, so a caller that reduces one group before reading
+        the next holds one at a time.  It must be read before ``space`` is
+        reused; the jets it gives do not share ``space``."""
         if space is None:
             space = np.empty(count * self.bytes_per_point // 8)
         t = _Tables(self.sizes, count, self.dim, space)
@@ -623,11 +653,11 @@ class Program:
                 t.hess[h] = jet.hess
         for kernel, out, args in self._kernels:
             kernel(t, t.jet(out), *args)
-        return [t.jet(slots) for slots in self._roots]
+        return (t.jet(slots) for slots in self._roots)
 
     def evaluate(self, points: np.ndarray) -> list[Jet2]:
         """:meth:`run` over the whole of ``points``, with leaves of its own."""
-        return self.run(leaf_jets(self.leaves, points), len(points))
+        return list(self.run(leaf_jets(self.leaves, points), len(points)))
 
 
 def leaf_jets(leaves: dict, points: np.ndarray) -> dict:

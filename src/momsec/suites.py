@@ -5,30 +5,33 @@ row graphs from the model alone, on the first run that needs the suite,
 and returns the step that reports them, every row set the step may read
 (whichever branch a run takes) and the probes it reads besides: the
 structure-constancy test and, in mechanics, the metric and anchor
-matrices.  The plan compiles all of these into one
-:class:`~momsec.fields.Program`, and the model keeps the plan for later
-runs.  The one exception is sigma2d's rows for a b that is not closed:
-they need second derivatives of b, so a plan of their own evaluates
-them, and only in a run whose step reads them.
+matrices.  The model keeps the plan for later runs.  A run compiles the
+probes of every suite it selects into one
+:class:`~momsec.fields.Program`, which the model keeps for later runs of
+the same selection, so a node that several suites read is evaluated
+once.  The one exception is sigma2d's rows for a b that is not closed:
+they need second derivatives of b, so a plan of their own, with a
+program of its own, evaluates them, and only in a run whose step reads
+them.
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
 run evaluates the sample in chunks: the chunk length is
-``CHUNK_BYTES`` over the bytes per point of the largest program, so
-memory does not grow with ``--points``.  In each chunk the run's distinct
-expression and constant leaves are evaluated once, every selected
-suite's program reads them, and each root is reduced at once: a row
-field to its max |f| (NaN when any value is NaN), a probe to the arrays
-its reduction makes.  The run keeps the elementwise maximum over chunks
-of each, which every reduction here is chosen to make exact, and a
-domain error names its point by its index in the whole sample.
+``CHUNK_BYTES`` over the program's bytes per point, so memory does not
+grow with ``--points``.  In each chunk the program's expression and
+constant leaves are evaluated once, the program runs once, and each root
+group is reduced as it is read: a row field to its max |f| (NaN when any
+value is NaN), a probe to the arrays its reduction makes.  The run keeps
+the elementwise maximum over chunks of each, which every reduction here
+is chosen to make exact, and a domain error or a singular matrix names
+its point by its index in the whole sample.
 
 Only then do the steps run, and they read only these maxima.  The only
 wiring that reads sample values (whether the structure functions are
 constant, whether sigma2d's b is closed) is decided in the step, per
 run.  Each run has one :class:`CheckContext`, which holds the model, the
-sample, the :class:`RunConfig`, the report and the maxima of the suite
-being reported; its methods are the only code that makes a report row,
+sample, the :class:`RunConfig`, the report and the maxima of every
+selected suite; its methods are the only code that makes a report row,
 and each appends its row to the report as it is made.  The H1-H3 rows
 come from :func:`momentum.condition_fields` wherever a suite needs them.
 The anchoring conditions (H1, HM1) are reported but not required unless
@@ -53,13 +56,12 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import Program, exterior_derivative, finite_only, leaf_jets
+from .fields import Program, SingularMatrixError, exterior_derivative, finite_only, leaf_jets
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult, _result
 
-# bytes of jet tables that one program may fill per chunk: a run
-# evaluates this many bytes over the largest program's bytes per point
-# at a time
+# bytes of jet tables that a program may fill per chunk: a run
+# evaluates this many bytes over its program's bytes per point at a time
 CHUNK_BYTES = 16 << 20
 
 
@@ -123,8 +125,13 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
             if suite not in model._plans:
                 model._plans[suite] = _Plan(*_SUITES[suite][0](model), dim=model.chart.dim)
             plans.append(model._plans[suite])
-        for plan, maxima in zip(plans, _evaluate(plans, ctx.points)):
-            ctx.plan, ctx.maxima = plan, dict(zip(plan.probes, maxima))
+        probes = [p for plan in plans for p in plan.probes]
+        key = tuple(ctx.report.suites)
+        if key not in model._plans:
+            model._plans[key] = _program(probes, model.chart.dim)
+        ctx.maxima = _evaluate(model._plans[key], probes, ctx.points)
+        for plan in plans:
+            ctx.plan = plan
             plan.step(ctx)
     return ctx.report
 
@@ -146,12 +153,17 @@ def _abs_maxima(jet) -> np.ndarray:
     return np.abs(jet.value).max(axis=1)
 
 
+def _program(probes, dim: int) -> Program:
+    """The program whose root groups are the probes' fields, in order."""
+    return Program([(p.fields, p.order) for p in probes], dim)
+
+
 class _Plan:
-    """A suite's step, its probes and the program that evaluates them.
-    The first probe is every field of ``row_sets`` that is not a
-    structural zero, to order 0, reduced to its max |f|; ``index`` gives
-    each such field's position in it.  Row sets in ``later`` are
-    evaluated only when the step reads them, by a plan of their own."""
+    """A suite's step and its probes.  The first probe is every field of
+    ``row_sets`` that is not a structural zero, to order 0, reduced to its
+    max |f|; ``index`` gives each such field's position in it.  Row sets
+    in ``later`` are evaluated only when the step reads them, by a plan of
+    their own, the one plan with a ``program`` of its own."""
 
     def __init__(self, step, row_sets, probes=(), later=(), *, dim: int):
         self.step = step
@@ -161,38 +173,34 @@ class _Plan:
                 if not f.is_zero:
                     self.index.setdefault(f, len(self.index))
         self.probes = (_Probe(list(self.index), 0, _abs_maxima), *probes)
-        self.program = Program([(p.fields, p.order) for p in self.probes], dim)
-        self.later = _Plan(None, later, dim=dim) if later else None
+        self.later = None
+        if later:
+            self.later = _Plan(None, later, dim=dim)
+            self.later.program = _program(self.later.probes, dim)
 
 
-def _evaluate(plans, points: np.ndarray) -> list:
-    """For each plan, the maxima of its probes' reductions over ``points``,
-    evaluated chunk by chunk on one leaf table per chunk."""
-    leaves: dict = {}
-    for plan in plans:
-        for leaf, order in plan.program.leaves.items():
-            if leaves.get(leaf, -1) < order:
-                leaves[leaf] = order
-    largest = max(1, *(plan.program.bytes_per_point for plan in plans))
-    length = max(1, CHUNK_BYTES // largest)
-    # one space for every program's tables, reused chunk after chunk
-    space = np.empty(min(length, len(points)) * largest // 8)
-    maxima: list = [None] * len(plans)
+def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
+    """The maxima of each probe's reduction over ``points``, keyed by
+    probe; ``program`` was compiled from ``probes`` and runs chunk by
+    chunk, on one leaf table per chunk."""
+    length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
+    # one space for the program's tables, reused chunk after chunk
+    space = np.empty(min(length, len(points)) * program.bytes_per_point // 8)
     for start in range(0, len(points), length):
         chunk = points[start : start + length]
         try:
-            jets = leaf_jets(leaves, chunk)
-        except DomainError as exc:
+            jets = program.run(leaf_jets(program.leaves, chunk), len(chunk), space)
+        except (DomainError, SingularMatrixError) as exc:
             raise exc.shifted(start) from None
-        for k, plan in enumerate(plans):
-            reduced = [p.reduce(jet) for p, jet in zip(plan.probes, plan.program.run(jets, len(chunk), space))]
-            maxima[k] = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima[k], reduced)]
-    return maxima
+        reduced = [p.reduce(jet) for p, jet in zip(probes, jets)]
+        maxima = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima, reduced)]
+    return dict(zip(probes, maxima))
 
 
 class CheckContext:
-    """One run: the model, its point sample, the config, the report and the
-    plan and probe maxima of the suite being reported.
+    """One run: the model, its point sample, the config, the report, the
+    probe maxima of every selected suite and the plan of the suite being
+    reported.
 
     Every row method reads its residual from those maxima, appends the
     row to the report and returns it, so rows appear in the order they
@@ -220,7 +228,7 @@ class CheckContext:
         if plan.later is not None and not all(f in plan.index for f in fields):
             plan = plan.later
             if plan not in self._later:
-                self._later[plan] = dict(zip(plan.probes, _evaluate([plan], self.points)[0]))
+                self._later[plan] = _evaluate(plan.program, plan.probes, self.points)
             maxima = self._later[plan]
         picked = maxima[plan.probes[0]][[plan.index[f] for f in fields]]
         # the maxima are >= 0 or NaN, and ndarray.max keeps a NaN
@@ -696,8 +704,8 @@ def plan_multisym(model: Model):
 
 # suite -> (its planner, the model block it requires), in report order; a
 # planner builds the suite's row graphs and returns the step that
-# reports them on a run, with its row sets and probes (see _Plan).  A step must not hold the model: the model
-# holds the step, and in a reference cycle a model and its graphs would
+# reports them on a run, with its row sets and probes (see _Plan).  A
+# step must not hold the model: the model holds the step, and in a reference cycle a model and its graphs would
 # wait for the cyclic garbage collector, which then walks every node.
 _SUITES = {
     "axioms": (plan_axioms, None),

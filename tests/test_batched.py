@@ -282,19 +282,30 @@ def _under(roots) -> set:
     return seen
 
 
+def _program_of(model, selection: str = "all") -> Program:
+    """The one program of a model's runs of ``selection``, compiled by a
+    run already."""
+    return model._plans[tuple(suites.resolve_suites(model, selection))]
+
+
+def _suite_plans(model) -> list:
+    """The plans of the suites a model has run, keyed by name in ``_plans``."""
+    return [plan for key, plan in model._plans.items() if isinstance(key, str)]
+
+
 def _chunks_of(monkeypatch, model, length: int):
     """Make runs of ``model`` (all suites, planned already) evaluate
     ``length`` points at a time."""
-    largest = max(plan.program.bytes_per_point for plan in model._plans.values())
-    monkeypatch.setattr(suites, "CHUNK_BYTES", length * largest)
+    monkeypatch.setattr(suites, "CHUNK_BYTES", length * _program_of(model).bytes_per_point)
 
 
 def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     # only a partial asks its input for a derivative; residual roots ask
     # for values alone, so few nodes of a whole run are evaluated with a
     # gradient and fewer with a Hessian; every node is evaluated exactly
-    # once per chunk: its program's kernels write disjoint slots that,
-    # with the leaves, cover every node under the program's roots
+    # once per chunk: the run's one program has kernels that write
+    # disjoint slots that, with the leaves, cover every node under the
+    # roots of every selected suite
     raw = _son_model_bytes(monkeypatch, 3)
     written = []
     for cls in ScalarField.__subclasses__():
@@ -317,33 +328,69 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     monkeypatch.setattr(Program, "run", recording_run)
     model = load_model_bytes(raw)
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
-    plans = list(model._plans.values())
-    under = [_under(f for p in plan.probes for f in p.fields) for plan in plans]
-    assert [program.sizes[0] for program, _, _ in calls] == [len(nodes) for nodes in under]
-    assert len(set().union(*under)) > 3000
-    assert sum(program.sizes[1] for program, _, _ in calls) <= 1000
-    assert sum(program.sizes[2] for program, _, _ in calls) <= 60
+    program = _program_of(model)
+    under = _under(f for plan in _suite_plans(model) for p in plan.probes for f in p.fields)
+    assert [(p, count) for p, count, _ in calls] == [(program, 32)]
+    assert program.sizes[0] == len(under)
+    assert len(under) > 3000
+    assert program.sizes[1] <= 1000
+    assert program.sizes[2] <= 60
 
     _chunks_of(monkeypatch, model, 11)
     calls.clear()
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
-    assert [(program, count) for program, count, _ in calls] == [
-        (plan.program, count) for count in (11, 11, 10) for plan in plans
-    ]
-    for program, count, rows in calls:
+    assert [(p, count) for p, count, _ in calls] == [(program, 11), (program, 11), (program, 10)]
+    for _, count, rows in calls:
+        # one kernel per group of a level, class and order, across suites
+        # (52 on this model)
+        assert len(rows) <= 60
         # disjoint row blocks of the value table, each written once
         assert all(a + n * 8 * count <= b for (a, n), (b, _) in zip(rows, rows[1:]))
         assert len(program.leaves) + sum(n for _, n in rows) == program.sizes[0]
 
 
+def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
+    # compiling puts each node in one group, which one kernel writes once
+    # per Program.run; with a program per suite, a node under two suites'
+    # roots was in a group of each program and written twice a chunk
+    arranged = []
+    for cls in (ScalarField, fields.SumField):
+
+        def recording_arrange(nodes, _arrange=cls._arrange):
+            arranged.append(_arrange(nodes))
+            return arranged[-1]
+
+        monkeypatch.setattr(cls, "_arrange", staticmethod(recording_arrange))
+    model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
+    cfg = RunConfig(tolerance=model.tolerance, points=32, seed=42)
+    run(model, "all", cfg)
+    under = [_under(f for p in plan.probes for f in p.fields) for plan in _suite_plans(model)]
+    shared = {n for k, nodes in enumerate(under) for other in under[k + 1 :] for n in nodes & other if n.level}
+    assert shared
+    groups = [id(n) for nodes in arranged for n in nodes]
+    assert all(groups.count(id(n)) == 1 for n in shared)
+
+    calls = []
+    run_program = Program.run
+
+    def counting_run(program, leaves, count, space=None):
+        calls.append(program)
+        return run_program(program, leaves, count, space)
+
+    monkeypatch.setattr(Program, "run", counting_run)
+    _chunks_of(monkeypatch, model, 11)
+    run(model, "all", cfg)
+    assert calls == [_program_of(model)] * 3
+
+
 def test_each_expression_leaf_is_evaluated_once_per_chunk(monkeypatch):
-    # the leaves of every suite's program share one table per chunk: a
-    # model's expressions are not evaluated again per suite, nor again at
-    # a higher order
+    # the run's program reads one leaf table per chunk: a model's
+    # expressions are not evaluated again per suite, nor again at a
+    # higher order
     model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
     cfg = RunConfig(tolerance=model.tolerance, points=32, seed=43)
     run(model, "all", cfg)
-    leaves = {leaf for plan in model._plans.values() for leaf in plan.program.leaves if isinstance(leaf, ExprField)}
+    leaves = {leaf for leaf in _program_of(model).leaves if isinstance(leaf, ExprField)}
     evaluated = []
     eval_jets = fields.eval_jets
 
@@ -395,10 +442,22 @@ def test_a_reused_model_reports_as_fresh_models_do(name, monkeypatch):
         assert run(model, "all", cfg).to_json() == run(load_model_bytes(raw), "all", cfg).to_json()
 
 
+def test_a_reused_model_reports_each_selection_as_fresh_models_do(monkeypatch):
+    # each selection has a program of its own, over the plans of the
+    # suites it selects, which every selection shares
+    raw = _son_model_bytes(monkeypatch, 3)
+    model = load_model_bytes(raw)
+    cfg = RunConfig(points=32, seed=5)
+    for selection in ("momentum", "all", "axioms", "all"):
+        assert run(model, selection, cfg).to_json() == run(load_model_bytes(raw), selection, cfg).to_json()
+    programs = [key for key in model._plans if isinstance(key, tuple)]
+    assert programs == [("momentum",), tuple(suites.applicable_suites(model)), ("axioms",)]
+
+
 def test_a_dropped_model_frees_its_graphs_at_once(monkeypatch):
-    # the model holds the evaluation steps of its suites; a step that held
-    # the model would make a cycle, and every node would wait for the
-    # cyclic collector
+    # the model holds the evaluation steps of its suites and the programs
+    # of its selections; a step that held the model would make a cycle,
+    # and every node would wait for the cyclic collector
     for raw in [*(fixture_bytes(name) for name in fixture_names()), _son_model_bytes(monkeypatch, 3)]:
         model = load_model_bytes(raw)
         run(model, "all", RunConfig(points=8, seed=1))

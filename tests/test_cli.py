@@ -248,9 +248,9 @@ class TestEvaluationFailures:
         model = load_model(path)
         with pytest.raises(ValueError):
             run(model, "all")
-        largest = max(plan.program.bytes_per_point for plan in model._plans.values())
+        program = model._plans[tuple(suites.applicable_suites(model))]
         errors = []
-        for budget in (7 * largest, 1 << 60):
+        for budget in (7 * program.bytes_per_point, 1 << 60):
             monkeypatch.setattr(suites, "CHUNK_BYTES", budget)
             assert main(["check", path]) == 3
             errors.append(capsys.readouterr().err)
@@ -282,9 +282,29 @@ class TestEvaluationFailures:
         assert rows[row]["passed"] is False
         assert "non-finite" in rows[row]["flags"]
 
-    def test_underflowed_metric_entry_is_singular(self, tmp_path, capsys):
+    def test_underflowed_metric_entry_is_singular(self, tmp_path, capsys, monkeypatch):
         # exp(1000*x) is inf for x > 0.71 and exactly 0 for x < -0.75, where
-        # the metric is a finite singular matrix
-        path = _magnetic_with(tmp_path, "metric", "exp(1000*x)")
-        assert main(["check", path, "--suite", "mechanics"]) == 3
-        assert "Singular matrix" in capsys.readouterr().err
+        # the metric is a finite singular matrix; the message gives the
+        # first such point by its index in the whole sample, in one chunk
+        # and in chunks of 7.  The late form exp(1000*(c - x)) mirrors
+        # that, and c puts every singular point after the first chunk
+        model = load_model(_magnetic_with(tmp_path, "metric", "1"))
+        x = model.chart.sample(model.sampling.points, model.sampling.seed)[:, 0]
+        c = float(x[:7].max()) + 0.1 - 0.745
+        for late in (False, True):
+            expr = f"exp(1000*({c!r} - x))" if late else "exp(1000*x)"
+            path = _magnetic_with(tmp_path, "metric", expr)
+            with np.errstate(over="ignore"):
+                underflowed = np.exp(1000 * (c - x) if late else 1000 * x) == 0.0
+            singular = int(np.argmax(underflowed))
+            assert underflowed[singular] and (singular >= 7) == late
+            model = load_model(path)
+            with pytest.raises(np.linalg.LinAlgError):
+                run(model, "mechanics")
+            program = model._plans[("mechanics",)]
+            for budget in (7 * program.bytes_per_point, 1 << 60):
+                monkeypatch.setattr(suites, "CHUNK_BYTES", budget)
+                assert main(["check", path, "--suite", "mechanics"]) == 3
+                err = capsys.readouterr().err
+                assert "Singular matrix" in err
+                assert err.rstrip().endswith(f"at sample point {singular}")

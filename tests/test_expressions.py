@@ -18,6 +18,7 @@ from momsec.expressions import (
     UnknownSymbolError,
     Var,
     eval_jet,
+    eval_jets,
     parse,
     pretty,
 )
@@ -152,6 +153,32 @@ class TestJets:
         jet = eval_jet(expr, pt)
         assert jet.value == pytest.approx(1.7**2.3)
         assert jet.grad == pytest.approx(fd_gradient(expr, pt), abs=1e-8)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("p", [2.0, -1.0, 0.0, 0.5, -1.5])
+    def test_number_exponent_is_a_constant_exponent(self, order, p):
+        # a Num exponent is used as a number; any other constant exponent
+        # is evaluated to learn that it is constant, and both take one path
+        x = Var(0, "x")
+        points = np.array([[0.3, 0.0], [1.7, 2.0], [2.5, -1.0]])
+        number = eval_jets(Pow(x, Num(p)), points, order)
+        folded = eval_jets(Pow(x, Add(Num(p / 2), Num(p / 2))), points, order)
+        for part in ("value", "grad", "hess"):
+            a, b = getattr(number, part), getattr(folded, part)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "p, x0, reason",
+        [(-1.0, 0.0, "zero base with negative exponent"), (0.5, -2.0, "real exponent requires a positive base")],
+    )
+    def test_number_exponent_domain_errors(self, p, x0, reason):
+        x = Var(0, "x")
+        points = np.array([[1.0, 0.0], [x0, 0.0], [x0, 1.0]])
+        for node in (Pow(x, Num(p)), Pow(x, Add(Num(p / 2), Num(p / 2)))):
+            for order in (0, 1, 2):
+                with pytest.raises(DomainError) as err:
+                    eval_jets(node, points, order)
+                assert (err.value.reason, err.value.subexpression, err.value.point) == (reason, node, 1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

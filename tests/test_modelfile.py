@@ -75,6 +75,33 @@ class TestValidation:
             load_model_bytes(doc_bytes(doc))
         assert "mu[0].expr" in str(err.value)
 
+    def test_equal_sources_share_one_leaf(self):
+        doc = minimal_doc()
+        doc["mu"] = [{"idx": [1], "expr": "x*y"}]
+        doc["alpha"] = [{"idx": [1], "expr": "x*y"}]
+        doc["V"] = "x*y"
+        doc["beta"] = [{"idx": [1], "expr": "1"}, {"idx": [2], "expr": "y"}]
+        model = load_model_bytes(doc_bytes(doc))
+        assert model.mu[0] is model.alpha[0] is model.V
+        assert model.beta.comps[0] is model.alg.anchor[0][0]
+        assert model.beta.comps[1] is not model.V
+        # one load's leaves are its own
+        assert load_model_bytes(doc_bytes(doc)).V is not model.V
+
+    def test_repeated_bad_expression_names_its_first_entry(self):
+        # mu is read before alpha; a bad source fails the load at the
+        # first entry that has it
+        doc = minimal_doc()
+        doc["alpha"] = [{"idx": [1], "expr": "x +"}]
+        doc["mu"] = [{"idx": [1], "expr": "x +"}]
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert err.value.path == "mu[0].expr"
+        doc["mu"] = [{"idx": [1], "expr": "x"}]
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert err.value.path == "alpha[0].expr"
+
     def test_unknown_coordinate_in_expression(self):
         doc = minimal_doc()
         doc["V"] = "q^2"
