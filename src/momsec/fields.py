@@ -51,6 +51,20 @@ once built.  Callers therefore write sparse contractions as plain sums
 of products, pass the component dict to the constructor, and test
 ``is_zero`` only to decide whether a report row exists.
 
+Equal nodes are one node.  The algebra (sums, differences, products,
+negations, scalings, partials, non-zero constants, and a matrix inverse
+and its entries) looks every node up in one module-level table before
+it builds it, keyed by the node's class and constructor arguments, with
+input nodes compared by identity and a sum keyed by its flattened terms.
+Inputs are shared first, so a node equal in structure to a live one is
+that node: builders ask for what they need without handing nodes to
+each other, and a program evaluates each distinct node once.  Nothing
+is rewritten (``a*b`` and ``b*a`` stay two nodes), so every value is
+the same, bit for bit, as without sharing.  The table holds its nodes
+weakly, so a dropped graph leaves it at once.  Zero constants are
+per-dimension singletons outside it, and expression leaves are shared
+per model load, by the loader.
+
 Every residual row is labeled here too, by :func:`index_label` and
 :meth:`Components.rows`, so one quantity carries one label in every
 module and agreement rows can be matched by label.  A label is a
@@ -66,6 +80,7 @@ bundle-form indices and ``p`` for momentum monomials.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -140,6 +155,29 @@ class _Node:
         self.held = held - self._lift
 
 
+# Every live node the algebra has built, keyed by its class and its
+# constructor arguments, input nodes by identity, and held weakly: an
+# entry goes when its node does.
+_NODES: dict = {}
+
+
+def _forget(ref, nodes=_NODES):
+    # a new node of the same key may have taken a dead node's entry
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _shared(cls, *args):
+    """The node ``cls(*args)``: the live one built already, or a new one."""
+    key = (cls, *args)
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = cls(*args)
+        _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
 class ScalarField(_Node):
     """A scalar function on a chart, evaluable to second-order jets.
 
@@ -173,39 +211,36 @@ class ScalarField(_Node):
     is_zero = False
 
     # Algebra.  Known structural zeros are folded away so that sparse
-    # contractions stay cheap and cancellations stay exact.
+    # contractions stay cheap and cancellations stay exact; every node
+    # built is looked up in the node table first (see _shared).
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        return SumField((self, other))
+        return field_sum_d((self, other), self.dim)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         if other.is_zero:
             return self
-        return DiffField(self, other)
+        return _shared(DiffField, self, other)
 
     def __mul__(self, other: "ScalarField") -> "ScalarField":
         if self.is_zero:
             return self
         if other.is_zero:
             return other
-        return ProdField(self, other)
+        return _shared(ProdField, self, other)
 
     # ConstField overrides the three below, so here self is never zero
     def __neg__(self) -> "ScalarField":
-        return ScaledField(-1.0, self)
+        return _shared(ScaledField, -1.0, self)
 
     def scaled(self, c: float) -> "ScalarField":
         if c == 0.0:
             return const_field(0.0, self.dim)
         if c == 1.0:
             return self
-        return ScaledField(c, self)
+        return _shared(ScaledField, c, self)
 
     def partial(self, i: int) -> "ScalarField":
-        return PartialField(self, i)
+        return _shared(PartialField, self, i)
 
     @staticmethod
     def _arrange(nodes: list) -> list:
@@ -243,11 +278,12 @@ ZERO_CACHE: dict[int, ConstField] = {}
 
 
 def const_field(value: float, dim: int) -> ConstField:
+    # zeros, the most frequent constant by far, skip the node table
     if value == 0.0:
         if dim not in ZERO_CACHE:
             ZERO_CACHE[dim] = ConstField(0.0, dim)
         return ZERO_CACHE[dim]
-    return ConstField(value, dim)
+    return _shared(ConstField, value, dim)
 
 
 class ExprField(ScalarField):
@@ -265,15 +301,11 @@ class ExprField(ScalarField):
 
 
 class SumField(ScalarField):
+    """The sum of two or more terms, none a sum or a zero (see :func:`_flat`)."""
+
     def __init__(self, terms: tuple[ScalarField, ...]):
-        flat: list[ScalarField] = []
-        for t in terms:
-            if isinstance(t, SumField):
-                flat.extend(t.terms)
-            elif not t.is_zero:
-                flat.append(t)
-        self.terms = tuple(flat)
-        self._built_on(self.terms)
+        self.terms = terms
+        self._built_on(terms)
         self.dim = terms[0].dim
 
     @staticmethod
@@ -373,13 +405,24 @@ class PartialField(ScalarField):
             out.grad[...] = t.hess[hess, i]
 
 
+def _flat(terms) -> tuple:
+    """``terms`` with every sum replaced by its terms and zeros left out,
+    so that equal sums, however grouped, are one key of the node table
+    and add their terms left to right."""
+    flat = []
+    for t in terms:
+        if t.__class__ is SumField:
+            flat += t.terms
+        elif not t.is_zero:
+            flat.append(t)
+    return tuple(flat)
+
+
 def field_sum_d(terms, dim: int) -> ScalarField:
-    live = [t for t in terms if not t.is_zero]
-    if not live:
-        return const_field(0.0, dim)
-    if len(live) == 1:
-        return live[0]
-    return SumField(tuple(live))
+    flat = _flat(terms)
+    if len(flat) > 1:
+        return _shared(SumField, flat)
+    return flat[0] if flat else const_field(0.0, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +443,11 @@ class _MatrixInverse:
     singular M raises :class:`SingularMatrixError` naming its first point.
     """
 
-    def __init__(self, entries):
-        self.entries = tuple(f for row in entries for f in row)
-        self.n = len(entries)
-        self.dim = entries[0][0].dim
+    def __init__(self, entries: tuple):
+        # the entries of the n x n matrix in row-major order
+        self.entries = entries
+        self.n = math.isqrt(len(entries))
+        self.dim = entries[0].dim
 
     def jet(self, entries: Jet2, order: int) -> Jet2:
         """From the stacked jet of the entries, in row-major order."""
@@ -490,9 +534,9 @@ def finite_only(f, matrices: np.ndarray) -> np.ndarray:
 
 def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
     """Entry fields of the pointwise inverse of a square field matrix."""
-    core = _MatrixInverse(entries)
+    core = _shared(_MatrixInverse, tuple(f for row in entries for f in row))
     n = core.n
-    return [[MatrixInverseField(core, i, j) for j in range(n)] for i in range(n)]
+    return [[_shared(MatrixInverseField, core, i, j) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +767,6 @@ class Components:
 
     def __init__(self, comps=None):
         self.comps = {idx: f for idx, f in comps.items() if not f.is_zero} if comps else {}
-        # the negation of each component read at an odd permutation, made once
-        self._negated: dict = {}
 
     def _zero(self):
         raise NotImplementedError
@@ -752,11 +794,7 @@ class Components:
         f = self.comps.get(canon)
         if f is None:
             return self._zero()
-        if sign > 0:
-            return f
-        if canon not in self._negated:
-            self._negated[canon] = -f
-        return self._negated[canon]
+        return f if sign > 0 else -f
 
     @property
     def is_zero(self) -> bool:
@@ -947,7 +985,6 @@ class MetricField:
                 raise ValueError("metric entries are keyed by upper-triangle indices")
             self.g[i][j] = f
             self.g[j][i] = f
-        self._inverse = None
 
     @staticmethod
     def identity(chart: Chart) -> "MetricField":
@@ -957,9 +994,7 @@ class MetricField:
 
     def inverse(self):
         """Entry fields of g^{-1}, with exact second-order jets."""
-        if self._inverse is None:
-            self._inverse = matrix_inverse_fields(self.g)
-        return self._inverse
+        return matrix_inverse_fields(self.g)
 
     def lower(self, v: VectorField) -> FormField:
         """(g_flat v)_i = g_ij v^j as a 1-form."""

@@ -50,13 +50,9 @@ def gamma_from_B(alg: AlgebroidData, B: FormField):
 
 
 def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
-    """Labeled H1, H2 and H3 rows for the 2-form B and the section mu.
-
-    gamma = iota_rho B is built once and shared by H1 and H2.
-    """
+    """Labeled H1, H2 and H3 rows for the 2-form B and the section mu."""
     data = MomentumData(alg, conn, B, mu)
-    gamma = gamma_from_B(alg, B)
-    return h1_fields(data, gamma), h2_fields(data, gamma), h3_fields(data)
+    return h1_fields(data), h2_fields(data), h3_fields(data)
 
 
 def closedness_fields(B: FormField):
@@ -65,22 +61,19 @@ def closedness_fields(B: FormField):
     return list(exterior_derivative(B).rows())
 
 
-def h1_fields(data: MomentumData, gamma=None):
+def h1_fields(data: MomentumData):
     """Components of D gamma per basis index, as labeled fields."""
-    if gamma is None:
-        gamma = gamma_from_B(data.alg, data.B)
-    dgamma = dual_covariant_derivative(data.conn, gamma)
+    dgamma = dual_covariant_derivative(data.conn, gamma_from_B(data.alg, data.B))
     out = []
     for a, form in enumerate(dgamma):
         out += form.rows(index_label(a=a))
     return out
 
 
-def h2_fields(data: MomentumData, gamma=None):
+def h2_fields(data: MomentumData):
     """d_i mu_a - Gamma^b_{a i} mu_b - gamma_{a,i}."""
-    if gamma is None:
-        gamma = gamma_from_B(data.alg, data.B)
     alg, conn = data.alg, data.conn
+    gamma = gamma_from_B(alg, data.B)
     d = alg.dim
     dmu = dual_covariant_derivative(conn, data.mu)
     out = []

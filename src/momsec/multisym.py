@@ -57,7 +57,7 @@ from .fields import (
     lie_derivative,
     wedge,
 )
-from .momentum import gamma_from_B
+from .momentum import MomentumData, h1_fields
 
 
 class BundleValuedForm(Components):
@@ -111,17 +111,13 @@ def tilde_h(data: PrenPlecticData) -> FormField:
     return data.h + exterior_derivative(data.eta_top())
 
 
-def hm1_fields(data: PrenPlecticData, ht: FormField | None = None):
-    gamma = gamma_from_B(data.alg, tilde_h(data) if ht is None else ht)
-    out = []
-    for a, form in enumerate(dual_covariant_derivative(data.conn, gamma)):
-        out += form.rows(index_label(a=a))
-    return out
+def hm1_fields(data: PrenPlecticData):
+    """H1 of the shifted flux h~: D iota_rho h~ per basis index."""
+    return h1_fields(MomentumData(data.alg, data.conn, tilde_h(data), []))
 
 
-def hm2_fields(data: PrenPlecticData, ht: FormField | None = None):
-    if ht is None:
-        ht = tilde_h(data)
+def hm2_fields(data: PrenPlecticData):
+    ht = tilde_h(data)
     eta_top_minus = data.eta_k(data.n - 1).as_dual_list()
     deriv = dual_covariant_derivative(data.conn, eta_top_minus)
     out = []

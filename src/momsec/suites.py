@@ -606,14 +606,13 @@ def plan_multisym(model: Model):
     data = model.multisym
     alg = data.alg
     n = data.n
-    ht = msy.tilde_h(data)
 
     closed_rows = mom.closedness_fields(data.h)
     descent_rows = [
         (k, msy.descent_pairing_fields(data, k), msy.descent_symmetry_fields(data, k)) for k in range(1, n)
     ]
     # rows keyed like msy.specialized_fields, for the agreement below
-    general = {"hm2": msy.hm2_fields(data, ht), "hm1": msy.hm1_fields(data, ht)}
+    general = {"hm2": msy.hm2_fields(data), "hm1": msy.hm1_fields(data)}
     hm3_terms = {}
     for k in range(n - 1, -1, -1):
         general[f"hm3[{k}]"], hm3_terms[k] = msy.hm3_differential_fields(data, k)
@@ -624,7 +623,7 @@ def plan_multisym(model: Model):
     reduction = None
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        reduction = dict(zip(("hm1", "hm2", "hm3[0]"), mom.condition_fields(alg, model.conn, ht, mu)))
+        reduction = dict(zip(("hm1", "hm2", "hm3[0]"), mom.condition_fields(alg, model.conn, msy.tilde_h(data), mu)))
     row_sets = [closed_rows, *chain(*((p, q) for _, p, q in descent_rows)), *general.values(), *sp.values()]
     row_sets += [rows for terms in hm3_terms.values() for rows in terms.values()]
     row_sets += [rewrite_rows or [], *(reduction or {}).values()]

@@ -282,6 +282,19 @@ def _under(roots) -> set:
     return seen
 
 
+def _structural_ids(nodes) -> dict:
+    """For each node, the id of its structure: its class, dimension,
+    constants, coefficient, indices, expression and its inputs' ids, in
+    order.  Two nodes have one id exactly when their graphs are equal,
+    whether or not they are one object."""
+    ids, seen = {}, {}
+    for node in sorted(nodes, key=lambda n: n.level):
+        own = tuple(getattr(node, name, None) for name in ("c", "i", "j", "expr"))
+        key = (type(node), node.dim, own, tuple(ids[i] for i in node.inputs))
+        ids[node] = seen.setdefault(key, len(seen))
+    return ids
+
+
 def _program_of(model, selection: str = "all") -> Program:
     """The one program of a model's runs of ``selection``, compiled by a
     run already."""
@@ -305,7 +318,8 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     # gradient and fewer with a Hessian; every node is evaluated exactly
     # once per chunk: the run's one program has kernels that write
     # disjoint slots that, with the leaves, cover every node under the
-    # roots of every selected suite
+    # roots of every selected suite; no two of those nodes are equal
+    # graphs, since the algebra shares every node it would build again
     raw = _son_model_bytes(monkeypatch, 3)
     written = []
     for cls in ScalarField.__subclasses__():
@@ -332,7 +346,9 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     under = _under(f for plan in _suite_plans(model) for p in plan.probes for f in p.fields)
     assert [(p, count) for p, count, _ in calls] == [(program, 32)]
     assert program.sizes[0] == len(under)
-    assert len(under) > 3000
+    # 1,238 nodes on this model; 3,304 before equal nodes were shared
+    assert len(under) > 1000
+    assert len(set(_structural_ids(under).values())) == len(under)
     assert program.sizes[1] <= 1000
     assert program.sizes[2] <= 60
 
@@ -457,17 +473,38 @@ def test_a_reused_model_reports_each_selection_as_fresh_models_do(monkeypatch):
 def test_a_dropped_model_frees_its_graphs_at_once(monkeypatch):
     # the model holds the evaluation steps of its suites and the programs
     # of its selections; a step that held the model would make a cycle,
-    # and every node would wait for the cyclic collector
+    # and every node would wait for the cyclic collector.  The node table
+    # holds its nodes weakly, so their entries go with them
     for raw in [*(fixture_bytes(name) for name in fixture_names()), _son_model_bytes(monkeypatch, 3)]:
-        model = load_model_bytes(raw)
-        run(model, "all", RunConfig(points=8, seed=1))
-        refs = [weakref.ref(model), *(weakref.ref(step) for step in model._plans.values())]
         gc.disable()
         try:
+            before = len(fields._NODES)
+            model = load_model_bytes(raw)
+            run(model, "all", RunConfig(points=8, seed=1))
+            refs = [weakref.ref(model), *(weakref.ref(step) for step in model._plans.values())]
+            assert len(fields._NODES) > before
             del model
             assert all(ref() is None for ref in refs)
+            assert len(fields._NODES) == before
         finally:
             gc.enable()
+
+
+def test_two_suites_reading_one_quantity_read_one_set_of_nodes(monkeypatch):
+    # axioms and sigma2d build the anchor-morphism rows each on their own
+    rows = {}
+    check = suites.CheckContext.check
+
+    def recording_check(ctx, name, equation, fields, *args, **kwargs):
+        rows[name] = list(fields)
+        return check(ctx, name, equation, rows[name], *args, **kwargs)
+
+    monkeypatch.setattr(suites.CheckContext, "check", recording_check)
+    run(load_model_bytes(_son_model_bytes(monkeypatch, 3)), "all", RunConfig(points=8, seed=1))
+    axioms, sigma2d = rows["axioms/anchor-morphism"], rows["sigma2d/rigid-anchor-morphism"]
+    assert any(f.level for _, f in axioms)
+    assert [label for label, _ in axioms] == [label for label, _ in sigma2d]
+    assert all(x is y for (_, x), (_, y) in zip(axioms, sigma2d))
 
 
 def test_run_memory_is_bounded_and_released(monkeypatch):

@@ -140,6 +140,37 @@ class TestZeroFolding:
         assert poly.comps == {(): g}
 
 
+class TestSharing:
+    """The algebra looks every node up before it builds it, so an
+    operation asked for twice gives one node."""
+
+    def test_each_operation_built_twice_is_one_node(self):
+        ch = chart2()
+        a, b = f("x*y", ch), f("x + y", ch)
+        for op in (
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a * b,
+            lambda: -a,
+            lambda: a.scaled(2.5),
+            lambda: a.partial(1),
+            lambda: field_sum_d([a, b, a], 2),
+            lambda: const_field(3.0, 2),
+        ):
+            assert op() is op()
+        # a sum is keyed by its flattened terms, in order; nothing commutes
+        assert (a + b) + a is field_sum_d([a, b, a], 2) is a + (b + a)
+        assert a * b is not b * a and a + b is not b + a
+        assert -a is a.scaled(-1.0)
+
+    def test_inverse_entries_are_shared(self):
+        ch = chart2()
+        g = MetricField(ch, {(0, 0): f("2 + x^2", ch), (0, 1): f("x*y/2", ch), (1, 1): f("2 + y^2", ch)})
+        first, second = g.inverse(), g.inverse()
+        assert all(x is y for r, s in zip(first, second) for x, y in zip(r, s))
+        assert matrix_inverse_fields(g.g)[1][0] is first[1][0]
+
+
 class TestExteriorDerivative:
     def test_curl_example(self):
         # A = (-y, x): dA = 2 dx^dy
