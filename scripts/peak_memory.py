@@ -7,12 +7,15 @@ For each point count, a fresh Python process loads
 ``perfbench.models.son_model_bytes(4, 1)`` (so(4) acting on R^4, rank 6,
 with every model block), runs all suites at sampling seed 42 and prints
 one line: the point count, the wall time of load plus run, the
-process's ``ru_maxrss`` in MB and the SHA-256 of the run's JSON report,
-rendered after the timing.  A fresh process per count keeps one count's
-peak from hiding the next one's; the digests show whether two versions
-of the code report the same bytes at counts that span many chunks.
-``scripts/peak_memory.expected`` pins the digests at 1024 and 4096
-points, one ``POINTS DIGEST`` line each, and CI compares them.
+process's ``ru_maxrss`` in MB, the size of the run's program (its value,
+gradient and Hessian slots, and the kernels it runs per chunk) and the
+SHA-256 of the run's JSON report, rendered after the timing.  A fresh
+process per count keeps one count's peak from hiding the next one's;
+the digests show whether two versions of the code report the same bytes
+at counts that span many chunks, and the sizes whether the program
+grew.  ``scripts/peak_memory.expected`` pins both at 1024 and 4096
+points, one ``POINTS VALUE/GRADIENT/HESSIAN KERNELS DIGEST`` line each,
+and CI compares them.
 """
 
 import pathlib
@@ -25,7 +28,7 @@ CHILD = """
 import hashlib, resource, sys, time
 sys.path[:0] = [sys.argv[2], sys.argv[3]]
 from momsec.modelfile import load_model_bytes
-from momsec.suites import RunConfig, run
+from momsec.suites import RunConfig, applicable_suites, run
 from perfbench.models import son_model_bytes
 
 points = int(sys.argv[1])
@@ -35,8 +38,13 @@ model = load_model_bytes(raw)
 report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=42))
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+program = model._plans[tuple(applicable_suites(model))]
+slots = "/".join(map(str, program.sizes))
 digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-print(f"so(4) points={points:<6d} wall={wall:.2f} s  peak_rss={rss:.1f} MB  report={digest}")
+print(
+    f"so(4) points={points:<6d} wall={wall:.2f} s  peak_rss={rss:.1f} MB  "
+    f"slots={slots} kernels={len(program._kernels)} report={digest}"
+)
 """
 
 

@@ -17,6 +17,13 @@ Grammar (loosest to tightest binding)::
 ``^`` accepts integer and real exponents; real exponents require a
 positive base at evaluation time.  The function table is ``sin cos tan
 exp log sqrt tanh abs``.
+
+An expression nests at most ``MAX_DEPTH`` levels deep, in its syntax
+tree (a chain such as ``x + x + x`` is one level per operator) and in
+the parentheses, calls, signs and exponents the parser enters.  Neither
+depth is measured by recursing past the limit, so the limit, not
+Python's recursion limit, decides which expressions parse, and
+evaluation, which recurses once per tree level, stays well within it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs")
+MAX_DEPTH = 100
 
 
 class ExpressionError(ValueError):
@@ -169,6 +177,8 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.coords = {name: i for i, name in enumerate(coords)}
+        # factor() calls open: every recursion of the parser passes there
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -214,11 +224,17 @@ class _Parser:
                 return node
 
     def factor(self) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise _too_deep()
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -256,7 +272,18 @@ def parse(source: str, coords) -> Expr:
     names = tuple(coords)
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be distinct")
-    return _Parser(source, names).parse()
+    node = _Parser(source, names).parse()
+    # the tree's depth, level by level, without recursion
+    level = [node]
+    for _ in range(MAX_DEPTH):
+        level = [child for n in level for child in vars(n).values() if isinstance(child, Expr)]
+        if not level:
+            return node
+    raise _too_deep()
+
+
+def _too_deep() -> ExpressionError:
+    return ExpressionError(f"expression nested more than {MAX_DEPTH} levels deep")
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class _Sources:
         if source not in self._leaves:
             try:
                 self._leaves[source] = ExprField.parse(source, self.chart)
-            except (ExpressionError, RecursionError) as exc:  # the parser recurses once per nesting level
+            except ExpressionError as exc:
                 raise ModelError(path, f"bad expression: {exc}") from exc
         return self._leaves[source]
 

@@ -113,58 +113,3 @@ def _result(name, equation, residual, n_points, n_tuples, tolerance, information
         terms=terms,
         flags=flags if finite else flags + ("non-finite",),
     )
-
-
-# Names of every check the suites can emit; the coverage test keeps the
-# fixture set honest against this list.
-CHECK_REGISTRY: tuple[str, ...] = (
-    "axioms/anchor-morphism",
-    "axioms/jacobi-cyclic",
-    "axioms/jacobi-anchored",
-    "axioms/q-squared",
-    "axioms/q-verdict-agreement",
-    "momentum/pre-symplectic-closed",
-    "momentum/h1-anchoring",
-    "momentum/h2-momentum-section",
-    "momentum/h3-bracket-compat",
-    "momentum/tangent-two-form-compat",
-    "momentum/h1-tangent-agreement",
-    "momentum/map-symplectic-vectorfield",
-    "momentum/map-hamiltonian-pairing",
-    "momentum/map-equivariance",
-    "momentum/map-reduction-agreement",
-    "mechanics/metric-conditioning",
-    "mechanics/constraint-irreducibility",
-    "mechanics/first-class",
-    "mechanics/flow",
-    "mechanics/twist-closed",
-    "mechanics/tau-prime",
-    "mechanics/first-class-twisted",
-    "mechanics/flow-twisted",
-    "mechanics/flow-deg1-vs-h2",
-    "mechanics/firstclass-deg0-vs-h3",
-    "mechanics/theorem-h1",
-    "mechanics/theorem-h2",
-    "mechanics/theorem-h3",
-    "sigma2d/rigid-killing-metric",
-    "sigma2d/rigid-b-invariance",
-    "sigma2d/rigid-anchor-morphism",
-    "sigma2d/gauged-metric-compat",
-    "sigma2d/gauged-anchor-morphism",
-    "sigma2d/bdry-pairing",
-    "sigma2d/bdry-eta-compat",
-    "sigma2d/bdry-mu-equivariance",
-    "sigma2d/theorem-h2-agreement",
-    "sigma2d/theorem-h3-agreement",
-    "sigma2d/theorem-consistency",
-    "sigma2d/theorem-h1",
-    "multisym/pre-nplectic-closed",
-    "multisym/descent-pairing",
-    "multisym/descent-symmetry",
-    "multisym/hm2-momentum-section",
-    "multisym/hm1-anchoring",
-    "multisym/hm3-diff",
-    "multisym/hm3-rewrite",
-    "multisym/lie-specialize-agreement",
-    "multisym/n1-reduction-agreement",
-)

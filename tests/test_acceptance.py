@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, fd_hessian, random_poly_source, random_smooth_source
+from conftest import CHECK_REGISTRY, fd_gradient, fd_hessian, random_poly_source, random_smooth_source
 from momsec.algebroid import (
     AlgebroidData,
     anchor_morphism_fields,
@@ -32,7 +32,6 @@ from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.hamiltonian import PhasePolynomial, poisson_bracket
 from momsec.modelfile import load_model_bytes
 from momsec.momentum import MomentumData, h1_fields, h2_fields, h3_fields, pairing_B
-from momsec.reporting import CHECK_REGISTRY
 from momsec.suites import run
 
 

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import CHECK_REGISTRY
 from momsec import suites
 from momsec.cli import main
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model
-from momsec.reporting import CHECK_REGISTRY
 from momsec.suites import RunConfig, SuiteError, resolve_suites, run
 
 
@@ -222,6 +222,15 @@ class TestEvaluationFailures:
         assert captured.err == ""
         failed = [c for c in json.loads(captured.out)["checks"] if "non-finite" in c["flags"]]
         assert failed and not any(c["passed"] for c in failed)
+
+    def test_too_deep_expression_is_usage_error(self, tmp_path, capsys):
+        # evaluating a 3,000-term chain would recurse once per operator
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "+".join(["x"] * 3000)}])
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid model: mu[0].expr: ")
+        assert captured.err.count("\n") == 1
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
         # the box crosses x = 0, so log leaves its domain on the sample

@@ -242,8 +242,13 @@ class TestValidation:
             load_model_bytes(doc_bytes(doc))
         assert "chart.box[0]" in str(err.value)
 
-    @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"], ids=["parens", "signs"])
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", *(op.join(["x"] * 3000) for op in "+*-")],
+        ids=["parens", "signs", "sum-chain", "product-chain", "difference-chain"],
+    )
     def test_deeply_nested_expression_is_model_error(self, expr):
+        # a chain parses in a loop but nests one tree level per operator
         doc = minimal_doc()
         doc["algebroid"]["anchor"][0]["expr"] = expr
         with pytest.raises(ModelError) as err:
