@@ -162,7 +162,8 @@ _NODES: dict = {}
 
 
 def _forget(ref, nodes=_NODES):
-    # a new node of the same key may have taken a dead node's entry
+    # ``nodes`` is bound here, so a node freed at interpreter exit still
+    # finds the table; a new node of its key may have taken its entry
     if nodes.get(ref.key) is ref:
         del nodes[ref.key]
 

@@ -109,7 +109,7 @@ class _Sources:
         if source not in self._leaves:
             try:
                 self._leaves[source] = ExprField.parse(source, self.chart)
-            except ExpressionError as exc:
+            except (ExpressionError, RecursionError) as exc:  # the parser recurses once per nesting level
                 raise ModelError(path, f"bad expression: {exc}") from exc
         return self._leaves[source]
 

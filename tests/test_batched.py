@@ -495,8 +495,8 @@ def test_two_suites_reading_one_quantity_read_one_set_of_nodes(monkeypatch):
     rows = {}
     check = suites.CheckContext.check
 
-    def recording_check(ctx, name, equation, fields, *args, **kwargs):
-        rows[name] = list(fields)
+    def recording_check(ctx, name, equation, labeled, *args, **kwargs):
+        rows[name] = list(labeled)
         return check(ctx, name, equation, rows[name], *args, **kwargs)
 
     monkeypatch.setattr(suites.CheckContext, "check", recording_check)

@@ -7,7 +7,9 @@ from conftest import fd_gradient, fd_hessian, random_poly_source
 from momsec.expressions import (
     Add,
     Call,
+    MAX_DEPTH,
     DomainError,
+    ExpressionError,
     LexError,
     Mul,
     Neg,
@@ -74,6 +76,17 @@ class TestParser:
 
     def test_scientific_notation(self):
         assert parse("1.5e-3", XY) == Num(1.5e-3)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda n: "+".join(["x"] * n), lambda n: "-" * (n - 1) + "x", lambda n: "(" * (n - 1) + "x" + ")" * (n - 1)],
+        ids=["chain", "signs", "parens"],
+    )
+    def test_nesting_limit_is_100_levels(self, shape):
+        # the chain is n tree levels deep, the signs and parens nest n levels
+        parse(shape(MAX_DEPTH), XY)
+        with pytest.raises(ExpressionError, match="more than 100 levels"):
+            parse(shape(MAX_DEPTH + 1), XY)
 
 
 # Random AST generation for the round-trip property.
