@@ -7,6 +7,7 @@ sections, the axiom residuals, and the differential on bundle forms.
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations
 
 from .fields import (
@@ -34,8 +35,10 @@ class AlgebroidData:
             if not a < b:
                 raise ValueError("structure functions are keyed with a < b")
             lower[c][(a, b)] = f
-        # C[c] is the bundle 2-form (a, b) -> C^c_ab
-        self.C = [EForm(self, 2, comps) for comps in lower]
+        # C[c] is the bundle 2-form (a, b) -> C^c_ab; it refers to this
+        # algebroid weakly, since a cycle would keep a dropped model's
+        # fields alive until the cyclic collector ran
+        self.C = [EForm(weakref.proxy(self), 2, comps) for comps in lower]
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,10 @@
 """Expression language for chart-local scalar functions.
 
 Sources such as ``"x^2 * sin(y)"`` are parsed against a fixed list of
-coordinate names and evaluated to second-order jets (value, gradient,
-Hessian) over a whole point sample at once.  Jet arithmetic implements
-the product and chain rules exactly, so derivatives carry only floating
-rounding error.
+coordinate names into syntax trees, which :func:`momsec.fields.lower`
+turns into field nodes.  The jet rules here, of :class:`Jet2` and of the
+nodes the field algebra does not build, implement the product and chain
+rules exactly, so derivatives carry only floating rounding error.
 
 Grammar (loosest to tightest binding)::
 
@@ -14,16 +14,17 @@ Grammar (loosest to tightest binding)::
     power   :=  atom ("^" factor)?          # right associative
     atom    :=  NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
-``^`` accepts integer and real exponents; real exponents require a
-positive base at evaluation time.  The function table is ``sin cos tan
-exp log sqrt tanh abs``.
+``^`` accepts integer and real exponents.  An exponent without a
+coordinate is a number, fixed when the expression is lowered; any other
+is variable, ``b^e = exp(e log b)``.  A real or a variable exponent
+requires a positive base.  The function table is ``sin cos tan exp log
+sqrt tanh abs``.
 
 An expression nests at most ``MAX_DEPTH`` levels deep, in its syntax
 tree (a chain such as ``x + x + x`` is one level per operator) and in
 the parentheses, calls, signs and exponents the parser enters.  Neither
-depth is measured by recursing past the limit, so the limit, not
-Python's recursion limit, decides which expressions parse, and
-evaluation, which recurses once per tree level, stays well within it.
+depth is measured by recursing, so the limit, not Python's recursion
+limit, decides which expressions parse.
 """
 
 from __future__ import annotations
@@ -171,100 +172,87 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 # Parser
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
-class _Parser:
-    def __init__(self, source: str, coords: tuple[str, ...]):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.coords = {name: i for i, name in enumerate(coords)}
-        # factor() calls open: every recursion of the parser passes there
-        self.nesting = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, position = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", position)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, text, position = self.peek()
+def _parse_tokens(tokens, coords: dict) -> Expr:
+    """The recursive descent of the grammar above, on an explicit stack.
+    ``pending`` holds what waits for the operand being parsed: a sign
+    ``("neg", None)``, a base ``("^", base)``, a binary operator and its
+    left operand, or an open parenthesis ``("(", function name or None)``.
+    ``node`` is ``None`` while a factor is expected, and else the atom or
+    parenthesis just closed; ``nesting`` counts the factors open."""
+    pos = 0
+    pending: list = []
+    nesting = 0
+    node = None
+    while True:
+        kind, text, position = tokens[pos]
+        if node is None:
+            nesting += 1
+            if nesting > MAX_DEPTH:
+                raise _too_deep()
+            pos += 1
+            if kind == "op" and text in "-(":
+                pending.append(("neg" if text == "-" else "(", None))
+            elif kind == "ident" and tokens[pos][:2] == ("op", "("):
+                if text not in FUNCTIONS:
+                    raise UnknownSymbolError(f"unknown function {text!r}", position)
+                pos += 1
+                pending.append(("(", text))
+            elif kind == "number":
+                node = Num(float(text))
+            elif kind == "ident":
+                if text not in coords:
+                    raise UnknownSymbolError(f"unknown identifier {text!r}", position)
+                node = Var(coords[text], text)
+            else:
+                raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", position)
+            continue
+        if kind == "op" and text == "^":
+            pos += 1
+            pending.append(("^", node))
+            node = None
+            continue
+        # the factor of this atom ends, and so does each sign or power
+        # that waited for it
+        nesting -= 1
+        while pending and pending[-1][0] in ("neg", "^"):
+            op, base = pending.pop()
+            node = Neg(node) if op == "neg" else Pow(base, node)
+            nesting -= 1
+        # each waiting binary operator that binds at least as tightly as
+        # this token, or all of them up to a parenthesis, takes the operand
+        binary = kind == "op" and text in _PRECEDENCE
+        while pending and _PRECEDENCE.get(pending[-1][0], 0) >= (_PRECEDENCE[text] if binary else 1):
+            op, left = pending.pop()
+            node = _BINARY[op](left, node)
+        if binary:
+            pos += 1
+            pending.append((text, node))
+            node = None
+            continue
+        if pending:
+            # only a parenthesis is left waiting
+            if kind != "op" or text != ")":
+                raise ParseError("expected ')'", position)
+            pos += 1
+            func = pending.pop()[1]
+            if func is not None:
+                node = Call(func, node)
+            continue
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", position)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.term()
-                node = Add(node, right) if text == "+" else Sub(node, right)
-            else:
-                return node
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.factor()
-                node = Mul(node, right) if text == "*" else Div(node, right)
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise _too_deep()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            node = Neg(self.factor())
-        else:
-            node = self.power()
-        self.nesting -= 1
-        return node
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, position = self.advance()
-        if kind == "number":
-            return Num(float(text))
-        if kind == "ident":
-            nxt_kind, nxt_text, _ = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
-                if text not in FUNCTIONS:
-                    raise UnknownSymbolError(f"unknown function {text!r}", position)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            if text not in self.coords:
-                raise UnknownSymbolError(f"unknown identifier {text!r}", position)
-            return Var(self.coords[text], text)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", position)
+def _levels(node: Expr):
+    """The levels of the tree of ``node``, top first, without recursion."""
+    level = [node]
+    while level:
+        yield level
+        level = [child for n in level for child in vars(n).values() if isinstance(child, Expr)]
 
 
 def parse(source: str, coords) -> Expr:
@@ -272,14 +260,14 @@ def parse(source: str, coords) -> Expr:
     names = tuple(coords)
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be distinct")
-    node = _Parser(source, names).parse()
-    # the tree's depth, level by level, without recursion
-    level = [node]
-    for _ in range(MAX_DEPTH):
-        level = [child for n in level for child in vars(n).values() if isinstance(child, Expr)]
-        if not level:
-            return node
-    raise _too_deep()
+    node = _parse_tokens(_tokenize(source), {name: i for i, name in enumerate(names)})
+    if any(depth >= MAX_DEPTH for depth, _ in enumerate(_levels(node))):
+        raise _too_deep()
+    return node
+
+
+def has_coordinate(node: Expr) -> bool:
+    return any(isinstance(n, Var) for level in _levels(node) for n in level)
 
 
 def _too_deep() -> ExpressionError:
@@ -363,32 +351,10 @@ class Jet2:
         self.grad = grad
         self.hess = hess
 
-    @staticmethod
-    def constant(value: float, count: int, dim: int, order: int = 2) -> "Jet2":
-        g = np.zeros((dim, count)) if order >= 1 else None
-        h = np.zeros((dim, dim, count)) if order >= 2 else None
-        return Jet2(np.full(count, float(value)), g, h)
-
-    @staticmethod
-    def coordinate(points: np.ndarray, index: int, order: int = 2) -> "Jet2":
-        count, dim = points.shape
-        g = h = None
-        if order >= 1:
-            g = np.zeros((dim, count))
-            g[index] = 1.0
-        if order >= 2:
-            h = np.zeros((dim, dim, count))
-        return Jet2(points[:, index].copy(), g, h)
-
     def row(self, p: int) -> "Jet2":
         g = None if self.grad is None else self.grad[..., p]
         h = None if self.hess is None else self.hess[..., p]
         return Jet2(float(self.value[p]), g, h)
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        g = None if self.grad is None or other.grad is None else self.grad + other.grad
-        h = None if g is None or self.hess is None or other.hess is None else self.hess + other.hess
-        return Jet2(self.value + other.value, g, h)
 
     def minus(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
         o = _NEW if out is None else out
@@ -449,108 +415,83 @@ class Jet2:
 _NEW = Jet2(None, None, None)
 
 
-def _check_domain(bad: np.ndarray, message: str, node: Expr):
-    """Raise :class:`DomainError` at the first sample point where ``bad`` holds."""
+def _check_domain(bad: np.ndarray, message: str, nodes):
+    """Raise :class:`DomainError` at the first sample point where ``bad``,
+    ``(n, P)`` for the n ``nodes``, holds, naming the first node failing there."""
     if bad.any():
-        raise DomainError(message, node, int(np.argmax(bad)))
+        p = int(np.argmax(bad.any(axis=0)))
+        raise DomainError(message, nodes[int(np.argmax(bad[:, p]))], p)
 
 
-def _int_pow(u: Jet2, n: int, node: Expr) -> Jet2:
+# The rules of the nodes the field algebra does not build, called as
+# ``rule(param, nodes, *operands)`` on stacks of jets of the
+# subexpressions ``nodes``.  Domain checks fire at every order, those on
+# derivatives (``sqrt`` and ``abs`` at 0) too.
+
+
+def quotient(_, nodes, a: Jet2, b: Jet2) -> Jet2:
+    _check_domain(b.value == 0.0, "division by zero", nodes)
+    return a.times(b.reciprocal())
+
+
+def _int_pow(u: Jet2, n: int, nodes) -> Jet2:
     """u^n for an integer n != 0."""
     if n < 0:
-        _check_domain(u.value == 0.0, "zero base with negative exponent", node)
-        return _int_pow(u, -n, node).reciprocal()
+        _check_domain(u.value == 0.0, "zero base with negative exponent", nodes)
+        return _int_pow(u, -n, nodes).reciprocal()
     v = u.value
     d2f = (lambda: n * (n - 1) * v ** (n - 2)) if n >= 2 else (lambda: np.zeros_like(v))
     return u.compose(v**n, lambda: n * v ** (n - 1), d2f)
 
 
-def eval_jets(node: Expr, points: np.ndarray, order: int = 2) -> Jet2:
-    """Evaluate ``node`` and its exact derivatives up to ``order`` (0, 1
-    or 2) at every row of the ``(P, d)`` array ``points``.  A domain
-    violation at any point of the sample raises :class:`DomainError`
-    naming the subexpression and the first offending point, whatever the
-    order: the checks on derivatives (``sqrt`` and ``abs`` at 0) fire at
-    order 0 too.
-    """
-    count, dim = points.shape
-    if isinstance(node, Num):
-        return Jet2.constant(node.value, count, dim, order)
-    if isinstance(node, Var):
-        if node.index >= dim:
-            raise DomainError("point dimension too small for coordinate", node)
-        return Jet2.coordinate(points, node.index, order)
-    if isinstance(node, Add):
-        return eval_jets(node.left, points, order) + eval_jets(node.right, points, order)
-    if isinstance(node, Sub):
-        return eval_jets(node.left, points, order).minus(eval_jets(node.right, points, order))
-    if isinstance(node, Mul):
-        return eval_jets(node.left, points, order).times(eval_jets(node.right, points, order))
-    if isinstance(node, Div):
-        denom = eval_jets(node.right, points, order)
-        _check_domain(denom.value == 0.0, "division by zero", node)
-        return eval_jets(node.left, points, order).times(denom.reciprocal())
-    if isinstance(node, Neg):
-        return eval_jets(node.operand, points, order).scale(-1.0)
-    if isinstance(node, Pow):
-        base = eval_jets(node.base, points, order)
-        b = base.value
-        if isinstance(node.exponent, Num):
-            p, expo = node.exponent.value, None
-        else:
-            # the full jet of any other exponent tells whether it is
-            # constant: one number over the whole sample
-            expo = eval_jets(node.exponent, points)
-            p = expo.value[0]
-            if not expo.grad.any() and not expo.hess.any() and (expo.value == p).all():
-                expo = None
-        if expo is None:
-            if p == 0.0:
-                return Jet2.constant(1.0, count, dim, order)
-            if float(p).is_integer():
-                return _int_pow(base, int(p), node)
-            _check_domain(b <= 0.0, "real exponent requires a positive base", node)
-            return base.compose(
-                b**p, lambda: p * b ** (p - 1.0), lambda: p * (p - 1.0) * b ** (p - 2.0)
-            )
-        # variable exponent: b^e = exp(e * log(b))
-        _check_domain(b <= 0.0, "variable exponent requires a positive base", node)
-        w = expo.times(base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2))
-        e = np.exp(w.value)
-        return w.compose(e, lambda: e, lambda: e)
-    if isinstance(node, Call):
-        u = eval_jets(node.arg, points, order)
-        v = u.value
-        if node.func == "sin":
-            s = np.sin(v)
-            return u.compose(s, lambda: np.cos(v), lambda: -s)
-        if node.func == "cos":
-            c = np.cos(v)
-            return u.compose(c, lambda: -np.sin(v), lambda: -c)
-        if node.func == "tan":
-            _check_domain(np.cos(v) == 0.0, "tan at a pole", node)
-            t = np.tan(v)
-            return u.compose(t, lambda: 1.0 + t * t, lambda: 2.0 * t * (1.0 + t * t))
-        if node.func == "exp":
-            e = np.exp(v)
-            return u.compose(e, lambda: e, lambda: e)
-        if node.func == "log":
-            _check_domain(v <= 0.0, "log of a non-positive value", node)
-            return u.compose(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
-        if node.func == "sqrt":
-            _check_domain(v < 0.0, "sqrt of a negative value", node)
-            _check_domain(v == 0.0, "sqrt derivative at zero", node)
-            s = np.sqrt(v)
-            return u.compose(s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
-        if node.func == "tanh":
-            t = np.tanh(v)
-            return u.compose(t, lambda: 1.0 - t * t, lambda: -2.0 * t * (1.0 - t * t))
-        if node.func == "abs":
-            _check_domain(v == 0.0, "abs derivative at zero", node)
-            return u.compose(np.abs(v), lambda: np.where(v > 0.0, 1.0, -1.0), lambda: np.zeros_like(v))
-    raise TypeError(f"unknown node {node!r}")
+def power(p: float, nodes, u: Jet2) -> Jet2:
+    """u^p for a number p."""
+    if p == 0.0:
+        return Jet2(np.ones_like(u.value), *(None if x is None else np.zeros_like(x) for x in (u.grad, u.hess)))
+    if float(p).is_integer():
+        return _int_pow(u, int(p), nodes)
+    b = u.value
+    _check_domain(b <= 0.0, "real exponent requires a positive base", nodes)
+    return u.compose(b**p, lambda: p * b ** (p - 1.0), lambda: p * (p - 1.0) * b ** (p - 2.0))
 
 
-def eval_jet(expr: Expr, point) -> Jet2:
-    """The jet of ``expr`` at one point: a one-point sample, read back at point 0."""
-    return eval_jets(expr, np.asarray(point, dtype=float).reshape(1, -1)).row(0)
+def variable_power(_, nodes, base: Jet2, exponent: Jet2) -> Jet2:
+    """b^e = exp(e * log(b))."""
+    b = base.value
+    _check_domain(b <= 0.0, "variable exponent requires a positive base", nodes)
+    w = exponent.times(base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2))
+    e = np.exp(w.value)
+    return w.compose(e, lambda: e, lambda: e)
+
+
+def call(func: str, nodes, u: Jet2) -> Jet2:
+    """``func`` of the table applied to u."""
+    v = u.value
+    if func == "sin":
+        s = np.sin(v)
+        return u.compose(s, lambda: np.cos(v), lambda: -s)
+    if func == "cos":
+        c = np.cos(v)
+        return u.compose(c, lambda: -np.sin(v), lambda: -c)
+    if func == "tan":
+        _check_domain(np.cos(v) == 0.0, "tan at a pole", nodes)
+        t = np.tan(v)
+        return u.compose(t, lambda: 1.0 + t * t, lambda: 2.0 * t * (1.0 + t * t))
+    if func == "exp":
+        e = np.exp(v)
+        return u.compose(e, lambda: e, lambda: e)
+    if func == "log":
+        _check_domain(v <= 0.0, "log of a non-positive value", nodes)
+        return u.compose(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
+    if func == "sqrt":
+        _check_domain(v < 0.0, "sqrt of a negative value", nodes)
+        _check_domain(v == 0.0, "sqrt derivative at zero", nodes)
+        s = np.sqrt(v)
+        return u.compose(s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
+    if func == "tanh":
+        t = np.tanh(v)
+        return u.compose(t, lambda: 1.0 - t * t, lambda: -2.0 * t * (1.0 - t * t))
+    if func == "abs":
+        _check_domain(v == 0.0, "abs derivative at zero", nodes)
+        return u.compose(np.abs(v), lambda: np.where(v > 0.0, 1.0, -1.0), lambda: np.zeros_like(v))
+    raise ValueError(f"unknown function {func!r}")

@@ -1,37 +1,38 @@
 """Chart-local calculus on arrays of scalar fields.
 
-A :class:`ScalarField` is anything that can produce jets up to second
-order over a point sample: a parsed expression, a constant, or an
-algebraic/differential combination of other fields.  Field graphs hold
-no sample data, so a graph built once serves every sample.  Graphs are
-evaluated by a :class:`Program`, compiled once from groups of root
-fields, each group read to one jet order.  The jet order is a demand
-that flows down the graph: a residual asks for values only (order 0),
-sums, differences, products and scalings pass the order on, and a
-:class:`PartialField` asks its input for one order more, so each node
-gets one demand order, the highest any consumer reads, and computes
-only those derivatives.  Differentiating an evaluated field consumes
+A :class:`ScalarField` is a node of a field graph, evaluable to jets up
+to second order over a point sample: a coordinate, a constant, or an
+algebraic, differential or expression combination of other fields.  A
+model's expressions are lowered into such nodes when it loads (see
+:func:`lower`).  Field graphs hold no sample data, so a graph built once
+serves every sample.  Graphs are evaluated by a :class:`Program`,
+compiled once from groups of root fields, each group read to one jet
+order.  The jet order is a demand that flows down the graph: a residual
+asks for values only (order 0), every node but a partial passes the
+order on, and a :class:`PartialField` asks its input for one order more,
+so each node gets one demand order, the highest any consumer reads, and
+computes only those derivatives.  Differentiating an evaluated field consumes
 one jet order, so a once-differentiated field still has an exact value
 and gradient but no Hessian.  No check in this package ever
 differentiates a field more than twice.
 
 A program evaluates a chunk of points at a time, level by level: the
-nodes of one level, class and order are one group, evaluated by one
-numpy kernel over their stacked operand rows with the rules of
-:class:`Jet2`, so a run costs numpy work per group, not interpreter
-work per node.  Each node is evaluated once per chunk, into a slot of
-the program's tables, which live only for the chunk.  A check run
-compiles the graphs of every suite it selects into one program, so the
-groups, and the nodes the suites share, span every suite.  The leaves
-(expressions and constants) are not evaluated by the program: the
-caller passes their jets in.  ``ScalarField.eval`` and
-:func:`max_abs_fields` evaluate a one-off program of their own over the
-whole sample.  Every jet here has
-the one layout of :class:`Jet2`, the point axis last: the leaves' jets,
-the tables and the roots' jets a program returns, so leaves enter the
-tables as they are and every kernel runs along the points.  Only the
-matrix inverse moves an axis, to hand ``np.linalg.inv`` one matrix per
-point.
+nodes of one level, class and order (and, for an expression node, rule)
+are one group, evaluated by one numpy kernel over their stacked operand
+rows with the rules of :class:`Jet2`, so a run costs numpy work per
+group, not interpreter work per node.  Each node is evaluated once per
+chunk, into a slot of the program's tables, which live only for the
+chunk.  A check run compiles the graphs of every suite it selects into
+one program, so the groups, and the nodes the suites share, span every
+suite.  The leaves, coordinates and constants, are groups too, whose
+kernels fill their rows from the chunk's points, so a program evaluates
+a model's expressions together with everything built on them.
+``ScalarField.eval`` and :func:`max_abs_fields` evaluate a one-off
+program of their own over the whole sample.  Every jet here has the one
+layout of :class:`Jet2`, the point axis last: the tables and the roots'
+jets a program returns, so every kernel runs along the points.  Only
+the matrix inverse moves an axis, to hand ``np.linalg.inv`` one matrix
+per point.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -52,18 +53,19 @@ of products, pass the component dict to the constructor, and test
 ``is_zero`` only to decide whether a report row exists.
 
 Equal nodes are one node.  The algebra (sums, differences, products,
-negations, scalings, partials, non-zero constants, and a matrix inverse
-and its entries) looks every node up in one module-level table before
-it builds it, keyed by the node's class and constructor arguments, with
-input nodes compared by identity and a sum keyed by its flattened terms.
+negations, scalings, partials, non-zero constants, coordinates, the
+expression nodes of :func:`lower`, and a matrix inverse and its entries)
+looks every node up in one module-level table before it builds it,
+keyed by the node's class and constructor arguments, with input nodes
+compared by identity and a sum keyed by its flattened terms.
 Inputs are shared first, so a node equal in structure to a live one is
 that node: builders ask for what they need without handing nodes to
 each other, and a program evaluates each distinct node once.  Nothing
 is rewritten (``a*b`` and ``b*a`` stay two nodes), so every value is
 the same, bit for bit, as without sharing.  The table holds its nodes
 weakly, so a dropped graph leaves it at once.  Zero constants are
-per-dimension singletons outside it, and expression leaves are shared
-per model load, by the loader.
+per-dimension singletons outside it.  A subexpression in several entries,
+or an equal graph of two live models, is therefore one node.
 
 Every residual row is labeled here too, by :func:`index_label` and
 :meth:`Components.rows`, so one quantity carries one label in every
@@ -80,6 +82,7 @@ bundle-form indices and ``p`` for momentum monomials.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,8 +91,8 @@ from operator import attrgetter
 
 import numpy as np
 
-# eval_jet is bound here as well so that it can be wrapped by name from outside
-from .expressions import Expr, Jet2, eval_jet, eval_jets, parse  # noqa: F401
+from .expressions import Add, Call, Div, DomainError, Expr, Jet2, Mul, Neg, Num, Pow, Sub, Var, has_coordinate, parse
+from .expressions import call, power, quotient, variable_power
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,8 @@ class _Node:
     inputs: tuple = ()
     level = 0
     held = 2
+    # nodes of one level, class, order and kind are one group of a program
+    _kind = None
     # the jet orders this node consumes of its inputs: a partial, one
     _lift = 0
 
@@ -187,26 +192,23 @@ class ScalarField(_Node):
     field alone.  ``jet`` and ``value`` are one-point views: a one-point
     sample, read back at point 0.
 
-    A subclass with inputs supplies ``_kernel(tables, out, *args)``,
-    which evaluates a group of its nodes at once into ``out``, the
-    stacked jet of their slots, and ``_args`` if the operands' slots are
-    not all it reads.
+    Every subclass supplies ``_kernel(tables, out, *args)``, which
+    evaluates a group of its nodes at once into ``out``, the stacked jet
+    of their slots, from its operands' slots and the attributes named in
+    ``_params`` (or from its own ``_args``).
     """
 
     dim: int
 
     def eval(self, points: np.ndarray, order: int = 2) -> Jet2:
-        jet = Program([([self], order)], self.dim).evaluate(points)[0]
+        jet = next(Program([([self], order)], self.dim).run(points))
         return Jet2(jet.value[0], None if jet.grad is None else jet.grad[0], None if jet.hess is None else jet.hess[0])
 
-    def _at(self, point, order: int) -> Jet2:
-        return self.eval(np.asarray(point, dtype=float).reshape(1, -1), order).row(0)
-
     def jet(self, point) -> Jet2:
-        return self._at(point, 2)
+        return self.eval(np.asarray(point, dtype=float).reshape(1, -1)).row(0)
 
     def value(self, point) -> float:
-        return self._at(point, 0).value
+        return float(self.eval(np.asarray(point, dtype=float).reshape(1, -1), 0).value[0])
 
     # only a zero ConstField is a structural zero
     is_zero = False
@@ -248,22 +250,30 @@ class ScalarField(_Node):
         """A group's nodes in slot order."""
         return nodes
 
+    _params: tuple = ()
+
     @classmethod
     def _args(cls, nodes: list, order: int, slots) -> tuple:
         """Kernel arguments of a group at ``order``: for each input
-        position, the slots of that input of every node."""
+        position, the slots of that input of every node; then for each
+        name in ``_params``, that attribute of every node."""
         lifted = order + cls._lift
-        return tuple([_gather([n.inputs[j] for n in nodes], lifted, slots) for j in range(len(nodes[0].inputs))])
+        inputs = [_gather([n.inputs[j] for n in nodes], lifted, slots) for j in range(len(nodes[0].inputs))]
+        return (*inputs, *(np.array([getattr(n, name) for n in nodes]) for name in cls._params))
 
 
 class ConstField(ScalarField):
+    _params = ("c",)
+
     def __init__(self, value: float, dim: int):
         self.c = float(value)
         self.dim = dim
         self.is_zero = self.c == 0.0
 
-    def _leaf(self, points, order):
-        return Jet2.constant(self.c, len(points), self.dim, order)
+    @staticmethod
+    def _kernel(t, out, c):
+        out.value[...] = c[:, None]
+        _zero_derivatives(out)
 
     def partial(self, i: int) -> "ScalarField":
         return const_field(0.0, self.dim)
@@ -287,18 +297,101 @@ def const_field(value: float, dim: int) -> ConstField:
     return _shared(ConstField, value, dim)
 
 
-class ExprField(ScalarField):
-    def __init__(self, expr: Expr, chart: Chart):
-        self.expr = expr
-        self.chart = chart
-        self.dim = chart.dim
+def _zero_derivatives(out: Jet2):
+    for part in (out.grad, out.hess):
+        if part is not None:
+            part[...] = 0.0
+
+
+class CoordField(ScalarField):
+    """Coordinate ``i`` of the chart: column i of the sample."""
+
+    _params = ("i",)
+
+    def __init__(self, i: int, dim: int):
+        self.i = i
+        self.dim = dim
 
     @staticmethod
-    def parse(source: str, chart: Chart) -> "ExprField":
-        return ExprField(parse(source, chart.coordinates), chart)
+    def _kernel(t, out, i):
+        out.value[...] = t.points[:, i].T
+        _zero_derivatives(out)
+        if out.grad is not None:
+            out.grad[np.arange(len(i)), i] = 1.0
 
-    def _leaf(self, points, order):
-        return eval_jets(self.expr, points, order)
+
+class RuleField(ScalarField):
+    """A quotient, power or function node of a lowered expression: ``rule``
+    of :mod:`momsec.expressions` with ``param`` (a number exponent or a
+    function name) applied to its inputs.  ``expr`` is the subexpression,
+    which a domain error names."""
+
+    def __init__(self, rule, param, expr: Expr, *inputs: ScalarField):
+        self._kind = (rule, param)
+        self.expr = expr
+        self.dim = inputs[0].dim
+        self._built_on(inputs)
+
+    @classmethod
+    def _args(cls, nodes, order, slots):
+        return (*nodes[0]._kind, [n.expr for n in nodes], *super()._args(nodes, order, slots))
+
+    @staticmethod
+    def _kernel(t, out, rule, param, exprs, *inputs):
+        jet = rule(param, exprs, *map(t.jet, inputs))
+        for part, x in zip((out.value, out.grad, out.hess), (jet.value, jet.grad, jet.hess)):
+            if part is not None:
+                part[...] = x
+
+
+def lower(expr: Expr, dim: int) -> ScalarField:
+    """The field node of a parsed expression on a chart of dimension
+    ``dim``, one call per tree level.  Sums, differences, products and
+    negations go through the algebra, so equal subexpressions are one node
+    and zeros fold; an exponent without a coordinate becomes a number."""
+    if isinstance(expr, Num):
+        return const_field(expr.value, dim)
+    if isinstance(expr, Var):
+        return _shared(CoordField, expr.index, dim)
+    if isinstance(expr, Neg):
+        return lower(expr.operand, dim).scaled(-1.0)
+    if isinstance(expr, Call):
+        return _shared(RuleField, call, expr.func, expr, lower(expr.arg, dim))
+    if isinstance(expr, Pow):
+        base, exponent = lower(expr.base, dim), lower(expr.exponent, dim)
+        if has_coordinate(expr.exponent):
+            return _shared(RuleField, variable_power, None, expr, base, exponent)
+        return _shared(RuleField, power, _number(exponent), expr, base)
+    left, right = lower(expr.left, dim), lower(expr.right, dim)
+    if isinstance(expr, Div):
+        return _shared(RuleField, quotient, None, expr, left, right)
+    return _ALGEBRA[expr.__class__](left, right)
+
+
+_ALGEBRA = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _number(f: ScalarField) -> float:
+    """The value of a field without coordinates; a domain error in it
+    names no point."""
+    try:
+        return f.c if isinstance(f, ConstField) else f.value(np.zeros(f.dim))
+    except DomainError as exc:
+        raise DomainError(exc.reason, exc.subexpression) from None
+
+
+class ExprField:
+    """``parse`` parses a source against a chart's coordinates and lowers
+    it; the loader calls it by this name, which tools can wrap."""
+
+    @staticmethod
+    def parse(source: str, chart: Chart) -> ScalarField:
+        return lower(parse(source, chart.coordinates), chart.dim)
+
+
+def eval_jet(expr: Expr, point) -> Jet2:
+    """The jet of ``expr`` at one point, its lowered field's one-point view; tools wrap this name."""
+    return lower(expr, len(point)).jet(point)
 
 
 class SumField(ScalarField):
@@ -361,15 +454,13 @@ class ProdField(ScalarField):
 
 
 class ScaledField(ScalarField):
+    _params = ("c",)
+
     def __init__(self, c: float, f: ScalarField):
         self.c = c
         self.f = f
         self.dim = f.dim
         self._built_on((f,))
-
-    @classmethod
-    def _args(cls, nodes, order, slots):
-        return (*super()._args(nodes, order, slots), np.array([n.c for n in nodes], dtype=float))
 
     @staticmethod
     def _kernel(t, out, f, c):
@@ -386,16 +477,13 @@ class PartialField(ScalarField):
     """
 
     _lift = 1
+    _params = ("i",)
 
     def __init__(self, f: ScalarField, i: int):
         self.f = f
         self.i = i
         self.dim = f.dim
         self._built_on((f,))
-
-    @classmethod
-    def _args(cls, nodes, order, slots):
-        return (*super()._args(nodes, order, slots), np.array([n.i for n in nodes], dtype=np.intp))
 
     @staticmethod
     def _kernel(t, out, f, i):
@@ -507,6 +595,7 @@ class MatrixInverseField(ScalarField):
         self.i = i
         self.j = j
         self.dim = core.dim
+        self._kind = core
         self._built_on(core.entries)
 
     @classmethod
@@ -561,9 +650,12 @@ def _gather(nodes, order: int, slots) -> tuple:
 class _Tables:
     """One chunk's jets of a program's nodes: a row per slot of the
     value ``(S0, P)``, gradient ``(S1, d, P)`` and Hessian
-    ``(S2, d, d, P)`` tables, carved in that order from ``space``."""
+    ``(S2, d, d, P)`` tables, carved in that order from ``space``, and
+    the chunk's ``(P, d)`` points."""
 
-    def __init__(self, sizes, count: int, dim: int, space: np.ndarray):
+    def __init__(self, sizes, points: np.ndarray, dim: int, space: np.ndarray):
+        self.points = points
+        count = len(points)
         shapes = ((sizes[0], count), (sizes[1], dim, count), (sizes[2], dim, dim, count))
         start = 0
         for name, shape in zip(("value", "grad", "hess"), shapes):
@@ -599,15 +691,15 @@ class Program:
     - a slot in the value table, and in the gradient and Hessian tables
       when its order reaches them.
 
-    Nodes of one level, class and order form a group (the entries of a
-    matrix inverse, one group per inverse), and ``run`` runs each group
-    as one numpy kernel over the stacked rows of its operands, level by
-    level, so every node is evaluated once per call.
-    Leaves are not evaluated by the program: ``run`` is given their jets
-    (``leaves`` maps each leaf to the order it needs).  ``run`` gives,
-    for each root group, the stacked jet of its fields, to the group's
-    order or as far as every field holds it.  A field differentiated more than
-    twice makes compiling raise ``ValueError``.
+    Nodes of one level, class, order and ``_kind`` form a group (the
+    entries of a matrix inverse, one group per inverse), and ``run`` runs
+    each group as one numpy kernel over the stacked rows of its operands,
+    level by level, so every node is evaluated once per call.  The leaves,
+    coordinates and constants, are groups too, whose kernels fill their
+    rows from the points.  ``run`` gives, for each root group, the stacked
+    jet of its fields, to the group's order or as far as every field
+    holds it.  A field differentiated more than twice makes compiling
+    raise ``ValueError``.
     """
 
     def __init__(self, groups, dim: int):
@@ -645,69 +737,45 @@ class Program:
             if d < k:
                 k = d
             demand[node] = k
-            grouped.setdefault((node.level, node.__class__, k), []).append(node)
-        for core, entries in inverses.items():
+            grouped.setdefault((node.level, node.__class__, k, node._kind), []).append(node)
+        for entries in inverses.values():
             top = max(demand[n] for n in entries)
             for n in entries:
                 demand[n] = k = min(top, n.held)
-                grouped.setdefault((n.level, MatrixInverseField, k, core), []).append(n)
+                grouped.setdefault((n.level, MatrixInverseField, k, n._kind), []).append(n)
 
         slots = ({}, {}, {})
-        self.leaves: dict = {}
-        self._fill = []
         self._kernels = []
         for key in sorted(grouped, key=lambda key: key[0]):
-            lv, cls, k = key[:3]
+            _, cls, k, _ = key
             nodes = cls._arrange(grouped[key])
             out = []
             for table in slots[: k + 1]:
                 start = len(table)
                 table.update(zip(nodes, range(start, start + len(nodes))))
                 out.append(slice(start, start + len(nodes)))
-            if lv:
-                out += [None] * (2 - k)
-                self._kernels.append((cls._kernel, tuple(out), cls._args(nodes, k, slots)))
-            else:
-                for n in nodes:
-                    self.leaves[n] = k
-                    self._fill.append((n, tuple(table.get(n) for table in slots)))
+            out += [None] * (2 - k)
+            self._kernels.append((cls._kernel, tuple(out), cls._args(nodes, k, slots)))
         self._roots = [_gather(fields, min([order, *(demand[f] for f in fields)]), slots) for fields, order in groups]
         self.dim = dim
         self.sizes = tuple(len(table) for table in slots)
         self.bytes_per_point = 8 * (self.sizes[0] + dim * self.sizes[1] + dim * dim * self.sizes[2])
 
-    def run(self, leaves: dict, count: int, space: np.ndarray | None = None):
-        """The root groups' jets over one sample of ``count`` points, given
-        ``leaves``, the jets of (at least) this program's leaves over it.
+    def run(self, points: np.ndarray, space: np.ndarray | None = None):
+        """The root groups' jets over ``points``, a ``(P, d)`` sample.
         The tables live in ``space``, a float array of at least
-        ``count * bytes_per_point / 8`` entries, which a caller evaluating
+        ``P * bytes_per_point / 8`` entries, which a caller evaluating
         chunk after chunk can reuse.  Every kernel runs before this
         returns; the jets come from an iterator that gathers each group
         as it is read, so a caller that reduces one group before reading
         the next holds one at a time.  It must be read before ``space`` is
         reused; the jets it gives do not share ``space``."""
         if space is None:
-            space = np.empty(count * self.bytes_per_point // 8)
-        t = _Tables(self.sizes, count, self.dim, space)
-        for leaf, (v, g, h) in self._fill:
-            jet = leaves[leaf]
-            t.value[v] = jet.value
-            if g is not None:
-                t.grad[g] = jet.grad
-            if h is not None:
-                t.hess[h] = jet.hess
+            space = np.empty(len(points) * self.bytes_per_point // 8)
+        t = _Tables(self.sizes, points, self.dim, space)
         for kernel, out, args in self._kernels:
             kernel(t, t.jet(out), *args)
         return (t.jet(slots) for slots in self._roots)
-
-    def evaluate(self, points: np.ndarray) -> list[Jet2]:
-        """:meth:`run` over the whole of ``points``, with leaves of its own."""
-        return list(self.run(leaf_jets(self.leaves, points), len(points)))
-
-
-def leaf_jets(leaves: dict, points: np.ndarray) -> dict:
-    """The jet of each leaf field over ``points``, to its order in ``leaves``."""
-    return {leaf: leaf._leaf(points, order) for leaf, order in leaves.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1031,5 +1099,5 @@ def max_abs_fields(fields, points: np.ndarray) -> float:
     live = [f for f in fields if not f.is_zero]
     if not live:
         return 0.0
-    values = Program([(live, 0)], live[0].dim).evaluate(points)[0].value
+    values = next(Program([(live, 0)], live[0].dim).run(points)).value
     return float(np.max(np.abs(values), initial=0.0))

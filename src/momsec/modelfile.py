@@ -94,24 +94,13 @@ def _finite(value) -> bool:
         return False
 
 
-class _Sources:
-    """The chart of one model load and its expression leaves: one
-    :class:`ExprField` per distinct source, so equal sources share one
-    leaf.  It lives for one load only, so a dropped model frees its
-    leaves with it."""
-
-    def __init__(self, chart: Chart):
-        self.chart = chart
-        self._leaves: dict[str, ScalarField] = {}
-
-    def parse(self, source, path: str) -> ScalarField:
-        _expect(isinstance(source, str), path, "expression must be a string")
-        if source not in self._leaves:
-            try:
-                self._leaves[source] = ExprField.parse(source, self.chart)
-            except (ExpressionError, RecursionError) as exc:  # the parser recurses once per nesting level
-                raise ModelError(path, f"bad expression: {exc}") from exc
-        return self._leaves[source]
+def _field(source, path: str, chart: Chart) -> ScalarField:
+    """The field of an expression entry; equal sources are one node."""
+    _expect(isinstance(source, str), path, "expression must be a string")
+    try:
+        return ExprField.parse(source, chart)
+    except ExpressionError as exc:
+        raise ModelError(path, f"bad expression: {exc}") from exc
 
 
 def _indices(idx, epath: str, key: str, ranges, noun: str = "index") -> tuple[int, ...]:
@@ -143,7 +132,7 @@ def _lower_pair(idx):
     return (None if pair is None else idx[:1] + pair), sign
 
 
-def _entries(block, path: str, sources: _Sources, ranges, canon):
+def _entries(block, path: str, chart: Chart, ranges, canon):
     """Yield (canonical 0-based key, signed field) from a sparse block.
 
     Rejects a repeated index in an antisymmetric slot and a second entry
@@ -159,7 +148,7 @@ def _entries(block, path: str, sources: _Sources, ranges, canon):
         _expect(key is not None, epath, "antisymmetric entry with repeated index")
         _expect(key not in seen, epath, f"duplicate or contradictory entry for slot {tuple(i + 1 for i in key)}")
         seen.add(key)
-        f = sources.parse(entry["expr"], epath + ".expr")
+        f = _field(entry["expr"], epath + ".expr", chart)
         yield key, f if sign > 0 else -f
 
 
@@ -200,7 +189,6 @@ def load_model_bytes(raw: bytes) -> Model:
     _expect(type(schema) is int and schema == SCHEMA_VERSION, "schema", f"expected schema {SCHEMA_VERSION}")
 
     chart = _load_chart(doc.get("chart"))
-    sources = _Sources(chart)
     d = chart.dim
     zero = const_field(0.0, d)
 
@@ -210,48 +198,48 @@ def load_model_bytes(raw: bytes) -> Model:
     _expect(type(rank) is int and 1 <= rank <= MAX_RANK, "algebroid.rank", f"rank must be 1..{MAX_RANK}")
 
     anchor = [[zero for _ in range(d)] for _ in range(rank)]
-    for (a, i), f in _entries(alg_doc.get("anchor", []), "algebroid.anchor", sources, (rank, d), _plain):
+    for (a, i), f in _entries(alg_doc.get("anchor", []), "algebroid.anchor", chart, (rank, d), _plain):
         anchor[a][i] = f
 
     structure = dict(
-        _entries(alg_doc.get("structure", []), "algebroid.structure", sources, (rank, rank, rank), _lower_pair)
+        _entries(alg_doc.get("structure", []), "algebroid.structure", chart, (rank, rank, rank), _lower_pair)
     )
     alg = AlgebroidData(chart, rank, anchor, structure)
 
     gamma = [[[zero for _ in range(d)] for _ in range(rank)] for _ in range(rank)]
     for (a, b, i), f in _entries(
-        alg_doc.get("connection", []), "algebroid.connection", sources, (rank, rank, d), _plain
+        alg_doc.get("connection", []), "algebroid.connection", chart, (rank, rank, d), _plain
     ):
         gamma[a][b][i] = f
     conn = ConnectionData(alg, gamma)
 
     metric = None
     if "metric" in doc:
-        metric = MetricField(chart, dict(_entries(doc["metric"], "metric", sources, (d, d), _symmetric)))
+        metric = MetricField(chart, dict(_entries(doc["metric"], "metric", chart, (d, d), _symmetric)))
 
-    b_field = _load_form(doc.get("b_field", []), "b_field", sources, 2)
-    eta_boundary = _load_form(doc.get("eta_boundary", []), "eta_boundary", sources, 1)
+    b_field = _load_form(doc.get("b_field", []), "b_field", chart, 2)
+    eta_boundary = _load_form(doc.get("eta_boundary", []), "eta_boundary", chart, 1)
 
-    mu = _load_components(doc.get("mu", []), "mu", sources, rank)
-    alpha = _load_components(doc.get("alpha", []), "alpha", sources, rank)
-    beta = VectorField(chart, _load_components(doc.get("beta", []), "beta", sources, d))
+    mu = _load_components(doc.get("mu", []), "mu", chart, rank)
+    alpha = _load_components(doc.get("alpha", []), "alpha", chart, rank)
+    beta = VectorField(chart, _load_components(doc.get("beta", []), "beta", chart, d))
 
-    V = sources.parse(doc["V"], "V") if "V" in doc else zero
+    V = _field(doc["V"], "V", chart) if "V" in doc else zero
 
     tau = [[zero for _ in range(rank)] for _ in range(rank)]
-    for (a, b), f in _entries(doc.get("tau", []), "tau", sources, (rank, rank), _plain):
+    for (a, b), f in _entries(doc.get("tau", []), "tau", chart, (rank, rank), _plain):
         tau[a][b] = f
 
     beta_rigid = None
     if "beta_rigid" in doc:
         rigid: list[dict] = [{} for _ in range(rank)]
-        for (a, i), f in _entries(doc["beta_rigid"], "beta_rigid", sources, (rank, d), _plain):
+        for (a, i), f in _entries(doc["beta_rigid"], "beta_rigid", chart, (rank, d), _plain):
             rigid[a][(i,)] = f
         beta_rigid = [FormField(chart, 1, comps) for comps in rigid]
 
     multisym = None
     if "multisym" in doc:
-        multisym = _load_multisym(doc["multisym"], sources, alg, conn)
+        multisym = _load_multisym(doc["multisym"], chart, alg, conn)
 
     sampling = Sampling()
     if "sampling" in doc:
@@ -292,28 +280,26 @@ def load_model_bytes(raw: bytes) -> Model:
     )
 
 
-def _load_form(block, path: str, sources: _Sources, degree: int) -> FormField:
-    chart = sources.chart
-    return FormField(chart, degree, dict(_entries(block, path, sources, (chart.dim,) * degree, sort_signed)))
+def _load_form(block, path: str, chart: Chart, degree: int) -> FormField:
+    return FormField(chart, degree, dict(_entries(block, path, chart, (chart.dim,) * degree, sort_signed)))
 
 
-def _load_components(block, path: str, sources: _Sources, count: int):
+def _load_components(block, path: str, chart: Chart, count: int):
     """One field per index 1..count, zero where the block has no entry."""
-    out = [const_field(0.0, sources.chart.dim) for _ in range(count)]
-    for (i,), f in _entries(block, path, sources, (count,), _plain):
+    out = [const_field(0.0, chart.dim) for _ in range(count)]
+    for (i,), f in _entries(block, path, chart, (count,), _plain):
         out[i] = f
     return out
 
 
-def _load_multisym(doc, sources: _Sources, alg: AlgebroidData, conn: ConnectionData) -> PrenPlecticData:
+def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) -> PrenPlecticData:
     path = "multisym"
-    chart = sources.chart
     _expect(isinstance(doc, dict), path, "must be an object")
     n = doc.get("n")
     _expect(type(n) is int and 1 <= n <= MAX_PLECTIC_DEGREE, f"{path}.n", f"n must be 1..{MAX_PLECTIC_DEGREE}")
     _expect(n + 1 <= chart.dim, f"{path}.n", f"need chart dimension at least n+1 = {n + 1}")
 
-    h = _load_form(doc.get("h", []), f"{path}.h", sources, n + 1)
+    h = _load_form(doc.get("h", []), f"{path}.h", chart, n + 1)
 
     eta: dict = {}
     eta_doc = doc.get("eta", {})
@@ -324,7 +310,7 @@ def _load_multisym(doc, sources: _Sources, alg: AlgebroidData, conn: ConnectionD
         k = int(key)
         _expect(0 <= k <= n, kpath, f"degree must be 0..{n}")
         if k == n:
-            eta[n] = _load_form(block, kpath, sources, n)
+            eta[n] = _load_form(block, kpath, chart, n)
             continue
         bundle_deg = n - k
         forms: dict = {}
@@ -346,7 +332,7 @@ def _load_multisym(doc, sources: _Sources, alg: AlgebroidData, conn: ConnectionD
             _expect(bcanon is not None, epath, "repeated bundle index")
             _expect((fcanon, bcanon) not in seen, epath, "duplicate or contradictory entry")
             seen.add((fcanon, bcanon))
-            f = sources.parse(entry["expr"], epath + ".expr")
+            f = _field(entry["expr"], epath + ".expr", chart)
             forms.setdefault(bcanon, {})[fcanon] = f if fsign * bsign > 0 else -f
         eta[k] = BundleValuedForm(alg, k, bundle_deg, {b: FormField(chart, k, c) for b, c in forms.items()})
     return PrenPlecticData(alg, conn, n, h, eta)

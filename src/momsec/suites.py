@@ -18,9 +18,9 @@ One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
 run evaluates the sample in chunks: the chunk length is
 ``CHUNK_BYTES`` over the program's bytes per point, so memory does not
-grow with ``--points``.  In each chunk the program's expression and
-constant leaves are evaluated once, the program runs once, and each root
-group is reduced as it is read: a row field to its max |f| (NaN when any
+grow with ``--points``.  In each chunk the program runs once, from the
+chunk's coordinates up through every node of the model's expressions
+and the suites' graphs, and each root group is reduced as it is read: a row field to its max |f| (NaN when any
 value is NaN), a probe to the arrays its reduction makes.  The run keeps
 the elementwise maximum over chunks of each, which every reduction here
 is chosen to make exact, and a domain error or a singular matrix names
@@ -56,7 +56,7 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import Program, SingularMatrixError, exterior_derivative, finite_only, leaf_jets
+from .fields import Program, SingularMatrixError, exterior_derivative, finite_only
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult, _result
 
@@ -182,14 +182,14 @@ class _Plan:
 def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
     """The maxima of each probe's reduction over ``points``, keyed by
     probe; ``program`` was compiled from ``probes`` and runs chunk by
-    chunk, on one leaf table per chunk."""
+    chunk."""
     length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
     # one space for the program's tables, reused chunk after chunk
     space = np.empty(min(length, len(points)) * program.bytes_per_point // 8)
     for start in range(0, len(points), length):
         chunk = points[start : start + length]
         try:
-            jets = program.run(leaf_jets(program.leaves, chunk), len(chunk), space)
+            jets = program.run(chunk, space)
         except (DomainError, SingularMatrixError) as exc:
             raise exc.shifted(start) from None
         reduced = [p.reduce(jet) for p, jet in zip(probes, jets)]

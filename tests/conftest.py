@@ -6,8 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momsec.expressions import eval_jet
-from momsec.fields import Chart, ExprField, const_field
+from momsec.fields import Chart, ExprField, ScalarField, const_field, lower
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
 
@@ -25,8 +24,20 @@ def chart3(box=1.5) -> Chart:
     return Chart(("x", "y", "z"), ((-box, box),) * 3)
 
 
-def f(source: str, chart: Chart) -> ExprField:
+def f(source: str, chart: Chart) -> ScalarField:
     return ExprField.parse(source, chart)
+
+
+def expr_jets(expr, points, order: int = 2):
+    """The jet of a parsed expression over a ``(P, d)`` sample, to
+    ``order``: its lowered field, evaluated by a program of its own."""
+    points = np.asarray(points, dtype=float)
+    return lower(expr, points.shape[1]).eval(points, order)
+
+
+def expr_jet(expr, point):
+    """The jet of a parsed expression at one point."""
+    return expr_jets(expr, np.reshape(point, (1, -1))).row(0)
 
 
 def zero(chart: Chart):
@@ -94,7 +105,7 @@ CHECK_REGISTRY: tuple[str, ...] = (
 
 
 def _value(expr, point):
-    return eval_jet(expr, point).value
+    return expr_jet(expr, point).value
 
 
 def fd_gradient(expr, point, h=1e-3):

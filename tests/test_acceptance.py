@@ -9,14 +9,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import CHECK_REGISTRY, fd_gradient, fd_hessian, random_poly_source, random_smooth_source
+from conftest import CHECK_REGISTRY, expr_jet, fd_gradient, fd_hessian, random_poly_source, random_smooth_source
 from momsec.algebroid import (
     AlgebroidData,
     anchor_morphism_fields,
     jacobi_sigma_fields,
     q_squared_fields,
 )
-from momsec.expressions import eval_jet, parse
+from momsec.expressions import parse
 from momsec.fields import (
     Chart,
     ExprField,
@@ -51,7 +51,7 @@ def test_acceptance_1_calculus_kernel():
         source = random_smooth_source(rng, coords) if rng.random() < 0.4 else random_poly_source(rng, coords)
         expr = parse(source, coords)
         pt = rng.uniform(-2.0, 2.0, size=d)
-        jet = eval_jet(expr, pt)
+        jet = expr_jet(expr, pt)
         g_ref = fd_gradient(expr, pt)
         h_ref = fd_hessian(expr, pt)
         num = max(float(np.max(np.abs(jet.grad - g_ref))), float(np.max(np.abs(jet.hess - h_ref))))

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import f, random_poly_source, random_smooth_source
+from conftest import expr_jet, expr_jets, f, random_poly_source, random_smooth_source
 from test_suites import B_NOT_CLOSED
-from momsec.expressions import DomainError, eval_jet, eval_jets, parse
+from momsec.expressions import DomainError, parse, pretty
 from momsec import fields, suites
-from momsec.fields import Chart, ExprField, Program, ScalarField, matrix_inverse_fields
+from momsec.fields import Chart, ConstField, CoordField, Program, RuleField, ScalarField, matrix_inverse_fields
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
 from momsec.suites import RunConfig, run
@@ -53,7 +53,7 @@ def test_expression_batch_equals_rows(seed, dim, count, smooth):
     make = random_smooth_source if smooth else random_poly_source
     expr = parse(make(rng, coords), coords)
     points = rng.uniform(-2.0, 2.0, size=(count, dim))
-    _assert_rows_match(eval_jets(expr, points), [eval_jet(expr, p) for p in points])
+    _assert_rows_match(expr_jets(expr, points), [expr_jet(expr, p) for p in points])
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
@@ -168,10 +168,10 @@ def test_expression_order_truncates_the_full_jet(seed, dim, count):
     coords = tuple("abc"[:dim])
     expr = parse(_wrapped_source(rng, coords), coords)
     points = rng.uniform(-1.0, 1.0, size=(count, dim))
-    full = eval_jets(expr, points)
+    full = expr_jets(expr, points)
     assert full.hess is not None
     for order in (0, 1, 2):
-        _assert_truncation(eval_jets(expr, points, order), full, order)
+        _assert_truncation(expr_jets(expr, points, order), full, order)
 
 
 def _random_graph(seed: int, chart: Chart):
@@ -216,7 +216,7 @@ def test_field_graph_order_truncates_the_full_jet(seed, count, data):
     requests = data.draw(
         st.lists(st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, 2)), min_size=1, max_size=30)
     )
-    jets = Program([([nodes[k]], order) for k, order in requests], ch.dim).evaluate(points)
+    jets = Program([([nodes[k]], order) for k, order in requests], ch.dim).run(points)
     for (k, order), jet in zip(requests, jets):
         _assert_truncation(_single(jet), full[k], order)
 
@@ -229,7 +229,7 @@ def test_values_first_then_full_jet_equals_a_fresh_full_jet(seed, count):
     nodes = _random_graph(seed, ch)
     fresh = _random_graph(seed, ch)
     points = ch.sample(count, seed)
-    jets = Program([([node], 0) for node in nodes] + [([node], 2) for node in nodes], ch.dim).evaluate(points)
+    jets = list(Program([([node], 0) for node in nodes] + [([node], 2) for node in nodes], ch.dim).run(points))
     for k, other in enumerate(fresh):
         full = other.eval(points, 2)
         _assert_truncation(_single(jets[k]), full, 0)
@@ -257,7 +257,7 @@ def test_derivative_domain_checks_fire_at_order_zero(source):
     messages = []
     for order in (0, 2):
         with pytest.raises(DomainError) as info:
-            eval_jets(expr, points, order)
+            expr_jets(expr, points, order)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "derivative at zero" in messages[0]
@@ -333,10 +333,10 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     calls = []
     run_program = Program.run
 
-    def recording_run(program, leaves, count, space=None):
+    def recording_run(program, points, space=None):
         written.clear()
-        jets = run_program(program, leaves, count, space)
-        calls.append((program, count, sorted((rows.__array_interface__["data"][0], len(rows)) for rows in written)))
+        jets = run_program(program, points, space)
+        calls.append((program, len(points), sorted((rows.__array_interface__["data"][0], len(rows)) for rows in written)))
         return jets
 
     monkeypatch.setattr(Program, "run", recording_run)
@@ -346,7 +346,8 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     under = _under(f for plan in _suite_plans(model) for p in plan.probes for f in p.fields)
     assert [(p, count) for p, count, _ in calls] == [(program, 32)]
     assert program.sizes[0] == len(under)
-    # 1,238 nodes on this model; 3,304 before equal nodes were shared
+    # 1,291 nodes on this model (1,238 before its expressions were
+    # lowered); 3,304 before equal nodes were shared
     assert len(under) > 1000
     assert len(set(_structural_ids(under).values())) == len(under)
     assert program.sizes[1] <= 1000
@@ -358,11 +359,12 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     assert [(p, count) for p, count, _ in calls] == [(program, 11), (program, 11), (program, 10)]
     for _, count, rows in calls:
         # one kernel per group of a level, class and order, across suites
-        # (52 on this model)
-        assert len(rows) <= 60
+        # (79 on this model; 52 before its expressions were lowered into
+        # the program)
+        assert len(rows) <= 90
         # disjoint row blocks of the value table, each written once
         assert all(a + n * 8 * count <= b for (a, n), (b, _) in zip(rows, rows[1:]))
-        assert len(program.leaves) + sum(n for _, n in rows) == program.sizes[0]
+        assert sum(n for _, n in rows) == program.sizes[0]
 
 
 def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
@@ -377,6 +379,16 @@ def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
             return arranged[-1]
 
         monkeypatch.setattr(cls, "_arrange", staticmethod(recording_arrange))
+    compile_program = suites._program
+
+    def last_program(probes, dim):
+        # a run compiles its program after its plans, and after the one
+        # plan with a program of its own (sigma2d's rows for a b that is
+        # not closed), so the groups kept are the run program's
+        arranged.clear()
+        return compile_program(probes, dim)
+
+    monkeypatch.setattr(suites, "_program", last_program)
     model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
     cfg = RunConfig(tolerance=model.tolerance, points=32, seed=42)
     run(model, "all", cfg)
@@ -389,9 +401,9 @@ def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
     calls = []
     run_program = Program.run
 
-    def counting_run(program, leaves, count, space=None):
+    def counting_run(program, points, space=None):
         calls.append(program)
-        return run_program(program, leaves, count, space)
+        return run_program(program, points, space)
 
     monkeypatch.setattr(Program, "run", counting_run)
     _chunks_of(monkeypatch, model, 11)
@@ -399,30 +411,19 @@ def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
     assert calls == [_program_of(model)] * 3
 
 
-def test_each_expression_leaf_is_evaluated_once_per_chunk(monkeypatch):
-    # the run's program reads one leaf table per chunk: a model's
-    # expressions are not evaluated again per suite, nor again at a
-    # higher order
+def test_expressions_are_lowered_into_shared_nodes(monkeypatch):
+    # a model's expressions are nodes of the run's program like any
+    # other: its only leaves are coordinates and constants, and a
+    # subexpression in several entries is one node, in one slot
     model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
-    cfg = RunConfig(tolerance=model.tolerance, points=32, seed=43)
-    run(model, "all", cfg)
-    leaves = {leaf for leaf in _program_of(model).leaves if isinstance(leaf, ExprField)}
-    evaluated = []
-    eval_jets = fields.eval_jets
-
-    def counting_eval_jets(expr, points, order=2):
-        evaluated.append(id(expr))
-        return eval_jets(expr, points, order)
-
-    monkeypatch.setattr(fields, "eval_jets", counting_eval_jets)
-    run(model, "all", cfg)
-    assert sorted(evaluated) == sorted(id(leaf.expr) for leaf in leaves)
-    # each suite evaluated its own expressions, each order anew, at 146 per run
-    assert len(evaluated) < 40
-    evaluated.clear()
-    _chunks_of(monkeypatch, model, 10)
-    run(model, "all", cfg)
-    assert sorted(evaluated) == sorted(id(leaf.expr) for leaf in leaves for _ in range(4))
+    run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=43))
+    under = _under(f for plan in _suite_plans(model) for p in plan.probes for f in p.fields)
+    assert _program_of(model).sizes[0] == len(under)
+    assert {type(n) for n in under if not n.inputs} == {ConstField, CoordField}
+    squares = [n for n in under if isinstance(n, RuleField) and pretty(n.expr) == "x1^2.0"]
+    assert len(squares) == 1
+    # the metric's entries and mu_2 = c x2 x3 + c' x1^2 hold it
+    assert all(squares[0] in _under([g]) for g in (model.metric.g[0][0], model.metric.g[2][2], model.mu[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +434,22 @@ def test_each_expression_leaf_is_evaluated_once_per_chunk(monkeypatch):
 def test_a_second_run_builds_no_field(name, monkeypatch):
     raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
     model = load_model_bytes(raw)
-    built = []
-    # every field class defines __init__, which can be wrapped and restored
-    for cls in ScalarField.__subclasses__():
+    # every node but a zero constant is built through the node table, which
+    # a first run asks even where a live model of the same file built its
+    # nodes already
+    asked = []
+    shared = fields._shared
 
-        def counting_init(node, *args, _init=cls.__init__, **kwargs):
-            built.append(type(node).__name__)
-            _init(node, *args, **kwargs)
+    def counting_shared(cls, *args):
+        asked.append(cls.__name__)
+        return shared(cls, *args)
 
-        monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(fields, "_shared", counting_shared)
     run(model, "all", RunConfig(points=16, seed=5))
-    assert built
-    built.clear()
+    assert asked
+    asked.clear()
     run(model, "all", RunConfig(points=24, seed=6))
-    assert built == []
+    assert asked == []
 
 
 @pytest.mark.parametrize("name", ["rotation_momentum_map", "so3"])
@@ -474,20 +477,26 @@ def test_a_dropped_model_frees_its_graphs_at_once(monkeypatch):
     # the model holds the evaluation steps of its suites and the programs
     # of its selections; a step that held the model would make a cycle,
     # and every node would wait for the cyclic collector.  The node table
-    # holds its nodes weakly, so their entries go with them
+    # holds its nodes weakly, so their entries go with them.  A live model
+    # of the same file (a session fixture's) holds the nodes this one
+    # shares with it; the rest are this load's own
+    added = []
     for raw in [*(fixture_bytes(name) for name in fixture_names()), _son_model_bytes(monkeypatch, 3)]:
+        gc.collect()
         gc.disable()
         try:
-            before = len(fields._NODES)
+            before = set(fields._NODES)
             model = load_model_bytes(raw)
             run(model, "all", RunConfig(points=8, seed=1))
             refs = [weakref.ref(model), *(weakref.ref(step) for step in model._plans.values())]
-            assert len(fields._NODES) > before
+            added.append(len(set(fields._NODES) - before))
             del model
             assert all(ref() is None for ref in refs)
-            assert len(fields._NODES) == before
+            assert set(fields._NODES) == before
         finally:
             gc.enable()
+    # no other model holds so(3)'s nodes
+    assert added[-1] > 1000
 
 
 def test_two_suites_reading_one_quantity_read_one_set_of_nodes(monkeypatch):
@@ -538,36 +547,67 @@ def test_run_memory_is_bounded_and_released(monkeypatch):
 
 
 def _json_at_chunk_lengths(monkeypatch, raw: bytes, seed: int, points: int) -> list[str]:
-    """Reports of one model at chunk lengths 1, 7 and 32 and as one chunk."""
+    """Reports of one model at chunk lengths 1, 7 and 32 and as one chunk,
+    or the text of the domain error a run stops with."""
     model = load_model_bytes(raw)
     cfg = RunConfig(points=points, seed=seed)
-    run(model, "all", cfg)
+
+    def report():
+        try:
+            return run(model, "all", cfg).to_json()
+        except DomainError as exc:
+            return f"error: {exc}"
+
+    report()
     reports = []
     for length in (1, 7, 32, None):
         if length is None:
             monkeypatch.setattr(suites, "CHUNK_BYTES", 1 << 60)
         else:
             _chunks_of(monkeypatch, model, length)
-        reports.append(run(model, "all", cfg).to_json())
+        reports.append(report())
     return reports
 
 
-@pytest.mark.parametrize("name", [*fixture_names(), "so3", "b-not-closed", "nan-metric"])
+def _saturated_exponent_model(base: str) -> bytes:
+    """rotation_momentum_map with mu_1 = ``base^(tanh(1000*(y - c)) + 1) -
+    base^2``.  The exponent is exactly 2, with zero derivatives, wherever
+    y is not close to c, the y of sample point 0 at (seed 42, 32 points),
+    so a chunk without that point sees a constant exponent."""
+    doc = json.loads(fixture_bytes("rotation_momentum_map"))
+    c = float(load_model_bytes(fixture_bytes("rotation_momentum_map")).chart.sample(32, 42)[0, 1])
+    doc["mu"][0]["expr"] = f"{base}^(tanh(1000*(y - {c!r})) + 1) - {base}^2"
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*fixture_names(), "so3", "b-not-closed", "nan-metric", "saturated-exponent-x", "saturated-exponent-x2-plus-half"],
+)
 def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
     # b-not-closed reads sigma2d's rows for a b that is not closed, which
     # a plan of their own evaluates when the step reads them; nan-metric's
-    # metric is NaN at some points, so a chunk may hold no finite metric
+    # metric is NaN at some points, so a chunk may hold no finite metric.
+    # An exponent with a coordinate is variable at every point, however
+    # constant its values over a chunk: with the base x, which is negative
+    # at some points, every run stops with one error; with x^2 + 1/2 every
+    # run takes one path, where sigma2d/bdry-pairing differed in its last
+    # bits when the chunk decided
     if name == "b-not-closed":
         raw = json.dumps(B_NOT_CLOSED).encode()
     elif name == "nan-metric":
         doc = json.loads(fixture_bytes("magnetic_twist_mechanics"))
         doc["metric"][0] = {"idx": [1, 1], "expr": "exp(1000*x) - exp(1000*x) + 1"}
         raw = json.dumps(doc).encode()
+    elif name.startswith("saturated-exponent"):
+        raw = _saturated_exponent_model("x" if name.endswith("-x") else "(x*x + 0.5)")
     else:
         raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
     for seed, points in ((42, 32), (7, 17)):
         reports = _json_at_chunk_lengths(monkeypatch, raw, seed, points)
         assert reports[1:] == reports[:-1]
+        failed = reports[0].startswith("error: variable exponent requires a positive base")
+        assert failed == (name == "saturated-exponent-x")
 
 
 def test_a_nan_in_a_later_chunk_fails_its_row(monkeypatch):

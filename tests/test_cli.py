@@ -232,6 +232,36 @@ class TestEvaluationFailures:
         assert captured.err.startswith("error: invalid model: mu[0].expr: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+            lambda n: "-" * (n - 1) + "x",
+            lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+        ],
+        ids=["parens", "signs", "calls"],
+    )
+    def test_depth_limit_alone_decides_from_a_deep_caller(self, tmp_path, capsys, shape):
+        # the parser keeps its own stack and lowering takes one frame per
+        # tree level, so a caller already 500 frames deep loads 100 levels
+        def at_depth(frames, path):
+            return main(["check", path]) if frames == 0 else at_depth(frames - 1, path)
+
+        deepest = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": shape(100)}])
+        assert at_depth(500, deepest) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        too_deep = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": shape(101)}])
+        assert at_depth(500, too_deep) == 2
+        assert "nested more than 100 levels deep" in capsys.readouterr().err
+
+    def test_number_exponent_domain_error_is_usage_error(self, tmp_path, capsys):
+        # an exponent without a coordinate is evaluated once, at load
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "x^(1/0)"}])
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid model: mu[0].expr: bad expression: division by zero in '1.0 / 0.0'\n"
+        )
+
     def test_domain_error_exit_code(self, tmp_path, capsys):
         # the box crosses x = 0, so log leaves its domain on the sample
         path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "log(x)"}])

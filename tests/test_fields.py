@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import chart2, chart3, f, random_poly_source
 from momsec.algebroid import AlgebroidData, EForm
-from momsec.expressions import eval_jet, parse
 from momsec.fields import (
     Chart,
     ConstField,
@@ -306,7 +305,7 @@ class TestLieDerivative:
                         w[i, j] = jet.value
                         dw[:, i, j] = jet.grad
                 vv = np.array([v.comps[k].value(p) for k in range(3)])
-                dv = np.array([eval_jet(v.comps[k].expr, p).grad for k in range(3)])
+                dv = np.array([v.comps[k].jet(p).grad for k in range(3)])
                 for i in range(3):
                     for j in range(i + 1, 3):
                         direct = (

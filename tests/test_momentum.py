@@ -229,7 +229,7 @@ class TestMomentumMapReduction:
         pts = ch.sample(10, 16)
 
         def _is_constant_structure(alg, points):
-            jet = Program([(structure_functions(alg), 1)], alg.dim).evaluate(points)[0]
+            jet = next(Program([(structure_functions(alg), 1)], alg.dim).run(points))
             return is_constant(constancy_maxima(jet))
 
         const_alg = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): const_field(2.0, 2)})
