@@ -6,8 +6,11 @@ Usage: python scripts/report_digest.py
 The set is the built-in examples in ``fixture_names()`` order, then a
 copy of ``translation_nonequivariant`` with a polynomial ``connection``
 block (no built-in example has one, so this model is what carries the
-connection terms Gamma into the digest), then the generated so(3) models
-for seeds 1-3 and the so(4) model for seed 1 (``perfbench/models.py``).
+connection terms Gamma into the digest), then a copy of
+``so3_action_algebroid`` with an identity metric and a b that is not
+closed (so sigma2d reports ``rigid-b-invariance`` from d(L_rho b), a path
+no other model of the set takes), then the generated so(3) models for
+seeds 1-3 and the so(4) model for seed 1 (``perfbench/models.py``).
 Every model runs all applicable suites at (seed 42, 32 points) and then
 at (seed 7, 17 points).  One digest is
 updated with the JSON and then the text rendering of each report, in that
@@ -41,6 +44,12 @@ CONNECTION = [
     {"idx": [1, 1, 2], "expr": "y"},
 ]
 
+# b = x3 dx1^dx2 + x1 x2 dx2^dx3, with db = (1 + x2) dx1^dx2^dx3
+B_NOT_CLOSED = [
+    {"idx": [1, 2], "expr": "x3"},
+    {"idx": [2, 3], "expr": "x1*x2"},
+]
+
 
 def models():
     for name in fixture_names():
@@ -48,6 +57,10 @@ def models():
     doc = json.loads(fixture_bytes("translation_nonequivariant"))
     doc["algebroid"]["connection"] = CONNECTION
     yield "translation-connection", (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    doc = json.loads(fixture_bytes("so3_action_algebroid"))
+    doc["metric"] = [{"idx": [i, i], "expr": "1"} for i in (1, 2, 3)]
+    doc["b_field"] = B_NOT_CLOSED
+    yield "so3-b-not-closed", (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     for seed in (1, 2, 3):
         yield f"so3-s{seed}", son_model_bytes(3, seed)
     yield "so4-s1", son_model_bytes(4, 1)

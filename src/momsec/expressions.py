@@ -14,11 +14,12 @@ Grammar (loosest to tightest binding)::
     power   :=  atom ("^" factor)?          # right associative
     atom    :=  NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
+Every subexpression without a coordinate is a number, fixed when the
+expression is lowered, so a domain error in one is found at load.
 ``^`` accepts integer and real exponents.  An exponent without a
-coordinate is a number, fixed when the expression is lowered; any other
-is variable, ``b^e = exp(e log b)``.  A real or a variable exponent
-requires a positive base.  The function table is ``sin cos tan exp log
-sqrt tanh abs``.
+coordinate is such a number; any other is variable, ``b^e = exp(e log
+b)``.  A real or a variable exponent requires a positive base.  The
+function table is ``sin cos tan exp log sqrt tanh abs``.
 
 An expression nests at most ``MAX_DEPTH`` levels deep, in its syntax
 tree (a chain such as ``x + x + x`` is one level per operator) and in
@@ -264,10 +265,6 @@ def parse(source: str, coords) -> Expr:
     if any(depth >= MAX_DEPTH for depth, _ in enumerate(_levels(node))):
         raise _too_deep()
     return node
-
-
-def has_coordinate(node: Expr) -> bool:
-    return any(isinstance(n, Var) for level in _levels(node) for n in level)
 
 
 def _too_deep() -> ExpressionError:

@@ -91,7 +91,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .expressions import Add, Call, Div, DomainError, Expr, Jet2, Mul, Neg, Num, Pow, Sub, Var, has_coordinate, parse
+from .expressions import Add, Call, Div, DomainError, Expr, Jet2, Mul, Neg, Num, Pow, Sub, Var, parse
 from .expressions import call, power, quotient, variable_power
 
 
@@ -348,7 +348,8 @@ def lower(expr: Expr, dim: int) -> ScalarField:
     """The field node of a parsed expression on a chart of dimension
     ``dim``, one call per tree level.  Sums, differences, products and
     negations go through the algebra, so equal subexpressions are one node
-    and zeros fold; an exponent without a coordinate becomes a number."""
+    and zeros fold; a subexpression without a coordinate becomes its
+    number, so an exponent is variable only where it has a coordinate."""
     if isinstance(expr, Num):
         return const_field(expr.value, dim)
     if isinstance(expr, Var):
@@ -356,16 +357,23 @@ def lower(expr: Expr, dim: int) -> ScalarField:
     if isinstance(expr, Neg):
         return lower(expr.operand, dim).scaled(-1.0)
     if isinstance(expr, Call):
-        return _shared(RuleField, call, expr.func, expr, lower(expr.arg, dim))
-    if isinstance(expr, Pow):
-        base, exponent = lower(expr.base, dim), lower(expr.exponent, dim)
-        if has_coordinate(expr.exponent):
-            return _shared(RuleField, variable_power, None, expr, base, exponent)
-        return _shared(RuleField, power, _number(exponent), expr, base)
-    left, right = lower(expr.left, dim), lower(expr.right, dim)
-    if isinstance(expr, Div):
-        return _shared(RuleField, quotient, None, expr, left, right)
-    return _ALGEBRA[expr.__class__](left, right)
+        inputs = (lower(expr.arg, dim),)
+        node = _shared(RuleField, call, expr.func, expr, *inputs)
+    elif isinstance(expr, Pow):
+        inputs = base, exponent = lower(expr.base, dim), lower(expr.exponent, dim)
+        if isinstance(exponent, ConstField):
+            node = _shared(RuleField, power, exponent.c, expr, base)
+        else:
+            node = _shared(RuleField, variable_power, None, expr, base, exponent)
+    else:
+        inputs = left, right = lower(expr.left, dim), lower(expr.right, dim)
+        if isinstance(expr, Div):
+            node = _shared(RuleField, quotient, None, expr, left, right)
+        else:
+            node = _ALGEBRA[expr.__class__](left, right)
+    if all(isinstance(f, ConstField) for f in inputs):
+        return const_field(_number(node), dim)
+    return node
 
 
 _ALGEBRA = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
@@ -373,9 +381,10 @@ _ALGEBRA = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 def _number(f: ScalarField) -> float:
     """The value of a field without coordinates; a domain error in it
-    names no point."""
+    names no point.  Overflow gives inf or NaN, as it does in a run."""
     try:
-        return f.c if isinstance(f, ConstField) else f.value(np.zeros(f.dim))
+        with np.errstate(all="ignore"):
+            return f.c if isinstance(f, ConstField) else f.value(np.zeros(f.dim))
     except DomainError as exc:
         raise DomainError(exc.reason, exc.subexpression) from None
 

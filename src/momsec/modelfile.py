@@ -73,7 +73,7 @@ class Model:
     # name and built by the first run of that suite, and the one program
     # of each selection, keyed by its tuple of suite names and compiled by
     # the first run of that selection (see suites.run); a model is never
-    # modified after loading, so both stay valid for every later run
+    # modified after loading, so both stay valid for every run after it
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

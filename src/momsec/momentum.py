@@ -18,15 +18,14 @@ two-dimensional model, and the constant-bracket equivariance reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebroid import AlgebroidData
 from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
+    ConstField,
     FormField,
-    Jet2,
     ScalarField,
     exterior_derivative,
     field_sum_d,
@@ -131,28 +130,10 @@ def classify(h1: bool, h2: bool, h3: bool) -> str:
     return CLASS_NONE
 
 
-def structure_functions(alg: AlgebroidData) -> list:
-    """The stored structure functions C^c_ab."""
-    return [f for C in alg.C for f in C.comps.values()]
-
-
-def constancy_maxima(jet: Jet2) -> np.ndarray:
-    """For the stacked order-1 jet of :func:`structure_functions` over
-    some points: the largest -C, C and |grad C| of each function.  The
-    elementwise maximum of these over the chunks of a sample is the same
-    array for the whole sample, and decides :func:`is_constant`."""
-    return np.concatenate(
-        [np.max(-jet.value, axis=1), np.max(jet.value, axis=1), np.max(np.abs(jet.grad), axis=(1, 2))]
-    )
-
-
-def is_constant(maxima: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every structure function is constant over the sample,
-    from the :func:`constancy_maxima` of the whole sample: its spread
-    (``max C - min C``) and its gradient stay within ``tol``; a NaN
-    maximum is not within it."""
-    neg_low, high, grad = np.split(maxima, 3)
-    return bool(np.all((high + neg_low <= tol) & (grad <= tol)))
+def constant_structure(alg: AlgebroidData) -> bool:
+    """True when every stored structure function C^c_ab is a finite
+    constant of the model: the hypothesis of :func:`momentum_map_fields`."""
+    return all(isinstance(f, ConstField) and math.isfinite(f.c) for C in alg.C for f in C.comps.values())
 
 
 def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):

@@ -3,16 +3,17 @@
 Each suite is planned once per model: its planner builds the suite's
 row graphs from the model alone, on the first run that needs the suite,
 and returns the step that reports them, every row set the step may read
-(whichever branch a run takes) and the probes it reads besides: the
-structure-constancy test and, in mechanics, the metric and anchor
-matrices.  The model keeps the plan for later runs.  A run compiles the
+(whichever branch a run takes) and the probes it reads besides, which
+only mechanics has: the metric and anchor matrices.  Which row sets
+exist is decided there, from the model's structure: the constant-bracket
+reductions only for a flat connection and structure functions that are
+finite constants of the model, and sigma2d's rows for a b that is not
+closed only when no ``beta_rigid`` is given and db is not a structural
+zero.  The model keeps the plan for every run after.  A run compiles the
 probes of every suite it selects into one
-:class:`~momsec.fields.Program`, which the model keeps for later runs of
-the same selection, so a node that several suites read is evaluated
-once.  The one exception is sigma2d's rows for a b that is not closed:
-they need second derivatives of b, so a plan of their own, with a
-program of its own, evaluates them, and only in a run whose step reads
-them.
+:class:`~momsec.fields.Program`, which the model keeps for each next
+run of the same selection, so a node that several suites read is evaluated
+once, and no other program is compiled.
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
@@ -24,12 +25,13 @@ and the suites' graphs, and each root group is reduced as it is read: a row fiel
 value is NaN), a probe to the arrays its reduction makes.  The run keeps
 the elementwise maximum over chunks of each, which every reduction here
 is chosen to make exact, and a domain error or a singular matrix names
-its point by its index in the whole sample.
+its point by its index in the whole sample: the first point where any
+node fails, whatever the chunk length.
 
 Only then do the steps run, and they read only these maxima.  The only
-wiring that reads sample values (whether the structure functions are
-constant, whether sigma2d's b is closed) is decided in the step, per
-run.  Each run has one :class:`CheckContext`, which holds the model, the
+wiring that reads sample values (whether sigma2d's b is closed, which
+picks the rigid-b rows it reports) is decided in the step, per run.
+Each run has one :class:`CheckContext`, which holds the model, the
 sample, the :class:`RunConfig`, the report and the maxima of every
 selected suite; its methods are the only code that makes a report row,
 and each appends its row to the report as it is made.  The H1-H3 rows
@@ -123,12 +125,12 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
         plans = []
         for suite in ctx.report.suites:
             if suite not in model._plans:
-                model._plans[suite] = _Plan(*_SUITES[suite][0](model), dim=model.chart.dim)
+                model._plans[suite] = _Plan(*_SUITES[suite][0](model))
             plans.append(model._plans[suite])
         probes = [p for plan in plans for p in plan.probes]
         key = tuple(ctx.report.suites)
         if key not in model._plans:
-            model._plans[key] = _program(probes, model.chart.dim)
+            model._plans[key] = Program([(p.fields, p.order) for p in probes], model.chart.dim)
         ctx.maxima = _evaluate(model._plans[key], probes, ctx.points)
         for plan in plans:
             ctx.plan = plan
@@ -153,19 +155,13 @@ def _abs_maxima(jet) -> np.ndarray:
     return np.abs(jet.value).max(axis=1)
 
 
-def _program(probes, dim: int) -> Program:
-    """The program whose root groups are the probes' fields, in order."""
-    return Program([(p.fields, p.order) for p in probes], dim)
-
-
 class _Plan:
     """A suite's step and its probes.  The first probe is every field of
     ``row_sets`` that is not a structural zero, to order 0, reduced to its
-    max |f|; ``index`` gives each such field's position in it.  Row sets
-    in ``later`` are evaluated only when the step reads them, by a plan of
-    their own, the one plan with a ``program`` of its own."""
+    max |f|; ``index`` gives each such field's position in it.  The run's
+    program evaluates every probe of the plan in every run."""
 
-    def __init__(self, step, row_sets, probes=(), later=(), *, dim: int):
+    def __init__(self, step, row_sets, probes=()):
         self.step = step
         self.index: dict = {}
         for rows in row_sets:
@@ -173,16 +169,14 @@ class _Plan:
                 if not f.is_zero:
                     self.index.setdefault(f, len(self.index))
         self.probes = (_Probe(list(self.index), 0, _abs_maxima), *probes)
-        self.later = None
-        if later:
-            self.later = _Plan(None, later, dim=dim)
-            self.later.program = _program(self.later.probes, dim)
 
 
 def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
     """The maxima of each probe's reduction over ``points``, keyed by
     probe; ``program`` was compiled from ``probes`` and runs chunk by
-    chunk."""
+    chunk.  A domain error or a singular matrix is reported at the first
+    point of the sample where any node fails, for the first node, in the
+    program's fixed kernel order, that fails there."""
     length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
     # one space for the program's tables, reused chunk after chunk
     space = np.empty(min(length, len(points)) * program.bytes_per_point // 8)
@@ -191,6 +185,15 @@ def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
         try:
             jets = program.run(chunk, space)
         except (DomainError, SingularMatrixError) as exc:
+            # the first kernel to fail may fail only past a point where a
+            # kernel after it fails: run the points before the reported
+            # one again until none of them fails
+            while exc.point:
+                try:
+                    program.run(chunk[: exc.point], space)
+                    break
+                except (DomainError, SingularMatrixError) as earlier:
+                    exc = earlier
             raise exc.shifted(start) from None
         reduced = [p.reduce(jet) for p, jet in zip(probes, jets)]
         maxima = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima, reduced)]
@@ -214,23 +217,16 @@ class CheckContext:
         self.points = model.chart.sample(cfg.points, cfg.seed)
         self.plan: _Plan | None = None
         self.maxima: dict = {}
-        self._later: dict = {}
         self.report = CheckReport(
             model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
         )
         self.verdicts = self.report.verdicts
 
     def max(self, rows) -> float:
-        """Largest |f| over the sample for (label, field) rows; rows that
-        the plan evaluates later are evaluated on the first read."""
-        fields = [f for _, f in rows if not f.is_zero]
-        plan, maxima = self.plan, self.maxima
-        if plan.later is not None and not all(f in plan.index for f in fields):
-            plan = plan.later
-            if plan not in self._later:
-                self._later[plan] = _evaluate(plan.program, plan.probes, self.points)
-            maxima = self._later[plan]
-        picked = maxima[plan.probes[0]][[plan.index[f] for f in fields]]
+        """Largest |f| over the sample for (label, field) rows of the
+        plan of the suite being reported; 0 for rows that are all zero."""
+        plan = self.plan
+        picked = self.maxima[plan.probes[0]][[plan.index[f] for _, f in rows if not f.is_zero]]
         # the maxima are >= 0 or NaN, and ndarray.max keeps a NaN
         return float(picked.max()) if len(picked) else 0.0
 
@@ -330,7 +326,7 @@ def plan_axioms(model: Model):
         )
         ctx.verdicts["algebroid_class"] = verdict
 
-    return evaluate, [anchor_rows, sigma_fields, contracted, q2_rows], ()
+    return evaluate, [anchor_rows, sigma_fields, contracted, q2_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +340,9 @@ def plan_momentum(model: Model):
     h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B, model.mu)
     tangent_rows = e_nabla_two_form_fields(conn, B)
     degenerate = B.is_zero and all(f.is_zero for f in model.mu)
-    reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if conn.is_flat else {}
-    constant = _Probe(mom.structure_functions(alg), 1, mom.constancy_maxima)
+    # the reductions hold for a flat connection and constant brackets
+    lie = conn.is_flat and mom.constant_structure(alg)
+    reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if lie else {}
 
     def evaluate(ctx: CheckContext):
         tol = ctx.tol
@@ -375,7 +372,7 @@ def plan_momentum(model: Model):
         if degenerate:
             ctx.verdicts["momentum_classification"] += " (degenerate: B = 0, mu = 0)"
 
-        if reductions and mom.is_constant(ctx.maxima[constant]):
+        if reductions:
             ctx.check("momentum/map-symplectic-vectorfield", "L_{rho_a} B = 0", reductions["symplectic"])
             ctx.check("momentum/map-hamiltonian-pairing", "d mu_a = iota_{rho_a} B", reductions["hamiltonian"])
             ctx.check("momentum/map-equivariance", "rho_a(mu_b) = C^c_ab mu_c", reductions["equivariance"])
@@ -391,8 +388,7 @@ def plan_momentum(model: Model):
                 assuming=([closed, h2], "comparison assumes dB = 0 and the momentum-section condition"),
             )
 
-    row_sets = [closed_rows, h1_rows, h2_rows, h3_rows, tangent_rows, *reductions.values()]
-    return evaluate, row_sets, [constant] if reductions else []
+    return evaluate, [closed_rows, h1_rows, h2_rows, h3_rows, tangent_rows, *reductions.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +519,11 @@ def plan_sigma2d(model: Model):
     eta = model.eta_boundary
 
     killing_rows = s2d.rigid_killing_fields(alg, g)
-    # without beta_rigid, which rigid-b rows a run reports depends on dB over its sample
+    # without beta_rigid, which rigid-b rows a run reports depends on db over
+    # its sample; the rows for a b that is not closed need a db that is not
+    # a structural zero
     b_closed_rows = mom.closedness_fields(b)
-    b_closure_rows = s2d.rigid_b_closure_fields(alg, b) if model.beta_rigid is None else None
+    b_closure_rows = s2d.rigid_b_closure_fields(alg, b) if model.beta_rigid is None and b_closed_rows else None
     b_rows, defaulted = s2d.rigid_b_fields(alg, b, model.beta_rigid)
     anchor_rows = alg_mod.anchor_morphism_fields(alg)
     gauged_rows = e_nabla_metric_fields(conn, g)
@@ -592,10 +590,9 @@ def plan_sigma2d(model: Model):
 
     row_sets = [
         killing_rows, b_closed_rows, b_rows, anchor_rows, gauged_rows, pairing_rows,
-        p2_rows, p3_rows, h1_rows, h2_rows, h3_rows, consistency_rows,
+        p2_rows, p3_rows, h1_rows, h2_rows, h3_rows, consistency_rows, b_closure_rows or [],
     ]
-    # second derivatives of b, read only when b is not closed on the sample
-    return evaluate, row_sets, (), [b_closure_rows] if b_closure_rows is not None else ()
+    return evaluate, row_sets
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +614,15 @@ def plan_multisym(model: Model):
     for k in range(n - 1, -1, -1):
         general[f"hm3[{k}]"], hm3_terms[k] = msy.hm3_differential_fields(data, k)
     rewrite_rows = msy.hm3_rewrite_fields(data) if n >= 2 else None
-    sp = msy.specialized_fields(data) if model.conn.is_flat else {}
-    constant = _Probe(mom.structure_functions(alg), 1, mom.constancy_maxima)
-    # the n = 1 tower against H1-H3 of its own 2-form and moment map
+    # the reduced system holds for a flat connection and constant brackets
+    sp = msy.specialized_fields(data) if model.conn.is_flat and mom.constant_structure(alg) else {}
+    # the n = 1 tower against H2 and H3 of its own 2-form and moment map;
+    # its HM1 rows are H1's, built by the same function
     reduction = None
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        reduction = dict(zip(("hm1", "hm2", "hm3[0]"), mom.condition_fields(alg, model.conn, msy.tilde_h(data), mu)))
+        reduced = mom.MomentumData(alg, model.conn, msy.tilde_h(data), mu)
+        reduction = {"hm2": mom.h2_fields(reduced), "hm3[0]": mom.h3_fields(reduced)}
     row_sets = [closed_rows, *chain(*((p, q) for _, p, q in descent_rows)), *general.values(), *sp.values()]
     row_sets += [rows for terms in hm3_terms.values() for rows in terms.values()]
     row_sets += [rewrite_rows or [], *(reduction or {}).values()]
@@ -676,7 +675,7 @@ def plan_multisym(model: Model):
                 flags=("differs from the literal identity by descent rearrangement",),
             )
 
-        if sp and mom.is_constant(ctx.maxima[constant]):
+        if sp:
             ctx.agreement(
                 "multisym/lie-specialize-agreement",
                 "constant-bracket reduced system matches the general evaluators",
@@ -698,7 +697,7 @@ def plan_multisym(model: Model):
             hm1.passed, hm2.passed, all(c.passed for c in hm3 + descent)
         )
 
-    return evaluate, row_sets, [constant] if sp else []
+    return evaluate, row_sets
 
 
 # suite -> (its planner, the model block it requires), in report order; a

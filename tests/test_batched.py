@@ -370,7 +370,9 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
 def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
     # compiling puts each node in one group, which one kernel writes once
     # per Program.run; with a program per suite, a node under two suites'
-    # roots was in a group of each program and written twice a chunk
+    # roots was in a group of each program and written twice a chunk.
+    # The model is made first: its generator runs a model of its own
+    model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
     arranged = []
     for cls in (ScalarField, fields.SumField):
 
@@ -379,17 +381,6 @@ def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
             return arranged[-1]
 
         monkeypatch.setattr(cls, "_arrange", staticmethod(recording_arrange))
-    compile_program = suites._program
-
-    def last_program(probes, dim):
-        # a run compiles its program after its plans, and after the one
-        # plan with a program of its own (sigma2d's rows for a b that is
-        # not closed), so the groups kept are the run program's
-        arranged.clear()
-        return compile_program(probes, dim)
-
-    monkeypatch.setattr(suites, "_program", last_program)
-    model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
     cfg = RunConfig(tolerance=model.tolerance, points=32, seed=42)
     run(model, "all", cfg)
     under = [_under(f for p in plan.probes for f in p.fields) for plan in _suite_plans(model)]
@@ -582,17 +573,27 @@ def _saturated_exponent_model(base: str) -> bytes:
 
 @pytest.mark.parametrize(
     "name",
-    [*fixture_names(), "so3", "b-not-closed", "nan-metric", "saturated-exponent-x", "saturated-exponent-x2-plus-half"],
+    [
+        *fixture_names(),
+        "so3",
+        "b-not-closed",
+        "nan-metric",
+        "saturated-exponent-x",
+        "saturated-exponent-x2-plus-half",
+        "log-x-plus-sqrt-y",
+    ],
 )
 def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
-    # b-not-closed reads sigma2d's rows for a b that is not closed, which
-    # a plan of their own evaluates when the step reads them; nan-metric's
-    # metric is NaN at some points, so a chunk may hold no finite metric.
-    # An exponent with a coordinate is variable at every point, however
-    # constant its values over a chunk: with the base x, which is negative
-    # at some points, every run stops with one error; with x^2 + 1/2 every
-    # run takes one path, where sigma2d/bdry-pairing differed in its last
-    # bits when the chunk decided
+    # b-not-closed reads sigma2d's rows for a b that is not closed;
+    # nan-metric's metric is NaN at some points, so a chunk may hold no
+    # finite metric.  An exponent with a coordinate is variable at every
+    # point, however constant its values over a chunk: with the base x,
+    # which is negative at some points, every run stops with one error;
+    # with x^2 + 1/2 every run takes one path, where sigma2d/bdry-pairing
+    # differed in its last bits when the chunk decided.  In log(x) +
+    # sqrt(y), sqrt leaves its domain first, at point 0 of (seed 42, 32
+    # points), and log at point 2, so the first failing point, not the
+    # chunk, decides which error a run stops with
     if name == "b-not-closed":
         raw = json.dumps(B_NOT_CLOSED).encode()
     elif name == "nan-metric":
@@ -601,6 +602,10 @@ def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
         raw = json.dumps(doc).encode()
     elif name.startswith("saturated-exponent"):
         raw = _saturated_exponent_model("x" if name.endswith("-x") else "(x*x + 0.5)")
+    elif name == "log-x-plus-sqrt-y":
+        doc = json.loads(fixture_bytes("rotation_momentum_map"))
+        doc["mu"][0]["expr"] = "log(x) + sqrt(y)"
+        raw = json.dumps(doc).encode()
     else:
         raw = _son_model_bytes(monkeypatch, 3) if name == "so3" else fixture_bytes(name)
     for seed, points in ((42, 32), (7, 17)):
@@ -608,6 +613,39 @@ def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
         assert reports[1:] == reports[:-1]
         failed = reports[0].startswith("error: variable exponent requires a positive base")
         assert failed == (name == "saturated-exponent-x")
+        assert reports[0].startswith("error: ") == (name in ("saturated-exponent-x", "log-x-plus-sqrt-y"))
+        if name == "log-x-plus-sqrt-y" and seed == 42:
+            assert reports[0] == "error: sqrt of a negative value in 'sqrt(y)' at sample point 0"
+
+
+def test_a_run_that_reads_rows_of_a_b_that_is_not_closed_compiles_one_program(monkeypatch):
+    # sigma2d's rows for a b that is not closed are one more row set of
+    # the run's program: it is the one program a run compiles, and it
+    # runs once per chunk
+    model = load_model_bytes(json.dumps(B_NOT_CLOSED).encode())
+    compiled, calls = [], []
+    compile_program, run_program = Program.__init__, Program.run
+
+    def counting_init(program, groups, dim):
+        compiled.append(program)
+        compile_program(program, groups, dim)
+
+    def counting_run(program, points, space=None):
+        calls.append(program)
+        return run_program(program, points, space)
+
+    monkeypatch.setattr(Program, "__init__", counting_init)
+    monkeypatch.setattr(Program, "run", counting_run)
+    cfg = RunConfig(points=32, seed=42)
+    rep = run(model, "all", cfg)
+    assert "b not closed" in " ".join(rep.find("sigma2d/rigid-b-invariance").flags)
+    assert compiled == [_program_of(model)]
+    assert calls == compiled
+    calls.clear()
+    _chunks_of(monkeypatch, model, 11)
+    assert run(model, "all", cfg).to_json() == rep.to_json()
+    assert compiled == [_program_of(model)]
+    assert calls == compiled * 3
 
 
 def test_a_nan_in_a_later_chunk_fails_its_row(monkeypatch):

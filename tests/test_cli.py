@@ -223,6 +223,18 @@ class TestEvaluationFailures:
         failed = [c for c in json.loads(captured.out)["checks"] if "non-finite" in c["flags"]]
         assert failed and not any(c["passed"] for c in failed)
 
+    def test_coordinate_free_overflow_is_nonfinite_failure(self, tmp_path, capsys):
+        # exp(1000) is a number fixed at load, inf, with no warning there
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "exp(1000)*x"}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        h2 = next(c for c in json.loads(captured.out)["checks"] if c["name"] == "momentum/h2-momentum-section")
+        assert h2["passed"] is False and "non-finite" in h2["flags"]
+
     def test_too_deep_expression_is_usage_error(self, tmp_path, capsys):
         # evaluating a 3,000-term chain would recurse once per operator
         path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "+".join(["x"] * 3000)}])
@@ -260,6 +272,16 @@ class TestEvaluationFailures:
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == (
             "error: invalid model: mu[0].expr: bad expression: division by zero in '1.0 / 0.0'\n"
+        )
+
+    def test_coordinate_free_domain_error_is_usage_error(self, tmp_path, capsys):
+        # a subexpression without a coordinate is a number fixed at load
+        path = _rotation_with(tmp_path, mu=[{"idx": [1], "expr": "log(-1)*x"}])
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid model: mu[0].expr: bad expression: log of a non-positive value in 'log(-1.0)'\n"
         )
 
     def test_domain_error_exit_code(self, tmp_path, capsys):

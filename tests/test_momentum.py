@@ -5,9 +5,9 @@ from conftest import chart2, f, random_poly_source
 from momsec.algebroid import AlgebroidData
 from momsec.connections import ConnectionData
 from momsec.fields import (
+    ConstField,
     ExprField,
     FormField,
-    Program,
     VectorField,
     const_field,
     exterior_derivative,
@@ -22,15 +22,13 @@ from momsec.momentum import (
     MomentumData,
     classify,
     closedness_fields,
-    constancy_maxima,
+    constant_structure,
     gamma_from_B,
     h1_fields,
     h2_fields,
     h3_fields,
-    is_constant,
     momentum_map_fields,
     pairing_B,
-    structure_functions,
 )
 
 
@@ -224,18 +222,21 @@ class TestMomentumMapReduction:
             momentum_map_fields(data.alg, ConnectionData(data.alg, gamma), data.B, data.mu)
 
     def test_constant_structure_detector(self):
+        # constant brackets are read off the model: a coordinate-free
+        # entry is its number when it loads; x - x is not folded
         ch = chart2()
         zero = const_field(0.0, 2)
-        pts = ch.sample(10, 16)
 
-        def _is_constant_structure(alg, points):
-            jet = next(Program([(structure_functions(alg), 1)], alg.dim).run(points))
-            return is_constant(constancy_maxima(jet))
+        def alg_with(source):
+            return AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): f(source, ch)})
 
-        const_alg = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): const_field(2.0, 2)})
-        assert _is_constant_structure(const_alg, pts)
-        var_alg = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): f("x", ch)})
-        assert not _is_constant_structure(var_alg, pts)
+        assert constant_structure(alg_with("2*(3 - 1)/4"))
+        assert isinstance(alg_with("2*(3 - 1)/4").structure(0, 0, 1), ConstField)
+        assert not constant_structure(alg_with("x - x + 1"))
+        assert not constant_structure(alg_with("x"))
+        assert constant_structure(AlgebroidData(ch, 2, [[zero, zero]] * 2, {}))
+        nan = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): const_field(float("nan"), 2)})
+        assert not constant_structure(nan)
 
 
 class TestClosedness:

@@ -1,8 +1,8 @@
 """Property tests over the built-in fixtures and random models: malformed
 model files fail only with ModelError, reports are deterministic with an
-exit code that follows ``overall_pass``, a valid model yields a report or
-an evaluation error and never a traceback, and folding structural zeros
-changes no residual."""
+exit code that follows ``overall_pass``, a valid model yields a report, an
+evaluation error or a load-time domain error and never a traceback, and
+folding structural zeros changes no residual."""
 
 import io
 import itertools
@@ -11,11 +11,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly_source, random_smooth_source
-from momsec.cli import EXIT_EVAL, main
+from momsec.cli import EXIT_EVAL, EXIT_USAGE, main
+from momsec.expressions import DomainError
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import ModelError, load_model_bytes
 from momsec.suites import RunConfig, run
@@ -94,7 +95,8 @@ def _random_model(rng: np.random.Generator) -> dict:
     """A valid model file with random expressions.  Two models in three
     fill every block, sometimes with a metric (positive definite at every
     point) and a multisymplectic tower, and one mu component in four is
-    a log or a quotient, which may leave its domain at the sample.  The
+    a log or a quotient, which may leave its domain at the sample, or at
+    load where its argument has no coordinate.  The
     third has only constant anchors, mu and metric, so that some models
     pass."""
     dim = int(rng.integers(2, 4))
@@ -150,14 +152,26 @@ def _random_model(rng: np.random.Generator) -> dict:
 
 
 @given(seed=st.integers(0, 2**32 - 1), sample_seed=st.integers(0, 2**32 - 1), points=st.integers(1, 12))
+@example(seed=2589, sample_seed=42, points=12)
 @settings(max_examples=40, deadline=None)
 def test_random_valid_model_gives_a_report_or_an_evaluation_error(tmp_path_factory, seed, sample_seed, points):
+    # seed 2589 wraps a constant mu entry in log, out of its domain
     raw = json.dumps(_random_model(np.random.default_rng(seed))).encode()
     path = tmp_path_factory.mktemp("model") / "random.json"
     path.write_bytes(raw)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["check", str(path), "--format", "json", "--seed", str(sample_seed), "--points", str(points)])
+    if code == EXIT_USAGE:
+        # a subexpression without a coordinate is a number fixed at load,
+        # so its domain error names no sample point
+        assert out.getvalue() == ""
+        with pytest.raises(ModelError) as exc:
+            load_model_bytes(raw)
+        assert isinstance(exc.value.__cause__, DomainError) and exc.value.__cause__.point is None
+        assert err.getvalue() == f"error: invalid model: {exc.value}\n"
+        assert ": bad expression: " in err.getvalue() and "sample point" not in err.getvalue()
+        return
     if code == EXIT_EVAL:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: cannot evaluate the model at the sample")

@@ -355,6 +355,28 @@ def test_a_non_finite_hypothesis_keeps_the_row_required(fixture_models):
     assert not rep.overall_pass
 
 
+@pytest.mark.parametrize("expr, constant", [("2*(3 - 1)/4", True), ("x1 - x1 + 1", False)])
+def test_constant_brackets_are_read_off_the_model(monkeypatch, expr, constant):
+    # C^1_23 is 1 at every point either way; only a coordinate-free entry
+    # is a constant of the model, which the constant-bracket rows assume
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
+    from perfbench.models import son_model_doc
+
+    doc = son_model_doc(3, 1)
+    entry = next(e for e in doc["algebroid"]["structure"] if e["idx"] == [1, 2, 3])
+    entry["expr"] = expr
+    names = {c.name for c in run(load_model_bytes(json.dumps(doc).encode()), "all").checks}
+    assert "momentum/h3-bracket-compat" in names
+    for name in (
+        "momentum/map-symplectic-vectorfield",
+        "momentum/map-hamiltonian-pairing",
+        "momentum/map-equivariance",
+        "momentum/map-reduction-agreement",
+        "multisym/lie-specialize-agreement",
+    ):
+        assert (name in names) == constant, name
+
+
 def test_a_nan_structure_function_is_not_constant(monkeypatch):
     # C^1_23 is 1 where exp does not overflow and NaN where it does, so
     # constancy is never established and no row that assumes it is made
