@@ -10,7 +10,8 @@ errors, since no residual could fail against them.  ``--seed`` must be a
 non-negative integer, as ``sampling.seed`` in a model file must be.
 
 Exit codes: 0 all required checks pass, 1 a required check failed,
-2 usage or validation error, 3 the model cannot be evaluated at the
+2 usage or validation error (a point count too large to sample in
+memory among them), 3 the model cannot be evaluated at the
 sample: a domain error (such as log of a non-positive value), whose
 message names the subexpression and the first offending sample point,
 or a metric that is a finite singular matrix at a sample point.  A
@@ -101,6 +102,10 @@ def cmd_check(args) -> int:
     except (ExpressionError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: cannot evaluate the model at the sample: {exc}", file=sys.stderr)
         return EXIT_EVAL
+    except MemoryError:
+        points = model.sampling.points if args.points is None else args.points
+        print(f"error: not enough memory for a sample of {points} points", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.format == "json":
         sys.stdout.write(report.to_json())

@@ -16,13 +16,14 @@ one jet order, so a once-differentiated field still has an exact value
 and gradient but no Hessian.  No check in this package ever
 differentiates a field more than twice.
 
-A program evaluates a chunk of points at a time, level by level: the
-nodes of one level, class and order (and, for an expression node, rule)
-are one group, evaluated by one numpy kernel over their stacked operand
-rows with the rules of :class:`Jet2`, so a run costs numpy work per
-group, not interpreter work per node.  Each node is evaluated once per
-chunk, into a slot of the program's tables, which live only for the
-chunk.  A check run compiles the graphs of every suite it selects into
+A program evaluates a chunk of points at a time, one group after
+another: a group is nodes of one class and order (and, for an
+expression node, rule) whose inputs are evaluated, taken from the ready
+nodes by the rule of :class:`Program`, and one numpy kernel evaluates
+it over their stacked operand rows with the rules of :class:`Jet2`, so
+a run costs numpy work per group, not interpreter work per node.  Each
+node is evaluated once per chunk, into a slot of the program's tables,
+which live only for the chunk.  A check run compiles the graphs of every suite it selects into
 one program, so the groups, and the nodes the suites share, span every
 suite.  The leaves, coordinates and constants, are groups too, whose
 kernels fill their rows from the chunk's points, so a program evaluates
@@ -143,7 +144,7 @@ class _Node:
     inputs: tuple = ()
     level = 0
     held = 2
-    # nodes of one level, class, order and kind are one group of a program
+    # ready nodes of one class, order and kind are one group of a program
     _kind = None
     # the jet orders this node consumes of its inputs: a partial, one
     _lift = 0
@@ -258,8 +259,9 @@ class ScalarField(_Node):
         position, the slots of that input of every node; then for each
         name in ``_params``, that attribute of every node."""
         lifted = order + cls._lift
-        inputs = [_gather([n.inputs[j] for n in nodes], lifted, slots) for j in range(len(nodes[0].inputs))]
-        return (*inputs, *(np.array([getattr(n, name) for n in nodes]) for name in cls._params))
+        # the nodes of a group have one number of inputs
+        inputs = [_gather(column, lifted, slots) for column in zip(*map(_INPUTS, nodes))]
+        return (*inputs, *(np.array(list(map(attrgetter(name), nodes))) for name in cls._params))
 
 
 class ConstField(ScalarField):
@@ -418,9 +420,12 @@ class SumField(ScalarField):
 
     @classmethod
     def _args(cls, nodes, order, slots):
-        return tuple(
-            _gather([n.terms[j] for n in nodes if len(n.terms) > j], order, slots) for j in range(len(nodes[0].terms))
-        )
+        # column j: the term at position j of each node that has one
+        columns = [[] for _ in nodes[0].terms]
+        for n in nodes:
+            for column, term in zip(columns, n.terms):
+                column.append(term)
+        return tuple(_gather(column, order, slots) for column in columns)
 
     @staticmethod
     def _kernel(t, out, first, *rest):
@@ -643,16 +648,18 @@ def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
 
 
 _LEVEL = attrgetter("level")
+_INPUTS = attrgetter("inputs")
 
 
 def _gather(nodes, order: int, slots) -> tuple:
     """Slots of ``nodes`` in the value table, and in the gradient and
     Hessian tables up to ``order``; ``None`` above it."""
     value, grad, hess = slots
+    n = len(nodes)
     return (
-        np.array([value[n] for n in nodes], dtype=np.intp),
-        np.array([grad[n] for n in nodes], dtype=np.intp) if order >= 1 else None,
-        np.array([hess[n] for n in nodes], dtype=np.intp) if order >= 2 else None,
+        np.fromiter(map(value.__getitem__, nodes), np.intp, n),
+        np.fromiter(map(grad.__getitem__, nodes), np.intp, n) if order >= 1 else None,
+        np.fromiter(map(hess.__getitem__, nodes), np.intp, n) if order >= 2 else None,
     )
 
 
@@ -697,18 +704,25 @@ class Program:
       its group's order, and one more through a :class:`PartialField`
       (at most 2);
     - an order: its demand, or its ``held`` order where that is lower;
+    - a height: the length of the longest path from it up to a root;
     - a slot in the value table, and in the gradient and Hessian tables
       when its order reaches them.
 
-    Nodes of one level, class, order and ``_kind`` form a group (the
-    entries of a matrix inverse, one group per inverse), and ``run`` runs
-    each group as one numpy kernel over the stacked rows of its operands,
-    level by level, so every node is evaluated once per call.  The leaves,
-    coordinates and constants, are groups too, whose kernels fill their
-    rows from the points.  ``run`` gives, for each root group, the stacked
-    jet of its fields, to the group's order or as far as every field
-    holds it.  A field differentiated more than twice makes compiling
-    raise ``ValueError``.
+    Then it schedules the nodes by readiness: a node is ready once every
+    one of its inputs has been scheduled, so the leaves, coordinates and
+    constants, are ready first.  Among the keys (class, order and
+    ``_kind``) that have ready nodes, it takes the key whose ready nodes
+    include the greatest height, and all of that key's ready nodes become
+    one group, until no node is left.  The entries of a matrix inverse
+    share their inputs and their ``_kind``, so they become ready together
+    and are one group per inverse.  The schedule depends on insertion
+    order alone, never on hashing.  ``run`` runs each group, in that
+    order, as one numpy kernel over the stacked rows of its operands, so
+    every node is evaluated once per call, after its inputs; the leaves'
+    kernels fill their rows from the points.  ``run`` gives, for each root
+    group, the stacked jet of its fields, to the group's order or as far
+    as every field holds it.  A field differentiated more than twice makes
+    compiling raise ``ValueError``.
     """
 
     def __init__(self, groups, dim: int):
@@ -719,45 +733,85 @@ class Program:
             for f in fields:
                 if demand.get(f, -1) < order:
                     demand[f] = min(order, 2)
+        # ``users`` lists each node's consumers, a consumer once for every
+        # input position at which it reads the node
+        users = {f: [] for f in demand}
         stack = list(demand)
         while stack:
-            for i in stack.pop().inputs:
-                if i not in demand:
+            node = stack.pop()
+            for i in node.inputs:
+                consumers = users.get(i)
+                if consumers is None:
+                    users[i] = [node]
                     demand[i] = 0
                     stack.append(i)
-        # consumers before inputs, so each node's demand is final when it
-        # is reached; then ``demand`` keeps the order the node is evaluated to
-        grouped: dict = {}
+                else:
+                    consumers.append(node)
+        # consumers before inputs, so each node's demand and height are
+        # final when it is reached; then ``demand`` keeps the order the node
+        # is evaluated to.  ``waiting`` counts the inputs a node waits for,
+        # one for every position, as ``users`` does; a leaf waits for none
+        height = dict.fromkeys(demand, 0)
+        waiting: dict = {}
+        leaves = []
         inverses: dict = {}
         for node in sorted(demand, key=_LEVEL, reverse=True):
             d = demand[node]
-            need = d + node._lift
-            if need:
-                need = min(need, 2)
-                for i in node.inputs:
-                    if demand[i] < need:
-                        demand[i] = need
+            inputs = node.inputs
+            if inputs:
+                waiting[node] = len(inputs)
+                up = height[node] + 1
+                for i in inputs:
+                    if height[i] < up:
+                        height[i] = up
+                need = d + node._lift
+                if need:
+                    need = min(need, 2)
+                    for i in inputs:
+                        if demand[i] < need:
+                            demand[i] = need
+            else:
+                leaves.append(node)
             k = node.held
-            if k < 0:
-                raise ValueError("jet order exhausted: a field was differentiated more than twice")
+            if k < d:
+                if k < 0:
+                    raise ValueError("jet order exhausted: a field was differentiated more than twice")
+                demand[node] = k
             if node.__class__ is MatrixInverseField:
                 inverses.setdefault(node.core, []).append(node)
-                continue
-            if d < k:
-                k = d
-            demand[node] = k
-            grouped.setdefault((node.level, node.__class__, k, node._kind), []).append(node)
+        # an inverse is computed once per chunk, so its entries are evaluated
+        # to one order, the highest any of them is; they share their inputs,
+        # so each of them holds that order
         for entries in inverses.values():
             top = max(demand[n] for n in entries)
             for n in entries:
-                demand[n] = k = min(top, n.held)
-                grouped.setdefault((n.level, MatrixInverseField, k, n._kind), []).append(n)
+                demand[n] = top
 
         slots = ({}, {}, {})
         self._kernels = []
-        for key in sorted(grouped, key=lambda key: key[0]):
-            _, cls, k, _ = key
-            nodes = cls._arrange(grouped[key])
+        # the ready nodes by key, the greatest height among each key's, and
+        # the nodes the last group made ready: the leaves at first
+        ready: dict = {}
+        tallest: dict = {}
+        fresh = leaves
+        while True:
+            for node in fresh:
+                key = (node.__class__, demand[node], node._kind)
+                h = height[node]
+                group = ready.get(key)
+                if group is None:
+                    ready[key] = [node]
+                    tallest[key] = h
+                else:
+                    group.append(node)
+                    if tallest[key] < h:
+                        tallest[key] = h
+            if not ready:
+                break
+            key = max(tallest, key=tallest.__getitem__)
+            del tallest[key]
+            cls, k, _ = key
+            nodes = cls._arrange(ready.pop(key))
             out = []
             for table in slots[: k + 1]:
                 start = len(table)
@@ -765,6 +819,13 @@ class Program:
                 out.append(slice(start, start + len(nodes)))
             out += [None] * (2 - k)
             self._kernels.append((cls._kernel, tuple(out), cls._args(nodes, k, slots)))
+            fresh = []
+            for node in nodes:
+                for consumer in users[node]:
+                    left = waiting[consumer] - 1
+                    waiting[consumer] = left
+                    if not left:
+                        fresh.append(consumer)
         self._roots = [_gather(fields, min([order, *(demand[f] for f in fields)]), slots) for fields, order in groups]
         self.dim = dim
         self.sizes = tuple(len(table) for table in slots)

@@ -5,14 +5,18 @@ check rows appear in the fixed order the suites make them, which is not
 always registry order (mechanics makes theorem-h1..h3 before
 flow-deg1-vs-h2 and firstclass-deg0-vs-h3, and multisym makes the
 descent rows k by k), floats are rendered with Python's shortest
-round-trip repr, and JSON keys are sorted.
+round-trip repr, and JSON keys are sorted.  ``CheckReport.to_json``
+writes the bytes ``json.dumps(payload, sort_keys=True, indent=2)`` would,
+and a newline, but fills one template per check row, with strings
+through json's own C encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 
 @dataclass
@@ -57,18 +61,19 @@ class CheckReport:
         raise KeyError(name)
 
     def to_json(self) -> str:
-        payload = {
-            "schema": 1,
-            "model_hash": self.model_hash,
-            "seed": self.seed,
-            "points": self.points,
-            "tolerance": self.tolerance,
-            "suites": self.suites,
-            "overall_pass": self.overall_pass,
-            "verdicts": self.verdicts,
-            "checks": [vars(c) for c in self.checks],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """The report as ``json.dumps(payload, sort_keys=True, indent=2)``
+        writes it, with a newline: each check row from one template."""
+        rows = ",\n    ".join([_ROW % tuple(map(_json, _ROW_VALUES(c))) for c in self.checks])
+        return _REPORT % (
+            f"[\n    {rows}\n  ]" if rows else "[]",
+            _json(self.model_hash),
+            _json(self.overall_pass),
+            _json(self.points),
+            _json(self.seed),
+            _json(self.suites, "\n  "),
+            _json(self.tolerance),
+            _json(self.verdicts, "\n  "),
+        )
 
     def to_text(self) -> str:
         lines = []
@@ -95,6 +100,54 @@ class CheckReport:
             lines.append(f"verdict {key}: {val}")
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+# the keys of a check row, and the report's in its template, sorted as json writes them
+_ROW_KEYS = (
+    "equation", "flags", "informational", "max_residual", "n_points", "n_tuples", "name", "passed", "terms", "tolerance"
+)
+_ROW_VALUES = attrgetter(*_ROW_KEYS)
+_ROW = "{\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS) + "\n    }"
+_REPORT = (
+    '{\n  "checks": %s,\n  "model_hash": %s,\n  "overall_pass": %s,\n  "points": %s,\n  "schema": 1,\n'
+    '  "seed": %s,\n  "suites": %s,\n  "tolerance": %s,\n  "verdicts": %s\n}\n'
+)
+
+
+def _json(value, indent: str = "\n      ") -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    where ``indent``, a line break and the indentation, starts its lines:
+    strings through json's own ASCII encoder, floats by ``float.__repr__``
+    with json's spellings of NaN and the infinities."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _result(name, equation, residual, n_points, n_tuples, tolerance, informational, terms, flags) -> CheckResult:

@@ -3,8 +3,11 @@
 Each suite is planned once per model: its planner builds the suite's
 row graphs from the model alone, on the first run that needs the suite,
 and returns the step that reports them, every row set the step may read
-(whichever branch a run takes) and the probes it reads besides, which
-only mechanics has: the metric and anchor matrices.  Which row sets
+(whichever branch a run takes; it reads no other, and a concatenation of
+row sets is one more row set, built there) and the probes it reads
+besides, which only mechanics has: the metric and anchor matrices.  The
+plan finds the positions of each row set's fields once, so a step reads a
+row set's maximum without building an index.  Which row sets
 exist is decided there, from the model's structure: the constant-bracket
 reductions only for a flat connection and structure functions that are
 finite constants of the model, and sigma2d's rows for a b that is not
@@ -158,17 +161,24 @@ def _abs_maxima(jet) -> np.ndarray:
 class _Plan:
     """A suite's step and its probes.  The first probe is every field of
     ``row_sets`` that is not a structural zero, to order 0, reduced to its
-    max |f|; ``index`` gives each such field's position in it.  The run's
-    program evaluates every probe of the plan in every run."""
+    max |f|; ``positions`` maps each row set, by identity, to the
+    positions of its fields in that probe, so a step reads a row set's
+    maximum with one index array.  A row set that is ``None`` was not
+    built for the model.  The plan holds the row sets, so no id is reused
+    while it lives.  The run's program evaluates every probe of the plan
+    in every run."""
 
     def __init__(self, step, row_sets, probes=()):
         self.step = step
-        self.index: dict = {}
+        self.row_sets = row_sets
+        index: dict = {}
+        self.positions = {}
         for rows in row_sets:
-            for _, f in rows:
-                if not f.is_zero:
-                    self.index.setdefault(f, len(self.index))
-        self.probes = (_Probe(list(self.index), 0, _abs_maxima), *probes)
+            if rows is None:
+                continue
+            picked = [index.setdefault(f, len(index)) for _, f in rows if not f.is_zero]
+            self.positions[id(rows)] = np.array(picked, dtype=np.intp)
+        self.probes = (_Probe(list(index), 0, _abs_maxima), *probes)
 
 
 def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
@@ -223,10 +233,10 @@ class CheckContext:
         self.verdicts = self.report.verdicts
 
     def max(self, rows) -> float:
-        """Largest |f| over the sample for (label, field) rows of the
-        plan of the suite being reported; 0 for rows that are all zero."""
+        """Largest |f| over the sample for a row set that the planner of
+        the suite being reported returned; 0 for rows that are all zero."""
         plan = self.plan
-        picked = self.maxima[plan.probes[0]][[plan.index[f] for _, f in rows if not f.is_zero]]
+        picked = self.maxima[plan.probes[0]][plan.positions[id(rows)]]
         # the maxima are >= 0 or NaN, and ndarray.max keeps a NaN
         return float(picked.max()) if len(picked) else 0.0
 
@@ -243,7 +253,8 @@ class CheckContext:
         anchoring: bool = False,
         assuming: tuple = ((), ""),
     ) -> CheckResult:
-        """The row for labeled fields: their max absolute residual.
+        """The row for a row set of labeled fields, one that the suite's
+        planner returned: their max absolute residual.
 
         ``terms`` maps a term label to its own labeled fields; the row
         reports the maximum of each term that has any, as a breakdown of
@@ -252,7 +263,6 @@ class CheckContext:
         sets ``require_h1``.  ``assuming=(rows, flag)`` names the reported
         rows this row's equation assumes (see :meth:`_add`).
         """
-        rows = list(rows)
         if terms is not None:
             terms = {label: self.max(term_rows) for label, term_rows in terms.items() if term_rows} or None
         informational = informational or (anchoring and not self.cfg.require_h1)
@@ -407,6 +417,9 @@ def plan_mechanics(model: Model):
     tau_rows = ham.tau_prime_fields(absorbed)
     fc2 = _by_degree(ham.first_class_fields(absorbed.system))
     fl2 = _by_degree(ham.flow_fields(absorbed.system))
+    # each residual's rows over every degree, and the twisted degree-0 block
+    fc_rows, fl_rows, fc2_rows, fl2_rows = (list(chain(*rows.values())) for rows in (fc, fl, fc2, fl2))
+    fc2_constant = fc2.get("degree 0", [])
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
     d = model.chart.dim
     # NaN at a point where the matrix has a non-finite entry, which fails the row
@@ -440,8 +453,8 @@ def plan_mechanics(model: Model):
             informational=True,
         )
 
-        ctx.check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", chain(*fc.values()), terms=fc)
-        ctx.check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", chain(*fl.values()), terms=fl)
+        ctx.check("mechanics/first-class", "{Phi_a, Phi_b} = C^c_ab Phi_c", fc_rows, terms=fc)
+        ctx.check("mechanics/flow", "{H, Phi_a} = lambda_a^b Phi_b", fl_rows, terms=fl)
 
         ctx.check("mechanics/twist-closed", "d(dA) = 0 for A = g_flat beta", twist_rows, max(tol, 1e-12))
         tau = ctx.check(
@@ -454,13 +467,13 @@ def plan_mechanics(model: Model):
         ctx.check(
             "mechanics/first-class-twisted",
             "{Phi'_a, Phi'_b} = C^c_ab Phi'_c under the twisted bracket",
-            chain(*fc2.values()),
+            fc2_rows,
             terms=fc2,
         )
         ctx.check(
             "mechanics/flow-twisted",
             "{H', Phi'_a} = lambda'_a^b Phi'_b under the twisted bracket",
-            chain(*fl2.values()),
+            fl2_rows,
             terms=fl2,
         )
 
@@ -483,7 +496,7 @@ def plan_mechanics(model: Model):
         ctx.agreement(
             "mechanics/firstclass-deg0-vs-h3",
             "constant block of the first-class residual matches bracket compatibility",
-            [(fc2.get("degree 0", []), h3_rows)],
+            [(fc2_constant, h3_rows)],
             1e-9,
         )
 
@@ -494,7 +507,7 @@ def plan_mechanics(model: Model):
         ctx.verdicts["mechanics_classification"] = verdict
 
     row_sets = [*fc.values(), *fl.values(), twist_rows, tau_rows, *fc2.values(), *fl2.values()]
-    row_sets += [h1_rows, h2_rows, h3_rows]
+    row_sets += [h1_rows, h2_rows, h3_rows, fc_rows, fl_rows, fc2_rows, fl2_rows, fc2_constant]
     return evaluate, row_sets, [conditioning, deficiency]
 
 
@@ -590,7 +603,7 @@ def plan_sigma2d(model: Model):
 
     row_sets = [
         killing_rows, b_closed_rows, b_rows, anchor_rows, gauged_rows, pairing_rows,
-        p2_rows, p3_rows, h1_rows, h2_rows, h3_rows, consistency_rows, b_closure_rows or [],
+        p2_rows, p3_rows, h1_rows, h2_rows, h3_rows, consistency_rows, b_closure_rows,
     ]
     return evaluate, row_sets
 
@@ -625,7 +638,7 @@ def plan_multisym(model: Model):
         reduction = {"hm2": mom.h2_fields(reduced), "hm3[0]": mom.h3_fields(reduced)}
     row_sets = [closed_rows, *chain(*((p, q) for _, p, q in descent_rows)), *general.values(), *sp.values()]
     row_sets += [rows for terms in hm3_terms.values() for rows in terms.values()]
-    row_sets += [rewrite_rows or [], *(reduction or {}).values()]
+    row_sets += [rewrite_rows, *(reduction or {}).values()]
 
     def evaluate(ctx: CheckContext):
         closed = ctx.check("multisym/pre-nplectic-closed", "dh = 0", closed_rows, informational=True)

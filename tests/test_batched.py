@@ -358,13 +358,57 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
     assert [(p, count) for p, count, _ in calls] == [(program, 11), (program, 11), (program, 10)]
     for _, count, rows in calls:
-        # one kernel per group of a level, class and order, across suites
-        # (79 on this model; 52 before its expressions were lowered into
-        # the program)
-        assert len(rows) <= 90
+        # one kernel per group of ready nodes of a class and order, across
+        # suites (42 on this model; 79 when a group was one level's nodes,
+        # 52 before its expressions were lowered into the program)
+        assert len(rows) <= 45
         # disjoint row blocks of the value table, each written once
         assert all(a + n * 8 * count <= b for (a, n), (b, _) in zip(rows, rows[1:]))
         assert sum(n for _, n in rows) == program.sizes[0]
+
+
+@pytest.mark.parametrize("model", ["so(3)", "magnetic_twist_mechanics"])
+def test_no_kernel_reads_a_slot_before_it_is_written(model, monkeypatch):
+    # the tables start as whatever ``space`` held: a kernel that read a
+    # slot before its kernel wrote it would read NaN from one space and 0
+    # from the other.  magnetic_twist_mechanics's program has a matrix
+    # inverse, whose entries are one group
+    raw = _son_model_bytes(monkeypatch, 3) if model == "so(3)" else fixture_bytes(model)
+    loaded = load_model_bytes(raw)
+    run(loaded, "all", RunConfig(tolerance=loaded.tolerance, points=8, seed=42))
+    program = _program_of(loaded)
+    assert model == "so(3)" or any(kernel is fields.MatrixInverseField._kernel for kernel, _, _ in program._kernels)
+    points = loaded.chart.sample(32, 42)
+    size = len(points) * program.bytes_per_point // 8
+    nan = list(program.run(points, np.full(size, np.nan)))
+    zero = list(program.run(points, np.zeros(size)))
+    for a, b in zip(nan, zero):
+        for x, y in zip((a.value, a.grad, a.hess), (b.value, b.grad, b.hess)):
+            assert (x is None) == (y is None)
+            assert x is None or _bits(x) == _bits(y)
+
+
+@pytest.mark.parametrize("source", ["x + y + x", "x*x"])
+def test_a_node_that_reads_one_input_twice_runs_after_it(source):
+    # a consumer waits for each position at which it reads an input, so a
+    # node whose inputs repeat runs once, after them, and reads them right
+    ch = Chart(("x", "y"), ((-2.0, 2.0),) * 2)
+    field = f(source, ch)
+    assert len(set(field.inputs)) < len(field.inputs)
+    points = ch.sample(9, 4)
+    x, y = points.T
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    value, grad, hess = {
+        "x + y + x": (x + y + x, [2 * one, one], [[zero, zero], [zero, zero]]),
+        "x*x": (x * x, [x + x, zero], [[2 * one, zero], [zero, zero]]),
+    }[source]
+    # the repeated input is a root of the program too
+    jet, coordinate = Program([([field], 2), ([f("x", ch)], 2)], ch.dim).run(points)
+    assert _bits(coordinate.value[0]) == _bits(x)
+    assert _bits(jet.value[0]) == _bits(value)
+    # a zero derivative may come out as -0.0
+    assert np.array_equal(jet.grad[0], np.array(grad))
+    assert np.array_equal(jet.hess[0], np.array(hess))
 
 
 def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
@@ -496,8 +540,8 @@ def test_two_suites_reading_one_quantity_read_one_set_of_nodes(monkeypatch):
     check = suites.CheckContext.check
 
     def recording_check(ctx, name, equation, labeled, *args, **kwargs):
-        rows[name] = list(labeled)
-        return check(ctx, name, equation, rows[name], *args, **kwargs)
+        rows[name] = labeled
+        return check(ctx, name, equation, labeled, *args, **kwargs)
 
     monkeypatch.setattr(suites.CheckContext, "check", recording_check)
     run(load_model_bytes(_son_model_bytes(monkeypatch, 3)), "all", RunConfig(points=8, seed=1))

@@ -129,6 +129,17 @@ class TestCheckCommand:
         assert captured.out == ""
         assert "--tol" in captured.err
 
+    def test_unallocatable_point_count_is_usage_error(self, rotation_path, capsys):
+        # numpy refuses a sample of 10**15 points before allocating any of
+        # it; that is no failed check, so it exits 2 with one line, not 1
+        # with a traceback
+        points = 10**15
+        assert main(["check", rotation_path, "--points", str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{points} points" in captured.err
+
     def test_infinite_model_tolerance_is_usage_error(self, tmp_path, capsys):
         doc = json.loads(fixture_bytes("translation_nonequivariant"))
         doc["tolerances"] = {"default": 0.5}

@@ -184,13 +184,24 @@ def test_random_valid_model_gives_a_report_or_an_evaluation_error(tmp_path_facto
 
 
 def _densified(doc: dict) -> dict:
-    """The model with an explicit "0" entry in every absent anchor slot and
-    structure slot; parsed expressions are never structural zeros."""
+    """The model with an explicit zero in every absent anchor slot and
+    structure slot.  An anchor slot gets ``c - c``, with c the first
+    coordinate: a zero that the loader does not fold, so it reaches every
+    graph as a node.  A structure slot gets ``"0"``, which folds to the
+    structural zero: a zero there that does not fold makes the structure
+    functions non-constant, which removes the constant-bracket rows by
+    design."""
     alg = doc["algebroid"]
-    rank, dim = alg["rank"], len(doc["chart"]["coordinates"])
+    rank, coordinates = alg["rank"], doc["chart"]["coordinates"]
+    zero = f"{coordinates[0]} - {coordinates[0]}"
     anchor = alg.setdefault("anchor", [])
     present = {tuple(e["idx"]) for e in anchor}
-    anchor += [{"idx": [a, i], "expr": "0"} for a in range(1, rank + 1) for i in range(1, dim + 1) if (a, i) not in present]
+    anchor += [
+        {"idx": [a, i], "expr": zero}
+        for a in range(1, rank + 1)
+        for i in range(1, len(coordinates) + 1)
+        if (a, i) not in present
+    ]
     structure = alg.setdefault("structure", [])
     present = {(e["idx"][0], *sorted(e["idx"][1:])) for e in structure}
     for c, a, b in itertools.product(range(1, rank + 1), repeat=3):
@@ -213,7 +224,13 @@ def _summary(report):
 @pytest.mark.parametrize("name", fixture_names())
 def test_explicit_zero_entries_leave_every_residual_unchanged(name):
     sparse = load_model_bytes(fixture_bytes(name))
-    dense = load_model_bytes(json.dumps(_densified(json.loads(fixture_bytes(name)))).encode())
+    doc = json.loads(fixture_bytes(name))
+    filled = doc["algebroid"]["rank"] * len(doc["chart"]["coordinates"]) > len(doc["algebroid"].get("anchor", []))
+    dense = load_model_bytes(json.dumps(_densified(doc)).encode())
+    # the filled anchor slots hold nodes, not the zero the sparse model holds
+    pairs = zip(dense.alg.anchor, sparse.alg.anchor)
+    differs = any(d is not s for dense_row, sparse_row in pairs for d, s in zip(dense_row, sparse_row))
+    assert differs == filled
     for seed, points in ((42, 32), (7, 17)):
         config = RunConfig(tolerance=sparse.tolerance, points=points, seed=seed)
         assert _summary(run(dense, "all", config)) == _summary(run(sparse, "all", config))

@@ -168,7 +168,6 @@ def test_row_labels_are_unique_and_agreement_pairs_share_them(name, monkeypatch)
     check, agreement = CheckContext.check, CheckContext.agreement
 
     def recording_check(self, row, equation, rows, *args, terms=None, **kwargs):
-        rows = list(rows)
         labels(rows, row)
         for term, term_rows in (terms or {}).items():
             labels(term_rows, f"{row} term {term}")
