@@ -652,15 +652,11 @@ _INPUTS = attrgetter("inputs")
 
 
 def _gather(nodes, order: int, slots) -> tuple:
-    """Slots of ``nodes`` in the value table, and in the gradient and
-    Hessian tables up to ``order``; ``None`` above it."""
-    value, grad, hess = slots
-    n = len(nodes)
-    return (
-        np.fromiter(map(value.__getitem__, nodes), np.intp, n),
-        np.fromiter(map(grad.__getitem__, nodes), np.intp, n) if order >= 1 else None,
-        np.fromiter(map(hess.__getitem__, nodes), np.intp, n) if order >= 2 else None,
-    )
+    """The rows of ``nodes`` in the value table, and in the gradient and
+    Hessian tables up to ``order``; ``None`` above it.  A node has one
+    row number, which each table its order reaches uses."""
+    rows = np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes))
+    return rows, rows if order >= 1 else None, rows if order >= 2 else None
 
 
 class _Tables:
@@ -705,8 +701,10 @@ class Program:
       (at most 2);
     - an order: its demand, or its ``held`` order where that is lower;
     - a height: the length of the longest path from it up to a root;
-    - a slot in the value table, and in the gradient and Hessian tables
-      when its order reaches them.
+    - a slot: one row number, of the value table, and of the gradient and
+      Hessian tables when its order reaches them.  The nodes evaluated to
+      order 2 take the first rows, then those to order 1, then the rest,
+      so each table is as long as the count of nodes it holds.
 
     Then it schedules the nodes by readiness: a node is ready once every
     one of its inputs has been scheduled, so the leaves, coordinates and
@@ -761,15 +759,14 @@ class Program:
             if inputs:
                 waiting[node] = len(inputs)
                 up = height[node] + 1
+                need = d + node._lift
+                if need > 2:
+                    need = 2
                 for i in inputs:
                     if height[i] < up:
                         height[i] = up
-                need = d + node._lift
-                if need:
-                    need = min(need, 2)
-                    for i in inputs:
-                        if demand[i] < need:
-                            demand[i] = need
+                    if demand[i] < need:
+                        demand[i] = need
             else:
                 leaves.append(node)
             k = node.held
@@ -787,7 +784,11 @@ class Program:
             for n in entries:
                 demand[n] = top
 
-        slots = ({}, {}, {})
+        # the rows of each table, and the next free slot of each order
+        orders = list(demand.values())
+        sizes = (len(orders), orders.count(1) + orders.count(2), orders.count(2))
+        base = [sizes[1], sizes[2], 0]
+        slots: dict = {}
         self._kernels = []
         # the ready nodes by key, the greatest height among each key's, and
         # the nodes the last group made ready: the leaves at first
@@ -797,28 +798,22 @@ class Program:
         while True:
             for node in fresh:
                 key = (node.__class__, demand[node], node._kind)
+                ready.setdefault(key, []).append(node)
                 h = height[node]
-                group = ready.get(key)
-                if group is None:
-                    ready[key] = [node]
+                if tallest.get(key, -1) < h:
                     tallest[key] = h
-                else:
-                    group.append(node)
-                    if tallest[key] < h:
-                        tallest[key] = h
             if not ready:
                 break
             key = max(tallest, key=tallest.__getitem__)
             del tallest[key]
             cls, k, _ = key
             nodes = cls._arrange(ready.pop(key))
-            out = []
-            for table in slots[: k + 1]:
-                start = len(table)
-                table.update(zip(nodes, range(start, start + len(nodes))))
-                out.append(slice(start, start + len(nodes)))
-            out += [None] * (2 - k)
-            self._kernels.append((cls._kernel, tuple(out), cls._args(nodes, k, slots)))
+            start = base[k]
+            end = base[k] = start + len(nodes)
+            slots.update(zip(nodes, range(start, end)))
+            rows = slice(start, end)
+            out = rows, rows if k else None, rows if k == 2 else None
+            self._kernels.append((cls._kernel, out, cls._args(nodes, k, slots)))
             fresh = []
             for node in nodes:
                 for consumer in users[node]:
@@ -828,8 +823,8 @@ class Program:
                         fresh.append(consumer)
         self._roots = [_gather(fields, min([order, *(demand[f] for f in fields)]), slots) for fields, order in groups]
         self.dim = dim
-        self.sizes = tuple(len(table) for table in slots)
-        self.bytes_per_point = 8 * (self.sizes[0] + dim * self.sizes[1] + dim * dim * self.sizes[2])
+        self.sizes = sizes
+        self.bytes_per_point = 8 * (sizes[0] + dim * sizes[1] + dim * dim * sizes[2])
 
     def run(self, points: np.ndarray, space: np.ndarray | None = None):
         """The root groups' jets over ``points``, a ``(P, d)`` sample.
