@@ -16,7 +16,6 @@ from .algebroid import AlgebroidData
 from .fields import (
     FormField,
     MetricField,
-    ScalarField,
     const_field,
     exterior_derivative,
     field_sum_d,
@@ -56,24 +55,12 @@ class ConnectionData:
 def dual_covariant_derivative(conn: ConnectionData, mu):
     """Exterior covariant derivative on dual-bundle-valued forms.
 
-    ``mu`` is a list over the bundle index: ScalarFields for degree 0 or
-    FormFields for degree >= 1.  Returns a list of FormFields one degree
-    higher.
+    ``mu`` is a list over the bundle index of FormFields of one degree; a
+    dual section is a list of 0-forms.  Returns a list of FormFields one
+    degree higher.
     """
-    alg = conn.alg
-    chart = alg.chart
-    r = alg.rank
+    r = conn.alg.rank
     out = []
-    if isinstance(mu[0], ScalarField):
-        for a in range(r):
-            comps = {}
-            for i in range(chart.dim):
-                terms = [mu[a].partial(i)]
-                for b in range(r):
-                    terms.append(-(conn.gamma[b][a][i] * mu[b]))
-                comps[(i,)] = field_sum_d(terms, chart.dim)
-            out.append(FormField(chart, 1, comps))
-        return out
     for a in range(r):
         form = exterior_derivative(mu[a])
         for b in range(r):

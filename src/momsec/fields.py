@@ -16,18 +16,22 @@ one jet order, so a once-differentiated field still has an exact value
 and gradient but no Hessian.  No check in this package ever
 differentiates a field more than twice.
 
-A program evaluates a chunk of points at a time, one group after
-another: a group is nodes of one class and order (and, for an
-expression node, rule) whose inputs are evaluated, taken from the ready
-nodes by the rule of :class:`Program`, and one numpy kernel evaluates
-it over their stacked operand rows with the rules of :class:`Jet2`, so
-a run costs numpy work per group, not interpreter work per node.  Each
-node is evaluated once per chunk, into a slot of the program's tables,
-which live only for the chunk.  A check run compiles the graphs of every suite it selects into
-one program, so the groups, and the nodes the suites share, span every
-suite.  The leaves, coordinates and constants, are groups too, whose
-kernels fill their rows from the chunk's points, so a program evaluates
-a model's expressions together with everything built on them.
+Compiling a program finds its nodes in one pass, level by level from
+the top, so each node's consumers are done before it.  A program
+evaluates a chunk of points at a time, one group after another: a group
+is nodes of one class and order (and, for an expression node, rule)
+whose inputs are evaluated, taken from the ready nodes by the rule of
+:class:`Program` (tallest first, then highest order), and one numpy
+kernel evaluates it over their stacked operand rows with the rules of
+:class:`Jet2`, so a run costs numpy work per group, not interpreter
+work per node.  Each node is evaluated once per chunk, into one row of
+the program's tables, the same row of every table its order reaches;
+the tables live only for the chunk.  A check run compiles the graphs of
+every suite it selects into one program, so the groups, and the nodes
+the suites share, span every suite.  The leaves, coordinates and
+constants, are groups too, whose kernels fill their rows from the
+chunk's points, so a program evaluates a model's expressions together
+with everything built on them.
 ``ScalarField.eval`` and :func:`max_abs_fields` evaluate a one-off
 program of their own over the whole sample.  Every jet here has the one
 layout of :class:`Jet2`, the point axis last: the tables and the roots'
@@ -134,33 +138,6 @@ class Chart:
 # Scalar fields
 
 
-class _Node:
-    """A node of a field graph: ``inputs`` are the nodes it is built on,
-    ``level`` is 0 for a leaf and else one more than its highest input's,
-    and ``held`` is the highest jet order it can hold (one less for each
-    partial on a path down to a leaf; below 0 it cannot be evaluated).
-    Nodes form a graph without cycles."""
-
-    inputs: tuple = ()
-    level = 0
-    held = 2
-    # ready nodes of one class, order and kind are one group of a program
-    _kind = None
-    # the jet orders this node consumes of its inputs: a partial, one
-    _lift = 0
-
-    def _built_on(self, inputs: tuple):
-        self.inputs = inputs
-        level, held = 0, 2
-        for node in inputs:
-            if node.level >= level:
-                level = node.level + 1
-            if node.held < held:
-                held = node.held
-        self.level = level
-        self.held = held - self._lift
-
-
 # Every live node the algebra has built, keyed by its class and its
 # constructor arguments, input nodes by identity, and held weakly: an
 # entry goes when its node does.
@@ -185,8 +162,13 @@ def _shared(cls, *args):
     return node
 
 
-class ScalarField(_Node):
-    """A scalar function on a chart, evaluable to second-order jets.
+class ScalarField:
+    """A scalar function on a chart, evaluable to second-order jets: a
+    node of a field graph without cycles.  ``inputs`` are the nodes it is
+    built on, ``level`` is 0 for a leaf and else one more than its highest
+    input's, and ``held`` is the highest jet order it can hold (one less
+    for each partial on a path down to a leaf; below 0 it cannot be
+    evaluated).
 
     ``eval(points, order)`` gives the :class:`Jet2` over a ``(P, d)``
     sample up to ``order``, through a one-off :class:`Program` of this
@@ -200,6 +182,24 @@ class ScalarField(_Node):
     """
 
     dim: int
+    inputs: tuple = ()
+    level = 0
+    held = 2
+    # ready nodes of one class, order and kind are one group of a program
+    _kind = None
+    # the jet orders this node consumes of its inputs: a partial, one
+    _lift = 0
+
+    def _built_on(self, inputs: tuple):
+        self.inputs = inputs
+        level, held = 0, 2
+        for node in inputs:
+            if node.level >= level:
+                level = node.level + 1
+            if node.held < held:
+                held = node.held
+        self.level = level
+        self.held = held - self._lift
 
     def eval(self, points: np.ndarray, order: int = 2) -> Jet2:
         jet = next(Program([([self], order)], self.dim).run(points))
@@ -260,7 +260,7 @@ class ScalarField(_Node):
         name in ``_params``, that attribute of every node."""
         lifted = order + cls._lift
         # the nodes of a group have one number of inputs
-        inputs = [_gather(column, lifted, slots) for column in zip(*map(_INPUTS, nodes))]
+        inputs = [_gather(column, lifted, slots) for column in zip(*(n.inputs for n in nodes))]
         return (*inputs, *(np.array(list(map(attrgetter(name), nodes))) for name in cls._params))
 
 
@@ -501,11 +501,11 @@ class PartialField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, f, i):
-        _, grad, hess = f
-        out.value[...] = t.grad[grad, i]
+        rows, _ = f
+        out.value[...] = t.grad[rows, i]
         if out.grad is not None:
             # row i of the exactly symmetric Hessian is its column i
-            out.grad[...] = t.hess[hess, i]
+            out.grad[...] = t.hess[rows, i]
 
 
 def _flat(terms) -> tuple:
@@ -616,11 +616,11 @@ class MatrixInverseField(ScalarField):
     def _args(cls, nodes, order, slots):
         core = nodes[0].core
         i, j = (np.array(ix, dtype=np.intp) for ix in zip(*((n.i, n.j) for n in nodes)))
-        return order, core, _gather(core.entries, order, slots), i, j
+        return core, _gather(core.entries, order, slots), i, j
 
     @staticmethod
-    def _kernel(t, out, order, core, entries, i, j):
-        inv = core.jet(t.jet(entries), order)
+    def _kernel(t, out, core, entries, i, j):
+        inv = core.jet(t.jet(entries), entries[1])
         for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
             if part is not None:
                 part[...] = np.moveaxis(x[:, i, j], 0, -1)
@@ -647,16 +647,11 @@ def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
 # Programs: stacked evaluation of field graphs
 
 
-_LEVEL = attrgetter("level")
-_INPUTS = attrgetter("inputs")
-
-
 def _gather(nodes, order: int, slots) -> tuple:
-    """The rows of ``nodes`` in the value table, and in the gradient and
-    Hessian tables up to ``order``; ``None`` above it.  A node has one
-    row number, which each table its order reaches uses."""
-    rows = np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes))
-    return rows, rows if order >= 1 else None, rows if order >= 2 else None
+    """The slot reference ``(rows, order)`` of ``nodes``: a node has one
+    row number, which each table its order reaches uses, and the tables
+    up to ``order`` are read."""
+    return np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes)), order
 
 
 class _Tables:
@@ -675,107 +670,101 @@ class _Tables:
             setattr(self, name, space[start:end].reshape(shape))
             start = end
 
-    def jet(self, slots) -> Jet2:
-        """The stacked jet of the nodes at ``slots`` (see :func:`_gather`):
-        rows of index arrays gathered, a copy; rows of slices, a view."""
-        value, grad, hess = slots
-        return Jet2(
-            self.value[value], None if grad is None else self.grad[grad], None if hess is None else self.hess[hess]
-        )
+    def jet(self, ref) -> Jet2:
+        """The stacked jet at a slot reference ``(rows, order)``: rows of an
+        index array gathered, a copy; rows of a slice, a view."""
+        rows, order = ref
+        return Jet2(self.value[rows], self.grad[rows] if order else None, self.hess[rows] if order > 1 else None)
 
-    def take(self, slots, out: Jet2):
-        """Gather the nodes at ``slots`` into each array ``out`` has."""
-        for table, rows, part in zip((self.value, self.grad, self.hess), slots, (out.value, out.grad, out.hess)):
-            if part is not None:
-                np.take(table, rows, axis=0, out=part, mode="clip")
+    def take(self, ref, out: Jet2):
+        """Gather the rows of ``ref`` into ``out``, to the order of ``ref``."""
+        rows, order = ref
+        for table, part in zip((self.value, self.grad, self.hess)[: order + 1], (out.value, out.grad, out.hess)):
+            np.take(table, rows, axis=0, out=part, mode="clip")
 
 
 class Program:
     """The evaluation of groups of root fields, each group to one jet order.
 
-    Compiling walks the graph under the roots once, consumers before
-    inputs (by falling ``level``), and gives each node:
+    Compiling finds the nodes under the roots in one pass over buckets
+    by ``level``, from the top down, putting each input in its level's
+    bucket when first seen; inputs sit at lower levels, so every consumer
+    of a node is done before it.  The pass gives each node:
 
-    - a demand order: the highest order a consumer reads it to, a root
-      its group's order, and one more through a :class:`PartialField`
-      (at most 2);
-    - an order: its demand, or its ``held`` order where that is lower;
+    - a demand order: the highest order a consumer reads it to (the
+      consumer's order, one more through a :class:`PartialField`), a root
+      its group's order, at most 2;
+    - an order: its demand, or its ``held`` order where lower, fixed
+      before its inputs are reached;
     - a height: the length of the longest path from it up to a root;
     - a slot: one row number, of the value table, and of the gradient and
       Hessian tables when its order reaches them.  The nodes evaluated to
       order 2 take the first rows, then those to order 1, then the rest,
-      so each table is as long as the count of nodes it holds.
+      so each table is as long as the count of nodes it holds.  Nodes
+      are read and written through a slot reference ``(rows, order)``.
 
     Then it schedules the nodes by readiness: a node is ready once every
     one of its inputs has been scheduled, so the leaves, coordinates and
     constants, are ready first.  Among the keys (class, order and
     ``_kind``) that have ready nodes, it takes the key whose ready nodes
-    include the greatest height, and all of that key's ready nodes become
-    one group, until no node is left.  The entries of a matrix inverse
-    share their inputs and their ``_kind``, so they become ready together
-    and are one group per inverse.  The schedule depends on insertion
-    order alone, never on hashing.  ``run`` runs each group, in that
-    order, as one numpy kernel over the stacked rows of its operands, so
-    every node is evaluated once per call, after its inputs; the leaves'
-    kernels fill their rows from the points.  ``run`` gives, for each root
-    group, the stacked jet of its fields, to the group's order or as far
-    as every field holds it.  A field differentiated more than twice makes
-    compiling raise ``ValueError``.
+    include the greatest height, on a tie the highest order, and on a tie
+    in both the key that has had ready nodes longest; all of that key's
+    ready nodes become one group, until no node is left.  The entries of
+    a matrix inverse share their inputs and their ``_kind``, so they
+    become ready together and are one group per inverse.  The schedule
+    depends on insertion order alone, never on hashing.  ``run`` runs each
+    group, in that order, as one numpy kernel over the stacked rows of its
+    operands, so every node is evaluated once per call, after its inputs;
+    the leaves' kernels fill their rows from the points.  ``run`` gives,
+    for each root group, the stacked jet of its fields, to the group's
+    order or as far as every field holds it.  A field differentiated more
+    than twice makes compiling raise ``ValueError``.
     """
 
     def __init__(self, groups, dim: int):
         groups = [(list(fields), order) for fields, order in groups]
-        # every node under the roots, with its demand order
+        # a node's demand and height are final when its level is reached.
+        # ``users`` lists a consumer once for every input position at which
+        # it reads the node, and ``waiting`` counts those positions
         demand: dict = {}
         for fields, order in groups:
             for f in fields:
                 if demand.get(f, -1) < order:
                     demand[f] = min(order, 2)
-        # ``users`` lists each node's consumers, a consumer once for every
-        # input position at which it reads the node
-        users = {f: [] for f in demand}
-        stack = list(demand)
-        while stack:
-            node = stack.pop()
-            for i in node.inputs:
-                consumers = users.get(i)
-                if consumers is None:
-                    users[i] = [node]
-                    demand[i] = 0
-                    stack.append(i)
-                else:
-                    consumers.append(node)
-        # consumers before inputs, so each node's demand and height are
-        # final when it is reached; then ``demand`` keeps the order the node
-        # is evaluated to.  ``waiting`` counts the inputs a node waits for,
-        # one for every position, as ``users`` does; a leaf waits for none
         height = dict.fromkeys(demand, 0)
+        users = {f: [] for f in demand}
+        buckets = [[] for _ in range(max((f.level for f in demand), default=0) + 1)]
+        for f in demand:
+            buckets[f.level].append(f)
         waiting: dict = {}
-        leaves = []
         inverses: dict = {}
-        for node in sorted(demand, key=_LEVEL, reverse=True):
-            d = demand[node]
-            inputs = node.inputs
-            if inputs:
+        for level in range(len(buckets) - 1, 0, -1):
+            for node in buckets[level]:
+                d = demand[node]
+                if node.held < d:
+                    if node.held < 0:
+                        raise ValueError("jet order exhausted: a field was differentiated more than twice")
+                    demand[node] = d = node.held
+                inputs = node.inputs
                 waiting[node] = len(inputs)
                 up = height[node] + 1
+                # at most 2: a partial holds one order less than its input
                 need = d + node._lift
-                if need > 2:
-                    need = 2
                 for i in inputs:
+                    consumers = users.get(i)
+                    if consumers is None:
+                        users[i] = [node]
+                        demand[i] = need
+                        height[i] = up
+                        buckets[i.level].append(i)
+                        continue
+                    consumers.append(node)
                     if height[i] < up:
                         height[i] = up
                     if demand[i] < need:
                         demand[i] = need
-            else:
-                leaves.append(node)
-            k = node.held
-            if k < d:
-                if k < 0:
-                    raise ValueError("jet order exhausted: a field was differentiated more than twice")
-                demand[node] = k
-            if node.__class__ is MatrixInverseField:
-                inverses.setdefault(node.core, []).append(node)
+                if node.__class__ is MatrixInverseField:
+                    inverses.setdefault(node.core, []).append(node)
         # an inverse is computed once per chunk, so its entries are evaluated
         # to one order, the highest any of them is; they share their inputs,
         # so each of them holds that order
@@ -790,18 +779,20 @@ class Program:
         base = [sizes[1], sizes[2], 0]
         slots: dict = {}
         self._kernels = []
-        # the ready nodes by key, the greatest height among each key's, and
-        # the nodes the last group made ready: the leaves at first
+        # the ready nodes by key, the greatest rank among each key's (its
+        # height, then its order), and the nodes the last group made ready:
+        # the leaves at first
         ready: dict = {}
         tallest: dict = {}
-        fresh = leaves
+        fresh = buckets[0]
         while True:
             for node in fresh:
-                key = (node.__class__, demand[node], node._kind)
+                k = demand[node]
+                key = (node.__class__, k, node._kind)
                 ready.setdefault(key, []).append(node)
-                h = height[node]
-                if tallest.get(key, -1) < h:
-                    tallest[key] = h
+                rank = 3 * height[node] + k
+                if tallest.get(key, -1) < rank:
+                    tallest[key] = rank
             if not ready:
                 break
             key = max(tallest, key=tallest.__getitem__)
@@ -811,9 +802,7 @@ class Program:
             start = base[k]
             end = base[k] = start + len(nodes)
             slots.update(zip(nodes, range(start, end)))
-            rows = slice(start, end)
-            out = rows, rows if k else None, rows if k == 2 else None
-            self._kernels.append((cls._kernel, out, cls._args(nodes, k, slots)))
+            self._kernels.append((cls._kernel, (slice(start, end), k), cls._args(nodes, k, slots)))
             fresh = []
             for node in nodes:
                 for consumer in users[node]:

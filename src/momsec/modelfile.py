@@ -4,8 +4,9 @@ Tensor blocks are sparse lists of ``{"idx": [...], "expr": "..."}``
 entries with 1-based indices; the symmetry class of each block is fixed
 by the schema (metric symmetric, 2-form blocks antisymmetric, structure
 functions antisymmetric in the lower pair).  Entries that land on the
-same canonical slot twice are rejected as contradictions.  Missing
-optional blocks default to zero.
+same canonical slot twice are rejected as contradictions, and so is a
+key given twice in one JSON object.  Missing optional blocks default to
+zero.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class Model:
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise ModelError(path, message)
+
+
+def _object(pairs) -> dict:
+    """A JSON object; a second value under one key would replace the first."""
+    doc = {}
+    for key, value in pairs:
+        _expect(key not in doc, "$", f"key {key!r} given twice in one object")
+        doc[key] = value
+    return doc
 
 
 def _finite(value) -> bool:
@@ -181,7 +191,7 @@ def _load_chart(doc, path="chart") -> Chart:
 
 def load_model_bytes(raw: bytes) -> Model:
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_object)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
@@ -304,11 +314,11 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
     eta: dict = {}
     eta_doc = doc.get("eta", {})
     _expect(isinstance(eta_doc, dict), f"{path}.eta", "must map degree strings to entry lists")
+    degrees = {str(k): k for k in range(n + 1)}
     for key, block in eta_doc.items():
         kpath = f"{path}.eta[{key}]"
-        _expect(isinstance(key, str) and key.isdecimal(), kpath, "keys are degree strings '0'..'n'")
-        k = int(key)
-        _expect(0 <= k <= n, kpath, f"degree must be 0..{n}")
+        k = degrees.get(key)
+        _expect(k is not None, kpath, f"keys are degree strings '0'..'{n}'")
         if k == n:
             eta[n] = _load_form(block, kpath, chart, n)
             continue

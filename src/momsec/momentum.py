@@ -74,7 +74,7 @@ def h2_fields(data: MomentumData):
     alg, conn = data.alg, data.conn
     gamma = gamma_from_B(alg, data.B)
     d = alg.dim
-    dmu = dual_covariant_derivative(conn, data.mu)
+    dmu = dual_covariant_derivative(conn, [FormField(alg.chart, 0, {(): m}) for m in data.mu])
     out = []
     for a in range(alg.rank):
         for i in range(d):

@@ -150,6 +150,28 @@ class TestCheckCommand:
         assert captured.out == ""
         assert "tolerances.default" in captured.err
 
+    @pytest.mark.parametrize(
+        "name, old, new, key",
+        [
+            # a second "mu" would replace the block, and the verdict would
+            # go from weakly Hamiltonian to none
+            ("translation_nonequivariant", '\n  "schema": 1\n}', '\n  "schema": 1,\n  "mu": []\n}', "key 'mu'"),
+            # "01" would read as degree 1 and replace the "1" block, and the
+            # verdict would go from Hamiltonian to none
+            ("plectic2_flux_model", '\n    },\n    "h": [', ',\n      "01": []\n    },\n    "h": [', "multisym.eta[01]"),
+        ],
+        ids=["repeated-key", "second-degree-key"],
+    )
+    def test_key_that_would_replace_a_block_is_usage_error(self, tmp_path, capsys, name, old, new, key):
+        text = fixture_bytes(name).decode()
+        assert text.count(old) == 1
+        path = tmp_path / "model.json"
+        path.write_text(text.replace(old, new))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid model" in captured.err and key in captured.err
+
     def test_usage_error(self, rotation_path, capsys):
         assert main(["check"]) == 2
         capsys.readouterr()

@@ -51,7 +51,7 @@ class TestCovariantDerivative:
         conn = random_connection(alg, rng)
         e = [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)]
         mu = [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)]
-        Dmu = dual_covariant_derivative(conn, mu)
+        Dmu = dual_covariant_derivative(conn, [FormField(ch, 0, {(): m}) for m in mu])
 
         def De(a, i):
             # README convention on sections: (D e)^a_i = d_i f^a + Gamma^a_{b i} f^b
@@ -74,7 +74,7 @@ class TestCovariantDerivative:
         rng = np.random.default_rng(5)
         conn = random_connection(alg, rng)
         mu = [f(random_poly_source(rng, ch.coordinates, max_degree=2), ch) for _ in range(2)]
-        DDmu = dual_covariant_derivative(conn, dual_covariant_derivative(conn, mu))
+        DDmu = dual_covariant_derivative(conn, dual_covariant_derivative(conn, [FormField(ch, 0, {(): m}) for m in mu]))
         residuals = []
         for a in range(2):
             expected = FormField(ch, 2)

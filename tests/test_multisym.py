@@ -291,8 +291,6 @@ class TestSpecialization:
         data = plectic_rank1()
         pts = data.alg.chart.sample(10, 17)
         sp = specialized_fields(data)
-        assert max_abs_fields([x for _, x in sp["hm2"]], pts) < 1e-12
-        assert max_abs_fields([x for _, x in sp["hm1"]], pts) < 1e-12
         for k in (0, 1):
             rows, _ = hm3_differential_fields(data, k)
             general = max_abs_fields([x for _, x in rows], pts)
