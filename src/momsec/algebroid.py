@@ -3,22 +3,33 @@
 Holds the anchor components rho^i_a and structure functions C^c_ab (kept
 antisymmetric in the lower pair by storing each C^c as a bundle 2-form),
 sections, the axiom residuals, and the differential on bundle forms.
+
+Builders loop over non-zero tables, not index ranges: the (i, rho^i_a)
+of each a, the (c, C^c_ab) of each pair a != b (negated nodes for a > b)
+and whether all C^c_ab are finite constants.  Each is built on its first
+use by a planner, not at load, a pair a > b on its own, and then kept.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
+from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations
 
 from .fields import (
     Chart,
     Components,
+    ConstField,
     ScalarField,
     VectorField,
     const_field,
     field_sum_d,
     index_label,
-    lie_bracket,
+    lie_bracket_terms,
+    ordered_sums,
+    signed,
 )
 
 
@@ -39,26 +50,42 @@ class AlgebroidData:
         # algebroid weakly, since a cycle would keep a dropped model's
         # fields alive until the cyclic collector ran
         self.C = [EForm(weakref.proxy(self), 2, comps) for comps in lower]
+        self._brackets: dict = {}
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
-    def structure(self, c: int, a: int, b: int) -> ScalarField:
-        """C^c_{ab}, extended antisymmetrically in (a, b)."""
-        return self.C[c].comp((a, b))
+    @cached_property
+    def rho(self) -> list:
+        """[a] -> [(i, rho^i_a)] over the non-zero anchor components."""
+        return [[(i, f) for i, f in enumerate(row) if not f.is_zero] for row in self.anchor]
+
+    def brackets(self, a: int, b: int) -> dict:
+        """{c: C^c_ab} over the non-zero C^c_ab, by increasing c."""
+        table = self._brackets.get((a, b))
+        if table is None:
+            ab = (min(a, b), max(a, b))
+            table = {c: signed(C.comps[ab], b - a) for c, C in enumerate(self.C) if ab in C.comps}
+            self._brackets[(a, b)] = table
+        return table
+
+    @cached_property
+    def constant_structure(self) -> bool:
+        """Whether every C^c_ab is a finite constant of the model: the
+        hypothesis of the constant-bracket reductions."""
+        return all(isinstance(f, ConstField) and math.isfinite(f.c) for C in self.C for f in C.comps.values())
 
     def anchor_vector(self, a: int) -> VectorField:
         return VectorField(self.chart, list(self.anchor[a]))
 
     def apply_anchor(self, a: int, f: ScalarField) -> ScalarField:
         """rho(e_a) f = rho^i_a d_i f."""
-        if f.is_zero:
-            return f
-        return field_sum_d(
-            [self.anchor[a][i] * f.partial(i) for i in range(self.dim) if not self.anchor[a][i].is_zero],
-            self.dim,
-        )
+        return field_sum_d(self.anchor_terms(a, f), self.dim)
+
+    def anchor_terms(self, a: int, f: ScalarField) -> list:
+        """The terms of ``apply_anchor(a, f)``, for a larger sum."""
+        return [rho * df for i, rho in self.rho[a] if not (df := f.partial(i)).is_zero]
 
 
 def anchor_morphism_fields(alg: AlgebroidData):
@@ -66,11 +93,10 @@ def anchor_morphism_fields(alg: AlgebroidData):
     out = []
     for a in range(alg.rank):
         for b in range(a + 1, alg.rank):
-            lb = lie_bracket(alg.anchor_vector(a), alg.anchor_vector(b))
+            lb = lie_bracket_terms(alg.anchor_vector(a), alg.anchor_vector(b))
+            brackets = alg.brackets(a, b)
             for i in range(alg.dim):
-                terms = [lb.comps[i]]
-                for c in range(alg.rank):
-                    terms.append(-(alg.structure(c, a, b) * alg.anchor[c][i]))
+                terms = lb[i] + [-(f * alg.anchor[c][i]) for c, f in brackets.items() if not alg.anchor[c][i].is_zero]
                 out.append((index_label(a=a, b=b, i=i), field_sum_d(terms, alg.dim)))
     return out
 
@@ -85,19 +111,21 @@ def jacobi_sigma_fields(alg: AlgebroidData):
     r, d = alg.rank, alg.dim
     sigma = []
     contracted = []
-    for abc in combinations(range(r), 3):
+    for x, y, z in combinations(range(r), 3):
         for dd in range(r):
             terms = []
-            for a, b, c in ((abc[0], abc[1], abc[2]), (abc[1], abc[2], abc[0]), (abc[2], abc[0], abc[1])):
-                for e in range(r):
-                    terms.append(alg.structure(e, a, b) * alg.structure(dd, c, e))
-                terms.append(alg.apply_anchor(a, alg.structure(dd, b, c)))
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                for e, f in alg.brackets(a, b).items():
+                    g = alg.brackets(c, e).get(dd)
+                    if g is not None:
+                        terms.append(f * g)
+                h = alg.brackets(b, c).get(dd)
+                if h is not None:
+                    terms += alg.anchor_terms(a, h)
             f = field_sum_d(terms, d)
-            sigma.append((index_label(d=dd, a=abc), f))
-            for i in range(alg.dim):
-                if alg.anchor[dd][i].is_zero or f.is_zero:
-                    continue
-                contracted.append((index_label(d=dd, a=abc, i=i), f * alg.anchor[dd][i]))
+            sigma.append((index_label(d=dd, a=(x, y, z)), f))
+            if not f.is_zero:
+                contracted += [(index_label(d=dd, a=(x, y, z), i=i), f * rho) for i, rho in alg.rho[dd]]
     return sigma, contracted
 
 
@@ -126,27 +154,34 @@ def e_differential(alpha: EForm) -> EForm:
 
     (d_E a)(e_1..e_{m+1}) = sum_i (-1)^{i-1} rho(e_i) a(..no e_i..)
                           + sum_{i<j} (-1)^{i+j} a([e_i,e_j], ..no e_i, e_j..)
+
+    Each stored component's terms are scattered to their place in the sums
+    above: anchor terms by i, then bracket terms by (i, j, c).
     """
     alg = alpha.alg
     m = alpha.degree
     if m >= alg.rank:
         # every bundle form above the top exterior degree is zero
         return EForm(alg, m + 1)
-    comps = {}
-    for idx in combinations(range(alg.rank), m + 1):
-        terms = []
-        for pos, a in enumerate(idx):
-            t = alg.apply_anchor(a, alpha.comp(idx[:pos] + idx[pos + 1 :]))
-            terms.append(t if pos % 2 == 0 else -t)
-        for pi in range(m + 1):
-            for pj in range(pi + 1, m + 1):
-                rest = tuple(x for q, x in enumerate(idx) if q not in (pi, pj))
-                for c in range(alg.rank):
+    terms: dict = {}
+    for key, f in alpha.comps.items():
+        for a, rho in enumerate(alg.rho):
+            if rho and a not in key:
+                pos = bisect_left(key, a)
+                # the terms of an added rho(e_a) a(..) join the sum, a subtracted one is negated whole
+                ts = alg.anchor_terms(a, f) if pos % 2 == 0 else [-alg.apply_anchor(a, f)]
+                terms.setdefault(key[:pos] + (a,) + key[pos:], []).extend(((0, pos), t) for t in ts)
+        for q, c in enumerate(key):
+            # the component at (c, rest) is f with the sign of moving c to q
+            rest = key[:q] + key[q + 1 :]
+            for (x, y), C in alg.C[c].comps.items():
+                if x not in rest and y not in rest:
+                    idx = tuple(sorted(rest + (x, y)))
                     # positions are 0-based; (-1)^{i+j} with 1-based i, j
-                    t = alg.structure(c, idx[pi], idx[pj]) * alpha.comp((c,) + rest)
-                    terms.append(t if (pi + pj) % 2 == 0 else -t)
-        comps[idx] = field_sum_d(terms, alg.dim)
-    return EForm(alg, m + 1, comps)
+                    pi, pj = idx.index(x), idx.index(y)
+                    t = signed(C * signed(f, (-1) ** q), (-1) ** (pi + pj))
+                    terms.setdefault(idx, []).append(((1, pi, pj, c), t))
+    return EForm(alg, m + 1, ordered_sums(terms, alg.dim))
 
 
 def q_squared_fields(alg: AlgebroidData):

@@ -12,12 +12,15 @@ anchor flow with the connection:  nabla_e v = L_{rho(e)} v + rho(D_v e).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebroid import AlgebroidData
 from .fields import (
     FormField,
     MetricField,
     const_field,
     exterior_derivative,
+    by_place,
     field_sum_d,
     index_label,
     lie_derivative_metric,
@@ -37,19 +40,29 @@ class ConnectionData:
         r, d = alg.rank, alg.dim
         return ConnectionData(alg, [[[zero] * d for _ in range(r)] for _ in range(r)])
 
-    @property
+    @cached_property
+    def forms(self) -> dict:
+        """{(a, b): Gamma^a_b as a 1-form} over the non-zero ones, built on first use."""
+        chart = self.alg.chart
+        forms = {}
+        for a, rows in enumerate(self.gamma):
+            for b, row in enumerate(rows):
+                if any(not f.is_zero for f in row):
+                    forms[(a, b)] = FormField(chart, 1, {(i,): f for i, f in enumerate(row)})
+        return forms
+
+    @cached_property
     def is_flat(self) -> bool:
-        return all(
-            self.gamma[a][b][i].is_zero
-            for a in range(self.alg.rank)
-            for b in range(self.alg.rank)
-            for i in range(self.alg.dim)
-        )
+        return not self.forms
 
     def one_form(self, a: int, b: int) -> FormField:
         """Gamma^a_b as a 1-form."""
-        chart = self.alg.chart
-        return FormField(chart, 1, {(i,): self.gamma[a][b][i] for i in range(chart.dim)})
+        form = self.forms.get((a, b))
+        return FormField(self.alg.chart, 1) if form is None else form
+
+    def column(self, b: int, i: int) -> list:
+        """[(a, Gamma^a_{b i})] over the non-zero components, by increasing a."""
+        return [(a, form.comps[(i,)]) for (a, lower), form in self.forms.items() if lower == b and (i,) in form.comps]
 
 
 def dual_covariant_derivative(conn: ConnectionData, mu):
@@ -63,8 +76,9 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
     out = []
     for a in range(r):
         form = exterior_derivative(mu[a])
-        for b in range(r):
-            form = form - wedge(conn.one_form(b, a), mu[b])
+        for (b, lower), gamma in conn.forms.items():
+            if lower == a:
+                form = form - wedge(gamma, mu[b])
         out.append(form)
     return out
 
@@ -82,12 +96,12 @@ def e_nabla_metric_fields(conn: ConnectionData, g: MetricField):
         lie = lie_derivative_metric(alg.anchor_vector(a), g)
         for i in range(d):
             for j in range(i, d):
-                terms = [lie[i][j]]
-                for b in range(alg.rank):
-                    for k in range(d):
-                        terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * g.g[k][j]))
-                        terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * g.g[k][i]))
-                out.append((index_label(a=a, i=(i, j)), field_sum_d(terms, d)))
+                # placed as in the dense loop over b, then k, then the pair
+                terms = []
+                for t, (p, q) in enumerate(((i, j), (j, i))):
+                    for b, gamma in conn.column(a, p):
+                        terms += [((b, k, t), -(gamma * r * g.g[k][q])) for k, r in alg.rho[b] if not g.g[k][q].is_zero]
+                out.append((index_label(a=a, i=(i, j)), field_sum_d([lie[i][j], *by_place(terms)], d)))
     return out
 
 
@@ -101,21 +115,23 @@ def e_nabla_two_form_fields(conn: ConnectionData, B: FormField):
     """
     alg = conn.alg
     d = alg.dim
+    rows = B.incidence
+    zero = const_field(0.0, d)
     out = []
     for a in range(alg.rank):
         rho = alg.anchor[a]
         for i in range(d):
             for j in range(i + 1, d):
-                terms = []
-                Bij = B.comp((i, j))
-                for k in range(d):
-                    Bkj = B.comp((k, j))
-                    Bik = B.comp((i, k))
-                    terms.append(rho[k] * Bij.partial(k))
-                    terms.append(rho[k].partial(i) * Bkj)
-                    terms.append(rho[k].partial(j) * Bik)
-                    for b in range(alg.rank):
-                        terms.append(-(conn.gamma[b][a][i] * alg.anchor[b][k] * Bkj))
-                        terms.append(-(conn.gamma[b][a][j] * alg.anchor[b][k] * Bik))
-                out.append((index_label(a=a, i=(i, j)), field_sum_d(terms, d)))
+                # placed as in the dense loop over k, then the five terms (over b)
+                Bij = B.comps.get((i, j), zero)
+                terms = [((k, 0), r * dB) for k, r in alg.rho[a] if not (dB := Bij.partial(k)).is_zero]
+                terms += [((k, 1), dr * B.comp((k, j))) for k in rows[j] if not (dr := rho[k].partial(i)).is_zero]
+                terms += [((k, 2), dr * B.comp((i, k))) for k in rows[i] if not (dr := rho[k].partial(j)).is_zero]
+                for t, (p, q) in enumerate(((i, j), (j, i))):
+                    for b, gamma in conn.column(a, p):
+                        # B_kj, then B_ik
+                        for k, rb in alg.rho[b]:
+                            if k in rows[q]:
+                                terms.append(((k, 3, b, t), -(gamma * rb * B.comp((k, j) if t == 0 else (i, k)))))
+                out.append((index_label(a=a, i=(i, j)), field_sum_d(by_place(terms), d)))
     return out

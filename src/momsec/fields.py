@@ -53,9 +53,10 @@ container contract: components are keyed by canonical index tuples,
 looked up at any index tuple with the symmetry's sign, never stored when
 zero, and combined by one algebra that returns early on an empty operand,
 sometimes returning the operand itself, so a container is never modified
-once built.  Callers therefore write sparse contractions as plain sums
-of products, pass the component dict to the constructor, and test
-``is_zero`` only to decide whether a report row exists.
+once built.  Contractions loop over stored components, not index ranges,
+and ask for no zero: each term is placed where the dense loop over all
+indices would add it, and each sum adds its terms in that order
+(:func:`ordered_sums`), so every sum is the node that loop would build.
 
 Equal nodes are one node.  The algebra (sums, differences, products,
 negations, scalings, partials, non-zero constants, coordinates, the
@@ -68,7 +69,8 @@ that node: builders ask for what they need without handing nodes to
 each other, and a program evaluates each distinct node once.  Nothing
 is rewritten (``a*b`` and ``b*a`` stay two nodes), so every value is
 the same, bit for bit, as without sharing.  The table holds its nodes
-weakly, so a dropped graph leaves it at once.  Zero constants are
+weakly, in slotted entries that carry their key, so a dropped graph
+leaves it at once.  Zero constants are
 per-dimension singletons outside it.  A subexpression in several entries,
 or an equal graph of two live models, is therefore one node.
 
@@ -89,9 +91,9 @@ from __future__ import annotations
 import math
 import operator
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -119,7 +121,7 @@ class Chart:
             if not hi > lo:
                 raise ValueError("sampling intervals must be non-degenerate")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.coordinates)
 
@@ -144,6 +146,12 @@ class Chart:
 _NODES: dict = {}
 
 
+class _Entry(weakref.ref):
+    """``weakref.KeyedRef`` without its Python constructor: a fifth of the cost."""
+
+    __slots__ = ("key",)
+
+
 def _forget(ref, nodes=_NODES):
     # ``nodes`` is bound here, so a node freed at interpreter exit still
     # finds the table; a new node of its key may have taken its entry
@@ -155,10 +163,13 @@ def _shared(cls, *args):
     """The node ``cls(*args)``: the live one built already, or a new one."""
     key = (cls, *args)
     ref = _NODES.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        node = cls(*args)
-        _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = cls(*args)
+    ref = _NODES[key] = _Entry(node, _forget)
+    ref.key = key
     return node
 
 
@@ -526,6 +537,18 @@ def field_sum_d(terms, dim: int) -> ScalarField:
     if len(flat) > 1:
         return _shared(SumField, flat)
     return flat[0] if flat else const_field(0.0, dim)
+
+
+def by_place(terms) -> list:
+    """The terms of ``[(place, term)]`` by increasing place, where places
+    number the terms of a sum in the order of its dense loop."""
+    return [t for _, t in sorted(terms, key=operator.itemgetter(0))]
+
+
+def ordered_sums(terms: dict, dim: int) -> dict:
+    """``{idx: [(place, term)]}`` summed :func:`by_place`, keys in increasing
+    order, so each sum is the node the dense loop over all indices builds."""
+    return {idx: field_sum_d(by_place(ts), dim) for idx, ts in sorted(terms.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -907,12 +930,6 @@ class Components:
         if self.symmetric:
             f = self.comps.get(tuple(sorted(idx)))
             return self._zero() if f is None else f
-        for q in range(1, len(idx)):
-            if idx[q - 1] >= idx[q]:
-                break
-        else:
-            # a canonical key that is not stored
-            return self._zero()
         canon, sign = sort_signed(idx)
         f = self.comps.get(canon)
         if f is None:
@@ -959,6 +976,16 @@ class Components:
             return self
         return self._like({idx: f * g for idx, f in self.comps.items()})
 
+    def plus(self, parts):
+        """``self + parts[0] + parts[1] + ...`` for scalar components, each
+        component's terms summed once, in that order."""
+        terms: dict = {}
+        for part in (self, *parts):
+            for idx, f in part.comps.items():
+                terms.setdefault(idx, []).append(f)
+        dim = self._zero().dim
+        return self._like({idx: field_sum_d(fs, dim) for idx, fs in terms.items()})
+
 
 # ---------------------------------------------------------------------------
 # Differential forms
@@ -983,6 +1010,15 @@ class FormField(Components):
     def _like(self, comps) -> "FormField":
         return FormField(self.chart, self.degree, comps)
 
+    @cached_property
+    def incidence(self) -> list:
+        """For a 2-form w, ``[i] ->`` the k with w_ik not zero, increasing."""
+        rows: list = [[] for _ in range(self.chart.dim)]
+        for i, k in sorted(self.comps):
+            rows[i].append(k)
+            rows[k].append(i)
+        return rows
+
     @staticmethod
     def build(chart: Chart, degree: int, entries) -> "FormField":
         """Build from (index tuple, field) pairs, antisymmetrizing indices."""
@@ -999,21 +1035,31 @@ class FormField(Components):
         return FormField(chart, degree, comps)
 
 
-def exterior_derivative(omega: FormField) -> FormField:
-    """d on component arrays: (d w)_{i0..ik} = sum_j (-1)^j d_{ij} w_{..no ij..}."""
+def signed(f, sign: float):
+    """A stored component ``f`` read at an index tuple of permutation ``sign``."""
+    return f if sign > 0 else -f
+
+
+def exterior_derivative(omega: FormField, base: FormField | None = None) -> FormField:
+    """d on component arrays: (d w)_{i0..ik} = sum_j (-1)^j d_{ij} w_{..no ij..};
+    with ``base``, the form base + d w, each component's terms summed once."""
     chart = omega.chart
-    k = omega.degree
-    if omega.is_zero or k >= chart.dim:
+    if omega.is_zero or omega.degree >= chart.dim:
         # every (k+1)-form above the top degree is zero
-        return FormField(chart, k + 1)
-    comps = {}
-    for idx in combinations(range(chart.dim), k + 1):
-        terms = []
-        for j, ij in enumerate(idx):
-            term = omega.comp(idx[:j] + idx[j + 1 :]).partial(ij)
-            terms.append(term if j % 2 == 0 else -term)
-        comps[idx] = field_sum_d(terms, chart.dim)
-    return FormField(chart, k + 1, comps)
+        return FormField(chart, omega.degree + 1) if base is None else base
+    terms = {} if base is None else {idx: [((0, 0), f)] for idx, f in base.comps.items()}
+    _scatter_d(omega, terms, 1)
+    return FormField(chart, omega.degree + 1, ordered_sums(terms, chart.dim))
+
+
+def _scatter_d(omega: FormField, terms: dict, tag: int):
+    """Add the terms of d omega (degree below the chart's) to ``terms`` (see
+    :func:`ordered_sums`), the j-th term of a component placed at ``(tag, j)``."""
+    for key, f in omega.comps.items():
+        for i in range(omega.chart.dim):
+            if i not in key and not (term := f.partial(i)).is_zero:
+                j = bisect_left(key, i)
+                terms.setdefault(key[:j] + (i,) + key[j:], []).append(((tag, j), signed(term, (-1) ** j)))
 
 
 def wedge(alpha: FormField, beta: FormField) -> FormField:
@@ -1024,46 +1070,45 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
         return FormField(chart, k + l)
     if k + l > chart.dim:
         raise ValueError("wedge degree exceeds the chart dimension")
-    comps = {}
-    for idx in combinations(range(chart.dim), k + l):
-        terms = []
-        for subset in combinations(range(k + l), k):
-            left = tuple(idx[p] for p in subset)
-            right_positions = tuple(p for p in range(k + l) if p not in subset)
-            right = tuple(idx[p] for p in right_positions)
-            sign = sort_signed(subset + right_positions)[1]
-            prod = alpha.comp(left) * beta.comp(right)
-            terms.append(prod if sign > 0 else -prod)
-        comps[idx] = field_sum_d(terms, chart.dim)
-    return FormField(chart, k + l, comps)
+    terms: dict = {}
+    for left, fa in alpha.comps.items():
+        for right, fb in beta.comps.items():
+            idx = tuple(sorted(left + right))
+            if not any(x in right for x in left):
+                # placed at the positions of the left indices
+                subset = tuple(map(idx.index, left))
+                sign = sort_signed(subset + tuple(p for p in range(k + l) if p not in subset))[1]
+                terms.setdefault(idx, []).append((subset, signed(fa * fb, sign)))
+    return FormField(chart, k + l, ordered_sums(terms, chart.dim))
 
 
 def interior_product(v: "VectorField", omega: FormField) -> FormField:
     """(i_v w)_{i2..ik} = v^{i1} w_{i1 i2..ik}."""
     if omega.degree < 1:
         raise ValueError("interior product needs a form of degree >= 1")
-    chart = omega.chart
-    if omega.is_zero:
-        return FormField(chart, omega.degree - 1)
-    comps = {}
-    for idx in combinations(range(chart.dim), omega.degree - 1):
-        terms = [v.comps[i1] * omega.comp((i1,) + idx) for i1 in range(chart.dim)]
-        comps[idx] = field_sum_d(terms, chart.dim)
-    return FormField(chart, omega.degree - 1, comps)
+    terms: dict = {}
+    _scatter_iota(v, omega, terms, 0)
+    return FormField(omega.chart, omega.degree - 1, ordered_sums(terms, omega.chart.dim))
+
+
+def _scatter_iota(v: "VectorField", omega: FormField, terms: dict, tag: int):
+    """Add the terms of i_v omega to ``terms``, that of v^{i1} placed at ``(tag, i1)``."""
+    for key, f in omega.comps.items():
+        for p, i1 in enumerate(key):
+            # w at (i1, rest) is f with the sign of moving i1 to p
+            if not v.comps[i1].is_zero:
+                terms.setdefault(key[:p] + key[p + 1 :], []).append(((tag, i1), v.comps[i1] * signed(f, (-1) ** p)))
 
 
 def lie_derivative(v: "VectorField", omega: FormField) -> FormField:
-    """Cartan formula: L_v = i_v d + d i_v."""
+    """Cartan formula: L_v = i_v d + d i_v, each component's terms summed once."""
     chart = omega.chart
-    parts = []
+    terms: dict = {}
     if omega.degree < chart.dim:
-        parts.append(interior_product(v, exterior_derivative(omega)))
+        _scatter_iota(v, exterior_derivative(omega), terms, 0)
     if omega.degree >= 1:
-        parts.append(exterior_derivative(interior_product(v, omega)))
-    out = FormField(chart, omega.degree)
-    for p in parts:
-        out = out + p
-    return out
+        _scatter_d(interior_product(v, omega), terms, 1)
+    return FormField(chart, omega.degree, ordered_sums(terms, chart.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -1082,18 +1127,20 @@ class VectorField:
     def zero(chart: Chart) -> "VectorField":
         return VectorField(chart, [const_field(0.0, chart.dim) for _ in range(chart.dim)])
 
+    def stored(self) -> list:
+        """[(i, v^i)] over the non-zero components."""
+        return [(i, f) for i, f in enumerate(self.comps) if not f.is_zero]
 
-def lie_bracket(u: VectorField, v: VectorField) -> VectorField:
-    """[u, v]^i = u^j d_j v^i - v^j d_j u^i."""
-    chart = u.chart
+
+def lie_bracket_terms(u: VectorField, v: VectorField) -> list:
+    """[i] -> the terms of [u, v]^i = u^j d_j v^i - v^j d_j u^i with no zero factor, by j."""
+    us, vs = u.stored(), v.stored()
     out = []
-    for i in range(chart.dim):
-        terms = []
-        for j in range(chart.dim):
-            terms.append(u.comps[j] * v.comps[i].partial(j))
-            terms.append(-(v.comps[j] * u.comps[i].partial(j)))
-        out.append(field_sum_d(terms, chart.dim))
-    return VectorField(chart, out)
+    for i in range(u.chart.dim):
+        terms = [(2 * j, uj * dv) for j, uj in us if not (dv := v.comps[i].partial(j)).is_zero]
+        terms += [(2 * j + 1, -(vj * du)) for j, vj in vs if not (du := u.comps[i].partial(j)).is_zero]
+        out.append(by_place(terms))
+    return out
 
 
 class MetricField:
@@ -1108,6 +1155,8 @@ class MetricField:
                 raise ValueError("metric entries are keyed by upper-triangle indices")
             self.g[i][j] = f
             self.g[j][i] = f
+        # [i] -> [(j, g_ij)] over the non-zero g_ij
+        self.stored = [[(j, f) for j, f in enumerate(row) if not f.is_zero] for row in self.g]
 
     @staticmethod
     def identity(chart: Chart) -> "MetricField":
@@ -1123,27 +1172,24 @@ class MetricField:
         """(g_flat v)_i = g_ij v^j as a 1-form."""
         chart = self.chart
         comps = {}
-        for i in range(chart.dim):
-            terms = [self.g[i][j] * v.comps[j] for j in range(chart.dim)]
+        for i, row in enumerate(self.stored):
+            terms = [gij * v.comps[j] for j, gij in row if not v.comps[j].is_zero]
             comps[(i,)] = field_sum_d(terms, chart.dim)
         return FormField(chart, 1, comps)
 
 
 def lie_derivative_metric(v: VectorField, g: MetricField):
     """(L_v g)_ij = v^k d_k g_ij + d_i v^k g_kj + d_j v^k g_ik, as a field matrix."""
-    chart = g.chart
-    d = chart.dim
+    d = g.chart.dim
+    vs = v.stored()
     out = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            terms = []
-            for k in range(d):
-                terms.append(v.comps[k] * g.g[i][j].partial(k))
-                terms.append(v.comps[k].partial(i) * g.g[k][j])
-                terms.append(v.comps[k].partial(j) * g.g[i][k])
-            total = field_sum_d(terms, d)
-            out[i][j] = total
-            out[j][i] = total
+            # the three terms of each k, in the order of the dense loop over k
+            terms = [(3 * k, vk * dg) for k, vk in vs if not (dg := g.g[i][j].partial(k)).is_zero]
+            terms += [(3 * k + 1, dv * gkj) for k, gkj in g.stored[j] if not (dv := v.comps[k].partial(i)).is_zero]
+            terms += [(3 * k + 2, dv * gik) for k, gik in g.stored[i] if not (dv := v.comps[k].partial(j)).is_zero]
+            out[i][j] = out[j][i] = field_sum_d(by_place(terms), d)
     return out
 
 

@@ -61,43 +61,47 @@ class PhasePolynomial(Components):
         return PhasePolynomial(self.dim, {key: f for key, f in self.comps.items() if len(key) == k})
 
     def dp(self, i: int) -> "PhasePolynomial":
-        out: dict[tuple[int, ...], list[ScalarField]] = {}
+        # removing one p_i maps distinct monomials to distinct monomials
+        out = {}
         for key, f in self.comps.items():
             m = key.count(i)
-            if m == 0:
-                continue
-            reduced = list(key)
-            reduced.remove(i)
-            out.setdefault(tuple(reduced), []).append(f.scaled(float(m)))
-        return PhasePolynomial(self.dim, {k: field_sum_d(v, self.dim) for k, v in out.items()})
+            if m:
+                reduced = list(key)
+                reduced.remove(i)
+                out[tuple(reduced)] = f.scaled(float(m))
+        return PhasePolynomial(self.dim, out)
 
     def dx(self, i: int) -> "PhasePolynomial":
         return PhasePolynomial(self.dim, {k: f.partial(i) for k, f in self.comps.items()})
 
     def mul(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        out: dict[tuple[int, ...], list[ScalarField]] = {}
+        return PhasePolynomial(self.dim, {k: field_sum_d(v, self.dim) for k, v in self.products(other, {}).items()})
+
+    def products(self, other: "PhasePolynomial", out: dict) -> dict:
+        """``out`` with the products of ``self.mul(other)`` appended by monomial, in its order."""
         for k1, f1 in self.comps.items():
             for k2, f2 in other.comps.items():
                 out.setdefault(tuple(sorted(k1 + k2)), []).append(f1 * f2)
-        return PhasePolynomial(self.dim, {k: field_sum_d(v, self.dim) for k, v in out.items()})
+        return out
 
 
 def _half_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None) -> PhasePolynomial:
     """T(F,G) = dF/dp_i dG/dx^i + (1/2) B_ij dF/dp_i dG/dp_j."""
     dim = F.dim
-    total = PhasePolynomial(dim)
-    dpF = [F.dp(i) for i in range(dim)]
-    for i in range(dim):
-        total = total + dpF[i].mul(G.dx(i))
-    if twist is not None and not twist.is_zero:
-        dpG = [G.dp(j) for j in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                b = twist.comp((i, j))
-                if b.is_zero:
-                    continue
-                total = total + dpF[i].mul(dpG[j]).mul_field(b).scaled(0.5)
-    return total
+    # each monomial's terms in the order of the sums above, with no derivative whose partner is zero
+    terms: dict = {}
+    pF, pG = ({i for key in P.comps for i in key} for P in (F, G))
+    for i in sorted(pF):
+        if not (dG := G.dx(i)).is_zero:
+            F.dp(i).products(dG, terms)
+    if twist is not None:
+        for i, row in enumerate(twist.incidence):
+            for j in row:
+                if i in pF and j in pG:
+                    part = F.dp(i).mul(G.dp(j)).mul_field(twist.comp((i, j))).scaled(0.5)
+                    for key, f in part.comps.items():
+                        terms.setdefault(key, []).append(f)
+    return PhasePolynomial(dim, {key: field_sum_d(v, dim) for key, v in terms.items()})
 
 
 def poisson_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None = None) -> PhasePolynomial:
@@ -149,10 +153,11 @@ class ConstraintSystem:
     def multiplier(self, a: int, b: int) -> PhasePolynomial:
         """lambda_a^b = g^{ij} Gamma^b_{aj} p_i + tau_a^b."""
         d = self.dim
-        ginv = self.metric.inverse()
         mono: dict[tuple[int, ...], ScalarField] = {}
+        ginv = self.metric.inverse()
+        gamma = self.conn.one_form(b, a).comps
         for i in range(d):
-            mono[(i,)] = field_sum_d([ginv[i][j] * self.conn.gamma[b][a][j] for j in range(d)], d)
+            mono[(i,)] = field_sum_d([ginv[i][j] * f for (j,), f in gamma.items()], d)
         mono[()] = self.tau[a][b]
         return PhasePolynomial(d, mono)
 
@@ -168,8 +173,8 @@ def first_class_fields(sys: ConstraintSystem):
     for a in range(r):
         for b in range(a + 1, r):
             res = poisson_bracket(phis[a], phis[b], sys.twist)
-            for c in range(r):
-                res = res - phis[c].mul_field(sys.alg.structure(c, a, b))
+            for c, C in sys.alg.brackets(a, b).items():
+                res = res - phis[c].mul_field(C)
             for k in res.degrees_present():
                 out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a, b=b)))
     return out
@@ -196,26 +201,18 @@ def flow_fields(sys: ConstraintSystem):
         for k in res.degrees_present():
             if k > 2:
                 out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a)))
-        # degree 2, lowered twice: S_ij = 2 g_ip W^pq g_qj
-        W = [[const_field(0.0, d) for _ in range(d)] for _ in range(d)]
-        for key, f in res.degree_part(2).comps.items():
-            i, j = key
-            if i == j:
-                W[i][i] = f
-            else:
-                W[i][j] = f.scaled(0.5)
-                W[j][i] = f.scaled(0.5)
-        g = sys.metric.g
+        # degree 2, lowered twice: S_ij = 2 g_ip W^pq g_qj, over the non-zero W^pq
+        W = {}
+        for (i, j), f in res.degree_part(2).comps.items():
+            W[(i, j)] = W[(j, i)] = f if i == j else f.scaled(0.5)
+        g = sys.metric.stored
         for i in range(d):
             for j in range(i, d):
-                terms = []
-                for p in range(d):
-                    for q in range(d):
-                        terms.append((g[i][p] * W[p][q] * g[q][j]).scaled(2.0))
+                terms = [(gip * W[(p, q)] * gjq).scaled(2.0) for p, gip in g[i] for q, gjq in g[j] if (p, q) in W]
                 out[2].append((index_label(a=a, i=(i, j)), field_sum_d(terms, d)))
         # degree 1, lowered once
         for j in range(d):
-            terms = [g[j][k] * res.comp((k,)) for k in range(d)]
+            terms = [gjk * res.comps[(k,)] for k, gjk in g[j] if (k,) in res.comps]
             out[1].append((index_label(a=a, i=j), field_sum_d(terms, d)))
         out[0].append((index_label(a=a), res.comp(())))
     return out
@@ -248,15 +245,16 @@ def absorb_beta(sys: ConstraintSystem) -> AbsorbedSystem:
     B = exterior_derivative(A)
     alpha_prime = []
     for a in range(r):
-        terms = [sys.alpha[a]] + [-(alg.anchor[a][i] * A.comp((i,))) for i in range(d)]
+        terms = [sys.alpha[a]] + [-(rho * A.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in A.comps]
         alpha_prime.append(field_sum_d(terms, d))
-    vterms = [sys.V] + [(sys.beta.comps[i] * A.comp((i,))).scaled(-0.5) for i in range(d)]
+    vterms = [sys.V] + [(bi * A.comps[(i,)]).scaled(-0.5) for i, bi in sys.beta.stored() if (i,) in A.comps]
     V_prime = field_sum_d(vterms, d)
     tau_prime = []
     for a in range(r):
         row = []
         for b in range(r):
-            terms = [sys.tau[a][b]] + [-(conn.gamma[b][a][i] * sys.beta.comps[i]) for i in range(d)]
+            gamma = conn.one_form(b, a).comps.items()
+            terms = [sys.tau[a][b]] + [-(f * sys.beta.comps[i]) for (i,), f in gamma if not sys.beta.comps[i].is_zero]
             row.append(field_sum_d(terms, d))
         tau_prime.append(row)
     twisted = replace(

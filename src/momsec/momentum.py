@@ -18,15 +18,12 @@ two-dimensional model, and the constant-bracket equivariance reduction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
 from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
-    ConstField,
     FormField,
-    ScalarField,
     exterior_derivative,
     field_sum_d,
     index_label,
@@ -41,7 +38,6 @@ class MomentumData:
     conn: ConnectionData
     B: FormField
     mu: list  # ScalarField per basis index
-
 
 def gamma_from_B(alg: AlgebroidData, B: FormField):
     """gamma_a = iota_{rho_a} B as a list of 1-forms."""
@@ -90,24 +86,17 @@ def h3_fields(data: MomentumData):
     out = []
     for a in range(alg.rank):
         for b in range(a + 1, alg.rank):
-            terms = [alg.apply_anchor(a, data.mu[b]), -alg.apply_anchor(b, data.mu[a])]
-            for c in range(alg.rank):
-                terms.append(-(alg.structure(c, a, b) * data.mu[c]))
-            terms.append(pairing_B(alg, data.B, a, b))
+            terms = [*alg.anchor_terms(a, data.mu[b]), -alg.apply_anchor(b, data.mu[a])]
+            terms += [-(C * data.mu[c]) for c, C in alg.brackets(a, b).items() if not data.mu[c].is_zero]
+            terms += pairing_terms(alg, data.B, a, b)
             out.append((index_label(a=a, b=b), field_sum_d(terms, d)))
     return out
 
 
-def pairing_B(alg: AlgebroidData, B: FormField, a: int, b: int) -> ScalarField:
-    """B(rho_a, rho_b) = B_ij rho^i_a rho^j_b."""
-    d = alg.dim
-    terms = []
-    for i in range(d):
-        for j in range(d):
-            # B_ii is a structural zero
-            if j != i:
-                terms.append(alg.anchor[a][i] * alg.anchor[b][j] * B.comp((i, j)))
-    return field_sum_d(terms, d)
+def pairing_terms(alg: AlgebroidData, B: FormField, a: int, b: int) -> list:
+    """The terms of B(rho_a, rho_b) = B_ij rho^i_a rho^j_b with no zero factor."""
+    rows = B.incidence
+    return [ra * rb * B.comp((i, j)) for i, ra in alg.rho[a] for j, rb in alg.rho[b] if j in rows[i]]
 
 
 CLASS_HAMILTONIAN = "Hamiltonian"
@@ -128,12 +117,6 @@ def classify(h1: bool, h2: bool, h3: bool) -> str:
     if h2:
         return CLASS_MOMENTUM
     return CLASS_NONE
-
-
-def constant_structure(alg: AlgebroidData) -> bool:
-    """True when every stored structure function C^c_ab is a finite
-    constant of the model: the hypothesis of :func:`momentum_map_fields`."""
-    return all(isinstance(f, ConstField) and math.isfinite(f.c) for C in alg.C for f in C.comps.values())
 
 
 def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
@@ -158,10 +141,8 @@ def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, 
             out["hamiltonian"].append((index_label(a=a, i=i), f))
     for a in range(alg.rank):
         for b in range(alg.rank):
-            if a == b:
-                continue
-            terms = [alg.apply_anchor(a, mu[b])]
-            for c in range(alg.rank):
-                terms.append(-(alg.structure(c, a, b) * mu[c]))
-            out["equivariance"].append((index_label(a=a, b=b), field_sum_d(terms, d)))
+            if a != b:
+                terms = alg.anchor_terms(a, mu[b])
+                terms += [-(C * mu[c]) for c, C in alg.brackets(a, b).items() if not mu[c].is_zero]
+                out["equivariance"].append((index_label(a=a, b=b), field_sum_d(terms, d)))
     return out

@@ -108,7 +108,7 @@ class PrenPlecticData:
 
 def tilde_h(data: PrenPlecticData) -> FormField:
     """h + d eta^(n); closed whenever h is."""
-    return data.h + exterior_derivative(data.eta_top())
+    return exterior_derivative(data.eta_top(), data.h)
 
 
 def hm1_fields(data: PrenPlecticData):
@@ -141,12 +141,12 @@ def descent_pairing_fields(data: PrenPlecticData, k: int):
     out = []
     for btuple in combinations(range(alg.rank), m):
         lhs = lower.comp(btuple)
-        rhs = FormField(alg.chart, k - 1)
+        parts = []
         for shift in range(m):
             rotated = btuple[shift:] + btuple[:shift]
             term = interior_product(alg.anchor_vector(rotated[0]), upper.comp(rotated[1:]))
-            rhs = rhs + (term if _cyclic_sign(shift, m) > 0 else term.scaled(-1.0))
-        rhs = rhs.scaled(-1.0 if k % 2 == 1 else 1.0)
+            parts.append(term if _cyclic_sign(shift, m) > 0 else term.scaled(-1.0))
+        rhs = FormField(alg.chart, k - 1).plus(parts).scaled(-1.0 if k % 2 == 1 else 1.0)
         out += (lhs - rhs).rows(index_label(b=btuple))
     return out
 
@@ -174,21 +174,33 @@ def pair_into_checked_slot(bv: BundleValuedForm, btuple: tuple, position: int, c
     removed conceptually; the coefficient c^e is paired back in at that
     position:  sum_e c^e * eta(..., e at position, ...).
     """
-    chart = bv.alg.chart
-    out = FormField(chart, bv.form_degree)
-    rest = btuple[:position] + btuple[position + 1 :]
-    for e_idx in range(bv.alg.rank):
-        filled = rest[:position] + (e_idx,) + rest[position:]
-        out = out + bv.comp(filled).mul_field(coefficients[e_idx])
-    return out
+    slots = [(btuple[:position] + (e,) + btuple[position + 1 :], c) for e, c in enumerate(coefficients)]
+    parts = [bv.comp(s).mul_field(c) for s, c in slots if not c.is_zero]
+    return FormField(bv.alg.chart, bv.form_degree).plus(parts)
 
 
 def _gamma_trace_pairing(data: PrenPlecticData, a: int) -> ScalarField:
     """tr(iota_{rho(e_a)} Gamma) = Gamma^b_{b i} rho^i_a (flagged reading)."""
     alg, conn = data.alg, data.conn
-    d = alg.dim
-    terms = [conn.gamma[b][b][i] * alg.anchor[a][i] for b in range(alg.rank) for i in range(d)]
-    return field_sum_d(terms, d)
+    return _contract(conn.forms, alg.anchor[a], [(b, b) for b in range(alg.rank)])
+
+
+def _contract(forms: dict, v, keys) -> ScalarField:
+    """Gamma^c_{a i} v^i summed over ``keys`` (c, a), then i, for the non-zero factors."""
+    terms = [f * v[i] for key in keys if key in forms for (i,), f in forms[key].comps.items() if not v[i].is_zero]
+    return field_sum_d(terms, len(v))
+
+
+def _bracket_parts(data: PrenPlecticData, eta_k: BundleValuedForm, a: int, btuple) -> list:
+    """eta([e_a, e_i], args minus e_i) with the sign of slot i, over slots i
+    and the non-zero C^c_{a b_i}."""
+    parts = []
+    for pos, bi in enumerate(btuple):
+        sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
+        rest = btuple[:pos] + btuple[pos + 1 :]
+        for c, C in data.alg.brackets(a, bi).items():
+            parts.append(eta_k.comp((c,) + rest).mul_field(C).scaled(sign))
+    return parts
 
 
 def hm3_differential_fields(data: PrenPlecticData, k: int):
@@ -202,66 +214,40 @@ def hm3_differential_fields(data: PrenPlecticData, k: int):
     chart = alg.chart
     m = data.n - k
     eta_k = data.eta_k(k)
+    zero = FormField(chart, k)
     residuals = []
     term_fields = {"lie": [], "bracket": [], "ambiguous": [], "wedge": [], "pairing": []}
     for a in range(alg.rank):
         rho_a = alg.anchor_vector(a)
+        # Gamma^c_a for each c, in increasing c, which the wedge term reads for k >= 1
+        gammas = [(c, gamma) for (c, lower), gamma in conn.forms.items() if lower == a and k >= 1]
         for btuple in combinations(range(alg.rank), m):
             base = eta_k.comp(btuple)
             t_lie = lie_derivative(rho_a, base)
-            t_bracket = FormField(chart, k)
-            t_wedge = FormField(chart, k)
-            t_pairing = FormField(chart, k)
-            for pos in range(m):
+            t_bracket = zero.plus(_bracket_parts(data, eta_k, a, btuple))
+            t_wedge = zero
+            pairing = []
+            for pos, bi in enumerate(btuple):
                 sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
-                bi = btuple[pos]
-                rest = btuple[:pos] + btuple[pos + 1 :]
-                # eta([e, e_i], rest), bracket section in the leading slot
-                for c in range(alg.rank):
-                    inner = eta_k.comp((c,) + rest)
-                    t_bracket = t_bracket + inner.mul_field(alg.structure(c, a, bi)).scaled(sign)
-                if k >= 1:
-                    # - Gamma(e) ^ iota_{rho(e_i)} eta(rest), paired into the slot
-                    iota_eta = _iota_into_free_slot(data, eta_k, btuple, pos, btuple[pos])
-                    for c in range(alg.rank):
-                        t_wedge = t_wedge - wedge(conn.one_form(c, a), iota_eta[c]).scaled(sign)
+                # - Gamma(e) ^ iota_{rho(e_i)} eta(rest), paired into the slot
+                # (checked-slot rule: Gamma^c_a pairs with c in slot i)
+                for c, gamma in gammas:
+                    iota = interior_product(alg.anchor_vector(bi), eta_k.comp(btuple[:pos] + (c,) + btuple[pos + 1 :]))
+                    t_wedge = t_wedge - wedge(gamma, iota).scaled(sign)
                 # <iota_{rho(e_i)} Gamma(e), eta(rest)> into the checked slot
-                coeffs = [
-                    field_sum_d([conn.gamma[c][a][i] * alg.anchor[bi][i] for i in range(chart.dim)], chart.dim)
-                    for c in range(alg.rank)
-                ]
-                t_pairing = t_pairing + pair_into_checked_slot(eta_k, btuple, pos, coeffs).scaled(sign)
-            t_ambiguous = FormField(chart, k)
-            if k >= 1:
-                collapse = sum(((-1) ** i) for i in range(1, m + 1))
-                if collapse != 0:
-                    t_ambiguous = base.mul_field(_gamma_trace_pairing(data, a)).scaled(float(collapse))
-            total = t_lie + t_bracket + t_ambiguous + t_wedge + t_pairing
+                coeffs = [_contract(conn.forms, alg.anchor[bi], [(c, a)]) for c in range(alg.rank)]
+                pairing.append(pair_into_checked_slot(eta_k, btuple, pos, coeffs).scaled(sign))
+            t_pairing = zero.plus(pairing)
+            t_ambiguous = zero
+            collapse = sum(((-1) ** i) for i in range(1, m + 1))
+            if k >= 1 and collapse != 0:
+                t_ambiguous = base.mul_field(_gamma_trace_pairing(data, a)).scaled(float(collapse))
+            total = zero.plus([t_lie, t_bracket, t_ambiguous, t_wedge, t_pairing])
             label = index_label(a=a, b=btuple)
             residuals += total.rows(label)
-            for key, form in (
-                ("lie", t_lie),
-                ("bracket", t_bracket),
-                ("ambiguous", t_ambiguous),
-                ("wedge", t_wedge),
-                ("pairing", t_pairing),
-            ):
+            for key, form in zip(term_fields, (t_lie, t_bracket, t_ambiguous, t_wedge, t_pairing)):
                 term_fields[key] += form.rows(label)
     return residuals, term_fields
-
-
-def _iota_into_free_slot(data: PrenPlecticData, eta_k: BundleValuedForm, btuple, position, section):
-    """iota_{rho(section)} eta^(k)(args minus position), one slot left free.
-
-    Returns the E-indexed coefficient list of (k-1)-forms obtained by
-    filling the free slot with each basis element (checked-slot rule).
-    """
-    alg = data.alg
-    if eta_k.form_degree == 0:
-        return [FormField(alg.chart, 0) for _ in range(alg.rank)]
-    rest = btuple[:position] + btuple[position + 1 :]
-    rho = alg.anchor_vector(section)
-    return [interior_product(rho, eta_k.comp(rest[:position] + (c,) + rest[position:])) for c in range(alg.rank)]
 
 
 def hm3_rewrite_fields(data: PrenPlecticData):
@@ -282,12 +268,14 @@ def hm3_rewrite_fields(data: PrenPlecticData):
             ed = lie_derivative(alg.anchor_vector(a), eta1.comp((b,))) - lie_derivative(
                 alg.anchor_vector(b), eta1.comp((a,))
             )
-            for c in range(alg.rank):
-                ed = ed - eta1.comp((c,)).mul_field(alg.structure(c, a, b))
+            for c, C in alg.brackets(a, b).items():
+                ed = ed - eta1.comp((c,)).mul_field(C)
             dlower = exterior_derivative(eta2.comp((a, b)))
             for c in range(alg.rank):
-                dlower = dlower - wedge(conn.one_form(c, a), eta2.comp((c, b)))
-                dlower = dlower - wedge(conn.one_form(c, b), eta2.comp((a, c)))
+                for lower, idx in ((a, (c, b)), (b, (a, c))):
+                    gamma = conn.forms.get((c, lower))
+                    if gamma is not None:
+                        dlower = dlower - wedge(gamma, eta2.comp(idx))
             out += (ed - dlower).rows(index_label(a=a, b=b))
     return out
 
@@ -318,15 +306,9 @@ def specialized_fields(data: PrenPlecticData):
         for a in range(alg.rank):
             for btuple in combinations(range(alg.rank), m):
                 acc = lie_derivative(alg.anchor_vector(a), eta_k.comp(btuple))
-                for pos in range(m):
-                    sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
-                    rest = btuple[:pos] + btuple[pos + 1 :]
-                    for c in range(alg.rank):
-                        inner = eta_k.comp((c,) + rest)
-                        acc = acc + inner.mul_field(alg.structure(c, a, btuple[pos])).scaled(sign)
+                acc = acc.plus(_bracket_parts(data, eta_k, a, btuple))
                 if k >= 1:
-                    lower = data.eta_k(k - 1)
-                    acc = acc - exterior_derivative(lower.comp((a,) + btuple))
+                    acc = acc - exterior_derivative(data.eta_k(k - 1).comp((a,) + btuple))
                 rows += acc.rows(index_label(a=a, b=btuple))
         out[f"hm3[{k}]"] = rows
     return out

@@ -20,11 +20,14 @@ so the two blocks reproduce H2 and H3 whenever (P2) holds.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebroid import AlgebroidData
 from .connections import ConnectionData
 from .fields import (
     FormField,
     MetricField,
+    by_place,
     exterior_derivative,
     field_sum_d,
     index_label,
@@ -77,59 +80,59 @@ def boundary_pairing_fields(alg: AlgebroidData, eta: FormField, mu):
     d = alg.dim
     out = []
     for a in range(alg.rank):
-        terms = [mu[a]] + [eta.comp((i,)) * alg.anchor[a][i] for i in range(d)]
+        terms = [mu[a]] + [eta.comps[(i,)] * rho for i, rho in alg.rho[a] if (i,) in eta.comps]
         out.append((index_label(a=a), field_sum_d(terms, d)))
     return out
 
 
 def boundary_eta_fields(alg: AlgebroidData, conn: ConnectionData, b: FormField, eta: FormField, mu):
     """(P2), evaluated verbatim in components."""
-    d = alg.dim
-    out = []
-    for a in range(alg.rank):
-        rho = alg.anchor[a]
-        for i in range(d):
-            terms = []
-            for j in range(d):
-                terms.append(rho[j] * b.comp((j, i)))
-                terms.append(rho[j] * eta.comp((i,)).partial(j))
-                terms.append(eta.comp((j,)) * rho[j].partial(i))
-            for bb in range(alg.rank):
-                terms.append(conn.gamma[bb][a][i] * mu[bb])
-            out.append((index_label(a=a, i=i), field_sum_d(terms, d)))
-    return out
+    return [
+        (index_label(a=a, i=i), _p2(alg, conn, b, eta, mu, a, i)) for a in range(alg.rank) for i in range(alg.dim)
+    ]
+
+
+def _p2(alg: AlgebroidData, conn: ConnectionData, b: FormField, eta: FormField, mu, a: int, i: int):
+    """Row (a, i) of (P2)."""
+    rows = b.incidence
+    rho = alg.anchor[a]
+    # placed as in the dense loop over j, then the three terms
+    terms = [((j, 0), rj * b.comp((j, i))) for j, rj in alg.rho[a] if i in rows[j]]
+    terms += [((j, 1), rj * de) for j, rj in alg.rho[a] if not (de := eta.comp((i,)).partial(j)).is_zero]
+    terms += [((j, 2), ej * dr) for (j,), ej in eta.comps.items() if not (dr := rho[j].partial(i)).is_zero]
+    terms = by_place(terms)
+    terms += [gamma * mu[bb] for bb, gamma in conn.column(a, i) if not mu[bb].is_zero]
+    return field_sum_d(terms, alg.dim)
 
 
 def boundary_mu_fields(alg: AlgebroidData, conn: ConnectionData, mu):
     """(P3), evaluated verbatim in components over ordered pairs."""
-    d = alg.dim
-    out = []
-    for a in range(alg.rank):
-        for b in range(alg.rank):
-            terms = [alg.apply_anchor(a, mu[b])]
-            for c in range(alg.rank):
-                terms.append(-(alg.structure(c, a, b) * mu[c]))
-                for i in range(d):
-                    terms.append(-(alg.anchor[b][i] * conn.gamma[c][a][i] * mu[c]))
-            out.append((index_label(a=a, b=b), field_sum_d(terms, d)))
-    return out
+    return [(index_label(a=a, b=b), _p3(alg, conn, mu, a, b)) for a in range(alg.rank) for b in range(alg.rank)]
+
+
+def _p3(alg: AlgebroidData, conn: ConnectionData, mu, a: int, b: int):
+    """Row (a, b) of (P3)."""
+    # placed as in the dense loop over c, then the bracket term and i
+    terms = [((c, -1), -(C * mu[c])) for c, C in alg.brackets(a, b).items() if not mu[c].is_zero]
+    for i, rho in alg.rho[b]:
+        terms += [((c, i), -(rho * gamma * mu[c])) for c, gamma in conn.column(a, i) if not mu[c].is_zero]
+    return field_sum_d([*alg.anchor_terms(a, mu[b]), *by_place(terms)], alg.dim)
 
 
 def theorem_consistency_fields(alg: AlgebroidData, conn: ConnectionData, b: FormField, eta: FormField, mu, h3_rows):
     """H3_ab - P3_ab - rho^i_b P2_{a,i} for a < b, with (P2) and (P3) at
     ``mu`` and rows matched by label; identically zero when ``h3_rows``
-    are the H3 rows of the induced inputs and ``mu`` the induced section."""
+    are the H3 rows of the induced inputs and ``mu`` the induced section.
+    Only the (P2) and (P3) rows it reads are built."""
     h3 = dict(h3_rows)
-    p2 = dict(boundary_eta_fields(alg, conn, b, eta, mu))
-    p3 = dict(boundary_mu_fields(alg, conn, mu))
-    d = alg.dim
+    p2 = cache(lambda a, i: _p2(alg, conn, b, eta, mu, a, i))
     out = []
     for a in range(alg.rank):
         for bb in range(a + 1, alg.rank):
             label = index_label(a=a, b=bb)
-            terms = [h3[label], -p3[label]]
-            terms += [-(alg.anchor[bb][i] * p2[index_label(a=a, i=i)]) for i in range(d)]
-            out.append((label, field_sum_d(terms, d)))
+            terms = [h3[label], -_p3(alg, conn, mu, a, bb)]
+            terms += [-(rho * p) for i, rho in alg.rho[bb] if not (p := p2(a, i)).is_zero]
+            out.append((label, field_sum_d(terms, alg.dim)))
     return out
 
 
@@ -138,6 +141,6 @@ def induced_momentum_inputs(alg: AlgebroidData, b: FormField, eta: FormField):
     d = alg.dim
     mu = []
     for a in range(alg.rank):
-        mu.append(field_sum_d([-(alg.anchor[a][i] * eta.comp((i,))) for i in range(d)], d))
-    B = b + exterior_derivative(eta)
+        mu.append(field_sum_d([-(rho * eta.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in eta.comps], d))
+    B = exterior_derivative(eta, b)
     return mu, B

@@ -345,13 +345,13 @@ def plan_axioms(model: Model):
 
 def plan_momentum(model: Model):
     alg, conn = model.alg, model.conn
-    B = model.b_field + exterior_derivative(model.eta_boundary)
+    B = exterior_derivative(model.eta_boundary, model.b_field)
     closed_rows = mom.closedness_fields(B)
     h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B, model.mu)
     tangent_rows = e_nabla_two_form_fields(conn, B)
     degenerate = B.is_zero and all(f.is_zero for f in model.mu)
     # the reductions hold for a flat connection and constant brackets
-    lie = conn.is_flat and mom.constant_structure(alg)
+    lie = conn.is_flat and alg.constant_structure
     reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if lie else {}
 
     def evaluate(ctx: CheckContext):
@@ -626,7 +626,7 @@ def plan_multisym(model: Model):
         general[f"hm3[{k}]"], hm3_terms[k] = msy.hm3_differential_fields(data, k)
     rewrite_rows = msy.hm3_rewrite_fields(data) if n >= 2 else None
     # the reduced system holds for a flat connection and constant brackets
-    sp = msy.specialized_fields(data) if model.conn.is_flat and mom.constant_structure(alg) else {}
+    sp = msy.specialized_fields(data) if model.conn.is_flat and alg.constant_structure else {}
     # the n = 1 tower against H2 and H3 of its own 2-form and moment map;
     # its HM1 rows are H1's, built by the same function
     reduction = None

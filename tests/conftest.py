@@ -6,9 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momsec.fields import Chart, ExprField, ScalarField, const_field, lower
+from momsec.fields import Chart, ExprField, ScalarField, VectorField, const_field, field_sum_d, lie_bracket_terms, lower
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
+from momsec.momentum import pairing_terms
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +43,21 @@ def expr_jet(expr, point):
 
 def zero(chart: Chart):
     return const_field(0.0, chart.dim)
+
+
+def structure(alg, c: int, a: int, b: int) -> ScalarField:
+    """C^c_{ab} of an algebroid, extended antisymmetrically in (a, b)."""
+    return alg.C[c].comp((a, b))
+
+
+def pairing_B(alg, B, a: int, b: int) -> ScalarField:
+    """B(rho_a, rho_b) as one field."""
+    return field_sum_d(pairing_terms(alg, B, a, b), alg.dim)
+
+
+def lie_bracket(u: VectorField, v: VectorField) -> VectorField:
+    """[u, v] as a vector field."""
+    return VectorField(u.chart, [field_sum_d(terms, u.chart.dim) for terms in lie_bracket_terms(u, v)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import CHECK_REGISTRY, expr_jet, fd_gradient, fd_hessian, random_poly_source, random_smooth_source
+from conftest import (
+    CHECK_REGISTRY,
+    expr_jet,
+    fd_gradient,
+    fd_hessian,
+    pairing_B,
+    random_poly_source,
+    random_smooth_source,
+    structure,
+)
 from momsec.algebroid import (
     AlgebroidData,
     anchor_morphism_fields,
@@ -31,7 +40,7 @@ from momsec.fields import (
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.hamiltonian import PhasePolynomial, poisson_bracket
 from momsec.modelfile import load_model_bytes
-from momsec.momentum import MomentumData, h1_fields, h2_fields, h3_fields, pairing_B
+from momsec.momentum import MomentumData, h1_fields, h2_fields, h3_fields
 from momsec.suites import run
 
 
@@ -177,7 +186,7 @@ def test_acceptance_3_momentum_map_reduction(fixture_models):
                     lhs += alg.anchor[a][i].value(p) * translation.mu[b].jet(p).grad[i]
                     lhs -= alg.anchor[b][i].value(p) * translation.mu[a].jet(p).grad[i]
                 for c in range(2):
-                    lhs -= alg.structure(c, a, b).value(p) * translation.mu[c].value(p)
+                    lhs -= structure(alg, c, a, b).value(p) * translation.mu[c].value(p)
                 rhs = -pairing_B(alg, Bt, a, b).value(p)
                 worst = max(worst, abs(lhs - rhs))
     assert abs(reported - worst) < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import chart2, f, random_poly_source
+from conftest import chart2, f, random_poly_source, structure
 from momsec.algebroid import (
     AlgebroidData,
     EForm,
@@ -101,19 +101,19 @@ class TestJacobi:
         ch = chart2()
         rng = np.random.default_rng(13)
         anchor = [[f(random_poly_source(rng, ch.coordinates, max_degree=1), ch) for _ in range(2)] for _ in range(3)]
-        structure = {}
+        entries = {}
         for c in range(3):
             for a in range(3):
                 for b in range(a + 1, 3):
-                    structure[(c, a, b)] = f(random_poly_source(rng, ch.coordinates, max_degree=1), ch)
-        alg = AlgebroidData(ch, 3, anchor, structure)
+                    entries[(c, a, b)] = f(random_poly_source(rng, ch.coordinates, max_degree=1), ch)
+        alg = AlgebroidData(ch, 3, anchor, entries)
         sigma, _ = jacobi_sigma_fields(alg)
 
         def C(c, a, b, p):
-            return alg.structure(c, a, b).value(p)
+            return structure(alg, c, a, b).value(p)
 
         def dC(c, a, b, i, p):
-            fld = alg.structure(c, a, b)
+            fld = structure(alg, c, a, b)
             return fld.jet(p).grad[i]
 
         pts = ch.sample(6, 11)
@@ -179,7 +179,7 @@ class TestEDifferential:
                         - alg.apply_anchor(b, alpha.comp((a,))).value(p)
                     )
                     for c in range(3):
-                        ref -= alg.structure(c, a, b).value(p) * alpha.comp((c,)).value(p)
+                        ref -= structure(alg, c, a, b).value(p) * alpha.comp((c,)).value(p)
                     worst = max(worst, abs(out.comp((a, b)).value(p) - ref))
         assert worst < 1e-10
 

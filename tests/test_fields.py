@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chart2, chart3, f, random_poly_source
+from conftest import chart2, chart3, f, lie_bracket, random_poly_source, structure
 from momsec.algebroid import AlgebroidData, EForm
 from momsec.fields import (
     Chart,
@@ -19,7 +19,6 @@ from momsec.fields import (
     exterior_derivative,
     field_sum_d,
     interior_product,
-    lie_bracket,
     lie_derivative,
     lie_derivative_metric,
     matrix_inverse_fields,
@@ -353,7 +352,7 @@ def pair_container(kind: str, ch: Chart, g: ScalarField):
         return form, form.comp
     alg = AlgebroidData(ch, 2, [[const_field(0.0, ch.dim)] * ch.dim] * 2, {(0, 0, 1): g})
     if kind == "structure":
-        return alg.C[0], lambda idx: alg.structure(0, *idx)
+        return alg.C[0], lambda idx: structure(alg, 0, *idx)
     if kind == "EForm":
         eform = EForm(alg, 2, {(0, 1): g})
         return eform, eform.comp

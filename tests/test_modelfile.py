@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import structure
 from momsec.fixtures import fixture_bytes
 from momsec.modelfile import ModelError, load_model_bytes
 
@@ -206,7 +207,7 @@ class TestValidation:
         doc["algebroid"]["structure"] = [{"idx": [1, 2, 1], "expr": "x"}]
         model = load_model_bytes(doc_bytes(doc))
         p = np.array([0.5, 0.0])
-        assert model.alg.structure(0, 0, 1).value(p) == pytest.approx(-0.5)
+        assert structure(model.alg, 0, 0, 1).value(p) == pytest.approx(-0.5)
 
     def test_bad_schema_version(self):
         doc = minimal_doc()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import chart2, f, random_poly_source
+from conftest import chart2, f, pairing_B, random_poly_source, structure
 from momsec.algebroid import AlgebroidData
 from momsec.connections import ConnectionData
 from momsec.fields import (
@@ -22,13 +22,11 @@ from momsec.momentum import (
     MomentumData,
     classify,
     closedness_fields,
-    constant_structure,
     gamma_from_B,
     h1_fields,
     h2_fields,
     h3_fields,
     momentum_map_fields,
-    pairing_B,
 )
 
 
@@ -230,13 +228,13 @@ class TestMomentumMapReduction:
         def alg_with(source):
             return AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): f(source, ch)})
 
-        assert constant_structure(alg_with("2*(3 - 1)/4"))
-        assert isinstance(alg_with("2*(3 - 1)/4").structure(0, 0, 1), ConstField)
-        assert not constant_structure(alg_with("x - x + 1"))
-        assert not constant_structure(alg_with("x"))
-        assert constant_structure(AlgebroidData(ch, 2, [[zero, zero]] * 2, {}))
+        assert alg_with("2*(3 - 1)/4").constant_structure
+        assert isinstance(structure(alg_with("2*(3 - 1)/4"), 0, 0, 1), ConstField)
+        assert not alg_with("x - x + 1").constant_structure
+        assert not alg_with("x").constant_structure
+        assert AlgebroidData(ch, 2, [[zero, zero]] * 2, {}).constant_structure
         nan = AlgebroidData(ch, 2, [[zero, zero]] * 2, {(0, 0, 1): const_field(float("nan"), 2)})
-        assert not constant_structure(nan)
+        assert not nan.constant_structure
 
 
 class TestClosedness:
