@@ -18,8 +18,7 @@ make its planning read too fast.
 A second table counts, while planning every applicable suite once, the
 multiplications with a structural-zero operand, the ``Components.comp``
 lookups that return a zero, and the scalar nodes built that no probe of
-any plan reaches (``unreached``; entries of a matrix inverse that no
-caller reads are counted apart, since the inverse builds every entry).
+any plan reaches (``unreached``).
 """
 
 import gc
@@ -77,8 +76,7 @@ def timings(raw: bytes) -> dict:
 def planning_counts(raw: bytes) -> dict:
     """Work on structural zeros while planning every applicable suite of
     a freshly loaded model: ``zero_products``, ``zero_lookups``, and the
-    scalar nodes built that no probe reaches, ``unreached`` (a list) and
-    ``unread_inverse`` (entries of a matrix inverse, a count)."""
+    scalar nodes built that no probe reaches, ``unreached`` (a list)."""
     gc.collect()
     model = load_model_bytes(raw)
     counts = {"zero_products": 0, "zero_lookups": 0}
@@ -113,9 +111,7 @@ def planning_counts(raw: bytes) -> dict:
         if node not in reached:
             reached.add(node)
             stack.extend(node.inputs)
-    unreached = [n for n in built if n not in reached]
-    counts["unreached"] = [n for n in unreached if not isinstance(n, fields.MatrixInverseField)]
-    counts["unread_inverse"] = len(unreached) - len(counts["unreached"])
+    counts["unreached"] = [n for n in built if n not in reached]
     return counts
 
 
@@ -139,13 +135,10 @@ def main(argv: list[str]) -> int:
             f"{1e3 * best['compile']:7.3f} {1e3 * best['eval']:6.3f}  {by_suite}"
         )
     print()
-    print(f"{'model':28s} {'zero products':>13s} {'zero lookups':>12s} {'unreached':>9s} {'unread inverse':>14s}")
+    print(f"{'model':28s} {'zero products':>13s} {'zero lookups':>12s} {'unreached':>9s}")
     for name, raw in models():
         c = planning_counts(raw)
-        print(
-            f"{name:28s} {c['zero_products']:13d} {c['zero_lookups']:12d} "
-            f"{len(c['unreached']):9d} {c['unread_inverse']:14d}"
-        )
+        print(f"{name:28s} {c['zero_products']:13d} {c['zero_lookups']:12d} {len(c['unreached']):9d}")
     return 0
 
 

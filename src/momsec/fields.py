@@ -659,11 +659,23 @@ def finite_only(f, matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_inverse_fields(entries) -> list[list[ScalarField]]:
-    """Entry fields of the pointwise inverse of a square field matrix."""
+class _InverseRow:
+    """Row i of a matrix inverse: entry j is the node ``(core, i, j)``,
+    built when it is first read, so no entry is built that nothing reads."""
+
+    def __init__(self, core: _MatrixInverse, i: int):
+        self.core, self.i = core, i
+
+    def __getitem__(self, j: int) -> ScalarField:
+        if not 0 <= j < self.core.n:
+            raise IndexError(j)
+        return _shared(MatrixInverseField, self.core, self.i, j)
+
+
+def matrix_inverse_fields(entries) -> list[_InverseRow]:
+    """Entry fields of the pointwise inverse of a square field matrix, by row."""
     core = _shared(_MatrixInverse, tuple(f for row in entries for f in row))
-    n = core.n
-    return [[_shared(MatrixInverseField, core, i, j) for j in range(n)] for i in range(n)]
+    return [_InverseRow(core, i) for i in range(core.n)]
 
 
 # ---------------------------------------------------------------------------

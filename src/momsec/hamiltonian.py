@@ -85,28 +85,45 @@ class PhasePolynomial(Components):
         return out
 
 
-def _half_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None) -> PhasePolynomial:
+class _Operand(dict):
+    """A polynomial in brackets, with its p-derivatives by index, each
+    taken when first read: an operand of several brackets takes each once."""
+
+    def __init__(self, P: PhasePolynomial):
+        super().__init__()
+        self.P = P
+
+    def __missing__(self, i: int) -> PhasePolynomial:
+        self[i] = dp = self.P.dp(i)
+        return dp
+
+
+def _half_bracket(F: _Operand, G: _Operand, twist: FormField | None) -> PhasePolynomial:
     """T(F,G) = dF/dp_i dG/dx^i + (1/2) B_ij dF/dp_i dG/dp_j."""
-    dim = F.dim
+    dim = F.P.dim
     # each monomial's terms in the order of the sums above, with no derivative whose partner is zero
     terms: dict = {}
-    pF, pG = ({i for key in P.comps for i in key} for P in (F, G))
+    pF, pG = ({i for key in P.comps for i in key} for P in (F.P, G.P))
     for i in sorted(pF):
-        if not (dG := G.dx(i)).is_zero:
-            F.dp(i).products(dG, terms)
+        if not (dG := G.P.dx(i)).is_zero:
+            F[i].products(dG, terms)
     if twist is not None:
         for i, row in enumerate(twist.incidence):
             for j in row:
                 if i in pF and j in pG:
-                    part = F.dp(i).mul(G.dp(j)).mul_field(twist.comp((i, j))).scaled(0.5)
+                    part = F[i].mul(G[j]).mul_field(twist.comp((i, j))).scaled(0.5)
                     for key, f in part.comps.items():
                         terms.setdefault(key, []).append(f)
     return PhasePolynomial(dim, {key: field_sum_d(v, dim) for key, v in terms.items()})
 
 
+def _bracket(F: _Operand, G: _Operand, twist: FormField | None) -> PhasePolynomial:
+    return _half_bracket(F, G, twist) - _half_bracket(G, F, twist)
+
+
 def poisson_bracket(F: PhasePolynomial, G: PhasePolynomial, twist: FormField | None = None) -> PhasePolynomial:
     """{F, G}, exactly antisymmetric coefficient by coefficient."""
-    return _half_bracket(F, G, twist) - _half_bracket(G, F, twist)
+    return _bracket(_Operand(F), _Operand(G), twist)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +186,12 @@ def first_class_fields(sys: ConstraintSystem):
     """
     out: dict[int, list] = {}
     r = sys.rank
-    phis = [sys.constraint(a) for a in range(r)]
+    phis = [_Operand(sys.constraint(a)) for a in range(r)]
     for a in range(r):
         for b in range(a + 1, r):
-            res = poisson_bracket(phis[a], phis[b], sys.twist)
+            res = _bracket(phis[a], phis[b], sys.twist)
             for c, C in sys.alg.brackets(a, b).items():
-                res = res - phis[c].mul_field(C)
+                res = res - phis[c].P.mul_field(C)
             for k in res.degrees_present():
                 out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a, b=b)))
     return out
@@ -191,13 +208,14 @@ def flow_fields(sys: ConstraintSystem):
     """
     d = sys.dim
     r = sys.rank
-    H = sys.hamiltonian()
-    phis = [sys.constraint(a) for a in range(r)]
+    # H's p-derivatives are taken once, for every constraint
+    H = _Operand(sys.hamiltonian())
+    phis = [_Operand(sys.constraint(a)) for a in range(r)]
     out: dict[int, list] = {0: [], 1: [], 2: []}
     for a in range(r):
-        res = poisson_bracket(H, phis[a], sys.twist)
+        res = _bracket(H, phis[a], sys.twist)
         for b in range(r):
-            res = res - sys.multiplier(a, b).mul(phis[b])
+            res = res - sys.multiplier(a, b).mul(phis[b].P)
         for k in res.degrees_present():
             if k > 2:
                 out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a)))

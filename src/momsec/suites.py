@@ -616,23 +616,23 @@ def plan_multisym(model: Model):
     n = data.n
 
     closed_rows = mom.closedness_fields(data.h)
-    descent_rows = [
-        (k, msy.descent_pairing_fields(data, k), msy.descent_symmetry_fields(data, k)) for k in range(1, n)
-    ]
-    # rows keyed like msy.specialized_fields, for the agreement below
-    general = {"hm2": msy.hm2_fields(data), "hm1": msy.hm1_fields(data)}
+    # one operator builds every row set below from pieces it builds once
+    tower = msy.TowerOperator(data)
+    descent_rows = [(k, tower.descent_pairing(k), tower.descent_symmetry(k)) for k in range(1, n)]
+    # rows keyed like tower.specialized(), for the agreement below
+    general = {"hm2": tower.hm2(), "hm1": tower.hm1()}
     hm3_terms = {}
     for k in range(n - 1, -1, -1):
-        general[f"hm3[{k}]"], hm3_terms[k] = msy.hm3_differential_fields(data, k)
-    rewrite_rows = msy.hm3_rewrite_fields(data) if n >= 2 else None
+        general[f"hm3[{k}]"], hm3_terms[k] = tower.hm3(k)
+    rewrite_rows = tower.rewrite() if n >= 2 else None
     # the reduced system holds for a flat connection and constant brackets
-    sp = msy.specialized_fields(data) if model.conn.is_flat and alg.constant_structure else {}
+    sp = tower.specialized() if model.conn.is_flat and alg.constant_structure else {}
     # the n = 1 tower against H2 and H3 of its own 2-form and moment map;
-    # its HM1 rows are H1's, built by the same function
+    # its HM1 rows are H1's, built the same way
     reduction = None
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        reduced = mom.MomentumData(alg, model.conn, msy.tilde_h(data), mu)
+        reduced = mom.MomentumData(alg, model.conn, tower.h_tilde, mu)
         reduction = {"hm2": mom.h2_fields(reduced), "hm3[0]": mom.h3_fields(reduced)}
     row_sets = [closed_rows, *chain(*((p, q) for _, p, q in descent_rows)), *general.values(), *sp.values()]
     row_sets += [rows for terms in hm3_terms.values() for rows in terms.values()]
