@@ -8,12 +8,14 @@ The models are the built-in examples, then ``son_model_bytes(3, 1)`` and
 ``son_model_bytes(4, 1)`` (``perfbench/models.py``).  Each model is
 loaded N times, fresh; each time the script times loading it, each
 applicable suite's planner (with its ``_Plan``), compiling the run's
-program and evaluating it at sampling seed 42 and 32 points, as
-``momsec.suites.run`` does them.  One line per model gives the minimum
-of each over the N loads, in ms.  Before each load the previous model,
-its plans and its program are dropped and collected, so the node table
-is empty: a node of a live model would be shared with the new one and
-make its planning read too fast.
+program, evaluating it at sampling seed 42 and 32 points, and making the
+report (``report``: every plan's row maxima and step, then
+``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do them.
+One line per model gives the minimum of each over the N loads, in ms.
+Before each load the previous model, its plans and its program are
+dropped and collected, so the node table is empty: a node of a live
+model would be shared with the new one and make its planning read too
+fast.
 
 A second table counts, while planning every applicable suite once, the
 multiplications with a structural-zero operand, the ``Components.comp``
@@ -65,11 +67,18 @@ def timings(raw: bytes) -> dict:
     start = time.perf_counter()
     program = fields.Program([(p.fields, p.order) for p in probes], model.chart.dim)
     out["compile"] = time.perf_counter() - start
-    points = model.chart.sample(POINTS, SEED)
+    config = suites.RunConfig(tolerance=model.tolerance, points=POINTS, seed=SEED)
+    ctx = suites.CheckContext(model, config, suites.applicable_suites(model))
     start = time.perf_counter()
     with np.errstate(all="ignore"):
-        suites._evaluate(program, probes, points)
-    out["eval"] = time.perf_counter() - start
+        ctx.maxima = suites._evaluate(program, probes, ctx.points)
+        out["eval"] = time.perf_counter() - start
+        start = time.perf_counter()
+        for plan in plans:
+            ctx.row_maxima.update(plan.row_maxima(ctx.maxima))
+            plan.step(ctx)
+        ctx.report.to_json()
+    out["report"] = time.perf_counter() - start
     return out
 
 
@@ -121,7 +130,7 @@ def main(argv: list[str]) -> int:
         print("error: N must be positive", file=sys.stderr)
         return 2
     print(f"minimum of {rounds} fresh loads, ms; evaluation at seed {SEED}, {POINTS} points")
-    print(f"{'model':28s} {'load':>6s} {'plan':>6s} {'compile':>7s} {'eval':>6s}  plan by suite")
+    print(f"{'model':28s} {'load':>6s} {'plan':>6s} {'compile':>7s} {'eval':>6s} {'report':>6s}  plan by suite")
     for name, raw in models():
         best: dict = {}
         for _ in range(rounds):
@@ -132,7 +141,7 @@ def main(argv: list[str]) -> int:
         by_suite = " ".join(f"{layer}={1e3 * best[layer]:.3f}" for layer in plan)
         print(
             f"{name:28s} {1e3 * best['load']:6.3f} {1e3 * sum(best[s] for s in plan):6.3f} "
-            f"{1e3 * best['compile']:7.3f} {1e3 * best['eval']:6.3f}  {by_suite}"
+            f"{1e3 * best['compile']:7.3f} {1e3 * best['eval']:6.3f} {1e3 * best['report']:6.3f}  {by_suite}"
         )
     print()
     print(f"{'model':28s} {'zero products':>13s} {'zero lookups':>12s} {'unreached':>9s}")

@@ -59,6 +59,7 @@ from .fields import (
     index_label,
     interior_product,
     lie_derivative,
+    sort_signed,
     wedge,
 )
 
@@ -116,9 +117,9 @@ class TowerOperator:
     """The covariant differential of one model's tower and its readings.
 
     Each piece (see the module docstring) is built on first use and kept.
-    A piece of eta^(k)(b) is read at ``b`` as given: at a permuted tuple
-    it is the piece of the negated form, which a reading that looks the
-    component up there builds, and for a zero component an empty form.
+    Every piece is linear in eta: at a permuted tuple it is the stored
+    component's piece times the permutation sign, and for a zero
+    component (or a repeated index) an empty form.
     """
 
     def __init__(self, data: PrenPlecticData):
@@ -133,9 +134,14 @@ class TowerOperator:
         """``op`` of eta^(k)(b), after rho_a when ``a`` is given, of degree k + ``shift``."""
         key = (op, k, b, a)
         if key not in self._pieces:
-            form = self.data.eta_k(k).comp(b)
-            args = (form,) if a is None else (self.rho[a], form)
-            self._pieces[key] = FormField(form.chart, k + shift) if form.is_zero else op(*args)
+            canon, sign = sort_signed(b)
+            if canon != b:
+                piece = self._piece(op, k, canon, shift, a) if sign else FormField(self.data.alg.chart, k + shift)
+                self._pieces[key] = piece.scaled(-1.0) if sign < 0 else piece
+            else:
+                form = self.data.eta_k(k).comp(b)
+                args = (form,) if a is None else (self.rho[a], form)
+                self._pieces[key] = FormField(form.chart, k + shift) if form.is_zero else op(*args)
         return self._pieces[key]
 
     def lie(self, k: int, a: int, b: tuple) -> FormField:

@@ -7,8 +7,10 @@ flow-deg1-vs-h2 and firstclass-deg0-vs-h3, and multisym makes the
 descent rows k by k), floats are rendered with Python's shortest
 round-trip repr, and JSON keys are sorted.  ``CheckReport.to_json``
 writes the bytes ``json.dumps(payload, sort_keys=True, indent=2)`` would,
-and a newline, but fills one template per check row, with strings
-through json's own C encoder.
+and a newline, but fills one template per check row directly: strings
+through json's own C encoder, floats through :func:`_float`, flags and
+terms joined in place, ints and bools as they are, and a value of any
+other type (an int tolerance) through the generic :func:`_json`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 
 @dataclass
@@ -63,7 +64,7 @@ class CheckReport:
     def to_json(self) -> str:
         """The report as ``json.dumps(payload, sort_keys=True, indent=2)``
         writes it, with a newline: each check row from one template."""
-        rows = ",\n    ".join([_ROW % tuple(map(_json, _ROW_VALUES(c))) for c in self.checks])
+        rows = ",\n    ".join([_row(c) for c in self.checks])
         return _REPORT % (
             f"[\n    {rows}\n  ]" if rows else "[]",
             _json(self.model_hash),
@@ -106,7 +107,6 @@ class CheckReport:
 _ROW_KEYS = (
     "equation", "flags", "informational", "max_residual", "n_points", "n_tuples", "name", "passed", "terms", "tolerance"
 )
-_ROW_VALUES = attrgetter(*_ROW_KEYS)
 _ROW = "{\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS) + "\n    }"
 _REPORT = (
     '{\n  "checks": %s,\n  "model_hash": %s,\n  "overall_pass": %s,\n  "points": %s,\n  "schema": 1,\n'
@@ -114,11 +114,40 @@ _REPORT = (
 )
 
 
+def _row(c: CheckResult) -> str:
+    """One check row as :func:`_json` writes it, filled field by field."""
+    terms = c.terms
+    if terms:
+        items = [encode_basestring_ascii(k) + ": " + _float(x) for k, x in sorted(terms.items())]
+        terms = "{\n        " + ",\n        ".join(items) + "\n      }"
+    return _ROW % (
+        encode_basestring_ascii(c.equation),
+        "[\n        " + ",\n        ".join(map(encode_basestring_ascii, c.flags)) + "\n      ]" if c.flags else "[]",
+        "true" if c.informational else "false",
+        _float(c.max_residual),
+        c.n_points,
+        c.n_tuples,
+        encode_basestring_ascii(c.name),
+        "true" if c.passed else "false",
+        "null" if terms is None else terms or "{}",
+        _float(c.tolerance),
+    )
+
+
+def _float(value) -> str:
+    """A float as json writes it: by ``float.__repr__``, with json's
+    spellings of NaN and the infinities; any other value by :func:`_json`."""
+    if value.__class__ is not float:
+        return _json(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
 def _json(value, indent: str = "\n      ") -> str:
     """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
     where ``indent``, a line break and the indentation, starts its lines:
-    strings through json's own ASCII encoder, floats by ``float.__repr__``
-    with json's spellings of NaN and the infinities."""
+    strings through json's own ASCII encoder, floats by :func:`_float`."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -130,13 +159,7 @@ def _json(value, indent: str = "\n      ") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
+        return _float(float(value))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -149,20 +172,3 @@ def _json(value, indent: str = "\n      ") -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
-
-def _result(name, equation, residual, n_points, n_tuples, tolerance, informational, terms, flags) -> CheckResult:
-    # NaN compares false with everything, so a non-finite residual is tested
-    # explicitly: it fails the row and is flagged, never passed
-    finite = math.isfinite(residual)
-    return CheckResult(
-        name=name,
-        equation=equation,
-        max_residual=float(residual),
-        n_points=n_points,
-        n_tuples=n_tuples,
-        tolerance=tolerance,
-        passed=finite and residual < tolerance,
-        informational=informational,
-        terms=terms,
-        flags=flags if finite else flags + ("non-finite",),
-    )

@@ -6,16 +6,16 @@ and returns the step that reports them, every row set the step may read
 (whichever branch a run takes; it reads no other, and a concatenation of
 row sets is one more row set, built there) and the probes it reads
 besides, which only mechanics has: the metric and anchor matrices.  The
-plan finds the positions of each row set's fields once, so a step reads a
-row set's maximum without building an index.  Which row sets
-exist is decided there, from the model's structure: the constant-bracket
-reductions only for a flat connection and structure functions that are
-finite constants of the model, and sigma2d's rows for a b that is not
-closed only when no ``beta_rigid`` is given and db is not a structural
-zero.  The model keeps the plan for every run after.  A run compiles the
-probes of every suite it selects into one
-:class:`~momsec.fields.Program`, which the model keeps for each next
-run of the same selection, so a node that several suites read is evaluated
+plan concatenates the positions of every row set's fields once, so a run
+reads the maximum of every row set of the plan with one reduction.
+Which row sets exist is decided there, from the model's structure: the
+constant-bracket reductions only for a flat connection and structure
+functions that are finite constants of the model, and sigma2d's rows for
+a b that is not closed only when no ``beta_rigid`` is given and db is not
+a structural zero.  The model keeps the plan for every run after.  A run
+compiles the probes of every suite it selects into one
+:class:`~momsec.fields.Program`, which the model keeps for each next run
+of the same selection, so a node that several suites read is evaluated
 once, and no other program is compiled.
 
 One point sample is drawn per run and shared by every check, so
@@ -31,13 +31,15 @@ is chosen to make exact, and a domain error or a singular matrix names
 its point by its index in the whole sample: the first point where any
 node fails, whatever the chunk length.
 
-Only then do the steps run, and they read only these maxima.  The only
-wiring that reads sample values (whether sigma2d's b is closed, which
-picks the rigid-b rows it reports) is decided in the step, per run.
-Each run has one :class:`CheckContext`, which holds the model, the
-sample, the :class:`RunConfig`, the report and the maxima of every
-selected suite; its methods are the only code that makes a report row,
-and each appends its row to the report as it is made.  The H1-H3 rows
+Only then do the steps run, and they read only these maxima: one
+``np.maximum.reduceat`` per plan takes every row set's maximum, and a
+step looks each up by its row set.  The only wiring that reads sample
+values (whether sigma2d's b is closed, which picks the rigid-b rows it
+reports) is decided in the step, per run.  Each run has one
+:class:`CheckContext`, which holds the model, the sample, the
+:class:`RunConfig`, the report and the maxima of every selected suite
+and of each of its row sets; its methods are the only code that makes a
+report row, and each appends its row to the report as it is made.  The H1-H3 rows
 come from :func:`momentum.condition_fields` wherever a suite needs them.
 The anchoring conditions (H1, HM1) are reported but not required unless
 ``require_h1`` is set.  A row that holds only under stated hypotheses
@@ -63,7 +65,7 @@ from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
 from .fields import Program, SingularMatrixError, exterior_derivative, finite_only
 from .modelfile import Model
-from .reporting import CheckReport, CheckResult, _result
+from .reporting import CheckReport, CheckResult
 
 # bytes of jet tables that a program may fill per chunk: a run
 # evaluates this many bytes over its program's bytes per point at a time
@@ -136,7 +138,7 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
             model._plans[key] = Program([(p.fields, p.order) for p in probes], model.chart.dim)
         ctx.maxima = _evaluate(model._plans[key], probes, ctx.points)
         for plan in plans:
-            ctx.plan = plan
+            ctx.row_maxima.update(plan.row_maxima(ctx.maxima))
             plan.step(ctx)
     return ctx.report
 
@@ -161,24 +163,34 @@ def _abs_maxima(jet) -> np.ndarray:
 class _Plan:
     """A suite's step and its probes.  The first probe is every field of
     ``row_sets`` that is not a structural zero, to order 0, reduced to its
-    max |f|; ``positions`` maps each row set, by identity, to the
-    positions of its fields in that probe, so a step reads a row set's
-    maximum with one index array.  A row set that is ``None`` was not
-    built for the model.  The plan holds the row sets, so no id is reused
-    while it lives.  The run's program evaluates every probe of the plan
-    in every run."""
+    max |f|.  A row set that is ``None`` was not built for the model.  The
+    positions of the fields of every other row set are concatenated once,
+    in ``order`` from offsets ``starts``, so :meth:`row_maxima` reads them
+    all with one reduction.  Row sets are keyed by identity; the plan
+    holds them, so no id is reused while it lives.  The run's program
+    evaluates every probe of the plan in every run."""
 
     def __init__(self, step, row_sets, probes=()):
         self.step = step
         self.row_sets = row_sets
         index: dict = {}
-        self.positions = {}
+        positions = {}
         for rows in row_sets:
-            if rows is None:
-                continue
-            picked = [index.setdefault(f, len(index)) for _, f in rows if not f.is_zero]
-            self.positions[id(rows)] = np.array(picked, dtype=np.intp)
+            if rows is not None:
+                positions[id(rows)] = [index.setdefault(f, len(index)) for _, f in rows if not f.is_zero]
+        # a row set whose fields are all structural zeros reads 0
+        self.zeros = {key: 0.0 for key, picked in positions.items() if not picked}
+        self.ids = [key for key, picked in positions.items() if picked]
+        self.order = np.array([i for key in self.ids for i in positions[key]], dtype=np.intp)
+        self.starts = np.cumsum([0] + [len(positions[key]) for key in self.ids])[:-1]
         self.probes = (_Probe(list(index), 0, _abs_maxima), *probes)
+
+    def row_maxima(self, maxima: dict) -> dict:
+        """The largest |f| of each row set over the sample, keyed by id,
+        from the run's probe ``maxima``.  The maxima are >= 0 or NaN, and
+        ``np.maximum`` keeps a NaN as ``ndarray.max`` does."""
+        values = np.maximum.reduceat(maxima[self.probes[0]][self.order], self.starts)
+        return {**self.zeros, **dict(zip(self.ids, values.tolist()))}
 
 
 def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
@@ -212,8 +224,8 @@ def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
 
 class CheckContext:
     """One run: the model, its point sample, the config, the report, the
-    probe maxima of every selected suite and the plan of the suite being
-    reported.
+    probe maxima of every selected suite and the maximum of each of their
+    row sets.
 
     Every row method reads its residual from those maxima, appends the
     row to the report and returns it, so rows appear in the order they
@@ -225,20 +237,17 @@ class CheckContext:
         self.cfg = cfg
         self.tol = cfg.tolerance
         self.points = model.chart.sample(cfg.points, cfg.seed)
-        self.plan: _Plan | None = None
         self.maxima: dict = {}
+        self.row_maxima: dict = {}
         self.report = CheckReport(
             model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
         )
         self.verdicts = self.report.verdicts
 
     def max(self, rows) -> float:
-        """Largest |f| over the sample for a row set that the planner of
-        the suite being reported returned; 0 for rows that are all zero."""
-        plan = self.plan
-        picked = self.maxima[plan.probes[0]][plan.positions[id(rows)]]
-        # the maxima are >= 0 or NaN, and ndarray.max keeps a NaN
-        return float(picked.max()) if len(picked) else 0.0
+        """Largest |f| over the sample for a row set that the planner of a
+        selected suite returned; 0 for rows that are all zero."""
+        return self.row_maxima[id(rows)]
 
     def check(
         self,
@@ -287,8 +296,9 @@ class CheckContext:
     ) -> CheckResult:
         """A row stating that two sets of rows agree: the largest
         |max|x| - max|y|| over the pairs (x, y), NaN if any is NaN."""
-        # np.max keeps a NaN that the builtin max may drop
-        delta = float(np.max([abs(self.max(x) - self.max(y)) for x, y in pairs]))
+        deltas = [abs(self.max(x) - self.max(y)) for x, y in pairs]
+        # the builtin max may drop a NaN
+        delta = math.nan if any(map(math.isnan, deltas)) else max(deltas)
         return self._add(name, equation, delta, 1, tolerance, informational, None, (), assuming)
 
     def _add(
@@ -297,11 +307,18 @@ class CheckContext:
         """Make the row and append it.  With ``assuming=(rows, flag)`` the
         row is informational and gets ``flag`` if any of the reported
         ``rows`` failed with a finite residual; a non-finite hypothesis was
-        never really evaluated, so the row stays required."""
+        never really evaluated, so the row stays required.  NaN compares
+        false with everything, so a non-finite residual is tested
+        explicitly: it fails the row and is flagged, never passed."""
         hypotheses, flag = assuming
         if any(not h.passed and math.isfinite(h.max_residual) for h in hypotheses):
             informational, flags = True, flags + (flag,)
-        row = _result(name, equation, residual, len(self.points), n_tuples, tolerance, informational, terms, flags)
+        finite = math.isfinite(residual)
+        passed = finite and residual < tolerance
+        flags = flags if finite else flags + ("non-finite",)
+        row = CheckResult(
+            name, equation, float(residual), len(self.points), n_tuples, tolerance, passed, informational, terms, flags
+        )
         self.report.add(row)
         return row
 

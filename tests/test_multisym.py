@@ -1,6 +1,7 @@
 import json
 import pathlib
 import sys
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -9,12 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import chart3, f, random_poly_source
+from momsec import suites
 from momsec.algebroid import AlgebroidData
 from momsec.connections import ConnectionData, dual_covariant_derivative
 from momsec.fields import (
     Chart,
     ExprField,
     FormField,
+    PartialField,
+    ScaledField,
     const_field,
     exterior_derivative,
     field_sum_d,
@@ -22,6 +26,7 @@ from momsec.fields import (
     interior_product,
     lie_derivative,
     max_abs_fields,
+    sort_signed,
     wedge,
 )
 from momsec.fixtures import fixture_bytes, fixture_names
@@ -406,6 +411,13 @@ def ref_hm2_fields(data):
     return out
 
 
+def signed_piece(op, bv, b):
+    """``op`` of ``bv`` at ``b`` as the operator builds it: ``op`` of the
+    stored component, times the permutation sign."""
+    canon, sign = sort_signed(b)
+    return op(bv.comp(canon or b)).scaled(float(sign))
+
+
 def _cyclic_sign(shift, length):
     return 1 if (shift * (length - 1)) % 2 == 0 else -1
 
@@ -420,7 +432,7 @@ def ref_descent_pairing_fields(data, k):
         parts = []
         for shift in range(m):
             rotated = btuple[shift:] + btuple[:shift]
-            term = interior_product(alg.anchor_vector(rotated[0]), upper.comp(rotated[1:]))
+            term = signed_piece(partial(interior_product, alg.anchor_vector(rotated[0])), upper, rotated[1:])
             parts.append(term if _cyclic_sign(shift, m) > 0 else term.scaled(-1.0))
         rhs = FormField(alg.chart, k - 1).plus(parts).scaled(-1.0 if k % 2 == 1 else 1.0)
         out += (lhs - rhs).rows(index_label(b=btuple))
@@ -437,7 +449,7 @@ def ref_descent_symmetry_fields(data, k):
             for m in range(mslots):
                 swapped = btuple[:m] + (s,) + btuple[m + 1 :]
                 first = interior_product(alg.anchor_vector(s), upper.comp(btuple))
-                second = interior_product(alg.anchor_vector(btuple[m]), upper.comp(swapped))
+                second = signed_piece(partial(interior_product, alg.anchor_vector(btuple[m])), upper, swapped)
                 out += (first + second).rows(index_label(s=s, m=m, b=btuple))
     return out
 
@@ -482,7 +494,8 @@ def ref_hm3_differential_fields(data, k):
             for pos, bi in enumerate(btuple):
                 sign = -1.0 if (pos + 1) % 2 == 1 else 1.0
                 for c, gamma in gammas:
-                    iota = interior_product(alg.anchor_vector(bi), eta_k.comp(btuple[:pos] + (c,) + btuple[pos + 1 :]))
+                    slot = btuple[:pos] + (c,) + btuple[pos + 1 :]
+                    iota = signed_piece(partial(interior_product, alg.anchor_vector(bi)), eta_k, slot)
                     t_wedge = t_wedge - wedge(gamma, iota).scaled(sign)
                 coeffs = [_contract(conn.forms, alg.anchor[bi], [(c, a)]) for c in range(alg.rank)]
                 pairing.append(pair_into_checked_slot(eta_k, btuple, pos, coeffs).scaled(sign))
@@ -537,7 +550,7 @@ def ref_specialized_fields(data):
                 acc = lie_derivative(alg.anchor_vector(a), eta_k.comp(btuple))
                 acc = acc.plus(_bracket_parts(data, eta_k, a, btuple))
                 if k >= 1:
-                    acc = acc - exterior_derivative(data.eta_k(k - 1).comp((a,) + btuple))
+                    acc = acc - signed_piece(exterior_derivative, data.eta_k(k - 1), (a,) + btuple)
                 rows += acc.rows(index_label(a=a, b=btuple))
         out[f"hm3[{k}]"] = rows
     return out
@@ -613,3 +626,25 @@ MODELS.update({"son(3, 1)": lambda: son_model_bytes(3, 1), "son(4, 1)": lambda: 
 @pytest.mark.parametrize("name", [name for name in MODELS if "multisym" in json.loads(MODELS[name]())])
 def test_operator_rows_are_the_reference_rows_on_models(name):
     assert_matches_reference(load_model_bytes(MODELS[name]()).multisym)
+
+
+
+@pytest.mark.parametrize("name", ["son(3, 1)", "son(4, 1)"])
+def test_a_piece_at_a_permuted_tuple_is_the_stored_piece_negated(name):
+    model = load_model_bytes(MODELS[name]())
+    tower = TowerOperator(model.multisym)
+    n, rank = tower.data.n, tower.data.alg.rank
+    for k in range(n - 1):
+        for b in combinations(range(rank), n - k):
+            swapped = (b[1], b[0]) + b[2:]
+            assert tower.d(k, swapped).comps == tower.d(k, b).scaled(-1.0).comps
+            assert tower.lie(k, 0, swapped).comps == tower.lie(k, 0, b).scaled(-1.0).comps
+    # built from the negated component, a piece would differentiate -g beside g
+    plan = suites._Plan(*suites._SUITES["multisym"][0](model))
+    seen, stack = set(), [f for probe in plan.probes for f in probe.fields]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.inputs)
+    assert not [x for x in seen if isinstance(x, PartialField) and isinstance(x.f, ScaledField) and x.f.c == -1.0]

@@ -60,12 +60,14 @@ ROWS = {
         _row(equation='say "d_E mu" \\ done', flags=('a "quoted" flag', "tab\there")),
         _row(equation="μ_a + η_i ρ^i_a = 0", flags=("été", "\U0001d53c-valued", "")),
         _row(name="\x00\x1f\x7f"),
+        _row(flags=("",)),
     ],
     "terms": [
         _row(terms=None),
         _row(terms={}),
         _row(terms={"degree 1": 0.5, "degree 0": math.nan, "é": -math.inf, "b": -0.0}),
         _row(informational=True, passed=False, terms={"degree 2": 1e-17}),
+        _row(terms={"degree 0": math.nan}),
     ],
     "none": [],
 }
@@ -97,6 +99,12 @@ def test_to_json_writes_every_report_field_as_the_standard_encoder(changes):
 def test_to_json_of_a_fixture_report_is_the_standard_encoding(name):
     model = load_model_bytes(fixture_bytes(name))
     report = run(model, "all", RunConfig(tolerance=model.tolerance, points=9, seed=3))
+    assert report.to_json() == _reference(report)
+
+
+def test_to_json_writes_int_row_tolerances_as_the_standard_encoder():
+    report = run(load_model_bytes(fixture_bytes(fixture_names()[0])), "all", RunConfig(tolerance=1, points=9, seed=3))
+    assert any(type(c.tolerance) is int for c in report.checks)
     assert report.to_json() == _reference(report)
 
 

@@ -354,6 +354,16 @@ def test_a_non_finite_hypothesis_keeps_the_row_required(fixture_models):
     assert not rep.overall_pass
 
 
+def test_an_agreement_is_nan_when_any_pair_is(fixture_models):
+    ctx = CheckContext(fixture_models["so3_action_algebroid"], RunConfig(tolerance=1e-9, points=4, seed=0), [])
+    finite, nan, zero = [], [], []
+    ctx.row_maxima = {id(finite): 0.5, id(nan): math.nan, id(zero): 0.0}
+    # the builtin max keeps its first argument when the second is NaN
+    row = ctx.agreement("a", "x = y", [(finite, zero), (nan, zero)], 1e-9)
+    assert math.isnan(row.max_residual) and not row.passed and row.flags == ("non-finite",)
+    assert ctx.agreement("b", "x = y", [(zero, finite), (finite, finite)], 1.0).max_residual == 0.5
+
+
 @pytest.mark.parametrize("expr, constant", [("2*(3 - 1)/4", True), ("x1 - x1 + 1", False)])
 def test_constant_brackets_are_read_off_the_model(monkeypatch, expr, constant):
     # C^1_23 is 1 at every point either way; only a coordinate-free entry
