@@ -8,9 +8,12 @@ The models are the built-in examples, then ``son_model_bytes(3, 1)`` and
 ``son_model_bytes(4, 1)`` (``perfbench/models.py``).  Each model is
 loaded N times, fresh; each time the script times loading it, each
 applicable suite's planner (with its ``_Plan``), compiling the run's
-program, evaluating it at sampling seed 42 and 32 points, and making the
-report (``report``: every plan's row maxima and step, then
-``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do them.
+program, running it at sampling seed 42 and 32 points (``run``: every
+kernel of ``Program.run``), reducing its root groups (``reduce``: each
+probe's gather and reduction, the max |f| of the rows and the matrix
+probes of mechanics), and making the report (``report``: every plan's
+row maxima and step, then ``CheckReport.to_json``), as
+``momsec.suites.run`` and the CLI do them.
 One line per model gives the minimum of each over the N loads, in ms.
 Before each load the previous model, its plans and its program are
 dropped and collected, so the node table is empty: a node of a live
@@ -71,8 +74,12 @@ def timings(raw: bytes) -> dict:
     ctx = suites.CheckContext(model, config, suites.applicable_suites(model))
     start = time.perf_counter()
     with np.errstate(all="ignore"):
-        ctx.maxima = suites._evaluate(program, probes, ctx.points)
-        out["eval"] = time.perf_counter() - start
+        # the sample is one chunk, so this is what ``suites._evaluate`` does
+        jets = program.run(ctx.points)
+        out["run"] = time.perf_counter() - start
+        start = time.perf_counter()
+        ctx.maxima = {p: p.reduce(jet) for p, jet in zip(probes, jets)}
+        out["reduce"] = time.perf_counter() - start
         start = time.perf_counter()
         for plan in plans:
             ctx.row_maxima.update(plan.row_maxima(ctx.maxima))
@@ -130,7 +137,9 @@ def main(argv: list[str]) -> int:
         print("error: N must be positive", file=sys.stderr)
         return 2
     print(f"minimum of {rounds} fresh loads, ms; evaluation at seed {SEED}, {POINTS} points")
-    print(f"{'model':28s} {'load':>6s} {'plan':>6s} {'compile':>7s} {'eval':>6s} {'report':>6s}  plan by suite")
+    print(
+        f"{'model':28s} {'load':>6s} {'plan':>6s} {'compile':>7s} {'run':>6s} {'reduce':>6s} {'report':>6s}  plan by suite"
+    )
     for name, raw in models():
         best: dict = {}
         for _ in range(rounds):
@@ -141,7 +150,8 @@ def main(argv: list[str]) -> int:
         by_suite = " ".join(f"{layer}={1e3 * best[layer]:.3f}" for layer in plan)
         print(
             f"{name:28s} {1e3 * best['load']:6.3f} {1e3 * sum(best[s] for s in plan):6.3f} "
-            f"{1e3 * best['compile']:7.3f} {1e3 * best['eval']:6.3f} {1e3 * best['report']:6.3f}  {by_suite}"
+            f"{1e3 * best['compile']:7.3f} {1e3 * best['run']:6.3f} {1e3 * best['reduce']:6.3f} "
+            f"{1e3 * best['report']:6.3f}  {by_suite}"
         )
     print()
     print(f"{'model':28s} {'zero products':>13s} {'zero lookups':>12s} {'unreached':>9s}")

@@ -37,7 +37,8 @@ program of their own over the whole sample.  Every jet here has the one
 layout of :class:`Jet2`, the point axis last: the tables and the roots'
 jets a program returns, so every kernel runs along the points.  Only
 the matrix inverse moves an axis, to hand ``np.linalg.inv`` one matrix
-per point.
+per point, and not for a diagonal matrix, whose inverse is computed
+entrywise along the points.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -567,24 +568,32 @@ class _MatrixInverse:
     ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
     N is NaN at a point where M has a non-finite entry; a finite
     singular M raises :class:`SingularMatrixError` naming its first point.
+
+    When every entry off the diagonal is a structural zero, ``diagonal``
+    holds the diagonal entries, and :meth:`diagonal_jet` computes N's
+    diagonal entrywise from theirs, with the operations of the dense
+    formula in the same order, so it agrees with the dense path's bit for
+    bit: N_ii = 1/M_ii.  Every entry off the diagonal is 0 (the dense
+    path's zeros there may be -0.0).  It does so only for a chunk
+    where M's diagonal is finite and every part of the result is
+    finite, so M is invertible at every point and no product
+    overflowed; any other chunk takes the dense path, which names the
+    first singular point and gives NaN where M is not finite.
     """
 
     def __init__(self, entries: tuple):
         # the entries of the n x n matrix in row-major order
         self.entries = entries
-        self.n = math.isqrt(len(entries))
+        n = self.n = math.isqrt(len(entries))
         self.dim = entries[0].dim
+        # entry k is on the diagonal when k is a multiple of n + 1
+        off = (f for k, f in enumerate(entries) if k % (n + 1))
+        self.diagonal = entries[:: n + 1] if all(f.is_zero for f in off) else None
 
     def jet(self, entries: Jet2, order: int) -> Jet2:
         """From the stacked jet of the entries, in row-major order."""
         n = self.n
-
-        def matrices(x):
-            # the point axis second and contiguous, then one matrix per point
-            x = np.ascontiguousarray(np.moveaxis(x, -1, 1))
-            return np.moveaxis(x.reshape(n, n, *x.shape[1:]), 2, 0)
-
-        M = matrices(entries.value)
+        M = point_matrices(entries.value, n)
         try:
             N = finite_only(np.linalg.inv, M)
         except np.linalg.LinAlgError:
@@ -597,15 +606,37 @@ class _MatrixInverse:
             raise
         if order < 1:
             return Jet2(N, None, None)
-        NG = np.einsum("pia,pabk->pibk", N, matrices(entries.grad))
+        NG = np.einsum("pia,pabk->pibk", N, point_matrices(entries.grad, n))
         dN = -np.einsum("pibk,pbj->pijk", NG, N)
         if order < 2:
             return Jet2(N, dN, None)
-        t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, matrices(entries.hess), N)
+        t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, point_matrices(entries.hess, n), N)
         t_g = -np.einsum("pibk,pbjl->pijkl", NG, dN)
         # sum the symmetric pair first so the Hessian stays exactly symmetric
         d2N = t_h + (t_g + t_g.transpose(0, 1, 2, 4, 3))
         return Jet2(N, dN, d2N)
+
+    @staticmethod
+    def diagonal_jet(diagonal: Jet2) -> Jet2 | None:
+        """The stacked jet of N's diagonal entries, laid out as the tables
+        are, from that of M's, to the same order; ``None`` when the chunk
+        needs the dense path (see the class docstring)."""
+        g = diagonal.value
+        if not np.isfinite(g).all():
+            return None
+        N = 1.0 / g
+        parts = [N]
+        if diagonal.grad is not None:
+            NG = N[:, None] * diagonal.grad
+            dN = -(NG * N[:, None])
+            parts.append(dN)
+            if diagonal.hess is not None:
+                t_h = -((N[:, None, None] * diagonal.hess) * N[:, None, None])
+                t_g = -(NG[:, :, None] * dN[:, None, :])
+                parts.append(t_h + (t_g + t_g.transpose(0, 2, 1, 3)))
+        if not all(np.isfinite(x).all() for x in parts):
+            return None
+        return Jet2(*parts, *[None] * (3 - len(parts)))
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -639,14 +670,33 @@ class MatrixInverseField(ScalarField):
     def _args(cls, nodes, order, slots):
         core = nodes[0].core
         i, j = (np.array(ix, dtype=np.intp) for ix in zip(*((n.i, n.j) for n in nodes)))
-        return core, _gather(core.entries, order, slots), i, j
+        # the diagonal's slots, and the places of the entries off it
+        diagonal = None if core.diagonal is None else (_gather(core.diagonal, order, slots), np.flatnonzero(i != j))
+        return core, _gather(core.entries, order, slots), diagonal, i, j
 
     @staticmethod
-    def _kernel(t, out, core, entries, i, j):
+    def _kernel(t, out, core, entries, diagonal, i, j):
+        parts = (out.value, out.grad, out.hess)
+        if diagonal is not None:
+            ref, off = diagonal
+            inv = core.diagonal_jet(t.jet(ref))
+            if inv is not None:
+                for part, x in zip(parts, (inv.value, inv.grad, inv.hess)):
+                    if part is not None:
+                        np.take(x, i, axis=0, out=part, mode="clip")
+                        part[off] = 0.0
+                return
         inv = core.jet(t.jet(entries), entries[1])
-        for part, x in zip((out.value, out.grad, out.hess), (inv.value, inv.grad, inv.hess)):
+        for part, x in zip(parts, (inv.value, inv.grad, inv.hess)):
             if part is not None:
                 part[...] = np.moveaxis(x[:, i, j], 0, -1)
+
+
+def point_matrices(x: np.ndarray, rows: int) -> np.ndarray:
+    """A part of the stacked jet of a row-major matrix of fields,
+    ``(rows * cols, ..., P)``, as one matrix per point: a strided view
+    ``(P, rows, cols, ...)``."""
+    return np.moveaxis(x.reshape(rows, -1, *x.shape[1:]), -1, 0)
 
 
 def finite_only(f, matrices: np.ndarray) -> np.ndarray:
@@ -657,6 +707,20 @@ def finite_only(f, matrices: np.ndarray) -> np.ndarray:
     out = np.full((len(matrices), *result.shape[1:]), np.nan)
     out[finite] = result
     return out
+
+
+def diagonal_cond(diagonals: np.ndarray) -> np.ndarray:
+    """``finite_only(np.linalg.cond, M)`` for diagonal matrices M, from
+    their diagonals ``(n, P)``, one column per point: max|M_ii| /
+    min|M_ii|, inf where that is 0/0 as ``np.linalg.cond`` gives it, and
+    NaN at a point where any M_ii is not finite.  The ratio is exactly
+    rounded, where the SVD of a 2 x 2 matrix may be 1 ulp off."""
+    a = np.abs(diagonals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = a.max(axis=0) / a.min(axis=0)
+    ratio[np.isnan(ratio)] = np.inf
+    ratio[~np.isfinite(diagonals).all(axis=0)] = np.nan
+    return ratio
 
 
 class _InverseRow:

@@ -5,9 +5,10 @@ row graphs from the model alone, on the first run that needs the suite,
 and returns the step that reports them, every row set the step may read
 (whichever branch a run takes; it reads no other, and a concatenation of
 row sets is one more row set, built there) and the probes it reads
-besides, which only mechanics has: the metric and anchor matrices.  The
-plan concatenates the positions of every row set's fields once, so a run
-reads the maximum of every row set of the plan with one reduction.
+besides, which only mechanics has: the metric (its diagonal, when it
+stores nothing else) and anchor matrices.  The plan concatenates the
+positions of every row set's fields once, so a run reads the maximum of
+every row set of the plan with one reduction.
 Which row sets exist is decided there, from the model's structure: the
 constant-bracket reductions only for a flat connection and structure
 functions that are finite constants of the model, and sigma2d's rows for
@@ -63,7 +64,7 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import Program, SingularMatrixError, exterior_derivative, finite_only
+from .fields import Program, SingularMatrixError, diagonal_cond, exterior_derivative, finite_only, point_matrices
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult
 
@@ -437,17 +438,23 @@ def plan_mechanics(model: Model):
     fc2_constant = fc2.get("degree 0", [])
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
     d = model.chart.dim
-    # NaN at a point where the matrix has a non-finite entry, which fails the row
-    conditioning = _Probe(
-        [f for row in g.g for f in row],
-        0,
-        lambda jet: np.max(finite_only(np.linalg.cond, _matrices(jet, d, d)), keepdims=True),
-    )
+    # NaN at a point where the matrix has a non-finite entry, which fails
+    # the row; a metric that stores only its diagonal needs no SVD
+    if all(j == i for i, row in enumerate(g.stored) for j, _ in row):
+        diagonal = [g.g[i][i] for i in range(d)]
+        conditioning = _Probe(diagonal, 0, lambda jet: np.max(diagonal_cond(jet.value), keepdims=True))
+    else:
+        conditioning = _Probe(
+            [f for row in g.g for f in row],
+            0,
+            lambda jet: np.max(finite_only(np.linalg.cond, point_matrices(jet.value, d)), keepdims=True),
+        )
     deficiency = _Probe(
         [f for row in anchor for f in row],
         0,
         lambda jet: np.max(
-            r - finite_only(lambda m: np.linalg.matrix_rank(m, tol=1e-10), _matrices(jet, r, d)), keepdims=True
+            r - finite_only(lambda m: np.linalg.matrix_rank(m, tol=1e-10), point_matrices(jet.value, r)),
+            keepdims=True,
         ),
     )
 
@@ -524,11 +531,6 @@ def plan_mechanics(model: Model):
     row_sets = [*fc.values(), *fl.values(), twist_rows, tau_rows, *fc2.values(), *fl2.values()]
     row_sets += [h1_rows, h2_rows, h3_rows, fc_rows, fl_rows, fc2_rows, fl2_rows, fc2_constant]
     return evaluate, row_sets, [conditioning, deficiency]
-
-
-def _matrices(jet, rows: int, cols: int) -> np.ndarray:
-    """Values of a stacked row-major matrix of fields, as one matrix per point."""
-    return np.moveaxis(jet.value.reshape(rows, cols, -1), 2, 0)
 
 
 def _by_degree(degree_fields) -> dict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import CHECK_REGISTRY
-from momsec import suites
+from momsec import fields, suites
 from momsec.cli import main
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model
@@ -375,6 +375,25 @@ class TestEvaluationFailures:
         rows = {c["name"]: c for c in json.loads(captured.out)["checks"]}
         assert rows[row]["passed"] is False
         assert "non-finite" in rows[row]["flags"]
+
+    def test_a_metric_with_an_off_diagonal_entry_takes_the_dense_path(self, tmp_path, capsys, monkeypatch):
+        # every model in the repo has a diagonal metric; this one keeps the
+        # dense inverse and the SVD condition number in a full run
+        doc = json.loads(fixture_bytes("magnetic_twist_mechanics"))
+        doc["metric"] = [{"idx": [1, 1], "expr": "2"}, {"idx": [1, 2], "expr": "0.5"}, {"idx": [2, 2], "expr": "1"}]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert load_model(str(path)).metric.inverse()[0][0].core.diagonal is None
+        calls = []
+        dense = fields._MatrixInverse.jet
+        monkeypatch.setattr(fields._MatrixInverse, "jet", lambda core, *a: calls.append(core) or dense(core, *a))
+        assert main(["check", str(path), "--suite", "mechanics", "--format", "json"]) in (0, 1)
+        rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert calls
+        cond = np.linalg.cond(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        assert rows["mechanics/metric-conditioning"]["max_residual"] == cond
+        assert rows["mechanics/flow"]["n_tuples"] > 0
+        assert all(np.isfinite(row["max_residual"]) for row in rows.values())
 
     def test_underflowed_metric_entry_is_singular(self, tmp_path, capsys, monkeypatch):
         # exp(1000*x) is inf for x > 0.71 and exactly 0 for x < -0.75, where

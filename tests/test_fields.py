@@ -8,16 +8,23 @@ from hypothesis import strategies as st
 from conftest import chart2, chart3, f, lie_bracket, random_poly_source, structure
 from momsec.algebroid import AlgebroidData, EForm
 from momsec.fields import (
+    _MatrixInverse,
     Chart,
     ConstField,
+    CoordField,
     ExprField,
     FormField,
+    Jet2,
     MetricField,
+    Program,
     ScalarField,
+    SingularMatrixError,
     VectorField,
     const_field,
+    diagonal_cond,
     exterior_derivative,
     field_sum_d,
+    finite_only,
     interior_product,
     lie_derivative,
     lie_derivative_metric,
@@ -460,6 +467,159 @@ class TestMatrixInverse:
             gm = np.array([[g.g[i][j].value(p) for j in range(2)] for i in range(2)])
             im = np.array([[inv[i][j].value(p) for j in range(2)] for i in range(2)])
             assert np.allclose(gm @ im, np.eye(2), atol=1e-12)
+
+
+def _signed_magnitudes(rng, shape) -> np.ndarray:
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+def _diagonal_matrix(n: int, d: int, diagonal) -> tuple:
+    """The row-major entries of an n x n field matrix whose entries off
+    the diagonal are structural zeros."""
+    return tuple(diagonal[k // (n + 1)] if k % (n + 1) == 0 else const_field(0.0, d) for k in range(n * n))
+
+
+def _inverse_jet(entries, n: int, points: np.ndarray, dense: bool) -> Jet2:
+    """The order-2 jet of every entry of the inverse, row-major, from a
+    program compiled with the diagonal fast path or without it."""
+    inv = matrix_inverse_fields([entries[i * n : (i + 1) * n] for i in range(n)])
+    roots = [inv[i][j] for i in range(n) for j in range(n)]
+    core = roots[0].core
+    saved = core.diagonal
+    assert saved is not None
+    core.diagonal = None if dense else saved
+    try:
+        program = Program([(roots, 2)], points.shape[1])
+    finally:
+        core.diagonal = saved
+    with np.errstate(all="ignore"):
+        return next(program.run(points))
+
+
+class TestDiagonalInverse:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_jets_equal_the_dense_path_bit_for_bit(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        core = _MatrixInverse(_diagonal_matrix(n, d, [CoordField(0, d)] * n))
+        for order in range(3):
+            for _ in range(3):
+                count = 9
+                value = _signed_magnitudes(rng, (n, count))
+                grad = _signed_magnitudes(rng, (n, d, count))
+                hess = _signed_magnitudes(rng, (n, d, d, count))
+                hess = hess + hess.transpose(0, 2, 1, 3)
+                parts = (value, grad if order else None, hess if order > 1 else None)
+                fast = core.diagonal_jet(Jet2(*parts))
+                full = []
+                for x in parts:
+                    if x is not None:
+                        m = np.zeros((n * n, *x.shape[1:]))
+                        m[:: n + 1] = x
+                        full.append(m)
+                dense = core.jet(Jet2(*full, *[None] * (3 - len(full))), order)
+                for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
+                    if b is None:
+                        assert a is None
+                        continue
+                    b = np.moveaxis(b, 0, -1)
+                    diagonal = np.stack([b[i, i] for i in range(n)])
+                    assert a.tobytes() == diagonal.tobytes()
+                    # the dense path's zeros off the diagonal may be -0.0
+                    assert not np.any([b[i, j] for i in range(n) for j in range(n) if i != j])
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (4, 2)])
+    def test_program_reads_the_dense_path_entries(self, n, d):
+        rng = np.random.default_rng(n + 10 * d)
+        ch = Chart(("x", "y", "z")[:d], ((-1.0, 1.0),) * d)
+        s = " + ".join(ch.coordinates)
+        diagonal = [
+            f(f"{c!r}*(2 + sin({a!r}*({s})))", ch)
+            for c, a in zip(_signed_magnitudes(rng, n).tolist(), rng.uniform(0.5, 2.0, n).tolist())
+        ]
+        entries = _diagonal_matrix(n, d, diagonal)
+        points = ch.sample(17, 5)
+        fast = _inverse_jet(entries, n, points, dense=False)
+        dense = _inverse_jet(entries, n, points, dense=True)
+        on = [i * (n + 1) for i in range(n)]
+        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
+            assert a[on].tobytes() == b[on].tobytes()
+            assert np.array_equal(a, b)
+
+    def test_a_zero_diagonal_value_names_the_dense_paths_point(self):
+        ch = chart2()
+        entries = _diagonal_matrix(2, 2, [f("x", ch), f("2 + y", ch)])
+        points = ch.sample(9, 3).copy()
+        points[4, 0] = 0.0
+        points[6, 0] = 0.0
+        for dense in (False, True):
+            with pytest.raises(SingularMatrixError) as err:
+                _inverse_jet(entries, 2, points, dense)
+            assert err.value.point == 4
+
+    def test_a_nonfinite_derivative_gives_the_dense_paths_output(self):
+        # at x = 1 the value is finite (about 8.2e7) and the derivative
+        # overflows to inf, so the dense path puts NaN off the diagonal
+        ch = chart2()
+        entries = _diagonal_matrix(2, 2, [f("1 + exp(709*x)/1e300", ch), f("2 + y", ch)])
+        points = ch.sample(9, 3).copy()
+        points[5, 0] = 1.0
+        fast = _inverse_jet(entries, 2, points, dense=False)
+        dense = _inverse_jet(entries, 2, points, dense=True)
+        assert np.isfinite(fast.value).all() and np.isnan(dense.grad).any()
+        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_an_infinite_diagonal_value_gives_the_dense_paths_nan(self):
+        # 1e308*(2 + y) overflows to inf for y > -1, with a finite gradient,
+        # where 1/inf would be a finite 0
+        ch = chart2()
+        entries = _diagonal_matrix(2, 2, [f("2 + x", ch), f("1e308*(2 + y)", ch)])
+        points = ch.sample(9, 3)
+        fast = _inverse_jet(entries, 2, points, dense=False)
+        dense = _inverse_jet(entries, 2, points, dense=True)
+        assert np.isnan(dense.value).any() and np.isfinite(dense.value).any()
+        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_an_overflowing_inverse_gives_the_dense_paths_output(self):
+        # 1/1e-310 overflows, and the dense inverse is NaN off the diagonal
+        ch = chart2()
+        entries = _diagonal_matrix(2, 2, [f("1e-310 + 0*x", ch), f("2 + y", ch)])
+        points = ch.sample(5, 3)
+        fast = _inverse_jet(entries, 2, points, dense=False)
+        dense = _inverse_jet(entries, 2, points, dense=True)
+        assert np.isnan(dense.value).any()
+        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_an_entry_off_the_diagonal_keeps_the_dense_path(self):
+        ch = chart2()
+        g = MetricField(ch, {(0, 0): f("2", ch), (0, 1): f("x/2", ch), (1, 1): f("1", ch)})
+        assert g.inverse()[0][0].core.diagonal is None
+        assert MetricField.identity(ch).inverse()[0][0].core.diagonal is not None
+
+
+class TestDiagonalCond:
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_equals_the_svd_condition_number_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        diagonals = _signed_magnitudes(rng, (n, 500))
+        matrices = np.zeros((500, n, n))
+        for i in range(n):
+            matrices[:, i, i] = diagonals[i]
+        assert diagonal_cond(diagonals).tobytes() == finite_only(np.linalg.cond, matrices).tobytes()
+
+    def test_nonfinite_and_singular_points_read_as_finite_only_gives_them(self):
+        inf, nan = np.inf, np.nan
+        diagonals = np.array([[0.0, 0.0, nan, inf, -3.0, 0.0, -inf, 2.0], [0.0, 2.0, 1.0, 1.0, 1.5, inf, 0.0, -2.0]])
+        matrices = np.zeros((8, 2, 2))
+        matrices[:, 0, 0], matrices[:, 1, 1] = diagonals
+        with np.errstate(all="ignore"):
+            expected = finite_only(np.linalg.cond, matrices)
+        got = diagonal_cond(diagonals)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(got, [inf, inf, nan, nan, 2.0, nan, nan, 1.0], equal_nan=True)
 
 
 _coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
