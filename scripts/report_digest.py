@@ -10,7 +10,11 @@ connection terms Gamma into the digest), then a copy of
 ``so3_action_algebroid`` with an identity metric and a b that is not
 closed (so sigma2d reports ``rigid-b-invariance`` from d(L_rho b), a path
 no other model of the set takes), then the generated so(3) models for
-seeds 1-3 and the so(4) model for seed 1 (``perfbench/models.py``).
+seeds 1-3 and the so(4) model for seed 1 (``perfbench/models.py``), then
+a copy of ``magnetic_twist_mechanics`` with the rotation-invariant metric
+g_ij = delta_ij + x_i x_j / 8 (every other metric of the set is
+diagonal, so this model is what carries the dense metric inverse and the
+SVD condition number into the digest).
 Every model runs all applicable suites at (seed 42, 32 points) and then
 at (seed 7, 17 points).  One digest is
 updated with the JSON and then the text rendering of each report, in that
@@ -50,6 +54,13 @@ B_NOT_CLOSED = [
     {"idx": [2, 3], "expr": "x1*x2"},
 ]
 
+# g_ij = delta_ij + x_i x_j / 8, with an entry off the diagonal
+DENSE_METRIC = [
+    {"idx": [1, 1], "expr": "1 + x^2/8"},
+    {"idx": [1, 2], "expr": "x*y/8"},
+    {"idx": [2, 2], "expr": "1 + y^2/8"},
+]
+
 
 def models():
     for name in fixture_names():
@@ -64,6 +75,9 @@ def models():
     for seed in (1, 2, 3):
         yield f"so3-s{seed}", son_model_bytes(3, seed)
     yield "so4-s1", son_model_bytes(4, 1)
+    doc = json.loads(fixture_bytes("magnetic_twist_mechanics"))
+    doc["metric"] = DENSE_METRIC
+    yield "magnetic-dense-metric", (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def main() -> int:

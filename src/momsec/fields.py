@@ -1095,21 +1095,6 @@ class FormField(Components):
             rows[k].append(i)
         return rows
 
-    @staticmethod
-    def build(chart: Chart, degree: int, entries) -> "FormField":
-        """Build from (index tuple, field) pairs, antisymmetrizing indices."""
-        comps = {}
-        for idx, f in entries:
-            canon, sign = sort_signed(tuple(idx))
-            if canon is None:
-                raise ValueError(f"repeated index in antisymmetric entry {tuple(idx)}")
-            if canon in comps:
-                raise ValueError(f"duplicate entry for component {canon}")
-            if canon and (canon[0] < 0 or canon[-1] >= chart.dim):
-                raise ValueError("component index out of range for the chart")
-            comps[canon] = f if sign > 0 else -f
-        return FormField(chart, degree, comps)
-
 
 def signed(f, sign: float):
     """A stored component ``f`` read at an index tuple of permutation ``sign``."""
@@ -1243,6 +1228,11 @@ class MetricField:
     def inverse(self):
         """Entry fields of g^{-1}, with exact second-order jets."""
         return matrix_inverse_fields(self.g)
+
+    @property
+    def diagonal(self) -> tuple | None:
+        """g's diagonal entries if it stores only those, else None, as its inverse decides."""
+        return self.inverse()[0].core.diagonal
 
     def lower(self, v: VectorField) -> FormField:
         """(g_flat v)_i = g_ij v^j as a 1-form."""

@@ -15,7 +15,9 @@ The constraint system carries affine constraints rho^i_a p_i + alpha_a,
 a Hamiltonian (1/2) g^{ij} p_i p_j + beta^i p_i + V built from the
 inverse metric, and multipliers lambda_a^b = g^{ij} Gamma^b_{aj} p_i +
 tau_a^b.  ``absorb_beta`` trades the linear momentum term for a twist
-B = d(g_flat beta) while shifting alpha, V and tau.
+B = d(g_flat beta) while shifting alpha, V and tau, and returns the
+twisted system itself: its ``twist``, ``alpha``, ``V`` and ``tau`` are
+B, alpha', V' and tau'.
 """
 
 from __future__ import annotations
@@ -236,18 +238,8 @@ def flow_fields(sys: ConstraintSystem):
     return out
 
 
-@dataclass
-class AbsorbedSystem:
-    system: ConstraintSystem
-    A: FormField  # g_flat beta
-    B: FormField  # dA, the installed twist
-    alpha_prime: list
-    V_prime: ScalarField
-    tau_prime: list
-
-
-def absorb_beta(sys: ConstraintSystem) -> AbsorbedSystem:
-    """Remove the linear momentum term from the Hamiltonian.
+def absorb_beta(sys: ConstraintSystem) -> ConstraintSystem:
+    """The system with the linear momentum term removed from its Hamiltonian.
 
     A = g_flat beta, B = dA (closed by construction), and
 
@@ -255,37 +247,35 @@ def absorb_beta(sys: ConstraintSystem) -> AbsorbedSystem:
         V'       = V - (1/2) g(beta, beta)
         tau'_a^b = tau_a^b - Gamma^b_{ai} beta^i
 
-    The returned system carries beta = 0 and the twist B.
+    The returned system carries alpha', beta = 0, V', tau' and the twist B.
     """
     alg, conn = sys.alg, sys.conn
     d, r = sys.dim, sys.rank
     A = sys.metric.lower(sys.beta)
-    B = exterior_derivative(A)
-    alpha_prime = []
+    alpha = []
     for a in range(r):
         terms = [sys.alpha[a]] + [-(rho * A.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in A.comps]
-        alpha_prime.append(field_sum_d(terms, d))
+        alpha.append(field_sum_d(terms, d))
     vterms = [sys.V] + [(bi * A.comps[(i,)]).scaled(-0.5) for i, bi in sys.beta.stored() if (i,) in A.comps]
-    V_prime = field_sum_d(vterms, d)
-    tau_prime = []
+    tau = []
     for a in range(r):
         row = []
         for b in range(r):
             gamma = conn.one_form(b, a).comps.items()
             terms = [sys.tau[a][b]] + [-(f * sys.beta.comps[i]) for (i,), f in gamma if not sys.beta.comps[i].is_zero]
             row.append(field_sum_d(terms, d))
-        tau_prime.append(row)
-    twisted = replace(
+        tau.append(row)
+    return replace(
         sys,
-        alpha=alpha_prime,
+        alpha=alpha,
         beta=VectorField.zero(alg.chart),
-        V=V_prime,
-        tau=tau_prime,
-        twist=B,
+        V=field_sum_d(vterms, d),
+        tau=tau,
+        twist=exterior_derivative(A),
     )
-    return AbsorbedSystem(twisted, A, B, alpha_prime, V_prime, tau_prime)
 
 
-def tau_prime_fields(absorbed: AbsorbedSystem):
-    """tau'_a^b per ordered pair (a, b); the theorem assumes it vanishes."""
-    return [(index_label(a=a, b=b), f) for a, row in enumerate(absorbed.tau_prime) for b, f in enumerate(row)]
+def tau_prime_fields(absorbed: ConstraintSystem):
+    """tau'_a^b per ordered pair (a, b) of the system that :func:`absorb_beta`
+    returned; the theorem assumes it vanishes."""
+    return [(index_label(a=a, b=b), f) for a, row in enumerate(absorbed.tau) for b, f in enumerate(row)]

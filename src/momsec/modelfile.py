@@ -1,18 +1,21 @@
 """Model files: a versioned JSON schema for single-chart models.
 
 Tensor blocks are sparse lists of ``{"idx": [...], "expr": "..."}``
-entries with 1-based indices; the symmetry class of each block is fixed
-by the schema (metric symmetric, 2-form blocks antisymmetric, structure
-functions antisymmetric in the lower pair).  Entries that land on the
-same canonical slot twice are rejected as contradictions, and so is a
-key given twice in one JSON object.  Missing optional blocks default to
-zero.
+entries with 1-based indices (``idx_form`` and ``idx_bundle`` in place of
+``idx`` in a ``multisym.eta[k]`` block below degree n), all read by
+:func:`_entries`; the symmetry class of each block is fixed by the schema
+(metric symmetric, form blocks antisymmetric, structure functions
+antisymmetric in the lower pair, eta entries in each index list apart).
+Entries that land on the same canonical slot twice are rejected as
+contradictions, and so is a key given twice in one JSON object.  Missing
+optional blocks default to zero.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -113,9 +116,10 @@ def _field(source, path: str, chart: Chart) -> ScalarField:
         raise ModelError(path, f"bad expression: {exc}") from exc
 
 
-def _indices(idx, epath: str, key: str, ranges, noun: str = "index") -> tuple[int, ...]:
+def _indices(idx, epath: str, key: str, ranges) -> tuple[int, ...]:
     """The 0-based tuple of a list of 1-based indices, one per range."""
     _expect(isinstance(idx, list) and len(idx) == len(ranges), epath, f"'{key}' must have {len(ranges)} indices")
+    noun = {"idx_form": "form index", "idx_bundle": "bundle index"}.get(key, "index")
     for slot, (value, upper) in enumerate(zip(idx, ranges)):
         # a JSON boolean is a Python int, and not an index
         _expect(type(value) is int, epath, f"{noun} {value!r} is not an integer")
@@ -123,9 +127,9 @@ def _indices(idx, epath: str, key: str, ranges, noun: str = "index") -> tuple[in
     return tuple(v - 1 for v in idx)
 
 
-# Canonicalizers map a 0-based index tuple to (canonical key, sign); a key
-# of None marks a repeated index in an antisymmetric slot.  Antisymmetric
-# blocks use sort_signed itself.
+# Canonicalizers map the 0-based index tuples of an entry, one per index
+# list, to (canonical key, sign); a key of None marks a repeated index in
+# an antisymmetric slot.  Antisymmetric blocks use sort_signed itself.
 
 
 def _plain(idx):
@@ -142,24 +146,48 @@ def _lower_pair(idx):
     return (None if pair is None else idx[:1] + pair), sign
 
 
-def _entries(block, path: str, chart: Chart, ranges, canon):
+def _form_bundle(form, bundle):
+    """eta[k] entries: antisymmetric in each index list apart; the key is
+    the pair of canonical tuples and the sign the product of their signs."""
+    (fkey, fsign), (bkey, bsign) = sort_signed(form), sort_signed(bundle)
+    return (None if fkey is None or bkey is None else (fkey, bkey)), fsign * bsign
+
+
+def _one_based(key) -> tuple:
+    return tuple(_one_based(k) if isinstance(k, tuple) else k + 1 for k in key)
+
+
+def _entries(block, path: str, chart: Chart, canon, **ranges):
     """Yield (canonical 0-based key, signed field) from a sparse block.
 
-    Rejects a repeated index in an antisymmetric slot and a second entry
-    on one canonical slot, naming the entry.
+    ``ranges`` holds the upper bound of each index of each index list
+    that an entry gives, by its key: ``idx``, or ``idx_form`` and
+    ``idx_bundle``.  Rejects a repeated index in an antisymmetric slot
+    and a second entry on one canonical slot, naming the entry.
     """
-    _expect(isinstance(block, list), path, "expected a list of {'idx': ..., 'expr': ...} entries")
+    _expect(isinstance(block, list), path, "expected a list of entries")
+    needs = "entry needs " + ", ".join(f"'{key}'" for key in ranges) + " and 'expr'"
     seen = set()
     for pos, entry in enumerate(block):
         epath = f"{path}[{pos}]"
         _expect(isinstance(entry, dict), epath, "entry must be an object")
-        _expect("idx" in entry and "expr" in entry, epath, "entry needs 'idx' and 'expr'")
-        key, sign = canon(_indices(entry["idx"], epath, "idx", ranges))
+        _expect("expr" in entry and all(key in entry for key in ranges), epath, needs)
+        key, sign = canon(*(_indices(entry[k], epath, k, upper) for k, upper in ranges.items()))
         _expect(key is not None, epath, "antisymmetric entry with repeated index")
-        _expect(key not in seen, epath, f"duplicate or contradictory entry for slot {tuple(i + 1 for i in key)}")
+        _expect(key not in seen, epath, f"duplicate or contradictory entry for slot {_one_based(key)}")
         seen.add(key)
         f = _field(entry["expr"], epath + ".expr", chart)
         yield key, f if sign > 0 else -f
+
+
+def _table(block, path: str, chart: Chart, shape):
+    """The fields of a block with no index symmetry, as nested lists of
+    ``shape``, zero where it has no entry."""
+    cells = dict(_entries(block, path, chart, _plain, idx=shape))
+    table = [cells.get(key, const_field(0.0, chart.dim)) for key in itertools.product(*map(range, shape))]
+    for size in reversed(shape[1:]):
+        table = [table[i : i + size] for i in range(0, len(table), size)]
+    return table
 
 
 def _load_chart(doc, path="chart") -> Chart:
@@ -207,45 +235,30 @@ def load_model_bytes(raw: bytes) -> Model:
     rank = alg_doc.get("rank")
     _expect(type(rank) is int and 1 <= rank <= MAX_RANK, "algebroid.rank", f"rank must be 1..{MAX_RANK}")
 
-    anchor = [[zero for _ in range(d)] for _ in range(rank)]
-    for (a, i), f in _entries(alg_doc.get("anchor", []), "algebroid.anchor", chart, (rank, d), _plain):
-        anchor[a][i] = f
-
+    anchor = _table(alg_doc.get("anchor", []), "algebroid.anchor", chart, (rank, d))
     structure = dict(
-        _entries(alg_doc.get("structure", []), "algebroid.structure", chart, (rank, rank, rank), _lower_pair)
+        _entries(alg_doc.get("structure", []), "algebroid.structure", chart, _lower_pair, idx=(rank, rank, rank))
     )
     alg = AlgebroidData(chart, rank, anchor, structure)
-
-    gamma = [[[zero for _ in range(d)] for _ in range(rank)] for _ in range(rank)]
-    for (a, b, i), f in _entries(
-        alg_doc.get("connection", []), "algebroid.connection", chart, (rank, rank, d), _plain
-    ):
-        gamma[a][b][i] = f
-    conn = ConnectionData(alg, gamma)
+    conn = ConnectionData(alg, _table(alg_doc.get("connection", []), "algebroid.connection", chart, (rank, rank, d)))
 
     metric = None
     if "metric" in doc:
-        metric = MetricField(chart, dict(_entries(doc["metric"], "metric", chart, (d, d), _symmetric)))
+        metric = MetricField(chart, dict(_entries(doc["metric"], "metric", chart, _symmetric, idx=(d, d))))
 
     b_field = _load_form(doc.get("b_field", []), "b_field", chart, 2)
     eta_boundary = _load_form(doc.get("eta_boundary", []), "eta_boundary", chart, 1)
 
-    mu = _load_components(doc.get("mu", []), "mu", chart, rank)
-    alpha = _load_components(doc.get("alpha", []), "alpha", chart, rank)
-    beta = VectorField(chart, _load_components(doc.get("beta", []), "beta", chart, d))
-
+    mu = _table(doc.get("mu", []), "mu", chart, (rank,))
+    alpha = _table(doc.get("alpha", []), "alpha", chart, (rank,))
+    beta = VectorField(chart, _table(doc.get("beta", []), "beta", chart, (d,)))
     V = _field(doc["V"], "V", chart) if "V" in doc else zero
-
-    tau = [[zero for _ in range(rank)] for _ in range(rank)]
-    for (a, b), f in _entries(doc.get("tau", []), "tau", chart, (rank, rank), _plain):
-        tau[a][b] = f
+    tau = _table(doc.get("tau", []), "tau", chart, (rank, rank))
 
     beta_rigid = None
     if "beta_rigid" in doc:
-        rigid: list[dict] = [{} for _ in range(rank)]
-        for (a, i), f in _entries(doc["beta_rigid"], "beta_rigid", chart, (rank, d), _plain):
-            rigid[a][(i,)] = f
-        beta_rigid = [FormField(chart, 1, comps) for comps in rigid]
+        rigid = _table(doc["beta_rigid"], "beta_rigid", chart, (rank, d))
+        beta_rigid = [FormField(chart, 1, {(i,): f for i, f in enumerate(row)}) for row in rigid]
 
     multisym = None
     if "multisym" in doc:
@@ -291,15 +304,7 @@ def load_model_bytes(raw: bytes) -> Model:
 
 
 def _load_form(block, path: str, chart: Chart, degree: int) -> FormField:
-    return FormField(chart, degree, dict(_entries(block, path, chart, (chart.dim,) * degree, sort_signed)))
-
-
-def _load_components(block, path: str, chart: Chart, count: int):
-    """One field per index 1..count, zero where the block has no entry."""
-    out = [const_field(0.0, chart.dim) for _ in range(count)]
-    for (i,), f in _entries(block, path, chart, (count,), _plain):
-        out[i] = f
-    return out
+    return FormField(chart, degree, dict(_entries(block, path, chart, sort_signed, idx=(chart.dim,) * degree)))
 
 
 def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) -> PrenPlecticData:
@@ -322,29 +327,11 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
         if k == n:
             eta[n] = _load_form(block, kpath, chart, n)
             continue
-        bundle_deg = n - k
         forms: dict = {}
-        seen = set()
-        _expect(isinstance(block, list), kpath, "expected a list of entries")
-        for pos, entry in enumerate(block):
-            epath = f"{kpath}[{pos}]"
-            _expect(isinstance(entry, dict), epath, "entry must be an object")
-            _expect(
-                "idx_form" in entry and "idx_bundle" in entry and "expr" in entry,
-                epath,
-                "entry needs 'idx_form', 'idx_bundle' and 'expr'",
-            )
-            fidx = _indices(entry["idx_form"], epath, "idx_form", (chart.dim,) * k, "form index")
-            bidx = _indices(entry["idx_bundle"], epath, "idx_bundle", (alg.rank,) * bundle_deg, "bundle index")
-            fcanon, fsign = sort_signed(fidx)
-            bcanon, bsign = sort_signed(bidx)
-            _expect(fcanon is not None, epath, "repeated form index")
-            _expect(bcanon is not None, epath, "repeated bundle index")
-            _expect((fcanon, bcanon) not in seen, epath, "duplicate or contradictory entry")
-            seen.add((fcanon, bcanon))
-            f = _field(entry["expr"], epath + ".expr", chart)
-            forms.setdefault(bcanon, {})[fcanon] = f if fsign * bsign > 0 else -f
-        eta[k] = BundleValuedForm(alg, k, bundle_deg, {b: FormField(chart, k, c) for b, c in forms.items()})
+        ranges = {"idx_form": (chart.dim,) * k, "idx_bundle": (alg.rank,) * (n - k)}
+        for (fkey, bkey), f in _entries(block, kpath, chart, _form_bundle, **ranges):
+            forms.setdefault(bkey, {})[fkey] = f
+        eta[k] = BundleValuedForm(alg, k, n - k, {b: FormField(chart, k, c) for b, c in forms.items()})
     return PrenPlecticData(alg, conn, n, h, eta)
 
 

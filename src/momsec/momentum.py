@@ -3,6 +3,8 @@
 The induced dual-valued 1-form is fixed as gamma_{a,i} = -B_{ik} rho^k_a,
 equivalently gamma(e_a) = iota_{rho(e_a)} B, so that the flat-connection
 case of the second condition reads d mu(e) = iota_{rho(e)} B.
+:func:`condition_fields` builds gamma once and hands it to H1 and H2;
+H3 reads B itself.
 
 Conditions, per basis index:
 
@@ -18,8 +20,6 @@ two-dimensional model, and the constant-bracket equivariance reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebroid import AlgebroidData
 from .connections import ConnectionData, dual_covariant_derivative
 from .fields import (
@@ -32,22 +32,10 @@ from .fields import (
 )
 
 
-@dataclass
-class MomentumData:
-    alg: AlgebroidData
-    conn: ConnectionData
-    B: FormField
-    mu: list  # ScalarField per basis index
-
-def gamma_from_B(alg: AlgebroidData, B: FormField):
-    """gamma_a = iota_{rho_a} B as a list of 1-forms."""
-    return [interior_product(alg.anchor_vector(a), B) for a in range(alg.rank)]
-
-
 def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
     """Labeled H1, H2 and H3 rows for the 2-form B and the section mu."""
-    data = MomentumData(alg, conn, B, mu)
-    return h1_fields(data), h2_fields(data), h3_fields(data)
+    gamma = [interior_product(alg.anchor_vector(a), B) for a in range(alg.rank)]
+    return h1_fields(conn, gamma), h2_fields(conn, gamma, mu), h3_fields(alg, B, mu)
 
 
 def closedness_fields(B: FormField):
@@ -56,40 +44,35 @@ def closedness_fields(B: FormField):
     return list(exterior_derivative(B).rows())
 
 
-def h1_fields(data: MomentumData):
+def h1_fields(conn: ConnectionData, gamma):
     """Components of D gamma per basis index, as labeled fields."""
-    dgamma = dual_covariant_derivative(data.conn, gamma_from_B(data.alg, data.B))
     out = []
-    for a, form in enumerate(dgamma):
+    for a, form in enumerate(dual_covariant_derivative(conn, gamma)):
         out += form.rows(index_label(a=a))
     return out
 
 
-def h2_fields(data: MomentumData):
+def h2_fields(conn: ConnectionData, gamma, mu):
     """d_i mu_a - Gamma^b_{a i} mu_b - gamma_{a,i}."""
-    alg, conn = data.alg, data.conn
-    gamma = gamma_from_B(alg, data.B)
-    d = alg.dim
-    dmu = dual_covariant_derivative(conn, [FormField(alg.chart, 0, {(): m}) for m in data.mu])
+    alg = conn.alg
+    dmu = dual_covariant_derivative(conn, [FormField(alg.chart, 0, {(): m}) for m in mu])
     out = []
     for a in range(alg.rank):
-        for i in range(d):
+        for i in range(alg.dim):
             f = dmu[a].comp((i,)) - gamma[a].comp((i,))
             out.append((index_label(a=a, i=i), f))
     return out
 
 
-def h3_fields(data: MomentumData):
+def h3_fields(alg: AlgebroidData, B: FormField, mu):
     """rho_a(mu_b) - rho_b(mu_a) - C^c_ab mu_c + B(rho_a, rho_b), a < b."""
-    alg = data.alg
-    d = alg.dim
     out = []
     for a in range(alg.rank):
         for b in range(a + 1, alg.rank):
-            terms = [*alg.anchor_terms(a, data.mu[b]), -alg.apply_anchor(b, data.mu[a])]
-            terms += [-(C * data.mu[c]) for c, C in alg.brackets(a, b).items() if not data.mu[c].is_zero]
-            terms += pairing_terms(alg, data.B, a, b)
-            out.append((index_label(a=a, b=b), field_sum_d(terms, d)))
+            terms = [*alg.anchor_terms(a, mu[b]), -alg.apply_anchor(b, mu[a])]
+            terms += [-(C * mu[c]) for c, C in alg.brackets(a, b).items() if not mu[c].is_zero]
+            terms += pairing_terms(alg, B, a, b)
+            out.append((index_label(a=a, b=b), field_sum_d(terms, alg.dim)))
     return out
 
 

@@ -62,6 +62,7 @@ from .fields import (
     sort_signed,
     wedge,
 )
+from .momentum import h1_fields
 
 
 class BundleValuedForm(Components):
@@ -157,9 +158,8 @@ class TowerOperator:
         return self._piece(exterior_derivative, k, b, 1)
 
     def hm1(self):
-        """D iota_rho h~ per basis index."""
-        forms = dual_covariant_derivative(self.data.conn, self.flux)
-        return [row for a, form in enumerate(forms) for row in form.rows(index_label(a=a))]
+        """D iota_rho h~ per basis index: H1 of h~."""
+        return h1_fields(self.data.conn, self.flux)
 
     def hm2(self):
         """D eta^(n-1)(e_a) - iota_{rho_a} h~ per basis index."""

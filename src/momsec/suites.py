@@ -429,20 +429,19 @@ def plan_mechanics(model: Model):
     fc = _by_degree(ham.first_class_fields(system))
     fl = _by_degree(ham.flow_fields(system))
     absorbed = ham.absorb_beta(system)
-    twist_rows = mom.closedness_fields(absorbed.B)
+    twist_rows = mom.closedness_fields(absorbed.twist)
     tau_rows = ham.tau_prime_fields(absorbed)
-    fc2 = _by_degree(ham.first_class_fields(absorbed.system))
-    fl2 = _by_degree(ham.flow_fields(absorbed.system))
+    fc2 = _by_degree(ham.first_class_fields(absorbed))
+    fl2 = _by_degree(ham.flow_fields(absorbed))
     # each residual's rows over every degree, and the twisted degree-0 block
     fc_rows, fl_rows, fc2_rows, fl2_rows = (list(chain(*rows.values())) for rows in (fc, fl, fc2, fl2))
     fc2_constant = fc2.get("degree 0", [])
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
+    h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.twist, absorbed.alpha)
     d = model.chart.dim
     # NaN at a point where the matrix has a non-finite entry, which fails
     # the row; a metric that stores only its diagonal needs no SVD
-    if all(j == i for i, row in enumerate(g.stored) for j, _ in row):
-        diagonal = [g.g[i][i] for i in range(d)]
-        conditioning = _Probe(diagonal, 0, lambda jet: np.max(diagonal_cond(jet.value), keepdims=True))
+    if g.diagonal is not None:
+        conditioning = _Probe(list(g.diagonal), 0, lambda jet: np.max(diagonal_cond(jet.value), keepdims=True))
     else:
         conditioning = _Probe(
             [f for row in g.g for f in row],
@@ -651,8 +650,8 @@ def plan_multisym(model: Model):
     reduction = None
     if n == 1:
         mu = [data.eta_k(0).comp((a,)).comp(()) for a in range(alg.rank)]
-        reduced = mom.MomentumData(alg, model.conn, tower.h_tilde, mu)
-        reduction = {"hm2": mom.h2_fields(reduced), "hm3[0]": mom.h3_fields(reduced)}
+        # tower.flux is iota_rho h~, the gamma of H2
+        reduction = {"hm2": mom.h2_fields(model.conn, tower.flux, mu), "hm3[0]": mom.h3_fields(alg, tower.h_tilde, mu)}
     row_sets = [closed_rows, *chain(*((p, q) for _, p, q in descent_rows)), *general.values(), *sp.values()]
     row_sets += [rows for terms in hm3_terms.values() for rows in terms.values()]
     row_sets += [rewrite_rows, *(reduction or {}).values()]

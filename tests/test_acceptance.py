@@ -40,7 +40,7 @@ from momsec.fields import (
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.hamiltonian import PhasePolynomial, poisson_bracket
 from momsec.modelfile import load_model_bytes
-from momsec.momentum import MomentumData, h1_fields, h2_fields, h3_fields
+from momsec.momentum import condition_fields, h3_fields
 from momsec.suites import run
 
 
@@ -160,17 +160,14 @@ def test_acceptance_3_momentum_map_reduction(fixture_models):
     rotation = fixture_models["rotation_momentum_map"]
     pts = rotation.chart.sample(100, 42)
     B = rotation.b_field + exterior_derivative(rotation.eta_boundary)
-    data = MomentumData(rotation.alg, rotation.conn, B, rotation.mu)
-    h1 = max_abs_fields([g for _, g in h1_fields(data)], pts)
-    h2 = max_abs_fields([g for _, g in h2_fields(data)], pts)
-    h3 = max_abs_fields([g for _, g in h3_fields(data)], pts)
+    rows = condition_fields(rotation.alg, rotation.conn, B, rotation.mu)
+    h1, h2, h3 = (max_abs_fields([g for _, g in r], pts) for r in rows)
     assert h1 < 1e-10 and h2 < 1e-10 and h3 < 1e-10
 
     translation = fixture_models["translation_nonequivariant"]
     pts = translation.chart.sample(100, 42)
     Bt = translation.b_field + exterior_derivative(translation.eta_boundary)
-    datat = MomentumData(translation.alg, translation.conn, Bt, translation.mu)
-    rows = h3_fields(datat)
+    rows = h3_fields(translation.alg, Bt, translation.mu)
     reported = max_abs_fields([g for _, g in rows], pts)
     assert reported > 1e-3  # the obstruction is detected
 
@@ -204,17 +201,17 @@ def test_acceptance_4_mechanics_theorem(fixture_models):
     )
     absorbed = absorb_beta(system)
     tau_prime = max_abs_fields(
-        [absorbed.tau_prime[a][b] for a in range(1) for b in range(1)], pts
+        [absorbed.tau[a][b] for a in range(1) for b in range(1)], pts
     )
     assert tau_prime < 1e-12
 
-    deg1 = max_abs_fields([g for _, g in flow_fields(absorbed.system)[1]], pts)
-    mdata = MomentumData(model.alg, model.conn, absorbed.B, absorbed.alpha_prime)
-    h2 = max_abs_fields([g for _, g in h2_fields(mdata)], pts)
+    deg1 = max_abs_fields([g for _, g in flow_fields(absorbed)[1]], pts)
+    _, h2_rows, h3_rows = condition_fields(model.alg, model.conn, absorbed.twist, absorbed.alpha)
+    h2 = max_abs_fields([g for _, g in h2_rows], pts)
     assert abs(deg1 - h2) < 1e-9
 
-    deg0 = max_abs_fields([g for _, g in first_class_fields(absorbed.system).get(0, [])], pts)
-    h3 = max_abs_fields([g for _, g in h3_fields(mdata)], pts)
+    deg0 = max_abs_fields([g for _, g in first_class_fields(absorbed).get(0, [])], pts)
+    h3 = max_abs_fields([g for _, g in h3_rows], pts)
     assert abs(deg0 - h3) < 1e-9
     print(f"ACCEPTANCE 4 PASS: flow deg-1 vs momentum condition {abs(deg1 - h2):.1e}, "
           f"first-class deg-0 vs bracket compatibility {abs(deg0 - h3):.1e}")
@@ -273,14 +270,14 @@ def test_acceptance_6_sigma2d_theorem(fixture_models):
         model = fixture_models[name]
         pts = model.chart.sample(model.sampling.points, model.sampling.seed)
         mu_star, B_star = induced_momentum_inputs(model.alg, model.b_field, model.eta_boundary)
-        mdata = MomentumData(model.alg, model.conn, B_star, mu_star)
+        _, h2_rows, h3_rows = condition_fields(model.alg, model.conn, B_star, mu_star)
         p2 = max_abs_fields(
             [g for _, g in boundary_eta_fields(model.alg, model.conn, model.b_field, model.eta_boundary, mu_star)],
             pts,
         )
-        h2 = max_abs_fields([g for _, g in h2_fields(mdata)], pts)
+        h2 = max_abs_fields([g for _, g in h2_rows], pts)
         p3 = max_abs_fields([g for _, g in boundary_mu_fields(model.alg, model.conn, mu_star)], pts)
-        h3 = max_abs_fields([g for _, g in h3_fields(mdata)], pts)
+        h3 = max_abs_fields([g for _, g in h3_rows], pts)
         assert abs(p2 - h2) < 1e-9, name
         assert abs(p3 - h3) < 1e-9, name
         worst2 = max(worst2, abs(p2 - h2))

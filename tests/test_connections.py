@@ -20,7 +20,7 @@ from momsec.fields import (
     max_abs_fields,
     wedge,
 )
-from momsec.momentum import MomentumData, h1_fields
+from momsec.momentum import condition_fields
 
 
 def rank2_model(ch=None):
@@ -160,8 +160,7 @@ class TestENablaTwoForm:
         A = FormField(ch, 1, {(0,): f(random_poly_source(rng, ch.coordinates, max_degree=3), ch)})
         B = exterior_derivative(A)
         rows = e_nabla_two_form_fields(conn, B)
-        data = MomentumData(alg, conn, B, [const_field(0.0, 2)] * 2)
-        h1rows = h1_fields(data)
+        h1rows = condition_fields(alg, conn, B, [const_field(0.0, 2)] * 2)[0]
         pts = ch.sample(12, 18)
         by_label = {label: fld for label, fld in rows}
         worst = 0.0

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from momsec.fields import (
     wedge,
 )
 from momsec.hamiltonian import PhasePolynomial
+from momsec.modelfile import load_model_bytes
 from momsec.multisym import BundleValuedForm
 
 
@@ -351,6 +353,18 @@ class TestLieDerivativeMetric:
 PAIR_KINDS = ["FormField", "EForm", "BundleValuedForm", "structure"]
 
 
+def swapped_b_field(source: str) -> FormField:
+    """The b_field a model file on chart2's coordinates loads from its one
+    entry, ``source`` at the swapped index pair (2, 1)."""
+    doc = {
+        "schema": 1,
+        "chart": {"coordinates": ["x", "y"], "box": [[-1.5, 1.5]] * 2},
+        "algebroid": {"rank": 1},
+        "b_field": [{"idx": [2, 1], "expr": source}],
+    }
+    return load_model_bytes(json.dumps(doc).encode()).b_field
+
+
 def pair_container(kind: str, ch: Chart, g: ScalarField):
     """A container of ``kind`` holding g at the index pair (0, 1), and the
     lookup of its scalar component at any index pair."""
@@ -397,22 +411,11 @@ class TestAntisymmetricStorage:
         assert poly.comp((1,)).is_zero and poly.comp((2, 2)).is_zero
 
     def test_swapped_entry_is_negated_exactly(self):
-        ch = chart2()
-        field = f("x*y + 1", ch)
-        form = FormField.build(ch, 2, [((1, 0), field)])
+        field = f("x*y + 1", chart2())
+        form = swapped_b_field("x*y + 1")
         p = np.array([0.7, -0.3])
         assert form.comp((0, 1)).value(p) == -field.value(p)
         assert form.comp((1, 0)).value(p) == field.value(p)
-
-    def test_duplicate_entry_rejected(self):
-        ch = chart2()
-        with pytest.raises(ValueError):
-            FormField.build(ch, 2, [((0, 1), f("x", ch)), ((1, 0), f("y", ch))])
-
-    def test_repeated_index_rejected(self):
-        ch = chart2()
-        with pytest.raises(ValueError):
-            FormField.build(ch, 2, [((0, 0), f("x", ch))])
 
     def test_sort_signed(self):
         assert sort_signed((2, 0, 1)) == ((0, 1, 2), 1)
@@ -649,9 +652,9 @@ def test_antisymmetric_entry_signs(c1, c2, kind):
     ch = chart2()
     field = f(f"{c1!r} + {c2!r}*x", ch)
     if kind == "FormField":
-        comp = FormField.build(ch, 2, [((1, 0), field)]).comp
+        comp = swapped_b_field(f"{c1!r} + {c2!r}*x").comp
     else:
-        # an entry at (1, 0) is stored negated at (0, 1), as build stores it
+        # an entry at (1, 0) is stored negated at (0, 1), as the loader stores it
         _, comp = pair_container(kind, ch, -field)
     p = np.array([0.3, -0.8])
     assert comp((0, 1)).value(p) == -(c1 + c2 * 0.3)

@@ -21,7 +21,7 @@ from momsec.hamiltonian import (
     flow_fields,
     poisson_bracket,
 )
-from momsec.momentum import MomentumData, h2_fields, h3_fields
+from momsec.momentum import condition_fields, h3_fields
 
 
 def poly_max(poly: PhasePolynomial, pts) -> float:
@@ -247,19 +247,21 @@ class TestAbsorbBeta:
         system = free_particle_system()
         out = absorb_beta(system)
         pts = system.alg.chart.sample(8, 11)
-        assert out.A.is_zero
-        assert out.B.is_zero
-        assert max_abs_fields([out.V_prime - system.V], pts) == 0.0
+        assert system.metric.lower(system.beta).is_zero
+        assert out.twist.is_zero
+        assert max_abs_fields([out.V - system.V], pts) == 0.0
 
     def test_magnetic_example(self):
         system = magnetic_system()
         out = absorb_beta(system)
         p = np.array([1.0, 0.5])
-        assert out.A.comp((0,)).value(p) == pytest.approx(-0.5)
-        assert out.A.comp((1,)).value(p) == pytest.approx(1.0)
-        assert out.B.comp((0, 1)).value(p) == pytest.approx(2.0)
-        assert out.V_prime.value(p) == pytest.approx(-(1.0 + 0.25) / 2)
-        assert out.alpha_prime[0].value(p) == pytest.approx(-(1.0 + 0.25))
+        A = system.metric.lower(system.beta)
+        assert A.comp((0,)).value(p) == pytest.approx(-0.5)
+        assert A.comp((1,)).value(p) == pytest.approx(1.0)
+        assert out.twist.comp((0, 1)).value(p) == pytest.approx(2.0)
+        assert out.V.value(p) == pytest.approx(-(1.0 + 0.25) / 2)
+        assert out.alpha[0].value(p) == pytest.approx(-(1.0 + 0.25))
+        assert out.beta.stored() == []
 
     def test_rank1_alpha_shift(self):
         # alpha = 0, rho = d_x, beta = (-y, x): alpha' = -A_x = y
@@ -273,7 +275,7 @@ class TestAbsorbBeta:
         )
         out = absorb_beta(system)
         for p in ch.sample(8, 12):
-            assert out.alpha_prime[0].value(p) == pytest.approx(p[1], abs=1e-14)
+            assert out.alpha[0].value(p) == pytest.approx(p[1], abs=1e-14)
 
     def test_twist_closed_by_construction(self):
         ch = chart2()
@@ -288,7 +290,7 @@ class TestAbsorbBeta:
             const_field(0.0, 2), [[const_field(0.0, 2)]],
         )
         out = absorb_beta(system)
-        dB = exterior_derivative(out.B)
+        dB = exterior_derivative(out.twist)
         assert max_abs_fields(dB.comps.values(), ch.sample(10, 14)) < 1e-12
 
     def test_tau_prime_shift(self):
@@ -304,7 +306,7 @@ class TestAbsorbBeta:
         )
         out = absorb_beta(system)
         for p in ch.sample(8, 15):
-            assert out.tau_prime[0][0].value(p) == pytest.approx(0.0, abs=1e-14)
+            assert out.tau[0][0].value(p) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestTheoremEquivalences:
@@ -312,21 +314,19 @@ class TestTheoremEquivalences:
         system = magnetic_system()
         out = absorb_beta(system)
         pts = system.alg.chart.sample(30, 16)
-        assert max_abs_fields([r for _, r in [('t', out.tau_prime[0][0])]], pts) == 0.0
-        blocks = flow_fields(out.system)
+        assert max_abs_fields([r for _, r in [('t', out.tau[0][0])]], pts) == 0.0
+        blocks = flow_fields(out)
         deg1 = max_abs_fields([g for _, g in blocks[1]], pts)
-        mdata = MomentumData(system.alg, system.conn, out.B, out.alpha_prime)
-        h2 = max_abs_fields([g for _, g in h2_fields(mdata)], pts)
+        h2 = max_abs_fields([g for _, g in condition_fields(out.alg, out.conn, out.twist, out.alpha)[1]], pts)
         assert abs(deg1 - h2) < 1e-9
 
     def test_magnetic_firstclass_deg0_matches_bracket_compat(self):
         system = magnetic_system()
         out = absorb_beta(system)
         pts = system.alg.chart.sample(30, 17)
-        blocks = first_class_fields(out.system)
+        blocks = first_class_fields(out)
         deg0 = max_abs_fields([g for _, g in blocks.get(0, [])], pts)
-        mdata = MomentumData(system.alg, system.conn, out.B, out.alpha_prime)
-        h3 = max_abs_fields([g for _, g in h3_fields(mdata)], pts)
+        h3 = max_abs_fields([g for _, g in h3_fields(out.alg, out.twist, out.alpha)], pts)
         assert abs(deg0 - h3) < 1e-9
 
     def test_perturbed_alpha_equivalence_nonzero(self):
@@ -334,16 +334,15 @@ class TestTheoremEquivalences:
         system = magnetic_system()
         out = absorb_beta(system)
         ch = system.alg.chart
-        broken_alpha = [out.alpha_prime[0] + f("x^2/3", ch)]
+        broken_alpha = [out.alpha[0] + f("x^2/3", ch)]
         twisted = ConstraintSystem(
             system.alg, system.conn, system.metric,
-            broken_alpha, VectorField.zero(ch), out.V_prime, out.tau_prime,
-            twist=out.B,
+            broken_alpha, VectorField.zero(ch), out.V, out.tau,
+            twist=out.twist,
         )
         pts = ch.sample(30, 18)
         deg1 = max_abs_fields([g for _, g in flow_fields(twisted)[1]], pts)
-        mdata = MomentumData(system.alg, system.conn, out.B, broken_alpha)
-        h2 = max_abs_fields([g for _, g in h2_fields(mdata)], pts)
+        h2 = max_abs_fields([g for _, g in condition_fields(out.alg, out.conn, out.twist, broken_alpha)[1]], pts)
         assert deg1 > 1e-3
         assert abs(deg1 - h2) < 1e-9
 
@@ -352,7 +351,7 @@ class TestTheoremEquivalences:
         pts = system.alg.chart.sample(20, 19)
         pre = flow_fields(system)
         out = absorb_beta(system)
-        post = flow_fields(out.system)
+        post = flow_fields(out)
         pre_pass = all(max_abs_fields([g for _, g in rows], pts) < 1e-9 for rows in pre.values())
         post_pass = all(max_abs_fields([g for _, g in rows], pts) < 1e-9 for rows in post.values())
         assert pre_pass == post_pass
@@ -393,14 +392,14 @@ class TestTheoremEquivalences:
         system = ConstraintSystem(alg, conn, g, alpha, beta, const_field(0.0, 2), tau)
         out = absorb_beta(system)
         pts = ch.sample(20, 30)
-        assert max_abs_fields([out.tau_prime[a][b] for a in range(2) for b in range(2)], pts) < 1e-12
-        deg1 = max_abs_fields([x for _, x in flow_fields(out.system)[1]], pts)
-        mdata = MomentumData(alg, conn, out.B, out.alpha_prime)
-        h2 = max_abs_fields([x for _, x in h2_fields(mdata)], pts)
+        assert max_abs_fields([out.tau[a][b] for a in range(2) for b in range(2)], pts) < 1e-12
+        deg1 = max_abs_fields([x for _, x in flow_fields(out)[1]], pts)
+        _, h2_rows, h3_rows = condition_fields(alg, conn, out.twist, out.alpha)
+        h2 = max_abs_fields([x for _, x in h2_rows], pts)
         assert deg1 > 1e-3  # a generic system does not satisfy the condition
         assert abs(deg1 - h2) < 1e-9
-        deg0 = max_abs_fields([x for _, x in first_class_fields(out.system).get(0, [])], pts)
-        h3 = max_abs_fields([x for _, x in h3_fields(mdata)], pts)
+        deg0 = max_abs_fields([x for _, x in first_class_fields(out).get(0, [])], pts)
+        h3 = max_abs_fields([x for _, x in h3_rows], pts)
         assert deg0 > 1e-3
         assert abs(deg0 - h3) < 1e-9
 

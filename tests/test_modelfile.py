@@ -302,3 +302,132 @@ class TestValidation:
         c = load_model_bytes(fixture_bytes("broken_jacobi"))
         assert a.model_hash == b.model_hash
         assert a.model_hash != c.model_hash
+
+
+def reader_doc():
+    """A rank-3 model on a 4-chart with an n = 3 tower, so that eta[0] and
+    eta[1] have two or more bundle indices and eta[2] two form indices."""
+    return {
+        "schema": 1,
+        "chart": {"coordinates": ["x", "y", "z", "w"], "box": [[-1, 1]] * 4},
+        "algebroid": {"rank": 3},
+        "multisym": {"n": 3},
+    }
+
+
+# every sparse block: (keys to it in the document, an entry's index lists,
+# the same canonical slot with its indices permuted, the entry with a
+# repeated index in an antisymmetric group, or None for a block without one)
+READER_BLOCKS = {
+    "algebroid.anchor": (("algebroid", "anchor"), {"idx": [1, 2]}, {"idx": [1, 2]}, None),
+    "algebroid.structure": (("algebroid", "structure"), {"idx": [1, 2, 3]}, {"idx": [1, 3, 2]}, {"idx": [1, 2, 2]}),
+    "algebroid.connection": (("algebroid", "connection"), {"idx": [1, 2, 3]}, {"idx": [1, 2, 3]}, None),
+    "metric": (("metric",), {"idx": [1, 2]}, {"idx": [2, 1]}, None),
+    "b_field": (("b_field",), {"idx": [1, 2]}, {"idx": [2, 1]}, {"idx": [2, 2]}),
+    "eta_boundary": (("eta_boundary",), {"idx": [3]}, {"idx": [3]}, None),
+    "mu": (("mu",), {"idx": [2]}, {"idx": [2]}, None),
+    "alpha": (("alpha",), {"idx": [2]}, {"idx": [2]}, None),
+    "beta": (("beta",), {"idx": [4]}, {"idx": [4]}, None),
+    "tau": (("tau",), {"idx": [1, 2]}, {"idx": [1, 2]}, None),
+    "beta_rigid": (("beta_rigid",), {"idx": [2, 3]}, {"idx": [2, 3]}, None),
+    "multisym.h": (("multisym", "h"), {"idx": [1, 2, 3, 4]}, {"idx": [2, 1, 3, 4]}, {"idx": [1, 2, 4, 4]}),
+    "multisym.eta[0]": (
+        ("multisym", "eta", "0"),
+        {"idx_form": [], "idx_bundle": [1, 2, 3]},
+        {"idx_form": [], "idx_bundle": [2, 1, 3]},
+        {"idx_form": [], "idx_bundle": [1, 3, 3]},
+    ),
+    "multisym.eta[1]": (
+        ("multisym", "eta", "1"),
+        {"idx_form": [4], "idx_bundle": [1, 2]},
+        {"idx_form": [4], "idx_bundle": [2, 1]},
+        {"idx_form": [4], "idx_bundle": [2, 2]},
+    ),
+    "multisym.eta[2]": (
+        ("multisym", "eta", "2"),
+        {"idx_form": [1, 2], "idx_bundle": [3]},
+        {"idx_form": [2, 1], "idx_bundle": [3]},
+        {"idx_form": [1, 1], "idx_bundle": [3]},
+    ),
+    "multisym.eta[3]": (("multisym", "eta", "3"), {"idx": [1, 2, 3]}, {"idx": [3, 2, 1]}, {"idx": [1, 2, 1]}),
+}
+
+
+def _with_last_index(entry: dict, key: str, value) -> dict:
+    """``entry`` with the last index of its list ``key`` replaced by ``value``."""
+    return {**entry, key: [*entry[key][:-1], value]}
+
+
+MESSAGES = {
+    "repeated": "antisymmetric entry with repeated index",
+    "permuted": "duplicate or contradictory entry for slot",
+    "out-of-range": "out of range",
+    "non-integer": "is not an integer",
+}
+
+
+class TestEntryReader:
+    """Every sparse block, eta[k] entries included, is read by one reader
+    with one set of rules, and each rejection names the entry's path."""
+
+    def test_valid_entries_load(self):
+        doc = reader_doc()
+        for keys, valid, _, _ in READER_BLOCKS.values():
+            self._place(doc, keys, [valid])
+        model = load_model_bytes(doc_bytes(doc))
+        # each block without index symmetry is a table over rank 3 and
+        # dimension 4 that is zero but at its one entry
+        tables = [
+            (model.alg.anchor, (3, 4), (1, 2)),
+            (model.conn.gamma, (3, 3, 4), (1, 2, 3)),
+            (model.mu, (3,), (2,)),
+            (model.alpha, (3,), (2,)),
+            (model.beta.comps, (4,), (4,)),
+            (model.tau, (3, 3), (1, 2)),
+        ]
+        for table, shape, entry in tables:
+            cells = np.array(table, dtype=object)
+            assert cells.shape == shape
+            assert [idx for idx in np.ndindex(shape) if not cells[idx].is_zero] == [tuple(i - 1 for i in entry)]
+        assert [list(form.comps) for form in model.beta_rigid] == [[], [(2,)], []]
+
+    @pytest.mark.parametrize(
+        "path, rule",
+        [(path, rule) for path, case in READER_BLOCKS.items() for rule in MESSAGES if rule != "repeated" or case[3]],
+    )
+    def test_rejection_names_the_entry(self, path, rule):
+        keys, valid, permuted, repeated = READER_BLOCKS[path]
+        if rule in ("repeated", "permuted"):
+            bad_entries = [repeated if rule == "repeated" else permuted]
+        else:
+            # one bad index in each non-empty index list in turn
+            value = 9 if rule == "out-of-range" else 1.5
+            bad_entries = [_with_last_index(valid, key, value) for key in valid if valid[key]]
+        for bad in bad_entries:
+            doc = reader_doc()
+            self._place(doc, keys, [valid, bad])
+            with pytest.raises(ModelError) as err:
+                load_model_bytes(doc_bytes(doc))
+            assert str(err.value).startswith(f"{path}[1]: "), bad
+            assert MESSAGES[rule] in str(err.value), bad
+
+    @pytest.mark.parametrize(
+        "form, bundle, sign",
+        [([1, 2], [1, 2], 1.0), ([2, 1], [1, 2], -1.0), ([1, 2], [2, 1], -1.0), ([2, 1], [2, 1], 1.0)],
+    )
+    def test_eta_sign_is_the_product_of_the_permutation_signs(self, form, bundle, sign):
+        # eta[2] of an n = 4 tower has two form and two bundle indices
+        doc = minimal_doc()
+        doc["chart"] = {"coordinates": ["x", "y", "z", "u", "v"], "box": [[-1, 1]] * 5}
+        doc["algebroid"]["rank"] = 2
+        doc["multisym"] = {"n": 4, "eta": {"2": [{"idx_form": form, "idx_bundle": bundle, "expr": "1 + x"}]}}
+        eta = load_model_bytes(doc_bytes(doc)).multisym.eta[2]
+        assert list(eta.comps) == [(0, 1)] and list(eta.comps[(0, 1)].comps) == [(0, 1)]
+        assert eta.comps[(0, 1)].comps[(0, 1)].value(np.array([0.5, 0, 0, 0, 0])) == sign * 1.5
+
+    @staticmethod
+    def _place(doc, keys, entries):
+        block = doc
+        for key in keys[:-1]:
+            block = block.setdefault(key, {})
+        block[keys[-1]] = [{**entry, "expr": "x"} for entry in entries]

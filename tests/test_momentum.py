@@ -19,12 +19,9 @@ from momsec.momentum import (
     CLASS_MOMENTUM,
     CLASS_NONE,
     CLASS_WEAK,
-    MomentumData,
     classify,
     closedness_fields,
-    gamma_from_B,
-    h1_fields,
-    h2_fields,
+    condition_fields,
     h3_fields,
     momentum_map_fields,
 )
@@ -36,7 +33,7 @@ def rotation_data(mu_sign=-1.0):
     conn = ConnectionData.flat(alg)
     B = FormField(ch, 2, {(0, 1): const_field(1.0, 2)})
     mu_src = "-(x^2 + y^2)/2" if mu_sign < 0 else "(x^2 + y^2)/2"
-    return MomentumData(alg, conn, B, [f(mu_src, ch)])
+    return alg, conn, B, [f(mu_src, ch)]
 
 
 def translation_data():
@@ -46,28 +43,35 @@ def translation_data():
     alg = AlgebroidData(ch, 2, [[one, zero], [zero, one]], {})
     conn = ConnectionData.flat(alg)
     B = FormField(ch, 2, {(0, 1): one})
-    return MomentumData(alg, conn, B, [f("y", ch), f("-x", ch)])
+    return alg, conn, B, [f("y", ch), f("-x", ch)]
+
+
+def gamma(alg, B):
+    """gamma_{a,i}, by basis index, as H2 reads it: its rows at mu = 0 and
+    a flat connection are -gamma_{a,i}, in (a, i) order."""
+    zero = const_field(0.0, alg.dim)
+    _, h2, _ = condition_fields(alg, ConnectionData.flat(alg), B, [zero] * alg.rank)
+    comps = [-g for _, g in h2]
+    return [comps[a * alg.dim : (a + 1) * alg.dim] for a in range(alg.rank)]
 
 
 class TestGamma:
     def test_rotation(self):
-        data = rotation_data()
-        gamma = gamma_from_B(data.alg, data.B)
-        for p in data.alg.chart.sample(10, 1):
-            assert gamma[0].comp((0,)).value(p) == pytest.approx(-p[0], abs=1e-14)
-            assert gamma[0].comp((1,)).value(p) == pytest.approx(-p[1], abs=1e-14)
+        alg, _, B, _ = rotation_data()
+        comps = gamma(alg, B)[0]
+        for p in alg.chart.sample(10, 1):
+            assert comps[0].value(p) == pytest.approx(-p[0], abs=1e-14)
+            assert comps[1].value(p) == pytest.approx(-p[1], abs=1e-14)
 
     def test_zero_anchor(self):
         ch = chart2()
         zero = const_field(0.0, 2)
         alg = AlgebroidData(ch, 1, [[zero, zero]], {})
-        gamma = gamma_from_B(alg, FormField(ch, 2, {(0, 1): f("x", ch)}))
-        assert gamma[0].is_zero
+        assert all(g.is_zero for g in gamma(alg, FormField(ch, 2, {(0, 1): f("x", ch)}))[0])
 
     def test_zero_form(self):
-        data = rotation_data()
-        gamma = gamma_from_B(data.alg, FormField(data.alg.chart, 2))
-        assert gamma[0].is_zero
+        alg = rotation_data()[0]
+        assert all(g.is_zero for g in gamma(alg, FormField(alg.chart, 2))[0])
 
     def test_linear_in_B(self):
         ch = chart2()
@@ -75,42 +79,41 @@ class TestGamma:
         rng = np.random.default_rng(7)
         B1 = FormField(ch, 2, {(0, 1): f(random_poly_source(rng, ch.coordinates), ch)})
         B2 = FormField(ch, 2, {(0, 1): f(random_poly_source(rng, ch.coordinates), ch)})
-        lhs = gamma_from_B(alg, B1 + B2)[0]
-        rhs = gamma_from_B(alg, B1)[0] + gamma_from_B(alg, B2)[0]
-        assert max_abs_fields((lhs - rhs).comps.values(), ch.sample(12, 2)) < 1e-13
+        lhs = gamma(alg, B1 + B2)[0]
+        rhs = [g1 + g2 for g1, g2 in zip(gamma(alg, B1)[0], gamma(alg, B2)[0])]
+        assert max_abs_fields([g1 - g2 for g1, g2 in zip(lhs, rhs)], ch.sample(12, 2)) < 1e-13
 
 
 class TestConditions:
     def test_rotation_all_pass(self):
         data = rotation_data()
-        pts = data.alg.chart.sample(100, 3)
-        assert max_abs_fields([g for _, g in h1_fields(data)], pts) < 1e-12
-        assert max_abs_fields([g for _, g in h2_fields(data)], pts) < 1e-12
-        assert max_abs_fields([g for _, g in h3_fields(data)], pts) < 1e-12
+        pts = data[0].chart.sample(100, 3)
+        for rows in condition_fields(*data):
+            assert max_abs_fields([g for _, g in rows], pts) < 1e-12
 
     def test_zero_data(self):
         ch = chart2()
         zero = const_field(0.0, 2)
         alg = AlgebroidData(ch, 1, [[f("-y", ch), f("x", ch)]], {})
-        data = MomentumData(alg, ConnectionData.flat(alg), FormField(ch, 2), [zero])
+        h1, h2, _ = condition_fields(alg, ConnectionData.flat(alg), FormField(ch, 2), [zero])
         pts = ch.sample(10, 4)
-        assert max_abs_fields([g for _, g in h1_fields(data)], pts) == 0.0
-        assert max_abs_fields([g for _, g in h2_fields(data)], pts) == 0.0
+        assert max_abs_fields([g for _, g in h1], pts) == 0.0
+        assert max_abs_fields([g for _, g in h2], pts) == 0.0
 
     def test_wrong_sign_section_fails(self):
         data = rotation_data(mu_sign=+1.0)
-        pts = data.alg.chart.sample(50, 5)
-        worst = max_abs_fields([g for _, g in h2_fields(data)], pts)
+        pts = data[0].chart.sample(50, 5)
+        worst = max_abs_fields([g for _, g in condition_fields(*data)[1]], pts)
         expected = 2.0 * max(np.max(np.abs(pts[:, 0])), np.max(np.abs(pts[:, 1])))
         assert worst == pytest.approx(expected, abs=1e-12)
 
     def test_translation_two_sided_oracle(self):
         # independent evaluation of both sides of the bracket-compatibility
         # condition; the model satisfies the momentum condition exactly
-        data = translation_data()
-        pts = data.alg.chart.sample(100, 6)
-        assert max_abs_fields([g for _, g in h2_fields(data)], pts) < 1e-12
-        rows = h3_fields(data)
+        alg, conn, B, mu = translation_data()
+        pts = alg.chart.sample(100, 6)
+        _, h2, rows = condition_fields(alg, conn, B, mu)
+        assert max_abs_fields([g for _, g in h2], pts) < 1e-12
         assert len(rows) == 1
         worst = max(abs(rows[0][1].value(p)) for p in pts)
 
@@ -118,7 +121,7 @@ class TestConditions:
             # d_E mu(e_1, e_2) = rho_1(mu_2) - rho_2(mu_1) - C mu = -2
             lhs = -1.0 - 1.0
             # required value: -B(rho_1, rho_2) = -1
-            rhs = -pairing_B(data.alg, data.B, 0, 1).value(p)
+            rhs = -pairing_B(alg, B, 0, 1).value(p)
             return abs(lhs - rhs)
 
         oracle_worst = max(oracle(p) for p in pts)
@@ -126,25 +129,24 @@ class TestConditions:
         assert worst == pytest.approx(1.0, abs=1e-12)
 
     def test_rank1_h3_vacuous(self):
-        data = rotation_data()
-        assert h3_fields(data) == []
+        alg, _, B, mu = rotation_data()
+        assert h3_fields(alg, B, mu) == []
 
     def test_h2_invariant_under_constant_shift_when_flat(self):
-        data = rotation_data()
-        pts = data.alg.chart.sample(20, 8)
-        base = max_abs_fields([g for _, g in h2_fields(data)], pts)
-        shifted = MomentumData(
-            data.alg, data.conn, data.B, [data.mu[0] + const_field(3.7, 2)]
-        )
-        assert max_abs_fields([g for _, g in h2_fields(shifted)], pts) == base
+        alg, conn, B, mu = rotation_data()
+        pts = alg.chart.sample(20, 8)
+        base = max_abs_fields([g for _, g in condition_fields(alg, conn, B, mu)[1]], pts)
+        shifted = condition_fields(alg, conn, B, [mu[0] + const_field(3.7, 2)])[1]
+        assert max_abs_fields([g for _, g in shifted], pts) == base
 
     def test_h2_implies_h1_flat_closed(self):
         # with a flat connection, an exact momentum condition forces anchoring
-        for data in (rotation_data(), translation_data()):
-            pts = data.alg.chart.sample(30, 9)
-            assert max_abs_fields([g for _, g in closedness_fields(data.B)], pts) < 1e-12
-            assert max_abs_fields([g for _, g in h2_fields(data)], pts) < 1e-10
-            assert max_abs_fields([g for _, g in h1_fields(data)], pts) < 1e-8
+        for alg, conn, B, mu in (rotation_data(), translation_data()):
+            pts = alg.chart.sample(30, 9)
+            h1, h2, _ = condition_fields(alg, conn, B, mu)
+            assert max_abs_fields([g for _, g in closedness_fields(B)], pts) < 1e-12
+            assert max_abs_fields([g for _, g in h2], pts) < 1e-10
+            assert max_abs_fields([g for _, g in h1], pts) < 1e-8
 
 
 class TestClassify:
@@ -157,18 +159,14 @@ class TestClassify:
 
     def test_rotation_is_hamiltonian(self):
         data = rotation_data()
-        pts = data.alg.chart.sample(30, 10)
-        h1 = max_abs_fields([g for _, g in h1_fields(data)], pts)
-        h2 = max_abs_fields([g for _, g in h2_fields(data)], pts)
-        h3 = max_abs_fields([g for _, g in h3_fields(data)], pts)
+        pts = data[0].chart.sample(30, 10)
+        h1, h2, h3 = (max_abs_fields([g for _, g in rows], pts) for rows in condition_fields(*data))
         assert classify(h1 < 1e-8, h2 < 1e-8, h3 < 1e-8) == CLASS_HAMILTONIAN
 
     def test_translation_excludes_bracket_compat(self):
         data = translation_data()
-        pts = data.alg.chart.sample(30, 11)
-        h1 = max_abs_fields([g for _, g in h1_fields(data)], pts)
-        h2 = max_abs_fields([g for _, g in h2_fields(data)], pts)
-        h3 = max_abs_fields([g for _, g in h3_fields(data)], pts)
+        pts = data[0].chart.sample(30, 11)
+        h1, h2, h3 = (max_abs_fields([g for _, g in rows], pts) for rows in condition_fields(*data))
         verdict = classify(h1 < 1e-8, h2 < 1e-8, h3 < 1e-8)
         assert verdict == CLASS_WEAK
         assert "bracket" not in verdict
@@ -177,47 +175,41 @@ class TestClassify:
 class TestMomentumMapReduction:
     def test_rotation_all_pass(self):
         data = rotation_data()
-        pts = data.alg.chart.sample(30, 12)
-        rows = momentum_map_fields(data.alg, data.conn, data.B, data.mu)
+        pts = data[0].chart.sample(30, 12)
+        rows = momentum_map_fields(*data)
         for key in ("symplectic", "hamiltonian", "equivariance"):
             assert max_abs_fields([g for _, g in rows[key]], pts) < 1e-12
 
     def test_abelian_trivial(self):
         ch = chart2()
         alg = AlgebroidData(ch, 1, [[const_field(1.0, 2), const_field(0.0, 2)]], {})
-        data = MomentumData(alg, ConnectionData.flat(alg), FormField(ch, 2), [const_field(0.0, 2)])
-        rows = momentum_map_fields(data.alg, data.conn, data.B, data.mu)
+        rows = momentum_map_fields(alg, ConnectionData.flat(alg), FormField(ch, 2), [const_field(0.0, 2)])
         pts = ch.sample(10, 13)
         for key in rows:
             assert max_abs_fields([g for _, g in rows[key]], pts) == 0.0
 
     def test_translation_equivariance_fails_matching_h3(self):
-        data = translation_data()
-        pts = data.alg.chart.sample(30, 14)
-        rows = momentum_map_fields(data.alg, data.conn, data.B, data.mu)
+        alg, conn, B, mu = translation_data()
+        pts = alg.chart.sample(30, 14)
+        rows = momentum_map_fields(alg, conn, B, mu)
         eq = max_abs_fields([g for _, g in rows["equivariance"]], pts)
-        h3 = max_abs_fields([g for _, g in h3_fields(data)], pts)
+        h3 = max_abs_fields([g for _, g in h3_fields(alg, B, mu)], pts)
         assert abs(eq - h3) < 1e-12
 
     def test_reduction_agreement(self):
         for data in (rotation_data(), translation_data()):
-            pts = data.alg.chart.sample(30, 15)
-            rows = momentum_map_fields(data.alg, data.conn, data.B, data.mu)
-            pairs = (
-                ("symplectic", h1_fields(data)),
-                ("hamiltonian", h2_fields(data)),
-                ("equivariance", h3_fields(data)),
-            )
-            for key, general in pairs:
+            pts = data[0].chart.sample(30, 15)
+            rows = momentum_map_fields(*data)
+            for key, general in zip(("symplectic", "hamiltonian", "equivariance"), condition_fields(*data)):
                 red = max_abs_fields([g for _, g in rows[key]], pts)
                 gen = max_abs_fields([g for _, g in general], pts)
                 assert abs(red - gen) < 1e-10
 
     def test_rejects_nonflat_connection(self):
-        data = rotation_data()
-        gamma = [[[f("x", data.alg.chart)] * 2]]
+        alg, _, B, mu = rotation_data()
+        gamma = [[[f("x", alg.chart)] * 2]]
         with pytest.raises(ValueError):
-            momentum_map_fields(data.alg, ConnectionData(data.alg, gamma), data.B, data.mu)
+            momentum_map_fields(alg, ConnectionData(alg, gamma), B, mu)
 
     def test_constant_structure_detector(self):
         # constant brackets are read off the model: a coordinate-free

@@ -31,7 +31,7 @@ from momsec.fields import (
 )
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
-from momsec.momentum import MomentumData
+from momsec.momentum import condition_fields
 from momsec.momentum import h1_fields as mom_h1_fields
 from momsec.multisym import BundleValuedForm, PrenPlecticData, TowerOperator, tilde_h
 from test_sparse import SOURCES, algebroids, field, forms
@@ -367,8 +367,6 @@ class TestScaling:
 
 class TestReduceN1:
     def test_lifted_rotation_matches_momentum_module(self):
-        from momsec.momentum import MomentumData, h1_fields as mh1, h2_fields as mh2, h3_fields as mh3
-
         ch = Chart(("x", "y"), ((-1.5, 1.5),) * 2)
         alg = AlgebroidData(ch, 1, [[f("-y", ch), f("x", ch)]], {})
         conn = ConnectionData.flat(alg)
@@ -378,12 +376,8 @@ class TestReduceN1:
         pts = ch.sample(20, 22)
         ht = tilde_h(data)
         mu = [data.eta_k(0).comp((0,)).comp(())]
-        mdata = MomentumData(alg, conn, ht, mu)
-        pairs = (
-            (TowerOperator(data).hm1(), mh1(mdata)),
-            (TowerOperator(data).hm2(), mh2(mdata)),
-            (TowerOperator(data).hm3(0)[0], mh3(mdata)),
-        )
+        tower = TowerOperator(data)
+        pairs = zip((tower.hm1(), tower.hm2(), tower.hm3(0)[0]), condition_fields(alg, conn, ht, mu))
         for hm_rows, h_rows in pairs:
             hm = max_abs_fields([x for _, x in hm_rows], pts)
             h = max_abs_fields([x for _, x in h_rows], pts)
@@ -398,7 +392,8 @@ class TestReduceN1:
 
 
 def ref_hm1_fields(data):
-    return mom_h1_fields(MomentumData(data.alg, data.conn, tilde_h(data), []))
+    ht = tilde_h(data)
+    return mom_h1_fields(data.conn, [interior_product(data.alg.anchor_vector(a), ht) for a in range(data.alg.rank)])
 
 
 def ref_hm2_fields(data):

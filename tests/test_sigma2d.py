@@ -15,7 +15,7 @@ from momsec.fields import (
     interior_product,
     max_abs_fields,
 )
-from momsec.momentum import MomentumData, h2_fields, h3_fields
+from momsec.momentum import condition_fields, h3_fields
 from momsec.sigma2d import (
     boundary_eta_fields,
     boundary_mu_fields,
@@ -139,7 +139,7 @@ class TestTheoremEquivalence:
         pts = ch.sample(30, 7)
         mu_star, B_star = induced_momentum_inputs(alg, b, eta)
         p2 = max_abs_fields([x for _, x in boundary_eta_fields(alg, conn, b, eta, mu_star)], pts)
-        h2 = max_abs_fields([x for _, x in h2_fields(MomentumData(alg, conn, B_star, mu_star))], pts)
+        h2 = max_abs_fields([x for _, x in condition_fields(alg, conn, B_star, mu_star)[1]], pts)
         assert abs(p2 - h2) < 1e-9
 
     @pytest.mark.parametrize("setup", [rotation_setup, translation_setup])
@@ -148,7 +148,7 @@ class TestTheoremEquivalence:
         pts = ch.sample(30, 8)
         mu_star, B_star = induced_momentum_inputs(alg, b, eta)
         p3 = max_abs_fields([x for _, x in boundary_mu_fields(alg, conn, mu_star)], pts)
-        h3 = max_abs_fields([x for _, x in h3_fields(MomentumData(alg, conn, B_star, mu_star))], pts)
+        h3 = max_abs_fields([x for _, x in h3_fields(alg, B_star, mu_star)], pts)
         assert abs(p3 - h3) < 1e-9
 
     def test_translation_mu_block_fails_like_bracket_compat(self):
@@ -179,7 +179,7 @@ class TestTheoremEquivalence:
             eta = FormField(ch, 1, {(0,): ExprField.parse(random_poly_source(rng, ch.coordinates), ch),
                                     (1,): ExprField.parse(random_poly_source(rng, ch.coordinates), ch)})
             mu_star, B_star = induced_momentum_inputs(alg, b, eta)
-            h3_rows = h3_fields(MomentumData(alg, conn, B_star, mu_star))
+            h3_rows = h3_fields(alg, B_star, mu_star)
             p2_rows = boundary_eta_fields(alg, conn, b, eta, mu_star)
             p3_rows = boundary_mu_fields(alg, conn, mu_star)
             p2 = {}
@@ -221,10 +221,10 @@ class TestTheoremEquivalence:
             assert max_abs_fields([mu2[a] - (mu1[a] - shift_a)], pts) < 1e-12
         # the eta-block equivalence is unconditional
         p2 = max_abs_fields([x for _, x in boundary_eta_fields(alg, conn, b, eta_shifted, mu2)], pts)
-        h2 = max_abs_fields([x for _, x in h2_fields(MomentumData(alg, conn, B2, mu2))], pts)
+        h2 = max_abs_fields([x for _, x in condition_fields(alg, conn, B2, mu2)[1]], pts)
         assert abs(p2 - h2) < 1e-9
         # the mu-block equivalence holds through the combined identity
-        h3_rows = h3_fields(MomentumData(alg, conn, B2, mu2))
+        h3_rows = h3_fields(alg, B2, mu2)
         p2_rows = boundary_eta_fields(alg, conn, b, eta_shifted, mu2)
         p3_rows = boundary_mu_fields(alg, conn, mu2)
         combo = [
