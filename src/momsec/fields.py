@@ -25,8 +25,13 @@ whose inputs are evaluated, taken from the ready nodes by the rule of
 kernel evaluates it over their stacked operand rows with the rules of
 :class:`Jet2`, so a run costs numpy work per group, not interpreter
 work per node.  Each node is evaluated once per chunk, into one row of
-the program's tables, the same row of every table its order reaches;
-the tables live only for the chunk.  A check run compiles the graphs of
+the program's tables, the same row of every table its order reaches.
+The program owns its tables: it carves them from one space of its own,
+which grows only when a chunk needs more room, and keeps them bound to
+that space and the chunk length, with each kernel's output jet a view
+of its rows, until a run brings another length or a caller's space.  A
+kernel reads its operands with ``ndarray.take``, a copy of the rows it
+names, never by fancy indexing.  A check run compiles the graphs of
 every suite it selects into one program, so the groups, and the nodes
 the suites share, span every suite.  The leaves, coordinates and
 constants, are groups too, whose kernels fill their rows from the
@@ -432,25 +437,30 @@ class SumField(ScalarField):
 
     @classmethod
     def _args(cls, nodes, order, slots):
-        # column j: the term at position j of each node that has one
+        # column j: the term at position j of each node that has one.  The
+        # columns after the first are read as one, each a span of it
         columns = [[] for _ in nodes[0].terms]
         for n in nodes:
             for column, term in zip(columns, n.terms):
                 column.append(term)
-        return tuple(_gather(column, order, slots) for column in columns)
+        first, *rest = columns
+        spans, start = [], 0
+        for column in rest:
+            spans.append((len(column), slice(start, start + len(column))))
+            start += len(column)
+        return _gather(first, order, slots), _gather([t for column in rest for t in column], order, slots), spans
 
     @staticmethod
-    def _kernel(t, out, first, *rest):
+    def _kernel(t, out, first, rest, spans):
         # left to right, as a + b + c adds
         t.take(first, out)
-        for slots in rest:
-            n = len(slots[0])
-            term = t.jet(slots)
-            out.value[:n] += term.value
-            if term.grad is not None:
-                out.grad[:n] += term.grad
-            if term.hess is not None:
-                out.hess[:n] += term.hess
+        terms = t.jet(rest)
+        for n, span in spans:
+            out.value[:n] += terms.value[span]
+            if terms.grad is not None:
+                out.grad[:n] += terms.grad[span]
+            if terms.hess is not None:
+                out.hess[:n] += terms.hess[span]
 
 
 class DiffField(ScalarField):
@@ -503,7 +513,6 @@ class PartialField(ScalarField):
     """
 
     _lift = 1
-    _params = ("i",)
 
     def __init__(self, f: ScalarField, i: int):
         self.f = f
@@ -511,13 +520,18 @@ class PartialField(ScalarField):
         self.dim = f.dim
         self._built_on((f,))
 
+    @classmethod
+    def _args(cls, nodes, order, slots):
+        # the gradient and Hessian tables read a row per (slot, coordinate)
+        rows, _ = _gather([n.f for n in nodes], order + 1, slots)
+        return (rows * nodes[0].dim + np.fromiter((n.i for n in nodes), np.intp, len(nodes)),)
+
     @staticmethod
-    def _kernel(t, out, f, i):
-        rows, _ = f
-        out.value[...] = t.grad[rows, i]
+    def _kernel(t, out, rows):
+        t.grad_rows.take(rows, 0, out.value, "clip")
         if out.grad is not None:
             # row i of the exactly symmetric Hessian is its column i
-            out.grad[...] = t.hess[rows, i]
+            t.hess_rows.take(rows, 0, out.grad, "clip")
 
 
 def _flat(terms) -> tuple:
@@ -683,7 +697,7 @@ class MatrixInverseField(ScalarField):
             if inv is not None:
                 for part, x in zip(parts, (inv.value, inv.grad, inv.hess)):
                     if part is not None:
-                        np.take(x, i, axis=0, out=part, mode="clip")
+                        x.take(i, 0, part, "clip")
                         part[off] = 0.0
                 return
         inv = core.jet(t.jet(entries), entries[1])
@@ -701,8 +715,11 @@ def point_matrices(x: np.ndarray, rows: int) -> np.ndarray:
 
 def finite_only(f, matrices: np.ndarray) -> np.ndarray:
     """``f`` of a ``(P, ...)`` stack of matrices, applied to those whose
-    entries are all finite; NaN in place of its result for the others."""
+    entries are all finite; NaN in place of its result for the others.
+    The result is a float array either way."""
     finite = np.isfinite(matrices).all(axis=(-2, -1))
+    if finite.all():
+        return np.asarray(f(matrices), dtype=float)
     result = f(matrices[finite])
     out = np.full((len(matrices), *result.shape[1:]), np.nan)
     out[finite] = result
@@ -754,32 +771,51 @@ def _gather(nodes, order: int, slots) -> tuple:
 
 
 class _Tables:
-    """One chunk's jets of a program's nodes: a row per slot of the
-    value ``(S0, P)``, gradient ``(S1, d, P)`` and Hessian
-    ``(S2, d, d, P)`` tables, carved in that order from ``space``, and
-    the chunk's ``(P, d)`` points."""
+    """A program's jets over a chunk of ``count`` points, bound to
+    ``space``: a row per slot of the value ``(S0, P)``, gradient
+    ``(S1, d, P)`` and Hessian ``(S2, d, d, P)`` tables, carved in that
+    order from ``space``; the gradient and Hessian tables read again as
+    a row per (slot, coordinate), ``grad_rows`` ``(S1 d, P)`` and
+    ``hess_rows`` ``(S2 d, d, P)``; and ``kernels``, the program's
+    kernels, each with its output jet, a view of its rows.  ``points``
+    is the ``(P, d)`` chunk a run evaluates.  Kernels read their operands
+    with ``ndarray.take``, a copy of the rows they name."""
 
-    def __init__(self, sizes, points: np.ndarray, dim: int, space: np.ndarray):
-        self.points = points
-        count = len(points)
+    def __init__(self, program: "Program", space: np.ndarray, count: int):
+        self.space = space
+        self.count = count
+        self.points = None
+        sizes, dim = program.sizes, program.dim
         shapes = ((sizes[0], count), (sizes[1], dim, count), (sizes[2], dim, dim, count))
         start = 0
         for name, shape in zip(("value", "grad", "hess"), shapes):
             end = start + math.prod(shape)
             setattr(self, name, space[start:end].reshape(shape))
             start = end
+        self.grad_rows = self.grad.reshape(sizes[1] * dim, count)
+        self.hess_rows = self.hess.reshape(sizes[2] * dim, dim, count)
+        self.kernels = [(kernel, self._view(out), args) for kernel, out, args in program._kernels]
 
-    def jet(self, ref) -> Jet2:
-        """The stacked jet at a slot reference ``(rows, order)``: rows of an
-        index array gathered, a copy; rows of a slice, a view."""
+    def _view(self, ref) -> Jet2:
+        """The jet of the slots ``(rows, order)`` with ``rows`` a slice: views of the tables."""
         rows, order = ref
         return Jet2(self.value[rows], self.grad[rows] if order else None, self.hess[rows] if order > 1 else None)
 
+    def jet(self, ref) -> Jet2:
+        """The stacked jet at a slot reference ``(rows, order)`` with
+        ``rows`` an index array: a copy of those rows."""
+        rows, order = ref
+        return Jet2(
+            self.value.take(rows, 0),
+            self.grad.take(rows, 0) if order else None,
+            self.hess.take(rows, 0) if order > 1 else None,
+        )
+
     def take(self, ref, out: Jet2):
-        """Gather the rows of ``ref`` into ``out``, to the order of ``ref``."""
+        """Copy the rows of ``ref`` into ``out``, to the order of ``ref``."""
         rows, order = ref
         for table, part in zip((self.value, self.grad, self.hess)[: order + 1], (out.value, out.grad, out.hess)):
-            np.take(table, rows, axis=0, out=part, mode="clip")
+            table.take(rows, 0, part, "clip")
 
 
 class Program:
@@ -814,10 +850,13 @@ class Program:
     depends on insertion order alone, never on hashing.  ``run`` runs each
     group, in that order, as one numpy kernel over the stacked rows of its
     operands, so every node is evaluated once per call, after its inputs;
-    the leaves' kernels fill their rows from the points.  ``run`` gives,
-    for each root group, the stacked jet of its fields, to the group's
-    order or as far as every field holds it.  A field differentiated more
-    than twice makes compiling raise ``ValueError``.
+    the leaves' kernels fill their rows from the points.  The program
+    owns the space its tables live in and the :class:`_Tables` bound to
+    it (see ``run``); a run rebinds them only when the chunk length or
+    the space changes, and otherwise is a loop over bound kernels.
+    ``run`` gives, for each root group, the stacked jet of its fields, to
+    the group's order or as far as every field holds it.  A field
+    differentiated more than twice makes compiling raise ``ValueError``.
     """
 
     def __init__(self, groups, dim: int):
@@ -913,22 +952,36 @@ class Program:
         self.dim = dim
         self.sizes = sizes
         self.bytes_per_point = 8 * (sizes[0] + dim * sizes[1] + dim * dim * sizes[2])
+        self._space = self._tables = None
 
     def run(self, points: np.ndarray, space: np.ndarray | None = None):
         """The root groups' jets over ``points``, a ``(P, d)`` sample.
-        The tables live in ``space``, a float array of at least
-        ``P * bytes_per_point / 8`` entries, which a caller evaluating
-        chunk after chunk can reuse.  Every kernel runs before this
-        returns; the jets come from an iterator that gathers each group
-        as it is read, so a caller that reduces one group before reading
-        the next holds one at a time.  It must be read before ``space`` is
-        reused; the jets it gives do not share ``space``."""
+        The tables live in the program's own space, a float array that
+        grows only when a chunk needs more room than it has, or in
+        ``space`` when a caller passes one, of at least
+        ``P * bytes_per_point / 8`` entries.  The program keeps its
+        tables bound to the space and the chunk length of its last run,
+        and binds them again only when either changes.  Every kernel runs
+        before this returns; the jets come from an iterator that copies
+        each group out of the tables as it is read, so a caller that
+        reduces one group before reading the next holds one at a time.
+        It must be read before the program runs again; the jets it gives
+        do not share the tables."""
+        count = len(points)
         if space is None:
-            space = np.empty(len(points) * self.bytes_per_point // 8)
-        t = _Tables(self.sizes, points, self.dim, space)
-        for kernel, out, args in self._kernels:
-            kernel(t, t.jet(out), *args)
-        return (t.jet(slots) for slots in self._roots)
+            space = self._space
+            if space is None or len(space) < count * self.bytes_per_point // 8:
+                # the old space goes, with the tables bound to it, before
+                # the new one is made
+                self._space = self._tables = space = None
+                space = self._space = np.empty(count * self.bytes_per_point // 8)
+        t = self._tables
+        if t is None or t.space is not space or t.count != count:
+            t = self._tables = _Tables(self, space, count)
+        t.points = points
+        for kernel, out, args in t.kernels:
+            kernel(t, out, *args)
+        return (t.jet(ref) for ref in self._roots)
 
 
 # ---------------------------------------------------------------------------

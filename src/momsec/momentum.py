@@ -3,8 +3,9 @@
 The induced dual-valued 1-form is fixed as gamma_{a,i} = -B_{ik} rho^k_a,
 equivalently gamma(e_a) = iota_{rho(e_a)} B, so that the flat-connection
 case of the second condition reads d mu(e) = iota_{rho(e)} B.
-:func:`condition_fields` builds gamma once and hands it to H1 and H2;
-H3 reads B itself.
+:func:`gamma_fields` builds gamma, which :func:`condition_fields` hands
+to H1 and H2; H3 reads B itself.  :func:`momentum_map_fields` takes the
+gamma its caller built for H1 and H2.
 
 Conditions, per basis index:
 
@@ -32,9 +33,14 @@ from .fields import (
 )
 
 
+def gamma_fields(alg: AlgebroidData, B: FormField) -> list:
+    """gamma(e_a) = iota_{rho_a} B, one 1-form per basis index."""
+    return [interior_product(alg.anchor_vector(a), B) for a in range(alg.rank)]
+
+
 def condition_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
     """Labeled H1, H2 and H3 rows for the 2-form B and the section mu."""
-    gamma = [interior_product(alg.anchor_vector(a), B) for a in range(alg.rank)]
+    gamma = gamma_fields(alg, B)
     return h1_fields(conn, gamma), h2_fields(conn, gamma, mu), h3_fields(alg, B, mu)
 
 
@@ -102,9 +108,9 @@ def classify(h1: bool, h2: bool, h3: bool) -> str:
     return CLASS_NONE
 
 
-def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu):
+def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, mu, gamma):
     """Constant-bracket, flat-connection reductions of the three conditions,
-    for the inputs of :func:`condition_fields`.
+    for the inputs of :func:`condition_fields` and its ``gamma``.
 
     Returns a dict with labeled fields for:
       'symplectic'   L_{rho_a} B = 0
@@ -118,9 +124,8 @@ def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, 
     out = {"symplectic": [], "hamiltonian": [], "equivariance": []}
     for a in range(alg.rank):
         out["symplectic"] += lie_derivative(alg.anchor_vector(a), B).rows(index_label(a=a))
-        pull = interior_product(alg.anchor_vector(a), B)
         for i in range(d):
-            f = mu[a].partial(i) - pull.comp((i,))
+            f = mu[a].partial(i) - gamma[a].comp((i,))
             out["hamiltonian"].append((index_label(a=a, i=i), f))
     for a in range(alg.rank):
         for b in range(alg.rank):

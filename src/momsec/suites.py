@@ -23,10 +23,13 @@ One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
 run evaluates the sample in chunks: the chunk length is
 ``CHUNK_BYTES`` over the program's bytes per point, so memory does not
-grow with ``--points``.  In each chunk the program runs once, from the
-chunk's coordinates up through every node of the model's expressions
-and the suites' graphs, and each root group is reduced as it is read: a row field to its max |f| (NaN when any
-value is NaN), a probe to the arrays its reduction makes.  The run keeps
+grow with ``--points``.  The program owns the one space its tables live
+in, reused chunk after chunk and run after run (see
+:meth:`~momsec.fields.Program.run`).  In each chunk the program runs
+once, from the chunk's coordinates up through every node of the model's
+expressions and the suites' graphs, and each root group is reduced as
+it is read: a row field to its max |f| (NaN when any value is NaN), a
+probe to the arrays its reduction makes.  The run keeps
 the elementwise maximum over chunks of each, which every reduction here
 is chosen to make exact, and a domain error or a singular matrix names
 its point by its index in the whole sample: the first point where any
@@ -190,7 +193,7 @@ class _Plan:
         """The largest |f| of each row set over the sample, keyed by id,
         from the run's probe ``maxima``.  The maxima are >= 0 or NaN, and
         ``np.maximum`` keeps a NaN as ``ndarray.max`` does."""
-        values = np.maximum.reduceat(maxima[self.probes[0]][self.order], self.starts)
+        values = np.maximum.reduceat(maxima[self.probes[0]].take(self.order), self.starts)
         return {**self.zeros, **dict(zip(self.ids, values.tolist()))}
 
 
@@ -201,19 +204,17 @@ def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
     point of the sample where any node fails, for the first node, in the
     program's fixed kernel order, that fails there."""
     length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
-    # one space for the program's tables, reused chunk after chunk
-    space = np.empty(min(length, len(points)) * program.bytes_per_point // 8)
     for start in range(0, len(points), length):
         chunk = points[start : start + length]
         try:
-            jets = program.run(chunk, space)
+            jets = program.run(chunk)
         except (DomainError, SingularMatrixError) as exc:
             # the first kernel to fail may fail only past a point where a
             # kernel after it fails: run the points before the reported
             # one again until none of them fails
             while exc.point:
                 try:
-                    program.run(chunk[: exc.point], space)
+                    program.run(chunk[: exc.point])
                     break
                 except (DomainError, SingularMatrixError) as earlier:
                     exc = earlier
@@ -365,12 +366,16 @@ def plan_momentum(model: Model):
     alg, conn = model.alg, model.conn
     B = exterior_derivative(model.eta_boundary, model.b_field)
     closed_rows = mom.closedness_fields(B)
-    h1_rows, h2_rows, h3_rows = mom.condition_fields(alg, conn, B, model.mu)
+    # condition_fields' rows, on a gamma the reductions read too
+    gamma = mom.gamma_fields(alg, B)
+    h1_rows = mom.h1_fields(conn, gamma)
+    h2_rows = mom.h2_fields(conn, gamma, model.mu)
+    h3_rows = mom.h3_fields(alg, B, model.mu)
     tangent_rows = e_nabla_two_form_fields(conn, B)
     degenerate = B.is_zero and all(f.is_zero for f in model.mu)
     # the reductions hold for a flat connection and constant brackets
     lie = conn.is_flat and alg.constant_structure
-    reductions = mom.momentum_map_fields(alg, conn, B, model.mu) if lie else {}
+    reductions = mom.momentum_map_fields(alg, conn, B, model.mu, gamma) if lie else {}
 
     def evaluate(ctx: CheckContext):
         tol = ctx.tol
@@ -451,10 +456,7 @@ def plan_mechanics(model: Model):
     deficiency = _Probe(
         [f for row in anchor for f in row],
         0,
-        lambda jet: np.max(
-            r - finite_only(lambda m: np.linalg.matrix_rank(m, tol=1e-10), point_matrices(jet.value, r)),
-            keepdims=True,
-        ),
+        lambda jet: np.max(r - finite_only(anchor_ranks, point_matrices(jet.value, r)), keepdims=True),
     )
 
     def evaluate(ctx: CheckContext):
@@ -530,6 +532,12 @@ def plan_mechanics(model: Model):
     row_sets = [*fc.values(), *fl.values(), twist_rows, tau_rows, *fc2.values(), *fl2.values()]
     row_sets += [h1_rows, h2_rows, h3_rows, fc_rows, fl_rows, fc2_rows, fl2_rows, fc2_constant]
     return evaluate, row_sets, [conditioning, deficiency]
+
+
+def anchor_ranks(matrices: np.ndarray) -> np.ndarray:
+    """``np.linalg.matrix_rank(m, tol=1e-10)`` of a ``(P, r, d)`` stack:
+    the count of each matrix's singular values above 1e-10."""
+    return np.count_nonzero(np.linalg.svd(matrices, compute_uv=False) > 1e-10, axis=-1)
 
 
 def _by_degree(degree_fields) -> dict:

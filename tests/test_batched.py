@@ -401,6 +401,101 @@ def test_no_kernel_reads_a_slot_before_it_is_written(model, monkeypatch):
             assert x is None or _bits(x) == _bits(y)
 
 
+def _assert_jets_equal(got, expected):
+    got, expected = list(got), list(expected)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for x, y in zip((a.value, a.grad, a.hess), (b.value, b.grad, b.hess)):
+            assert (x is None) == (y is None)
+            assert x is None or (x.shape == y.shape and _bits(x) == _bits(y))
+
+
+@pytest.mark.parametrize("model", ["so(3)", "magnetic_twist_mechanics", "rotation_momentum_map"])
+def test_a_reused_program_runs_as_a_fresh_one(model, monkeypatch):
+    # a program keeps its tables bound to its space and the chunk length
+    # of its last run, and binds them again when either changes; whatever
+    # ran before, a run gives a fresh program's jets bit for bit.  Every
+    # program here also reads log(x - c), which leaves its domain at one
+    # point of the last sample; magnetic_twist_mechanics has a matrix
+    # inverse and rotation_momentum_map quotients and powers
+    raw = _son_model_bytes(monkeypatch, 3) if model == "so(3)" else fixture_bytes(model)
+    loaded = load_model_bytes(raw)
+    ch = loaded.chart
+    plans = [suites._Plan(*suites._SUITES[s][0](loaded)) for s in suites.applicable_suites(loaded)]
+    first, second = ch.sample(32, 42), ch.sample(32, 43)
+    c = float(min(first[:, 0].min(), second[:, 0].min())) - 0.01
+    log = f(f"log({ch.coordinates[0]} - ({c!r}))", ch)
+    groups = [(p.fields, p.order) for plan in plans for p in plan.probes] + [([log], 2)]
+    program = Program(groups, ch.dim)
+    assert model != "magnetic_twist_mechanics" or any(
+        kernel is fields.MatrixInverseField._kernel for kernel, _, _ in program._kernels
+    )
+
+    def fresh(points):
+        return Program(groups, ch.dim).run(points)
+
+    for points in (first, first[:11], second):
+        _assert_jets_equal(program.run(points), fresh(points))
+    space = np.full(32 * program.bytes_per_point // 8, np.nan)
+    _assert_jets_equal(program.run(second, space), fresh(second))
+    # the tables of that run were the caller's space
+    assert not np.isnan(space).all()
+    bad = first.copy()
+    bad[20, 0] = c - 1.0
+    with pytest.raises(DomainError) as info:
+        program.run(bad)
+    assert info.value.point == 20
+    _assert_jets_equal(program.run(bad[:20]), fresh(bad[:20]))
+    _assert_jets_equal(program.run(first), fresh(first))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_sum_adds_its_terms_left_to_right(order):
+    # the terms after the first are read as one block and added column
+    # by column; with terms of 1e16 and 1, only the order a + b + c + ...
+    # gives these bits.  Sums of 12, 7 and 3 terms are one group
+    ch = Chart(("x", "y"), ((-2.0, 2.0),) * 2)
+    base = f("(x*y + 0.5)*x", ch)
+    scales = [1e16, 1.0, -1e16, 3.0, 1e16, 1.0, -1e16, 0.25, 1e16, -1.0, -1e16, 5.0]
+    terms = [base.scaled(c) for c in scales]
+    sums = [fields.field_sum_d(terms[:n], ch.dim) for n in (12, 7, 3)]
+    assert all(isinstance(s, fields.SumField) for s in sums)
+    points = ch.sample(9, 3)
+    jets, term_jets = Program([(sums, order), (terms, order)], ch.dim).run(points)
+    assert [x is None for x in (jets.grad, jets.hess)] == [order < 1, order < 2]
+    for part, parts in zip((jets.value, jets.grad, jets.hess), (term_jets.value, term_jets.grad, term_jets.hess)):
+        for row, n in enumerate((12, 7, 3)):
+            if part is not None:
+                expected = parts[0]
+                for k in range(1, n):
+                    expected = expected + parts[k]
+                assert _bits(part[row]) == _bits(expected)
+    # another order of the same terms gives other bits
+    backwards = term_jets.value[11]
+    for k in range(10, -1, -1):
+        backwards = backwards + term_jets.value[k]
+    assert _bits(backwards) != _bits(jets.value[0])
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_a_partial_reads_its_input_rows(order):
+    # a partial's value is its input's gradient entry and its gradient
+    # the input's Hessian row, read from the tables by one flat take
+    rng = np.random.default_rng(11)
+    ch = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
+    inputs = [f(random_poly_source(rng, ch.coordinates), ch) for _ in range(4)]
+    partials = [(g, i, g.partial(i)) for g in inputs for i in (2, 0, 1) if not g.partial(i).is_zero]
+    points = ch.sample(13, 5)
+    jets, input_jets = Program([([p for _, _, p in partials], order), (inputs, order + 1)], ch.dim).run(points)
+    for row, (g, i, _) in enumerate(partials):
+        k = inputs.index(g)
+        assert _bits(jets.value[row]) == _bits(input_jets.grad[k, i])
+        if order:
+            assert _bits(jets.grad[row]) == _bits(input_jets.hess[k, i])
+        else:
+            assert jets.grad is None
+
+
 @pytest.mark.parametrize("source", ["x + y + x", "x*x"])
 def test_a_node_that_reads_one_input_twice_runs_after_it(source):
     # a consumer waits for each position at which it reads an input, so a

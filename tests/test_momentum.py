@@ -22,6 +22,7 @@ from momsec.momentum import (
     classify,
     closedness_fields,
     condition_fields,
+    gamma_fields,
     h3_fields,
     momentum_map_fields,
 )
@@ -172,18 +173,22 @@ class TestClassify:
         assert "bracket" not in verdict
 
 
+def reductions(alg, conn, B, mu):
+    return momentum_map_fields(alg, conn, B, mu, gamma_fields(alg, B))
+
+
 class TestMomentumMapReduction:
     def test_rotation_all_pass(self):
         data = rotation_data()
         pts = data[0].chart.sample(30, 12)
-        rows = momentum_map_fields(*data)
+        rows = reductions(*data)
         for key in ("symplectic", "hamiltonian", "equivariance"):
             assert max_abs_fields([g for _, g in rows[key]], pts) < 1e-12
 
     def test_abelian_trivial(self):
         ch = chart2()
         alg = AlgebroidData(ch, 1, [[const_field(1.0, 2), const_field(0.0, 2)]], {})
-        rows = momentum_map_fields(alg, ConnectionData.flat(alg), FormField(ch, 2), [const_field(0.0, 2)])
+        rows = reductions(alg, ConnectionData.flat(alg), FormField(ch, 2), [const_field(0.0, 2)])
         pts = ch.sample(10, 13)
         for key in rows:
             assert max_abs_fields([g for _, g in rows[key]], pts) == 0.0
@@ -191,7 +196,7 @@ class TestMomentumMapReduction:
     def test_translation_equivariance_fails_matching_h3(self):
         alg, conn, B, mu = translation_data()
         pts = alg.chart.sample(30, 14)
-        rows = momentum_map_fields(alg, conn, B, mu)
+        rows = reductions(alg, conn, B, mu)
         eq = max_abs_fields([g for _, g in rows["equivariance"]], pts)
         h3 = max_abs_fields([g for _, g in h3_fields(alg, B, mu)], pts)
         assert abs(eq - h3) < 1e-12
@@ -199,7 +204,7 @@ class TestMomentumMapReduction:
     def test_reduction_agreement(self):
         for data in (rotation_data(), translation_data()):
             pts = data[0].chart.sample(30, 15)
-            rows = momentum_map_fields(*data)
+            rows = reductions(*data)
             for key, general in zip(("symplectic", "hamiltonian", "equivariance"), condition_fields(*data)):
                 red = max_abs_fields([g for _, g in rows[key]], pts)
                 gen = max_abs_fields([g for _, g in general], pts)
@@ -209,7 +214,7 @@ class TestMomentumMapReduction:
         alg, _, B, mu = rotation_data()
         gamma = [[[f("x", alg.chart)] * 2]]
         with pytest.raises(ValueError):
-            momentum_map_fields(alg, ConnectionData(alg, gamma), B, mu)
+            reductions(alg, ConnectionData(alg, gamma), B, mu)
 
     def test_constant_structure_detector(self):
         # constant brackets are read off the model: a coordinate-free

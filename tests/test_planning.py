@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from momsec import suites
+from momsec import momentum, suites
 from momsec.fields import Program
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
@@ -90,3 +90,24 @@ def test_a_nan_field_reads_nan_in_exactly_the_row_sets_holding_it():
         holding = {id(rows) for rows in plan.row_sets if rows is not None and field in {f for _, f in rows}}
         assert holding and {key for key, value in got.items() if np.isnan(value)} == holding
         np.testing.assert_equal(got, _one_by_one(plan, values))
+
+
+@pytest.mark.parametrize("name", ["rotation_momentum_map", "son(3, 1)"])
+def test_momentum_planning_contracts_each_anchor_with_B_once(name, monkeypatch):
+    # gamma_a = iota_{rho_a} B is built once per plan and handed to the
+    # H1/H2 rows and to the flat-connection reductions, whose Hamiltonian
+    # rows are then H2's own nodes.  Calls are counted at the momentum
+    # module's name; a Lie derivative contracts inside fields
+    model = load_model_bytes(MODELS[name]())
+    contract, calls = momentum.interior_product, []
+
+    def counted(v, omega):
+        calls.append((tuple(map(id, v.comps)), tuple((k, id(f)) for k, f in sorted(omega.comps.items()))))
+        return contract(v, omega)
+
+    monkeypatch.setattr(momentum, "interior_product", counted)
+    _, row_sets = suites.plan_momentum(model)
+    assert len(calls) == len(set(calls)) == model.alg.rank
+    h2_rows, hamiltonian = row_sets[2], row_sets[6]
+    assert [label for label, _ in hamiltonian] == [label for label, _ in h2_rows]
+    assert all(a is b for (_, a), (_, b) in zip(hamiltonian, h2_rows))

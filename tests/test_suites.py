@@ -2,11 +2,13 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
+from momsec.fields import finite_only
 from momsec.fixtures import FIXTURE_SUITES, fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
-from momsec.suites import CheckContext, RunConfig, applicable_suites, run
+from momsec.suites import CheckContext, RunConfig, anchor_ranks, applicable_suites, run
 
 # (fixture, suite) -> expected overall pass
 EXPECTED = {
@@ -420,3 +422,33 @@ def test_required_rows_keep_their_verdict_across_sampling_seeds(fixture_models, 
         statuses.append({c.name: "info" if c.informational else c.passed for c in rep.checks})
     flips = {row: [s.get(row) for s in statuses] for row in set().union(*statuses)}
     assert {row: seen for row, seen in flips.items() if len(set(seen)) > 1} == {}
+
+
+class TestAnchorRanks:
+    """The anchor-rank probe counts singular values above 1e-10 from one
+    SVD, as ``np.linalg.matrix_rank(m, tol=1e-10)`` does."""
+
+    @staticmethod
+    def _stacks() -> dict:
+        rng = np.random.default_rng(5)
+        full = rng.normal(size=(40, 2, 3))
+        deficient = full.copy()
+        deficient[:, 1] = 2.5 * deficient[:, 0]
+        tiny = np.zeros((3, 2, 3))
+        tiny[:, 0, 0] = 1.0
+        tiny[:, 1, 1] = [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)]
+        nan, inf = full.copy(), full.copy()
+        nan[[3, 17], 0, 2] = np.nan
+        inf[[0, 39], 1, 1] = -np.inf
+        return {"full-rank": full, "rank-deficient": deficient, "ulps": tiny, "nan": nan, "inf": inf}
+
+    @pytest.mark.parametrize("name", ["full-rank", "rank-deficient", "ulps", "nan", "inf"])
+    def test_equals_matrix_rank_bytes(self, name):
+        m = self._stacks()[name]
+        expected = finite_only(lambda m: np.linalg.matrix_rank(m, tol=1e-10), m)
+        got = finite_only(anchor_ranks, m)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_ulps_on_either_side_of_the_tolerance(self):
+        assert finite_only(anchor_ranks, self._stacks()["ulps"]).tolist() == [1.0, 1.0, 2.0]
