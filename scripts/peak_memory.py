@@ -7,8 +7,9 @@ For each point count, a fresh Python process loads
 ``perfbench.models.son_model_bytes(4, 1)`` (so(4) acting on R^4, rank 6,
 with every model block), runs all suites at sampling seed 42 and prints
 one line: the point count, the wall time of load plus run, the
-process's ``ru_maxrss`` in MB, the size of the run's program (its value,
-gradient and Hessian slots, and the kernels it runs per chunk) and the
+process's ``ru_maxrss`` in MB, the size of the program of the run's
+run plan (its value, gradient and Hessian slots, and the kernels it runs
+per chunk) and the
 SHA-256 of the run's JSON report, rendered after the timing.  A fresh
 process per count keeps one count's peak from hiding the next one's;
 the digests show whether two versions of the code report the same bytes
@@ -38,7 +39,7 @@ model = load_model_bytes(raw)
 report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=42))
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-program = model._plans[tuple(applicable_suites(model))]
+program = model._plans[tuple(applicable_suites(model))].program
 slots = "/".join(map(str, program.sizes))
 digest = hashlib.sha256(report.to_json().encode()).hexdigest()
 print(

@@ -7,16 +7,17 @@ Usage: python scripts/plan_time.py [N]    (default: 20)
 The models are the built-in examples, then ``son_model_bytes(3, 1)`` and
 ``son_model_bytes(4, 1)`` (``perfbench/models.py``).  Each model is
 loaded N times, fresh; each time the script times loading it, each
-applicable suite's planner (with its ``_Plan``), compiling the run's
-program, running it at sampling seed 42 and 32 points (``run``: every
-kernel of ``Program.run``, and binding the program's tables to its space
-on this first run), reducing its root groups (``reduce``: each probe's
-gather and reduction, the max |f| of the rows and the matrix probes of
-mechanics), running the same program again at seed 43 (``rerun``: the
+applicable suite's planner (with its ``_Plan``), making the run plan
+and compiling its program (``compile``), running the program at sampling
+seed 42 and 32 points (``run``: every kernel of ``Program.run``, and
+binding the program's tables to its space on this first run), reducing
+its root groups (``reduce``: the row probe's gather and max |f|, the
+matrix probes of mechanics, and the one reduction to every row set's
+maximum), running the same program again at seed 43 (``rerun``: the
 kernels alone, on tables bound already, as a model reused seed after
-seed runs them), and making the report (``report``: every plan's row
-maxima and step, then ``CheckReport.to_json``), as
-``momsec.suites.run`` and the CLI do them.
+seed runs them), and making the report (``report``: every plan's step,
+then ``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do
+them.
 One line per model gives the minimum of each over the N loads, in ms.
 Before each load the previous model, its plans and its program are
 dropped and collected, so the node table is empty: a node of a live
@@ -26,7 +27,7 @@ fast.
 A second table counts, while planning every applicable suite once, the
 multiplications with a structural-zero operand, the ``Components.comp``
 lookups that return a zero, and the scalar nodes built that no probe of
-any plan reaches (``unreached``).
+the run plan reaches (``unreached``).
 """
 
 import gc
@@ -54,10 +55,6 @@ def models():
     yield "so(4)", son_model_bytes(4, 1)
 
 
-def _plans(model) -> list:
-    return [suites._Plan(*suites._SUITES[s][0](model)) for s in suites.applicable_suites(model)]
-
-
 def timings(raw: bytes) -> dict:
     """Seconds of each layer of one fresh load, plan, compile and run."""
     out = {}
@@ -69,27 +66,29 @@ def timings(raw: bytes) -> dict:
         start = time.perf_counter()
         plans.append(suites._Plan(*suites._SUITES[suite][0](model)))
         out[suite] = time.perf_counter() - start
-    probes = [p for plan in plans for p in plan.probes]
     start = time.perf_counter()
-    program = fields.Program([(p.fields, p.order) for p in probes], model.chart.dim)
+    run_plan = suites._RunPlan(plans, model.chart.dim)
     out["compile"] = time.perf_counter() - start
     config = suites.RunConfig(tolerance=model.tolerance, points=POINTS, seed=SEED)
     ctx = suites.CheckContext(model, config, suites.applicable_suites(model))
     start = time.perf_counter()
     with np.errstate(all="ignore"):
-        # the sample is one chunk, so this is what ``suites._evaluate`` does
-        jets = program.run(ctx.points)
+        # the sample is one chunk, so this is what ``_RunPlan.evaluate`` and
+        # ``suites.run`` do
+        jets = run_plan.program.run(ctx.points)
         out["run"] = time.perf_counter() - start
         start = time.perf_counter()
-        ctx.maxima = {p: p.reduce(jet) for p, jet in zip(probes, jets)}
+        values = next(jets).value
+        rows = np.abs(values, out=values).max(axis=1)
+        ctx.maxima = {p: p.reduce(jet) for p, jet in zip(run_plan.probes, jets)}
+        ctx.row_maxima = run_plan.row_maxima(rows)
         out["reduce"] = time.perf_counter() - start
         other = model.chart.sample(POINTS, SEED + 1)
         start = time.perf_counter()
-        program.run(other)
+        run_plan.program.run(other)
         out["rerun"] = time.perf_counter() - start
         start = time.perf_counter()
         for plan in plans:
-            ctx.row_maxima.update(plan.row_maxima(ctx.maxima))
             plan.step(ctx)
         ctx.report.to_json()
     out["report"] = time.perf_counter() - start
@@ -124,11 +123,12 @@ def planning_counts(raw: bytes) -> dict:
 
     fields.ScalarField.__mul__, fields.Components.comp, fields._shared = counted_mul, counted_comp, recorded_shared
     try:
-        plans = _plans(model)
+        plans = [suites._Plan(*suites._SUITES[s][0](model)) for s in suites.applicable_suites(model)]
     finally:
         fields.ScalarField.__mul__, fields.Components.comp, fields._shared = mul, comp, shared
+    run_plan = suites._RunPlan(plans, model.chart.dim)
     reached = set()
-    stack = [f for plan in plans for p in plan.probes for f in p.fields]
+    stack = [*run_plan.rows, *(f for p in run_plan.probes for f in p.fields)]
     while stack:
         node = stack.pop()
         if node not in reached:

@@ -21,7 +21,8 @@ the top, so each node's consumers are done before it.  A program
 evaluates a chunk of points at a time, one group after another: a group
 is nodes of one class and order (and, for an expression node, rule)
 whose inputs are evaluated, taken from the ready nodes by the rule of
-:class:`Program` (tallest first, then highest order), and one numpy
+:class:`Program` (a class and order whose nodes are all ready first,
+then tallest first, then highest order), and one numpy
 kernel evaluates it over their stacked operand rows with the rules of
 :class:`Jet2`, so a run costs numpy work per group, not interpreter
 work per node.  Each node is evaluated once per chunk, into one row of
@@ -98,6 +99,7 @@ import math
 import operator
 import weakref
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -131,12 +133,17 @@ class Chart:
     def dim(self) -> int:
         return len(self.coordinates)
 
+    @cached_property
+    def _corner(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box's lower corner and its widths, made once per chart."""
+        lo = np.array([b[0] for b in self.box])
+        return lo, np.array([b[1] for b in self.box]) - lo
+
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Uniform points in the box from a seeded 64-bit generator."""
         rng = np.random.default_rng(seed)
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        points = lo + rng.random((count, self.dim)) * (hi - lo)
+        lo, width = self._corner
+        points = lo + rng.random((count, self.dim)) * width
         # read-only: every suite of a run evaluates this one sample
         points.flags.writeable = False
         return points
@@ -486,6 +493,11 @@ class ProdField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, a, b):
+        if out.grad is None:
+            # values alone: a's straight into the output, times a copy of b's
+            t.take(a, out)
+            out.value *= t.value.take(b[0], 0)
+            return
         t.jet(a).times(t.jet(b), out)
 
 
@@ -726,18 +738,22 @@ def finite_only(f, matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def diagonal_cond(diagonals: np.ndarray) -> np.ndarray:
-    """``finite_only(np.linalg.cond, M)`` for diagonal matrices M, from
-    their diagonals ``(n, P)``, one column per point: max|M_ii| /
-    min|M_ii|, inf where that is 0/0 as ``np.linalg.cond`` gives it, and
-    NaN at a point where any M_ii is not finite.  The ratio is exactly
-    rounded, where the SVD of a 2 x 2 matrix may be 1 ulp off."""
+def diagonal_cond_max(diagonals: np.ndarray) -> np.ndarray:
+    """The largest ``finite_only(np.linalg.cond, M)`` over diagonal
+    matrices M, from their diagonals ``(n, P)``, one column per point, as
+    a ``(1,)`` array: the largest max|M_ii| / min|M_ii|, inf if that is
+    0/0 at any point, as ``np.linalg.cond`` gives it there, and NaN if any
+    M_ii is not finite.  Each ratio is exactly rounded, where the SVD of a
+    2 x 2 matrix may be 1 ulp off.  A zero divisor is left to the
+    caller's ``np.errstate``."""
     a = np.abs(diagonals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = a.max(axis=0) / a.min(axis=0)
-    ratio[np.isnan(ratio)] = np.inf
-    ratio[~np.isfinite(diagonals).all(axis=0)] = np.nan
-    return ratio
+    top = a.max(axis=0)
+    # a column's largest |M_ii| is inf or NaN where any of its M_ii is not finite
+    if not math.isfinite(top.max()):
+        return np.array([math.nan])
+    ratio = (top / a.min(axis=0)).max(keepdims=True)
+    # with every M_ii finite, only 0/0 is NaN
+    return ratio if ratio[0] == ratio[0] else np.array([math.inf])
 
 
 class _InverseRow:
@@ -840,20 +856,24 @@ class Program:
 
     Then it schedules the nodes by readiness: a node is ready once every
     one of its inputs has been scheduled, so the leaves, coordinates and
-    constants, are ready first.  Among the keys (class, order and
-    ``_kind``) that have ready nodes, it takes the key whose ready nodes
-    include the greatest height, on a tie the highest order, and on a tie
-    in both the key that has had ready nodes longest; all of that key's
-    ready nodes become one group, until no node is left.  The entries of
-    a matrix inverse share their inputs and their ``_kind``, so they
-    become ready together and are one group per inverse.  The schedule
-    depends on insertion order alone, never on hashing.  ``run`` runs each
-    group, in that order, as one numpy kernel over the stacked rows of its
-    operands, so every node is evaluated once per call, after its inputs;
-    the leaves' kernels fill their rows from the points.  The program
-    owns the space its tables live in and the :class:`_Tables` bound to
-    it (see ``run``); a run rebinds them only when the chunk length or
-    the space changes, and otherwise is a loop over bound kernels.
+    constants, are ready first.  It keeps a count of each key's nodes
+    (its class, order and ``_kind``) not yet scheduled.  Among the keys
+    that have ready nodes it takes first a key whose every node left is
+    ready, so that one group holds all of them; among those, or among all
+    keys with ready nodes when no key is whole, it takes the key whose
+    ready nodes include the greatest height, on a tie the highest order,
+    and on a tie in both the key that has had ready nodes longest.  All of
+    that key's ready nodes become one group, until no node is left.  The
+    entries of a matrix inverse share their inputs and their ``_kind``,
+    so they become ready together and are one group per inverse.  The
+    schedule depends on insertion order alone, never on hashing.
+    ``run`` runs each group, in that order, as one numpy kernel over the
+    stacked rows of its operands, so every node is evaluated once per
+    call, after its inputs; the leaves' kernels fill their rows from the
+    points.  The program owns the space its tables live in and the
+    :class:`_Tables` bound to it (see ``run``); a run rebinds them only
+    when the chunk length or the space changes, and otherwise is a loop
+    over bound kernels.
     ``run`` gives, for each root group, the stacked jet of its fields, to
     the group's order or as far as every field holds it.  A field
     differentiated more than twice makes compiling raise ``ValueError``.
@@ -917,9 +937,10 @@ class Program:
         base = [sizes[1], sizes[2], 0]
         slots: dict = {}
         self._kernels = []
-        # the ready nodes by key, the greatest rank among each key's (its
-        # height, then its order), and the nodes the last group made ready:
-        # the leaves at first
+        # the count of each key's nodes not yet scheduled, the ready nodes
+        # by key, the greatest rank among each key's (its height, then its
+        # order), and the nodes the last group made ready: the leaves at first
+        unscheduled = Counter(zip(map(type, demand), demand.values(), map(attrgetter("_kind"), demand)))
         ready: dict = {}
         tallest: dict = {}
         fresh = buckets[0]
@@ -933,10 +954,14 @@ class Program:
                     tallest[key] = rank
             if not ready:
                 break
-            key = max(tallest, key=tallest.__getitem__)
+            # a key none of whose nodes still waits goes first, so each of
+            # its nodes is in this one kernel
+            whole = [key for key in tallest if len(ready[key]) == unscheduled[key]]
+            key = max(whole or tallest, key=tallest.__getitem__)
             del tallest[key]
             cls, k, _ = key
             nodes = cls._arrange(ready.pop(key))
+            unscheduled[key] -= len(nodes)
             start = base[k]
             end = base[k] = start + len(nodes)
             slots.update(zip(nodes, range(start, end)))
@@ -1214,14 +1239,15 @@ def _scatter_iota(v: "VectorField", omega: FormField, terms: dict, tag: int):
                 terms.setdefault(key[:p] + key[p + 1 :], []).append(((tag, i1), v.comps[i1] * signed(f, (-1) ** p)))
 
 
-def lie_derivative(v: "VectorField", omega: FormField) -> FormField:
-    """Cartan formula: L_v = i_v d + d i_v, each component's terms summed once."""
+def lie_derivative(v: "VectorField", omega: FormField, contracted: FormField | None = None) -> FormField:
+    """Cartan formula: L_v = i_v d + d i_v, each component's terms summed
+    once; ``contracted``, when given, is i_v omega, built already."""
     chart = omega.chart
     terms: dict = {}
     if omega.degree < chart.dim:
         _scatter_iota(v, exterior_derivative(omega), terms, 0)
     if omega.degree >= 1:
-        _scatter_d(interior_product(v, omega), terms, 1)
+        _scatter_d(interior_product(v, omega) if contracted is None else contracted, terms, 1)
     return FormField(chart, omega.degree, ordered_sums(terms, chart.dim))
 
 

@@ -19,6 +19,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebroid import AlgebroidData
 from .connections import ConnectionData
@@ -74,13 +75,14 @@ class Model:
     tolerance: float
     raw_bytes: bytes
     # each suite's plan (its step over its row graphs), keyed by suite
-    # name and built by the first run of that suite, and the one program
-    # of each selection, keyed by its tuple of suite names and compiled by
-    # the first run of that selection (see suites.run); a model is never
-    # modified after loading, so both stay valid for every run after it
+    # name and built by the first run of that suite, and the run plan of
+    # each selection (its suites' plans and the one program over them),
+    # keyed by its tuple of suite names and made by the first run of that
+    # selection (see suites.run); a model is never modified after
+    # loading, so both stay valid for every run after it
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def model_hash(self) -> str:
         return hashlib.sha256(self.raw_bytes).hexdigest()
 

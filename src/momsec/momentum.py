@@ -5,7 +5,7 @@ equivalently gamma(e_a) = iota_{rho(e_a)} B, so that the flat-connection
 case of the second condition reads d mu(e) = iota_{rho(e)} B.
 :func:`gamma_fields` builds gamma, which :func:`condition_fields` hands
 to H1 and H2; H3 reads B itself.  :func:`momentum_map_fields` takes the
-gamma its caller built for H1 and H2.
+gamma its caller built for H1 and H2, and its Lie derivatives read it.
 
 Conditions, per basis index:
 
@@ -123,7 +123,7 @@ def momentum_map_fields(alg: AlgebroidData, conn: ConnectionData, B: FormField, 
     d = alg.dim
     out = {"symplectic": [], "hamiltonian": [], "equivariance": []}
     for a in range(alg.rank):
-        out["symplectic"] += lie_derivative(alg.anchor_vector(a), B).rows(index_label(a=a))
+        out["symplectic"] += lie_derivative(alg.anchor_vector(a), B, gamma[a]).rows(index_label(a=a))
         for i in range(d):
             f = mu[a].partial(i) - gamma[a].comp((i,))
             out["hamiltonian"].append((index_label(a=a, i=i), f))

@@ -7,16 +7,21 @@ flow-deg1-vs-h2 and firstclass-deg0-vs-h3, and multisym makes the
 descent rows k by k), floats are rendered with Python's shortest
 round-trip repr, and JSON keys are sorted.  ``CheckReport.to_json``
 writes the bytes ``json.dumps(payload, sort_keys=True, indent=2)`` would,
-and a newline, but fills one template per check row directly: strings
+and a newline, but fills each check row's template directly: strings
 through json's own C encoder, floats through :func:`_float`, flags and
 terms joined in place, ints and bools as they are, and a value of any
-other type (an int tolerance) through the generic :func:`_json`.
+other type (an int tolerance) through the generic :func:`_json`.  A
+row's template has its fixed fields (``equation``, ``n_points``,
+``n_tuples``, ``name`` and ``tolerance``) rendered already; it is made
+once for each distinct set of them and kept, so a run that reports the
+rows of an earlier run renders only what its sample changed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 
@@ -115,23 +120,32 @@ _REPORT = (
 
 
 def _row(c: CheckResult) -> str:
-    """One check row as :func:`_json` writes it, filled field by field."""
+    """One check row as :func:`_json` writes it: the row's template,
+    with its fixed fields filled, filled with the rest."""
     terms = c.terms
     if terms:
         items = [encode_basestring_ascii(k) + ": " + _float(x) for k, x in sorted(terms.items())]
         terms = "{\n        " + ",\n        ".join(items) + "\n      }"
-    return _ROW % (
-        encode_basestring_ascii(c.equation),
+    # 0.0 and -0.0 are one key of the cache but two spellings
+    template = _template if c.tolerance else _template.__wrapped__
+    return template(c.equation, c.n_points, c.n_tuples, c.name, c.tolerance) % (
         "[\n        " + ",\n        ".join(map(encode_basestring_ascii, c.flags)) + "\n      ]" if c.flags else "[]",
         "true" if c.informational else "false",
         _float(c.max_residual),
-        c.n_points,
-        c.n_tuples,
-        encode_basestring_ascii(c.name),
         "true" if c.passed else "false",
         "null" if terms is None else terms or "{}",
-        _float(c.tolerance),
     )
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _template(equation: str, n_points: int, n_tuples: int, name: str, tolerance) -> str:
+    """The template of a check row with these fixed fields: ``_ROW``
+    with them rendered, each ``%`` in them escaped, and a ``%s`` left for
+    ``flags``, ``informational``, ``max_residual``, ``passed`` and
+    ``terms``.  ``typed`` keeps an int tolerance apart from an equal float."""
+    fixed = (encode_basestring_ascii(equation), encode_basestring_ascii(name), _float(tolerance))
+    equation, name, tolerance = (text.replace("%", "%%") for text in fixed)
+    return _ROW % (equation, "%s", "%s", "%s", n_points, n_tuples, name, "%s", "%s", tolerance)
 
 
 def _float(value) -> str:

@@ -57,11 +57,10 @@ def rigid_b_fields(alg: AlgebroidData, b: FormField, beta_rigid=None):
     """
     out = []
     for a in range(alg.rank):
-        lie = lie_derivative(alg.anchor_vector(a), b)
-        if beta_rigid is not None:
-            candidate = beta_rigid[a]
-        else:
-            candidate = interior_product(alg.anchor_vector(a), b)
+        # the Lie derivative reads the default candidate's contraction
+        contracted = interior_product(alg.anchor_vector(a), b)
+        lie = lie_derivative(alg.anchor_vector(a), b, contracted)
+        candidate = contracted if beta_rigid is None else beta_rigid[a]
         out += (lie - exterior_derivative(candidate)).rows(index_label(a=a))
     return out, beta_rigid is None
 

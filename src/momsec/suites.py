@@ -4,20 +4,23 @@ Each suite is planned once per model: its planner builds the suite's
 row graphs from the model alone, on the first run that needs the suite,
 and returns the step that reports them, every row set the step may read
 (whichever branch a run takes; it reads no other, and a concatenation of
-row sets is one more row set, built there) and the probes it reads
-besides, which only mechanics has: the metric (its diagonal, when it
-stores nothing else) and anchor matrices.  The plan concatenates the
-positions of every row set's fields once, so a run reads the maximum of
-every row set of the plan with one reduction.
+row sets is one more row set, built there) and the matrix probes it
+reads besides, which only mechanics has: the metric (its diagonal, when
+it stores nothing else) and anchor matrices.
 Which row sets exist is decided there, from the model's structure: the
 constant-bracket reductions only for a flat connection and structure
 functions that are finite constants of the model, and sigma2d's rows for
 a b that is not closed only when no ``beta_rigid`` is given and db is not
-a structural zero.  The model keeps the plan for every run after.  A run
-compiles the probes of every suite it selects into one
-:class:`~momsec.fields.Program`, which the model keeps for each next run
-of the same selection, so a node that several suites read is evaluated
-once, and no other program is compiled.
+a structural zero.  The model keeps the plan for every run after.
+
+The first run of a selection makes its run plan, which the model keeps
+for each next run of the same selection.  It holds the plans of the
+selected suites; one row probe, every distinct field of every row set of
+those suites that is not a structural zero; their matrix probes; the
+positions of every row set's fields in the row probe, concatenated once;
+and one :class:`~momsec.fields.Program` compiled from the probes.  So a
+node that several suites read is evaluated once, and no other program
+is compiled.
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
@@ -28,22 +31,24 @@ in, reused chunk after chunk and run after run (see
 :meth:`~momsec.fields.Program.run`).  In each chunk the program runs
 once, from the chunk's coordinates up through every node of the model's
 expressions and the suites' graphs, and each root group is reduced as
-it is read: a row field to its max |f| (NaN when any value is NaN), a
-probe to the arrays its reduction makes.  The run keeps
-the elementwise maximum over chunks of each, which every reduction here
-is chosen to make exact, and a domain error or a singular matrix names
-its point by its index in the whole sample: the first point where any
-node fails, whatever the chunk length.
+it is read: the row probe, gathered from the tables once, to each
+field's max |f| (NaN when any value is NaN), and a matrix probe to the
+arrays its reduction makes.  The run keeps the elementwise maximum over
+chunks of each, which every reduction here is chosen to make exact, and
+a domain error or a singular matrix names its point by its index in the
+whole sample: the first point where any node fails, whatever the chunk
+length.
 
 Only then do the steps run, and they read only these maxima: one
-``np.maximum.reduceat`` per plan takes every row set's maximum, and a
-step looks each up by its row set.  The only wiring that reads sample
-values (whether sigma2d's b is closed, which picks the rigid-b rows it
-reports) is decided in the step, per run.  Each run has one
-:class:`CheckContext`, which holds the model, the sample, the
-:class:`RunConfig`, the report and the maxima of every selected suite
-and of each of its row sets; its methods are the only code that makes a
-report row, and each appends its row to the report as it is made.  The H1-H3 rows
+``np.maximum.reduceat`` per run takes the maximum of every row set of
+every selected suite, and a step looks each up by its row set.  The only
+wiring that reads sample values (whether sigma2d's b is closed, which
+picks the rigid-b rows it reports) is decided in the step, per run.
+Each run has one :class:`CheckContext`, which holds the model, the
+sample, the :class:`RunConfig`, the report, the maxima of the matrix
+probes and the maximum of each row set; its methods are the only code
+that makes a report row, and each appends its row to the report as it
+is made.  The H1-H3 rows
 come from :func:`momentum.condition_fields` wherever a suite needs them.
 The anchoring conditions (H1, HM1) are reported but not required unless
 ``require_h1`` is set.  A row that holds only under stated hypotheses
@@ -67,7 +72,7 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import Program, SingularMatrixError, diagonal_cond, exterior_derivative, finite_only, point_matrices
+from .fields import Program, SingularMatrixError, diagonal_cond_max, exterior_derivative, finite_only, point_matrices
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult
 
@@ -131,20 +136,26 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
     # overflow and invalid operations yield inf/NaN residuals, which fail
     # their rows; numpy's warnings about them would only repeat that
     with np.errstate(all="ignore"):
-        plans = []
-        for suite in ctx.report.suites:
-            if suite not in model._plans:
-                model._plans[suite] = _Plan(*_SUITES[suite][0](model))
-            plans.append(model._plans[suite])
-        probes = [p for plan in plans for p in plan.probes]
-        key = tuple(ctx.report.suites)
-        if key not in model._plans:
-            model._plans[key] = Program([(p.fields, p.order) for p in probes], model.chart.dim)
-        ctx.maxima = _evaluate(model._plans[key], probes, ctx.points)
-        for plan in plans:
-            ctx.row_maxima.update(plan.row_maxima(ctx.maxima))
+        run_plan = _run_plan(model, ctx.report.suites)
+        rows, *probes = run_plan.evaluate(ctx.points)
+        ctx.row_maxima = run_plan.row_maxima(rows)
+        ctx.maxima = dict(zip(run_plan.probes, probes))
+        for plan in run_plan.plans:
             plan.step(ctx)
     return ctx.report
+
+
+def _run_plan(model: Model, selected: list[str]) -> "_RunPlan":
+    """The model's run plan of the ``selected`` suites, made on their
+    first run, with the plan of each suite that no earlier run planned."""
+    key = tuple(selected)
+    run_plan = model._plans.get(key)
+    if run_plan is None:
+        for suite in key:
+            if suite not in model._plans:
+                model._plans[suite] = _Plan(*_SUITES[suite][0](model))
+        run_plan = model._plans[key] = _RunPlan([model._plans[suite] for suite in key], model.chart.dim)
+    return run_plan
 
 
 class _Probe:
@@ -159,75 +170,95 @@ class _Probe:
         self.reduce = reduce
 
 
-def _abs_maxima(jet) -> np.ndarray:
-    """max |f| of each field; NaN when any value is NaN."""
-    return np.abs(jet.value).max(axis=1)
+def _abs_maxima(values: np.ndarray) -> np.ndarray:
+    """max |f| of each row of ``values``, NaN where any value is NaN.
+    The row probe's values are a copy of its rows, so |f| is taken in
+    place, and no name holds them past the reduction, so the next
+    chunk's kernels run without them.  One ``reduceat`` over the rows
+    laid end to end is quicker than ``max(axis=1)`` on rows this short."""
+    flat = np.abs(values, out=values).ravel()
+    return np.maximum.reduceat(flat, np.arange(0, flat.size, values.shape[1]))
 
 
 class _Plan:
-    """A suite's step and its probes.  The first probe is every field of
-    ``row_sets`` that is not a structural zero, to order 0, reduced to its
-    max |f|.  A row set that is ``None`` was not built for the model.  The
-    positions of the fields of every other row set are concatenated once,
-    in ``order`` from offsets ``starts``, so :meth:`row_maxima` reads them
-    all with one reduction.  Row sets are keyed by identity; the plan
-    holds them, so no id is reused while it lives.  The run's program
-    evaluates every probe of the plan in every run."""
+    """A suite's step, its row sets and its matrix probes.  A row set
+    that is ``None`` was not built for the model.  Row sets are keyed by
+    identity; the plan holds them, so no id is reused while it lives."""
 
     def __init__(self, step, row_sets, probes=()):
         self.step = step
         self.row_sets = row_sets
+        self.probes = probes
+
+
+class _RunPlan:
+    """The plans of a selection's suites and what a run of them reads.
+
+    ``rows`` is the row probe: every distinct field, not a structural
+    zero, of every row set of the plans, in the order first read.  The
+    positions in it of the fields of every row set that has any are
+    concatenated once, in ``order`` from offsets ``starts``, for the row
+    sets keyed ``ids``; a row set whose fields are all structural zeros
+    reads 0 (``zeros``).  ``probes`` are the plans' matrix probes, and
+    ``program`` evaluates the row probe to order 0 and then each matrix
+    probe in every run."""
+
+    def __init__(self, plans: list, dim: int):
+        self.plans = plans
         index: dict = {}
         positions = {}
-        for rows in row_sets:
-            if rows is not None:
-                positions[id(rows)] = [index.setdefault(f, len(index)) for _, f in rows if not f.is_zero]
-        # a row set whose fields are all structural zeros reads 0
+        for plan in plans:
+            for rows in plan.row_sets:
+                if rows is not None:
+                    positions[id(rows)] = [index.setdefault(f, len(index)) for _, f in rows if not f.is_zero]
+        self.rows = list(index)
         self.zeros = {key: 0.0 for key, picked in positions.items() if not picked}
         self.ids = [key for key, picked in positions.items() if picked]
         self.order = np.array([i for key in self.ids for i in positions[key]], dtype=np.intp)
         self.starts = np.cumsum([0] + [len(positions[key]) for key in self.ids])[:-1]
-        self.probes = (_Probe(list(index), 0, _abs_maxima), *probes)
+        self.probes = [p for plan in plans for p in plan.probes]
+        self.program = Program([(self.rows, 0), *((p.fields, p.order) for p in self.probes)], dim)
 
-    def row_maxima(self, maxima: dict) -> dict:
-        """The largest |f| of each row set over the sample, keyed by id,
-        from the run's probe ``maxima``.  The maxima are >= 0 or NaN, and
+    def evaluate(self, points: np.ndarray) -> list:
+        """The maxima over ``points`` of the row probe's |f|, one per
+        field, and of each matrix probe's reduction.  The program runs
+        chunk by chunk.  A domain error or a singular matrix is reported
+        at the first point of the sample where any node fails, for the
+        first node, in the program's fixed kernel order, that fails
+        there."""
+        program = self.program
+        length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
+        for start in range(0, len(points), length):
+            chunk = points[start : start + length]
+            try:
+                jets = program.run(chunk)
+            except (DomainError, SingularMatrixError) as exc:
+                # the first kernel to fail may fail only past a point where a
+                # kernel after it fails: run the points before the reported
+                # one again until none of them fails
+                while exc.point:
+                    try:
+                        program.run(chunk[: exc.point])
+                        break
+                    except (DomainError, SingularMatrixError) as earlier:
+                        exc = earlier
+                raise exc.shifted(start) from None
+            reduced = [_abs_maxima(next(jets).value), *(p.reduce(jet) for p, jet in zip(self.probes, jets))]
+            maxima = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima, reduced)]
+        return maxima
+
+    def row_maxima(self, rows: np.ndarray) -> dict:
+        """The largest |f| of each row set, keyed by id, from those of the
+        row probe's fields, ``rows``.  These are >= 0 or NaN, and
         ``np.maximum`` keeps a NaN as ``ndarray.max`` does."""
-        values = np.maximum.reduceat(maxima[self.probes[0]].take(self.order), self.starts)
+        values = np.maximum.reduceat(rows.take(self.order), self.starts)
         return {**self.zeros, **dict(zip(self.ids, values.tolist()))}
 
 
-def _evaluate(program: Program, probes, points: np.ndarray) -> dict:
-    """The maxima of each probe's reduction over ``points``, keyed by
-    probe; ``program`` was compiled from ``probes`` and runs chunk by
-    chunk.  A domain error or a singular matrix is reported at the first
-    point of the sample where any node fails, for the first node, in the
-    program's fixed kernel order, that fails there."""
-    length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
-    for start in range(0, len(points), length):
-        chunk = points[start : start + length]
-        try:
-            jets = program.run(chunk)
-        except (DomainError, SingularMatrixError) as exc:
-            # the first kernel to fail may fail only past a point where a
-            # kernel after it fails: run the points before the reported
-            # one again until none of them fails
-            while exc.point:
-                try:
-                    program.run(chunk[: exc.point])
-                    break
-                except (DomainError, SingularMatrixError) as earlier:
-                    exc = earlier
-            raise exc.shifted(start) from None
-        reduced = [p.reduce(jet) for p, jet in zip(probes, jets)]
-        maxima = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima, reduced)]
-    return dict(zip(probes, maxima))
-
-
 class CheckContext:
-    """One run: the model, its point sample, the config, the report, the
-    probe maxima of every selected suite and the maximum of each of their
-    row sets.
+    """One run: the model, its point sample and their count, the config,
+    the report, the matrix probes' maxima of every selected suite and the
+    maximum of each of their row sets.
 
     Every row method reads its residual from those maxima, appends the
     row to the report and returns it, so rows appear in the order they
@@ -239,6 +270,7 @@ class CheckContext:
         self.cfg = cfg
         self.tol = cfg.tolerance
         self.points = model.chart.sample(cfg.points, cfg.seed)
+        self.n_points = len(self.points)
         self.maxima: dict = {}
         self.row_maxima: dict = {}
         self.report = CheckReport(
@@ -313,13 +345,13 @@ class CheckContext:
         false with everything, so a non-finite residual is tested
         explicitly: it fails the row and is flagged, never passed."""
         hypotheses, flag = assuming
-        if any(not h.passed and math.isfinite(h.max_residual) for h in hypotheses):
+        if hypotheses and any(not h.passed and math.isfinite(h.max_residual) for h in hypotheses):
             informational, flags = True, flags + (flag,)
         finite = math.isfinite(residual)
         passed = finite and residual < tolerance
         flags = flags if finite else flags + ("non-finite",)
         row = CheckResult(
-            name, equation, float(residual), len(self.points), n_tuples, tolerance, passed, informational, terms, flags
+            name, equation, float(residual), self.n_points, n_tuples, tolerance, passed, informational, terms, flags
         )
         self.report.add(row)
         return row
@@ -436,8 +468,14 @@ def plan_mechanics(model: Model):
     absorbed = ham.absorb_beta(system)
     twist_rows = mom.closedness_fields(absorbed.twist)
     tau_rows = ham.tau_prime_fields(absorbed)
-    fc2 = _by_degree(ham.first_class_fields(absorbed))
-    fl2 = _by_degree(ham.flow_fields(absorbed))
+    # with beta a structural zero, absorbing it leaves the constraints,
+    # the Hamiltonian and the multipliers as they are, under an empty
+    # twist, so the twisted residuals are the untwisted ones
+    if system.beta.stored():
+        fc2 = _by_degree(ham.first_class_fields(absorbed))
+        fl2 = _by_degree(ham.flow_fields(absorbed))
+    else:
+        fc2, fl2 = fc, fl
     # each residual's rows over every degree, and the twisted degree-0 block
     fc_rows, fl_rows, fc2_rows, fl2_rows = (list(chain(*rows.values())) for rows in (fc, fl, fc2, fl2))
     fc2_constant = fc2.get("degree 0", [])
@@ -446,7 +484,7 @@ def plan_mechanics(model: Model):
     # NaN at a point where the matrix has a non-finite entry, which fails
     # the row; a metric that stores only its diagonal needs no SVD
     if g.diagonal is not None:
-        conditioning = _Probe(list(g.diagonal), 0, lambda jet: np.max(diagonal_cond(jet.value), keepdims=True))
+        conditioning = _Probe(list(g.diagonal), 0, lambda jet: diagonal_cond_max(jet.value))
     else:
         conditioning = _Probe(
             [f for row in g.g for f in row],
@@ -739,7 +777,7 @@ def plan_multisym(model: Model):
 
 # suite -> (its planner, the model block it requires), in report order; a
 # planner builds the suite's row graphs and returns the step that
-# reports them on a run, with its row sets and probes (see _Plan).  A
+# reports them on a run, with its row sets and matrix probes (see _Plan).  A
 # step must not hold the model: the model holds the step, and in a reference cycle a model and its graphs would
 # wait for the cyclic garbage collector, which then walks every node.
 _SUITES = {

@@ -10,11 +10,19 @@ from momsec.fields import Chart, ExprField, ScalarField, VectorField, const_fiel
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
 from momsec.momentum import pairing_terms
+from momsec.suites import _run_plan, resolve_suites
 
 
 @pytest.fixture(scope="session")
 def fixture_models():
     return {name: load_model_bytes(fixture_bytes(name)) for name in fixture_names()}
+
+
+def run_plan_of(model, selection: str = "all"):
+    """The model's run plan of ``selection`` and its program: those its
+    runs of ``selection`` use, made here if no run made them yet."""
+    plan = _run_plan(model, resolve_suites(model, selection))
+    return plan, plan.program
 
 
 def chart2(box=1.5) -> Chart:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expr_jet, expr_jets, f, random_poly_source, random_smooth_source
+from conftest import expr_jet, expr_jets, f, random_poly_source, random_smooth_source, run_plan_of
 from test_suites import B_NOT_CLOSED
 from momsec.expressions import DomainError, parse, pretty
 from momsec import fields, suites
@@ -295,21 +295,17 @@ def _structural_ids(nodes) -> dict:
     return ids
 
 
-def _program_of(model, selection: str = "all") -> Program:
-    """The one program of a model's runs of ``selection``, compiled by a
-    run already."""
-    return model._plans[tuple(suites.resolve_suites(model, selection))]
-
-
-def _suite_plans(model) -> list:
-    """The plans of the suites a model has run, keyed by name in ``_plans``."""
-    return [plan for key, plan in model._plans.items() if isinstance(key, str)]
+def _fields_of(plan) -> list:
+    """The fields a suite's plan reads that are not structural zeros: its
+    row sets' and its matrix probes'."""
+    rows = [f for labeled in plan.row_sets if labeled is not None for _, f in labeled]
+    return [f for f in rows + [f for p in plan.probes for f in p.fields] if not f.is_zero]
 
 
 def _chunks_of(monkeypatch, model, length: int):
     """Make runs of ``model`` (all suites, planned already) evaluate
     ``length`` points at a time."""
-    monkeypatch.setattr(suites, "CHUNK_BYTES", length * _program_of(model).bytes_per_point)
+    monkeypatch.setattr(suites, "CHUNK_BYTES", length * run_plan_of(model)[1].bytes_per_point)
 
 
 def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
@@ -342,8 +338,8 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     monkeypatch.setattr(Program, "run", recording_run)
     model = load_model_bytes(raw)
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
-    program = _program_of(model)
-    under = _under(f for plan in _suite_plans(model) for p in plan.probes for f in p.fields)
+    run_plan, program = run_plan_of(model)
+    under = _under(f for plan in run_plan.plans for f in _fields_of(plan))
     assert [(p, count) for p, count, _ in calls] == [(program, 32)]
     assert program.sizes[0] == len(under)
     # 1,291 nodes on this model (1,238 before its expressions were
@@ -359,7 +355,8 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     assert [(p, count) for p, count, _ in calls] == [(program, 11), (program, 11), (program, 10)]
     for _, count, rows in calls:
         # one kernel per group of ready nodes of a class and order, across
-        # suites (41 on this model; 42 when a tie in height went by
+        # suites (38 on this model; 41 when a key could be taken before
+        # all its nodes were ready, 42 when a tie in height went by
         # insertion order alone, 79 when a group was one level's nodes, 52
         # before its expressions were lowered into the program)
         assert len(rows) <= 41
@@ -370,14 +367,15 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
 
 def test_the_fixtures_run_in_few_kernels():
     # kernels per chunk of an all-suites run, summed over the six fixtures:
-    # 107 when a tie in height goes to the higher order (111 when it went
-    # by insertion order alone, 184 when a group was one level's nodes)
+    # 100 when a key whose every node is ready goes first (107 when only
+    # a tie in height went to the higher order, 111 when it went by
+    # insertion order alone, 184 when a group was one level's nodes)
     total = 0
     for name in fixture_names():
         model = load_model_bytes(fixture_bytes(name))
         run(model, "all", RunConfig(tolerance=model.tolerance, points=8, seed=42))
-        total += len(_program_of(model)._kernels)
-    assert total <= 107
+        total += len(run_plan_of(model)[1]._kernels)
+    assert total <= 100
 
 
 @pytest.mark.parametrize("model", ["so(3)", "magnetic_twist_mechanics"])
@@ -389,7 +387,7 @@ def test_no_kernel_reads_a_slot_before_it_is_written(model, monkeypatch):
     raw = _son_model_bytes(monkeypatch, 3) if model == "so(3)" else fixture_bytes(model)
     loaded = load_model_bytes(raw)
     run(loaded, "all", RunConfig(tolerance=loaded.tolerance, points=8, seed=42))
-    program = _program_of(loaded)
+    _, program = run_plan_of(loaded)
     assert model == "so(3)" or any(kernel is fields.MatrixInverseField._kernel for kernel, _, _ in program._kernels)
     points = loaded.chart.sample(32, 42)
     size = len(points) * program.bytes_per_point // 8
@@ -421,11 +419,11 @@ def test_a_reused_program_runs_as_a_fresh_one(model, monkeypatch):
     raw = _son_model_bytes(monkeypatch, 3) if model == "so(3)" else fixture_bytes(model)
     loaded = load_model_bytes(raw)
     ch = loaded.chart
-    plans = [suites._Plan(*suites._SUITES[s][0](loaded)) for s in suites.applicable_suites(loaded)]
+    run_plan, _ = run_plan_of(loaded)
     first, second = ch.sample(32, 42), ch.sample(32, 43)
     c = float(min(first[:, 0].min(), second[:, 0].min())) - 0.01
     log = f(f"log({ch.coordinates[0]} - ({c!r}))", ch)
-    groups = [(p.fields, p.order) for plan in plans for p in plan.probes] + [([log], 2)]
+    groups = [(run_plan.rows, 0), *((p.fields, p.order) for p in run_plan.probes), ([log], 2)]
     program = Program(groups, ch.dim)
     assert model != "magnetic_twist_mechanics" or any(
         kernel is fields.MatrixInverseField._kernel for kernel, _, _ in program._kernels
@@ -535,7 +533,7 @@ def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
         monkeypatch.setattr(cls, "_arrange", staticmethod(recording_arrange))
     cfg = RunConfig(tolerance=model.tolerance, points=32, seed=42)
     run(model, "all", cfg)
-    under = [_under(f for p in plan.probes for f in p.fields) for plan in _suite_plans(model)]
+    under = [_under(_fields_of(plan)) for plan in run_plan_of(model)[0].plans]
     shared = {n for k, nodes in enumerate(under) for other in under[k + 1 :] for n in nodes & other if n.level}
     assert shared
     groups = [id(n) for nodes in arranged for n in nodes]
@@ -551,7 +549,7 @@ def test_a_node_shared_by_two_suites_is_written_once_per_chunk(monkeypatch):
     monkeypatch.setattr(Program, "run", counting_run)
     _chunks_of(monkeypatch, model, 11)
     run(model, "all", cfg)
-    assert calls == [_program_of(model)] * 3
+    assert calls == [run_plan_of(model)[1]] * 3
 
 
 def test_expressions_are_lowered_into_shared_nodes(monkeypatch):
@@ -560,8 +558,9 @@ def test_expressions_are_lowered_into_shared_nodes(monkeypatch):
     # subexpression in several entries is one node, in one slot
     model = load_model_bytes(_son_model_bytes(monkeypatch, 3))
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=43))
-    under = _under(f for plan in _suite_plans(model) for p in plan.probes for f in p.fields)
-    assert _program_of(model).sizes[0] == len(under)
+    run_plan, program = run_plan_of(model)
+    under = _under(f for plan in run_plan.plans for f in _fields_of(plan))
+    assert program.sizes[0] == len(under)
     assert {type(n) for n in under if not n.inputs} == {ConstField, CoordField}
     squares = [n for n in under if isinstance(n, RuleField) and pretty(n.expr) == "x1^2.0"]
     assert len(squares) == 1
@@ -605,15 +604,17 @@ def test_a_reused_model_reports_as_fresh_models_do(name, monkeypatch):
 
 
 def test_a_reused_model_reports_each_selection_as_fresh_models_do(monkeypatch):
-    # each selection has a program of its own, over the plans of the
-    # suites it selects, which every selection shares
+    # each selection has a run plan and a program of its own, over the
+    # plans of the suites it selects, which every selection shares
     raw = _son_model_bytes(monkeypatch, 3)
     model = load_model_bytes(raw)
     cfg = RunConfig(points=32, seed=5)
     for selection in ("momentum", "all", "axioms", "all"):
         assert run(model, selection, cfg).to_json() == run(load_model_bytes(raw), selection, cfg).to_json()
-    programs = [key for key in model._plans if isinstance(key, tuple)]
-    assert programs == [("momentum",), tuple(suites.applicable_suites(model)), ("axioms",)]
+    suite_names = suites.applicable_suites(model)
+    assert model._plans.keys() == {*suite_names, ("momentum",), tuple(suite_names), ("axioms",)}
+    every = run_plan_of(model)[0].plans
+    assert [run_plan_of(model, s)[0].plans for s in ("momentum", "axioms")] == [every[1:2], every[:1]]
 
 
 def test_a_dropped_model_frees_its_graphs_at_once(monkeypatch):
@@ -791,12 +792,12 @@ def test_a_run_that_reads_rows_of_a_b_that_is_not_closed_compiles_one_program(mo
     cfg = RunConfig(points=32, seed=42)
     rep = run(model, "all", cfg)
     assert "b not closed" in " ".join(rep.find("sigma2d/rigid-b-invariance").flags)
-    assert compiled == [_program_of(model)]
+    assert compiled == [run_plan_of(model)[1]]
     assert calls == compiled
     calls.clear()
     _chunks_of(monkeypatch, model, 11)
     assert run(model, "all", cfg).to_json() == rep.to_json()
-    assert compiled == [_program_of(model)]
+    assert compiled == [run_plan_of(model)[1]]
     assert calls == compiled * 3
 
 

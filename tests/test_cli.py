@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CHECK_REGISTRY
+from conftest import CHECK_REGISTRY, run_plan_of
 from momsec import fields, suites
 from momsec.cli import main
 from momsec.fixtures import fixture_bytes, fixture_names
@@ -342,7 +342,7 @@ class TestEvaluationFailures:
         model = load_model(path)
         with pytest.raises(ValueError):
             run(model, "all")
-        program = model._plans[tuple(suites.applicable_suites(model))]
+        _, program = run_plan_of(model)
         errors = []
         for budget in (7 * program.bytes_per_point, 1 << 60):
             monkeypatch.setattr(suites, "CHUNK_BYTES", budget)
@@ -414,7 +414,7 @@ class TestEvaluationFailures:
             model = load_model(path)
             with pytest.raises(np.linalg.LinAlgError):
                 run(model, "mechanics")
-            program = model._plans[("mechanics",)]
+            _, program = run_plan_of(model, "mechanics")
             for budget in (7 * program.bytes_per_point, 1 << 60):
                 monkeypatch.setattr(suites, "CHUNK_BYTES", budget)
                 assert main(["check", path, "--suite", "mechanics"]) == 3

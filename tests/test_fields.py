@@ -22,7 +22,7 @@ from momsec.fields import (
     SingularMatrixError,
     VectorField,
     const_field,
-    diagonal_cond,
+    diagonal_cond_max,
     exterior_derivative,
     field_sum_d,
     finite_only,
@@ -604,6 +604,11 @@ class TestDiagonalInverse:
 
 
 class TestDiagonalCond:
+    # the conditioning probe's reduction of a stack of diagonal matrices,
+    # straight to its largest condition number, is the maximum of the
+    # per-matrix SVD condition numbers, byte for byte, and so is each
+    # matrix's own
+
     @pytest.mark.parametrize("n", [1, 3, 4, 6])
     def test_equals_the_svd_condition_number_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
@@ -611,7 +616,10 @@ class TestDiagonalCond:
         matrices = np.zeros((500, n, n))
         for i in range(n):
             matrices[:, i, i] = diagonals[i]
-        assert diagonal_cond(diagonals).tobytes() == finite_only(np.linalg.cond, matrices).tobytes()
+        expected = finite_only(np.linalg.cond, matrices)
+        assert diagonal_cond_max(diagonals).tobytes() == np.max(expected, keepdims=True).tobytes()
+        each = np.concatenate([diagonal_cond_max(diagonals[:, p : p + 1]) for p in range(500)])
+        assert each.tobytes() == expected.tobytes()
 
     def test_nonfinite_and_singular_points_read_as_finite_only_gives_them(self):
         inf, nan = np.inf, np.nan
@@ -620,9 +628,13 @@ class TestDiagonalCond:
         matrices[:, 0, 0], matrices[:, 1, 1] = diagonals
         with np.errstate(all="ignore"):
             expected = finite_only(np.linalg.cond, matrices)
-        got = diagonal_cond(diagonals)
-        assert np.array_equal(got, expected, equal_nan=True)
-        assert np.array_equal(got, [inf, inf, nan, nan, 2.0, nan, nan, 1.0], equal_nan=True)
+            each = np.concatenate([diagonal_cond_max(diagonals[:, p : p + 1]) for p in range(8)])
+            # every stack of these points: finite, singular, inf and NaN ones mixed
+            stacks = [list(s) for k in range(1, 9) for s in itertools.combinations(range(8), k)]
+            got = [diagonal_cond_max(diagonals[:, s]).tobytes() for s in stacks]
+        assert np.array_equal(each, [inf, inf, nan, nan, 2.0, nan, nan, 1.0], equal_nan=True)
+        assert each.tobytes() == expected.tobytes()
+        assert got == [np.max(expected[s], keepdims=True).tobytes() for s in stacks]
 
 
 _coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

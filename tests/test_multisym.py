@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart3, f, random_poly_source
-from momsec import suites
+from conftest import chart3, f, random_poly_source, run_plan_of
 from momsec.algebroid import AlgebroidData
 from momsec.connections import ConnectionData, dual_covariant_derivative
 from momsec.fields import (
@@ -635,8 +634,8 @@ def test_a_piece_at_a_permuted_tuple_is_the_stored_piece_negated(name):
             assert tower.d(k, swapped).comps == tower.d(k, b).scaled(-1.0).comps
             assert tower.lie(k, 0, swapped).comps == tower.lie(k, 0, b).scaled(-1.0).comps
     # built from the negated component, a piece would differentiate -g beside g
-    plan = suites._Plan(*suites._SUITES["multisym"][0](model))
-    seen, stack = set(), [f for probe in plan.probes for f in probe.fields]
+    run_plan, _ = run_plan_of(model, "multisym")
+    seen, stack = set(), [*run_plan.rows, *(f for probe in run_plan.probes for f in probe.fields)]
     while stack:
         node = stack.pop()
         if node not in seen:

@@ -69,6 +69,25 @@ ROWS = {
         _row(informational=True, passed=False, terms={"degree 2": 1e-17}),
         _row(terms={"degree 0": math.nan}),
     ],
+    # each row's fixed fields are rendered once into a template that rows
+    # with equal fields share: equal tolerances of two types, or two
+    # spellings of zero, must not share one, and a % in the fixed text
+    # must not read as a placeholder
+    "templates": [
+        _row("t", tolerance=1),
+        _row("t", tolerance=1.0),
+        _row("t", tolerance=1),
+        _row("u", tolerance=2.0),
+        _row("u", tolerance=2),
+        _row("z", tolerance=0.0),
+        _row("z", tolerance=-0.0),
+        _row("z", tolerance=0),
+        _row("100% sure", equation="x %s %d %% %(a)s = 0"),
+        _row("%", equation="%", flags=("50%",), terms={"%s": 0.5}),
+        _row("%", math.nan, passed=False, flags=("non-finite",), terms={"a": math.nan, "b": math.inf}),
+        _row("%", math.inf, passed=False, flags=("non-finite", "%d"), terms={"c": -math.inf}),
+        _row("%", -math.inf, passed=False, flags=("non-finite",)),
+    ],
     "none": [],
 }
 
@@ -111,3 +130,15 @@ def test_to_json_writes_int_row_tolerances_as_the_standard_encoder():
 def test_the_row_template_names_every_field_of_a_check_result():
     # a field added to CheckResult must be added to the template too
     assert list(reporting._ROW_KEYS) == sorted(f.name for f in dataclasses.fields(CheckResult))
+
+
+def test_a_rendered_report_renders_again_from_its_row_templates():
+    # rendering a report makes the templates of its rows; rendering it, or
+    # one with other residuals on the same rows, again makes none
+    model = load_model_bytes(fixture_bytes("so3_action_algebroid"))
+    first = run(model, "all", RunConfig(tolerance=model.tolerance, points=9, seed=3))
+    first.to_json()
+    made = reporting._template.cache_info().misses
+    second = run(model, "all", RunConfig(tolerance=model.tolerance, points=9, seed=4))
+    assert second.to_json() == _reference(second) != first.to_json()
+    assert reporting._template.cache_info().misses == made
