@@ -1,8 +1,9 @@
 """Expression language for chart-local scalar functions.
 
 Sources such as ``"x^2 * sin(y)"`` are parsed against a fixed list of
-coordinate names into syntax trees, which :func:`momsec.fields.lower`
-turns into field nodes.  The jet rules here, of :class:`Jet2` and of the
+coordinate names, with no syntax tree: :func:`parse` builds each
+subexpression as it closes, which :class:`momsec.fields.ExprField` uses
+to build field nodes.  The jet rules here, of :class:`Jet2` and of the
 nodes the field algebra does not build, implement the product and chain
 rules exactly, so derivatives carry only floating rounding error.
 
@@ -14,29 +15,35 @@ Grammar (loosest to tightest binding)::
     power   :=  atom ("^" factor)?          # right associative
     atom    :=  NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
-Every subexpression without a coordinate is a number, fixed when the
-expression is lowered, so a domain error in one is found at load.
+Every subexpression without a coordinate is a number, fixed when it is
+built, so a domain error in one is found at load.
 ``^`` accepts integer and real exponents.  An exponent without a
 coordinate is such a number; any other is variable, ``b^e = exp(e log
 b)``.  A real or a variable exponent requires a positive base.  The
 function table is ``sin cos tan exp log sqrt tanh abs``.
 
-An expression nests at most ``MAX_DEPTH`` levels deep, in its syntax
-tree (a chain such as ``x + x + x`` is one level per operator) and in
-the parentheses, calls, signs and exponents the parser enters.  Neither
+An expression nests at most ``MAX_DEPTH`` levels deep, in its tree (a
+chain such as ``x + x + x`` is one level per operator) and in the
+parentheses, calls, signs and exponents the parser enters.  Neither
 depth is measured by recursing, so the limit, not Python's recursion
 limit, decides which expressions parse.
+
+A source with several faults reports one, in this order: a lexical
+error; then the first syntax error, unknown symbol or nesting too deep
+in the parser's reading; then a tree more than ``MAX_DEPTH`` levels
+high; and last a domain error in a subexpression without a coordinate,
+the first in post-order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs")
 MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
 
 class ExpressionError(ValueError):
@@ -62,13 +69,14 @@ class UnknownSymbolError(ParseError):
 class DomainError(ExpressionError):
     """Evaluation left the domain of a subexpression (log, sqrt, 1/0, ...).
 
-    ``point`` is the index of the first offending sample point, or ``None``
+    ``subexpression`` is the text of the failing subexpression, and
+    ``point`` the index of the first offending sample point, or ``None``
     when the failure does not depend on the point's coordinates.
     """
 
-    def __init__(self, message: str, subexpression: "Expr", point: int | None = None):
+    def __init__(self, message: str, subexpression: str, point: int | None = None):
         where = "" if point is None else f" at sample point {point}"
-        super().__init__(f"{message} in '{pretty(subexpression)}'{where}")
+        super().__init__(f"{message} in '{subexpression}'{where}")
         self.reason = message
         self.subexpression = subexpression
         self.point = point
@@ -79,67 +87,6 @@ class DomainError(ExpressionError):
         if self.point is None:
             return self
         return DomainError(self.reason, self.subexpression, self.point + offset)
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Expr:
-    pass
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: float
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: Expr
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    func: str
-    arg: Expr
 
 
 # ---------------------------------------------------------------------------
@@ -174,145 +121,131 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # Parser
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+# the precedence of a sign, a power and an atom, which binds tightest
+_UNARY, _POWER, _ATOM = 3, 4, 5
 
 
-def _parse_tokens(tokens, coords: dict) -> Expr:
+def _unbuilt(*_):
+    """The ``build`` of a parse that only checks its source."""
+
+
+def _parse_tokens(tokens, coords: dict, build):
     """The recursive descent of the grammar above, on an explicit stack.
-    ``pending`` holds what waits for the operand being parsed: a sign
-    ``("neg", None)``, a base ``("^", base)``, a binary operator and its
-    left operand, or an open parenthesis ``("(", function name or None)``.
-    ``node`` is ``None`` while a factor is expected, and else the atom or
-    parenthesis just closed; ``nesting`` counts the factors open."""
+    An operand is ``(value, height, text, precedence)`` of a subexpression:
+    what ``build`` made of it when it closed, its tree's height (a leaf is
+    1), its canonical text and the precedence of that text.  ``pending``
+    holds what waits for the operand being parsed: a sign ``("neg",
+    None)``, a base ``("^", base)``, a binary operator and its left
+    operand, or an open parenthesis ``("(", function name or None)``.
+    ``operand`` is ``None`` while a factor is expected, and else the atom
+    or parenthesis just closed; ``nesting`` counts the factors open.
+    Returns what ``build`` made of the whole source."""
     pos = 0
     pending: list = []
     nesting = 0
-    node = None
+    operand = None
     while True:
-        kind, text, position = tokens[pos]
-        if node is None:
+        kind, token, position = tokens[pos]
+        if operand is None:
             nesting += 1
             if nesting > MAX_DEPTH:
-                raise _too_deep()
+                raise ExpressionError(_TOO_DEEP)
             pos += 1
-            if kind == "op" and text in "-(":
-                pending.append(("neg" if text == "-" else "(", None))
+            if kind == "op" and token in "-(":
+                pending.append(("neg" if token == "-" else "(", None))
             elif kind == "ident" and tokens[pos][:2] == ("op", "("):
-                if text not in FUNCTIONS:
-                    raise UnknownSymbolError(f"unknown function {text!r}", position)
+                if token not in FUNCTIONS:
+                    raise UnknownSymbolError(f"unknown function {token!r}", position)
                 pos += 1
-                pending.append(("(", text))
+                pending.append(("(", token))
             elif kind == "number":
-                node = Num(float(text))
+                text = repr(float(token))
+                operand = (build("num", float(token), text), 1, text, _ATOM)
             elif kind == "ident":
-                if text not in coords:
-                    raise UnknownSymbolError(f"unknown identifier {text!r}", position)
-                node = Var(coords[text], text)
+                if token not in coords:
+                    raise UnknownSymbolError(f"unknown identifier {token!r}", position)
+                operand = (build("var", coords[token], token), 1, token, _ATOM)
             else:
-                raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", position)
+                raise ParseError(f"expected a value, got {token!r}" if token else "unexpected end of input", position)
             continue
-        if kind == "op" and text == "^":
+        if kind == "op" and token == "^":
             pos += 1
-            pending.append(("^", node))
-            node = None
+            pending.append(("^", operand))
+            operand = None
             continue
         # the factor of this atom ends, and so does each sign or power
         # that waited for it
         nesting -= 1
         while pending and pending[-1][0] in ("neg", "^"):
             op, base = pending.pop()
-            node = Neg(node) if op == "neg" else Pow(base, node)
+            value, height, text, precedence = operand
+            text = text if precedence >= _UNARY else f"({text})"
+            if op == "neg":
+                text = "-" + text
+                operand = (build(op, None, text, value), height + 1, text, _UNARY)
+            else:
+                base_value, base_height, base_text, base_precedence = base
+                base_text = base_text if base_precedence >= _ATOM else f"({base_text})"
+                text = f"{base_text}^{text}"
+                height = (base_height if base_height > height else height) + 1
+                operand = (build(op, None, text, base_value, value), height, text, _POWER)
             nesting -= 1
         # each waiting binary operator that binds at least as tightly as
         # this token, or all of them up to a parenthesis, takes the operand
-        binary = kind == "op" and text in _PRECEDENCE
-        while pending and _PRECEDENCE.get(pending[-1][0], 0) >= (_PRECEDENCE[text] if binary else 1):
-            op, left = pending.pop()
-            node = _BINARY[op](left, node)
+        binary = kind == "op" and token in _PRECEDENCE
+        while pending and _PRECEDENCE.get(pending[-1][0], 0) >= (_PRECEDENCE[token] if binary else 1):
+            op, (left_value, left_height, left_text, left_precedence) = pending.pop()
+            value, height, text, precedence = operand
+            bound = _PRECEDENCE[op]
+            left_text = left_text if left_precedence >= bound else f"({left_text})"
+            text = text if precedence > bound else f"({text})"
+            text = f"{left_text} {op} {text}"
+            height = (left_height if left_height > height else height) + 1
+            operand = (build(op, None, text, left_value, value), height, text, bound)
+        if operand[1] > MAX_DEPTH:
+            # the source is rejected whatever follows: build nothing more
+            build, operand = _unbuilt, (None, operand[1], "", operand[3])
         if binary:
             pos += 1
-            pending.append((text, node))
-            node = None
+            pending.append((token, operand))
+            operand = None
             continue
         if pending:
             # only a parenthesis is left waiting
-            if kind != "op" or text != ")":
+            if kind != "op" or token != ")":
                 raise ParseError("expected ')'", position)
             pos += 1
             func = pending.pop()[1]
             if func is not None:
-                node = Call(func, node)
+                value, height, text, _ = operand
+                text = f"{func}({text})"
+                operand = (build("call", func, text, value), height + 1, text, _ATOM)
             continue
         if kind != "end":
-            raise ParseError(f"unexpected {text!r}", position)
-        return node
+            raise ParseError(f"unexpected {token!r}", position)
+        if operand[1] > MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP)
+        return operand[0]
 
 
-def _levels(node: Expr):
-    """The levels of the tree of ``node``, top first, without recursion."""
-    level = [node]
-    while level:
-        yield level
-        level = [child for n in level for child in vars(n).values() if isinstance(child, Expr)]
-
-
-def parse(source: str, coords) -> Expr:
-    """Parse ``source`` against the coordinate names ``coords``."""
-    names = tuple(coords)
-    if len(set(names)) != len(names):
+def parse(source: str, coords, build):
+    """What ``build`` makes of ``source``, parsed against the coordinate
+    names ``coords``.  Each subexpression is built as it closes, by
+    ``build(op, param, text, *values of its operands)``, with ``(op,
+    param)`` ``("num", number)``, ``("var", coordinate index)``, ``("neg",
+    None)``, ``("call", function name)`` or ``(op, None)`` for an operator
+    ``+ - * / ^``; ``text`` is its canonical text, which parses to it."""
+    index = {name: i for i, name in enumerate(coords)}
+    if len(index) != len(coords):
         raise ValueError("coordinate names must be distinct")
-    node = _parse_tokens(_tokenize(source), {name: i for i, name in enumerate(names)})
-    if any(depth >= MAX_DEPTH for depth, _ in enumerate(_levels(node))):
-        raise _too_deep()
-    return node
-
-
-def _too_deep() -> ExpressionError:
-    return ExpressionError(f"expression nested more than {MAX_DEPTH} levels deep")
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (re-parses to an identical AST)
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _pretty(node: Expr) -> tuple[str, int]:
-    if isinstance(node, Num):
-        return repr(node.value), _PREC_ATOM
-    if isinstance(node, Var):
-        return node.name, _PREC_ATOM
-    if isinstance(node, Call):
-        return f"{node.func}({_pretty(node.arg)[0]})", _PREC_ATOM
-    if isinstance(node, Neg):
-        inner = _wrap(node.operand, _PREC_UNARY)
-        return f"-{inner}", _PREC_UNARY
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = _wrap(node.left, _PREC_ADD)
-        right = _wrap(node.right, _PREC_ADD + 1)
-        return f"{left} {op} {right}", _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        left = _wrap(node.left, _PREC_MUL)
-        right = _wrap(node.right, _PREC_MUL + 1)
-        return f"{left} {op} {right}", _PREC_MUL
-    if isinstance(node, Pow):
-        base = _wrap(node.base, _PREC_ATOM)
-        exponent = _wrap(node.exponent, _PREC_UNARY)
-        return f"{base}^{exponent}", _PREC_POW
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _wrap(node: Expr, min_prec: int) -> str:
-    text, prec = _pretty(node)
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def pretty(node: Expr) -> str:
-    return _pretty(node)[0]
+    tokens = _tokenize(source)
+    try:
+        return _parse_tokens(tokens, index, build)
+    except DomainError:
+        # a syntax, symbol, nesting or height error anywhere in the source
+        # is reported before a domain error
+        _parse_tokens(tokens, index, _unbuilt)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -412,56 +345,56 @@ class Jet2:
 _NEW = Jet2(None, None, None)
 
 
-def _check_domain(bad: np.ndarray, message: str, nodes):
+def _check_domain(bad: np.ndarray, message: str, texts):
     """Raise :class:`DomainError` at the first sample point where ``bad``,
-    ``(n, P)`` for the n ``nodes``, holds, naming the first node failing there."""
+    ``(n, P)`` for the n ``texts``, holds, naming the first failing there."""
     if bad.any():
         p = int(np.argmax(bad.any(axis=0)))
-        raise DomainError(message, nodes[int(np.argmax(bad[:, p]))], p)
+        raise DomainError(message, texts[int(np.argmax(bad[:, p]))], p)
 
 
 # The rules of the nodes the field algebra does not build, called as
-# ``rule(param, nodes, *operands)`` on stacks of jets of the
-# subexpressions ``nodes``.  Domain checks fire at every order, those on
+# ``rule(param, texts, *operands)`` on stacks of jets of the
+# subexpressions ``texts``.  Domain checks fire at every order, those on
 # derivatives (``sqrt`` and ``abs`` at 0) too.
 
 
-def quotient(_, nodes, a: Jet2, b: Jet2) -> Jet2:
-    _check_domain(b.value == 0.0, "division by zero", nodes)
+def quotient(_, texts, a: Jet2, b: Jet2) -> Jet2:
+    _check_domain(b.value == 0.0, "division by zero", texts)
     return a.times(b.reciprocal())
 
 
-def _int_pow(u: Jet2, n: int, nodes) -> Jet2:
+def _int_pow(u: Jet2, n: int, texts) -> Jet2:
     """u^n for an integer n != 0."""
     if n < 0:
-        _check_domain(u.value == 0.0, "zero base with negative exponent", nodes)
-        return _int_pow(u, -n, nodes).reciprocal()
+        _check_domain(u.value == 0.0, "zero base with negative exponent", texts)
+        return _int_pow(u, -n, texts).reciprocal()
     v = u.value
     d2f = (lambda: n * (n - 1) * v ** (n - 2)) if n >= 2 else (lambda: np.zeros_like(v))
     return u.compose(v**n, lambda: n * v ** (n - 1), d2f)
 
 
-def power(p: float, nodes, u: Jet2) -> Jet2:
+def power(p: float, texts, u: Jet2) -> Jet2:
     """u^p for a number p."""
     if p == 0.0:
         return Jet2(np.ones_like(u.value), *(None if x is None else np.zeros_like(x) for x in (u.grad, u.hess)))
     if float(p).is_integer():
-        return _int_pow(u, int(p), nodes)
+        return _int_pow(u, int(p), texts)
     b = u.value
-    _check_domain(b <= 0.0, "real exponent requires a positive base", nodes)
+    _check_domain(b <= 0.0, "real exponent requires a positive base", texts)
     return u.compose(b**p, lambda: p * b ** (p - 1.0), lambda: p * (p - 1.0) * b ** (p - 2.0))
 
 
-def variable_power(_, nodes, base: Jet2, exponent: Jet2) -> Jet2:
+def variable_power(_, texts, base: Jet2, exponent: Jet2) -> Jet2:
     """b^e = exp(e * log(b))."""
     b = base.value
-    _check_domain(b <= 0.0, "variable exponent requires a positive base", nodes)
+    _check_domain(b <= 0.0, "variable exponent requires a positive base", texts)
     w = exponent.times(base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2))
     e = np.exp(w.value)
     return w.compose(e, lambda: e, lambda: e)
 
 
-def call(func: str, nodes, u: Jet2) -> Jet2:
+def call(func: str, texts, u: Jet2) -> Jet2:
     """``func`` of the table applied to u."""
     v = u.value
     if func == "sin":
@@ -471,24 +404,24 @@ def call(func: str, nodes, u: Jet2) -> Jet2:
         c = np.cos(v)
         return u.compose(c, lambda: -np.sin(v), lambda: -c)
     if func == "tan":
-        _check_domain(np.cos(v) == 0.0, "tan at a pole", nodes)
+        _check_domain(np.cos(v) == 0.0, "tan at a pole", texts)
         t = np.tan(v)
         return u.compose(t, lambda: 1.0 + t * t, lambda: 2.0 * t * (1.0 + t * t))
     if func == "exp":
         e = np.exp(v)
         return u.compose(e, lambda: e, lambda: e)
     if func == "log":
-        _check_domain(v <= 0.0, "log of a non-positive value", nodes)
+        _check_domain(v <= 0.0, "log of a non-positive value", texts)
         return u.compose(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
     if func == "sqrt":
-        _check_domain(v < 0.0, "sqrt of a negative value", nodes)
-        _check_domain(v == 0.0, "sqrt derivative at zero", nodes)
+        _check_domain(v < 0.0, "sqrt of a negative value", texts)
+        _check_domain(v == 0.0, "sqrt derivative at zero", texts)
         s = np.sqrt(v)
         return u.compose(s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
     if func == "tanh":
         t = np.tanh(v)
         return u.compose(t, lambda: 1.0 - t * t, lambda: -2.0 * t * (1.0 - t * t))
     if func == "abs":
-        _check_domain(v == 0.0, "abs derivative at zero", nodes)
+        _check_domain(v == 0.0, "abs derivative at zero", texts)
         return u.compose(np.abs(v), lambda: np.where(v > 0.0, 1.0, -1.0), lambda: np.zeros_like(v))
     raise ValueError(f"unknown function {func!r}")

@@ -3,9 +3,9 @@
 A :class:`ScalarField` is a node of a field graph, evaluable to jets up
 to second order over a point sample: a coordinate, a constant, or an
 algebraic, differential or expression combination of other fields.  A
-model's expressions are lowered into such nodes when it loads (see
-:func:`lower`).  Field graphs hold no sample data, so a graph built once
-serves every sample.  Graphs are evaluated by a :class:`Program`,
+model's expressions are parsed straight into such nodes when it loads
+(see :class:`ExprField`).  Field graphs hold no sample data, so a graph
+built once serves every sample.  Graphs are evaluated by a :class:`Program`,
 compiled once from groups of root fields, each group read to one jet
 order.  The jet order is a demand that flows down the graph: a residual
 asks for values only (order 0), every node but a partial passes the
@@ -67,7 +67,7 @@ indices would add it, and each sum adds its terms in that order
 
 Equal nodes are one node.  The algebra (sums, differences, products,
 negations, scalings, partials, non-zero constants, coordinates, the
-expression nodes of :func:`lower`, and a matrix inverse and its entries)
+expression nodes of :func:`_node`, and a matrix inverse and its entries)
 looks every node up in one module-level table before it builds it,
 keyed by the node's class and constructor arguments, with input nodes
 compared by identity and a sum keyed by its flattened terms.
@@ -101,13 +101,12 @@ import weakref
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import attrgetter
 
 import numpy as np
 
-from .expressions import Add, Call, Div, DomainError, Expr, Jet2, Mul, Neg, Num, Pow, Sub, Var, parse
-from .expressions import call, power, quotient, variable_power
+from .expressions import DomainError, Jet2, call, parse, power, quotient, variable_power
 
 
 @dataclass(frozen=True)
@@ -347,62 +346,59 @@ class CoordField(ScalarField):
 
 
 class RuleField(ScalarField):
-    """A quotient, power or function node of a lowered expression: ``rule``
-    of :mod:`momsec.expressions` with ``param`` (a number exponent or a
-    function name) applied to its inputs.  ``expr`` is the subexpression,
+    """A quotient, power or function node of an expression: ``rule`` of
+    :mod:`momsec.expressions` with ``param`` (a number exponent or a
+    function name) applied to its inputs.  ``text`` is the subexpression,
     which a domain error names."""
 
-    def __init__(self, rule, param, expr: Expr, *inputs: ScalarField):
+    def __init__(self, rule, param, text: str, *inputs: ScalarField):
         self._kind = (rule, param)
-        self.expr = expr
+        self.text = text
         self.dim = inputs[0].dim
         self._built_on(inputs)
 
     @classmethod
     def _args(cls, nodes, order, slots):
-        return (*nodes[0]._kind, [n.expr for n in nodes], *super()._args(nodes, order, slots))
+        return (*nodes[0]._kind, [n.text for n in nodes], *super()._args(nodes, order, slots))
 
     @staticmethod
-    def _kernel(t, out, rule, param, exprs, *inputs):
-        jet = rule(param, exprs, *map(t.jet, inputs))
+    def _kernel(t, out, rule, param, texts, *inputs):
+        jet = rule(param, texts, *map(t.jet, inputs))
         for part, x in zip((out.value, out.grad, out.hess), (jet.value, jet.grad, jet.hess)):
             if part is not None:
                 part[...] = x
 
 
-def lower(expr: Expr, dim: int) -> ScalarField:
-    """The field node of a parsed expression on a chart of dimension
-    ``dim``, one call per tree level.  Sums, differences, products and
-    negations go through the algebra, so equal subexpressions are one node
-    and zeros fold; a subexpression without a coordinate becomes its
-    number, so an exponent is variable only where it has a coordinate."""
-    if isinstance(expr, Num):
-        return const_field(expr.value, dim)
-    if isinstance(expr, Var):
-        return _shared(CoordField, expr.index, dim)
-    if isinstance(expr, Neg):
-        return lower(expr.operand, dim).scaled(-1.0)
-    if isinstance(expr, Call):
-        inputs = (lower(expr.arg, dim),)
-        node = _shared(RuleField, call, expr.func, expr, *inputs)
-    elif isinstance(expr, Pow):
-        inputs = base, exponent = lower(expr.base, dim), lower(expr.exponent, dim)
-        if isinstance(exponent, ConstField):
-            node = _shared(RuleField, power, exponent.c, expr, base)
-        else:
-            node = _shared(RuleField, variable_power, None, expr, base, exponent)
+def _node(dim: int, op: str, param, text: str, *inputs: ScalarField) -> ScalarField:
+    """The field node of a subexpression on a chart of dimension ``dim``,
+    the ``build`` of :func:`momsec.expressions.parse`.  Sums, differences,
+    products and negations go through the algebra, so equal subexpressions
+    are one node and zeros fold; a subexpression without a coordinate
+    becomes its number, so an exponent is variable only where it has a
+    coordinate."""
+    if op == "num":
+        return const_field(param, dim)
+    if op == "var":
+        return _shared(CoordField, param, dim)
+    if op == "neg":
+        return inputs[0].scaled(-1.0)
+    if op == "+":
+        node = field_sum_d(inputs, dim)
+    elif op == "-":
+        node = inputs[0] - inputs[1]
+    elif op == "*":
+        node = inputs[0] * inputs[1]
+    elif op == "/":
+        node = _shared(RuleField, quotient, None, text, *inputs)
+    elif op == "call":
+        node = _shared(RuleField, call, param, text, *inputs)
+    elif isinstance(inputs[1], ConstField):  # "^" with a number exponent
+        node = _shared(RuleField, power, inputs[1].c, text, inputs[0])
     else:
-        inputs = left, right = lower(expr.left, dim), lower(expr.right, dim)
-        if isinstance(expr, Div):
-            node = _shared(RuleField, quotient, None, expr, left, right)
-        else:
-            node = _ALGEBRA[expr.__class__](left, right)
+        node = _shared(RuleField, variable_power, None, text, *inputs)
     if all(isinstance(f, ConstField) for f in inputs):
         return const_field(_number(node), dim)
     return node
-
-
-_ALGEBRA = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def _number(f: ScalarField) -> float:
@@ -416,17 +412,17 @@ def _number(f: ScalarField) -> float:
 
 
 class ExprField:
-    """``parse`` parses a source against a chart's coordinates and lowers
-    it; the loader calls it by this name, which tools can wrap."""
+    """``parse`` parses a source against a chart's coordinates into field
+    nodes; the loader calls it by this name, which tools can wrap."""
 
     @staticmethod
     def parse(source: str, chart: Chart) -> ScalarField:
-        return lower(parse(source, chart.coordinates), chart.dim)
+        return parse(source, chart.coordinates, partial(_node, chart.dim))
 
 
-def eval_jet(expr: Expr, point) -> Jet2:
-    """The jet of ``expr`` at one point, its lowered field's one-point view; tools wrap this name."""
-    return lower(expr, len(point)).jet(point)
+def eval_jet(field: ScalarField, point) -> Jet2:
+    """The jet of ``field`` at one point, its one-point view; tools wrap this name."""
+    return field.jet(point)
 
 
 class SumField(ScalarField):

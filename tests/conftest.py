@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momsec.fields import Chart, ExprField, ScalarField, VectorField, const_field, field_sum_d, lie_bracket_terms, lower
+from momsec.fields import Chart, ExprField, ScalarField, VectorField, const_field, field_sum_d, lie_bracket_terms
 from momsec.fixtures import fixture_bytes, fixture_names
 from momsec.modelfile import load_model_bytes
 from momsec.momentum import pairing_terms
@@ -37,16 +37,21 @@ def f(source: str, chart: Chart) -> ScalarField:
     return ExprField.parse(source, chart)
 
 
-def expr_jets(expr, points, order: int = 2):
-    """The jet of a parsed expression over a ``(P, d)`` sample, to
-    ``order``: its lowered field, evaluated by a program of its own."""
-    points = np.asarray(points, dtype=float)
-    return lower(expr, points.shape[1]).eval(points, order)
+def node(source: str, coords) -> ScalarField:
+    """The field node of ``source`` on a unit-box chart with the
+    coordinate names ``coords``."""
+    return ExprField.parse(source, Chart(tuple(coords), ((-1.0, 1.0),) * len(coords)))
 
 
-def expr_jet(expr, point):
-    """The jet of a parsed expression at one point."""
-    return expr_jets(expr, np.reshape(point, (1, -1))).row(0)
+def expr_jets(field: ScalarField, points, order: int = 2):
+    """The jet of a node over a ``(P, d)`` sample, to ``order``,
+    evaluated by a program of its own."""
+    return field.eval(np.asarray(points, dtype=float), order)
+
+
+def expr_jet(field: ScalarField, point):
+    """The jet of a node at one point."""
+    return field.jet(point)
 
 
 def zero(chart: Chart):

@@ -14,6 +14,7 @@ from conftest import (
     expr_jet,
     fd_gradient,
     fd_hessian,
+    node,
     pairing_B,
     random_poly_source,
     random_smooth_source,
@@ -25,7 +26,6 @@ from momsec.algebroid import (
     jacobi_sigma_fields,
     q_squared_fields,
 )
-from momsec.expressions import parse
 from momsec.fields import (
     Chart,
     ExprField,
@@ -58,7 +58,7 @@ def test_acceptance_1_calculus_kernel():
         d = int(rng.integers(1, 5))
         coords = tuple("abcd"[:d])
         source = random_smooth_source(rng, coords) if rng.random() < 0.4 else random_poly_source(rng, coords)
-        expr = parse(source, coords)
+        expr = node(source, coords)
         pt = rng.uniform(-2.0, 2.0, size=d)
         jet = expr_jet(expr, pt)
         g_ref = fd_gradient(expr, pt)

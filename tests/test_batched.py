@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expr_jet, expr_jets, f, random_poly_source, random_smooth_source, run_plan_of
+from conftest import expr_jet, expr_jets, f, node, random_poly_source, random_smooth_source, run_plan_of
 from test_suites import B_NOT_CLOSED
-from momsec.expressions import DomainError, parse, pretty
+from momsec.expressions import DomainError
 from momsec import fields, suites
 from momsec.fields import Chart, ConstField, CoordField, Program, RuleField, ScalarField, matrix_inverse_fields
 from momsec.fixtures import fixture_bytes, fixture_names
@@ -51,7 +51,7 @@ def test_expression_batch_equals_rows(seed, dim, count, smooth):
     rng = np.random.default_rng(seed)
     coords = tuple("abcd"[:dim])
     make = random_smooth_source if smooth else random_poly_source
-    expr = parse(make(rng, coords), coords)
+    expr = node(make(rng, coords), coords)
     points = rng.uniform(-2.0, 2.0, size=(count, dim))
     _assert_rows_match(expr_jets(expr, points), [expr_jet(expr, p) for p in points])
 
@@ -166,7 +166,7 @@ def _assert_truncation(jet, full, order):
 def test_expression_order_truncates_the_full_jet(seed, dim, count):
     rng = np.random.default_rng(seed)
     coords = tuple("abc"[:dim])
-    expr = parse(_wrapped_source(rng, coords), coords)
+    expr = node(_wrapped_source(rng, coords), coords)
     points = rng.uniform(-1.0, 1.0, size=(count, dim))
     full = expr_jets(expr, points)
     assert full.hess is not None
@@ -252,7 +252,7 @@ def test_third_partial_exhausts_the_jet_at_every_order(order):
 @pytest.mark.parametrize("source", ["sqrt(x)", "abs(x)"])
 def test_derivative_domain_checks_fire_at_order_zero(source):
     # x = 0 is in the domain of the value but not of the derivative
-    expr = parse(source, ("x",))
+    expr = node(source, ("x",))
     points = np.array([[0.5], [0.0]])
     messages = []
     for order in (0, 2):
@@ -284,12 +284,12 @@ def _under(roots) -> set:
 
 def _structural_ids(nodes) -> dict:
     """For each node, the id of its structure: its class, dimension,
-    constants, coefficient, indices, expression and its inputs' ids, in
-    order.  Two nodes have one id exactly when their graphs are equal,
+    constants, coefficient, indices, expression text and its inputs' ids,
+    in order.  Two nodes have one id exactly when their graphs are equal,
     whether or not they are one object."""
     ids, seen = {}, {}
     for node in sorted(nodes, key=lambda n: n.level):
-        own = tuple(getattr(node, name, None) for name in ("c", "i", "j", "expr"))
+        own = tuple(getattr(node, name, None) for name in ("c", "i", "j", "text"))
         key = (type(node), node.dim, own, tuple(ids[i] for i in node.inputs))
         ids[node] = seen.setdefault(key, len(seen))
     return ids
@@ -562,7 +562,7 @@ def test_expressions_are_lowered_into_shared_nodes(monkeypatch):
     under = _under(f for plan in run_plan.plans for f in _fields_of(plan))
     assert program.sizes[0] == len(under)
     assert {type(n) for n in under if not n.inputs} == {ConstField, CoordField}
-    squares = [n for n in under if isinstance(n, RuleField) and pretty(n.expr) == "x1^2.0"]
+    squares = [n for n in under if isinstance(n, RuleField) and n.text == "x1^2.0"]
     assert len(squares) == 1
     # the metric's entries and mu_2 = c x2 x3 + c' x1^2 hold it
     assert all(squares[0] in _under([g]) for g in (model.metric.g[0][0], model.metric.g[2][2], model.mu[1]))

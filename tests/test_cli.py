@@ -287,8 +287,8 @@ class TestEvaluationFailures:
         ids=["parens", "signs", "calls"],
     )
     def test_depth_limit_alone_decides_from_a_deep_caller(self, tmp_path, capsys, shape):
-        # the parser keeps its own stack and lowering takes one frame per
-        # tree level, so a caller already 500 frames deep loads 100 levels
+        # the parser keeps its own stack and builds each node as it
+        # closes, so a caller already 500 frames deep loads 100 levels
         def at_depth(frames, path):
             return main(["check", path]) if frames == 0 else at_depth(frames - 1, path)
 
