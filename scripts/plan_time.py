@@ -11,9 +11,10 @@ applicable suite's planner (with its ``_Plan``), making the run plan
 and compiling its program (``compile``), running the program at sampling
 seed 42 and 32 points (``run``: every kernel of ``Program.run``, and
 binding the program's tables to its space on this first run), reducing
-its root groups (``reduce``: the row probe's gather and max |f|, the
-matrix probes of mechanics, and the one reduction to every row set's
-maximum), running the same program again at seed 43 (``rerun``: the
+its root groups (``reduce``: the row probe's gather and its max |f| by
+``suites._abs_maxima``, the matrix probes of mechanics, and the one
+reduction to every row set's maximum, all into the run's one maxima
+map), running the same program again at seed 43 (``rerun``: the
 kernels alone, on tables bound already, as a model reused seed after
 seed runs them), and making the report (``report``: every plan's step,
 then ``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do
@@ -78,10 +79,8 @@ def timings(raw: bytes) -> dict:
         jets = run_plan.program.run(ctx.points)
         out["run"] = time.perf_counter() - start
         start = time.perf_counter()
-        values = next(jets).value
-        rows = np.abs(values, out=values).max(axis=1)
-        ctx.maxima = {p: p.reduce(jet) for p, jet in zip(run_plan.probes, jets)}
-        ctx.row_maxima = run_plan.row_maxima(rows)
+        ctx.maxima = run_plan.row_maxima(suites._abs_maxima(next(jets).value))
+        ctx.maxima.update((id(p), float(p.reduce(jet)[0])) for p, jet in zip(run_plan.probes, jets))
         out["reduce"] = time.perf_counter() - start
         other = model.chart.sample(POINTS, SEED + 1)
         start = time.perf_counter()

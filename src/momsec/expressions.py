@@ -28,6 +28,9 @@ parentheses, calls, signs and exponents the parser enters.  Neither
 depth is measured by recursing, so the limit, not Python's recursion
 limit, decides which expressions parse.
 
+A number literal beyond the float range, such as ``1e400``, is a
+lexical error; one that underflows reads as the float it rounds to.
+
 A source with several faults reports one, in this order: a lexical
 error; then the first syntax error, unknown symbol or nesting too deep
 in the parser's reading; then a tree more than ``MAX_DEPTH`` levels
@@ -37,6 +40,7 @@ the first in post-order.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -110,6 +114,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
         m = _TOKEN_RE.match(source, pos)
         if m is None:
             raise LexError(f"unknown character {source[pos]!r}", pos)
+        if m.lastgroup == "number" and math.isinf(float(m.group())):
+            raise LexError(f"number {m.group()!r} is beyond the float range", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()

@@ -29,15 +29,14 @@ work per node.  Each node is evaluated once per chunk, into one row of
 the program's tables, the same row of every table its order reaches.
 The program owns its tables: it carves them from one space of its own,
 which grows only when a chunk needs more room, and keeps them bound to
-that space and the chunk length, with each kernel's output jet a view
-of its rows, until a run brings another length or a caller's space.  A
-kernel reads its operands with ``ndarray.take``, a copy of the rows it
-names, never by fancy indexing.  A check run compiles the graphs of
-every suite it selects into one program, so the groups, and the nodes
-the suites share, span every suite.  The leaves, coordinates and
-constants, are groups too, whose kernels fill their rows from the
-chunk's points, so a program evaluates a model's expressions together
-with everything built on them.
+the chunk length, with each kernel's output jet a view of its rows,
+until a run brings another length.  A kernel reads its operands with
+``ndarray.take``, a copy of the rows it names, never by fancy indexing.
+A check run compiles the graphs of every suite it selects into one
+program, so the groups, and the nodes the suites share, span every
+suite.  The leaves, coordinates and constants, are groups too, whose
+kernels fill their rows from the chunk's points, so a program evaluates
+a model's expressions together with everything built on them.
 ``ScalarField.eval`` and :func:`max_abs_fields` evaluate a one-off
 program of their own over the whole sample.  Every jet here has the one
 layout of :class:`Jet2`, the point axis last: the tables and the roots'
@@ -198,10 +197,10 @@ class ScalarField:
     field alone.  ``jet`` and ``value`` are one-point views: a one-point
     sample, read back at point 0.
 
-    Every subclass supplies ``_kernel(tables, out, *args)``, which
+    Every subclass supplies ``_kernel(program, out, *args)``, which
     evaluates a group of its nodes at once into ``out``, the stacked jet
-    of their slots, from its operands' slots and the attributes named in
-    ``_params`` (or from its own ``_args``).
+    of their slots, from its operands' slots in the program's tables and
+    the attributes named in ``_params`` (or from its own ``_args``).
     """
 
     dim: int
@@ -782,54 +781,6 @@ def _gather(nodes, order: int, slots) -> tuple:
     return np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes)), order
 
 
-class _Tables:
-    """A program's jets over a chunk of ``count`` points, bound to
-    ``space``: a row per slot of the value ``(S0, P)``, gradient
-    ``(S1, d, P)`` and Hessian ``(S2, d, d, P)`` tables, carved in that
-    order from ``space``; the gradient and Hessian tables read again as
-    a row per (slot, coordinate), ``grad_rows`` ``(S1 d, P)`` and
-    ``hess_rows`` ``(S2 d, d, P)``; and ``kernels``, the program's
-    kernels, each with its output jet, a view of its rows.  ``points``
-    is the ``(P, d)`` chunk a run evaluates.  Kernels read their operands
-    with ``ndarray.take``, a copy of the rows they name."""
-
-    def __init__(self, program: "Program", space: np.ndarray, count: int):
-        self.space = space
-        self.count = count
-        self.points = None
-        sizes, dim = program.sizes, program.dim
-        shapes = ((sizes[0], count), (sizes[1], dim, count), (sizes[2], dim, dim, count))
-        start = 0
-        for name, shape in zip(("value", "grad", "hess"), shapes):
-            end = start + math.prod(shape)
-            setattr(self, name, space[start:end].reshape(shape))
-            start = end
-        self.grad_rows = self.grad.reshape(sizes[1] * dim, count)
-        self.hess_rows = self.hess.reshape(sizes[2] * dim, dim, count)
-        self.kernels = [(kernel, self._view(out), args) for kernel, out, args in program._kernels]
-
-    def _view(self, ref) -> Jet2:
-        """The jet of the slots ``(rows, order)`` with ``rows`` a slice: views of the tables."""
-        rows, order = ref
-        return Jet2(self.value[rows], self.grad[rows] if order else None, self.hess[rows] if order > 1 else None)
-
-    def jet(self, ref) -> Jet2:
-        """The stacked jet at a slot reference ``(rows, order)`` with
-        ``rows`` an index array: a copy of those rows."""
-        rows, order = ref
-        return Jet2(
-            self.value.take(rows, 0),
-            self.grad.take(rows, 0) if order else None,
-            self.hess.take(rows, 0) if order > 1 else None,
-        )
-
-    def take(self, ref, out: Jet2):
-        """Copy the rows of ``ref`` into ``out``, to the order of ``ref``."""
-        rows, order = ref
-        for table, part in zip((self.value, self.grad, self.hess)[: order + 1], (out.value, out.grad, out.hess)):
-            table.take(rows, 0, part, "clip")
-
-
 class Program:
     """The evaluation of groups of root fields, each group to one jet order.
 
@@ -866,10 +817,9 @@ class Program:
     ``run`` runs each group, in that order, as one numpy kernel over the
     stacked rows of its operands, so every node is evaluated once per
     call, after its inputs; the leaves' kernels fill their rows from the
-    points.  The program owns the space its tables live in and the
-    :class:`_Tables` bound to it (see ``run``); a run rebinds them only
-    when the chunk length or the space changes, and otherwise is a loop
-    over bound kernels.
+    points.  The program owns its tables and the space they live in (see
+    ``_bind``); a run rebinds them only when the chunk length changes,
+    and otherwise is a loop over bound kernels.
     ``run`` gives, for each root group, the stacked jet of its fields, to
     the group's order or as far as every field holds it.  A field
     differentiated more than twice makes compiling raise ``ValueError``.
@@ -973,36 +923,71 @@ class Program:
         self.dim = dim
         self.sizes = sizes
         self.bytes_per_point = 8 * (sizes[0] + dim * sizes[1] + dim * dim * sizes[2])
-        self._space = self._tables = None
+        self._space = np.empty(0)
+        self._count = None
 
-    def run(self, points: np.ndarray, space: np.ndarray | None = None):
+    def run(self, points: np.ndarray):
         """The root groups' jets over ``points``, a ``(P, d)`` sample.
-        The tables live in the program's own space, a float array that
-        grows only when a chunk needs more room than it has, or in
-        ``space`` when a caller passes one, of at least
-        ``P * bytes_per_point / 8`` entries.  The program keeps its
-        tables bound to the space and the chunk length of its last run,
-        and binds them again only when either changes.  Every kernel runs
+        The program keeps its tables bound to the chunk length of its last
+        run, and binds them again only when it changes.  Every kernel runs
         before this returns; the jets come from an iterator that copies
         each group out of the tables as it is read, so a caller that
         reduces one group before reading the next holds one at a time.
         It must be read before the program runs again; the jets it gives
         do not share the tables."""
-        count = len(points)
-        if space is None:
-            space = self._space
-            if space is None or len(space) < count * self.bytes_per_point // 8:
-                # the old space goes, with the tables bound to it, before
-                # the new one is made
-                self._space = self._tables = space = None
-                space = self._space = np.empty(count * self.bytes_per_point // 8)
-        t = self._tables
-        if t is None or t.space is not space or t.count != count:
-            t = self._tables = _Tables(self, space, count)
-        t.points = points
-        for kernel, out, args in t.kernels:
-            kernel(t, out, *args)
-        return (t.jet(ref) for ref in self._roots)
+        if len(points) != self._count:
+            self._bind(len(points))
+        self.points = points
+        for kernel, out, args in self._bound:
+            kernel(self, out, *args)
+        return (self.jet(ref) for ref in self._roots)
+
+    def _bind(self, count: int):
+        """Bind the tables to a chunk of ``count`` points: a row per slot
+        of the value ``(S0, P)``, gradient ``(S1, d, P)`` and Hessian
+        ``(S2, d, d, P)`` tables, carved in that order from the program's
+        space, which grows only when they need more room than it has; the
+        gradient and Hessian tables read again as a row per (slot,
+        coordinate), ``grad_rows`` ``(S1 d, P)`` and ``hess_rows``
+        ``(S2 d, d, P)``; and each kernel with its output jet, a view of
+        its rows."""
+        size = count * self.bytes_per_point // 8
+        if len(self._space) < size:
+            # the old space goes, with every view of it, before the new one is made
+            self._space = self.value = self.grad = self.hess = self.grad_rows = self.hess_rows = self._bound = None
+            self._space = np.empty(size)
+        sizes, dim = self.sizes, self.dim
+        shapes = ((sizes[0], count), (sizes[1], dim, count), (sizes[2], dim, dim, count))
+        start = 0
+        for name, shape in zip(("value", "grad", "hess"), shapes):
+            end = start + math.prod(shape)
+            setattr(self, name, self._space[start:end].reshape(shape))
+            start = end
+        self.grad_rows = self.grad.reshape(sizes[1] * dim, count)
+        self.hess_rows = self.hess.reshape(sizes[2] * dim, dim, count)
+        self._bound = [(kernel, self._view(out), args) for kernel, out, args in self._kernels]
+        self._count = count
+
+    def _view(self, ref) -> Jet2:
+        """The jet of the slots ``(rows, order)`` with ``rows`` a slice: views of the tables."""
+        rows, order = ref
+        return Jet2(self.value[rows], self.grad[rows] if order else None, self.hess[rows] if order > 1 else None)
+
+    def jet(self, ref) -> Jet2:
+        """The stacked jet at a slot reference ``(rows, order)`` with
+        ``rows`` an index array: a copy of those rows."""
+        rows, order = ref
+        return Jet2(
+            self.value.take(rows, 0),
+            self.grad.take(rows, 0) if order else None,
+            self.hess.take(rows, 0) if order > 1 else None,
+        )
+
+    def take(self, ref, out: Jet2):
+        """Copy the rows of ``ref`` into ``out``, to the order of ``ref``."""
+        rows, order = ref
+        for table, part in zip((self.value, self.grad, self.hess)[: order + 1], (out.value, out.grad, out.hess)):
+            table.take(rows, 0, part, "clip")
 
 
 # ---------------------------------------------------------------------------

@@ -218,10 +218,9 @@ def flow_fields(sys: ConstraintSystem):
         res = _bracket(H, phis[a], sys.twist)
         for b in range(r):
             res = res - sys.multiplier(a, b).mul(phis[b].P)
-        for k in res.degrees_present():
-            if k > 2:
-                out.setdefault(k, []).extend(res.degree_part(k).rows(index_label(a=a)))
-        # degree 2, lowered twice: S_ij = 2 g_ip W^pq g_qj, over the non-zero W^pq
+        # H is quadratic in p and Phi_a and lambda_a^b Phi_b are affine in
+        # p, so res has degree at most 2.  Degree 2, lowered twice:
+        # S_ij = 2 g_ip W^pq g_qj, over the non-zero W^pq
         W = {}
         for (i, j), f in res.degree_part(2).comps.items():
             W[(i, j)] = W[(j, i)] = f if i == j else f.scaled(0.5)

@@ -1,17 +1,20 @@
 """Check suites: wiring from a loaded model to a report.
 
-Each suite is planned once per model: its planner builds the suite's
-row graphs from the model alone, on the first run that needs the suite,
-and returns the step that reports them, every row set the step may read
-(whichever branch a run takes; it reads no other, and a concatenation of
-row sets is one more row set, built there) and the matrix probes it
-reads besides, which only mechanics has: the metric (its diagonal, when
-it stores nothing else) and anchor matrices.
+Each suite is planned once per selection: its planner builds the
+suite's row graphs from the model alone, on the first run of a selection
+that names the suite, and returns the step that reports them, every row
+set the step may read (whichever branch a run takes; it reads no other,
+and a concatenation of row sets is one more row set, built there) and
+the matrix probes it reads besides, which only mechanics has: the metric
+(its diagonal, when it stores nothing else) and anchor matrices.
+A suite planned again for another selection reads the same live nodes,
+since equal nodes are one node (see :mod:`momsec.fields`), so only the
+planner's time repeats.
 Which row sets exist is decided there, from the model's structure: the
 constant-bracket reductions only for a flat connection and structure
 functions that are finite constants of the model, and sigma2d's rows for
 a b that is not closed only when no ``beta_rigid`` is given and db is not
-a structural zero.  The model keeps the plan for every run after.
+a structural zero.
 
 The first run of a selection makes its run plan, which the model keeps
 for each next run of the same selection.  It holds the plans of the
@@ -41,20 +44,19 @@ length.
 
 Only then do the steps run, and they read only these maxima: one
 ``np.maximum.reduceat`` per run takes the maximum of every row set of
-every selected suite, and a step looks each up by its row set.  The only
-wiring that reads sample values (whether sigma2d's b is closed, which
-picks the rigid-b rows it reports) is decided in the step, per run.
-Each run has one :class:`CheckContext`, which holds the model, the
-sample, the :class:`RunConfig`, the report, the maxima of the matrix
-probes and the maximum of each row set; its methods are the only code
+every selected suite, and a step looks each up by its row set or matrix
+probe.  The only wiring that reads sample values (whether sigma2d's b is
+closed, which picks the rigid-b rows it reports) is decided in the step,
+per run.  Each run has one :class:`CheckContext`, which holds the
+sample, the :class:`RunConfig`, the report, and one map of the maximum
+of each row set and of each matrix probe; its methods are the only code
 that makes a report row, and each appends its row to the report as it
-is made.  The H1-H3 rows
-come from :func:`momentum.condition_fields` wherever a suite needs them.
-The anchoring conditions (H1, HM1) are reported but not required unless
-``require_h1`` is set.  A row that holds only under stated hypotheses
-names the reported rows that check them (``assuming``), and every
-verdict reads the ``passed`` of reported rows, so one rule decides what
-is required and what passes.
+is made.  The H1-H3 rows come from :func:`momentum.condition_fields`
+wherever a suite needs them.  The anchoring conditions (H1, HM1) are
+reported but not required unless ``require_h1`` is set.  A row that
+holds only under stated hypotheses names the reported rows that check
+them (``assuming``), and every verdict reads the ``passed`` of reported
+rows, so one rule decides what is required and what passes.
 """
 
 from __future__ import annotations
@@ -138,35 +140,31 @@ def run(model: Model, selection: str = "all", config: RunConfig | None = None) -
     with np.errstate(all="ignore"):
         run_plan = _run_plan(model, ctx.report.suites)
         rows, *probes = run_plan.evaluate(ctx.points)
-        ctx.row_maxima = run_plan.row_maxima(rows)
-        ctx.maxima = dict(zip(run_plan.probes, probes))
+        ctx.maxima = run_plan.row_maxima(rows)
+        ctx.maxima.update((id(p), float(m[0])) for p, m in zip(run_plan.probes, probes))
         for plan in run_plan.plans:
             plan.step(ctx)
     return ctx.report
 
 
 def _run_plan(model: Model, selected: list[str]) -> "_RunPlan":
-    """The model's run plan of the ``selected`` suites, made on their
-    first run, with the plan of each suite that no earlier run planned."""
+    """The model's run plan of the ``selected`` suites, made on the first
+    run of that selection."""
     key = tuple(selected)
     run_plan = model._plans.get(key)
     if run_plan is None:
-        for suite in key:
-            if suite not in model._plans:
-                model._plans[suite] = _Plan(*_SUITES[suite][0](model))
-        run_plan = model._plans[key] = _RunPlan([model._plans[suite] for suite in key], model.chart.dim)
+        plans = [_Plan(*_SUITES[suite][0](model)) for suite in key]
+        run_plan = model._plans[key] = _RunPlan(plans, model.chart.dim)
     return run_plan
 
 
 class _Probe:
-    """Fields a step reads, the jet order it reads them to, and
-    ``reduce``, which maps their stacked jet over a chunk to an array
-    whose elementwise maximum over the chunks of a sample is what the
-    step reads (see :mod:`momsec.suites`)."""
+    """Fields a step reads, to order 0, and ``reduce``, which maps their
+    stacked jet over a chunk to a ``(1,)`` array whose maximum over the
+    chunks of a sample is what the step reads (see :mod:`momsec.suites`)."""
 
-    def __init__(self, fields: list, order: int, reduce):
+    def __init__(self, fields: list, reduce):
         self.fields = fields
-        self.order = order
         self.reduce = reduce
 
 
@@ -217,7 +215,7 @@ class _RunPlan:
         self.order = np.array([i for key in self.ids for i in positions[key]], dtype=np.intp)
         self.starts = np.cumsum([0] + [len(positions[key]) for key in self.ids])[:-1]
         self.probes = [p for plan in plans for p in plan.probes]
-        self.program = Program([(self.rows, 0), *((p.fields, p.order) for p in self.probes)], dim)
+        self.program = Program([(self.rows, 0), *((p.fields, 0) for p in self.probes)], dim)
 
     def evaluate(self, points: np.ndarray) -> list:
         """The maxima over ``points`` of the row probe's |f|, one per
@@ -256,9 +254,9 @@ class _RunPlan:
 
 
 class CheckContext:
-    """One run: the model, its point sample and their count, the config,
-    the report, the matrix probes' maxima of every selected suite and the
-    maximum of each of their row sets.
+    """One run: its point sample and their count, the config, the report,
+    and ``maxima``, the maximum of each row set and of each matrix probe's
+    reduction of every selected suite, keyed by id.
 
     Every row method reads its residual from those maxima, appends the
     row to the report and returns it, so rows appear in the order they
@@ -266,13 +264,11 @@ class CheckContext:
     """
 
     def __init__(self, model: Model, cfg: RunConfig, suites: list[str]):
-        self.model = model
         self.cfg = cfg
         self.tol = cfg.tolerance
         self.points = model.chart.sample(cfg.points, cfg.seed)
         self.n_points = len(self.points)
         self.maxima: dict = {}
-        self.row_maxima: dict = {}
         self.report = CheckReport(
             model_hash=model.model_hash, seed=cfg.seed, points=cfg.points, tolerance=cfg.tolerance, suites=suites
         )
@@ -280,8 +276,9 @@ class CheckContext:
 
     def max(self, rows) -> float:
         """Largest |f| over the sample for a row set that the planner of a
-        selected suite returned; 0 for rows that are all zero."""
-        return self.row_maxima[id(rows)]
+        selected suite returned, 0 for rows that are all zero; or the
+        maximum of a matrix probe's reduction."""
+        return self.maxima[id(rows)]
 
     def check(
         self,
@@ -484,16 +481,14 @@ def plan_mechanics(model: Model):
     # NaN at a point where the matrix has a non-finite entry, which fails
     # the row; a metric that stores only its diagonal needs no SVD
     if g.diagonal is not None:
-        conditioning = _Probe(list(g.diagonal), 0, lambda jet: diagonal_cond_max(jet.value))
+        conditioning = _Probe(list(g.diagonal), lambda jet: diagonal_cond_max(jet.value))
     else:
         conditioning = _Probe(
             [f for row in g.g for f in row],
-            0,
             lambda jet: np.max(finite_only(np.linalg.cond, point_matrices(jet.value, d)), keepdims=True),
         )
     deficiency = _Probe(
         [f for row in anchor for f in row],
-        0,
         lambda jet: np.max(r - finite_only(anchor_ranks, point_matrices(jet.value, r)), keepdims=True),
     )
 
@@ -502,14 +497,14 @@ def plan_mechanics(model: Model):
         ctx.scalar(
             "mechanics/metric-conditioning",
             "condition number of g at sampled points",
-            float(ctx.maxima[conditioning][0]),
+            ctx.max(conditioning),
             1e12,
             informational=True,
         )
         ctx.scalar(
             "mechanics/constraint-irreducibility",
             "rank(rho) = r at sampled points",
-            float(ctx.maxima[deficiency][0]),
+            ctx.max(deficiency),
             0.5,
             informational=True,
         )

@@ -76,6 +76,20 @@ class TestParser:
             node("x + $", XY)
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [("1e400*x", 0), ("x - 1e309", 4), ("log(x - 1e400)", 8), ("1e400 + q", 0), ("1.8e308 +", 0)],
+    )
+    def test_a_number_beyond_the_float_range_is_a_lex_error(self, source, position):
+        # a lexical error comes before a parse or unknown-symbol error
+        with pytest.raises(LexError, match="beyond the float range") as err:
+            node(source, XY)
+        assert err.value.position == position
+
+    def test_the_float_range_ends_at_the_largest_float(self):
+        number = node("1.7976931348623157e308", XY)
+        assert isinstance(number, ConstField) and number.c == np.finfo(float).max
+
     def test_deterministic(self):
         assert node("x*y + sin(x)/2", XY) is node("x*y + sin(x)/2", XY)
 

@@ -104,6 +104,13 @@ class TestValidation:
             load_model_bytes(doc_bytes(doc))
         assert err.value.path == "alpha[0].expr"
 
+    def test_a_number_beyond_the_float_range_is_a_model_error(self):
+        doc = minimal_doc()
+        doc["V"] = "x/1e400"
+        with pytest.raises(ModelError, match=r"V: .*'1e400' is beyond the float range \(offset 2\)") as err:
+            load_model_bytes(doc_bytes(doc))
+        assert err.value.path == "V"
+
     def test_unknown_coordinate_in_expression(self):
         doc = minimal_doc()
         doc["V"] = "q^2"

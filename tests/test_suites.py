@@ -44,6 +44,38 @@ class TestFixtureMatrix:
         assert rep.verdicts["algebroid_class"] == "neither"
         assert rep.find("axioms/jacobi-cyclic").max_residual == pytest.approx(2.0)
 
+    def test_a_bracket_failing_jacobi_off_the_anchor_is_anchored_almost_lie(self):
+        # rank 3 on R^2 with a zero anchor and [e_1, e_2] = e_1,
+        # [e_2, e_3] = e_2: the Jacobiator of (e_1, e_2, e_3) is -e_1, and
+        # the zero anchor maps it to zero
+        doc = {
+            "schema": 1,
+            "chart": {"coordinates": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+            "algebroid": {
+                "rank": 3,
+                "anchor": [],
+                "structure": [{"idx": [1, 1, 2], "expr": "1"}, {"idx": [2, 2, 3], "expr": "1"}],
+            },
+        }
+        rep = run(load_model_bytes(json.dumps(doc).encode()), "axioms")
+        assert rep.verdicts["algebroid_class"] == "anchored almost Lie algebroid"
+        assert rep.find("axioms/anchor-morphism").passed
+        assert rep.find("axioms/jacobi-cyclic").max_residual == 1.0
+        assert rep.find("axioms/jacobi-anchored").max_residual == 0.0
+
+    def test_a_form_that_is_not_closed_is_flagged_not_pre_n_plectic(self):
+        # n = 1 on R^3 with h = z dx^dy, so dh = dx^dy^dz
+        doc = {
+            "schema": 1,
+            "chart": {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3},
+            "algebroid": {"rank": 1, "anchor": [{"idx": [1, 1], "expr": "1"}]},
+            "multisym": {"n": 1, "h": [{"idx": [1, 2], "expr": "z"}]},
+        }
+        closed = run(load_model_bytes(json.dumps(doc).encode()), "multisym").find("multisym/pre-nplectic-closed")
+        assert not closed.passed and closed.informational
+        assert closed.max_residual == 1.0
+        assert "not pre-n-plectic" in closed.flags
+
     def test_translation_failure_magnitudes_agree(self, fixture_models):
         model = fixture_models["translation_nonequivariant"]
         momentum = run(model, "momentum")
@@ -359,7 +391,7 @@ def test_a_non_finite_hypothesis_keeps_the_row_required(fixture_models):
 def test_an_agreement_is_nan_when_any_pair_is(fixture_models):
     ctx = CheckContext(fixture_models["so3_action_algebroid"], RunConfig(tolerance=1e-9, points=4, seed=0), [])
     finite, nan, zero = [], [], []
-    ctx.row_maxima = {id(finite): 0.5, id(nan): math.nan, id(zero): 0.0}
+    ctx.maxima = {id(finite): 0.5, id(nan): math.nan, id(zero): 0.0}
     # the builtin max keeps its first argument when the second is NaN
     row = ctx.agreement("a", "x = y", [(finite, zero), (nan, zero)], 1e-9)
     assert math.isnan(row.max_residual) and not row.passed and row.flags == ("non-finite",)
