@@ -33,7 +33,7 @@ import sys
 from collections import Counter
 
 from momsec.expressions import ExpressionError
-from momsec.fields import Chart, ConstField, CoordField, ExprField, PartialField, RuleField, ScaledField
+from momsec.fields import Chart, ConstField, CoordField, ExprField, RuleField, ScaledField
 
 SOURCES = 3000
 SEED = 20261020
@@ -49,7 +49,7 @@ def params(node) -> tuple:
     """What a node computes besides its inputs."""
     if isinstance(node, (ConstField, ScaledField)):
         return (_number(node.c),)
-    if isinstance(node, (CoordField, PartialField)):
+    if isinstance(node, CoordField):
         return (node.i,)
     if isinstance(node, RuleField):
         rule, param = node._kind

@@ -8,14 +8,14 @@ For each point count, a fresh Python process loads
 with every model block), runs all suites at sampling seed 42 and prints
 one line: the point count, the wall time of load plus run, the
 process's ``ru_maxrss`` in MB, the size of the program of the run's
-run plan (its value, gradient and Hessian slots, and the kernels it runs
-per chunk) and the
-SHA-256 of the run's JSON report, rendered after the timing.  A fresh
+run plan (its slots, the rows of its one value table, and the kernels it
+runs per chunk) and the SHA-256 of the run's JSON report, rendered after
+the timing.  A fresh
 process per count keeps one count's peak from hiding the next one's;
 the digests show whether two versions of the code report the same bytes
 at counts that span many chunks, and the sizes whether the program
 grew.  ``scripts/peak_memory.expected`` pins both at 1024 and 4096
-points, one ``POINTS VALUE/GRADIENT/HESSIAN KERNELS DIGEST`` line each,
+points, one ``POINTS SLOTS KERNELS DIGEST`` line each,
 and CI compares them.
 """
 
@@ -40,11 +40,10 @@ report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, s
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 program = model._plans[tuple(applicable_suites(model))].program
-slots = "/".join(map(str, program.sizes))
 digest = hashlib.sha256(report.to_json().encode()).hexdigest()
 print(
     f"so(4) points={points:<6d} wall={wall:.2f} s  peak_rss={rss:.1f} MB  "
-    f"slots={slots} kernels={len(program._kernels)} report={digest}"
+    f"slots={program.slots} kernels={len(program._kernels)} report={digest}"
 )
 """
 

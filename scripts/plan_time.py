@@ -76,11 +76,11 @@ def timings(raw: bytes) -> dict:
     with np.errstate(all="ignore"):
         # the sample is one chunk, so this is what ``_RunPlan.evaluate`` and
         # ``suites.run`` do
-        jets = run_plan.program.run(ctx.points)
+        values = run_plan.program.run(ctx.points)
         out["run"] = time.perf_counter() - start
         start = time.perf_counter()
-        ctx.maxima = run_plan.row_maxima(suites._abs_maxima(next(jets).value))
-        ctx.maxima.update((id(p), float(p.reduce(jet)[0])) for p, jet in zip(run_plan.probes, jets))
+        ctx.maxima = run_plan.row_maxima(suites._abs_maxima(next(values)))
+        ctx.maxima.update((id(p), float(p.reduce(v)[0])) for p, v in zip(run_plan.probes, values))
         out["reduce"] = time.perf_counter() - start
         other = model.chart.sample(POINTS, SEED + 1)
         start = time.perf_counter()

@@ -200,6 +200,8 @@ def q_squared_fields(alg: AlgebroidData):
             out += e_differential(one).rows(index_label(x=i))
     if alg.rank >= 3:
         for c in range(alg.rank):
-            basis = EForm(alg, 1, {(c,): const_field(1.0, d)})
-            out += e_differential(e_differential(basis)).rows(index_label(c=c))
+            # d_E of the basis 1-form e^c is -C^c: its anchor terms vanish,
+            # and its bracket terms are C^c times its component 1
+            first = EForm(alg, 2, {key: -C for key, C in alg.C[c].comps.items()})
+            out += e_differential(first).rows(index_label(c=c))
     return out

@@ -3,9 +3,11 @@
 Sources such as ``"x^2 * sin(y)"`` are parsed against a fixed list of
 coordinate names, with no syntax tree: :func:`parse` builds each
 subexpression as it closes, which :class:`momsec.fields.ExprField` uses
-to build field nodes.  The jet rules here, of :class:`Jet2` and of the
-nodes the field algebra does not build, implement the product and chain
-rules exactly, so derivatives carry only floating rounding error.
+to build field nodes.  The rules here evaluate, over a point sample,
+the values of the nodes the field algebra does not build: quotients,
+powers and functions.  Their derivatives are field graphs that
+:mod:`momsec.fields` builds from these same rules, so a derivative
+carries only floating rounding error.
 
 Grammar (loosest to tightest binding)::
 
@@ -255,100 +257,7 @@ def parse(source: str, coords, build):
 
 
 # ---------------------------------------------------------------------------
-# Second-order jets
-
-
-class Jet2:
-    """Values, gradients and Hessians of a scalar function over a sample.
-
-    For P points in d coordinates, ``value`` has shape ``(P,)``, ``grad``
-    ``(d, P)`` and ``hess`` ``(d, d, P)``: the point axis is last, so
-    every rule below runs along the points.  A stack of n jets puts n in
-    front, with ``value`` ``(n, P)``, ``grad`` ``(n, d, P)`` and ``hess``
-    ``(n, d, d, P)``, and runs through the same rules as one jet does.
-    ``row(p)`` reads point p of a single jet back as a float value, a
-    ``(d,)`` gradient and a ``(d, d)`` Hessian.
-
-    A jet is truncated at an order 0, 1 or 2: ``hess`` (and then
-    ``grad``) is ``None`` when that derivative was not requested, or was
-    consumed by differentiating an evaluated field.  Every rule computes
-    the orders both of its operands carry and no more.  Values never
-    depend on gradients, nor gradients on Hessians, so a truncated jet
-    agrees bit for bit with the same parts of the full one.  Entry-wise
-    the stored Hessian is exactly symmetric: every rule below builds it
-    from symmetric pieces only.  A rule with an ``out`` jet writes each
-    part into ``out``'s array for it instead of a new one.
-    """
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value, grad, hess):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-
-    def row(self, p: int) -> "Jet2":
-        g = None if self.grad is None else self.grad[..., p]
-        h = None if self.hess is None else self.hess[..., p]
-        return Jet2(float(self.value[p]), g, h)
-
-    def minus(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
-        o = _NEW if out is None else out
-        g = h = None
-        if self.grad is not None and other.grad is not None:
-            g = np.subtract(self.grad, other.grad, out=o.grad)
-            if self.hess is not None and other.hess is not None:
-                h = np.subtract(self.hess, other.hess, out=o.hess)
-        return Jet2(np.subtract(self.value, other.value, out=o.value), g, h)
-
-    def times(self, other: "Jet2", out: "Jet2 | None" = None) -> "Jet2":
-        o = _NEW if out is None else out
-        value = np.multiply(self.value, other.value, out=o.value)
-        if self.grad is None or other.grad is None:
-            return Jet2(value, None, None)
-        u, v = self.value[..., None, :], other.value[..., None, :]
-        # u' v + u v', added in place into the first product
-        grad = np.multiply(self.grad, v, out=o.grad)
-        grad += u * other.grad
-        if self.hess is None or other.hess is None:
-            return Jet2(value, grad, None)
-        u, v = u[..., None, :], v[..., None, :]
-        cross = self.grad[..., :, None, :] * other.grad[..., None, :, :]
-        hess = np.multiply(self.hess, v, out=o.hess)
-        hess += u * other.hess
-        hess += cross + np.swapaxes(cross, -2, -3)
-        return Jet2(value, grad, hess)
-
-    def scale(self, c, out: "Jet2 | None" = None) -> "Jet2":
-        """This jet times ``c``: a number, or for a stack of n jets an
-        ``(n,)`` array with one factor per jet."""
-        c = np.asarray(c)
-        o = _NEW if out is None else out
-        g = None if self.grad is None else np.multiply(c[..., None, None], self.grad, out=o.grad)
-        h = None if self.hess is None else np.multiply(c[..., None, None, None], self.hess, out=o.hess)
-        return Jet2(np.multiply(c[..., None], self.value, out=o.value), g, h)
-
-    def reciprocal(self) -> "Jet2":
-        inv = 1.0 / self.value
-        return self.compose(inv, lambda: -(inv * inv), lambda: 2.0 * inv * inv * inv)
-
-    def compose(self, f: np.ndarray, df, d2f) -> "Jet2":
-        """Chain rule through a scalar function with values ``f``.  The
-        callables ``df`` and ``d2f`` return f' and f'' at the values; each
-        is called only when this jet carries that order."""
-        if self.grad is None:
-            return Jet2(f, None, None)
-        d1 = df()[..., None, :]
-        grad = d1 * self.grad
-        if self.hess is None:
-            return Jet2(f, grad, None)
-        outer = self.grad[..., :, None, :] * self.grad[..., None, :, :]
-        hess = d1[..., None, :] * self.hess + d2f()[..., None, None, :] * outer
-        return Jet2(f, grad, hess)
-
-
-# the ``out`` of a rule that writes every part into a new array
-_NEW = Jet2(None, None, None)
+# Rules
 
 
 def _check_domain(bad: np.ndarray, message: str, texts):
@@ -360,74 +269,77 @@ def _check_domain(bad: np.ndarray, message: str, texts):
 
 
 # The rules of the nodes the field algebra does not build, called as
-# ``rule(param, texts, *operands)`` on stacks of jets of the
-# subexpressions ``texts``.  Domain checks fire at every order, those on
-# derivatives (``sqrt`` and ``abs`` at 0) too.
+# ``rule(param, texts, *operands)`` on the stacked values ``(n, P)`` of
+# the subexpressions ``texts``.  Domain checks include those of the
+# derivative (``sqrt`` and ``abs`` at 0), so a value fails wherever a
+# derivative of it would.  Besides the table's functions, ``call`` takes
+# ``log'`` (1/u), ``abs'`` (the sign of u) and ``abs''`` (0), and
+# ``variable_power`` the parts ``"log"`` (log b) and ``"inverse"``
+# (1/b): factors of derivatives, which :mod:`momsec.fields` builds with a
+# second operand, the node they differentiate, so that its check comes
+# first; they check nothing themselves.
 
 
-def quotient(_, texts, a: Jet2, b: Jet2) -> Jet2:
-    _check_domain(b.value == 0.0, "division by zero", texts)
-    return a.times(b.reciprocal())
+def quotient(_, texts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _check_domain(b == 0.0, "division by zero", texts)
+    return a * (1.0 / b)
 
 
-def _int_pow(u: Jet2, n: int, texts) -> Jet2:
+def _int_pow(u: np.ndarray, n: int, texts) -> np.ndarray:
     """u^n for an integer n != 0."""
     if n < 0:
-        _check_domain(u.value == 0.0, "zero base with negative exponent", texts)
-        return _int_pow(u, -n, texts).reciprocal()
-    v = u.value
-    d2f = (lambda: n * (n - 1) * v ** (n - 2)) if n >= 2 else (lambda: np.zeros_like(v))
-    return u.compose(v**n, lambda: n * v ** (n - 1), d2f)
+        _check_domain(u == 0.0, "zero base with negative exponent", texts)
+        return 1.0 / _int_pow(u, -n, texts)
+    return u**n
 
 
-def power(p: float, texts, u: Jet2) -> Jet2:
+def power(p: float, texts, u: np.ndarray) -> np.ndarray:
     """u^p for a number p."""
     if p == 0.0:
-        return Jet2(np.ones_like(u.value), *(None if x is None else np.zeros_like(x) for x in (u.grad, u.hess)))
+        return np.ones_like(u)
     if float(p).is_integer():
         return _int_pow(u, int(p), texts)
-    b = u.value
-    _check_domain(b <= 0.0, "real exponent requires a positive base", texts)
-    return u.compose(b**p, lambda: p * b ** (p - 1.0), lambda: p * (p - 1.0) * b ** (p - 2.0))
+    _check_domain(u <= 0.0, "real exponent requires a positive base", texts)
+    return u**p
 
 
-def variable_power(_, texts, base: Jet2, exponent: Jet2) -> Jet2:
-    """b^e = exp(e * log(b))."""
-    b = base.value
+def variable_power(part, texts, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """b^e = exp(e * log(b)), or the part ``"log"`` or ``"inverse"`` of b."""
+    if part == "log":
+        return np.log(b)
+    if part == "inverse":
+        return 1.0 / b
     _check_domain(b <= 0.0, "variable exponent requires a positive base", texts)
-    w = exponent.times(base.compose(np.log(b), lambda: 1.0 / b, lambda: -1.0 / b**2))
-    e = np.exp(w.value)
-    return w.compose(e, lambda: e, lambda: e)
+    return np.exp(e * np.log(b))
 
 
-def call(func: str, texts, u: Jet2) -> Jet2:
-    """``func`` of the table applied to u."""
-    v = u.value
-    if func == "sin":
-        s = np.sin(v)
-        return u.compose(s, lambda: np.cos(v), lambda: -s)
-    if func == "cos":
-        c = np.cos(v)
-        return u.compose(c, lambda: -np.sin(v), lambda: -c)
+# the functions and derivative factors that check nothing
+_UNCHECKED = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "tanh": np.tanh,
+    "log'": lambda v: 1.0 / v,
+    "abs'": lambda v: np.where(v > 0.0, 1.0, -1.0),
+    "abs''": np.zeros_like,
+}
+
+
+def call(func: str, texts, v: np.ndarray, _=None) -> np.ndarray:
+    """``func`` of the table, or ``log'``, ``abs'`` or ``abs''``, applied to v."""
+    if func in _UNCHECKED:
+        return _UNCHECKED[func](v)
     if func == "tan":
         _check_domain(np.cos(v) == 0.0, "tan at a pole", texts)
-        t = np.tan(v)
-        return u.compose(t, lambda: 1.0 + t * t, lambda: 2.0 * t * (1.0 + t * t))
-    if func == "exp":
-        e = np.exp(v)
-        return u.compose(e, lambda: e, lambda: e)
+        return np.tan(v)
     if func == "log":
         _check_domain(v <= 0.0, "log of a non-positive value", texts)
-        return u.compose(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
+        return np.log(v)
     if func == "sqrt":
         _check_domain(v < 0.0, "sqrt of a negative value", texts)
         _check_domain(v == 0.0, "sqrt derivative at zero", texts)
-        s = np.sqrt(v)
-        return u.compose(s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
-    if func == "tanh":
-        t = np.tanh(v)
-        return u.compose(t, lambda: 1.0 - t * t, lambda: -2.0 * t * (1.0 - t * t))
+        return np.sqrt(v)
     if func == "abs":
         _check_domain(v == 0.0, "abs derivative at zero", texts)
-        return u.compose(np.abs(v), lambda: np.where(v > 0.0, 1.0, -1.0), lambda: np.zeros_like(v))
+        return np.abs(v)
     raise ValueError(f"unknown function {func!r}")

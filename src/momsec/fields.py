@@ -1,49 +1,35 @@
 """Chart-local calculus on arrays of scalar fields.
 
-A :class:`ScalarField` is a node of a field graph, evaluable to jets up
-to second order over a point sample: a coordinate, a constant, or an
-algebraic, differential or expression combination of other fields.  A
-model's expressions are parsed straight into such nodes when it loads
-(see :class:`ExprField`).  Field graphs hold no sample data, so a graph
-built once serves every sample.  Graphs are evaluated by a :class:`Program`,
-compiled once from groups of root fields, each group read to one jet
-order.  The jet order is a demand that flows down the graph: a residual
-asks for values only (order 0), every node but a partial passes the
-order on, and a :class:`PartialField` asks its input for one order more,
-so each node gets one demand order, the highest any consumer reads, and
-computes only those derivatives.  Differentiating an evaluated field consumes
-one jet order, so a once-differentiated field still has an exact value
-and gradient but no Hessian.  No check in this package ever
-differentiates a field more than twice.
+A :class:`ScalarField` is a node of a field graph, evaluable to its
+values over a point sample: a coordinate, a constant, or an algebraic
+or expression combination of other fields.  A model's expressions are
+parsed straight into such nodes when it loads (see :class:`ExprField`).
+A coordinate partial is a field graph too: ``f.partial(i)`` builds it
+from the field algebra by one rule per node class (sum, difference,
+product and scaling rules, the quotient, power and chain rules of an
+expression node, -N (dM) N for an entry of a matrix inverse N = M^{-1}),
+and the zero singleton for a node with no path down to coordinate i.
+So a derivative is evaluated as any other node is, to its values alone,
+and a field may be differentiated any number of times.  A quantity that
+a planner may read only through its partials is a :class:`Deferred` sum,
+built only where its value is read.  Field graphs hold no sample data,
+so a graph built once serves every sample.
 
-Compiling a program finds its nodes in one pass, level by level from
-the top, so each node's consumers are done before it.  A program
-evaluates a chunk of points at a time, one group after another: a group
-is nodes of one class and order (and, for an expression node, rule)
-whose inputs are evaluated, taken from the ready nodes by the rule of
-:class:`Program` (a class and order whose nodes are all ready first,
-then tallest first, then highest order), and one numpy
-kernel evaluates it over their stacked operand rows with the rules of
-:class:`Jet2`, so a run costs numpy work per group, not interpreter
-work per node.  Each node is evaluated once per chunk, into one row of
-the program's tables, the same row of every table its order reaches.
-The program owns its tables: it carves them from one space of its own,
-which grows only when a chunk needs more room, and keeps them bound to
-the chunk length, with each kernel's output jet a view of its rows,
-until a run brings another length.  A kernel reads its operands with
-``ndarray.take``, a copy of the rows it names, never by fancy indexing.
-A check run compiles the graphs of every suite it selects into one
-program, so the groups, and the nodes the suites share, span every
-suite.  The leaves, coordinates and constants, are groups too, whose
-kernels fill their rows from the chunk's points, so a program evaluates
-a model's expressions together with everything built on them.
+Graphs are evaluated by a :class:`Program`, compiled once from groups
+of root fields.  It evaluates a chunk of points at a time, one group of
+ready nodes of one class (and, for an expression node, rule) after
+another, each by one numpy kernel over their stacked operand rows, so a
+run costs numpy work per group, not interpreter work per node.  Each
+node is evaluated once per chunk, into one row of the program's value
+table ``(S, P)``, the point axis last, so every kernel runs along the
+points; a kernel reads its operands with ``ndarray.take``, never by
+fancy indexing.  A check run compiles the graphs of every suite it
+selects into one program, leaves included, so a program evaluates a
+model's expressions together with everything built on them.
 ``ScalarField.eval`` and :func:`max_abs_fields` evaluate a one-off
-program of their own over the whole sample.  Every jet here has the one
-layout of :class:`Jet2`, the point axis last: the tables and the roots'
-jets a program returns, so every kernel runs along the points.  Only
-the matrix inverse moves an axis, to hand ``np.linalg.inv`` one matrix
-per point, and not for a diagonal matrix, whose inverse is computed
-entrywise along the points.
+program of their own over the whole sample.  Only the matrix inverse
+moves an axis, to hand ``np.linalg.inv`` one matrix per point, and not
+for a diagonal matrix, whose inverse is computed entrywise.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -65,20 +51,22 @@ indices would add it, and each sum adds its terms in that order
 (:func:`ordered_sums`), so every sum is the node that loop would build.
 
 Equal nodes are one node.  The algebra (sums, differences, products,
-negations, scalings, partials, non-zero constants, coordinates, the
-expression nodes of :func:`_node`, and a matrix inverse and its entries)
-looks every node up in one module-level table before it builds it,
-keyed by the node's class and constructor arguments, with input nodes
-compared by identity and a sum keyed by its flattened terms.
-Inputs are shared first, so a node equal in structure to a live one is
-that node: builders ask for what they need without handing nodes to
-each other, and a program evaluates each distinct node once.  Nothing
-is rewritten (``a*b`` and ``b*a`` stay two nodes), so every value is
-the same, bit for bit, as without sharing.  The table holds its nodes
-weakly, in slotted entries that carry their key, so a dropped graph
-leaves it at once.  Zero constants are
-per-dimension singletons outside it.  A subexpression in several entries,
-or an equal graph of two live models, is therefore one node.
+negations, scalings, non-zero constants, coordinates, the expression
+nodes of :func:`_node`, and a matrix inverse and its entries) looks
+every node up in one module-level table before it builds it, keyed by
+the node's class and constructor arguments, with input nodes compared
+by identity and a sum keyed by its flattened terms.  The same table
+keeps each partial a call to ``partial`` built, keyed by the node and
+the coordinate, so asking again reads it.  Inputs are shared first, so
+a node equal in structure to a live one is that node: builders ask for
+what they need without handing nodes to each other, and a program
+evaluates each distinct node once.  Nothing is rewritten (``a*b`` and
+``b*a`` stay two nodes), so every value is the same, bit for bit, as
+without sharing.  The table holds its nodes weakly, in slotted entries
+that carry their key, so a dropped graph leaves it at once.  The
+constants 0 and 1 are per-dimension singletons outside it.  A
+subexpression in several entries, or an equal graph of two live models,
+is therefore one node.
 
 Every residual row is labeled here too, by :func:`index_label` and
 :meth:`Components.rows`, so one quantity carries one label in every
@@ -101,11 +89,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import count
 from operator import attrgetter
 
 import numpy as np
 
-from .expressions import DomainError, Jet2, call, parse, power, quotient, variable_power
+from .expressions import DomainError, call, parse, power, quotient, variable_power
 
 
 @dataclass(frozen=True)
@@ -152,9 +141,13 @@ class Chart:
 
 
 # Every live node the algebra has built, keyed by its class and its
-# constructor arguments, input nodes by identity, and held weakly: an
-# entry goes when its node does.
+# constructor arguments, input nodes by identity, and every partial a
+# call to ``partial`` built, keyed by ``(_PARTIAL, node, i)``; each entry
+# refers to its node weakly and goes when its node does.
 _NODES: dict = {}
+_PARTIAL = "partial"
+# numbers the nodes in the order the table builds them
+_SERIAL = count()
 
 
 class _Entry(weakref.ref):
@@ -170,68 +163,73 @@ def _forget(ref, nodes=_NODES):
         del nodes[ref.key]
 
 
+def _live(key):
+    """The live node the table holds under ``key``, or None."""
+    ref = _NODES.get(key)
+    return None if ref is None else ref()
+
+
+def _keep(key, node):
+    """Enter ``node`` in the table under ``key``."""
+    ref = _NODES[key] = _Entry(node, _forget)
+    ref.key = key
+
+
 def _shared(cls, *args):
     """The node ``cls(*args)``: the live one built already, or a new one."""
     key = (cls, *args)
-    ref = _NODES.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    node = cls(*args)
-    ref = _NODES[key] = _Entry(node, _forget)
-    ref.key = key
+    node = _live(key)
+    if node is None:
+        node = cls(*args)
+        node.serial = next(_SERIAL)
+        _keep(key, node)
     return node
 
 
 class ScalarField:
-    """A scalar function on a chart, evaluable to second-order jets: a
-    node of a field graph without cycles.  ``inputs`` are the nodes it is
-    built on, ``level`` is 0 for a leaf and else one more than its highest
-    input's, and ``held`` is the highest jet order it can hold (one less
-    for each partial on a path down to a leaf; below 0 it cannot be
-    evaluated).
+    """A scalar function on a chart: a node of a field graph without
+    cycles.  ``inputs`` are the nodes it is built on, ``level`` is 0 for a
+    leaf and else one more than its highest input's, and bit i of
+    ``reach`` is set when a path leads from it down to coordinate i.
 
-    ``eval(points, order)`` gives the :class:`Jet2` over a ``(P, d)``
-    sample up to ``order``, through a one-off :class:`Program` of this
-    field alone.  ``jet`` and ``value`` are one-point views: a one-point
-    sample, read back at point 0.
+    ``eval(points)`` gives its values over a ``(P, d)`` sample, through a
+    one-off :class:`Program` of this field alone; ``value`` reads them at
+    one point, and ``jet`` is the name tools wrap for it.
 
     Every subclass supplies ``_kernel(program, out, *args)``, which
-    evaluates a group of its nodes at once into ``out``, the stacked jet
-    of their slots, from its operands' slots in the program's tables and
-    the attributes named in ``_params`` (or from its own ``_args``).
+    evaluates a group of its nodes at once into ``out``, the rows of their
+    slots, from its operands' slots in the program's table and the
+    attributes named in ``_params`` (or from its own ``_args``), and
+    ``_derivative(i)``, its partial by the rule of its class, for an ``i``
+    it reaches.
     """
 
     dim: int
     inputs: tuple = ()
     level = 0
-    held = 2
-    # ready nodes of one class, order and kind are one group of a program
+    reach = 0
+    # the table's number of the node; -1 for one built outside it
+    serial = -1
+    # ready nodes of one class and kind are one group of a program
     _kind = None
-    # the jet orders this node consumes of its inputs: a partial, one
-    _lift = 0
 
     def _built_on(self, inputs: tuple):
         self.inputs = inputs
-        level, held = 0, 2
+        level = reach = 0
         for node in inputs:
             if node.level >= level:
                 level = node.level + 1
-            if node.held < held:
-                held = node.held
+            reach |= node.reach
         self.level = level
-        self.held = held - self._lift
+        self.reach = reach
 
-    def eval(self, points: np.ndarray, order: int = 2) -> Jet2:
-        jet = next(Program([([self], order)], self.dim).run(points))
-        return Jet2(jet.value[0], None if jet.grad is None else jet.grad[0], None if jet.hess is None else jet.hess[0])
-
-    def jet(self, point) -> Jet2:
-        return self.eval(np.asarray(point, dtype=float).reshape(1, -1)).row(0)
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        return next(Program([[self]], self.dim).run(points))[0]
 
     def value(self, point) -> float:
-        return float(self.eval(np.asarray(point, dtype=float).reshape(1, -1), 0).value[0])
+        return float(self.eval(np.asarray(point, dtype=float).reshape(1, -1))[0])
+
+    jet = value
 
     # only a zero ConstField is a structural zero
     is_zero = False
@@ -245,6 +243,8 @@ class ScalarField:
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         if other.is_zero:
             return self
+        if other.__class__ is Deferred:
+            other = other.node
         return _shared(DiffField, self, other)
 
     def __mul__(self, other: "ScalarField") -> "ScalarField":
@@ -252,9 +252,11 @@ class ScalarField:
             return self
         if other.is_zero:
             return other
+        if other.__class__ is Deferred:
+            other = other.node
         return _shared(ProdField, self, other)
 
-    # ConstField overrides the three below, so here self is never zero
+    # ConstField overrides the two below, so here self is never zero
     def __neg__(self) -> "ScalarField":
         return _shared(ScaledField, -1.0, self)
 
@@ -266,7 +268,29 @@ class ScalarField:
         return _shared(ScaledField, c, self)
 
     def partial(self, i: int) -> "ScalarField":
-        return _shared(PartialField, self, i)
+        """The partial along coordinate ``i``: the zero singleton when no
+        path leads down to that coordinate, else the node its class's rule
+        builds.  The table keeps a partial this call built while it lives;
+        one live already (an input, say) is found again by building it."""
+        if not self.reach >> i & 1:
+            return const_field(0.0, self.dim)
+        key = (_PARTIAL, self, i)
+        node = _live(key)
+        if node is None:
+            first = next(_SERIAL)
+            node = self._derivative(i)
+            if node.serial > first:
+                _keep(key, node)
+        return node
+
+    def _terms(self, i: int) -> list:
+        """Terms whose sum, left to right, is ``partial(i)``: that node, or
+        the terms of the sum it would be, so a sum adding them builds no other."""
+        node = _live((_PARTIAL, self, i))
+        return [node] if node is not None else self._parts(i)
+
+    def _parts(self, i: int) -> list:
+        return [self.partial(i)]
 
     @staticmethod
     def _arrange(nodes: list) -> list:
@@ -276,13 +300,12 @@ class ScalarField:
     _params: tuple = ()
 
     @classmethod
-    def _args(cls, nodes: list, order: int, slots) -> tuple:
-        """Kernel arguments of a group at ``order``: for each input
-        position, the slots of that input of every node; then for each
-        name in ``_params``, that attribute of every node."""
-        lifted = order + cls._lift
+    def _args(cls, nodes: list, slots) -> tuple:
+        """Kernel arguments of a group: for each input position, the
+        slots of that input of every node; then for each name in
+        ``_params``, that attribute of every node."""
         # the nodes of a group have one number of inputs
-        inputs = [_gather(column, lifted, slots) for column in zip(*(n.inputs for n in nodes))]
+        inputs = [_gather(column, slots) for column in zip(*(n.inputs for n in nodes))]
         return (*inputs, *(np.array(list(map(attrgetter(name), nodes))) for name in cls._params))
 
 
@@ -296,11 +319,7 @@ class ConstField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, c):
-        out.value[...] = c[:, None]
-        _zero_derivatives(out)
-
-    def partial(self, i: int) -> "ScalarField":
-        return const_field(0.0, self.dim)
+        out[...] = c[:, None]
 
     def scaled(self, c: float) -> "ScalarField":
         return self if self.is_zero else const_field(c * self.c, self.dim)
@@ -309,22 +328,18 @@ class ConstField(ScalarField):
         return self if self.is_zero else const_field(-self.c, self.dim)
 
 
-ZERO_CACHE: dict[int, ConstField] = {}
+# zeros, the most frequent constant by far, and ones, which every
+# coordinate's partial is, are per-dimension singletons outside the table
+_SINGLETONS: dict[tuple[float, int], ConstField] = {}
 
 
 def const_field(value: float, dim: int) -> ConstField:
-    # zeros, the most frequent constant by far, skip the node table
-    if value == 0.0:
-        if dim not in ZERO_CACHE:
-            ZERO_CACHE[dim] = ConstField(0.0, dim)
-        return ZERO_CACHE[dim]
+    if value == 0.0 or value == 1.0:
+        key = (float(value), dim)
+        if key not in _SINGLETONS:
+            _SINGLETONS[key] = ConstField(value, dim)
+        return _SINGLETONS[key]
     return _shared(ConstField, value, dim)
-
-
-def _zero_derivatives(out: Jet2):
-    for part in (out.grad, out.hess):
-        if part is not None:
-            part[...] = 0.0
 
 
 class CoordField(ScalarField):
@@ -335,20 +350,58 @@ class CoordField(ScalarField):
     def __init__(self, i: int, dim: int):
         self.i = i
         self.dim = dim
+        self.reach = 1 << i
 
     @staticmethod
     def _kernel(t, out, i):
-        out.value[...] = t.points[:, i].T
-        _zero_derivatives(out)
-        if out.grad is not None:
-            out.grad[np.arange(len(i)), i] = 1.0
+        out[...] = t.points[:, i].T
+
+    def _derivative(self, i):
+        return const_field(1.0, self.dim)
+
+
+# Derivative rules build only what their result reads: each tests a
+# derivative factor for zero before it multiplies by it, folds no
+# constant but the singletons 0 and 1 (so a constant it builds stays an
+# input; a product with 1 is its other factor), and builds a sum once,
+# from the terms of the partials it adds (see ``_terms``), so every node
+# a rule builds is an input of its result.
+
+
+def _times(u: ScalarField, v: ScalarField) -> ScalarField:
+    """u * v; either may be zero or one."""
+    if u.is_zero or v.is_zero:
+        return const_field(0.0, u.dim)
+    if u.__class__ is ConstField and u.c == 1.0:
+        return v
+    return u if v.__class__ is ConstField and v.c == 1.0 else u * v
+
+
+def _scale(f: ScalarField, c: float) -> ScalarField:
+    """c f for a number c != 0; a constant f other than 1 stays an input."""
+    if f.__class__ is ConstField and not f.is_zero and f.c != 1.0 and c != 1.0:
+        return _shared(ScaledField, c, f)
+    return f.scaled(c)
+
+
+def _minus(u: ScalarField, v: ScalarField) -> ScalarField:
+    """u - v; either may be zero."""
+    return _scale(v, -1.0) if u.is_zero else u - v
+
+
+def _primed(text: str) -> str:
+    """The text of a node a partial of the subexpression ``text`` builds."""
+    return f"({text})'"
 
 
 class RuleField(ScalarField):
     """A quotient, power or function node of an expression: ``rule`` of
     :mod:`momsec.expressions` with ``param`` (a number exponent or a
     function name) applied to its inputs.  ``text`` is the subexpression,
-    which a domain error names."""
+    which a domain error names.  Each node a partial of q builds that can
+    leave its domain reads q (or is a quotient with q's text), so q's
+    check fires first and names q; each other is named by :func:`_primed`,
+    so no text is two computations."""
 
     def __init__(self, rule, param, text: str, *inputs: ScalarField):
         self._kind = (rule, param)
@@ -357,15 +410,89 @@ class RuleField(ScalarField):
         self._built_on(inputs)
 
     @classmethod
-    def _args(cls, nodes, order, slots):
-        return (*nodes[0]._kind, [n.text for n in nodes], *super()._args(nodes, order, slots))
+    def _args(cls, nodes, slots):
+        return (*nodes[0]._kind, [n.text for n in nodes], *super()._args(nodes, slots))
 
     @staticmethod
     def _kernel(t, out, rule, param, texts, *inputs):
-        jet = rule(param, texts, *map(t.jet, inputs))
-        for part, x in zip((out.value, out.grad, out.hess), (jet.value, jet.grad, jet.hess)):
-            if part is not None:
-                part[...] = x
+        out[...] = rule(param, texts, *map(t.rows, inputs))
+
+    def _derivative(self, i):
+        rule, param = self._kind
+        return _RULES[rule](self, param, i)
+
+
+def _quotient_partial(q, _, i):
+    # (a' - q b') / b, which leaves its domain where q does and names q
+    a, b = q.inputs
+    da, db = a.partial(i), b.partial(i)
+    top = da if db.is_zero else _minus(da, _times(q, db))
+    return top if top.is_zero else _shared(RuleField, quotient, None, q.text, top, b)
+
+
+def _power_partial(q, p, i):
+    # p u^(p-1) u': u^1 is u, an integer exponent above 2 lowers by one,
+    # and any other is q / u, which reads q
+    (u,) = q.inputs
+    du = u.partial(i)
+    if p == 0.0 or du.is_zero:
+        return const_field(0.0, q.dim)
+    if p == 1.0:
+        return du
+    if p == 2.0:
+        factor = u
+    elif p > 2.0 and float(p).is_integer():
+        factor = _shared(RuleField, power, p - 1.0, _primed(q.text), u)
+    else:
+        factor = _shared(RuleField, quotient, None, _primed(q.text), q, u)
+    return _times(_scale(factor, p), du)
+
+
+def _variable_power_partial(q, part, i):
+    b, other = q.inputs
+    db = b.partial(i)
+    if part == "inverse":
+        # d(1/b) = -(1/b)^2 b'
+        return const_field(0.0, q.dim) if db.is_zero else _times(_scale(q * q, -1.0), db)
+    if part == "log":
+        # d(log b) = (1/b) b'
+        return const_field(0.0, q.dim) if db.is_zero else _times(_shared(RuleField, variable_power, "inverse", _primed(q.text), b, q), db)
+    # q (e' log b + e (log b)'), log b reading q
+    de = other.partial(i)
+    terms = []
+    if not (de.is_zero and db.is_zero):
+        log = _shared(RuleField, variable_power, "log", _primed(q.text), b, q)
+        terms = [_times(de, log), _times(other, log.partial(i))]
+    return _times(q, field_sum_d(terms, q.dim))
+
+
+def _call_partial(q, func, i):
+    # f'(u) u', f' read from q where it can be, else from a node of u
+    # that reads q, so the derivative leaves its domain where q does; only
+    # the factor of ``func`` is built
+    (u, *_) = q.inputs
+    du = u.partial(i)
+    if du.is_zero:
+        return const_field(0.0, q.dim)
+    one, name = const_field(1.0, q.dim), _primed(q.text)
+    factor = {
+        "sin": lambda: _shared(RuleField, call, "cos", name, u),
+        "cos": lambda: _scale(_shared(RuleField, call, "sin", name, u), -1.0),
+        "tan": lambda: one + q * q,
+        "exp": lambda: q,
+        "log": lambda: _shared(RuleField, call, "log'", name, u, q),
+        "log'": lambda: _scale(q * q, -1.0),
+        "sqrt": lambda: _shared(RuleField, quotient, None, name, const_field(0.5, q.dim), q),
+        "tanh": lambda: one - q * q,
+        "abs": lambda: _shared(RuleField, call, "abs'", name, u, q),
+        "abs'": lambda: _shared(RuleField, call, "abs''", name, u, q),
+        # abs'' is zero wherever it is defined
+        "abs''": lambda: q,
+    }[func]()
+    return _times(factor, du)
+
+
+_RULES = {quotient: _quotient_partial, power: _power_partial, variable_power: _variable_power_partial, call: _call_partial}
 
 
 def _node(dim: int, op: str, param, text: str, *inputs: ScalarField) -> ScalarField:
@@ -419,8 +546,8 @@ class ExprField:
         return parse(source, chart.coordinates, partial(_node, chart.dim))
 
 
-def eval_jet(field: ScalarField, point) -> Jet2:
-    """The jet of ``field`` at one point, its one-point view; tools wrap this name."""
+def eval_jet(field: ScalarField, point) -> float:
+    """The value of ``field`` at one point, its one-point view; tools wrap this name."""
     return field.jet(point)
 
 
@@ -438,7 +565,7 @@ class SumField(ScalarField):
         return sorted(nodes, key=lambda n: -len(n.terms))
 
     @classmethod
-    def _args(cls, nodes, order, slots):
+    def _args(cls, nodes, slots):
         # column j: the term at position j of each node that has one.  The
         # columns after the first are read as one, each a span of it
         columns = [[] for _ in nodes[0].terms]
@@ -450,19 +577,21 @@ class SumField(ScalarField):
         for column in rest:
             spans.append((len(column), slice(start, start + len(column))))
             start += len(column)
-        return _gather(first, order, slots), _gather([t for column in rest for t in column], order, slots), spans
+        return _gather(first, slots), _gather([t for column in rest for t in column], slots), spans
 
     @staticmethod
     def _kernel(t, out, first, rest, spans):
         # left to right, as a + b + c adds
         t.take(first, out)
-        terms = t.jet(rest)
+        terms = t.rows(rest)
         for n, span in spans:
-            out.value[:n] += terms.value[span]
-            if terms.grad is not None:
-                out.grad[:n] += terms.grad[span]
-            if terms.hess is not None:
-                out.hess[:n] += terms.hess[span]
+            out[:n] += terms[span]
+
+    def _parts(self, i):
+        return [x for t in self.terms for x in t._terms(i)]
+
+    def _derivative(self, i):
+        return field_sum_d(self._parts(i), self.dim)
 
 
 class DiffField(ScalarField):
@@ -476,7 +605,10 @@ class DiffField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, a, b):
-        t.jet(a).minus(t.jet(b), out)
+        np.subtract(t.rows(a), t.rows(b), out=out)
+
+    def _derivative(self, i):
+        return _minus(self.a.partial(i), self.b.partial(i))
 
 
 class ProdField(ScalarField):
@@ -488,12 +620,15 @@ class ProdField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, a, b):
-        if out.grad is None:
-            # values alone: a's straight into the output, times a copy of b's
-            t.take(a, out)
-            out.value *= t.value.take(b[0], 0)
-            return
-        t.jet(a).times(t.jet(b), out)
+        # a's rows straight into the output, times a copy of b's
+        t.take(a, out)
+        out *= t.rows(b)
+
+    def _parts(self, i):
+        a, b = self.a, self.b
+        return [_times(a.partial(i), b), _times(a, b.partial(i))]
+
+    _derivative = SumField._derivative
 
 
 class ScaledField(ScalarField):
@@ -507,38 +642,61 @@ class ScaledField(ScalarField):
 
     @staticmethod
     def _kernel(t, out, f, c):
-        t.jet(f).scale(c, out)
+        np.multiply(c[:, None], t.rows(f), out=out)
+
+    def _derivative(self, i):
+        return _scale(self.f.partial(i), self.c)
 
 
-class PartialField(ScalarField):
-    """The coordinate partial of another field.
+class Deferred:
+    """A sum of products, sum_k a_k (c_k b_k) (or c_k a_k where b_k is
+    ``None``), that a planner may read only through its partials or as
+    terms of a larger sum, which adds its ``parts`` (see :func:`_flat`).
+    ``partial`` builds from the factors the partial its node would have;
+    the node, the sum of its parts, is built when its value is read."""
 
-    The jet forwards the parent's gradient and Hessian down one order,
-    so the parent is evaluated one order above the demand; its own
-    Hessian is unavailable (it would be a third derivative of the
-    parent).
-    """
+    def __init__(self, terms, dim: int):
+        self.terms = [(c, a, b) for c, a, b in terms if not (a.is_zero or b is not None and b.is_zero)]
+        self.dim = dim
+        self.is_zero = not self.terms
 
-    _lift = 1
+    @cached_property
+    def parts(self) -> list:
+        return [a.scaled(c) if b is None else a * b.scaled(c) for c, a, b in self.terms]
 
-    def __init__(self, f: ScalarField, i: int):
-        self.f = f
-        self.i = i
-        self.dim = f.dim
-        self._built_on((f,))
+    @cached_property
+    def node(self) -> ScalarField:
+        return field_sum_d(self.parts, self.dim)
 
-    @classmethod
-    def _args(cls, nodes, order, slots):
-        # the gradient and Hessian tables read a row per (slot, coordinate)
-        rows, _ = _gather([n.f for n in nodes], order + 1, slots)
-        return (rows * nodes[0].dim + np.fromiter((n.i for n in nodes), np.intp, len(nodes)),)
+    def _terms(self, i: int) -> list:
+        out = []
+        for c, a, b in self.terms:
+            if b is None:
+                out += a._terms(i) if c == 1.0 else [_scale(a.partial(i), c)]
+                continue
+            if not (da := a.partial(i)).is_zero:
+                out.append(_times(da, b.scaled(c)))
+            if not (db := b.partial(i)).is_zero:
+                out.append(_times(a, _scale(db, c)))
+        return out
 
-    @staticmethod
-    def _kernel(t, out, rows):
-        t.grad_rows.take(rows, 0, out.value, "clip")
-        if out.grad is not None:
-            # row i of the exactly symmetric Hessian is its column i
-            t.hess_rows.take(rows, 0, out.grad, "clip")
+    def partial(self, i: int) -> ScalarField:
+        return field_sum_d(self._terms(i), self.dim)
+
+    def __getattr__(self, name):  # any other read is one of its value
+        return getattr(self.node, name)
+
+    def __add__(self, other):
+        return field_sum_d((self, other), self.dim)
+
+    def __sub__(self, other):
+        return self.node - other
+
+    def __mul__(self, other):
+        return self.node * other
+
+    def __neg__(self):
+        return -self.node
 
 
 def _flat(terms) -> tuple:
@@ -547,7 +705,9 @@ def _flat(terms) -> tuple:
     and add their terms left to right."""
     flat = []
     for t in terms:
-        if t.__class__ is SumField:
+        if t.__class__ is Deferred:
+            flat += _flat(t.parts)
+        elif t.__class__ is SumField:
             flat += t.terms
         elif not t.is_zero:
             flat.append(t)
@@ -578,28 +738,22 @@ def ordered_sums(terms: dict, dim: int) -> dict:
 
 
 class _MatrixInverse:
-    """Jets of the inverse of a field matrix, from the jets of its entries.
+    """The inverse N = M^{-1} of a field matrix, from the values of its
+    entries.
 
-    Given jets of the entries of M(x), the inverse N = M^{-1} has
-    dN = -N (dM) N and
-    d2N_{kl} = -N M_{,kl} N + N M_{,k} N M_{,l} N + N M_{,l} N M_{,k} N,
-    all exact to second order.  The result is the jet of the matrix N,
-    point-major as ``np.linalg.inv`` and the contractions read it:
-    ``value`` ``(P, n, n)``, ``grad`` ``(P, n, n, d)`` and ``hess``
-    ``(P, n, n, d, d)``, with dN and d2N computed only when requested.
-    N is NaN at a point where M has a non-finite entry; a finite
-    singular M raises :class:`SingularMatrixError` naming its first point.
+    :meth:`values` gives N point-major, as ``np.linalg.inv`` and the
+    contractions read it, ``(P, n, n)``.  N is NaN at a point where M has a
+    non-finite entry; a finite singular M raises
+    :class:`SingularMatrixError` naming its first point.
 
     When every entry off the diagonal is a structural zero, ``diagonal``
-    holds the diagonal entries, and :meth:`diagonal_jet` computes N's
-    diagonal entrywise from theirs, with the operations of the dense
-    formula in the same order, so it agrees with the dense path's bit for
-    bit: N_ii = 1/M_ii.  Every entry off the diagonal is 0 (the dense
-    path's zeros there may be -0.0).  It does so only for a chunk
-    where M's diagonal is finite and every part of the result is
-    finite, so M is invertible at every point and no product
-    overflowed; any other chunk takes the dense path, which names the
-    first singular point and gives NaN where M is not finite.
+    holds the diagonal entries, every entry of N off the diagonal is a
+    structural zero too, and :meth:`diagonal_values` computes N's diagonal
+    entrywise from M's, N_ii = 1/M_ii, which agrees with the dense path's
+    bit for bit.  It does so only for a chunk where M's diagonal and N's
+    are finite, so M is invertible at every point; any other chunk takes
+    the dense path, which names the first singular point and gives NaN
+    where M is not finite.
     """
 
     def __init__(self, entries: tuple):
@@ -611,12 +765,11 @@ class _MatrixInverse:
         off = (f for k, f in enumerate(entries) if k % (n + 1))
         self.diagonal = entries[:: n + 1] if all(f.is_zero for f in off) else None
 
-    def jet(self, entries: Jet2, order: int) -> Jet2:
-        """From the stacked jet of the entries, in row-major order."""
-        n = self.n
-        M = point_matrices(entries.value, n)
+    def values(self, entries: np.ndarray) -> np.ndarray:
+        """From the stacked values of the entries, in row-major order."""
+        M = point_matrices(entries, self.n)
         try:
-            N = finite_only(np.linalg.inv, M)
+            return finite_only(np.linalg.inv, M)
         except np.linalg.LinAlgError:
             # the first point whose matrix alone fails to invert
             for p in range(len(M)):
@@ -625,39 +778,16 @@ class _MatrixInverse:
                 except np.linalg.LinAlgError:
                     raise SingularMatrixError(p) from None
             raise
-        if order < 1:
-            return Jet2(N, None, None)
-        NG = np.einsum("pia,pabk->pibk", N, point_matrices(entries.grad, n))
-        dN = -np.einsum("pibk,pbj->pijk", NG, N)
-        if order < 2:
-            return Jet2(N, dN, None)
-        t_h = -np.einsum("pia,pabkl,pbj->pijkl", N, point_matrices(entries.hess, n), N)
-        t_g = -np.einsum("pibk,pbjl->pijkl", NG, dN)
-        # sum the symmetric pair first so the Hessian stays exactly symmetric
-        d2N = t_h + (t_g + t_g.transpose(0, 1, 2, 4, 3))
-        return Jet2(N, dN, d2N)
 
     @staticmethod
-    def diagonal_jet(diagonal: Jet2) -> Jet2 | None:
-        """The stacked jet of N's diagonal entries, laid out as the tables
-        are, from that of M's, to the same order; ``None`` when the chunk
-        needs the dense path (see the class docstring)."""
-        g = diagonal.value
-        if not np.isfinite(g).all():
+    def diagonal_values(diagonal: np.ndarray) -> np.ndarray | None:
+        """N's diagonal entries ``(n, P)``, laid out as the table is, from
+        M's; ``None`` when the chunk needs the dense path (see the class
+        docstring)."""
+        if not np.isfinite(diagonal).all():
             return None
-        N = 1.0 / g
-        parts = [N]
-        if diagonal.grad is not None:
-            NG = N[:, None] * diagonal.grad
-            dN = -(NG * N[:, None])
-            parts.append(dN)
-            if diagonal.hess is not None:
-                t_h = -((N[:, None, None] * diagonal.hess) * N[:, None, None])
-                t_g = -(NG[:, :, None] * dN[:, None, :])
-                parts.append(t_h + (t_g + t_g.transpose(0, 2, 1, 3)))
-        if not all(np.isfinite(x).all() for x in parts):
-            return None
-        return Jet2(*parts, *[None] * (3 - len(parts)))
+        N = 1.0 / diagonal
+        return N if np.isfinite(N).all() else None
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -677,7 +807,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 class MatrixInverseField(ScalarField):
     """Entry (i, j) of the inverse; its inputs are every entry of the
     matrix.  The entries of one inverse that a program reads form one
-    group, at one order, so the inverse is computed once per chunk."""
+    group, so the inverse is computed once per chunk."""
 
     def __init__(self, core: _MatrixInverse, i: int, j: int):
         self.core = core
@@ -688,35 +818,43 @@ class MatrixInverseField(ScalarField):
         self._built_on(core.entries)
 
     @classmethod
-    def _args(cls, nodes, order, slots):
+    def _args(cls, nodes, slots):
         core = nodes[0].core
         i, j = (np.array(ix, dtype=np.intp) for ix in zip(*((n.i, n.j) for n in nodes)))
-        # the diagonal's slots, and the places of the entries off it
-        diagonal = None if core.diagonal is None else (_gather(core.diagonal, order, slots), np.flatnonzero(i != j))
-        return core, _gather(core.entries, order, slots), diagonal, i, j
+        diagonal = None if core.diagonal is None else _gather(core.diagonal, slots)
+        return core, _gather(core.entries, slots), diagonal, i, j
 
     @staticmethod
     def _kernel(t, out, core, entries, diagonal, i, j):
-        parts = (out.value, out.grad, out.hess)
+        # a diagonal inverse's entries are all on its diagonal
         if diagonal is not None:
-            ref, off = diagonal
-            inv = core.diagonal_jet(t.jet(ref))
-            if inv is not None:
-                for part, x in zip(parts, (inv.value, inv.grad, inv.hess)):
-                    if part is not None:
-                        x.take(i, 0, part, "clip")
-                        part[off] = 0.0
+            inverse = core.diagonal_values(t.rows(diagonal))
+            if inverse is not None:
+                inverse.take(i, 0, out, "clip")
                 return
-        inv = core.jet(t.jet(entries), entries[1])
-        for part, x in zip(parts, (inv.value, inv.grad, inv.hess)):
-            if part is not None:
-                part[...] = np.moveaxis(x[:, i, j], 0, -1)
+        out[...] = core.values(t.rows(entries))[:, i, j].T
+
+    def _derivative(self, k):
+        # dN_ij = -sum_l (sum_m N_im dM_ml) N_lj, each inner sum one node
+        # that every j of row i shares
+        core, i, j = self.core, self.i, self.j
+        n, dim = core.n, self.dim
+        if core.diagonal is not None:
+            dm = core.diagonal[i].partial(k)
+            return const_field(0.0, dim) if dm.is_zero else _scale(_times(_times(self, dm), self), -1.0)
+        entry = partial(_shared, MatrixInverseField, core)
+        dM = [f.partial(k) for f in core.entries]
+        terms = []
+        for l in range(n):
+            inner = field_sum_d([_times(entry(i, m), dM[m * n + l]) for m in range(n) if not dM[m * n + l].is_zero], dim)
+            if not inner.is_zero:
+                terms.append(_times(inner, entry(l, j)))
+        return _scale(field_sum_d(terms, dim), -1.0) if terms else const_field(0.0, dim)
 
 
 def point_matrices(x: np.ndarray, rows: int) -> np.ndarray:
-    """A part of the stacked jet of a row-major matrix of fields,
-    ``(rows * cols, ..., P)``, as one matrix per point: a strided view
-    ``(P, rows, cols, ...)``."""
+    """Stacked values of a row-major matrix of fields, ``(rows * cols,
+    P)``, as one matrix per point: a strided view ``(P, rows, cols)``."""
     return np.moveaxis(x.reshape(rows, -1, *x.shape[1:]), -1, 0)
 
 
@@ -753,7 +891,8 @@ def diagonal_cond_max(diagonals: np.ndarray) -> np.ndarray:
 
 class _InverseRow:
     """Row i of a matrix inverse: entry j is the node ``(core, i, j)``,
-    built when it is first read, so no entry is built that nothing reads."""
+    built when it is first read, so no entry is built that nothing reads;
+    off the diagonal of a diagonal inverse it is the zero singleton."""
 
     def __init__(self, core: _MatrixInverse, i: int):
         self.core, self.i = core, i
@@ -761,6 +900,8 @@ class _InverseRow:
     def __getitem__(self, j: int) -> ScalarField:
         if not 0 <= j < self.core.n:
             raise IndexError(j)
+        if self.core.diagonal is not None and j != self.i:
+            return const_field(0.0, self.core.dim)
         return _shared(MatrixInverseField, self.core, self.i, j)
 
 
@@ -774,130 +915,85 @@ def matrix_inverse_fields(entries) -> list[_InverseRow]:
 # Programs: stacked evaluation of field graphs
 
 
-def _gather(nodes, order: int, slots) -> tuple:
-    """The slot reference ``(rows, order)`` of ``nodes``: a node has one
-    row number, which each table its order reaches uses, and the tables
-    up to ``order`` are read."""
-    return np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes)), order
+def _gather(nodes, slots) -> np.ndarray:
+    """The slots of ``nodes``, rows of the value table."""
+    return np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes))
 
 
 class Program:
-    """The evaluation of groups of root fields, each group to one jet order.
+    """The evaluation of groups of root fields.
 
     Compiling finds the nodes under the roots in one pass over buckets
     by ``level``, from the top down, putting each input in its level's
     bucket when first seen; inputs sit at lower levels, so every consumer
-    of a node is done before it.  The pass gives each node:
-
-    - a demand order: the highest order a consumer reads it to (the
-      consumer's order, one more through a :class:`PartialField`), a root
-      its group's order, at most 2;
-    - an order: its demand, or its ``held`` order where lower, fixed
-      before its inputs are reached;
-    - a height: the length of the longest path from it up to a root;
-    - a slot: one row number, of the value table, and of the gradient and
-      Hessian tables when its order reaches them.  The nodes evaluated to
-      order 2 take the first rows, then those to order 1, then the rest,
-      so each table is as long as the count of nodes it holds.  Nodes
-      are read and written through a slot reference ``(rows, order)``.
+    of a node is done before it.  The pass gives each node a height: the
+    length of the longest path from it up to a root.
 
     Then it schedules the nodes by readiness: a node is ready once every
     one of its inputs has been scheduled, so the leaves, coordinates and
     constants, are ready first.  It keeps a count of each key's nodes
-    (its class, order and ``_kind``) not yet scheduled.  Among the keys
-    that have ready nodes it takes first a key whose every node left is
+    (its class and ``_kind``) not yet scheduled.  Among the keys that
+    have ready nodes it takes first a key whose every node left is
     ready, so that one group holds all of them; among those, or among all
     keys with ready nodes when no key is whole, it takes the key whose
-    ready nodes include the greatest height, on a tie the highest order,
-    and on a tie in both the key that has had ready nodes longest.  All of
-    that key's ready nodes become one group, until no node is left.  The
-    entries of a matrix inverse share their inputs and their ``_kind``,
-    so they become ready together and are one group per inverse.  The
-    schedule depends on insertion order alone, never on hashing.
+    ready nodes include the greatest height, and on a tie the key that
+    has had ready nodes longest.  All of that key's ready nodes become
+    one group, and take the next rows of the value table, their slots,
+    until no node is left; ``slots`` is their count.  The entries of a
+    matrix inverse share their inputs and their ``_kind``, so they
+    become ready together and are one group per inverse.  The schedule
+    depends on insertion order alone, never on hashing.
     ``run`` runs each group, in that order, as one numpy kernel over the
     stacked rows of its operands, so every node is evaluated once per
     call, after its inputs; the leaves' kernels fill their rows from the
-    points.  The program owns its tables and the space they live in (see
-    ``_bind``); a run rebinds them only when the chunk length changes,
-    and otherwise is a loop over bound kernels.
-    ``run`` gives, for each root group, the stacked jet of its fields, to
-    the group's order or as far as every field holds it.  A field
-    differentiated more than twice makes compiling raise ``ValueError``.
+    points.  The program owns its table and the space it lives in (see
+    ``_bind``); a run rebinds it only when the chunk length changes, and
+    otherwise is a loop over bound kernels.  ``run`` gives, for each root
+    group, the stacked values of its fields, ``(n, P)``.
     """
 
     def __init__(self, groups, dim: int):
-        groups = [(list(fields), order) for fields, order in groups]
-        # a node's demand and height are final when its level is reached.
-        # ``users`` lists a consumer once for every input position at which
-        # it reads the node, and ``waiting`` counts those positions
-        demand: dict = {}
-        for fields, order in groups:
-            for f in fields:
-                if demand.get(f, -1) < order:
-                    demand[f] = min(order, 2)
-        height = dict.fromkeys(demand, 0)
-        users = {f: [] for f in demand}
-        buckets = [[] for _ in range(max((f.level for f in demand), default=0) + 1)]
-        for f in demand:
+        groups = [[f.node if f.__class__ is Deferred else f for f in fields] for fields in groups]
+        # a node's height is final when its level is reached.  ``users``
+        # lists a consumer once for every input position at which it reads
+        # the node, and ``waiting`` counts those positions
+        height = dict.fromkeys((f for fields in groups for f in fields), 0)
+        users = {f: [] for f in height}
+        buckets = [[] for _ in range(max((f.level for f in height), default=0) + 1)]
+        for f in height:
             buckets[f.level].append(f)
         waiting: dict = {}
-        inverses: dict = {}
         for level in range(len(buckets) - 1, 0, -1):
             for node in buckets[level]:
-                d = demand[node]
-                if node.held < d:
-                    if node.held < 0:
-                        raise ValueError("jet order exhausted: a field was differentiated more than twice")
-                    demand[node] = d = node.held
                 inputs = node.inputs
                 waiting[node] = len(inputs)
                 up = height[node] + 1
-                # at most 2: a partial holds one order less than its input
-                need = d + node._lift
                 for i in inputs:
                     consumers = users.get(i)
                     if consumers is None:
                         users[i] = [node]
-                        demand[i] = need
                         height[i] = up
                         buckets[i.level].append(i)
                         continue
                     consumers.append(node)
                     if height[i] < up:
                         height[i] = up
-                    if demand[i] < need:
-                        demand[i] = need
-                if node.__class__ is MatrixInverseField:
-                    inverses.setdefault(node.core, []).append(node)
-        # an inverse is computed once per chunk, so its entries are evaluated
-        # to one order, the highest any of them is; they share their inputs,
-        # so each of them holds that order
-        for entries in inverses.values():
-            top = max(demand[n] for n in entries)
-            for n in entries:
-                demand[n] = top
 
-        # the rows of each table, and the next free slot of each order
-        orders = list(demand.values())
-        sizes = (len(orders), orders.count(1) + orders.count(2), orders.count(2))
-        base = [sizes[1], sizes[2], 0]
         slots: dict = {}
         self._kernels = []
         # the count of each key's nodes not yet scheduled, the ready nodes
-        # by key, the greatest rank among each key's (its height, then its
-        # order), and the nodes the last group made ready: the leaves at first
-        unscheduled = Counter(zip(map(type, demand), demand.values(), map(attrgetter("_kind"), demand)))
+        # by key, the greatest height among each key's, and the nodes the
+        # last group made ready: the leaves at first
+        unscheduled = Counter(zip(map(type, height), map(attrgetter("_kind"), height)))
         ready: dict = {}
         tallest: dict = {}
         fresh = buckets[0]
         while True:
             for node in fresh:
-                k = demand[node]
-                key = (node.__class__, k, node._kind)
+                key = (node.__class__, node._kind)
                 ready.setdefault(key, []).append(node)
-                rank = 3 * height[node] + k
-                if tallest.get(key, -1) < rank:
-                    tallest[key] = rank
+                if tallest.get(key, -1) < height[node]:
+                    tallest[key] = height[node]
             if not ready:
                 break
             # a key none of whose nodes still waits goes first, so each of
@@ -905,13 +1001,12 @@ class Program:
             whole = [key for key in tallest if len(ready[key]) == unscheduled[key]]
             key = max(whole or tallest, key=tallest.__getitem__)
             del tallest[key]
-            cls, k, _ = key
+            cls = key[0]
             nodes = cls._arrange(ready.pop(key))
             unscheduled[key] -= len(nodes)
-            start = base[k]
-            end = base[k] = start + len(nodes)
-            slots.update(zip(nodes, range(start, end)))
-            self._kernels.append((cls._kernel, (slice(start, end), k), cls._args(nodes, k, slots)))
+            start = len(slots)
+            slots.update(zip(nodes, range(start, start + len(nodes))))
+            self._kernels.append((cls._kernel, slice(start, len(slots)), cls._args(nodes, slots)))
             fresh = []
             for node in nodes:
                 for consumer in users[node]:
@@ -919,75 +1014,49 @@ class Program:
                     waiting[consumer] = left
                     if not left:
                         fresh.append(consumer)
-        self._roots = [_gather(fields, min([order, *(demand[f] for f in fields)]), slots) for fields, order in groups]
-        self.dim = dim
-        self.sizes = sizes
-        self.bytes_per_point = 8 * (sizes[0] + dim * sizes[1] + dim * dim * sizes[2])
+        self._roots = [_gather(fields, slots) for fields in groups]
+        self.slots = len(slots)
+        self.bytes_per_point = 8 * self.slots
         self._space = np.empty(0)
         self._count = None
 
     def run(self, points: np.ndarray):
-        """The root groups' jets over ``points``, a ``(P, d)`` sample.
-        The program keeps its tables bound to the chunk length of its last
-        run, and binds them again only when it changes.  Every kernel runs
-        before this returns; the jets come from an iterator that copies
-        each group out of the tables as it is read, so a caller that
+        """The root groups' values over ``points``, a ``(P, d)`` sample.
+        The program keeps its table bound to the chunk length of its last
+        run, and binds it again only when it changes.  Every kernel runs
+        before this returns; the values come from an iterator that copies
+        each group out of the table as it is read, so a caller that
         reduces one group before reading the next holds one at a time.
-        It must be read before the program runs again; the jets it gives
-        do not share the tables."""
+        It must be read before the program runs again; the arrays it gives
+        do not share the table."""
         if len(points) != self._count:
             self._bind(len(points))
         self.points = points
         for kernel, out, args in self._bound:
             kernel(self, out, *args)
-        return (self.jet(ref) for ref in self._roots)
+        return map(self.rows, self._roots)
 
     def _bind(self, count: int):
-        """Bind the tables to a chunk of ``count`` points: a row per slot
-        of the value ``(S0, P)``, gradient ``(S1, d, P)`` and Hessian
-        ``(S2, d, d, P)`` tables, carved in that order from the program's
-        space, which grows only when they need more room than it has; the
-        gradient and Hessian tables read again as a row per (slot,
-        coordinate), ``grad_rows`` ``(S1 d, P)`` and ``hess_rows``
-        ``(S2 d, d, P)``; and each kernel with its output jet, a view of
-        its rows."""
-        size = count * self.bytes_per_point // 8
+        """Bind the value table ``(S, P)``, a row per slot, to a chunk of
+        ``count`` points, carved from the program's space, which grows only
+        when the table needs more room than it has, and each kernel to its
+        output, a view of its rows."""
+        size = count * self.slots
         if len(self._space) < size:
             # the old space goes, with every view of it, before the new one is made
-            self._space = self.value = self.grad = self.hess = self.grad_rows = self.hess_rows = self._bound = None
+            self._space = self.value = self._bound = None
             self._space = np.empty(size)
-        sizes, dim = self.sizes, self.dim
-        shapes = ((sizes[0], count), (sizes[1], dim, count), (sizes[2], dim, dim, count))
-        start = 0
-        for name, shape in zip(("value", "grad", "hess"), shapes):
-            end = start + math.prod(shape)
-            setattr(self, name, self._space[start:end].reshape(shape))
-            start = end
-        self.grad_rows = self.grad.reshape(sizes[1] * dim, count)
-        self.hess_rows = self.hess.reshape(sizes[2] * dim, dim, count)
-        self._bound = [(kernel, self._view(out), args) for kernel, out, args in self._kernels]
+        self.value = self._space[:size].reshape(self.slots, count)
+        self._bound = [(kernel, self.value[rows], args) for kernel, rows, args in self._kernels]
         self._count = count
 
-    def _view(self, ref) -> Jet2:
-        """The jet of the slots ``(rows, order)`` with ``rows`` a slice: views of the tables."""
-        rows, order = ref
-        return Jet2(self.value[rows], self.grad[rows] if order else None, self.hess[rows] if order > 1 else None)
+    def rows(self, slots: np.ndarray) -> np.ndarray:
+        """A copy of the table's rows ``slots``."""
+        return self.value.take(slots, 0)
 
-    def jet(self, ref) -> Jet2:
-        """The stacked jet at a slot reference ``(rows, order)`` with
-        ``rows`` an index array: a copy of those rows."""
-        rows, order = ref
-        return Jet2(
-            self.value.take(rows, 0),
-            self.grad.take(rows, 0) if order else None,
-            self.hess.take(rows, 0) if order > 1 else None,
-        )
-
-    def take(self, ref, out: Jet2):
-        """Copy the rows of ``ref`` into ``out``, to the order of ``ref``."""
-        rows, order = ref
-        for table, part in zip((self.value, self.grad, self.hess)[: order + 1], (out.value, out.grad, out.hess)):
-            table.take(rows, 0, part, "clip")
+    def take(self, slots: np.ndarray, out: np.ndarray):
+        """Copy the table's rows ``slots`` into ``out``."""
+        self.value.take(slots, 0, out, "clip")
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1149,8 @@ class Components:
         label is ``prefix`` and then the key under the container's letter."""
         for idx in sorted(self.comps):
             tail = index_label(**{self.letter: idx})
-            yield (f"{prefix} {tail}" if prefix and tail else prefix or tail), self.comps[idx]
+            f = self.comps[idx]
+            yield (f"{prefix} {tail}" if prefix and tail else prefix or tail), f.node if f.__class__ is Deferred else f
 
     def __add__(self, other):
         if other.is_zero:
@@ -1174,12 +1244,16 @@ def exterior_derivative(omega: FormField, base: FormField | None = None) -> Form
 
 def _scatter_d(omega: FormField, terms: dict, tag: int):
     """Add the terms of d omega (degree below the chart's) to ``terms`` (see
-    :func:`ordered_sums`), the j-th term of a component placed at ``(tag, j)``."""
+    :func:`ordered_sums`), the j-th term of a component placed at ``(tag, j)``:
+    a partial's own terms where it adds (see ``ScalarField._terms``), the
+    partial negated where it subtracts."""
     for key, f in omega.comps.items():
         for i in range(omega.chart.dim):
-            if i not in key and not (term := f.partial(i)).is_zero:
+            if i not in key:
                 j = bisect_left(key, i)
-                terms.setdefault(key[:j] + (i,) + key[j:], []).append(((tag, j), signed(term, (-1) ** j)))
+                parts = f._terms(i) if j % 2 == 0 else [_scale(f.partial(i), -1.0)]
+                place = terms.setdefault(key[:j] + (i,) + key[j:], [])
+                place += [((tag, j), t) for t in parts if not t.is_zero]
 
 
 def wedge(alpha: FormField, beta: FormField) -> FormField:
@@ -1203,30 +1277,29 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
 
 
 def interior_product(v: "VectorField", omega: FormField) -> FormField:
-    """(i_v w)_{i2..ik} = v^{i1} w_{i1 i2..ik}."""
+    """(i_v w)_{i2..ik} = v^{i1} w_{i1 i2..ik}, each component a
+    :class:`Deferred` sum of its terms, placed by i1."""
     if omega.degree < 1:
         raise ValueError("interior product needs a form of degree >= 1")
     terms: dict = {}
-    _scatter_iota(v, omega, terms, 0)
-    return FormField(omega.chart, omega.degree - 1, ordered_sums(terms, omega.chart.dim))
-
-
-def _scatter_iota(v: "VectorField", omega: FormField, terms: dict, tag: int):
-    """Add the terms of i_v omega to ``terms``, that of v^{i1} placed at ``(tag, i1)``."""
     for key, f in omega.comps.items():
         for p, i1 in enumerate(key):
             # w at (i1, rest) is f with the sign of moving i1 to p
             if not v.comps[i1].is_zero:
-                terms.setdefault(key[:p] + key[p + 1 :], []).append(((tag, i1), v.comps[i1] * signed(f, (-1) ** p)))
+                terms.setdefault(key[:p] + key[p + 1 :], []).append((i1, ((-1.0) ** p, v.comps[i1], f)))
+    dim = omega.chart.dim
+    return FormField(omega.chart, omega.degree - 1, {k: Deferred(by_place(ts), dim) for k, ts in sorted(terms.items())})
 
 
 def lie_derivative(v: "VectorField", omega: FormField, contracted: FormField | None = None) -> FormField:
     """Cartan formula: L_v = i_v d + d i_v, each component's terms summed
-    once; ``contracted``, when given, is i_v omega, built already."""
+    once; ``contracted``, when given, is i_v omega, made already."""
     chart = omega.chart
-    terms: dict = {}
+    # i_v d omega first: each of its components a deferred sum, whose terms
+    # are added in their place
+    terms = {}
     if omega.degree < chart.dim:
-        _scatter_iota(v, exterior_derivative(omega), terms, 0)
+        terms = {key: [((0, 0), f)] for key, f in interior_product(v, exterior_derivative(omega)).comps.items()}
     if omega.degree >= 1:
         _scatter_d(interior_product(v, omega) if contracted is None else contracted, terms, 1)
     return FormField(chart, omega.degree, ordered_sums(terms, chart.dim))
@@ -1286,7 +1359,7 @@ class MetricField:
         )
 
     def inverse(self):
-        """Entry fields of g^{-1}, with exact second-order jets."""
+        """Entry fields of g^{-1}, differentiable as every field is."""
         return matrix_inverse_fields(self.g)
 
     @property
@@ -1325,5 +1398,5 @@ def max_abs_fields(fields, points: np.ndarray) -> float:
     live = [f for f in fields if not f.is_zero]
     if not live:
         return 0.0
-    values = next(Program([(live, 0)], live[0].dim).run(points)).value
+    values = next(Program([live], live[0].dim).run(points))
     return float(np.max(np.abs(values), initial=0.0))

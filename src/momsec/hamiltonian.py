@@ -28,6 +28,7 @@ from .algebroid import AlgebroidData
 from .connections import ConnectionData
 from .fields import (
     Components,
+    Deferred,
     FormField,
     MetricField,
     ScalarField,
@@ -161,7 +162,8 @@ class ConstraintSystem:
         ginv = self.metric.inverse()
         mono: dict[tuple[int, ...], ScalarField] = {}
         for i in range(d):
-            mono[(i, i)] = ginv[i][i].scaled(0.5)
+            # built where a bracket reads its value, not only its partials
+            mono[(i, i)] = Deferred([(0.5, ginv[i][i], None)], d)
             for j in range(i + 1, d):
                 mono[(i, j)] = ginv[i][j]
         for i in range(d):
@@ -251,11 +253,12 @@ def absorb_beta(sys: ConstraintSystem) -> ConstraintSystem:
     alg, conn = sys.alg, sys.conn
     d, r = sys.dim, sys.rank
     A = sys.metric.lower(sys.beta)
+    # alpha' and V' are built only where their values are read, not only their partials
     alpha = []
     for a in range(r):
-        terms = [sys.alpha[a]] + [-(rho * A.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in A.comps]
-        alpha.append(field_sum_d(terms, d))
-    vterms = [sys.V] + [(bi * A.comps[(i,)]).scaled(-0.5) for i, bi in sys.beta.stored() if (i,) in A.comps]
+        terms = [(1.0, sys.alpha[a], None)] + [(-1.0, rho, A.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in A.comps]
+        alpha.append(Deferred(terms, d))
+    vterms = [(1.0, sys.V, None)] + [(-0.5, bi, A.comps[(i,)]) for i, bi in sys.beta.stored() if (i,) in A.comps]
     tau = []
     for a in range(r):
         row = []
@@ -268,7 +271,7 @@ def absorb_beta(sys: ConstraintSystem) -> ConstraintSystem:
         sys,
         alpha=alpha,
         beta=VectorField.zero(alg.chart),
-        V=field_sum_d(vterms, d),
+        V=Deferred(vterms, d),
         tau=tau,
         twist=exterior_derivative(A),
     )

@@ -25,6 +25,7 @@ from functools import cache
 from .algebroid import AlgebroidData
 from .connections import ConnectionData
 from .fields import (
+    Deferred,
     FormField,
     MetricField,
     by_place,
@@ -138,8 +139,7 @@ def theorem_consistency_fields(alg: AlgebroidData, conn: ConnectionData, b: Form
 def induced_momentum_inputs(alg: AlgebroidData, b: FormField, eta: FormField):
     """mu := -iota_rho eta and B := b + d eta."""
     d = alg.dim
-    mu = []
-    for a in range(alg.rank):
-        mu.append(field_sum_d([-(rho * eta.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in eta.comps], d))
+    # each mu_a is built only where its value is read, not only its partials
+    mu = [Deferred([(-1.0, rho, eta.comps[(i,)]) for i, rho in alg.rho[a] if (i,) in eta.comps], d) for a in range(alg.rank)]
     B = exterior_derivative(eta, b)
     return mu, B

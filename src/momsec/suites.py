@@ -29,7 +29,7 @@ One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
 run evaluates the sample in chunks: the chunk length is
 ``CHUNK_BYTES`` over the program's bytes per point, so memory does not
-grow with ``--points``.  The program owns the one space its tables live
+grow with ``--points``.  The program owns the one space its table lives
 in, reused chunk after chunk and run after run (see
 :meth:`~momsec.fields.Program.run`).  In each chunk the program runs
 once, from the chunk's coordinates up through every node of the model's
@@ -78,9 +78,9 @@ from .fields import Program, SingularMatrixError, diagonal_cond_max, exterior_de
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult
 
-# bytes of jet tables that a program may fill per chunk: a run
+# bytes of value table that a program may fill per chunk: a run
 # evaluates this many bytes over its program's bytes per point at a time
-CHUNK_BYTES = 16 << 20
+CHUNK_BYTES = 8 << 20
 
 
 class SuiteError(ValueError):
@@ -159,8 +159,8 @@ def _run_plan(model: Model, selected: list[str]) -> "_RunPlan":
 
 
 class _Probe:
-    """Fields a step reads, to order 0, and ``reduce``, which maps their
-    stacked jet over a chunk to a ``(1,)`` array whose maximum over the
+    """Fields a step reads and ``reduce``, which maps their stacked
+    values over a chunk to a ``(1,)`` array whose maximum over the
     chunks of a sample is what the step reads (see :mod:`momsec.suites`)."""
 
     def __init__(self, fields: list, reduce):
@@ -198,8 +198,8 @@ class _RunPlan:
     concatenated once, in ``order`` from offsets ``starts``, for the row
     sets keyed ``ids``; a row set whose fields are all structural zeros
     reads 0 (``zeros``).  ``probes`` are the plans' matrix probes, and
-    ``program`` evaluates the row probe to order 0 and then each matrix
-    probe in every run."""
+    ``program`` evaluates the row probe and then each matrix probe in
+    every run."""
 
     def __init__(self, plans: list, dim: int):
         self.plans = plans
@@ -215,7 +215,7 @@ class _RunPlan:
         self.order = np.array([i for key in self.ids for i in positions[key]], dtype=np.intp)
         self.starts = np.cumsum([0] + [len(positions[key]) for key in self.ids])[:-1]
         self.probes = [p for plan in plans for p in plan.probes]
-        self.program = Program([(self.rows, 0), *((p.fields, 0) for p in self.probes)], dim)
+        self.program = Program([self.rows, *(p.fields for p in self.probes)], dim)
 
     def evaluate(self, points: np.ndarray) -> list:
         """The maxima over ``points`` of the row probe's |f|, one per
@@ -229,7 +229,7 @@ class _RunPlan:
         for start in range(0, len(points), length):
             chunk = points[start : start + length]
             try:
-                jets = program.run(chunk)
+                values = program.run(chunk)
             except (DomainError, SingularMatrixError) as exc:
                 # the first kernel to fail may fail only past a point where a
                 # kernel after it fails: run the points before the reported
@@ -241,7 +241,7 @@ class _RunPlan:
                     except (DomainError, SingularMatrixError) as earlier:
                         exc = earlier
                 raise exc.shifted(start) from None
-            reduced = [_abs_maxima(next(jets).value), *(p.reduce(jet) for p, jet in zip(self.probes, jets))]
+            reduced = [_abs_maxima(next(values)), *(p.reduce(v) for p, v in zip(self.probes, values))]
             maxima = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima, reduced)]
         return maxima
 
@@ -479,17 +479,19 @@ def plan_mechanics(model: Model):
     h1_rows, h2_rows, h3_rows = mom.condition_fields(model.alg, model.conn, absorbed.twist, absorbed.alpha)
     d = model.chart.dim
     # NaN at a point where the matrix has a non-finite entry, which fails
-    # the row; a metric that stores only its diagonal needs no SVD
+    # the row; a metric that stores only its diagonal needs no SVD.  It
+    # reads g^{-1} too, so a g singular at a sample point stops the run
+    inverse = [f for row in g.inverse() for f in row if not f.is_zero]
     if g.diagonal is not None:
-        conditioning = _Probe(list(g.diagonal), lambda jet: diagonal_cond_max(jet.value))
+        conditioning = _Probe([*g.diagonal, *inverse], lambda values: diagonal_cond_max(values[:d]))
     else:
         conditioning = _Probe(
-            [f for row in g.g for f in row],
-            lambda jet: np.max(finite_only(np.linalg.cond, point_matrices(jet.value, d)), keepdims=True),
+            [*(f for row in g.g for f in row), *inverse],
+            lambda values: np.max(finite_only(np.linalg.cond, point_matrices(values[: d * d], d)), keepdims=True),
         )
     deficiency = _Probe(
         [f for row in anchor for f in row],
-        lambda jet: np.max(r - finite_only(anchor_ranks, point_matrices(jet.value, r)), keepdims=True),
+        lambda values: np.max(r - finite_only(anchor_ranks, point_matrices(values, r)), keepdims=True),
     )
 
     def evaluate(ctx: CheckContext):

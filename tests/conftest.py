@@ -43,15 +43,20 @@ def node(source: str, coords) -> ScalarField:
     return ExprField.parse(source, Chart(tuple(coords), ((-1.0, 1.0),) * len(coords)))
 
 
-def expr_jets(field: ScalarField, points, order: int = 2):
-    """The jet of a node over a ``(P, d)`` sample, to ``order``,
-    evaluated by a program of its own."""
-    return field.eval(np.asarray(points, dtype=float), order)
+def expr_values(field: ScalarField, points) -> np.ndarray:
+    """The values of a node over a ``(P, d)`` sample, evaluated by a
+    program of its own."""
+    return field.eval(np.asarray(points, dtype=float))
 
 
-def expr_jet(field: ScalarField, point):
-    """The jet of a node at one point."""
-    return field.jet(point)
+def gradient(field: ScalarField, point) -> np.ndarray:
+    """The gradient of a node at one point, from its partial nodes."""
+    return np.array([field.partial(i).value(point) for i in range(field.dim)])
+
+
+def hessian(field: ScalarField, point) -> np.ndarray:
+    """The Hessian of a node at one point, from its second partial nodes."""
+    return np.array([[field.partial(i).partial(j).value(point) for j in range(field.dim)] for i in range(field.dim)])
 
 
 def zero(chart: Chart):
@@ -134,7 +139,7 @@ CHECK_REGISTRY: tuple[str, ...] = (
 
 
 def _value(expr, point):
-    return expr_jet(expr, point).value
+    return expr.value(point)
 
 
 def fd_gradient(expr, point, h=1e-3):

@@ -385,8 +385,8 @@ class TestEvaluationFailures:
         path.write_text(json.dumps(doc))
         assert load_model(str(path)).metric.inverse()[0][0].core.diagonal is None
         calls = []
-        dense = fields._MatrixInverse.jet
-        monkeypatch.setattr(fields._MatrixInverse, "jet", lambda core, *a: calls.append(core) or dense(core, *a))
+        dense = fields._MatrixInverse.values
+        monkeypatch.setattr(fields._MatrixInverse, "values", lambda core, *a: calls.append(core) or dense(core, *a))
         assert main(["check", str(path), "--suite", "mechanics", "--format", "json"]) in (0, 1)
         rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert calls

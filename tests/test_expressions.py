@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import expr_jet, expr_jets, fd_gradient, fd_hessian, node, random_poly_source
+from conftest import expr_values, fd_gradient, fd_hessian, gradient, hessian, node, random_poly_source
 from momsec.expressions import (
     MAX_DEPTH,
     DomainError,
@@ -184,66 +184,65 @@ def test_every_rule_text_parses_back_to_its_node(source):
 
 
 class TestJets:
+    # a field's derivatives are its partial nodes, read at a point
+
     def test_polynomial_jet_frozen(self):
         # f = x^2 y at (2,3): value 12, grad (12, 4), hess [[6,4],[4,0]]
-        jet = expr_jet(node("x^2*y", XY), (2.0, 3.0))
-        assert jet.value == pytest.approx(12.0, abs=1e-12)
-        assert jet.grad == pytest.approx([12.0, 4.0], abs=1e-12)
-        assert np.allclose(jet.hess, [[6.0, 4.0], [4.0, 0.0]], atol=1e-12)
+        expr = node("x^2*y", XY)
+        assert expr.value((2.0, 3.0)) == pytest.approx(12.0, abs=1e-12)
+        assert gradient(expr, (2.0, 3.0)) == pytest.approx([12.0, 4.0], abs=1e-12)
+        assert np.allclose(hessian(expr, (2.0, 3.0)), [[6.0, 4.0], [4.0, 0.0]], atol=1e-12)
 
     def test_polynomial_jet_vs_fd_oracle(self):
         # a constant and exp(x) ride along with the polynomial
         for source in ("x^2*y", "7", "exp(x)"):
             expr = node(source, XY)
-            jet = expr_jet(expr, (2.0, 3.0))
-            assert jet.grad == pytest.approx(fd_gradient(expr, (2.0, 3.0)), abs=1e-7)
-            assert jet.hess == pytest.approx(fd_hessian(expr, (2.0, 3.0)), abs=1e-6)
+            assert gradient(expr, (2.0, 3.0)) == pytest.approx(fd_gradient(expr, (2.0, 3.0)), abs=1e-7)
+            assert hessian(expr, (2.0, 3.0)) == pytest.approx(fd_hessian(expr, (2.0, 3.0)), abs=1e-6)
 
     def test_trig_jet(self):
-        jet = expr_jet(node("sin(x)*y", XY), (0.0, 2.0))
-        assert jet.value == pytest.approx(0.0, abs=1e-15)
-        assert jet.grad == pytest.approx([2.0, 0.0], abs=1e-14)
+        expr = node("sin(x)*y", XY)
+        assert expr.value((0.0, 2.0)) == pytest.approx(0.0, abs=1e-15)
+        assert gradient(expr, (0.0, 2.0)) == pytest.approx([2.0, 0.0], abs=1e-14)
 
     def test_constant_jet(self):
-        jet = expr_jet(node("5", XY), (0.3, -0.7))
-        assert jet.value == 5.0
-        assert np.all(jet.grad == 0.0)
-        assert np.all(jet.hess == 0.0)
+        expr = node("5", XY)
+        assert expr.value((0.3, -0.7)) == 5.0
+        assert all(expr.partial(i).is_zero and expr.partial(i).partial(j).is_zero for i in range(2) for j in range(2))
 
     def test_hessian_exactly_symmetric(self):
+        # for a polynomial the two orders of a mixed partial agree to rounding
         rng = np.random.default_rng(11)
         for _ in range(25):
             src = random_poly_source(rng, XY)
             pt = rng.uniform(-2, 2, size=2)
-            jet = expr_jet(node(src, XY), pt)
-            assert np.array_equal(jet.hess, jet.hess.T)
+            h = hessian(node(src, XY), pt)
+            assert h[0, 1] == pytest.approx(h[1, 0], rel=1e-13, abs=1e-13)
 
     def test_division_and_sqrt(self):
         expr = node("sqrt(x)/y", XY)
         pt = (4.0, 2.0)
-        jet = expr_jet(expr, pt)
-        assert jet.value == pytest.approx(1.0)
-        assert jet.grad == pytest.approx(fd_gradient(expr, pt), abs=1e-8)
-        assert np.allclose(jet.hess, fd_hessian(expr, pt), atol=1e-7)
+        assert expr.value(pt) == pytest.approx(1.0)
+        assert gradient(expr, pt) == pytest.approx(fd_gradient(expr, pt), abs=1e-8)
+        assert np.allclose(hessian(expr, pt), fd_hessian(expr, pt), atol=1e-7)
 
     def test_variable_exponent(self):
         expr = node("x^y", XY)
         pt = (1.7, 2.3)
-        jet = expr_jet(expr, pt)
-        assert jet.value == pytest.approx(1.7**2.3)
-        assert jet.grad == pytest.approx(fd_gradient(expr, pt), abs=1e-8)
+        assert expr.value(pt) == pytest.approx(1.7**2.3)
+        assert gradient(expr, pt) == pytest.approx(fd_gradient(expr, pt), abs=1e-8)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("p", [2.0, -1.0, 0.0, 0.5, -1.5])
     def test_number_exponent_is_a_constant_exponent(self, order, p):
         # a number exponent is used as a number; any other exponent without
-        # a coordinate is evaluated to one when built, and both take one path
+        # a coordinate is evaluated to one when built, and both take one
+        # path, to every order of partial along x
         points = np.array([[0.3, 0.0], [1.7, 2.0], [2.5, -1.0]])
-        number = expr_jets(node(f"x^{p!r}", XY), points, order)
-        folded = expr_jets(node(f"x^({p / 2!r} + {p / 2!r})", XY), points, order)
-        for part in ("value", "grad", "hess"):
-            a, b = getattr(number, part), getattr(folded, part)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        number, folded = node(f"x^{p!r}", XY), node(f"x^({p / 2!r} + {p / 2!r})", XY)
+        for _ in range(order):
+            number, folded = number.partial(0), folded.partial(0)
+        assert expr_values(number, points).tobytes() == expr_values(folded, points).tobytes()
 
     @pytest.mark.parametrize(
         "p, x0, reason",
@@ -251,33 +250,36 @@ class TestJets:
     )
     def test_number_exponent_domain_errors(self, p, x0, reason):
         points = np.array([[1.0, 0.0], [x0, 0.0], [x0, 1.0]])
-        # each source is written as a domain error names it
+        # each source is written as a domain error names it, in its
+        # partials too
         for source in (f"x^{p!r}", f"x^({p / 2!r} + {p / 2!r})"):
-            for order in (0, 1, 2):
+            field = node(source, XY)
+            for _ in range(3):
                 with pytest.raises(DomainError) as err:
-                    expr_jets(node(source, XY), points, order)
+                    expr_values(field, points)
                 assert (err.value.reason, err.value.subexpression, err.value.point) == (reason, source, 1)
+                field = field.partial(0)
 
     def test_exponent_with_a_coordinate_is_variable(self):
         # y - y + 2 is 2 at every point, but the syntax decides
         expr = node("x^(y - y + 2)", XY)
         with pytest.raises(DomainError, match="variable exponent requires a positive base"):
-            expr_jet(expr, (-1.0, 0.5))
-        assert expr_jet(expr, (1.5, 0.5)).value == pytest.approx(2.25, rel=1e-15)
+            expr.value((-1.0, 0.5))
+        assert expr.value((1.5, 0.5)) == pytest.approx(2.25, rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            expr_jet(node("log(x)", XY), (-1.0, 0.0))
+            node("log(x)", XY).value((-1.0, 0.0))
         with pytest.raises(DomainError):
-            expr_jet(node("1/x", XY), (0.0, 1.0))
+            node("1/x", XY).value((0.0, 1.0))
         with pytest.raises(DomainError):
-            expr_jet(node("x^0.5", XY), (-2.0, 0.0))
+            node("x^0.5", XY).value((-2.0, 0.0))
         with pytest.raises(DomainError):
-            expr_jet(node("abs(x)", XY), (0.0, 0.0))
+            node("abs(x)", XY).value((0.0, 0.0))
 
     def test_domain_error_names_subexpression(self):
         with pytest.raises(DomainError) as err:
-            expr_jet(node("y + log(x - 1)", XY), (0.5, 0.0))
+            node("y + log(x - 1)", XY).value((0.5, 0.0))
         assert "log" in str(err.value)
 
     def test_pythagorean_identity_jets(self):
@@ -285,10 +287,10 @@ class TestJets:
         expr = node("sin(x)^2 + cos(x)^2", ("x",))
         rng = np.random.default_rng(5)
         for _ in range(100):
-            jet = expr_jet(expr, rng.uniform(-3, 3, size=1))
-            assert abs(jet.value - 1.0) < 1e-12
-            assert abs(jet.grad[0]) < 1e-12
-            assert abs(jet.hess[0, 0]) < 1e-12
+            pt = rng.uniform(-3, 3, size=1)
+            assert abs(expr.value(pt) - 1.0) < 1e-12
+            assert abs(gradient(expr, pt)[0]) < 1e-12
+            assert abs(hessian(expr, pt)[0, 0]) < 1e-12
 
 
 def test_random_polynomials_match_fd():
@@ -299,9 +301,8 @@ def test_random_polynomials_match_fd():
         coords = tuple("abcd"[:d])
         expr = node(random_poly_source(rng, coords), coords)
         pt = rng.uniform(-2, 2, size=d)
-        jet = expr_jet(expr, pt)
         g_ref = fd_gradient(expr, pt)
         h_ref = fd_hessian(expr, pt)
         scale = max(1.0, np.max(np.abs(g_ref)), np.max(np.abs(h_ref)))
-        assert np.max(np.abs(jet.grad - g_ref)) / scale < 1e-6
-        assert np.max(np.abs(jet.hess - h_ref)) / scale < 1e-6
+        assert np.max(np.abs(gradient(expr, pt) - g_ref)) / scale < 1e-6
+        assert np.max(np.abs(hessian(expr, pt) - h_ref)) / scale < 1e-6

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chart2, chart3, f, lie_bracket, random_poly_source, structure
+from conftest import chart2, chart3, f, gradient, lie_bracket, random_poly_source, structure
+from momsec import fields
 from momsec.algebroid import AlgebroidData, EForm
 from momsec.fields import (
     _MatrixInverse,
@@ -15,7 +16,6 @@ from momsec.fields import (
     CoordField,
     ExprField,
     FormField,
-    Jet2,
     MetricField,
     Program,
     ScalarField,
@@ -309,11 +309,10 @@ class TestLieDerivative:
                 for i in range(3):
                     for j in range(3):
                         comp = omega.comp((i, j))
-                        jet = comp.jet(p)
-                        w[i, j] = jet.value
-                        dw[:, i, j] = jet.grad
+                        w[i, j] = comp.value(p)
+                        dw[:, i, j] = gradient(comp, p)
                 vv = np.array([v.comps[k].value(p) for k in range(3)])
-                dv = np.array([v.comps[k].jet(p).grad for k in range(3)])
+                dv = np.array([gradient(v.comps[k], p) for k in range(3)])
                 for i in range(3):
                     for j in range(i + 1, 3):
                         direct = (
@@ -389,7 +388,7 @@ class TestAntisymmetricStorage:
         _, comp = pair_container(kind, ch, field)
         pts = ch.sample(6, 4)
         assert comp((0, 1)) is field
-        assert np.array_equal(comp((1, 0)).eval(pts, 0).value, -field.eval(pts, 0).value)
+        assert np.array_equal(comp((1, 0)).eval(pts), -field.eval(pts))
         assert comp((0, 0)).is_zero and comp((1, 1)).is_zero
         empty, _ = pair_container(kind, ch, const_field(0.0, 2))
         assert empty.comps == {} and empty.is_zero
@@ -433,8 +432,8 @@ class TestMatrixInverse:
         assert inv[0][1].value(p) == 0.0
 
     def test_inverse_jets_match_fd(self):
-        # entries of the pointwise inverse carry exact first and second
-        # derivatives; compare against finite differences of the inverse
+        # the partials of the entries of the pointwise inverse are exact;
+        # compare against finite differences of the inverse
         ch = chart2()
         entries = [
             [f("2 + x^2", ch), f("x*y/2", ch)],
@@ -452,15 +451,16 @@ class TestMatrixInverse:
             p = rng.uniform(-1, 1, size=2)
             for i in range(2):
                 for j in range(2):
-                    jet = inv[i][j].jet(p)
-                    assert jet.value == pytest.approx(inv_entry(p, i, j), abs=1e-12)
+                    entry = inv[i][j]
+                    assert entry.value(p) == pytest.approx(inv_entry(p, i, j), abs=1e-12)
                     for k in range(2):
                         e = np.zeros(2)
                         e[k] = h
                         fd = (inv_entry(p + e, i, j) - inv_entry(p - e, i, j)) / (2 * h)
                         fd = (4 * fd - (inv_entry(p + 2 * e, i, j) - inv_entry(p - 2 * e, i, j)) / (4 * h)) / 3
-                        assert jet.grad[k] == pytest.approx(fd, abs=1e-8)
-                    assert np.array_equal(jet.hess, jet.hess.T)
+                        assert entry.partial(k).value(p) == pytest.approx(fd, abs=1e-8)
+                    mixed = (entry.partial(0).partial(1).value(p), entry.partial(1).partial(0).value(p))
+                    assert mixed[0] == pytest.approx(mixed[1], rel=1e-12, abs=1e-12)
 
     def test_product_is_identity(self):
         ch = chart2()
@@ -482,54 +482,42 @@ def _diagonal_matrix(n: int, d: int, diagonal) -> tuple:
     return tuple(diagonal[k // (n + 1)] if k % (n + 1) == 0 else const_field(0.0, d) for k in range(n * n))
 
 
-def _inverse_jet(entries, n: int, points: np.ndarray, dense: bool) -> Jet2:
-    """The order-2 jet of every entry of the inverse, row-major, from a
-    program compiled with the diagonal fast path or without it."""
-    inv = matrix_inverse_fields([entries[i * n : (i + 1) * n] for i in range(n)])
-    roots = [inv[i][j] for i in range(n) for j in range(n)]
-    core = roots[0].core
-    saved = core.diagonal
-    assert saved is not None
-    core.diagonal = None if dense else saved
-    try:
-        program = Program([(roots, 2)], points.shape[1])
-    finally:
-        core.diagonal = saved
+def _inverse_jet(entries, n: int, points: np.ndarray, dense: bool) -> np.ndarray:
+    """The values ``(3, n, P)`` of each diagonal entry of the inverse and of
+    its first and second partials along coordinate 0, from a program
+    compiled with the diagonal fast path or without it (a core of its own
+    whose entries off the diagonal are nodes)."""
+    if dense:
+        core = fields._MatrixInverse(tuple(entries))
+        core.diagonal = None
+        diagonal = [fields._shared(fields.MatrixInverseField, core, i, i) for i in range(n)]
+    else:
+        inv = matrix_inverse_fields([entries[i * n : (i + 1) * n] for i in range(n)])
+        assert inv[0][0].core.diagonal is not None
+        diagonal = [inv[i][i] for i in range(n)]
+    roots = [diagonal, [g.partial(0) for g in diagonal], [g.partial(0).partial(0) for g in diagonal]]
     with np.errstate(all="ignore"):
-        return next(program.run(points))
+        return np.stack(list(Program(roots, points.shape[1]).run(points)))
 
 
 class TestDiagonalInverse:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("d", range(1, 5))
     def test_jets_equal_the_dense_path_bit_for_bit(self, n, d):
+        # the diagonal's values, entrywise, are the dense inverse's, and its
+        # zeros off the diagonal are the dense path's up to sign
         rng = np.random.default_rng(100 * n + d)
         core = _MatrixInverse(_diagonal_matrix(n, d, [CoordField(0, d)] * n))
-        for order in range(3):
-            for _ in range(3):
-                count = 9
-                value = _signed_magnitudes(rng, (n, count))
-                grad = _signed_magnitudes(rng, (n, d, count))
-                hess = _signed_magnitudes(rng, (n, d, d, count))
-                hess = hess + hess.transpose(0, 2, 1, 3)
-                parts = (value, grad if order else None, hess if order > 1 else None)
-                fast = core.diagonal_jet(Jet2(*parts))
-                full = []
-                for x in parts:
-                    if x is not None:
-                        m = np.zeros((n * n, *x.shape[1:]))
-                        m[:: n + 1] = x
-                        full.append(m)
-                dense = core.jet(Jet2(*full, *[None] * (3 - len(full))), order)
-                for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
-                    if b is None:
-                        assert a is None
-                        continue
-                    b = np.moveaxis(b, 0, -1)
-                    diagonal = np.stack([b[i, i] for i in range(n)])
-                    assert a.tobytes() == diagonal.tobytes()
-                    # the dense path's zeros off the diagonal may be -0.0
-                    assert not np.any([b[i, j] for i in range(n) for j in range(n) if i != j])
+        for _ in range(3):
+            count = 9
+            value = _signed_magnitudes(rng, (n, count))
+            fast = core.diagonal_values(value)
+            full = np.zeros((n * n, count))
+            full[:: n + 1] = value
+            dense = core.values(full)
+            assert fast.tobytes() == np.stack([dense[:, i, i] for i in range(n)]).tobytes()
+            # the dense path's zeros off the diagonal may be -0.0
+            assert not np.any([dense[:, i, j] for i in range(n) for j in range(n) if i != j])
 
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (4, 2)])
     def test_program_reads_the_dense_path_entries(self, n, d):
@@ -544,10 +532,7 @@ class TestDiagonalInverse:
         points = ch.sample(17, 5)
         fast = _inverse_jet(entries, n, points, dense=False)
         dense = _inverse_jet(entries, n, points, dense=True)
-        on = [i * (n + 1) for i in range(n)]
-        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
-            assert a[on].tobytes() == b[on].tobytes()
-            assert np.array_equal(a, b)
+        assert fast.tobytes() == dense.tobytes()
 
     def test_a_zero_diagonal_value_names_the_dense_paths_point(self):
         ch = chart2()
@@ -560,18 +545,24 @@ class TestDiagonalInverse:
                 _inverse_jet(entries, 2, points, dense)
             assert err.value.point == 4
 
+    # In the three cases below the fast path's values are the dense path's,
+    # and so are the partials of entry 0, which depends on x.  The partial
+    # along x of entry 1 is a structural zero on the fast path, where the
+    # dense path multiplies its zeros off the diagonal by a derivative of
+    # entry 0, which may not be finite
+
     def test_a_nonfinite_derivative_gives_the_dense_paths_output(self):
         # at x = 1 the value is finite (about 8.2e7) and the derivative
-        # overflows to inf, so the dense path puts NaN off the diagonal
+        # overflows to inf
         ch = chart2()
         entries = _diagonal_matrix(2, 2, [f("1 + exp(709*x)/1e300", ch), f("2 + y", ch)])
         points = ch.sample(9, 3).copy()
         points[5, 0] = 1.0
         fast = _inverse_jet(entries, 2, points, dense=False)
         dense = _inverse_jet(entries, 2, points, dense=True)
-        assert np.isfinite(fast.value).all() and np.isnan(dense.grad).any()
-        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
-            assert np.array_equal(a, b, equal_nan=True)
+        assert np.isfinite(fast[0]).all() and not np.isfinite(dense[1, 0]).all()
+        assert np.array_equal(fast[0], dense[0]) and np.array_equal(fast[:, 0], dense[:, 0], equal_nan=True)
+        assert not fast[1:, 1].any()
 
     def test_an_infinite_diagonal_value_gives_the_dense_paths_nan(self):
         # 1e308*(2 + y) overflows to inf for y > -1, with a finite gradient,
@@ -581,26 +572,27 @@ class TestDiagonalInverse:
         points = ch.sample(9, 3)
         fast = _inverse_jet(entries, 2, points, dense=False)
         dense = _inverse_jet(entries, 2, points, dense=True)
-        assert np.isnan(dense.value).any() and np.isfinite(dense.value).any()
-        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
-            assert np.array_equal(a, b, equal_nan=True)
+        assert np.isnan(dense[0]).any() and np.isfinite(dense[0]).any()
+        assert np.array_equal(fast[0], dense[0], equal_nan=True)
+        assert np.array_equal(fast[:, 0], dense[:, 0], equal_nan=True)
 
     def test_an_overflowing_inverse_gives_the_dense_paths_output(self):
-        # 1/1e-310 overflows, and the dense inverse is NaN off the diagonal
+        # 1/1e-310 overflows
         ch = chart2()
         entries = _diagonal_matrix(2, 2, [f("1e-310 + 0*x", ch), f("2 + y", ch)])
         points = ch.sample(5, 3)
         fast = _inverse_jet(entries, 2, points, dense=False)
         dense = _inverse_jet(entries, 2, points, dense=True)
-        assert np.isnan(dense.value).any()
-        for a, b in zip((fast.value, fast.grad, fast.hess), (dense.value, dense.grad, dense.hess)):
-            assert np.array_equal(a, b, equal_nan=True)
+        assert not np.isfinite(dense[0]).all()
+        assert np.array_equal(fast[0], dense[0], equal_nan=True)
+        assert np.array_equal(fast[:, 0], dense[:, 0], equal_nan=True)
 
     def test_an_entry_off_the_diagonal_keeps_the_dense_path(self):
         ch = chart2()
         g = MetricField(ch, {(0, 0): f("2", ch), (0, 1): f("x/2", ch), (1, 1): f("1", ch)})
         assert g.inverse()[0][0].core.diagonal is None
-        assert MetricField.identity(ch).inverse()[0][0].core.diagonal is not None
+        identity = MetricField.identity(ch).inverse()
+        assert identity[0][0].core.diagonal is not None and identity[0][1].is_zero
 
 
 class TestDiagonalCond:
@@ -643,19 +635,18 @@ _coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 @given(_coeff, _coeff, st.floats(min_value=-1.4, max_value=1.4), st.floats(min_value=-1.4, max_value=1.4))
 @settings(max_examples=60, deadline=None)
 def test_field_algebra_product_rule(a, b, px, py):
-    # jets of (a x + b y^2) * (x y) match the hand-expanded product
+    # (a x + b y^2) * (x y) and its partials match the hand-expanded product
     ch = chart2()
     left = FormField(ch, 0, {(): f(f"{a!r}*x + {b!r}*y^2", ch)}).comp(())
     right = f("x*y", ch)
     prod = left * right
     p = np.array([px, py])
-    jet = prod.jet(p)
     value = (a * px + b * py * py) * (px * py)
-    assert jet.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert prod.value(p) == pytest.approx(value, rel=1e-12, abs=1e-12)
     dx = a * px * py + (a * px + b * py * py) * py
     dy = 2 * b * py * px * py + (a * px + b * py * py) * px
-    assert jet.grad[0] == pytest.approx(dx, rel=1e-12, abs=1e-12)
-    assert jet.grad[1] == pytest.approx(dy, rel=1e-12, abs=1e-12)
+    assert prod.partial(0).value(p) == pytest.approx(dx, rel=1e-12, abs=1e-12)
+    assert prod.partial(1).value(p) == pytest.approx(dy, rel=1e-12, abs=1e-12)
 
 
 @given(_coeff, _coeff, st.sampled_from(PAIR_KINDS))

@@ -86,11 +86,11 @@ class TestPoissonBracket:
         for p in pts:
             for k in range(2):
                 lie = sum(
-                    rho[j].value(p) * rho2[k].jet(p).grad[j] - rho2[j].value(p) * rho[k].jet(p).grad[j]
+                    rho[j].value(p) * rho2[k].partial(j).value(p) - rho2[j].value(p) * rho[k].partial(j).value(p)
                     for j in range(2)
                 )
                 worst = max(worst, abs(br.comp((k,)).value(p) - lie))
-            deg0 = sum(rho[j].value(p) * al2.jet(p).grad[j] - rho2[j].value(p) * al.jet(p).grad[j] for j in range(2))
+            deg0 = sum(rho[j].value(p) * al2.partial(j).value(p) - rho2[j].value(p) * al.partial(j).value(p) for j in range(2))
             worst = max(worst, abs(br.comp(()).value(p) - deg0))
         assert worst < 1e-12
 

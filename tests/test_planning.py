@@ -110,13 +110,15 @@ def test_a_nan_field_reads_nan_in_exactly_the_row_sets_holding_it():
 
 
 def _counted_contractions(monkeypatch, builder) -> list:
-    """Record every (vector, form) pair that ``interior_product`` is
+    """Record every (vector, 2-form) pair that ``interior_product`` is
     called with at the fields module's name, where a Lie derivative
-    would contract, and at the name ``builder`` calls."""
+    would contract, and at the name ``builder`` calls.  The Lie
+    derivative of a 2-form also contracts its d, a 3-form, not recorded."""
     contract, calls = fields.interior_product, []
 
     def counted(v, omega):
-        calls.append((tuple(map(id, v.comps)), tuple((k, id(f)) for k, f in sorted(omega.comps.items()))))
+        if omega.degree == 2:
+            calls.append((tuple(map(id, v.comps)), tuple((k, id(f)) for k, f in sorted(omega.comps.items()))))
         return contract(v, omega)
 
     for module in (fields, builder):

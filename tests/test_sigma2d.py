@@ -106,13 +106,12 @@ class TestBoundaryConditions:
         worst = 0.0
         for p in pts:
             rho = [alg.anchor[0][i].value(p) for i in range(2)]
-            eta_jets = [eta.comp((i,)).jet(p) for i in range(2)]
             for i in range(2):
                 ref = 0.0
                 for j in range(2):
                     ref += rho[j] * b.comp((j, i)).value(p)
-                    ref += rho[j] * eta_jets[i].grad[j]
-                    ref += eta_jets[j].value * alg.anchor[0][j].jet(p).grad[i]
+                    ref += rho[j] * eta.comp((i,)).partial(j).value(p)
+                    ref += eta.comp((j,)).value(p) * alg.anchor[0][j].partial(i).value(p)
                 worst = max(worst, abs(p2[i][1].value(p) - ref))
         assert worst < 1e-13
         assert max_abs_fields([x for _, x in p2], pts) < 1e-13
