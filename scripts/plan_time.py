@@ -19,11 +19,18 @@ kernels alone, on tables bound already, as a model reused seed after
 seed runs them), and making the report (``report``: every plan's step,
 then ``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do
 them.
+The last column, ``request``, is the minimum over N whole requests
+``momsec.cli.main(["check", PATH, "--format", "json"])`` on the model
+written to a file (at its own seed and point count; the report is
+discarded): the cost the benchmark's fixtures workload measures, which
+the layer columns can be read against.  It adds what the layers leave
+out: parsing the command line, reading the file, drawing the sample and
+writing the report.
 One line per model gives the minimum of each over the N loads, in ms.
-Before each load the previous model, its plans and its program are
-dropped and collected, so the node table is empty: a node of a live
-model would be shared with the new one and make its planning read too
-fast.
+Before each load or request the previous model, its plans and its
+program are dropped and collected, so the node table is empty: a node
+of a live model would be shared with the new one and make its planning
+read too fast.
 
 A second table counts, while planning every applicable suite once, the
 multiplications with a structural-zero operand, the ``Components.comp``
@@ -31,9 +38,12 @@ lookups that return a zero, and the scalar nodes built that no probe of
 the run plan reaches (``unreached``).
 """
 
+import contextlib
 import gc
+import io
 import pathlib
 import sys
+import tempfile
 import time
 
 # the so(n) generator lives in the benchmark directory at the repo root
@@ -41,7 +51,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 import numpy as np  # noqa: E402
 
-from momsec import fields, suites  # noqa: E402
+from momsec import cli, fields, suites  # noqa: E402
 from momsec.fixtures import fixture_bytes, fixture_names  # noqa: E402
 from momsec.modelfile import load_model_bytes  # noqa: E402
 from perfbench.models import son_model_bytes  # noqa: E402
@@ -92,6 +102,23 @@ def timings(raw: bytes) -> dict:
         ctx.report.to_json()
     out["report"] = time.perf_counter() - start
     return out
+
+
+def request_time(raw: bytes, rounds: int) -> float:
+    """Seconds of the quickest of ``rounds`` whole check requests on the
+    model ``raw``, read from a file as the CLI reads it."""
+    best = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "model.json")
+        pathlib.Path(path).write_bytes(raw)
+        for _ in range(rounds):
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                cli.main(["check", path, "--format", "json"])
+                seconds = time.perf_counter() - start
+            best = seconds if best is None else min(best, seconds)
+    return best
 
 
 def planning_counts(raw: bytes) -> dict:
@@ -145,7 +172,7 @@ def main(argv: list[str]) -> int:
     print(f"minimum of {rounds} fresh loads, ms; evaluation at seed {SEED}, {POINTS} points")
     print(
         f"{'model':28s} {'load':>6s} {'plan':>6s} {'compile':>7s} {'run':>6s} {'rerun':>6s} {'reduce':>6s} "
-        f"{'report':>6s}  plan by suite"
+        f"{'report':>6s} {'request':>7s}  plan by suite"
     )
     for name, raw in models():
         best: dict = {}
@@ -155,10 +182,11 @@ def main(argv: list[str]) -> int:
                 best[layer] = min(best.get(layer, seconds), seconds)
         plan = [layer for layer in best if layer in suites.SUITE_NAMES]
         by_suite = " ".join(f"{layer}={1e3 * best[layer]:.3f}" for layer in plan)
+        request = request_time(raw, rounds)
         print(
             f"{name:28s} {1e3 * best['load']:6.3f} {1e3 * sum(best[s] for s in plan):6.3f} "
             f"{1e3 * best['compile']:7.3f} {1e3 * best['run']:6.3f} {1e3 * best['rerun']:6.3f} {1e3 * best['reduce']:6.3f} "
-            f"{1e3 * best['report']:6.3f}  {by_suite}"
+            f"{1e3 * best['report']:6.3f} {1e3 * request:7.3f}  {by_suite}"
         )
     print()
     print(f"{'model':28s} {'zero products':>13s} {'zero lookups':>12s} {'unreached':>9s}")

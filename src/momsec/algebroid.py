@@ -19,12 +19,12 @@ from functools import cached_property
 from itertools import combinations
 
 from .fields import (
+    ZERO,
     Chart,
     Components,
     ConstField,
     ScalarField,
     VectorField,
-    const_field,
     field_sum_d,
     index_label,
     lie_bracket_terms,
@@ -76,8 +76,13 @@ class AlgebroidData:
         hypothesis of the constant-bracket reductions."""
         return all(isinstance(f, ConstField) and math.isfinite(f.c) for C in self.C for f in C.comps.values())
 
+    @cached_property
+    def _anchor_vectors(self) -> list:
+        return [VectorField(self.chart, list(row)) for row in self.anchor]
+
     def anchor_vector(self, a: int) -> VectorField:
-        return VectorField(self.chart, list(self.anchor[a]))
+        """rho_a as a vector field, made on first use."""
+        return self._anchor_vectors[a]
 
     def apply_anchor(self, a: int, f: ScalarField) -> ScalarField:
         """rho(e_a) f = rho^i_a d_i f."""
@@ -143,7 +148,7 @@ class EForm(Components):
         super().__init__(comps)
 
     def _zero(self) -> ScalarField:
-        return const_field(0.0, self.alg.dim)
+        return ZERO[self.alg.dim]
 
     def _like(self, comps) -> "EForm":
         return EForm(self.alg, self.degree, comps)

@@ -16,9 +16,9 @@ from functools import cached_property
 
 from .algebroid import AlgebroidData
 from .fields import (
+    ZERO,
     FormField,
     MetricField,
-    const_field,
     exterior_derivative,
     by_place,
     field_sum_d,
@@ -36,7 +36,7 @@ class ConnectionData:
 
     @staticmethod
     def flat(alg: AlgebroidData) -> "ConnectionData":
-        zero = const_field(0.0, alg.dim)
+        zero = ZERO[alg.dim]
         r, d = alg.rank, alg.dim
         return ConnectionData(alg, [[[zero] * d for _ in range(r)] for _ in range(r)])
 
@@ -83,17 +83,18 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
     return out
 
 
-def e_nabla_metric_fields(conn: ConnectionData, g: MetricField):
+def e_nabla_metric_fields(conn: ConnectionData, g: MetricField, lies=None):
     """Residuals of the tangent-action compatibility of the metric.
 
     (L_{rho_a} g)_ij - Gamma^b_{a i} rho^k_b g_kj - Gamma^b_{a j} rho^k_b g_ki,
-    per basis index a and i <= j.
+    per basis index a and i <= j; ``lies``, when given, is [a] -> L_{rho_a} g,
+    made already.
     """
     alg = conn.alg
     d = alg.dim
     out = []
     for a in range(alg.rank):
-        lie = lie_derivative_metric(alg.anchor_vector(a), g)
+        lie = lie_derivative_metric(alg.anchor_vector(a), g) if lies is None else lies[a]
         for i in range(d):
             for j in range(i, d):
                 # placed as in the dense loop over b, then k, then the pair
@@ -115,8 +116,11 @@ def e_nabla_two_form_fields(conn: ConnectionData, B: FormField):
     """
     alg = conn.alg
     d = alg.dim
+    zero = ZERO[d]
+    if B.is_zero:
+        # every term has a factor of B
+        return [(index_label(a=a, i=(i, j)), zero) for a in range(alg.rank) for i in range(d) for j in range(i + 1, d)]
     rows = B.incidence
-    zero = const_field(0.0, d)
     out = []
     for a in range(alg.rank):
         rho = alg.anchor[a]

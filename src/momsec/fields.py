@@ -89,7 +89,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import count
+from itertools import chain, count
 from operator import attrgetter
 
 import numpy as np
@@ -119,6 +119,14 @@ class Chart:
     @cached_property
     def dim(self) -> int:
         return len(self.coordinates)
+
+    @cached_property
+    def _parsing(self) -> tuple:
+        """What parsing against this chart reads: the coordinate index by
+        name (the names themselves if one is given twice, which the
+        parser rejects) and the node builder."""
+        names = {name: i for i, name in enumerate(self.coordinates)}
+        return names if len(names) == self.dim else self.coordinates, partial(_node, self.dim)
 
     @cached_property
     def _corner(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,12 +186,19 @@ def _keep(key, node):
 def _shared(cls, *args):
     """The node ``cls(*args)``: the live one built already, or a new one."""
     key = (cls, *args)
-    node = _live(key)
-    if node is None:
-        node = cls(*args)
-        node.serial = next(_SERIAL)
-        _keep(key, node)
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = cls(*args)
+    node.serial = next(_SERIAL)
+    ref = _NODES[key] = _Entry(node, _forget)
+    ref.key = key
     return node
+
+
+_LEVEL, _INPUTS = attrgetter("level"), attrgetter("inputs")
 
 
 class ScalarField:
@@ -201,7 +216,8 @@ class ScalarField:
     slots, from its operands' slots in the program's table and the
     attributes named in ``_params`` (or from its own ``_args``), and
     ``_derivative(i)``, its partial by the rule of its class, for an ``i``
-    it reaches.
+    it reaches.  ``_group`` keys the nodes that one kernel may evaluate
+    together: the class, or what a subclass's kernel needs besides.
     """
 
     dim: int
@@ -210,8 +226,10 @@ class ScalarField:
     reach = 0
     # the table's number of the node; -1 for one built outside it
     serial = -1
-    # ready nodes of one class and kind are one group of a program
-    _kind = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._group = cls
 
     def _built_on(self, inputs: tuple):
         self.inputs = inputs
@@ -262,7 +280,7 @@ class ScalarField:
 
     def scaled(self, c: float) -> "ScalarField":
         if c == 0.0:
-            return const_field(0.0, self.dim)
+            return ZERO[self.dim]
         if c == 1.0:
             return self
         return _shared(ScaledField, c, self)
@@ -273,14 +291,17 @@ class ScalarField:
         builds.  The table keeps a partial this call built while it lives;
         one live already (an input, say) is found again by building it."""
         if not self.reach >> i & 1:
-            return const_field(0.0, self.dim)
+            return ZERO[self.dim]
         key = (_PARTIAL, self, i)
-        node = _live(key)
-        if node is None:
-            first = next(_SERIAL)
-            node = self._derivative(i)
-            if node.serial > first:
-                _keep(key, node)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        first = next(_SERIAL)
+        node = self._derivative(i)
+        if node.serial > first:
+            _keep(key, node)
         return node
 
     def _terms(self, i: int) -> list:
@@ -305,8 +326,10 @@ class ScalarField:
         slots of that input of every node; then for each name in
         ``_params``, that attribute of every node."""
         # the nodes of a group have one number of inputs
-        inputs = [_gather(column, slots) for column in zip(*(n.inputs for n in nodes))]
-        return (*inputs, *(np.array(list(map(attrgetter(name), nodes))) for name in cls._params))
+        args = [_gather(column, slots) for column in zip(*map(_INPUTS, nodes))]
+        for name in cls._params:
+            args.append(np.array(list(map(attrgetter(name), nodes))))
+        return tuple(args)
 
 
 class ConstField(ScalarField):
@@ -328,17 +351,30 @@ class ConstField(ScalarField):
         return self if self.is_zero else const_field(-self.c, self.dim)
 
 
+class _Singletons(dict):
+    """dim -> the constant ``value`` on a chart of dimension dim, made on
+    first read: ``ZERO[dim]`` is one dict read."""
+
+    def __init__(self, value: float):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, dim: int) -> ConstField:
+        node = self[dim] = ConstField(self.value, dim)
+        return node
+
+
 # zeros, the most frequent constant by far, and ones, which every
 # coordinate's partial is, are per-dimension singletons outside the table
-_SINGLETONS: dict[tuple[float, int], ConstField] = {}
+ZERO = _Singletons(0.0)
+ONE = _Singletons(1.0)
 
 
 def const_field(value: float, dim: int) -> ConstField:
-    if value == 0.0 or value == 1.0:
-        key = (float(value), dim)
-        if key not in _SINGLETONS:
-            _SINGLETONS[key] = ConstField(value, dim)
-        return _SINGLETONS[key]
+    if value == 0.0:
+        return ZERO[dim]
+    if value == 1.0:
+        return ONE[dim]
     return _shared(ConstField, value, dim)
 
 
@@ -357,7 +393,7 @@ class CoordField(ScalarField):
         out[...] = t.points[:, i].T
 
     def _derivative(self, i):
-        return const_field(1.0, self.dim)
+        return ONE[self.dim]
 
 
 # Derivative rules build only what their result reads: each tests a
@@ -371,7 +407,7 @@ class CoordField(ScalarField):
 def _times(u: ScalarField, v: ScalarField) -> ScalarField:
     """u * v; either may be zero or one."""
     if u.is_zero or v.is_zero:
-        return const_field(0.0, u.dim)
+        return ZERO[u.dim]
     if u.__class__ is ConstField and u.c == 1.0:
         return v
     return u if v.__class__ is ConstField and v.c == 1.0 else u * v
@@ -405,6 +441,7 @@ class RuleField(ScalarField):
 
     def __init__(self, rule, param, text: str, *inputs: ScalarField):
         self._kind = (rule, param)
+        self._group = (RuleField, rule, param)
         self.text = text
         self.dim = inputs[0].dim
         self._built_on(inputs)
@@ -436,7 +473,7 @@ def _power_partial(q, p, i):
     (u,) = q.inputs
     du = u.partial(i)
     if p == 0.0 or du.is_zero:
-        return const_field(0.0, q.dim)
+        return ZERO[q.dim]
     if p == 1.0:
         return du
     if p == 2.0:
@@ -453,10 +490,10 @@ def _variable_power_partial(q, part, i):
     db = b.partial(i)
     if part == "inverse":
         # d(1/b) = -(1/b)^2 b'
-        return const_field(0.0, q.dim) if db.is_zero else _times(_scale(q * q, -1.0), db)
+        return ZERO[q.dim] if db.is_zero else _times(_scale(q * q, -1.0), db)
     if part == "log":
         # d(log b) = (1/b) b'
-        return const_field(0.0, q.dim) if db.is_zero else _times(_shared(RuleField, variable_power, "inverse", _primed(q.text), b, q), db)
+        return ZERO[q.dim] if db.is_zero else _times(_shared(RuleField, variable_power, "inverse", _primed(q.text), b, q), db)
     # q (e' log b + e (log b)'), log b reading q
     de = other.partial(i)
     terms = []
@@ -473,8 +510,8 @@ def _call_partial(q, func, i):
     (u, *_) = q.inputs
     du = u.partial(i)
     if du.is_zero:
-        return const_field(0.0, q.dim)
-    one, name = const_field(1.0, q.dim), _primed(q.text)
+        return ZERO[q.dim]
+    one, name = ONE[q.dim], _primed(q.text)
     factor = {
         "sin": lambda: _shared(RuleField, call, "cos", name, u),
         "cos": lambda: _scale(_shared(RuleField, call, "sin", name, u), -1.0),
@@ -543,7 +580,7 @@ class ExprField:
 
     @staticmethod
     def parse(source: str, chart: Chart) -> ScalarField:
-        return parse(source, chart.coordinates, partial(_node, chart.dim))
+        return parse(source, *chart._parsing)
 
 
 def eval_jet(field: ScalarField, point) -> float:
@@ -718,13 +755,16 @@ def field_sum_d(terms, dim: int) -> ScalarField:
     flat = _flat(terms)
     if len(flat) > 1:
         return _shared(SumField, flat)
-    return flat[0] if flat else const_field(0.0, dim)
+    return flat[0] if flat else ZERO[dim]
+
+
+_PLACE = operator.itemgetter(0)
 
 
 def by_place(terms) -> list:
     """The terms of ``[(place, term)]`` by increasing place, where places
     number the terms of a sum in the order of its dense loop."""
-    return [t for _, t in sorted(terms, key=operator.itemgetter(0))]
+    return [t for _, t in sorted(terms, key=_PLACE)]
 
 
 def ordered_sums(terms: dict, dim: int) -> dict:
@@ -814,7 +854,7 @@ class MatrixInverseField(ScalarField):
         self.i = i
         self.j = j
         self.dim = core.dim
-        self._kind = core
+        self._group = core
         self._built_on(core.entries)
 
     @classmethod
@@ -841,7 +881,7 @@ class MatrixInverseField(ScalarField):
         n, dim = core.n, self.dim
         if core.diagonal is not None:
             dm = core.diagonal[i].partial(k)
-            return const_field(0.0, dim) if dm.is_zero else _scale(_times(_times(self, dm), self), -1.0)
+            return ZERO[dim] if dm.is_zero else _scale(_times(_times(self, dm), self), -1.0)
         entry = partial(_shared, MatrixInverseField, core)
         dM = [f.partial(k) for f in core.entries]
         terms = []
@@ -849,7 +889,7 @@ class MatrixInverseField(ScalarField):
             inner = field_sum_d([_times(entry(i, m), dM[m * n + l]) for m in range(n) if not dM[m * n + l].is_zero], dim)
             if not inner.is_zero:
                 terms.append(_times(inner, entry(l, j)))
-        return _scale(field_sum_d(terms, dim), -1.0) if terms else const_field(0.0, dim)
+        return _scale(field_sum_d(terms, dim), -1.0) if terms else ZERO[dim]
 
 
 def point_matrices(x: np.ndarray, rows: int) -> np.ndarray:
@@ -901,7 +941,7 @@ class _InverseRow:
         if not 0 <= j < self.core.n:
             raise IndexError(j)
         if self.core.diagonal is not None and j != self.i:
-            return const_field(0.0, self.core.dim)
+            return ZERO[self.core.dim]
         return _shared(MatrixInverseField, self.core, self.i, j)
 
 
@@ -932,7 +972,8 @@ class Program:
     Then it schedules the nodes by readiness: a node is ready once every
     one of its inputs has been scheduled, so the leaves, coordinates and
     constants, are ready first.  It keeps a count of each key's nodes
-    (its class and ``_kind``) not yet scheduled.  Among the keys that
+    (its ``_group``: the class, with a rule node's rule and parameter or
+    an inverse entry's matrix) not yet scheduled.  Among the keys that
     have ready nodes it takes first a key whose every node left is
     ready, so that one group holds all of them; among those, or among all
     keys with ready nodes when no key is whole, it takes the key whose
@@ -940,9 +981,9 @@ class Program:
     has had ready nodes longest.  All of that key's ready nodes become
     one group, and take the next rows of the value table, their slots,
     until no node is left; ``slots`` is their count.  The entries of a
-    matrix inverse share their inputs and their ``_kind``, so they
-    become ready together and are one group per inverse.  The schedule
-    depends on insertion order alone, never on hashing.
+    matrix inverse share their inputs and their key, so they become
+    ready together and are one group per inverse.  The schedule depends
+    on insertion order alone, never on hashing.
     ``run`` runs each group, in that order, as one numpy kernel over the
     stacked rows of its operands, so every node is evaluated once per
     call, after its inputs; the leaves' kernels fill their rows from the
@@ -957,9 +998,9 @@ class Program:
         # a node's height is final when its level is reached.  ``users``
         # lists a consumer once for every input position at which it reads
         # the node, and ``waiting`` counts those positions
-        height = dict.fromkeys((f for fields in groups for f in fields), 0)
+        height = dict.fromkeys(chain.from_iterable(groups), 0)
         users = {f: [] for f in height}
-        buckets = [[] for _ in range(max((f.level for f in height), default=0) + 1)]
+        buckets = [[] for _ in range(max(map(_LEVEL, height), default=0) + 1)]
         for f in height:
             buckets[f.level].append(f)
         waiting: dict = {}
@@ -984,16 +1025,21 @@ class Program:
         # the count of each key's nodes not yet scheduled, the ready nodes
         # by key, the greatest height among each key's, and the nodes the
         # last group made ready: the leaves at first
-        unscheduled = Counter(zip(map(type, height), map(attrgetter("_kind"), height)))
+        unscheduled = Counter(map(attrgetter("_group"), height))
         ready: dict = {}
         tallest: dict = {}
         fresh = buckets[0]
         while True:
             for node in fresh:
-                key = (node.__class__, node._kind)
-                ready.setdefault(key, []).append(node)
-                if tallest.get(key, -1) < height[node]:
+                key = node._group
+                nodes = ready.get(key)
+                if nodes is None:
+                    ready[key] = [node]
                     tallest[key] = height[node]
+                else:
+                    nodes.append(node)
+                    if tallest[key] < height[node]:
+                        tallest[key] = height[node]
             if not ready:
                 break
             # a key none of whose nodes still waits goes first, so each of
@@ -1001,8 +1047,9 @@ class Program:
             whole = [key for key in tallest if len(ready[key]) == unscheduled[key]]
             key = max(whole or tallest, key=tallest.__getitem__)
             del tallest[key]
-            cls = key[0]
-            nodes = cls._arrange(ready.pop(key))
+            nodes = ready.pop(key)
+            cls = nodes[0].__class__
+            nodes = cls._arrange(nodes)
             unscheduled[key] -= len(nodes)
             start = len(slots)
             slots.update(zip(nodes, range(start, start + len(nodes))))
@@ -1131,6 +1178,8 @@ class Components:
         f = self.comps.get(idx)
         if f is not None:
             return f
+        if not self.comps:
+            return self._zero()
         if self.symmetric:
             f = self.comps.get(tuple(sorted(idx)))
             return self._zero() if f is None else f
@@ -1210,7 +1259,7 @@ class FormField(Components):
         super().__init__(comps)
 
     def _zero(self) -> ScalarField:
-        return const_field(0.0, self.chart.dim)
+        return ZERO[self.chart.dim]
 
     def _like(self, comps) -> "FormField":
         return FormField(self.chart, self.degree, comps)
@@ -1291,15 +1340,19 @@ def interior_product(v: "VectorField", omega: FormField) -> FormField:
     return FormField(omega.chart, omega.degree - 1, {k: Deferred(by_place(ts), dim) for k, ts in sorted(terms.items())})
 
 
-def lie_derivative(v: "VectorField", omega: FormField, contracted: FormField | None = None) -> FormField:
+def lie_derivative(
+    v: "VectorField", omega: FormField, contracted: FormField | None = None, derived: FormField | None = None
+) -> FormField:
     """Cartan formula: L_v = i_v d + d i_v, each component's terms summed
-    once; ``contracted``, when given, is i_v omega, made already."""
+    once; ``contracted`` and ``derived``, when given, are i_v omega and d
+    omega, made already."""
     chart = omega.chart
     # i_v d omega first: each of its components a deferred sum, whose terms
     # are added in their place
     terms = {}
     if omega.degree < chart.dim:
-        terms = {key: [((0, 0), f)] for key, f in interior_product(v, exterior_derivative(omega)).comps.items()}
+        d = exterior_derivative(omega) if derived is None else derived
+        terms = {key: [((0, 0), f)] for key, f in interior_product(v, d).comps.items()}
     if omega.degree >= 1:
         _scatter_d(interior_product(v, omega) if contracted is None else contracted, terms, 1)
     return FormField(chart, omega.degree, ordered_sums(terms, chart.dim))
@@ -1319,7 +1372,7 @@ class VectorField:
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, [const_field(0.0, chart.dim) for _ in range(chart.dim)])
+        return VectorField(chart, [ZERO[chart.dim] for _ in range(chart.dim)])
 
     def stored(self) -> list:
         """[(i, v^i)] over the non-zero components."""
@@ -1343,7 +1396,7 @@ class MetricField:
     def __init__(self, chart: Chart, entries: dict[tuple[int, int], ScalarField]):
         self.chart = chart
         d = chart.dim
-        self.g = [[const_field(0.0, d) for _ in range(d)] for _ in range(d)]
+        self.g = [[ZERO[d] for _ in range(d)] for _ in range(d)]
         for (i, j), f in entries.items():
             if i > j:
                 raise ValueError("metric entries are keyed by upper-triangle indices")
@@ -1355,12 +1408,16 @@ class MetricField:
     @staticmethod
     def identity(chart: Chart) -> "MetricField":
         return MetricField(
-            chart, {(i, i): const_field(1.0, chart.dim) for i in range(chart.dim)}
+            chart, {(i, i): ONE[chart.dim] for i in range(chart.dim)}
         )
 
-    def inverse(self):
-        """Entry fields of g^{-1}, differentiable as every field is."""
+    @cached_property
+    def _inverse(self) -> list:
         return matrix_inverse_fields(self.g)
+
+    def inverse(self):
+        """Entry fields of g^{-1}, differentiable as every field is; made on first use."""
+        return self._inverse
 
     @property
     def diagonal(self) -> tuple | None:

@@ -27,13 +27,13 @@ from dataclasses import dataclass, replace
 from .algebroid import AlgebroidData
 from .connections import ConnectionData
 from .fields import (
+    ZERO,
     Components,
     Deferred,
     FormField,
     MetricField,
     ScalarField,
     VectorField,
-    const_field,
     exterior_derivative,
     field_sum_d,
     index_label,
@@ -52,7 +52,7 @@ class PhasePolynomial(Components):
         super().__init__(comps)
 
     def _zero(self) -> ScalarField:
-        return const_field(0.0, self.dim)
+        return ZERO[self.dim]
 
     def _like(self, comps) -> "PhasePolynomial":
         return PhasePolynomial(self.dim, comps)
@@ -69,9 +69,8 @@ class PhasePolynomial(Components):
         for key, f in self.comps.items():
             m = key.count(i)
             if m:
-                reduced = list(key)
-                reduced.remove(i)
-                out[tuple(reduced)] = f.scaled(float(m))
+                k = key.index(i)
+                out[key[:k] + key[k + 1 :]] = f.scaled(float(m))
         return PhasePolynomial(self.dim, out)
 
     def dx(self, i: int) -> "PhasePolynomial":
@@ -89,16 +88,24 @@ class PhasePolynomial(Components):
 
 
 class _Operand(dict):
-    """A polynomial in brackets, with its p-derivatives by index, each
-    taken when first read: an operand of several brackets takes each once."""
+    """A polynomial in brackets, with its p-derivatives by index and its
+    x-derivatives (``dx``), each taken when first read: an operand of
+    several brackets takes each once."""
 
     def __init__(self, P: PhasePolynomial):
         super().__init__()
         self.P = P
+        self._dx: dict = {}
 
     def __missing__(self, i: int) -> PhasePolynomial:
         self[i] = dp = self.P.dp(i)
         return dp
+
+    def dx(self, i: int) -> PhasePolynomial:
+        dx = self._dx.get(i)
+        if dx is None:
+            dx = self._dx[i] = self.P.dx(i)
+        return dx
 
 
 def _half_bracket(F: _Operand, G: _Operand, twist: FormField | None) -> PhasePolynomial:
@@ -108,15 +115,17 @@ def _half_bracket(F: _Operand, G: _Operand, twist: FormField | None) -> PhasePol
     terms: dict = {}
     pF, pG = ({i for key in P.comps for i in key} for P in (F.P, G.P))
     for i in sorted(pF):
-        if not (dG := G.P.dx(i)).is_zero:
+        if not (dG := G.dx(i)).is_zero:
             F[i].products(dG, terms)
     if twist is not None:
         for i, row in enumerate(twist.incidence):
             for j in row:
                 if i in pF and j in pG:
-                    part = F[i].mul(G[j]).mul_field(twist.comp((i, j))).scaled(0.5)
-                    for key, f in part.comps.items():
-                        terms.setdefault(key, []).append(f)
+                    # F[i].mul(G[j]).mul_field(B_ij).scaled(0.5), term by term
+                    Bij = twist.comp((i, j))
+                    for key, fs in F[i].products(G[j], {}).items():
+                        if not (f := field_sum_d(fs, dim)).is_zero:
+                            terms.setdefault(key, []).append((f * Bij).scaled(0.5))
     return PhasePolynomial(dim, {key: field_sum_d(v, dim) for key, v in terms.items()})
 
 

@@ -25,13 +25,13 @@ from .algebroid import AlgebroidData
 from .connections import ConnectionData
 from .expressions import ExpressionError
 from .fields import (
+    ZERO,
     Chart,
     ExprField,
     FormField,
     MetricField,
     ScalarField,
     VectorField,
-    const_field,
     sort_signed,
 )
 from .multisym import BundleValuedForm, PrenPlecticData
@@ -85,6 +85,10 @@ class Model:
         return hashlib.sha256(self.raw_bytes).hexdigest()
 
 
+# A message that names a value is formatted only where its check has
+# failed, so a model file that loads builds no error text.
+
+
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise ModelError(path, message)
@@ -92,10 +96,12 @@ def _expect(cond: bool, path: str, message: str):
 
 def _object(pairs) -> dict:
     """A JSON object; a second value under one key would replace the first."""
-    doc = {}
-    for key, value in pairs:
-        _expect(key not in doc, "$", f"key {key!r} given twice in one object")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _expect(key not in seen, "$", f"key {key!r} given twice in one object")
+            seen.add(key)
     return doc
 
 
@@ -107,24 +113,47 @@ def _finite(value) -> bool:
         return False
 
 
-def _field(source, path: str, chart: Chart) -> ScalarField:
-    """The field of an expression entry; equal sources are one node."""
-    _expect(isinstance(source, str), path, "expression must be a string")
-    try:
-        return ExprField.parse(source, chart)
-    except ExpressionError as exc:
-        raise ModelError(path, f"bad expression: {exc}") from exc
+def _field(source, path: str, chart: Chart, pos: int | None = None) -> ScalarField:
+    """The field of an expression at ``path``, or of the expression of
+    entry ``pos`` of the block at ``path``; equal sources are one node."""
+    if isinstance(source, str):
+        try:
+            return ExprField.parse(source, chart)
+        except ExpressionError as exc:
+            raise ModelError(_expr_path(path, pos), f"bad expression: {exc}") from exc
+    raise ModelError(_expr_path(path, pos), "expression must be a string")
 
 
-def _indices(idx, epath: str, key: str, ranges) -> tuple[int, ...]:
-    """The 0-based tuple of a list of 1-based indices, one per range."""
-    _expect(isinstance(idx, list) and len(idx) == len(ranges), epath, f"'{key}' must have {len(ranges)} indices")
-    noun = {"idx_form": "form index", "idx_bundle": "bundle index"}.get(key, "index")
-    for slot, (value, upper) in enumerate(zip(idx, ranges)):
+def _expr_path(path: str, pos: int | None) -> str:
+    return path if pos is None else f"{path}[{pos}].expr"
+
+
+_NOUNS = {"idx_form": "form index", "idx_bundle": "bundle index"}
+
+
+def _indices(idx, ranges) -> tuple[int, ...] | None:
+    """The 0-based tuple of a list of 1-based indices, one per range, or
+    None when it is not one (see :func:`_index_error`)."""
+    if not (isinstance(idx, list) and len(idx) == len(ranges)):
+        return None
+    for value, upper in zip(idx, ranges):
         # a JSON boolean is a Python int, and not an index
-        _expect(type(value) is int, epath, f"{noun} {value!r} is not an integer")
-        _expect(1 <= value <= upper, epath, f"{noun} {value} out of range 1..{upper} (slot {slot + 1})")
+        if type(value) is not int or not 1 <= value <= upper:
+            return None
     return tuple(v - 1 for v in idx)
+
+
+def _index_error(idx, epath: str, key: str, ranges) -> ModelError:
+    """The error for the first fault of an index list that :func:`_indices` refused."""
+    if not (isinstance(idx, list) and len(idx) == len(ranges)):
+        return ModelError(epath, f"'{key}' must have {len(ranges)} indices")
+    noun = _NOUNS.get(key, "index")
+    for slot, (value, upper) in enumerate(zip(idx, ranges)):
+        if type(value) is not int:
+            return ModelError(epath, f"{noun} {value!r} is not an integer")
+        if not 1 <= value <= upper:
+            return ModelError(epath, f"{noun} {value} out of range 1..{upper} (slot {slot + 1})")
+    raise AssertionError("an index list that _indices accepts has no fault")
 
 
 # Canonicalizers map the 0-based index tuples of an entry, one per index
@@ -166,17 +195,26 @@ def _entries(block, path: str, chart: Chart, canon, **ranges):
     and a second entry on one canonical slot, naming the entry.
     """
     _expect(isinstance(block, list), path, "expected a list of entries")
-    needs = "entry needs " + ", ".join(f"'{key}'" for key in ranges) + " and 'expr'"
+    keys = ("expr", *ranges)
+    lists = ranges.items()
     seen = set()
     for pos, entry in enumerate(block):
-        epath = f"{path}[{pos}]"
-        _expect(isinstance(entry, dict), epath, "entry must be an object")
-        _expect("expr" in entry and all(key in entry for key in ranges), epath, needs)
-        key, sign = canon(*(_indices(entry[k], epath, k, upper) for k, upper in ranges.items()))
-        _expect(key is not None, epath, "antisymmetric entry with repeated index")
-        _expect(key not in seen, epath, f"duplicate or contradictory entry for slot {_one_based(key)}")
+        if not (isinstance(entry, dict) and all(map(entry.__contains__, keys))):
+            needs = "entry needs " + ", ".join(f"'{key}'" for key in ranges) + " and 'expr'"
+            _expect(isinstance(entry, dict), f"{path}[{pos}]", "entry must be an object")
+            raise ModelError(f"{path}[{pos}]", needs)
+        indices = [_indices(entry[k], upper) for k, upper in lists]
+        if None in indices:
+            # the first index list at fault
+            k, upper = list(lists)[indices.index(None)]
+            raise _index_error(entry[k], f"{path}[{pos}]", k, upper)
+        key, sign = canon(*indices)
+        if key is None:
+            raise ModelError(f"{path}[{pos}]", "antisymmetric entry with repeated index")
+        if key in seen:
+            raise ModelError(f"{path}[{pos}]", f"duplicate or contradictory entry for slot {_one_based(key)}")
         seen.add(key)
-        f = _field(entry["expr"], epath + ".expr", chart)
+        f = _field(entry["expr"], path, chart, pos)
         yield key, f if sign > 0 else -f
 
 
@@ -184,7 +222,11 @@ def _table(block, path: str, chart: Chart, shape):
     """The fields of a block with no index symmetry, as nested lists of
     ``shape``, zero where it has no entry."""
     cells = dict(_entries(block, path, chart, _plain, idx=shape))
-    table = [cells.get(key, const_field(0.0, chart.dim)) for key in itertools.product(*map(range, shape))]
+    zero = ZERO[chart.dim]
+    if cells:
+        table = [cells.get(key, zero) for key in itertools.product(*map(range, shape))]
+    else:
+        table = [zero] * math.prod(shape)
     for size in reversed(shape[1:]):
         table = [table[i : i + size] for i in range(0, len(table), size)]
     return table
@@ -193,26 +235,24 @@ def _table(block, path: str, chart: Chart, shape):
 def _load_chart(doc, path="chart") -> Chart:
     _expect(isinstance(doc, dict), path, "missing chart block")
     coords = doc.get("coordinates")
-    _expect(isinstance(coords, list) and coords, f"{path}.coordinates", "need a list of names")
+    where = path + ".coordinates"
+    _expect(isinstance(coords, list) and coords, where, "need a list of names")
     for name in coords:
-        _expect(isinstance(name, str) and _IDENT_RE.match(name), f"{path}.coordinates", f"bad name {name!r}")
-    _expect(len(set(coords)) == len(coords), f"{path}.coordinates", "names must be distinct")
-    _expect(len(coords) <= MAX_DIMENSION, f"{path}.coordinates", f"at most {MAX_DIMENSION} coordinates")
+        if not (isinstance(name, str) and _IDENT_RE.match(name)):
+            raise ModelError(where, f"bad name {name!r}")
+    _expect(len(set(coords)) == len(coords), where, "names must be distinct")
+    if len(coords) > MAX_DIMENSION:
+        raise ModelError(where, f"at most {MAX_DIMENSION} coordinates")
     box_doc = doc.get("box")
-    _expect(isinstance(box_doc, list) and len(box_doc) == len(coords), f"{path}.box", "one interval per coordinate")
+    _expect(isinstance(box_doc, list) and len(box_doc) == len(coords), path + ".box", "one interval per coordinate")
     box = []
     for pos, pair in enumerate(box_doc):
-        _expect(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair),
-            f"{path}.box[{pos}]",
-            "interval must be [lo, hi]",
-        )
-        _expect(
-            _finite(pair[0]) and _finite(pair[1]) and _finite(pair[1] - pair[0]),
-            f"{path}.box[{pos}]",
-            "interval endpoints and width must be finite numbers",
-        )
-        _expect(pair[1] > pair[0], f"{path}.box[{pos}]", "interval must be non-degenerate")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair)):
+            raise ModelError(f"{path}.box[{pos}]", "interval must be [lo, hi]")
+        if not (_finite(pair[0]) and _finite(pair[1]) and _finite(pair[1] - pair[0])):
+            raise ModelError(f"{path}.box[{pos}]", "interval endpoints and width must be finite numbers")
+        if not pair[1] > pair[0]:
+            raise ModelError(f"{path}.box[{pos}]", "interval must be non-degenerate")
         box.append((float(pair[0]), float(pair[1])))
     return Chart(tuple(coords), tuple(box))
 
@@ -224,16 +264,18 @@ def load_model_bytes(raw: bytes) -> Model:
         raise ModelError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     schema = doc.get("schema")
-    _expect(type(schema) is int and schema == SCHEMA_VERSION, "schema", f"expected schema {SCHEMA_VERSION}")
+    if not (type(schema) is int and schema == SCHEMA_VERSION):
+        raise ModelError("schema", f"expected schema {SCHEMA_VERSION}")
 
     chart = _load_chart(doc.get("chart"))
     d = chart.dim
-    zero = const_field(0.0, d)
+    zero = ZERO[d]
 
     alg_doc = doc.get("algebroid")
     _expect(isinstance(alg_doc, dict), "algebroid", "missing algebroid block")
     rank = alg_doc.get("rank")
-    _expect(type(rank) is int and 1 <= rank <= MAX_RANK, "algebroid.rank", f"rank must be 1..{MAX_RANK}")
+    if not (type(rank) is int and 1 <= rank <= MAX_RANK):
+        raise ModelError("algebroid.rank", f"rank must be 1..{MAX_RANK}")
 
     anchor = _table(alg_doc.get("anchor", []), "algebroid.anchor", chart, (rank, d))
     structure = dict(
@@ -311,8 +353,10 @@ def _load_multisym(doc, chart: Chart, alg: AlgebroidData, conn: ConnectionData) 
     path = "multisym"
     _expect(isinstance(doc, dict), path, "must be an object")
     n = doc.get("n")
-    _expect(type(n) is int and 1 <= n <= MAX_PLECTIC_DEGREE, f"{path}.n", f"n must be 1..{MAX_PLECTIC_DEGREE}")
-    _expect(n + 1 <= chart.dim, f"{path}.n", f"need chart dimension at least n+1 = {n + 1}")
+    if not (type(n) is int and 1 <= n <= MAX_PLECTIC_DEGREE):
+        raise ModelError(f"{path}.n", f"n must be 1..{MAX_PLECTIC_DEGREE}")
+    if n + 1 > chart.dim:
+        raise ModelError(f"{path}.n", f"need chart dimension at least n+1 = {n + 1}")
 
     h = _load_form(doc.get("h", []), f"{path}.h", chart, n + 1)
 

@@ -131,31 +131,41 @@ class TowerOperator:
         self._pieces: dict = {}
         self._identities: dict = {}
 
-    def _piece(self, op, k: int, b: tuple, shift: int, a=None) -> FormField:
-        """``op`` of eta^(k)(b), after rho_a when ``a`` is given, of degree k + ``shift``."""
+    def _piece(self, op: str, k: int, b: tuple, shift: int, a=None) -> FormField:
+        """Piece ``op`` of eta^(k)(b), along rho_a when ``a`` is given, of degree k + ``shift``."""
         key = (op, k, b, a)
-        if key not in self._pieces:
+        piece = self._pieces.get(key)
+        if piece is None:
             canon, sign = sort_signed(b)
             if canon != b:
                 piece = self._piece(op, k, canon, shift, a) if sign else FormField(self.data.alg.chart, k + shift)
-                self._pieces[key] = piece.scaled(-1.0) if sign < 0 else piece
+                piece = piece.scaled(-1.0) if sign < 0 else piece
             else:
                 form = self.data.eta_k(k).comp(b)
-                args = (form,) if a is None else (self.rho[a], form)
-                self._pieces[key] = FormField(form.chart, k + shift) if form.is_zero else op(*args)
-        return self._pieces[key]
+                piece = FormField(form.chart, k + shift) if form.is_zero else self._build(op, k, b, a, form)
+            self._pieces[key] = piece
+        return piece
+
+    def _build(self, op: str, k: int, b: tuple, a, form: FormField) -> FormField:
+        if op == "d":
+            return exterior_derivative(form)
+        if op == "iota":
+            return interior_product(self.rho[a], form)
+        # L_{rho_a} reads the contraction and the d of this component that
+        # the other pieces keep
+        return lie_derivative(self.rho[a], form, self.iota(k, a, b) if k else None, self.d(k, b))
 
     def lie(self, k: int, a: int, b: tuple) -> FormField:
         """L_{rho_a} eta^(k)(b)."""
-        return self._piece(lie_derivative, k, b, 0, a)
+        return self._piece("lie", k, b, 0, a)
 
     def iota(self, k: int, s: int, b: tuple) -> FormField:
         """iota_{rho_s} eta^(k)(b)."""
-        return self._piece(interior_product, k, b, -1, s)
+        return self._piece("iota", k, b, -1, s)
 
     def d(self, k: int, b: tuple) -> FormField:
         """d eta^(k)(b)."""
-        return self._piece(exterior_derivative, k, b, 1)
+        return self._piece("d", k, b, 1)
 
     def hm1(self):
         """D iota_rho h~ per basis index: H1 of h~."""

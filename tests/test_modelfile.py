@@ -419,6 +419,55 @@ class TestEntryReader:
             assert MESSAGES[rule] in str(err.value), bad
 
     @pytest.mark.parametrize(
+        "path, entry, message",
+        [
+            ("algebroid.anchor", {"idx": [1]}, "'idx' must have 2 indices"),
+            ("algebroid.anchor", {"idx": 1}, "'idx' must have 2 indices"),
+            ("algebroid.anchor", {"idx": [1, 1.5]}, "index 1.5 is not an integer"),
+            ("algebroid.anchor", {"idx": [True, 1]}, "index True is not an integer"),
+            ("algebroid.anchor", {"idx": [1, 5]}, "index 5 out of range 1..4 (slot 2)"),
+            ("algebroid.anchor", {"idx": [0, 1]}, "index 0 out of range 1..3 (slot 1)"),
+            ("multisym.eta[1]", {"idx_form": [4], "idx_bundle": [1, "2"]}, "bundle index '2' is not an integer"),
+            ("multisym.eta[1]", {"idx_form": [4.0], "idx_bundle": [1, 2]}, "form index 4.0 is not an integer"),
+            ("multisym.eta[1]", {"idx_form": [5], "idx_bundle": [1, 2]}, "form index 5 out of range 1..4 (slot 1)"),
+            ("multisym.eta[1]", {"idx_form": [4], "idx_bundle": [1, 4]}, "bundle index 4 out of range 1..3 (slot 2)"),
+            ("multisym.eta[1]", {"idx_form": [4], "idx_bundle": [1]}, "'idx_bundle' must have 2 indices"),
+            ("multisym.eta[1]", {"idx_form": [4]}, "entry needs 'idx_form', 'idx_bundle' and 'expr'"),
+            ("algebroid.structure", {"idx": [1, 3, 2]}, "duplicate or contradictory entry for slot (1, 2, 3)"),
+            ("multisym.eta[1]", {"idx_form": [4], "idx_bundle": [2, 1]}, "duplicate or contradictory entry for slot ((4,), (1, 2))"),
+            ("multisym.eta[0]", {"idx_form": [], "idx_bundle": [3, 2, 1]}, "duplicate or contradictory entry for slot ((), (1, 2, 3))"),
+            ("algebroid.structure", {"idx": [1, 2, 2]}, "antisymmetric entry with repeated index"),
+            ("metric", [1, 2], "entry must be an object"),
+        ],
+    )
+    def test_rejection_text_is_exact(self, path, entry, message):
+        # the whole message, so that a reader formatting it only on failure
+        # must reproduce every word of it
+        keys, valid, _, _ = READER_BLOCKS[path]
+        doc = reader_doc()
+        self._place(doc, keys, [valid])
+        block = doc
+        for key in keys:
+            block = block[key]
+        block.append({**entry, "expr": "x"} if isinstance(entry, dict) else entry)
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(doc_bytes(doc))
+        assert str(err.value) == f"{path}[1]: {message}"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ('{"schema": 1, "schema": 1}', "$: key 'schema' given twice in one object"),
+            ('{"schema": 1, "chart": {"box": [], "coordinates": [], "box": []}}', "$: key 'box' given twice in one object"),
+            ('{"a": 1, "b": 2, "a": 3, "b": 4}', "$: key 'a' given twice in one object"),
+        ],
+    )
+    def test_a_repeated_json_key_text_is_exact(self, source, message):
+        with pytest.raises(ModelError) as err:
+            load_model_bytes(source.encode())
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "form, bundle, sign",
         [([1, 2], [1, 2], 1.0), ([2, 1], [1, 2], -1.0), ([1, 2], [2, 1], -1.0), ([2, 1], [2, 1], 1.0)],
     )
