@@ -83,18 +83,17 @@ def dual_covariant_derivative(conn: ConnectionData, mu):
     return out
 
 
-def e_nabla_metric_fields(conn: ConnectionData, g: MetricField, lies=None):
+def e_nabla_metric_fields(conn: ConnectionData, g: MetricField):
     """Residuals of the tangent-action compatibility of the metric.
 
     (L_{rho_a} g)_ij - Gamma^b_{a i} rho^k_b g_kj - Gamma^b_{a j} rho^k_b g_ki,
-    per basis index a and i <= j; ``lies``, when given, is [a] -> L_{rho_a} g,
-    made already.
+    per basis index a and i <= j.
     """
     alg = conn.alg
     d = alg.dim
     out = []
     for a in range(alg.rank):
-        lie = lie_derivative_metric(alg.anchor_vector(a), g) if lies is None else lies[a]
+        lie = lie_derivative_metric(alg.anchor_vector(a), g)
         for i in range(d):
             for j in range(i, d):
                 # placed as in the dense loop over b, then k, then the pair

@@ -98,12 +98,10 @@ class DomainError(ExpressionError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_NUMBER = r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?"
-_NUMBER_RE = re.compile(_NUMBER)
 _TOKEN_RE = re.compile(
-    rf"""
+    r"""
     (?P<ws>\s+)
-  | (?P<number>{_NUMBER})
+  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
     """,
@@ -244,24 +242,10 @@ def parse(source: str, coords, build):
     ``build(op, param, text, *values of its operands)``, with ``(op,
     param)`` ``("num", number)``, ``("var", coordinate index)``, ``("neg",
     None)``, ``("call", function name)`` or ``(op, None)`` for an operator
-    ``+ - * / ^``; ``text`` is its canonical text, which parses to it.
-    ``coords`` may be a dict of each name's index already."""
-    index = coords if isinstance(coords, dict) else {name: i for i, name in enumerate(coords)}
+    ``+ - * / ^``; ``text`` is its canonical text, which parses to it."""
+    index = {name: i for i, name in enumerate(coords)}
     if len(index) != len(coords):
         raise ValueError("coordinate names must be distinct")
-    # a coordinate or a number, or one negated, as most entries of a model
-    # file are, is built as the parse below would build it
-    negated = source[:1] == "-"
-    atom = source[1:] if negated else source
-    if atom in index:
-        value = build("var", index[atom], atom)
-    elif _NUMBER_RE.fullmatch(atom) and not math.isinf(number := float(atom)):
-        atom = repr(number)
-        value = build("num", number, atom)
-    else:
-        atom = None
-    if atom is not None:
-        return build("neg", None, "-" + atom, value) if negated else value
     tokens = _tokenize(source)
     try:
         return _parse_tokens(tokens, index, build)

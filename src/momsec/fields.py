@@ -121,14 +121,6 @@ class Chart:
         return len(self.coordinates)
 
     @cached_property
-    def _parsing(self) -> tuple:
-        """What parsing against this chart reads: the coordinate index by
-        name (the names themselves if one is given twice, which the
-        parser rejects) and the node builder."""
-        names = {name: i for i, name in enumerate(self.coordinates)}
-        return names if len(names) == self.dim else self.coordinates, partial(_node, self.dim)
-
-    @cached_property
     def _corner(self) -> tuple[np.ndarray, np.ndarray]:
         """The box's lower corner and its widths, made once per chart."""
         lo = np.array([b[0] for b in self.box])
@@ -216,8 +208,8 @@ class ScalarField:
     slots, from its operands' slots in the program's table and the
     attributes named in ``_params`` (or from its own ``_args``), and
     ``_derivative(i)``, its partial by the rule of its class, for an ``i``
-    it reaches.  ``_group`` keys the nodes that one kernel may evaluate
-    together: the class, or what a subclass's kernel needs besides.
+    it reaches.  ``_kind`` keys the nodes that one kernel may evaluate
+    together: the class, or what one kernel of a class needs to share.
     """
 
     dim: int
@@ -229,7 +221,7 @@ class ScalarField:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._group = cls
+        cls._kind = cls
 
     def _built_on(self, inputs: tuple):
         self.inputs = inputs
@@ -441,7 +433,6 @@ class RuleField(ScalarField):
 
     def __init__(self, rule, param, text: str, *inputs: ScalarField):
         self._kind = (rule, param)
-        self._group = (RuleField, rule, param)
         self.text = text
         self.dim = inputs[0].dim
         self._built_on(inputs)
@@ -580,7 +571,7 @@ class ExprField:
 
     @staticmethod
     def parse(source: str, chart: Chart) -> ScalarField:
-        return parse(source, *chart._parsing)
+        return parse(source, chart.coordinates, partial(_node, chart.dim))
 
 
 def eval_jet(field: ScalarField, point) -> float:
@@ -854,7 +845,7 @@ class MatrixInverseField(ScalarField):
         self.i = i
         self.j = j
         self.dim = core.dim
-        self._group = core
+        self._kind = core
         self._built_on(core.entries)
 
     @classmethod
@@ -972,8 +963,8 @@ class Program:
     Then it schedules the nodes by readiness: a node is ready once every
     one of its inputs has been scheduled, so the leaves, coordinates and
     constants, are ready first.  It keeps a count of each key's nodes
-    (its ``_group``: the class, with a rule node's rule and parameter or
-    an inverse entry's matrix) not yet scheduled.  Among the keys that
+    (its ``_kind``: the class, a rule node's rule and parameter, or an
+    inverse entry's matrix) not yet scheduled.  Among the keys that
     have ready nodes it takes first a key whose every node left is
     ready, so that one group holds all of them; among those, or among all
     keys with ready nodes when no key is whole, it takes the key whose
@@ -1025,13 +1016,13 @@ class Program:
         # the count of each key's nodes not yet scheduled, the ready nodes
         # by key, the greatest height among each key's, and the nodes the
         # last group made ready: the leaves at first
-        unscheduled = Counter(map(attrgetter("_group"), height))
+        unscheduled = Counter(map(attrgetter("_kind"), height))
         ready: dict = {}
         tallest: dict = {}
         fresh = buckets[0]
         while True:
             for node in fresh:
-                key = node._group
+                key = node._kind
                 nodes = ready.get(key)
                 if nodes is None:
                     ready[key] = [node]
@@ -1404,6 +1395,8 @@ class MetricField:
             self.g[j][i] = f
         # [i] -> [(j, g_ij)] over the non-zero g_ij
         self.stored = [[(j, f) for j, f in enumerate(row) if not f.is_zero] for row in self.g]
+        # v -> L_v g, made once for each vector field it is taken along
+        self._lies: dict = {}
 
     @staticmethod
     def identity(chart: Chart) -> "MetricField":
@@ -1435,7 +1428,11 @@ class MetricField:
 
 
 def lie_derivative_metric(v: VectorField, g: MetricField):
-    """(L_v g)_ij = v^k d_k g_ij + d_i v^k g_kj + d_j v^k g_ik, as a field matrix."""
+    """(L_v g)_ij = v^k d_k g_ij + d_i v^k g_kj + d_j v^k g_ik, as a field
+    matrix, made once per vector field ``v`` while ``g`` lives."""
+    out = g._lies.get(v)
+    if out is not None:
+        return out
     d = g.chart.dim
     vs = v.stored()
     out = [[None] * d for _ in range(d)]
@@ -1446,6 +1443,7 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
             terms += [(3 * k + 1, dv * gkj) for k, gkj in g.stored[j] if not (dv := v.comps[k].partial(i)).is_zero]
             terms += [(3 * k + 2, dv * gik) for k, gik in g.stored[i] if not (dv := v.comps[k].partial(j)).is_zero]
             out[i][j] = out[j][i] = field_sum_d(by_place(terms), d)
+    g._lies[v] = out
     return out
 
 

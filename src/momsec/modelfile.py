@@ -131,29 +131,19 @@ def _expr_path(path: str, pos: int | None) -> str:
 _NOUNS = {"idx_form": "form index", "idx_bundle": "bundle index"}
 
 
-def _indices(idx, ranges) -> tuple[int, ...] | None:
-    """The 0-based tuple of a list of 1-based indices, one per range, or
-    None when it is not one (see :func:`_index_error`)."""
+def _indices(idx, path: str, pos: int, key: str, ranges) -> tuple[int, ...]:
+    """The 0-based tuple of the list of 1-based indices under ``key`` of
+    entry ``pos`` of the block at ``path``, one per range."""
     if not (isinstance(idx, list) and len(idx) == len(ranges)):
-        return None
-    for value, upper in zip(idx, ranges):
-        # a JSON boolean is a Python int, and not an index
-        if type(value) is not int or not 1 <= value <= upper:
-            return None
-    return tuple(v - 1 for v in idx)
-
-
-def _index_error(idx, epath: str, key: str, ranges) -> ModelError:
-    """The error for the first fault of an index list that :func:`_indices` refused."""
-    if not (isinstance(idx, list) and len(idx) == len(ranges)):
-        return ModelError(epath, f"'{key}' must have {len(ranges)} indices")
-    noun = _NOUNS.get(key, "index")
+        raise ModelError(f"{path}[{pos}]", f"'{key}' must have {len(ranges)} indices")
     for slot, (value, upper) in enumerate(zip(idx, ranges)):
+        # a JSON boolean is a Python int, and not an index
         if type(value) is not int:
-            return ModelError(epath, f"{noun} {value!r} is not an integer")
+            raise ModelError(f"{path}[{pos}]", f"{_NOUNS.get(key, 'index')} {value!r} is not an integer")
         if not 1 <= value <= upper:
-            return ModelError(epath, f"{noun} {value} out of range 1..{upper} (slot {slot + 1})")
-    raise AssertionError("an index list that _indices accepts has no fault")
+            noun = _NOUNS.get(key, "index")
+            raise ModelError(f"{path}[{pos}]", f"{noun} {value} out of range 1..{upper} (slot {slot + 1})")
+    return tuple(v - 1 for v in idx)
 
 
 # Canonicalizers map the 0-based index tuples of an entry, one per index
@@ -196,19 +186,13 @@ def _entries(block, path: str, chart: Chart, canon, **ranges):
     """
     _expect(isinstance(block, list), path, "expected a list of entries")
     keys = ("expr", *ranges)
-    lists = ranges.items()
     seen = set()
     for pos, entry in enumerate(block):
         if not (isinstance(entry, dict) and all(map(entry.__contains__, keys))):
             needs = "entry needs " + ", ".join(f"'{key}'" for key in ranges) + " and 'expr'"
             _expect(isinstance(entry, dict), f"{path}[{pos}]", "entry must be an object")
             raise ModelError(f"{path}[{pos}]", needs)
-        indices = [_indices(entry[k], upper) for k, upper in lists]
-        if None in indices:
-            # the first index list at fault
-            k, upper = list(lists)[indices.index(None)]
-            raise _index_error(entry[k], f"{path}[{pos}]", k, upper)
-        key, sign = canon(*indices)
+        key, sign = canon(*(_indices(entry[k], path, pos, k, upper) for k, upper in ranges.items()))
         if key is None:
             raise ModelError(f"{path}[{pos}]", "antisymmetric entry with repeated index")
         if key in seen:

@@ -38,12 +38,11 @@ from .fields import (
 )
 
 
-def rigid_killing_fields(alg: AlgebroidData, g: MetricField, lies=None):
-    """(L_{rho_a} g)_ij per basis index; ``lies``, when given, is [a] ->
-    L_{rho_a} g, made already."""
+def rigid_killing_fields(alg: AlgebroidData, g: MetricField):
+    """(L_{rho_a} g)_ij per basis index."""
     out = []
     for a in range(alg.rank):
-        lie = lie_derivative_metric(alg.anchor_vector(a), g) if lies is None else lies[a]
+        lie = lie_derivative_metric(alg.anchor_vector(a), g)
         for i in range(alg.dim):
             for j in range(i, alg.dim):
                 out.append((index_label(a=a, i=(i, j)), lie[i][j]))

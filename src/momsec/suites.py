@@ -64,7 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -75,20 +74,9 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import (
-    Program,
-    SingularMatrixError,
-    diagonal_cond_max,
-    exterior_derivative,
-    finite_only,
-    lie_derivative_metric,
-    point_matrices,
-)
+from .fields import Program, SingularMatrixError, diagonal_cond_max, exterior_derivative, finite_only, point_matrices
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult
-
-# the field of a (label, field) row
-_FIELD = itemgetter(1)
 
 # bytes of value table that a program may fill per chunk: a run
 # evaluates this many bytes over its program's bytes per point at a time
@@ -215,14 +203,12 @@ class _RunPlan:
 
     def __init__(self, plans: list, dim: int):
         self.plans = plans
-        # the fields of every row set, a row set listed twice once
-        sets = {id(rows): list(map(_FIELD, rows)) for plan in plans for rows in plan.row_sets if rows is not None}
         index: dict = {}
-        for f in dict.fromkeys(chain.from_iterable(sets.values())):
-            if not f.is_zero:
-                index[f] = len(index)
-        # a structural zero has no position
-        positions = {key: [k for k in map(index.get, fields) if k is not None] for key, fields in sets.items()}
+        positions = {}
+        for plan in plans:
+            for rows in plan.row_sets:
+                if rows is not None:
+                    positions[id(rows)] = [index.setdefault(f, len(index)) for _, f in rows if not f.is_zero]
         self.rows = list(index)
         self.zeros = {key: 0.0 for key, picked in positions.items() if not picked}
         self.ids = [key for key, picked in positions.items() if picked]
@@ -608,9 +594,7 @@ def plan_sigma2d(model: Model):
     b = model.b_field
     eta = model.eta_boundary
 
-    # L_{rho_a} g, which the Killing and the gauged rows both read
-    lies = [lie_derivative_metric(alg.anchor_vector(a), g) for a in range(alg.rank)]
-    killing_rows = s2d.rigid_killing_fields(alg, g, lies)
+    killing_rows = s2d.rigid_killing_fields(alg, g)
     # without beta_rigid, which rigid-b rows a run reports depends on db over
     # its sample; the rows for a b that is not closed need a db that is not
     # a structural zero
@@ -618,7 +602,7 @@ def plan_sigma2d(model: Model):
     b_closure_rows = s2d.rigid_b_closure_fields(alg, b) if model.beta_rigid is None and b_closed_rows else None
     b_rows, defaulted = s2d.rigid_b_fields(alg, b, model.beta_rigid)
     anchor_rows = alg_mod.anchor_morphism_fields(alg)
-    gauged_rows = e_nabla_metric_fields(conn, g, lies)
+    gauged_rows = e_nabla_metric_fields(conn, g)
     pairing_rows = s2d.boundary_pairing_fields(alg, eta, model.mu)
     p2_rows = s2d.boundary_eta_fields(alg, conn, b, eta, model.mu)
     p3_rows = s2d.boundary_mu_fields(alg, conn, model.mu)

@@ -11,8 +11,6 @@ from momsec.expressions import (
     LexError,
     ParseError,
     UnknownSymbolError,
-    _parse_tokens,
-    _tokenize,
     parse,
 )
 from momsec.fields import ConstField, RuleField
@@ -183,28 +181,6 @@ def test_every_rule_text_parses_back_to_its_node(source):
         return  # rejected at load, as 1/0 is
     for rule in _rule_nodes(root):
         assert node(rule.text, XY) is rule
-
-
-@pytest.mark.parametrize(
-    "source",
-    ["x", "-x", "y", "sin", "-sin", "0", "1", "-1", "2.5", "-.5", "1.", "007", "1e3", "-1E-3", "1e-400",
-     "1e400", "-1e400", "-z", "z", "- x", "x ", "--x", "-", "", "-(x)", "1x", "x1"],
-)
-def test_an_atom_builds_as_the_parser_builds_it(source):
-    # parse builds a coordinate, a number, or one negated, without the
-    # parser; its calls to build, or its error, are the parser's
-    def logged(log):
-        return lambda op, param, text, *inputs: log.append((op, param, text, inputs)) or len(log)
-
-    coords = {"x": 0, "y": 1, "sin": 2}
-    outcomes = []
-    for run in (lambda b: parse(source, coords, b), lambda b: _parse_tokens(_tokenize(source), coords, b)):
-        log = []
-        try:
-            outcomes.append((run(logged(log)), log))
-        except ExpressionError as exc:
-            outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
 
 
 class TestJets:
