@@ -9,8 +9,9 @@ with every model block), runs all suites at sampling seed 42 and prints
 one line: the point count, the wall time of load plus run, the
 process's ``ru_maxrss`` in MB, the size of the program of the run's
 run plan (its slots, the rows of its one value table, and the kernels it
-runs per chunk) and the SHA-256 of the run's JSON report, rendered after
-the timing.  A fresh
+runs per chunk; the run, a first one, interprets the plan, and the
+program is compiled when it is read, after the timing and the peak) and
+the SHA-256 of the run's JSON report, rendered after the timing.  A fresh
 process per count keeps one count's peak from hiding the next one's;
 the digests show whether two versions of the code report the same bytes
 at counts that span many chunks, and the sizes whether the program

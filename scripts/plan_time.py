@@ -7,18 +7,22 @@ Usage: python scripts/plan_time.py [N]    (default: 20)
 The models are the built-in examples, then ``son_model_bytes(3, 1)`` and
 ``son_model_bytes(4, 1)`` (``perfbench/models.py``).  Each model is
 loaded N times, fresh; each time the script times loading it, each
-applicable suite's planner (with its ``_Plan``), making the run plan
-and compiling its program (``compile``), running the program at sampling
-seed 42 and 32 points (``run``: every kernel of ``Program.run``, and
-binding the program's tables to its space on this first run), reducing
-its root groups (``reduce``: the row probe's gather and its max |f| by
+applicable suite's planner (with its ``_Plan``), the run plan's first
+run at sampling seed 42 and 32 points (``first``: making the run plan,
+then ``fields.level_order`` and ``fields.interpret`` over its probes,
+which is how a fresh run plan evaluates, compiling nothing), reducing
+those values (``reduce``: the row probe's max |f| by
 ``suites._abs_maxima``, the matrix probes of mechanics, and the one
 reduction to every row set's maximum, all into the run's one maxima
-map), running the same program again at seed 43 (``rerun``: the
+map), the compile that a second run of the plan makes (``compile``: the
+first read of ``_RunPlan.program``), running the program at seed 42
+(``run``: every kernel of ``Program.run``, and binding the program's
+tables to its space), running it again at seed 43 (``rerun``: the
 kernels alone, on tables bound already, as a model reused seed after
-seed runs them), and making the report (``report``: every plan's step,
-then ``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do
-them.
+seed runs them from its third run on), and making the report (``report``: every plan's step, then
+``CheckReport.to_json``), as ``momsec.suites.run`` and the CLI do them.
+So ``first`` is what a one-shot check spends on evaluation, and
+``compile`` plus ``run`` what it spent when every run compiled.
 The last column, ``request``, is the minimum over N whole requests
 ``momsec.cli.main(["check", PATH, "--format", "json"])`` on the model
 written to a file (at its own seed and point count; the report is
@@ -30,7 +34,10 @@ One line per model gives the minimum of each over the N loads, in ms.
 Before each load or request the previous model, its plans and its
 program are dropped and collected, so the node table is empty: a node
 of a live model would be shared with the new one and make its planning
-read too fast.
+read too fast.  Each load's layers are timed with the garbage collector
+disabled, so that no collection, of the objects the load and planning
+leave, falls inside one layer and not another; the requests run with it
+enabled, as the CLI does.
 
 A second table counts, while planning every applicable suite once, the
 multiplications with a structural-zero operand, the ``Components.comp``
@@ -77,24 +84,28 @@ def timings(raw: bytes) -> dict:
         start = time.perf_counter()
         plans.append(suites._Plan(*suites._SUITES[suite][0](model)))
         out[suite] = time.perf_counter() - start
-    start = time.perf_counter()
-    run_plan = suites._RunPlan(plans, model.chart.dim)
-    out["compile"] = time.perf_counter() - start
     config = suites.RunConfig(tolerance=model.tolerance, points=POINTS, seed=SEED)
     ctx = suites.CheckContext(model, config, suites.applicable_suites(model))
-    start = time.perf_counter()
     with np.errstate(all="ignore"):
         # the sample is one chunk, so this is what ``_RunPlan.evaluate`` and
-        # ``suites.run`` do
-        values = run_plan.program.run(ctx.points)
-        out["run"] = time.perf_counter() - start
+        # ``suites.run`` do on a first run and then on a second
+        start = time.perf_counter()
+        run_plan = suites._RunPlan(plans, model.chart.dim)
+        values = iter(fields.interpret(fields.level_order(run_plan.groups), run_plan.groups, ctx.points))
+        out["first"] = time.perf_counter() - start
         start = time.perf_counter()
         ctx.maxima = run_plan.row_maxima(suites._abs_maxima(next(values)))
         ctx.maxima.update((id(p), float(p.reduce(v)[0])) for p, v in zip(run_plan.probes, values))
         out["reduce"] = time.perf_counter() - start
+        start = time.perf_counter()
+        program = run_plan.program
+        out["compile"] = time.perf_counter() - start
+        start = time.perf_counter()
+        program.run(ctx.points)
+        out["run"] = time.perf_counter() - start
         other = model.chart.sample(POINTS, SEED + 1)
         start = time.perf_counter()
-        run_plan.program.run(other)
+        program.run(other)
         out["rerun"] = time.perf_counter() - start
         start = time.perf_counter()
         for plan in plans:
@@ -171,20 +182,25 @@ def main(argv: list[str]) -> int:
         return 2
     print(f"minimum of {rounds} fresh loads, ms; evaluation at seed {SEED}, {POINTS} points")
     print(
-        f"{'model':28s} {'load':>6s} {'plan':>6s} {'compile':>7s} {'run':>6s} {'rerun':>6s} {'reduce':>6s} "
+        f"{'model':28s} {'load':>6s} {'plan':>6s} {'first':>6s} {'compile':>7s} {'run':>6s} {'rerun':>6s} {'reduce':>6s} "
         f"{'report':>6s} {'request':>7s}  plan by suite"
     )
     for name, raw in models():
         best: dict = {}
         for _ in range(rounds):
             gc.collect()
-            for layer, seconds in timings(raw).items():
+            gc.disable()
+            try:
+                layers = timings(raw)
+            finally:
+                gc.enable()
+            for layer, seconds in layers.items():
                 best[layer] = min(best.get(layer, seconds), seconds)
         plan = [layer for layer in best if layer in suites.SUITE_NAMES]
         by_suite = " ".join(f"{layer}={1e3 * best[layer]:.3f}" for layer in plan)
         request = request_time(raw, rounds)
         print(
-            f"{name:28s} {1e3 * best['load']:6.3f} {1e3 * sum(best[s] for s in plan):6.3f} "
+            f"{name:28s} {1e3 * best['load']:6.3f} {1e3 * sum(best[s] for s in plan):6.3f} {1e3 * best['first']:6.3f} "
             f"{1e3 * best['compile']:7.3f} {1e3 * best['run']:6.3f} {1e3 * best['rerun']:6.3f} {1e3 * best['reduce']:6.3f} "
             f"{1e3 * best['report']:6.3f} {1e3 * request:7.3f}  {by_suite}"
         )

@@ -21,6 +21,13 @@ updated with the JSON and then the text rendering of each report, in that
 order, and printed first; one digest per document follows.  Two versions
 of the code produce the same reports exactly when the first lines agree.
 
+A loaded model's first run interprets its run plan and its second
+compiles the plan's program (see ``momsec.suites``), so the first
+(seed, points) of every model is run once more, on the compiled program,
+after the digests are printed.  The script exits with status 1, naming
+each model on standard error, if those documents differ from the first
+run's; the printed lines do not change.
+
 ``scripts/report_digest.expected`` holds the first line for the committed
 code, and CI fails when the printed one differs, so a change that alters
 report bytes updates that file on purpose.
@@ -84,16 +91,27 @@ def main() -> int:
     total = hashlib.sha256()
     lines = []
     loaded = [(name, load_model_bytes(raw)) for name, raw in models()]
+    first = {}
     for seed, points in RUNS:
         for name, model in loaded:
-            report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=seed))
-            for kind, doc in (("json", report.to_json()), ("text", report.to_text())):
-                data = doc.encode()
+            docs = documents(model, seed, points)
+            first.setdefault(name, docs)
+            for kind, data in docs:
                 total.update(data)
                 lines.append(f"{hashlib.sha256(data).hexdigest()}  {name} seed={seed} points={points} {kind}")
     print(total.hexdigest())
     print("\n".join(lines))
-    return 0
+    seed, points = RUNS[0]
+    differ = [name for name, model in loaded if documents(model, seed, points) != first[name]]
+    for name in differ:
+        print(f"error: {name} seed={seed} points={points}: the compiled rerun differs from the first run", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def documents(model, seed: int, points: int) -> list:
+    """``(kind, bytes)`` of the JSON and the text rendering of one run of all suites."""
+    report = run(model, "all", RunConfig(tolerance=model.tolerance, points=points, seed=seed))
+    return [("json", report.to_json().encode()), ("text", report.to_text().encode())]
 
 
 if __name__ == "__main__":

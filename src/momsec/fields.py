@@ -15,21 +15,26 @@ a planner may read only through its partials is a :class:`Deferred` sum,
 built only where its value is read.  Field graphs hold no sample data,
 so a graph built once serves every sample.
 
-Graphs are evaluated by a :class:`Program`, compiled once from groups
-of root fields.  It evaluates a chunk of points at a time, one group of
-ready nodes of one class (and, for an expression node, rule) after
+Graphs are evaluated in two tiers, to the same bits.  :func:`interpret`
+compiles nothing: it walks the graphs under groups of root fields once,
+in level order, and evaluates each node by itself with the arithmetic
+of its class's kernel.  ``ScalarField.eval`` and :func:`max_abs_fields`
+evaluate this way, over the whole sample, and so does the first run of
+a check's run plan (see :mod:`momsec.suites`).  A :class:`Program`,
+compiled once from groups of root fields, is what a run plan uses from
+its second run on.  It evaluates a chunk of points at a time, one group
+of ready nodes of one class (and, for an expression node, rule) after
 another, each by one numpy kernel over their stacked operand rows, so a
 run costs numpy work per group, not interpreter work per node.  Each
 node is evaluated once per chunk, into one row of the program's value
 table ``(S, P)``, the point axis last, so every kernel runs along the
 points; a kernel reads its operands with ``ndarray.take``, never by
-fancy indexing.  A check run compiles the graphs of every suite it
+fancy indexing.  A run plan compiles the graphs of every suite it
 selects into one program, leaves included, so a program evaluates a
-model's expressions together with everything built on them.
-``ScalarField.eval`` and :func:`max_abs_fields` evaluate a one-off
-program of their own over the whole sample.  Only the matrix inverse
-moves an axis, to hand ``np.linalg.inv`` one matrix per point, and not
-for a diagonal matrix, whose inverse is computed entrywise.
+model's expressions together with everything built on them.  Only the
+matrix inverse moves an axis, to hand ``np.linalg.inv`` one matrix per
+point, and not for a diagonal matrix, whose inverse is computed
+entrywise.
 
 On top of scalar fields sit :class:`FormField` (differential k-forms),
 :class:`VectorField` and :class:`MetricField`, with the exterior
@@ -199,14 +204,16 @@ class ScalarField:
     leaf and else one more than its highest input's, and bit i of
     ``reach`` is set when a path leads from it down to coordinate i.
 
-    ``eval(points)`` gives its values over a ``(P, d)`` sample, through a
-    one-off :class:`Program` of this field alone; ``value`` reads them at
-    one point, and ``jet`` is the name tools wrap for it.
+    ``eval(points)`` gives its values over a ``(P, d)`` sample, each node
+    under it evaluated by itself (see :func:`eval_groups`); ``value`` reads
+    them at one point, and ``jet`` is the name tools wrap for it.
 
     Every subclass supplies ``_kernel(program, out, *args)``, which
     evaluates a group of its nodes at once into ``out``, the rows of their
     slots, from its operands' slots in the program's table and the
-    attributes named in ``_params`` (or from its own ``_args``), and
+    attributes named in ``_params`` (or from its own ``_args``);
+    ``_compute(values, points)``, which evaluates the node alone by the
+    same arithmetic from ``values``, its inputs' values keyed by node; and
     ``_derivative(i)``, its partial by the rule of its class, for an ``i``
     it reaches.  ``_kind`` keys the nodes that one kernel may evaluate
     together: the class, or what one kernel of a class needs to share.
@@ -234,7 +241,7 @@ class ScalarField:
         self.reach = reach
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        return next(Program([[self]], self.dim).run(points))[0]
+        return eval_groups([[self]], points, self.dim)[0][0]
 
     def value(self, point) -> float:
         return float(self.eval(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -336,6 +343,11 @@ class ConstField(ScalarField):
     def _kernel(t, out, c):
         out[...] = c[:, None]
 
+    def _compute(self, values, points):
+        out = np.empty(len(points))
+        out.fill(self.c)
+        return out
+
     def scaled(self, c: float) -> "ScalarField":
         return self if self.is_zero else const_field(c * self.c, self.dim)
 
@@ -383,6 +395,10 @@ class CoordField(ScalarField):
     @staticmethod
     def _kernel(t, out, i):
         out[...] = t.points[:, i].T
+
+    def _compute(self, values, points):
+        # contiguous, as a row of a program's table is
+        return np.ascontiguousarray(points[:, self.i])
 
     def _derivative(self, i):
         return ONE[self.dim]
@@ -444,6 +460,10 @@ class RuleField(ScalarField):
     @staticmethod
     def _kernel(t, out, rule, param, texts, *inputs):
         out[...] = rule(param, texts, *map(t.rows, inputs))
+
+    def _compute(self, values, points):
+        rule, param = self._kind
+        return rule(param, (self.text,), *[values[f][None] for f in self.inputs])[0]
 
     def _derivative(self, i):
         rule, param = self._kind
@@ -615,6 +635,13 @@ class SumField(ScalarField):
         for n, span in spans:
             out[:n] += terms[span]
 
+    def _compute(self, values, points):
+        first, second, *rest = self.terms
+        out = values[first] + values[second]
+        for term in rest:
+            out += values[term]
+        return out
+
     def _parts(self, i):
         return [x for t in self.terms for x in t._terms(i)]
 
@@ -635,6 +662,9 @@ class DiffField(ScalarField):
     def _kernel(t, out, a, b):
         np.subtract(t.rows(a), t.rows(b), out=out)
 
+    def _compute(self, values, points):
+        return values[self.a] - values[self.b]
+
     def _derivative(self, i):
         return _minus(self.a.partial(i), self.b.partial(i))
 
@@ -651,6 +681,9 @@ class ProdField(ScalarField):
         # a's rows straight into the output, times a copy of b's
         t.take(a, out)
         out *= t.rows(b)
+
+    def _compute(self, values, points):
+        return values[self.a] * values[self.b]
 
     def _parts(self, i):
         a, b = self.a, self.b
@@ -671,6 +704,9 @@ class ScaledField(ScalarField):
     @staticmethod
     def _kernel(t, out, f, c):
         np.multiply(c[:, None], t.rows(f), out=out)
+
+    def _compute(self, values, points):
+        return self.c * values[self.f]
 
     def _derivative(self, i):
         return _scale(self.f.partial(i), self.c)
@@ -820,6 +856,16 @@ class _MatrixInverse:
         N = 1.0 / diagonal
         return N if np.isfinite(N).all() else None
 
+    def _compute(self, values: dict):
+        """N over a chunk, from the values of M's entries keyed by node, as
+        the kernel of its entries computes it: N's diagonal ``(n, P)`` where
+        :meth:`diagonal_values` gives it, else N point-major ``(P, n, n)``."""
+        if self.diagonal is not None:
+            inverse = self.diagonal_values(np.array([values[f] for f in self.diagonal]))
+            if inverse is not None:
+                return inverse
+        return self.values(np.array([values[f] for f in self.entries]))
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """A field matrix with finite entries is singular at sample point
@@ -864,6 +910,15 @@ class MatrixInverseField(ScalarField):
                 inverse.take(i, 0, out, "clip")
                 return
         out[...] = core.values(t.rows(entries))[:, i, j].T
+
+    def _compute(self, values, points):
+        # the inverse is computed once per chunk, by the first entry read
+        inverse = values.get(self.core)
+        if inverse is None:
+            inverse = values[self.core] = self.core._compute(values)
+        if inverse.ndim == 2:
+            return inverse[self.i]
+        return np.ascontiguousarray(inverse[:, self.i, self.j])
 
     def _derivative(self, k):
         # dN_ij = -sum_l (sum_m N_im dM_ml) N_lj, each inner sum one node
@@ -951,8 +1006,71 @@ def _gather(nodes, slots) -> np.ndarray:
     return np.fromiter(map(slots.__getitem__, nodes), np.intp, len(nodes))
 
 
+def root_groups(groups) -> list:
+    """Groups of root fields as lists of nodes: a :class:`Deferred` by its node."""
+    return [[f.node if f.__class__ is Deferred else f for f in fields] for fields in groups]
+
+
+def level_order(groups) -> list:
+    """Every node under the root ``groups`` (see :func:`root_groups`), a
+    level at a time from the leaves up: ``(nodes, done)`` for each
+    ``level``, where ``done`` are the nodes, none a root, that no node
+    above that level reads."""
+    seen = dict.fromkeys(chain.from_iterable(groups))
+    levels = [[] for _ in range(max(map(_LEVEL, seen), default=-1) + 1)]
+    for node in seen:
+        levels[node.level].append(node)
+    done = [[] for _ in levels]
+    # from the top level down, a loop rather than a recursive walk (a
+    # closure that calls itself is a reference cycle, which would keep
+    # every node until a collection); inputs sit at lower levels, so the
+    # first reader to reach a node is one at the highest level that reads it
+    for level in range(len(levels) - 1, 0, -1):
+        for node in levels[level]:
+            for i in node.inputs:
+                if i not in seen:
+                    seen[i] = None
+                    levels[i.level].append(i)
+                    done[level].append(i)
+    return list(zip(levels, done))
+
+
+def interpret(levels: list, groups, points: np.ndarray) -> list:
+    """The stacked values ``(n, P)`` of each root group over ``points``,
+    from ``levels``, the :func:`level_order` of the groups.  Each node is
+    evaluated by itself (``_compute``), once, after its inputs, with the
+    arithmetic of its class's kernel, so every value is the one a
+    :class:`Program` gives, bit for bit.  No kernel is compiled.  A node's
+    values go once no level above reads them, so the values held at once
+    stay few and recently made, and a root's when this returns.  A domain
+    error or a singular matrix is raised for the first node in this order
+    that fails, which need not be the one a program's kernel order names
+    (see :func:`eval_groups`)."""
+    values: dict = {}
+    for nodes, done in levels:
+        for node in nodes:
+            values[node] = node._compute(values, points)
+        for node in done:
+            del values[node]
+    return [np.array([values[f] for f in fields]) if fields else np.empty((0, len(points))) for fields in groups]
+
+
+def eval_groups(groups, points: np.ndarray, dim: int) -> list:
+    """The stacked values of each root group over ``points``, interpreted
+    (see :func:`interpret`).  Where a node leaves its domain or a matrix is
+    singular, a :class:`Program` of the groups runs the sample instead, so
+    the error raised is the one its kernel order names."""
+    groups = root_groups(groups)
+    try:
+        return interpret(level_order(groups), groups, points)
+    except (DomainError, SingularMatrixError):
+        return list(Program(groups, dim).run(points))
+
+
 class Program:
-    """The evaluation of groups of root fields.
+    """The compiled evaluation of groups of root fields, worth its compile
+    where it runs again: :func:`interpret` evaluates the same values
+    without one.
 
     Compiling finds the nodes under the roots in one pass over buckets
     by ``level``, from the top down, putting each input in its level's
@@ -979,13 +1097,14 @@ class Program:
     stacked rows of its operands, so every node is evaluated once per
     call, after its inputs; the leaves' kernels fill their rows from the
     points.  The program owns its table and the space it lives in (see
-    ``_bind``); a run rebinds it only when the chunk length changes, and
-    otherwise is a loop over bound kernels.  ``run`` gives, for each root
-    group, the stacked values of its fields, ``(n, P)``.
+    ``_bind``) until ``release`` drops them; a run rebinds it only when
+    the chunk length changes, and otherwise is a loop over bound kernels.
+    ``run`` gives, for each root group, the stacked values of its fields,
+    ``(n, P)``.
     """
 
     def __init__(self, groups, dim: int):
-        groups = [[f.node if f.__class__ is Deferred else f for f in fields] for fields in groups]
+        groups = root_groups(groups)
         # a node's height is final when its level is reached.  ``users``
         # lists a consumer once for every input position at which it reads
         # the node, and ``waiting`` counts those positions
@@ -1087,6 +1206,13 @@ class Program:
         self.value = self._space[:size].reshape(self.slots, count)
         self._bound = [(kernel, self.value[rows], args) for kernel, rows, args in self._kernels]
         self._count = count
+
+    def release(self):
+        """Drop the table, its space and the last chunk, so the program
+        holds no values between runs; the next run binds a table again."""
+        self._space = self.value = self._bound = self.points = None
+        self._space = np.empty(0)
+        self._count = None
 
     def rows(self, slots: np.ndarray) -> np.ndarray:
         """A copy of the table's rows ``slots``."""
@@ -1449,9 +1575,9 @@ def lie_derivative_metric(v: VectorField, g: MetricField):
 
 def max_abs_fields(fields, points: np.ndarray) -> float:
     """Largest |f| over the sample; NaN or inf when any value is non-finite.
-    Only values are evaluated, all by one program."""
+    Only values are evaluated, all in one pass (see :func:`eval_groups`)."""
     live = [f for f in fields if not f.is_zero]
     if not live:
         return 0.0
-    values = next(Program([live], live[0].dim).run(points))
+    values = eval_groups([live], points, live[0].dim)[0]
     return float(np.max(np.abs(values), initial=0.0))

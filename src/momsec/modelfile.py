@@ -74,10 +74,11 @@ class Model:
     sampling: Sampling
     tolerance: float
     raw_bytes: bytes
-    # the run plan of each selection (its suites' plans and the one
-    # program over them), keyed by its tuple of suite names and made by
-    # the first run of that selection (see suites.run); a model is never
-    # modified after loading, so it stays valid for every run after it
+    # the run plan of each selection (its suites' plans and, once the
+    # selection runs again, the one program over them), keyed by its tuple
+    # of suite names and made by the first run of that selection (see
+    # suites.run); a model is never modified after loading, so it stays
+    # valid for every run after it
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property

@@ -19,28 +19,38 @@ a structural zero.
 The first run of a selection makes its run plan, which the model keeps
 for each next run of the same selection.  It holds the plans of the
 selected suites; one row probe, every distinct field of every row set of
-those suites that is not a structural zero; their matrix probes; the
-positions of every row set's fields in the row probe, concatenated once;
-and one :class:`~momsec.fields.Program` compiled from the probes.  So a
-node that several suites read is evaluated once, and no other program
-is compiled.
+those suites that is not a structural zero; their matrix probes; and the
+positions of every row set's fields in the row probe, concatenated once.
+A run evaluates the probes in one of two tiers, chosen by whether the
+run plan has run before.  Its first run walks the probes' graphs once,
+in level order, and evaluates each node by itself
+(:func:`~momsec.fields.interpret`), so a one-shot check compiles
+nothing.  Its second run compiles one :class:`~momsec.fields.Program`
+from the probes, and every later run reuses it.  Both tiers give the
+same bits.  A first run that meets a domain error or a singular matrix
+drops what it interpreted and runs the program instead, so the error is
+the one the program's kernel order names.  Either way a node that
+several suites read is evaluated once, and no other program is
+compiled.
 
 One point sample is drawn per run and shared by every check, so
 residuals compared across modules are evaluated on identical points.  A
 run evaluates the sample in chunks: the chunk length is
-``CHUNK_BYTES`` over the program's bytes per point, so memory does not
-grow with ``--points``.  The program owns the one space its table lives
-in, reused chunk after chunk and run after run (see
-:meth:`~momsec.fields.Program.run`).  In each chunk the program runs
-once, from the chunk's coordinates up through every node of the model's
-expressions and the suites' graphs, and each root group is reduced as
-it is read: the row probe, gathered from the tables once, to each
-field's max |f| (NaN when any value is NaN), and a matrix probe to the
-arrays its reduction makes.  The run keeps the elementwise maximum over
-chunks of each, which every reduction here is chosen to make exact, and
-a domain error or a singular matrix names its point by its index in the
-whole sample: the first point where any node fails, whatever the chunk
-length.
+``CHUNK_BYTES`` over 8 bytes per node under the probes, the program's
+bytes per point, so memory does not grow with ``--points``.  An
+interpreted node's values do not outlive their chunk.  The program owns
+the one space its table lives in, reused chunk after chunk, and run
+after run from the plan's third run on (see
+:meth:`~momsec.fields.Program.run`); the runs before drop it when they
+end, so a plan run once or twice holds no values.  In each chunk every node is evaluated once, from the
+chunk's coordinates up through every node of the model's expressions
+and the suites' graphs, and each root group is reduced as it is read:
+the row probe, gathered once, to each field's max |f| (NaN when any
+value is NaN), and a matrix probe to the arrays its reduction makes.
+The run keeps the elementwise maximum over chunks of each, which every
+reduction here is chosen to make exact, and a domain error or a
+singular matrix names its point by its index in the whole sample: the
+first point where any node fails, whatever the chunk length.
 
 Only then do the steps run, and they read only these maxima: one
 ``np.maximum.reduceat`` per run takes the maximum of every row set of
@@ -63,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -74,7 +85,17 @@ from . import multisym as msy
 from . import sigma2d as s2d
 from .connections import e_nabla_metric_fields, e_nabla_two_form_fields
 from .expressions import DomainError
-from .fields import Program, SingularMatrixError, diagonal_cond_max, exterior_derivative, finite_only, point_matrices
+from .fields import (
+    Program,
+    SingularMatrixError,
+    diagonal_cond_max,
+    exterior_derivative,
+    finite_only,
+    interpret,
+    level_order,
+    point_matrices,
+    root_groups,
+)
 from .modelfile import Model
 from .reporting import CheckReport, CheckResult
 
@@ -197,12 +218,19 @@ class _RunPlan:
     positions in it of the fields of every row set that has any are
     concatenated once, in ``order`` from offsets ``starts``, for the row
     sets keyed ``ids``; a row set whose fields are all structural zeros
-    reads 0 (``zeros``).  ``probes`` are the plans' matrix probes, and
-    ``program`` evaluates the row probe and then each matrix probe in
-    every run."""
+    reads 0 (``zeros``).  ``probes`` are the plans' matrix probes.  A run
+    evaluates ``groups``, the row probe and then each matrix probe, in
+    one of two tiers, by ``runs``, the count of the plan's runs: the first
+    run interprets them node by node (see :func:`~momsec.fields.interpret`)
+    and compiles nothing, and every later run uses ``program``, compiled
+    when first read, so only a plan that runs again pays for a compile.
+    The program keeps its value table between runs only from the third
+    run on; until then no value outlives its run."""
 
     def __init__(self, plans: list, dim: int):
         self.plans = plans
+        self.dim = dim
+        self.runs = 0
         index: dict = {}
         positions = {}
         for plan in plans:
@@ -219,35 +247,64 @@ class _RunPlan:
         self.order = np.array(order, dtype=np.intp)
         self.starts = np.array(starts, dtype=np.intp)
         self.probes = [p for plan in plans for p in plan.probes]
-        self.program = Program([self.rows, *(p.fields for p in self.probes)], dim)
+        self.groups = root_groups([self.rows, *(p.fields for p in self.probes)])
+
+    @cached_property
+    def program(self) -> Program:
+        return Program(self.groups, self.dim)
 
     def evaluate(self, points: np.ndarray) -> list:
         """The maxima over ``points`` of the row probe's |f|, one per
-        field, and of each matrix probe's reduction.  The program runs
-        chunk by chunk.  A domain error or a singular matrix is reported
-        at the first point of the sample where any node fails, for the
-        first node, in the program's fixed kernel order, that fails
-        there."""
-        program = self.program
-        length = max(1, CHUNK_BYTES // max(1, program.bytes_per_point))
-        for start in range(0, len(points), length):
-            chunk = points[start : start + length]
+        field, and of each matrix probe's reduction, evaluated chunk by
+        chunk, each chunk ``CHUNK_BYTES`` over 8 bytes per node long.  A
+        domain error or a singular matrix is reported at the first point
+        of the sample where any node fails, for the first node, in the
+        program's fixed kernel order, that fails there: a first run that
+        meets one drops what it interpreted and runs the program."""
+        self.runs += 1
+        if self.runs == 1:
+            levels = level_order(self.groups)
+            nodes = sum(len(level) for level, _ in levels)
             try:
-                values = program.run(chunk)
-            except (DomainError, SingularMatrixError) as exc:
-                # the first kernel to fail may fail only past a point where a
-                # kernel after it fails: run the points before the reported
-                # one again until none of them fails
-                while exc.point:
-                    try:
-                        program.run(chunk[: exc.point])
-                        break
-                    except (DomainError, SingularMatrixError) as earlier:
-                        exc = earlier
-                raise exc.shifted(start) from None
+                return self._maxima(points, nodes, lambda chunk, _: interpret(levels, self.groups, chunk))
+            except (DomainError, SingularMatrixError):
+                pass
+        program = self.program
+        try:
+            return self._maxima(points, program.slots, self._run)
+        finally:
+            # the table is kept for the next run only once the program runs
+            # again, from the plan's third run on, as the program is
+            # compiled only once the plan runs again
+            if self.runs < 3:
+                program.release()
+
+    def _maxima(self, points: np.ndarray, nodes: int, run) -> list:
+        """The maxima of :meth:`evaluate`, from ``run(chunk, start)``, the
+        groups' values over the chunk of ``points`` at ``start``."""
+        length = max(1, CHUNK_BYTES // max(1, 8 * nodes))
+        for start in range(0, len(points), length):
+            values = iter(run(points[start : start + length], start))
             reduced = [_abs_maxima(next(values)), *(p.reduce(v) for p, v in zip(self.probes, values))]
             maxima = reduced if start == 0 else [np.maximum(a, b) for a, b in zip(maxima, reduced)]
         return maxima
+
+    def _run(self, chunk: np.ndarray, start: int):
+        """The program's run over ``chunk``, at ``start`` in the sample."""
+        program = self.program
+        try:
+            return program.run(chunk)
+        except (DomainError, SingularMatrixError) as exc:
+            # the first kernel to fail may fail only past a point where a
+            # kernel after it fails: run the points before the reported
+            # one again until none of them fails
+            while exc.point:
+                try:
+                    program.run(chunk[: exc.point])
+                    break
+                except (DomainError, SingularMatrixError) as earlier:
+                    exc = earlier
+            raise exc.shifted(start) from None
 
     def row_maxima(self, rows: np.ndarray) -> dict:
         """The largest |f| of each row set, keyed by id, from those of the

@@ -295,11 +295,12 @@ def _chunks_of(monkeypatch, model, length: int):
 
 def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
     # every node holds its values alone, partials being nodes of their
-    # own; every node is evaluated exactly once per chunk: the run's one
-    # program has kernels that write disjoint slots that, with the leaves,
-    # cover every node under the roots of every selected suite; no two of
-    # those nodes are equal graphs, since the algebra shares every node it
-    # would build again
+    # own; every node is evaluated exactly once per chunk: the one program
+    # that a reused run plan compiles has kernels that write disjoint slots
+    # that, with the leaves, cover every node under the roots of every
+    # selected suite; no two of those nodes are equal graphs, since the
+    # algebra shares every node it would build again.  A first run
+    # interprets the plan and compiles nothing; the second compiles it
     raw = _son_model_bytes(monkeypatch, 3)
     written = []
     for cls in ScalarField.__subclasses__():
@@ -310,8 +311,12 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
                 _kernel(t, out, *args)
 
             monkeypatch.setattr(cls, "_kernel", staticmethod(recording_kernel))
-    calls = []
-    run_program = Program.run
+    compiled, calls = [], []
+    compile_program, run_program = Program.__init__, Program.run
+
+    def counting_init(program, groups, dim):
+        compiled.append(program)
+        compile_program(program, groups, dim)
 
     def recording_run(program, points):
         written.clear()
@@ -319,10 +324,14 @@ def test_each_node_keeps_only_the_orders_its_consumers_need(monkeypatch):
         calls.append((program, len(points), sorted((rows.__array_interface__["data"][0], len(rows)) for rows in written)))
         return jets
 
+    monkeypatch.setattr(Program, "__init__", counting_init)
     monkeypatch.setattr(Program, "run", recording_run)
     model = load_model_bytes(raw)
     run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
+    assert compiled == [] and calls == [] and written == []
+    run(model, "all", RunConfig(tolerance=model.tolerance, points=32, seed=42))
     run_plan, program = run_plan_of(model)
+    assert compiled == [program]
     under = _under(f for plan in run_plan.plans for f in _fields_of(plan))
     assert [(p, count) for p, count, _ in calls] == [(program, 32)]
     assert program.slots == len(under)
@@ -671,24 +680,26 @@ def test_run_memory_is_bounded_and_released(monkeypatch):
 
 def _json_at_chunk_lengths(monkeypatch, raw: bytes, seed: int, points: int) -> list[str]:
     """Reports of one model at chunk lengths 1, 7 and 32 and as one chunk,
-    or the text of the domain error a run stops with."""
+    or the text of the domain error a run stops with: at each length, a
+    reused model's run, which runs its run plan's program, and then a
+    fresh model's first run, which interprets its run plan."""
     model = load_model_bytes(raw)
     cfg = RunConfig(points=points, seed=seed)
 
-    def report():
+    def report(model):
         try:
             return run(model, "all", cfg).to_json()
         except DomainError as exc:
             return f"error: {exc}"
 
-    report()
+    report(model)
     reports = []
     for length in (1, 7, 32, None):
         if length is None:
             monkeypatch.setattr(suites, "CHUNK_BYTES", 1 << 60)
         else:
             _chunks_of(monkeypatch, model, length)
-        reports.append(report())
+        reports += [report(model), report(load_model_bytes(raw))]
     return reports
 
 
@@ -752,8 +763,9 @@ def test_reports_do_not_depend_on_the_chunk_length(name, monkeypatch):
 
 def test_a_run_that_reads_rows_of_a_b_that_is_not_closed_compiles_one_program(monkeypatch):
     # sigma2d's rows for a b that is not closed are one more row set of
-    # the run's program: it is the one program a run compiles, and it
-    # runs once per chunk
+    # the run plan's program: a first run interprets the plan and compiles
+    # nothing, and the second compiles the one program, which runs once
+    # per chunk
     model = load_model_bytes(json.dumps(B_NOT_CLOSED).encode())
     compiled, calls = [], []
     compile_program, run_program = Program.__init__, Program.run
@@ -771,6 +783,8 @@ def test_a_run_that_reads_rows_of_a_b_that_is_not_closed_compiles_one_program(mo
     cfg = RunConfig(points=32, seed=42)
     rep = run(model, "all", cfg)
     assert "b not closed" in " ".join(rep.find("sigma2d/rigid-b-invariance").flags)
+    assert compiled == [] and calls == []
+    assert run(model, "all", cfg).to_json() == rep.to_json()
     assert compiled == [run_plan_of(model)[1]]
     assert calls == compiled
     calls.clear()
@@ -793,3 +807,78 @@ def test_a_nan_in_a_later_chunk_fails_its_row(monkeypatch):
     assert reports[1:] == reports[:-1]
     h2 = next(c for c in json.loads(reports[1])["checks"] if c["name"] == "momentum/h2-momentum-section")
     assert h2["passed"] is False and "non-finite" in h2["flags"]
+
+
+# ---------------------------------------------------------------------------
+# Tiers: a run plan's first run interprets, later runs run its program
+
+
+def _report_digest(monkeypatch):
+    """The module of ``scripts/report_digest.py``, whose ``models()`` and
+    ``RUNS`` the digest CI pins are taken from."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+    import report_digest
+
+    return report_digest
+
+
+def test_both_tiers_agree_bit_for_bit(monkeypatch):
+    # on every model of the report digest, at each of its (seed, points),
+    # a fresh model's first run (interpreted) reports the bytes of a reused
+    # model's run (compiled); a fresh run plan's first and second runs give
+    # the same row maxima and matrix probe reductions, bit for bit, and
+    # the first builds no program
+    digest = _report_digest(monkeypatch)
+    for name, raw in digest.models():
+        reused = load_model_bytes(raw)
+        run(reused, "all", RunConfig(points=8, seed=1))
+        plans = run_plan_of(reused)[0].plans
+        for seed, points in digest.RUNS:
+            cfg = RunConfig(points=points, seed=seed)
+            assert run(load_model_bytes(raw), "all", cfg).to_json() == run(reused, "all", cfg).to_json(), name
+            plan = suites._RunPlan(plans, reused.chart.dim)
+            sample = reused.chart.sample(points, seed)
+            with np.errstate(all="ignore"):
+                first = plan.evaluate(sample)
+                assert "program" not in vars(plan), name
+                second = plan.evaluate(sample)
+            assert sum(len(nodes) for nodes, _ in fields.level_order(plan.groups)) == plan.program.slots
+            assert [_bits(a) for a in first] == [_bits(b) for b in second], name
+            maxima = [plan.row_maxima(values[0]) for values in (first, second)]
+            assert maxima[0].keys() == maxima[1].keys()
+            assert _bits(list(maxima[0].values())) == _bits(list(maxima[1].values())), name
+
+
+def _failing_models() -> dict:
+    """Models whose runs stop with an error: log(x) where the box reaches
+    x <= 0, a metric entry exp(1000*x) that underflows to a singular metric,
+    and a metric singular everywhere."""
+    rotation, magnetic = (json.loads(fixture_bytes(name)) for name in ("rotation_momentum_map", "magnetic_twist_mechanics"))
+    rotation["mu"][0]["expr"] = "log(x)"
+    next(e for e in magnetic["metric"] if e["idx"] == [1, 1])["expr"] = "exp(1000*x)"
+    singular = json.loads(fixture_bytes("rotation_momentum_map"))
+    singular["metric"] = [{"idx": [1, 1], "expr": "1"}, {"idx": [2, 2], "expr": "0"}]
+    return {name: json.dumps(doc).encode() for name, doc in (("log", rotation), ("exp", magnetic), ("singular", singular))}
+
+
+@pytest.mark.parametrize("name", ["log", "exp", "singular"])
+def test_both_tiers_stop_with_the_same_error(name, monkeypatch):
+    # the interpreted first run meets the error too, drops what it
+    # evaluated and runs the compiled program, so the error's class,
+    # message and point are those of every later run
+    raw = _failing_models()[name]
+    digest = _report_digest(monkeypatch)
+    for seed, points in digest.RUNS:
+        model = load_model_bytes(raw)
+        cfg = RunConfig(points=points, seed=seed)
+        plan = suites._run_plan(model, suites.applicable_suites(model))
+        with np.errstate(all="ignore"), pytest.raises((DomainError, fields.SingularMatrixError)) as interpreted:
+            fields.interpret(fields.level_order(plan.groups), plan.groups, model.chart.sample(points, seed))
+        errors = []
+        for _ in range(2):
+            with pytest.raises((DomainError, fields.SingularMatrixError)) as info:
+                run(model, "all", cfg)
+            errors.append((type(info.value), str(info.value), info.value.point))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is type(interpreted.value)
+        assert errors[0][2] is not None
